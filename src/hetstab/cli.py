@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .cycle import CycleValidationError, load_cycle, validate_cycle
-from .findex import ZeroVectorError, f_index, f_minus, f_plus
+from .findex import ZeroVectorError, f_index, f_minus, f_plus, inf_str
 from .oracle import EstimatorConfig, InsufficientResolution, estimate_fplus_mc, estimate_sigma_mc
 from .rsp import NotFAS, ParamOutOfRange, RspParams, rsp_closed_form, rsp_compare, rsp_matrices
 from .stability import IndeterminateError, classify
@@ -35,25 +35,16 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _fmt(x) -> str:
-    if isinstance(x, float):
-        if x == math.inf:
-            return "+inf"
-        if x == -math.inf:
-            return "-inf"
-        return repr(x)
-    return str(x)
+    x = inf_str(x)
+    return repr(x) if isinstance(x, float) else str(x)
 
 
 def _json_ready(obj):
-    if isinstance(obj, float):
-        if math.isinf(obj):
-            return "+inf" if obj > 0 else "-inf"
-        return obj
     if isinstance(obj, dict):
         return {k: _json_ready(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_json_ready(v) for v in obj]
-    return obj
+    return inf_str(obj)
 
 
 def _write_json(path: str, payload: dict) -> None:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Sequence
 
 
 class CycleValidationError(ValueError):
@@ -268,12 +267,3 @@ def save_cycle(spec: CycleSpec, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(cycle_to_dict(spec), fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def parse_cycle(doc: Sequence | dict | CycleSpec) -> CycleSpec:
-    """Accept a CycleSpec or a raw JSON-style dict."""
-    if isinstance(doc, CycleSpec):
-        return doc
-    if isinstance(doc, dict):
-        return cycle_from_dict(doc)
-    raise CycleValidationError(f"cannot interpret {type(doc).__name__} as a cycle spec")

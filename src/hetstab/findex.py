@@ -34,6 +34,17 @@ NEG_INF = -math.inf
 ExtendedReal = float
 
 
+def inf_str(x):
+    """Serialized form of a value: "+inf" / "-inf" for a float infinity.
+
+    Every other value comes back unchanged, so JSON and CSV writers can pass
+    whole payloads through it.
+    """
+    if isinstance(x, float) and math.isinf(x):
+        return "+inf" if x > 0 else "-inf"
+    return x
+
+
 class ZeroVectorError(ValueError):
     """The all-zero direction has no index."""
 

@@ -25,6 +25,15 @@ Classification from the indices: any -inf -> not an attractor; any exact 0
 -> marginal (no claim made); all +inf -> asymptotically stable; all > 0 ->
 essentially asymptotically stable; otherwise (all > -inf, some < 0) the
 cycle is fragmentarily asymptotically stable only.
+
+Every index of one cycle comes from a single analysis pass.  The
+negative-entry list is found once.  From each start node j one product pass
+builds M_(j,j), M_(j+1,j), ..., M^(j): its steps are the partial turns
+ending at the negative-entry nodes and its last step is the full return.
+Each full return is decomposed at most once, and the checkpoint checks and
+v_max[j] share that decomposition.  classify runs the pass for all j;
+sigma(cycle, j) runs it for one j, so calling it for every j repeats the
+products and decompositions that classify shares.
 """
 
 from __future__ import annotations
@@ -39,10 +48,11 @@ from . import findex
 from .spectral import (
     DEFAULT_TOL,
     SpectralError,
+    SpectralSummary,
     dominant_eigenvalue,
     eigen_decompose,
 )
-from .transition import CycleLike, as_basic_matrices
+from .transition import CycleLike, as_basic_matrices, cyclic_products, negative_entry_indices
 
 
 class IndeterminateError(RuntimeError):
@@ -94,7 +104,7 @@ class IndexReport:
 
     def to_dict(self) -> dict:
         return {
-            "sigma": [_inf_str(s) for s in self.sigma],
+            "sigma": [findex.inf_str(s) for s in self.sigma],
             "provenance": [
                 {"source": p.source, "alpha": list(p.alpha) if p.alpha else None}
                 for p in self.provenance
@@ -102,14 +112,6 @@ class IndexReport:
             "classification": self.classification.value,
             "tol": self.tol,
         }
-
-
-def _inf_str(x: float):
-    if x == math.inf:
-        return "+inf"
-    if x == -math.inf:
-        return "-inf"
-    return x
 
 
 def classification_from_sigmas(sigmas) -> Classification:
@@ -135,61 +137,8 @@ def _checkpoints(m: int, negative: list[int]) -> list[int]:
     return sorted({(q + 1) % m for q in negative})
 
 
-def _full_returns(mats: list[np.ndarray]) -> list[np.ndarray]:
-    m = len(mats)
-    out = []
-    for j in range(m):
-        prod = np.eye(mats[0].shape[0])
-        for step in range(m):
-            prod = mats[(j + step) % m] @ prod
-        out.append(prod)
-    return out
-
-
-def _partial(mats: list[np.ndarray], l: int, j: int) -> np.ndarray:
-    m = len(mats)
-    prod = np.eye(mats[0].shape[0])
-    for step in range(((l - j) % m) + 1):
-        prod = mats[(j + step) % m] @ prod
-    return prod
-
-
-def collect_alpha_vectors(cycle: CycleLike, j: int, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
-    """Direction vectors whose indices are minimised to obtain sigma_j.
-
-    v_max of M^(j) first, then the N rows of each partial turn M_(j_p, j)
-    ending at a negative-entry matrix: K = 1 + L*N vectors in total.
-    """
-    return [alpha for alpha, _ in _tagged_alpha_vectors(as_basic_matrices(cycle), j, tol)]
-
-
-def _tagged_alpha_vectors(
-    mats: list[np.ndarray], j: int, tol: float
-) -> list[tuple[np.ndarray, str]]:
-    negative = [q for q, M in enumerate(mats) if M.min() < 0.0]
-    if not negative:
-        raise ValueError("no negative entries: the spectral-radius dichotomy applies")
-    full = _full_returns(mats)
-    try:
-        summary = eigen_decompose(full[j], tol)
-    except SpectralError as exc:
-        raise IndeterminateError(j, exc) from exc
-    if not (summary.condition_i and summary.condition_ii):
-        raise ValueError(
-            "dominant-pair conditions fail; sigma_j is -inf by the zero-measure "
-            "argument, not a minimum of indices"
-        )
-    tagged = [(np.real(summary.v_max), f"v_max[{j}]")]
-    for q in negative:
-        part = _partial(mats, q, j)
-        for s in range(part.shape[0]):
-            tagged.append((part[s], f"M_({q},{j}) row {s}"))
-    return tagged
-
-
-def _sigma_nonnegative(mats: list[np.ndarray], tol: float) -> float:
+def _sigma_nonnegative(full0: np.ndarray, tol: float) -> float:
     """Spectral-radius dichotomy when every basic matrix is non-negative."""
-    full0 = _full_returns(mats)[0]
     eigenvalues = np.linalg.eigvals(full0)
     try:
         idx = dominant_eigenvalue(eigenvalues, tol)
@@ -198,45 +147,98 @@ def _sigma_nonnegative(mats: list[np.ndarray], tol: float) -> float:
     return math.inf if abs(eigenvalues[idx]) > 1.0 else -math.inf
 
 
-def _checkpoint_conditions_hold(mats: list[np.ndarray], negative: list[int], tol: float) -> bool:
-    full = _full_returns(mats)
-    for q in _checkpoints(len(mats), negative):
-        try:
-            summary = eigen_decompose(full[q], tol)
-        except SpectralError as exc:
-            raise IndeterminateError(q, exc) from exc
-        if not (summary.condition_i and summary.condition_ii and summary.condition_iii):
-            return False
-    return True
+class _CycleAnalysis:
+    """The transition-matrix analysis of one cycle, for one public call.
+
+    Each product pass and each full-return decomposition is built on first
+    use and then shared; nothing outlives the call that made the object.
+    """
+
+    def __init__(self, cycle: CycleLike, tol: float):
+        self.mats = as_basic_matrices(cycle)
+        self.m = len(self.mats)
+        self.tol = tol
+        self.negative = negative_entry_indices(self.mats)
+        self._turns: dict[int, list[np.ndarray]] = {}
+        self._spectra: dict[int, SpectralSummary] = {}
+
+    def check_node(self, j: int) -> None:
+        if not 0 <= j < self.m:
+            raise IndexError(f"node index {j} out of range for m={self.m}")
+
+    def turns(self, j: int) -> list[np.ndarray]:
+        """[M_(j,j), M_(j+1,j), ..., M^(j)]: the product pass from node j."""
+        if j not in self._turns:
+            self._turns[j] = cyclic_products(self.mats, j, self.m)
+        return self._turns[j]
+
+    def spectrum(self, j: int) -> SpectralSummary:
+        """Decomposition of the full return M^(j)."""
+        if j not in self._spectra:
+            try:
+                self._spectra[j] = eigen_decompose(self.turns(j)[-1], self.tol)
+            except SpectralError as exc:
+                raise IndeterminateError(j, exc) from exc
+        return self._spectra[j]
+
+    def alpha_vectors(self, j: int) -> list[tuple[np.ndarray, str]]:
+        """v_max of M^(j), then the rows of each M_(j_p, j), with their tags."""
+        if not self.negative:
+            raise ValueError("no negative entries: the spectral-radius dichotomy applies")
+        summary = self.spectrum(j)
+        if not (summary.condition_i and summary.condition_ii):
+            raise ValueError(
+                "dominant-pair conditions fail; sigma_j is -inf by the zero-measure "
+                "argument, not a minimum of indices"
+            )
+        turns = self.turns(j)
+        tagged = [(np.real(summary.v_max), f"v_max[{j}]")]
+        for q in self.negative:
+            part = turns[(q - j) % self.m]
+            tagged.extend((row, f"M_({q},{j}) row {s}") for s, row in enumerate(part))
+        return tagged
+
+    def indices(self, nodes) -> list[tuple[float, IndexProvenance]]:
+        """sigma_j and its provenance for each j in nodes."""
+        if not self.negative:
+            value = _sigma_nonnegative(self.turns(0)[-1], self.tol)
+            dichotomy = IndexProvenance(source="nonnegative-dichotomy", alpha=None)
+            return [(value, dichotomy)] * len(nodes)
+        for q in _checkpoints(self.m, self.negative):
+            s = self.spectrum(q)
+            if not (s.condition_i and s.condition_ii and s.condition_iii):
+                fail = IndexProvenance(source="dominant-pair-conditions-fail", alpha=None)
+                return [(-math.inf, fail)] * len(nodes)
+        return [self._index(j) for j in nodes]
+
+    def _index(self, j: int) -> tuple[float, IndexProvenance]:
+        best = math.inf
+        best_tag = None
+        for alpha, tag in self.alpha_vectors(j):
+            value = findex.f_index(alpha)
+            if value < best or best_tag is None:
+                best = value
+                best_tag = (tag, tuple(float(a) for a in alpha))
+        return best, IndexProvenance(source=best_tag[0], alpha=best_tag[1])
+
+
+def collect_alpha_vectors(cycle: CycleLike, j: int, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
+    """Direction vectors whose indices are minimised to obtain sigma_j.
+
+    v_max of M^(j) first, then the N rows of each partial turn M_(j_p, j)
+    ending at a negative-entry matrix: K = 1 + L*N vectors in total.
+    """
+    analysis = _CycleAnalysis(cycle, tol)
+    analysis.check_node(j)
+    return [alpha for alpha, _ in analysis.alpha_vectors(j)]
 
 
 def sigma(cycle: CycleLike, j: int, tol: float = DEFAULT_TOL) -> float:
     """Local stability index along the connection entering node j."""
-    value, _ = _sigma_with_provenance(as_basic_matrices(cycle), j, tol)
+    analysis = _CycleAnalysis(cycle, tol)
+    analysis.check_node(j)
+    [(value, _)] = analysis.indices([j])
     return value
-
-
-def _sigma_with_provenance(
-    mats: list[np.ndarray], j: int, tol: float
-) -> tuple[float, IndexProvenance]:
-    m = len(mats)
-    if not 0 <= j < m:
-        raise IndexError(f"node index {j} out of range for m={m}")
-    negative = [q for q, M in enumerate(mats) if M.min() < 0.0]
-    if not negative:
-        value = _sigma_nonnegative(mats, tol)
-        return value, IndexProvenance(source="nonnegative-dichotomy", alpha=None)
-    if not _checkpoint_conditions_hold(mats, negative, tol):
-        return -math.inf, IndexProvenance(source="dominant-pair-conditions-fail", alpha=None)
-
-    best = math.inf
-    best_tag = None
-    for alpha, tag in _tagged_alpha_vectors(mats, j, tol):
-        value = findex.f_index(alpha)
-        if value < best or best_tag is None:
-            best = value
-            best_tag = (tag, tuple(float(a) for a in alpha))
-    return best, IndexProvenance(source=best_tag[0], alpha=best_tag[1])
 
 
 def classify(cycle: CycleLike, tol: float = DEFAULT_TOL) -> IndexReport:
@@ -245,16 +247,11 @@ def classify(cycle: CycleLike, tol: float = DEFAULT_TOL) -> IndexReport:
     Raises IndeterminateError when a spectral degeneracy (no admissible
     dominant eigenvalue, or a defective full return) blocks the decision.
     """
-    mats = as_basic_matrices(cycle)
-    sigmas = []
-    provenance = []
-    for j in range(len(mats)):
-        value, prov = _sigma_with_provenance(mats, j, tol)
-        sigmas.append(value)
-        provenance.append(prov)
+    analysis = _CycleAnalysis(cycle, tol)
+    sigmas, provenance = zip(*analysis.indices(range(analysis.m)))
     return IndexReport(
-        sigma=tuple(sigmas),
-        provenance=tuple(provenance),
+        sigma=sigmas,
+        provenance=provenance,
         classification=classification_from_sigmas(sigmas),
         tol=tol,
     )

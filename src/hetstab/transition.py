@@ -112,16 +112,28 @@ def log_offsets(cycle: CycleLike) -> list[np.ndarray]:
     return offsets
 
 
+def cyclic_products(mats: list[np.ndarray], j: int, steps: int) -> list[np.ndarray]:
+    """One product pass from node j: [M_(j,j), M_(j+1,j), ..., M_(j+steps-1,j)].
+
+    Entry s is the partial turn M_(j+s, j); with steps = m the last entry is
+    the full return M^(j).  Every full-return and partial-turn product in
+    the package is built here, so they all share one factor order.
+    """
+    prod = np.eye(mats[0].shape[0])
+    out = []
+    for step in range(steps):
+        prod = mats[(j + step) % len(mats)] @ prod
+        out.append(prod)
+    return out
+
+
 def full_return_matrix(cycle: CycleLike, j: int) -> TransitionMatrix:
     """M^(j): product of all m basic matrices starting from node j."""
     mats = as_basic_matrices(cycle)
     m = len(mats)
     if not 0 <= j < m:
         raise IndexError(f"node index {j} out of range for m={m}")
-    prod = np.eye(mats[0].shape[0])
-    for step in range(m):
-        prod = mats[(j + step) % m] @ prod
-    return TransitionMatrix(prod, provenance=f"full-return[{j}]")
+    return TransitionMatrix(cyclic_products(mats, j, m)[-1], provenance=f"full-return[{j}]")
 
 
 def partial_turn_matrix(cycle: CycleLike, l: int, j: int) -> TransitionMatrix:
@@ -130,10 +142,7 @@ def partial_turn_matrix(cycle: CycleLike, l: int, j: int) -> TransitionMatrix:
     m = len(mats)
     if not (0 <= j < m and 0 <= l < m):
         raise IndexError(f"indices (l={l}, j={j}) out of range for m={m}")
-    steps = ((l - j) % m) + 1
-    prod = np.eye(mats[0].shape[0])
-    for step in range(steps):
-        prod = mats[(j + step) % m] @ prod
+    prod = cyclic_products(mats, j, ((l - j) % m) + 1)[-1]
     return TransitionMatrix(prod, provenance=f"partial[({l},{j})]")
 
 

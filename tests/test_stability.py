@@ -2,22 +2,30 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import hetstab.stability
 from conftest import dominant_pair_matrix, random_cycle
 from hetstab import (
     Classification,
     ConnectionSpec,
     CycleSpec,
     IndeterminateError,
+    IndexProvenance,
     NodeSpec,
     RspParams,
+    SpectralError,
+    as_basic_matrices,
     check_podvigina_conditions,
     classification_from_sigmas,
     classify,
     collect_alpha_vectors,
+    eigen_decompose,
     f_index,
     full_return_matrix,
     negative_entry_indices,
+    partial_turn_matrix,
     rsp_matrices,
     sigma,
     validate_cycle,
@@ -201,3 +209,121 @@ def test_marginal_classification_end_to_end():
     report = classify([M])
     assert report.sigma == (0.0,)
     assert report.classification is Classification.MARGINAL
+
+
+def reference_report(cycle, tol=1e-9):
+    """(sigma, provenance, verdict) for a cycle with a negative entry, from the
+    public products, eigen_decompose and f_index alone, one j at a time."""
+    m = cycle.m
+    negative = [q for q in range(m) if partial_turn_matrix(cycle, q, q).entries.min() < 0.0]
+    assert negative
+
+    def spectrum(j):
+        try:
+            return eigen_decompose(full_return_matrix(cycle, j), tol)
+        except SpectralError as exc:
+            raise IndeterminateError(j, exc) from exc
+
+    for q in sorted({(p + 1) % m for p in negative}):
+        s = spectrum(q)
+        if not (s.condition_i and s.condition_ii and s.condition_iii):
+            fail = IndexProvenance(source="dominant-pair-conditions-fail", alpha=None)
+            return (-INF,) * m, (fail,) * m, Classification.NOT_ATTRACTOR
+    sigmas, provenance = [], []
+    for j in range(m):
+        s = spectrum(j)
+        assert s.condition_i and s.condition_ii
+        candidates = [(np.real(s.v_max), f"v_max[{j}]")]
+        for q in negative:
+            rows = partial_turn_matrix(cycle, q, j).entries
+            candidates += [(row, f"M_({q},{j}) row {r}") for r, row in enumerate(rows)]
+        alpha, tag = min(candidates, key=lambda c: f_index(c[0]))  # first of equal minima
+        sigmas.append(f_index(alpha))
+        provenance.append(IndexProvenance(source=tag, alpha=tuple(float(a) for a in alpha)))
+    return tuple(sigmas), tuple(provenance), classification_from_sigmas(sigmas)
+
+
+def test_classify_matches_per_node_reference_exactly():
+    rng = np.random.default_rng(71)
+    verdicts = set()
+    full_path = 0
+    for _ in range(200):
+        cycle = random_cycle(rng, max_m=12, sign="mixed")
+        try:
+            expected = reference_report(cycle)
+        except IndeterminateError as exc:
+            with pytest.raises(IndeterminateError) as got:
+                classify(cycle)
+            assert got.value.node == exc.node
+            continue
+        report = classify(cycle)
+        assert (report.sigma, report.provenance, report.classification) == expected
+        verdicts.add(report.classification)
+        full_path += report.provenance[0].alpha is not None
+    assert len(verdicts) >= 3
+    assert full_path >= 20
+
+
+def test_classify_decomposes_each_full_return_at_most_once(monkeypatch):
+    calls = []
+
+    def counting(matrix, tol):
+        calls.append(1)
+        return eigen_decompose(matrix, tol)
+
+    monkeypatch.setattr(hetstab.stability, "eigen_decompose", counting)
+    rng = np.random.default_rng(72)
+    cycles = [random_cycle(rng, max_m=12, sign="mixed") for _ in range(40)]
+    cycles += [random_cycle(np.random.default_rng(seed), max_m=32, sign="mixed") for seed in range(8)]
+    for cycle in cycles:
+        calls.clear()
+        try:
+            classify(cycle)
+        except IndeterminateError:
+            pass
+        assert len(calls) <= cycle.m
+    assert max(c.m for c in cycles) > 12
+
+
+@st.composite
+def mixed_cycles(draw, max_m=6):
+    """Valid cycles with at least one positive transverse eigenvalue."""
+    nt = draw(st.integers(1, 3))
+    ratio = st.floats(0.6, 1.8)
+    transverse = st.floats(-1.2, 1.2)
+    nodes, conns = [], []
+    for _ in range(draw(st.integers(1, max_m))):
+        t = tuple(draw(transverse) for _ in range(nt))
+        if not nodes:
+            t = (draw(st.floats(0.05, 1.2)),) + t[1:]
+        nodes.append(NodeSpec(contracting=draw(ratio), expanding=draw(ratio), transverse=t))
+        conns.append(ConnectionSpec(permutation=tuple(draw(st.permutations(range(nt + 1))))))
+    return validate_cycle(CycleSpec(nodes=tuple(nodes), connections=tuple(conns)))
+
+
+@settings(deadline=None)
+@given(mixed_cycles(), st.integers(0, 5))
+def test_cyclic_relabelling_rotates_sigma(cycle, shift):
+    mats = as_basic_matrices(cycle)
+    r = shift % len(mats)
+    try:
+        base = classify(mats).sigma
+        rotated = classify(mats[r:] + mats[:r]).sigma
+    except IndeterminateError:
+        return
+    for j, got in enumerate(rotated):
+        want = base[(j + r) % len(base)]
+        if math.isinf(want):
+            assert got == want
+        else:
+            assert got == pytest.approx(want, rel=0, abs=1e-12)
+
+
+@settings(deadline=None)
+@given(mixed_cycles())
+def test_sigma_is_the_classify_entry(cycle):
+    try:
+        report = classify(cycle)
+    except IndeterminateError:
+        return
+    assert [sigma(cycle, j) for j in range(cycle.m)] == list(report.sigma)
