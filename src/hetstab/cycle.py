@@ -15,6 +15,7 @@ caller's responsibility.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 
@@ -137,6 +138,14 @@ def find_violations(spec: CycleSpec) -> list[str]:
             problems.append(
                 f"node {j}: transverse count {len(node.transverse)} != {n_t} at node 0"
             )
+        if not all(map(math.isfinite, (node.contracting, node.expanding,
+                                       *node.transverse, *node.radial))):
+            problems.append(f"node {j}: non-finite value among c, e, t and radial")
+        elif node.expanding > 0 and not math.isfinite(
+            max(map(abs, (node.contracting, *node.transverse))) / node.expanding
+        ):
+            # the largest |numerator| gives the largest of the ratios c/e, -t/e
+            problems.append(f"node {j}: ratio c/e or -t/e overflows")
     if n_t < 1:
         problems.append("at least one transverse eigenvalue per node is required (N >= 2)")
 
@@ -152,8 +161,12 @@ def find_violations(spec: CycleSpec) -> list[str]:
                 problems.append(f"connection {j}: expected {dim} scalings")
             if any(not a > 0 for a in conn.scalings):
                 problems.append(f"connection {j}: scalings must be > 0")
+            if not all(map(math.isfinite, conn.scalings)):
+                problems.append(f"connection {j}: non-finite scaling")
         if not conn.contraction_offset > 0:
             problems.append(f"connection {j}: v0 must be > 0")
+        if not math.isfinite(conn.contraction_offset):
+            problems.append(f"connection {j}: non-finite v0")
     return problems
 
 

@@ -16,6 +16,14 @@ maps directly rather than trusting any eigen-structure argument:
 * the escape-exponent slope of a single half-space slice is estimated the
   same way from the membership test |x_1^{a_1} ... x_N^{a_N}| < 1.
 
+Point batches are iterated coordinate-major: the orbit loops keep one
+C-contiguous (N, n) array with a column per point, so a step is one N x N
+matrix times a wide array and the max-norm is an element-wise maximum over
+N contiguous rows.  Samples are drawn as n rows of N coordinates, built in
+place in one buffer per level (uniform draw, negate, log1p, add ln eps) and
+transposed once on entry to the loop, so the layout never changes which
+random number lands in which coordinate.
+
 Estimates are deterministic: the RNG stream of every level is derived from
 (seed, level index), so results are bit-identical for identical configs
 regardless of how levels are scheduled.  HETSTAB_THREADS > 1 evaluates
@@ -70,7 +78,7 @@ ESCAPED = Escaped()
 class EstimatorConfig:
     """Sampling plan for the delta-basin index estimator.
 
-    delta caps the tube around the cycle; epsilon_ladder is a strictly
+    delta in (0, 1) caps the tube around the cycle; epsilon_ladder is a strictly
     decreasing list of cube half-widths, all below delta; max_full_turns
     bounds the orbit budget per sample.
     """
@@ -83,8 +91,8 @@ class EstimatorConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "epsilon_ladder", tuple(float(e) for e in self.epsilon_ladder))
-        if not self.delta > 0:
-            raise ValueError("delta must be > 0")
+        if not 0 < self.delta < 1:
+            raise ValueError("delta must be in (0, 1)")
         lad = self.epsilon_ladder
         if not lad or any(not e > 0 for e in lad):
             raise ValueError("epsilon ladder must be non-empty and positive")
@@ -173,39 +181,39 @@ def _basin_mask(
 ) -> np.ndarray:
     """Vectorised delta-basin membership for a batch of log-coordinate points.
 
-    A sample is in the basin when no partial-turn image ever reaches delta in
-    max-norm and its orbit either dives below DEEP_LOG or shows a decreasing
-    max-norm trend over the last quarter of the turn budget.
+    eta0 holds one point per row; it is transposed once so that the orbit
+    loop works on a C-contiguous (N, n) array.  A sample is in the basin
+    when no partial-turn image ever reaches delta in max-norm and its orbit
+    either dives below DEEP_LOG or shows a decreasing max-norm trend over
+    the last quarter of the turn budget.
     """
     m = len(mats)
     ln_delta = math.log(delta)
     n_samples = eta0.shape[0]
     result = np.zeros(n_samples, dtype=bool)
 
-    idx = np.arange(n_samples)
-    mx = eta0.max(axis=1)
-    keep = mx < ln_delta
-    idx, eta = idx[keep], eta0[keep]
+    eta = np.ascontiguousarray(eta0.T)
+    keep = eta.max(axis=0) < ln_delta
+    idx, eta = np.flatnonzero(keep), eta[:, keep]
     if idx.size == 0:
         return result
 
+    cols = [off[:, None] for off in offs]
     q3 = (3 * max_full_turns) // 4
     q3_max = np.full(n_samples, np.inf)
-    mx = eta.max(axis=1)
     for turn in range(max_full_turns):
         for step in range(m):
             l = (j + step) % m
-            eta = eta @ mats[l].T + offs[l]
-            mx = eta.max(axis=1)
-            deep = mx <= DEEP_LOG
-            if deep.any():
-                result[idx[deep]] = True
-            escaped = (mx >= ln_delta) | np.isnan(mx)
-            keep = ~(deep | escaped)
+            eta = mats[l] @ eta
+            eta += cols[l]
+            mx = eta.max(axis=0)
+            # a NaN max fails both tests and counts as escaped
+            keep = (mx > DEEP_LOG) & (mx < ln_delta)
             if not keep.all():
-                idx, eta, mx = idx[keep], eta[keep], mx[keep]
-            if idx.size == 0:
-                return result
+                result[idx[mx <= DEEP_LOG]] = True
+                idx, eta, mx = idx[keep], eta[:, keep], mx[keep]
+                if idx.size == 0:
+                    return result
         if turn == q3:
             q3_max[idx] = mx
     result[idx[mx < q3_max[idx]]] = True
@@ -308,8 +316,13 @@ def _map_levels(func, n_levels: int) -> list:
 
 
 def _sample_log_cube(rng: np.random.Generator, eps: float, n: int, dim: int) -> np.ndarray:
-    # ln of Uniform(0, eps): ln(eps) + ln(U), U in (0, 1]; no underflow at any depth
-    return math.log(eps) + np.log1p(-rng.random((n, dim)))
+    # ln of Uniform(0, eps): ln(eps) + ln(U), U in (0, 1]; no underflow at any
+    # depth.  Every step after the draw works in place in its (n, dim) buffer.
+    eta = rng.random((n, dim))
+    np.negative(eta, out=eta)
+    np.log1p(eta, out=eta)
+    eta += math.log(eps)
+    return eta
 
 
 def estimate_sigma_mc(cycle: CycleLike, j: int, config: EstimatorConfig) -> BasinEstimate:
@@ -436,32 +449,33 @@ def matrix_basin_membership(
     budget.  A flat trend at the cap raises IndeterminateError.
 
     y may be a single strictly negative vector or a batch of them stacked in
-    rows; batches return a boolean array.
+    rows; batches return a boolean array.  The batch is iterated as one
+    (N, n) array, one column per point.
     """
     M = _entries(matrix)
     arr = np.asarray(y, float)
     single = arr.ndim == 1
-    batch = arr[None, :] if single else np.array(arr, dtype=float)
+    batch = arr[None, :] if single else arr
     if batch.ndim != 2 or batch.shape[1] != M.shape[0]:
         raise ValueError(f"samples have wrong shape {arr.shape} for {M.shape} matrix")
     if np.any(batch >= 0.0) or not np.all(np.isfinite(batch)):
         raise ValueError("initial points must be finite and strictly negative")
 
-    scale = np.abs(batch).max(axis=1)
+    cur = np.ascontiguousarray(batch.T)
+    scale = np.abs(cur).max(axis=0)
     neg_wall = -blowup_factor * scale
     pos_wall = blowup_factor * scale
 
     n = batch.shape[0]
     result = np.zeros(n, dtype=bool)
     idx = np.arange(n)
-    cur = batch
     q3 = (3 * max_iterations) // 4
     q3_max = np.full(n, np.nan)
-    mx = cur.max(axis=1)
+    mx = cur.max(axis=0)
     for it in range(max_iterations):
-        cur = cur @ M.T
-        mx = cur.max(axis=1)
-        finite = np.isfinite(cur).all(axis=1)
+        cur = M @ cur
+        mx = cur.max(axis=0)
+        finite = np.isfinite(cur).all(axis=0)
         diverged = (mx <= neg_wall[idx]) & finite
         # escape means the signed max component blowing up, not magnitude:
         # a diverging orbit's most negative component grows just as fast
@@ -470,7 +484,7 @@ def matrix_basin_membership(
             result[idx[diverged]] = True
         keep = ~(diverged | blown)
         if not keep.all():
-            idx, cur, mx = idx[keep], cur[keep], mx[keep]
+            idx, cur, mx = idx[keep], cur[:, keep], mx[keep]
         if idx.size == 0:
             break
         if it == q3:

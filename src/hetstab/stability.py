@@ -52,7 +52,7 @@ from .spectral import (
     dominant_eigenvalue,
     eigen_decompose,
 )
-from .transition import CycleLike, as_basic_matrices, cyclic_products, negative_entry_indices
+from .transition import CycleLike, as_basic_matrices, cyclic_products, _negative_entry_nodes
 
 
 class IndeterminateError(RuntimeError):
@@ -158,7 +158,7 @@ class _CycleAnalysis:
         self.mats = as_basic_matrices(cycle)
         self.m = len(self.mats)
         self.tol = tol
-        self.negative = negative_entry_indices(self.mats)
+        self.negative = _negative_entry_nodes(self.mats)
         self._turns: dict[int, list[np.ndarray]] = {}
         self._spectra: dict[int, SpectralSummary] = {}
 

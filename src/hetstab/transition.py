@@ -62,17 +62,23 @@ def as_basic_matrices(cycle: CycleLike) -> list[np.ndarray]:
     """Basic matrices of a ValidatedCycle, or pass through an explicit list.
 
     Every product / sign routine accepts either form, so a cycle known only
-    through its basic transition matrices can be analysed directly.
+    through its basic transition matrices can be analysed directly.  An
+    explicit list must hold finite, square, same-size matrices with N >= 2;
+    anything else raises ValueError.
     """
     if isinstance(cycle, ValidatedCycle):
         return [_basic(cycle, j) for j in range(cycle.m)]
     mats = [np.array(_entries(M), dtype=float) for M in cycle]
     if not mats:
         raise ValueError("empty matrix sequence")
-    n = mats[0].shape[0]
+    n = mats[0].shape[0] if mats[0].ndim else 0
+    if n < 2:
+        raise ValueError("basic transition matrices must be at least 2 x 2 (N >= 2)")
     for M in mats:
-        if M.ndim != 2 or M.shape != (n, n):
+        if M.shape != (n, n):
             raise ValueError("basic transition matrices must be square and same-size")
+        if not np.isfinite(M).all():
+            raise ValueError("basic transition matrices must have finite entries")
     return mats
 
 
@@ -152,5 +158,10 @@ def negative_entry_indices(cycle: CycleLike) -> list[int]:
     An empty result means every transverse eigenvalue is negative, which
     decides stability by the spectral-radius dichotomy alone.
     """
-    mats = as_basic_matrices(cycle)
+    return _negative_entry_nodes(as_basic_matrices(cycle))
+
+
+def _negative_entry_nodes(mats: list[np.ndarray]) -> list[int]:
+    """negative_entry_indices for basic matrices already checked by
+    as_basic_matrices, without copying and checking them again."""
     return [j for j, M in enumerate(mats) if M.min() < 0.0]

@@ -36,6 +36,19 @@ def test_analyze_bad_permutation_exits_one(tmp_path, capsys):
     assert "permutation" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("node", [
+    {"contracting": 1.0, "expanding": 1.0, "transverse": [float("nan")]},
+    {"contracting": float("inf"), "expanding": 1.0, "transverse": [-0.5]},
+    {"contracting": 1e300, "expanding": 1e-300, "transverse": [-0.5]},
+])
+def test_analyze_non_finite_input_exits_one(node, tmp_path, capsys):
+    doc = {"nodes": [node, node], "connections": [{"permutation": [0, 1]}] * 2}
+    path = tmp_path / "non_finite.json"
+    path.write_text(json.dumps(doc))
+    assert main(["analyze", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: node 0")
+
+
 def test_analyze_indeterminate_exits_two(tmp_path, capsys):
     path = tmp_path / "boundary.json"
     save_cycle(rsp_cycle_spec(RspParams(0.4, -0.4)), str(path))
@@ -85,6 +98,11 @@ def test_oracle_sigma_csv_and_determinism(rsp_json, tmp_path, capsys):
     assert csv_a.read_bytes() == csv_b.read_bytes()     # byte-identical reruns
     header = csv_a.read_text().splitlines()[0]
     assert header == "level,epsilon,sigma_hat_frac,stderr"
+
+
+def test_oracle_sigma_delta_outside_unit_interval_exits_one(rsp_json, capsys):
+    assert main(["oracle", "sigma", rsp_json, "--delta", "2", "--samples", "10"]) == 1
+    assert "delta" in capsys.readouterr().err
 
 
 def test_oracle_fplus(capsys):

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 from hypothesis import given
@@ -76,6 +77,26 @@ def test_non_positive_scalings_rejected():
     bad_v0 = ConnectionSpec(permutation=(0, 1), contraction_offset=-1.0)
     with pytest.raises(NonPositiveScaling):
         validate_cycle(CycleSpec(nodes=(n,), connections=(bad_v0,)))
+
+
+@pytest.mark.parametrize("node,conn", [
+    (NodeSpec(1.0, 1.0, (math.nan,)), ConnectionSpec((0, 1))),
+    (NodeSpec(math.inf, 1.0, (-0.5,)), ConnectionSpec((0, 1))),
+    (NodeSpec(1.0, math.inf, (-0.5,)), ConnectionSpec((0, 1))),
+    (NodeSpec(1.0, 1.0, (-math.inf,)), ConnectionSpec((0, 1))),
+    (NodeSpec(1.0, 1.0, (-0.5,), radial=(math.inf,)), ConnectionSpec((0, 1))),
+    (NodeSpec(1e300, 1e-300, (-0.5,)), ConnectionSpec((0, 1))),       # c/e overflows
+    (NodeSpec(1.0, 1e-300, (-1e300,)), ConnectionSpec((0, 1))),       # -t/e overflows
+    (NodeSpec(1.0, 1.0, (-0.5,)), ConnectionSpec((0, 1), scalings=(1.0, math.inf))),
+    (NodeSpec(1.0, 1.0, (-0.5,)), ConnectionSpec((0, 1), contraction_offset=math.inf)),
+], ids=["nan-t", "inf-c", "inf-e", "inf-t", "inf-radial", "ce-overflow", "te-overflow",
+        "inf-scaling", "inf-v0"])
+def test_non_finite_data_rejected(node, conn):
+    spec = CycleSpec(nodes=(node, node), connections=(conn, conn))
+    assert find_violations(spec)
+    with pytest.raises(CycleValidationError) as exc:
+        validate_cycle(spec)
+    assert exc.type is CycleValidationError      # not a "non-positive" subclass
 
 
 def test_empty_cycle_and_missing_transverse_rejected():

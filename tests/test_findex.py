@@ -1,8 +1,9 @@
 import math
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from hetstab import NEG_INF, POS_INF, ZeroVectorError, f_index, f_index_n3, f_minus, f_plus
@@ -80,11 +81,20 @@ def test_antisymmetry(comps):
     assert f_index([-c for c in comps]) == -f_index(comps)
 
 
+def _scaling_is_exact_enough(comps, scale) -> bool:
+    """Scaling invariance holds only where scaling does not enter the
+    subnormal range: there it loses bits and can even flush a component to
+    zero, which may change the index or zero the whole vector."""
+    return all(c == 0.0 or (abs(c) >= sys.float_info.min and abs(scale * c) >= sys.float_info.min)
+               for c in comps)
+
+
 @given(st.lists(finite_floats, min_size=2, max_size=6), st.integers(-40, 40))
 def test_dyadic_scale_invariance_exact(comps, power):
     if all(c == 0.0 for c in comps):
         return
     scale = 2.0 ** power
+    assume(_scaling_is_exact_enough(comps, scale))
     assert f_index([scale * c for c in comps]) == f_index(comps)
 
 
@@ -93,6 +103,7 @@ def test_dyadic_scale_invariance_exact(comps, power):
 def test_general_scale_invariance_within_rounding(comps, scale):
     if all(c == 0.0 for c in comps):
         return
+    assume(_scaling_is_exact_enough(comps, scale))
     a = f_index(comps)
     b = f_index([scale * c for c in comps])
     if math.isinf(a) or math.isinf(b):

@@ -4,7 +4,8 @@ import os
 import numpy as np
 import pytest
 
-from conftest import dominant_pair_matrix
+from conftest import dominant_pair_matrix, random_cycle
+from hetstab import oracle
 from hetstab import (
     ESCAPED,
     ConnectionSpec,
@@ -17,6 +18,7 @@ from hetstab import (
     RspParams,
     ZeroVectorError,
     apply_matrix_map,
+    classify,
     estimate_fplus_mc,
     estimate_sigma_mc,
     in_delta_basin,
@@ -124,6 +126,9 @@ def test_config_invariants():
         EstimatorConfig(delta=1e-5, epsilon_ladder=(1e-4,))  # level >= delta
     with pytest.raises(ValueError):
         EstimatorConfig(epsilon_ladder=())
+    for delta in (0.0, -1e-2, 1.0, 2.0, math.nan):
+        with pytest.raises(ValueError, match="delta"):
+            EstimatorConfig(delta=delta)
 
 
 def test_full_measure_basin_saturates_to_plus_inf():
@@ -273,3 +278,167 @@ def test_agreement_with_vmax_predicate():
     if disagree.any():
         margins = np.abs(ys[disagree] @ v) / np.abs(ys[disagree]).max(axis=1)
         assert margins.max() < 1e-6
+
+
+# ---------------------------------------------------------------------------
+# Coordinate-major layout: exact agreement with row-major reference loops
+# ---------------------------------------------------------------------------
+
+
+def _row_major_basin_mask(mats, offs, j, eta0, delta, max_full_turns):
+    """Reference basin test that keeps one point per row of an (n, N) array."""
+    m = len(mats)
+    ln_delta = math.log(delta)
+    n_samples = eta0.shape[0]
+    result = np.zeros(n_samples, dtype=bool)
+    idx = np.arange(n_samples)
+    keep = eta0.max(axis=1) < ln_delta
+    idx, eta = idx[keep], eta0[keep]
+    if idx.size == 0:
+        return result
+    q3 = (3 * max_full_turns) // 4
+    q3_max = np.full(n_samples, np.inf)
+    for turn in range(max_full_turns):
+        for step in range(m):
+            l = (j + step) % m
+            eta = eta @ mats[l].T + offs[l]
+            mx = eta.max(axis=1)
+            deep = mx <= oracle.DEEP_LOG
+            if deep.any():
+                result[idx[deep]] = True
+            escaped = (mx >= ln_delta) | np.isnan(mx)
+            keep = ~(deep | escaped)
+            if not keep.all():
+                idx, eta, mx = idx[keep], eta[keep], mx[keep]
+            if idx.size == 0:
+                return result
+        if turn == q3:
+            q3_max[idx] = mx
+    result[idx[mx < q3_max[idx]]] = True
+    return result
+
+
+def _row_major_membership(M, batch, max_iterations=400, blowup_factor=1e9):
+    """Reference brute-force divergence test over the rows of a batch."""
+    scale = np.abs(batch).max(axis=1)
+    neg_wall, pos_wall = -blowup_factor * scale, blowup_factor * scale
+    n = batch.shape[0]
+    result = np.zeros(n, dtype=bool)
+    idx = np.arange(n)
+    cur = batch
+    q3 = (3 * max_iterations) // 4
+    q3_max = np.full(n, np.nan)
+    for it in range(max_iterations):
+        cur = cur @ M.T
+        mx = cur.max(axis=1)
+        finite = np.isfinite(cur).all(axis=1)
+        diverged = (mx <= neg_wall[idx]) & finite
+        blown = ((mx >= pos_wall[idx]) & finite) | ~finite
+        result[idx[diverged]] = True
+        keep = ~(diverged | blown)
+        idx, cur, mx = idx[keep], cur[keep], mx[keep]
+        if idx.size == 0:
+            break
+        if it == q3:
+            q3_max[idx] = mx
+    if idx.size:
+        ref = q3_max[idx]
+        falling = mx < ref - np.abs(ref) * 1e-12
+        rising = mx > ref + np.abs(ref) * 1e-12
+        assert not (~(falling | rising) | np.isnan(ref)).any()
+        result[idx[falling]] = True
+    return result
+
+
+def _out_of_place_log_cube(rng, eps, n, dim):
+    """Reference sampler: ln(eps) + log1p(-U) with fresh temporaries."""
+    return math.log(eps) + np.log1p(-rng.random((n, dim)))
+
+
+def _assert_masks_match(cycle, j, eps_levels, n, delta, turns, seed):
+    mats, offs = oracle._gmaps(cycle)
+    outcomes = set()
+    for li, eps in enumerate(eps_levels):
+        eta0 = _out_of_place_log_cube(np.random.default_rng((seed, li)), eps, n, mats[0].shape[0])
+        expected = _row_major_basin_mask(mats, offs, j, eta0, delta, turns)
+        got = oracle._basin_mask(mats, offs, j, eta0.copy(), delta, turns)
+        assert np.array_equal(got, expected), (j, eps)
+        outcomes.update(expected.tolist())
+    return outcomes
+
+
+@pytest.mark.parametrize("j", [0, 1])
+def test_basin_mask_matches_row_major_reference_on_rsp(j):
+    mats = rsp_matrices(RspParams(-0.5, 0.2))
+    outcomes = _assert_masks_match(mats, j, (1e-3, 1e-8, 1e-15, 1e-18, 1e-21),
+                                   n=3000, delta=1e-2, turns=200, seed=j)
+    assert outcomes == {True, False}
+
+
+def test_basin_mask_matches_row_major_reference_on_random_cycles():
+    # draws whose analytic index is -inf empty the basin at once; keep 20
+    # with a non-empty basin so that the orbit loop does real work
+    rng = np.random.default_rng(2024)
+    outcomes, kept = set(), 0
+    while kept < 20:
+        cycle = random_cycle(rng, max_m=4, sign="mixed")
+        j = int(rng.integers(cycle.m))
+        try:
+            if classify(cycle).sigma[j] == -math.inf:
+                continue
+        except IndeterminateError:
+            continue
+        outcomes |= _assert_masks_match(cycle, j, (1e-4, 1e-12, 1e-40), n=400,
+                                        delta=1e-2, turns=60, seed=kept)
+        kept += 1
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("cycle,j,x", [
+    (stable_cycle(), 0, (1e-8, 1e-8)),
+    (rsp_matrices(RspParams(0.3, 0.3)), 0, (1e-4, 8e-3, 1e-4)),
+    (rsp_matrices(RspParams(-0.5, 0.2)), 0, (1e-250, 1e-300, 1e-300)),
+    (rsp_matrices(RspParams(-0.5, 0.2)), 0, (1e-4, 1e-300, 1e-300)),
+    (stable_cycle(), 0, (0.5, 0.5)),
+])
+def test_single_point_basin_matches_row_major_reference(cycle, j, x):
+    mats, offs = oracle._gmaps(cycle)
+    expected = _row_major_basin_mask(mats, offs, j, np.log(np.asarray(x))[None, :],
+                                     CFG_SMALL.delta, CFG_SMALL.max_full_turns)[0]
+    assert in_delta_basin(cycle, j, x, CFG_SMALL) == expected
+
+
+def test_membership_batch_matches_row_major_reference():
+    rng = np.random.default_rng(5)
+    while True:
+        M, _, _ = dominant_pair_matrix(rng, n=3)
+        v = vmax_row(M)
+        if v.min() < 0.0 < v.max():
+            break
+    ys = -rng.uniform(0.05, 1.0, (3000, 3))
+    expected = _row_major_membership(M, ys)
+    assert set(expected.tolist()) == {True, False}
+    assert np.array_equal(matrix_basin_membership(M, ys), expected)
+
+
+def test_fplus_levels_match_out_of_place_reference():
+    alpha = np.array([-1.0, 1.0, 1.0])
+    ladder = np.geomspace(1e-1, 1e-4, 9)
+    est = estimate_fplus_mc(alpha, ladder, 50_000, seed=8)
+    expected = [float((_out_of_place_log_cube(np.random.default_rng((8, li)), eps, 50_000, 3)
+                       @ alpha < 0.0).mean())
+                for li, eps in enumerate(ladder)]
+    assert [lev.sigma_frac for lev in est.levels] == expected
+
+
+def test_sigma_levels_match_row_major_reference():
+    mats = rsp_matrices(RspParams(-0.5, 0.2))
+    cfg = EstimatorConfig(epsilon_ladder=(1e-15, 1e-17, 1e-19), samples_per_level=2000, seed=4)
+    basic, offs = oracle._gmaps(mats)
+    expected = []
+    for li, eps in enumerate(cfg.epsilon_ladder):
+        eta0 = _out_of_place_log_cube(np.random.default_rng((cfg.seed, li)), eps,
+                                      cfg.samples_per_level, 3)
+        mask = _row_major_basin_mask(basic, offs, 0, eta0, cfg.delta, cfg.max_full_turns)
+        expected.append(float(mask.mean()))
+    assert [lev.sigma_frac for lev in estimate_sigma_mc(mats, 0, cfg).levels] == expected

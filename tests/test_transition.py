@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from hetstab import (
     CycleSpec,
     NodeSpec,
     RspParams,
+    as_basic_matrices,
     basic_matrix,
     full_return_matrix,
     negative_entry_indices,
@@ -147,3 +150,16 @@ def test_provenance_tags_and_csv_block():
     assert M.to_csv_block() == "2.0,0.0\n1.0,1.0"
     with pytest.raises(ValueError):
         M.entries[0, 0] = 5.0  # entries are frozen
+
+
+@pytest.mark.parametrize("mats", [
+    [[[1.0, math.nan], [0.0, 1.0]]],
+    [np.eye(2), [[1.0, 0.0], [math.inf, 1.0]]],
+    [[[1.0]]],                                   # N = 1
+    [[1.0, 2.0]],                                # not a matrix
+    [np.eye(2), np.eye(3)],                      # mixed sizes
+    [],
+], ids=["nan", "inf", "1x1", "vector", "mixed-size", "empty"])
+def test_raw_matrices_rejected(mats):
+    with pytest.raises(ValueError):
+        as_basic_matrices(mats)
