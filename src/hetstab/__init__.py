@@ -81,6 +81,7 @@ from .stability import (
     sigma,
 )
 from .transition import (
+    ProductOverflow,
     TransitionMatrix,
     as_basic_matrices,
     basic_matrix,
@@ -101,7 +102,7 @@ __all__ = [
     # transition matrices
     "TransitionMatrix", "basic_matrix", "full_return_matrix",
     "partial_turn_matrix", "negative_entry_indices", "as_basic_matrices",
-    "log_offsets",
+    "log_offsets", "ProductOverflow",
     # spectral
     "SpectralSummary", "eigen_decompose", "check_podvigina_conditions",
     "vmax_row", "SpectralError", "DefectiveMatrix", "NoAdmissibleDominant",

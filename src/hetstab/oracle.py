@@ -19,10 +19,17 @@ maps directly rather than trusting any eigen-structure argument:
 Point batches are iterated coordinate-major: the orbit loops keep one
 C-contiguous (N, n) array with a column per point, so a step is one N x N
 matrix times a wide array and the max-norm is an element-wise maximum over
-N contiguous rows.  Samples are drawn as n rows of N coordinates, built in
-place in one buffer per level (uniform draw, negate, log1p, add ln eps) and
-transposed once on entry to the loop, so the layout never changes which
-random number lands in which coordinate.
+N contiguous rows.  Samples are drawn as rows of N coordinates, built in
+place (uniform draw, negate, log1p, add ln eps) and transposed once on entry
+to the loop, so the layout never changes which random number lands in which
+coordinate.
+
+Every ladder level is streamed: its draws are made, tested and counted in
+consecutive blocks of at most BLOCK points in one buffer that the level
+owns, so memory per level is bounded by the block and does not grow with
+the sample count.  The blocks consume the level's RNG stream in the same
+order as one big draw, and each point's membership depends on that point
+alone, so the counts, and hence every estimate, are those of one big batch.
 
 Estimates are deterministic: the RNG stream of every level is derived from
 (seed, level index), so results are bit-identical for identical configs
@@ -40,6 +47,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .cycle import ValidatedCycle
 from .findex import ZeroVectorError
 from .stability import IndeterminateError
 from .transition import CycleLike, TransitionMatrix, _entries, as_basic_matrices, log_offsets
@@ -47,6 +55,7 @@ from .transition import CycleLike, TransitionMatrix, _entries, as_basic_matrices
 LOG_CAP = 709.0          # exp overflow boundary in double precision
 DEEP_LOG = -1e9          # max-norm in log coordinates below this counts as converged
 MIN_FIT_HITS = 8         # levels with fewer hits carry too much ln() bias to fit
+BLOCK = 16384            # points per sampling block (384 KB of draws at N = 3)
 
 
 class NonPositiveInput(ValueError):
@@ -167,13 +176,21 @@ def apply_matrix_map(
     return np.exp(eta)
 
 
-def _gmaps(cycle: CycleLike) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    return as_basic_matrices(cycle), log_offsets(cycle)
+def _gmaps(cycle: CycleLike) -> tuple[list[np.ndarray], list[np.ndarray | None]]:
+    """Basic matrices and log offsets of the maps, with None for a zero offset.
+
+    Raw matrices have no offsets, and default scalings give zero ones; the
+    orbit loop skips adding those.
+    """
+    mats = as_basic_matrices(cycle)
+    if not isinstance(cycle, ValidatedCycle):
+        return mats, [None] * len(mats)
+    return mats, [off if off.any() else None for off in log_offsets(cycle)]
 
 
 def _basin_mask(
     mats: list[np.ndarray],
-    offs: list[np.ndarray],
+    offs: list[np.ndarray | None],
     j: int,
     eta0: np.ndarray,
     delta: float,
@@ -185,7 +202,7 @@ def _basin_mask(
     loop works on a C-contiguous (N, n) array.  A sample is in the basin
     when no partial-turn image ever reaches delta in max-norm and its orbit
     either dives below DEEP_LOG or shows a decreasing max-norm trend over
-    the last quarter of the turn budget.
+    the last quarter of the turn budget.  A None offset is a zero one.
     """
     m = len(mats)
     ln_delta = math.log(delta)
@@ -198,14 +215,15 @@ def _basin_mask(
     if idx.size == 0:
         return result
 
-    cols = [off[:, None] for off in offs]
+    cols = [None if off is None else off[:, None] for off in offs]
     q3 = (3 * max_full_turns) // 4
     q3_max = np.full(n_samples, np.inf)
     for turn in range(max_full_turns):
         for step in range(m):
             l = (j + step) % m
             eta = mats[l] @ eta
-            eta += cols[l]
+            if cols[l] is not None:
+                eta += cols[l]
             mx = eta.max(axis=0)
             # a NaN max fails both tests and counts as escaped
             keep = (mx > DEEP_LOG) & (mx < ln_delta)
@@ -315,14 +333,25 @@ def _map_levels(func, n_levels: int) -> list:
         return list(pool.map(func, range(n_levels)))
 
 
-def _sample_log_cube(rng: np.random.Generator, eps: float, n: int, dim: int) -> np.ndarray:
+def _sample_log_cube(rng: np.random.Generator, eps: float, out: np.ndarray) -> np.ndarray:
     # ln of Uniform(0, eps): ln(eps) + ln(U), U in (0, 1]; no underflow at any
-    # depth.  Every step after the draw works in place in its (n, dim) buffer.
-    eta = rng.random((n, dim))
-    np.negative(eta, out=eta)
-    np.log1p(eta, out=eta)
-    eta += math.log(eps)
-    return eta
+    # depth.  Fills the caller's C-contiguous (n, dim) block in place.
+    rng.random(out=out)
+    np.negative(out, out=out)
+    np.log1p(out, out=out)
+    out += math.log(eps)
+    return out
+
+
+def _log_cube_blocks(rng: np.random.Generator, eps: float, n: int, dim: int):
+    """Yield n log-cube points as consecutive blocks of at most BLOCK rows.
+
+    Every block is written into the same buffer, so each must be used up
+    before the next is drawn.
+    """
+    buf = np.empty((min(n, BLOCK), dim))
+    for start in range(0, n, BLOCK):
+        yield _sample_log_cube(rng, eps, buf[:min(BLOCK, n - start)])
 
 
 def estimate_sigma_mc(cycle: CycleLike, j: int, config: EstimatorConfig) -> BasinEstimate:
@@ -347,13 +376,15 @@ def estimate_sigma_mc(cycle: CycleLike, j: int, config: EstimatorConfig) -> Basi
 
     def one_level(li: int) -> LevelEstimate:
         eps = config.epsilon_ladder[li]
+        n = config.samples_per_level
         rng = np.random.default_rng((config.seed, li))
-        eta0 = _sample_log_cube(rng, eps, config.samples_per_level, dim)
-        mask = _basin_mask(mats, offs, j, eta0, config.delta, config.max_full_turns)
-        frac = float(mask.mean())
-        stderr = math.sqrt(frac * (1.0 - frac) / config.samples_per_level)
-        return LevelEstimate(epsilon=eps, sigma_frac=frac, stderr=stderr,
-                             samples=config.samples_per_level)
+        inside = 0
+        for eta0 in _log_cube_blocks(rng, eps, n, dim):
+            mask = _basin_mask(mats, offs, j, eta0, config.delta, config.max_full_turns)
+            inside += int(np.count_nonzero(mask))
+        frac = inside / n
+        stderr = math.sqrt(frac * (1.0 - frac) / n)
+        return LevelEstimate(epsilon=eps, sigma_frac=frac, stderr=stderr, samples=n)
 
     levels = tuple(_map_levels(one_level, len(config.epsilon_ladder)))
 
@@ -410,8 +441,10 @@ def estimate_fplus_mc(
     def one_level(li: int) -> LevelEstimate:
         eps = ladder[li]
         rng = np.random.default_rng((seed, li))
-        eta = _sample_log_cube(rng, eps, samples, a.size)
-        frac = float((eta @ a < 0.0).mean())
+        inside = 0
+        for eta in _log_cube_blocks(rng, eps, samples, a.size):
+            inside += int(np.count_nonzero(eta @ a < 0.0))
+        frac = inside / samples
         stderr = math.sqrt(frac * (1.0 - frac) / samples)
         return LevelEstimate(epsilon=eps, sigma_frac=frac, stderr=stderr, samples=samples)
 

@@ -17,7 +17,8 @@ turns are cyclic products of these basic matrices:
 
 All indices are 0-based and taken mod m.  Products are accumulated in plain
 double precision in exact cyclic order; N and m are desk-scale here so no
-balancing is applied.
+balancing is applied.  A product pass that overflows double precision is
+rejected with ProductOverflow rather than handed on as inf or NaN.
 """
 
 from __future__ import annotations
@@ -27,7 +28,11 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .cycle import ValidatedCycle
+from .cycle import CycleValidationError, ValidatedCycle
+
+
+class ProductOverflow(CycleValidationError):
+    """A cyclic product of the basic matrices is not finite in double precision."""
 
 
 @dataclass(frozen=True)
@@ -118,18 +123,29 @@ def log_offsets(cycle: CycleLike) -> list[np.ndarray]:
     return offsets
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def cyclic_products(mats: list[np.ndarray], j: int, steps: int) -> list[np.ndarray]:
     """One product pass from node j: [M_(j,j), M_(j+1,j), ..., M_(j+steps-1,j)].
 
     Entry s is the partial turn M_(j+s, j); with steps = m the last entry is
     the full return M^(j).  Every full-return and partial-turn product in
     the package is built here, so they all share one factor order.
+
+    Overflow raises ProductOverflow instead of a numpy warning.  Only the
+    last product is checked: an inf or NaN in one product reaches every
+    later one (0 * inf is NaN), so a finite last product means the whole
+    pass is finite.
     """
     prod = np.eye(mats[0].shape[0])
     out = []
     for step in range(steps):
         prod = mats[(j + step) % len(mats)] @ prod
         out.append(prod)
+    if not np.isfinite(prod).all():
+        raise ProductOverflow(
+            f"cyclic product from node {j} is not finite in double precision; "
+            "the basic matrices are too extreme to analyse"
+        )
     return out
 
 

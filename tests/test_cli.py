@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -47,6 +48,20 @@ def test_analyze_non_finite_input_exits_one(node, tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert main(["analyze", str(path)]) == 1
     assert capsys.readouterr().err.startswith("error: node 0")
+
+
+@pytest.mark.parametrize("node", [
+    {"contracting": 1e200, "expanding": 1.0, "transverse": [-0.5]},
+    {"contracting": 1.0, "expanding": 1e-200, "transverse": [-1e-10]},
+])
+def test_analyze_overflowing_products_exit_one(node, tmp_path, capsys):
+    doc = {"nodes": [node] * 3, "connections": [{"permutation": [0, 1]}] * 3}
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["analyze", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: cyclic product")
 
 
 def test_analyze_indeterminate_exits_two(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,10 +19,12 @@ from hetstab import (
     RspParams,
     ZeroVectorError,
     apply_matrix_map,
+    as_basic_matrices,
     classify,
     estimate_fplus_mc,
     estimate_sigma_mc,
     in_delta_basin,
+    log_offsets,
     matrix_basin_membership,
     rsp_cycle_spec,
     rsp_matrices,
@@ -355,13 +358,38 @@ def _out_of_place_log_cube(rng, eps, n, dim):
     return math.log(eps) + np.log1p(-rng.random((n, dim)))
 
 
+def _reference_maps(cycle):
+    """Basic matrices and every log offset, zero ones included, from the public API."""
+    return as_basic_matrices(cycle), log_offsets(cycle)
+
+
+def _reference_level_fracs(cycle, j, cfg):
+    """Per-level basin fractions from one out-of-place draw per level and the
+    row-major loop."""
+    mats, offs = _reference_maps(cycle)
+    fracs = []
+    for li, eps in enumerate(cfg.epsilon_ladder):
+        eta0 = _out_of_place_log_cube(np.random.default_rng((cfg.seed, li)), eps,
+                                      cfg.samples_per_level, mats[0].shape[0])
+        mask = _row_major_basin_mask(mats, offs, j, eta0, cfg.delta, cfg.max_full_turns)
+        fracs.append(float(mask.mean()))
+    return fracs
+
+
+def _reference_fplus_fracs(alpha, ladder, samples, seed):
+    return [float((_out_of_place_log_cube(np.random.default_rng((seed, li)), eps, samples,
+                                          len(alpha)) @ alpha < 0.0).mean())
+            for li, eps in enumerate(ladder)]
+
+
 def _assert_masks_match(cycle, j, eps_levels, n, delta, turns, seed):
-    mats, offs = oracle._gmaps(cycle)
+    mats, offs = _reference_maps(cycle)
+    got_mats, got_offs = oracle._gmaps(cycle)
     outcomes = set()
     for li, eps in enumerate(eps_levels):
         eta0 = _out_of_place_log_cube(np.random.default_rng((seed, li)), eps, n, mats[0].shape[0])
         expected = _row_major_basin_mask(mats, offs, j, eta0, delta, turns)
-        got = oracle._basin_mask(mats, offs, j, eta0.copy(), delta, turns)
+        got = oracle._basin_mask(got_mats, got_offs, j, eta0.copy(), delta, turns)
         assert np.array_equal(got, expected), (j, eps)
         outcomes.update(expected.tolist())
     return outcomes
@@ -402,7 +430,7 @@ def test_basin_mask_matches_row_major_reference_on_random_cycles():
     (stable_cycle(), 0, (0.5, 0.5)),
 ])
 def test_single_point_basin_matches_row_major_reference(cycle, j, x):
-    mats, offs = oracle._gmaps(cycle)
+    mats, offs = _reference_maps(cycle)
     expected = _row_major_basin_mask(mats, offs, j, np.log(np.asarray(x))[None, :],
                                      CFG_SMALL.delta, CFG_SMALL.max_full_turns)[0]
     assert in_delta_basin(cycle, j, x, CFG_SMALL) == expected
@@ -425,20 +453,69 @@ def test_fplus_levels_match_out_of_place_reference():
     alpha = np.array([-1.0, 1.0, 1.0])
     ladder = np.geomspace(1e-1, 1e-4, 9)
     est = estimate_fplus_mc(alpha, ladder, 50_000, seed=8)
-    expected = [float((_out_of_place_log_cube(np.random.default_rng((8, li)), eps, 50_000, 3)
-                       @ alpha < 0.0).mean())
-                for li, eps in enumerate(ladder)]
-    assert [lev.sigma_frac for lev in est.levels] == expected
+    assert [lev.sigma_frac for lev in est.levels] == _reference_fplus_fracs(alpha, ladder, 50_000, 8)
 
 
 def test_sigma_levels_match_row_major_reference():
     mats = rsp_matrices(RspParams(-0.5, 0.2))
     cfg = EstimatorConfig(epsilon_ladder=(1e-15, 1e-17, 1e-19), samples_per_level=2000, seed=4)
-    basic, offs = oracle._gmaps(mats)
-    expected = []
-    for li, eps in enumerate(cfg.epsilon_ladder):
-        eta0 = _out_of_place_log_cube(np.random.default_rng((cfg.seed, li)), eps,
-                                      cfg.samples_per_level, 3)
-        mask = _row_major_basin_mask(basic, offs, 0, eta0, cfg.delta, cfg.max_full_turns)
-        expected.append(float(mask.mean()))
+    expected = _reference_level_fracs(mats, 0, cfg)
     assert [lev.sigma_frac for lev in estimate_sigma_mc(mats, 0, cfg).levels] == expected
+
+
+# ---------------------------------------------------------------------------
+# Streaming in blocks: exact at every block boundary, memory bounded by the block
+# ---------------------------------------------------------------------------
+
+BLOCK_EDGES = (1, oracle.BLOCK - 1, oracle.BLOCK, oracle.BLOCK + 1, 5 * oracle.BLOCK // 2)
+
+
+@pytest.mark.parametrize("n", BLOCK_EDGES)
+def test_log_cube_blocks_continue_one_draw(n):
+    blocks = [b.copy() for b in oracle._log_cube_blocks(np.random.default_rng((6, 2)), 1e-5, n, 3)]
+    assert len(blocks) == -(-n // oracle.BLOCK)
+    expected = _out_of_place_log_cube(np.random.default_rng((6, 2)), 1e-5, n, 3)
+    assert np.array_equal(np.concatenate(blocks), expected)
+
+
+@pytest.mark.parametrize("n", BLOCK_EDGES)
+def test_sigma_levels_exact_at_block_boundaries(n, monkeypatch):
+    # a single sample fits no slope unless every level saturates, so n = 1
+    # runs on a cycle whose basin is the whole cube
+    cycle = stable_cycle() if n == 1 else rsp_matrices(RspParams(-0.5, 0.2))
+    cfg = EstimatorConfig(epsilon_ladder=(1e-12, 1e-16, 1e-20), samples_per_level=n,
+                          max_full_turns=40, seed=4)
+    expected = _reference_level_fracs(cycle, 0, cfg)
+    for threads in ("1", "2"):
+        monkeypatch.setenv("HETSTAB_THREADS", threads)
+        assert [lev.sigma_frac for lev in estimate_sigma_mc(cycle, 0, cfg).levels] == expected
+
+
+@pytest.mark.parametrize("n", BLOCK_EDGES)
+def test_fplus_levels_exact_at_block_boundaries(n, monkeypatch):
+    # as above: with one sample only a slice that holds the whole cube fits
+    alpha = np.array([1.0, 1.0, 1.0]) if n == 1 else np.array([-1.0, 1.0, 1.0])
+    ladder = np.geomspace(1e-1, 1e-4, 9)
+    expected = _reference_fplus_fracs(alpha, ladder, n, 12)
+    for threads in ("1", "2"):
+        monkeypatch.setenv("HETSTAB_THREADS", threads)
+        est = estimate_fplus_mc(alpha, ladder, n, seed=12)
+        assert [lev.sigma_frac for lev in est.levels] == expected
+
+
+def test_estimator_memory_does_not_grow_with_samples(monkeypatch):
+    # one (samples, 3) batch would be 24 MB for F+ and 4.8 MB per copy for sigma
+    monkeypatch.setenv("HETSTAB_THREADS", "1")
+    cfg = EstimatorConfig(epsilon_ladder=(1e-12, 1e-16), samples_per_level=200_000,
+                          max_full_turns=40, seed=2)
+    tracemalloc.start()
+    try:
+        estimate_fplus_mc((-1.0, 1.0, 1.0), (1e-1, 1e-2, 1e-3), 10**6, seed=2)
+        fplus_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        estimate_sigma_mc(rsp_matrices(RspParams(-0.5, 0.2)), 0, cfg)
+        sigma_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fplus_peak < 4 * 2**20
+    assert sigma_peak < 4 * 2**20

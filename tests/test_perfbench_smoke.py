@@ -1,7 +1,8 @@
-"""Fast run of the benchmark harness, so that it cannot rot unnoticed.
+"""Fast runs of the benchmark harness, so that it cannot rot unnoticed.
 
-Runs the classify-large workload for half a second, untraced; its records go
-to the git-ignored .perfbench-out/ in the checkout.
+Runs each workload for half a second, untraced; the records go to the
+git-ignored .perfbench-out/ in the checkout.  The oracle-mc run also checks
+that the oracle's estimates are identical with HETSTAB_THREADS=1 and 2.
 """
 
 import json
@@ -9,12 +10,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_classify_large_smoke_run_is_correct():
+@pytest.mark.parametrize("workload", ["classify-large", "rsp-sweep", "oracle-mc"])
+def test_smoke_run_is_correct(workload):
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "classify-large",
+        [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", "1", "--seconds", "0.5", "--trace", "0"],
         cwd=ROOT, capture_output=True, text=True, timeout=300,
     )

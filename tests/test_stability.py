@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from hetstab import (
     IndeterminateError,
     IndexProvenance,
     NodeSpec,
+    ProductOverflow,
     RspParams,
     SpectralError,
     as_basic_matrices,
@@ -54,6 +56,32 @@ def test_nonnegative_dichotomy_contracting():
     report = classify(two_node_nonnegative(0.8))
     assert report.sigma == (-INF, -INF)
     assert report.classification is Classification.NOT_ATTRACTOR
+
+
+@pytest.mark.parametrize("node", [
+    NodeSpec(contracting=1e200, expanding=1.0, transverse=(-0.5,)),
+    NodeSpec(contracting=1.0, expanding=1e-200, transverse=(-1e-10,)),
+    NodeSpec(contracting=1e200, expanding=1.0, transverse=(0.5,)),
+])
+def test_overflowing_cyclic_products_are_rejected(node):
+    # every ratio is finite, so validation passes; the products are not
+    conn = ConnectionSpec(permutation=(0, 1))
+    cycle = validate_cycle(CycleSpec(nodes=(node,) * 3, connections=(conn,) * 3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ProductOverflow):
+            classify(cycle)
+
+
+def test_overflowing_raw_matrices_are_rejected():
+    mixed = np.array([[1e200, 0.0], [-1.0, 1.0]])
+    for mats in ([mixed, mixed], [np.abs(mixed), np.abs(mixed)]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ProductOverflow):
+                classify(mats)
+            with pytest.raises(ProductOverflow):
+                full_return_matrix(mats, 1)
 
 
 def test_nonnegative_dichotomy_uniform_over_j():
