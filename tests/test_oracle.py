@@ -395,6 +395,31 @@ def _assert_masks_match(cycle, j, eps_levels, n, delta, turns, seed):
     return outcomes
 
 
+def test_gmaps_checks_a_raw_list_once(monkeypatch):
+    from hetstab import transition
+
+    raw = rsp_matrices(RspParams(-0.5, 0.2))
+    scaled = validate_cycle(rsp_cycle_spec(RspParams(-0.5, 0.2)))
+    expected = {id(c): (as_basic_matrices(c), log_offsets(c)) for c in (raw, scaled)}
+    calls = []
+    real = transition.as_basic_matrices
+
+    def counting(cycle):
+        calls.append(cycle)
+        return real(cycle)
+
+    monkeypatch.setattr(transition, "as_basic_matrices", counting)
+    monkeypatch.setattr(oracle, "as_basic_matrices", counting)
+    for cycle in (raw, scaled):
+        calls.clear()
+        mats, offs = oracle._gmaps(cycle)
+        assert len(calls) == 1
+        want_mats, want_offs = expected[id(cycle)]
+        assert all(np.array_equal(a, b) for a, b in zip(mats, want_mats))
+        assert len(offs) == len(want_offs)
+        assert all(np.array_equal(a, b) for a, b in zip(offs, want_offs))
+
+
 @pytest.mark.parametrize("j", [0, 1])
 def test_basin_mask_matches_row_major_reference_on_rsp(j):
     mats = rsp_matrices(RspParams(-0.5, 0.2))
