@@ -18,10 +18,10 @@ import sys
 import numpy as np
 
 from . import __version__
-from .cycle import CycleValidationError, load_cycle, validate_cycle
-from .findex import ZeroVectorError, f_index, f_minus, f_plus, inf_str
+from .cycle import load_cycle, validate_cycle
+from .findex import f_index, f_minus, f_plus, inf_str
 from .oracle import EstimatorConfig, InsufficientResolution, estimate_fplus_mc, estimate_sigma_mc
-from .rsp import NotFAS, ParamOutOfRange, RspParams, rsp_closed_form, rsp_compare, rsp_matrices
+from .rsp import RspParams, rsp_compare, rsp_matrices
 from .stability import IndeterminateError, classify
 
 
@@ -283,8 +283,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (CycleValidationError, ParamOutOfRange, NotFAS, ZeroVectorError,
-            InsufficientResolution, FileNotFoundError, ValueError) as exc:
+    except (ValueError, IndexError, OSError, InsufficientResolution) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except IndeterminateError as exc:

@@ -6,10 +6,14 @@ transverse eigenvalues (t_{j,s}, any sign); per connection, a permutation of
 the local coordinate axes and optional positive rescaling constants.  Radial
 eigenvalues may be recorded but play no role in the stability computation.
 
-Validation only checks the eigenvalue-count shadow of quasi-simplicity
-(equal transverse counts at every node, simple contracting/expanding pair);
-whether the data comes from an actual cycle of some vector field is the
-caller's responsibility.
+Validation checks finiteness (of every value and of the ratios c/e, -t/e),
+the signs above, N >= 2, bijective permutations and the eigenvalue-count
+shadow of quasi-simplicity (equal transverse counts at every node, simple
+contracting/expanding pair).  Each check names the CycleValidationError
+subclass that reports it; validate_cycle raises the class of the first
+violation, and a non-finite value always gets the base class.  Whether the
+data comes from an actual cycle of some vector field is the caller's
+responsibility.
 """
 
 from __future__ import annotations
@@ -116,70 +120,83 @@ class ValidatedCycle:
 
 def find_violations(spec: CycleSpec) -> list[str]:
     """Collect every violation in spec as a human-readable message list."""
-    problems: list[str] = []
+    return [message for _, message in _violations(spec)]
+
+
+def _violations(spec: CycleSpec) -> list[tuple[type[CycleValidationError], str]]:
+    """Every violation in spec, each with the exception class that reports it.
+
+    Non-finite values are reported instead of any sign check on them, so NaN
+    and inf get the base class whatever their sign.
+    """
+    problems: list[tuple[type[CycleValidationError], str]] = []
     if len(spec.nodes) < 1:
-        problems.append("cycle must contain at least one node")
+        problems.append((CycleValidationError, "cycle must contain at least one node"))
         return problems
     if len(spec.connections) != len(spec.nodes):
-        problems.append(
-            f"expected one connection per node, got {len(spec.connections)} "
-            f"connections for {len(spec.nodes)} nodes"
-        )
+        problems.append((CycleValidationError,
+                         f"expected one connection per node, got {len(spec.connections)} "
+                         f"connections for {len(spec.nodes)} nodes"))
 
     n_t = len(spec.nodes[0].transverse)
     for j, node in enumerate(spec.nodes):
-        if not node.contracting > 0:
-            problems.append(f"node {j}: contracting eigenvalue magnitude must be > 0")
-        if not node.expanding > 0:
-            problems.append(f"node {j}: expanding eigenvalue must be > 0")
-        if any(not r > 0 for r in node.radial):
-            problems.append(f"node {j}: radial eigenvalue magnitudes must be > 0")
-        if len(node.transverse) != n_t:
-            problems.append(
-                f"node {j}: transverse count {len(node.transverse)} != {n_t} at node 0"
-            )
         if not all(map(math.isfinite, (node.contracting, node.expanding,
                                        *node.transverse, *node.radial))):
-            problems.append(f"node {j}: non-finite value among c, e, t and radial")
-        elif node.expanding > 0 and not math.isfinite(
-            max(map(abs, (node.contracting, *node.transverse))) / node.expanding
-        ):
-            # the largest |numerator| gives the largest of the ratios c/e, -t/e
-            problems.append(f"node {j}: ratio c/e or -t/e overflows")
+            problems.append((CycleValidationError,
+                             f"node {j}: non-finite value among c, e, t and radial"))
+        else:
+            if not node.contracting > 0:
+                problems.append((NonPositiveEigenvalue,
+                                 f"node {j}: contracting eigenvalue magnitude must be > 0"))
+            if not node.expanding > 0:
+                problems.append((NonPositiveEigenvalue,
+                                 f"node {j}: expanding eigenvalue must be > 0"))
+            if any(not r > 0 for r in node.radial):
+                problems.append((NonPositiveEigenvalue,
+                                 f"node {j}: radial eigenvalue magnitudes must be > 0"))
+            if node.expanding > 0 and not math.isfinite(
+                max(map(abs, (node.contracting, *node.transverse))) / node.expanding
+            ):
+                # the largest |numerator| gives the largest of the ratios c/e, -t/e
+                problems.append((CycleValidationError, f"node {j}: ratio c/e or -t/e overflows"))
+        if len(node.transverse) != n_t:
+            problems.append((MismatchedTransverseCount,
+                             f"node {j}: transverse count {len(node.transverse)} != {n_t} at node 0"))
     if n_t < 1:
-        problems.append("at least one transverse eigenvalue per node is required (N >= 2)")
+        problems.append((CycleValidationError,
+                         "at least one transverse eigenvalue per node is required (N >= 2)"))
 
     dim = n_t + 1
     for j, conn in enumerate(spec.connections):
         if sorted(conn.permutation) != list(range(dim)):
-            problems.append(
-                f"connection {j}: permutation {list(conn.permutation)} is not a "
-                f"bijection on 0..{dim - 1}"
-            )
+            problems.append((InvalidPermutation,
+                             f"connection {j}: permutation {list(conn.permutation)} is not a "
+                             f"bijection on 0..{dim - 1}"))
         if conn.scalings is not None:
             if len(conn.scalings) != dim:
-                problems.append(f"connection {j}: expected {dim} scalings")
-            if any(not a > 0 for a in conn.scalings):
-                problems.append(f"connection {j}: scalings must be > 0")
+                problems.append((CycleValidationError, f"connection {j}: expected {dim} scalings"))
             if not all(map(math.isfinite, conn.scalings)):
-                problems.append(f"connection {j}: non-finite scaling")
-        if not conn.contraction_offset > 0:
-            problems.append(f"connection {j}: v0 must be > 0")
+                problems.append((CycleValidationError, f"connection {j}: non-finite scaling"))
+            elif any(not a > 0 for a in conn.scalings):
+                problems.append((NonPositiveScaling, f"connection {j}: scalings must be > 0"))
         if not math.isfinite(conn.contraction_offset):
-            problems.append(f"connection {j}: non-finite v0")
+            problems.append((CycleValidationError, f"connection {j}: non-finite v0"))
+        elif not conn.contraction_offset > 0:
+            problems.append((NonPositiveScaling, f"connection {j}: v0 must be > 0"))
     return problems
 
 
 def validate_cycle(spec: CycleSpec) -> ValidatedCycle:
-    """Validate spec, raising the most specific error for the first defect.
+    """Validate spec, raising the class of its first violation.
 
-    Deterministic and side-effect free: validating twice yields the same
-    result.  On success the returned handle has all scalings resolved
-    (defaults filled in) and m >= 1, N >= 2, c_j, e_j, a_{j,i} > 0.
+    The message lists every violation.  Deterministic and side-effect free:
+    validating twice yields the same result.  On success the returned handle
+    has all scalings resolved (defaults filled in) and m >= 1, N >= 2, every
+    value finite and c_j, e_j, a_{j,i} > 0.
     """
-    problems = find_violations(spec)
+    problems = _violations(spec)
     if problems:
-        raise _classify_violation(problems)
+        raise problems[0][0]("; ".join(message for _, message in problems))
 
     dim = len(spec.nodes[0].transverse) + 1
     connections = tuple(
@@ -191,20 +208,6 @@ def validate_cycle(spec: CycleSpec) -> ValidatedCycle:
         for c in spec.connections
     )
     return ValidatedCycle(nodes=spec.nodes, connections=connections)
-
-
-def _classify_violation(problems: list[str]) -> CycleValidationError:
-    message = "; ".join(problems)
-    first = problems[0]
-    if "permutation" in first:
-        return InvalidPermutation(message)
-    if "transverse count" in first:
-        return MismatchedTransverseCount(message)
-    if "scalings must be" in first or "v0 must be" in first:
-        return NonPositiveScaling(message)
-    if "eigenvalue" in first:
-        return NonPositiveEigenvalue(message)
-    return CycleValidationError(message)
 
 
 # ---------------------------------------------------------------------------

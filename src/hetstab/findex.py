@@ -50,9 +50,12 @@ class ZeroVectorError(ValueError):
 
 
 def _components(alpha: Iterable[float]) -> list[float]:
+    """alpha as floats; ZeroVectorError if empty or zero, ValueError if not finite."""
     comps = [float(a) for a in alpha]
     if not comps:
         raise ZeroVectorError("empty direction vector")
+    if not all(map(math.isfinite, comps)):
+        raise ValueError("direction vector components must be finite")
     if all(a == 0.0 for a in comps):
         raise ZeroVectorError("zero direction vector has no index")
     return comps
@@ -60,7 +63,10 @@ def _components(alpha: Iterable[float]) -> list[float]:
 
 def f_plus(alpha: Iterable[float]) -> ExtendedReal:
     """Escape exponent F+ of the slice normal alpha."""
-    comps = _components(alpha)
+    return _f_plus(_components(alpha))
+
+
+def _f_plus(comps: list[float]) -> ExtendedReal:
     amin = min(comps)
     total = math.fsum(comps)
     if amin >= 0.0:
@@ -72,16 +78,16 @@ def f_plus(alpha: Iterable[float]) -> ExtendedReal:
 
 def f_minus(alpha: Iterable[float]) -> ExtendedReal:
     """Capture exponent F- of the slice normal alpha: F+(-alpha)."""
-    return f_plus([-a for a in _components(alpha)])
+    return _f_plus([-a for a in _components(alpha)])
 
 
 def f_index(alpha: Iterable[float]) -> ExtendedReal:
     """Stability index F+(alpha) - F-(alpha) of the slice normal alpha."""
     comps = _components(alpha)
-    fp = f_plus(comps)
+    fp = _f_plus(comps)
     if fp == POS_INF:
         return POS_INF
-    fm = f_minus(comps)
+    fm = _f_plus([-a for a in comps])
     if fm == POS_INF:
         return NEG_INF
     return fp - fm

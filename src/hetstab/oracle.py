@@ -43,14 +43,15 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .cycle import ValidatedCycle
-from .findex import ZeroVectorError
+from .findex import _components
 from .stability import IndeterminateError
-from .transition import CycleLike, TransitionMatrix, _entries, as_basic_matrices, log_offsets
+from .transition import (CycleLike, TransitionMatrix, _entries, _node_index, as_basic_matrices,
+                         cyclic_products, log_offsets)
 
 LOG_CAP = 709.0          # exp overflow boundary in double precision
 DEEP_LOG = -1e9          # max-norm in log coordinates below this counts as converged
@@ -83,6 +84,26 @@ class Escaped:
 ESCAPED = Escaped()
 
 
+def _ladder(epsilon_ladder: Iterable[float]) -> tuple[float, ...]:
+    """epsilon_ladder as floats; ValueError unless finite, positive and strictly decreasing."""
+    lad = tuple(float(e) for e in epsilon_ladder)
+    if not lad or any(not 0 < e < math.inf for e in lad):
+        raise ValueError("epsilon ladder must be non-empty, finite and positive")
+    if any(a <= b for a, b in zip(lad, lad[1:])):
+        raise ValueError("epsilon ladder must be strictly decreasing")
+    return lad
+
+
+def _log_point(x: Sequence[float], dim: int) -> np.ndarray:
+    """ln x for a point x of shape (dim,) with finite, strictly positive coordinates."""
+    x = np.asarray(x, float)
+    if x.shape != (dim,):
+        raise ValueError(f"point has wrong shape {x.shape} for dimension {dim}")
+    if not (np.isfinite(x).all() and (x > 0.0).all()):
+        raise NonPositiveInput("point must have finite, strictly positive coordinates")
+    return np.log(x)
+
+
 @dataclass(frozen=True)
 class EstimatorConfig:
     """Sampling plan for the delta-basin index estimator.
@@ -99,15 +120,10 @@ class EstimatorConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "epsilon_ladder", tuple(float(e) for e in self.epsilon_ladder))
         if not 0 < self.delta < 1:
             raise ValueError("delta must be in (0, 1)")
-        lad = self.epsilon_ladder
-        if not lad or any(not e > 0 for e in lad):
-            raise ValueError("epsilon ladder must be non-empty and positive")
-        if any(a <= b for a, b in zip(lad, lad[1:])):
-            raise ValueError("epsilon ladder must be strictly decreasing")
-        if any(e >= self.delta for e in lad):
+        object.__setattr__(self, "epsilon_ladder", _ladder(self.epsilon_ladder))
+        if any(e >= self.delta for e in self.epsilon_ladder):
             raise ValueError("every ladder level must be < delta")
         if self.samples_per_level < 1 or self.max_full_turns < 4:
             raise ValueError("need samples_per_level >= 1 and max_full_turns >= 4")
@@ -163,12 +179,7 @@ def apply_matrix_map(
     overflows exp (any log coordinate above log_cap or non-finite).
     """
     M = _entries(matrix)
-    x = np.asarray(x, float)
-    if x.shape != (M.shape[0],):
-        raise ValueError(f"point has wrong shape {x.shape} for {M.shape} matrix")
-    if np.any(x <= 0.0) or not np.all(np.isfinite(x)):
-        raise NonPositiveInput("point must have finite, strictly positive coordinates")
-    eta = M @ np.log(x)
+    eta = M @ _log_point(x, M.shape[0])
     if consts is not None:
         eta = eta + np.log(np.asarray(consts, float))
     if not np.all(np.isfinite(eta)) or np.any(eta > log_cap):
@@ -188,6 +199,7 @@ def _gmaps(cycle: CycleLike) -> tuple[list[np.ndarray], list[np.ndarray]]:
     return mats, log_offsets(cycle)
 
 
+@np.errstate(over="ignore", invalid="ignore")   # an orbit that overflows has escaped
 def _basin_mask(
     mats: list[np.ndarray],
     offs: list[np.ndarray],
@@ -244,10 +256,8 @@ def in_delta_basin(cycle: CycleLike, j: int, x: Sequence[float], config: Estimat
     """Does the orbit of x from the incoming section of node j stay in the
     delta-tube and converge?"""
     mats, offs = _gmaps(cycle)
-    x = np.asarray(x, float)
-    if np.any(x <= 0.0) or not np.all(np.isfinite(x)):
-        raise NonPositiveInput("point must have finite, strictly positive coordinates")
-    eta0 = np.log(x)[None, :]
+    cyclic_products(mats, _node_index(j, len(mats)), len(mats))
+    eta0 = _log_point(x, mats[0].shape[0])[None, :]
     return bool(
         _basin_mask(mats, offs, j, eta0, config.delta, config.max_full_turns)[0]
     )
@@ -327,14 +337,6 @@ def _thread_count() -> int:
         return 1
 
 
-def _map_levels(func, n_levels: int) -> list:
-    threads = _thread_count()
-    if threads == 1:
-        return [func(i) for i in range(n_levels)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(func, range(n_levels)))
-
-
 def _sample_log_cube(rng: np.random.Generator, eps: float, out: np.ndarray) -> np.ndarray:
     # ln of Uniform(0, eps): ln(eps) + ln(U), U in (0, 1]; no underflow at any
     # depth.  Fills the caller's C-contiguous (n, dim) block in place.
@@ -356,6 +358,24 @@ def _log_cube_blocks(rng: np.random.Generator, eps: float, n: int, dim: int):
         yield _sample_log_cube(rng, eps, buf[:min(BLOCK, n - start)])
 
 
+def _levels(ladder: tuple[float, ...], samples: int, dim: int, seed: int,
+            count: Callable[[np.ndarray], int]) -> tuple[LevelEstimate, ...]:
+    """Per ladder level li, the fraction of samples log-cube points drawn from
+    the RNG stream (seed, li) that count(block) finds inside, block by block."""
+    def level(li: int) -> LevelEstimate:
+        rng = np.random.default_rng((seed, li))
+        inside = sum(int(count(eta)) for eta in _log_cube_blocks(rng, ladder[li], samples, dim))
+        frac = inside / samples
+        stderr = math.sqrt(frac * (1.0 - frac) / samples)
+        return LevelEstimate(epsilon=ladder[li], sigma_frac=frac, stderr=stderr, samples=samples)
+
+    threads = _thread_count()
+    if threads == 1:
+        return tuple(map(level, range(len(ladder))))
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return tuple(pool.map(level, range(len(ladder))))
+
+
 def estimate_sigma_mc(cycle: CycleLike, j: int, config: EstimatorConfig) -> BasinEstimate:
     """Monte-Carlo local stability index at the incoming section of node j.
 
@@ -369,26 +389,16 @@ def estimate_sigma_mc(cycle: CycleLike, j: int, config: EstimatorConfig) -> Basi
     over interior levels, returning sigma_hat = sigma_plus - sigma_minus.
     Uniform saturation at 1 (or 0) short-circuits to the +inf (-inf)
     candidate; partial saturation with fewer than two usable levels raises
-    InsufficientResolution.
+    InsufficientResolution.  A product pass from j that overflows raises
+    ProductOverflow, as in classify.
     """
     mats, offs = _gmaps(cycle)
-    dim = mats[0].shape[0]
-    if not 0 <= j < len(mats):
-        raise IndexError(f"node index {j} out of range for m={len(mats)}")
-
-    def one_level(li: int) -> LevelEstimate:
-        eps = config.epsilon_ladder[li]
-        n = config.samples_per_level
-        rng = np.random.default_rng((config.seed, li))
-        inside = 0
-        for eta0 in _log_cube_blocks(rng, eps, n, dim):
-            mask = _basin_mask(mats, offs, j, eta0, config.delta, config.max_full_turns)
-            inside += int(np.count_nonzero(mask))
-        frac = inside / n
-        stderr = math.sqrt(frac * (1.0 - frac) / n)
-        return LevelEstimate(epsilon=eps, sigma_frac=frac, stderr=stderr, samples=n)
-
-    levels = tuple(_map_levels(one_level, len(config.epsilon_ladder)))
+    cyclic_products(mats, _node_index(j, len(mats)), len(mats))
+    levels = _levels(
+        config.epsilon_ladder, config.samples_per_level, mats[0].shape[0], config.seed,
+        lambda eta0: np.count_nonzero(
+            _basin_mask(mats, offs, j, eta0, config.delta, config.max_full_turns)),
+    )
 
     if all(lev.sigma_frac == 1.0 for lev in levels):
         return BasinEstimate(levels, sigma_minus=0.0, sigma_plus=math.inf,
@@ -429,28 +439,11 @@ def estimate_fplus_mc(
     saturated inside the slice at every level reports the +inf candidate; one
     that never enters reports exactly 0.
     """
-    a = np.asarray([float(v) for v in alpha])
-    if a.size == 0 or np.all(a == 0.0):
-        raise ZeroVectorError("zero direction vector has no escape exponent")
-    ladder = [float(e) for e in epsilon_ladder]
-    if not ladder or any(not e > 0 for e in ladder):
-        raise ValueError("epsilon ladder must be non-empty and positive")
-    if any(x <= y for x, y in zip(ladder, ladder[1:])):
-        raise ValueError("epsilon ladder must be strictly decreasing")
+    a = np.asarray(_components(alpha))
+    ladder = _ladder(epsilon_ladder)
     if samples < 1:
         raise ValueError("samples must be >= 1")
-
-    def one_level(li: int) -> LevelEstimate:
-        eps = ladder[li]
-        rng = np.random.default_rng((seed, li))
-        inside = 0
-        for eta in _log_cube_blocks(rng, eps, samples, a.size):
-            inside += int(np.count_nonzero(eta @ a < 0.0))
-        frac = inside / samples
-        stderr = math.sqrt(frac * (1.0 - frac) / samples)
-        return LevelEstimate(epsilon=eps, sigma_frac=frac, stderr=stderr, samples=samples)
-
-    levels = tuple(_map_levels(one_level, len(ladder)))
+    levels = _levels(ladder, samples, a.size, seed, lambda eta: np.count_nonzero(eta @ a < 0.0))
 
     if all(lev.sigma_frac == 1.0 for lev in levels):
         return FplusEstimate(levels=levels, fit=None, fplus_hat=math.inf)

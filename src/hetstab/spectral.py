@@ -105,15 +105,13 @@ def eigen_decompose(
 ) -> SpectralSummary:
     """Decompose a small dense real matrix and locate its dominant pair.
 
-    Raises DefectiveMatrix when the eigenvector basis has condition number
-    above cond_limit (linearly independent eigenvectors are assumed
+    Raises ValueError unless matrix is 2-D, square and finite,
+    DefectiveMatrix when the eigenvector basis has condition number above
+    cond_limit (linearly independent eigenvectors are assumed
     throughout), and NoAdmissibleDominant when every modulus is within tol
     of 1 or the top modulus is an ambiguous tie.
     """
-    M = _entries(matrix)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError("expected a square matrix")
-    eigenvalues, P = np.linalg.eig(M)
+    eigenvalues, P = np.linalg.eig(_entries(matrix))
 
     if not np.all(np.isfinite(P)) or np.linalg.cond(P) > cond_limit:
         raise DefectiveMatrix(

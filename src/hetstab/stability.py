@@ -52,7 +52,8 @@ from .spectral import (
     dominant_eigenvalue,
     eigen_decompose,
 )
-from .transition import CycleLike, as_basic_matrices, cyclic_products, _negative_entry_nodes
+from .transition import (CycleLike, as_basic_matrices, cyclic_products, _negative_entry_nodes,
+                         _node_index)
 
 
 class IndeterminateError(RuntimeError):
@@ -162,10 +163,6 @@ class _CycleAnalysis:
         self._turns: dict[int, list[np.ndarray]] = {}
         self._spectra: dict[int, SpectralSummary] = {}
 
-    def check_node(self, j: int) -> None:
-        if not 0 <= j < self.m:
-            raise IndexError(f"node index {j} out of range for m={self.m}")
-
     def turns(self, j: int) -> list[np.ndarray]:
         """[M_(j,j), M_(j+1,j), ..., M^(j)]: the product pass from node j."""
         if j not in self._turns:
@@ -229,15 +226,13 @@ def collect_alpha_vectors(cycle: CycleLike, j: int, tol: float = DEFAULT_TOL) ->
     ending at a negative-entry matrix: K = 1 + L*N vectors in total.
     """
     analysis = _CycleAnalysis(cycle, tol)
-    analysis.check_node(j)
-    return [alpha for alpha, _ in analysis.alpha_vectors(j)]
+    return [alpha for alpha, _ in analysis.alpha_vectors(_node_index(j, analysis.m))]
 
 
 def sigma(cycle: CycleLike, j: int, tol: float = DEFAULT_TOL) -> float:
     """Local stability index along the connection entering node j."""
     analysis = _CycleAnalysis(cycle, tol)
-    analysis.check_node(j)
-    [(value, _)] = analysis.indices([j])
+    [(value, _)] = analysis.indices([_node_index(j, analysis.m)])
     return value
 
 

@@ -60,7 +60,18 @@ CycleLike = Union[ValidatedCycle, Sequence]
 
 
 def _entries(matrix) -> np.ndarray:
-    return matrix.entries if isinstance(matrix, TransitionMatrix) else np.asarray(matrix, float)
+    """The float entries of matrix; ValueError unless 2-D, square and finite."""
+    M = matrix.entries if isinstance(matrix, TransitionMatrix) else np.asarray(matrix, float)
+    if M.ndim != 2 or M.shape[0] != M.shape[1] or not np.isfinite(M).all():
+        raise ValueError(f"expected a finite square matrix, got shape {M.shape}")
+    return M
+
+
+def _node_index(j: int, m: int) -> int:
+    """j when it names one of the m nodes; IndexError otherwise (no wrap-around)."""
+    if not 0 <= j < m:
+        raise IndexError(f"node index {j} out of range for m={m}")
+    return j
 
 
 def as_basic_matrices(cycle: CycleLike) -> list[np.ndarray]:
@@ -68,22 +79,19 @@ def as_basic_matrices(cycle: CycleLike) -> list[np.ndarray]:
 
     Every product / sign routine accepts either form, so a cycle known only
     through its basic transition matrices can be analysed directly.  An
-    explicit list must hold finite, square, same-size matrices with N >= 2;
-    anything else raises ValueError.
+    explicit list must hold matrices that _entries accepts, all of one size
+    N >= 2; anything else raises ValueError.
     """
     if isinstance(cycle, ValidatedCycle):
         return [_basic(cycle, j) for j in range(cycle.m)]
-    mats = [np.array(_entries(M), dtype=float) for M in cycle]
+    mats = [np.array(_entries(M)) for M in cycle]
     if not mats:
         raise ValueError("empty matrix sequence")
-    n = mats[0].shape[0] if mats[0].ndim else 0
+    n = mats[0].shape[0]
     if n < 2:
         raise ValueError("basic transition matrices must be at least 2 x 2 (N >= 2)")
-    for M in mats:
-        if M.shape != (n, n):
-            raise ValueError("basic transition matrices must be square and same-size")
-        if not np.isfinite(M).all():
-            raise ValueError("basic transition matrices must have finite entries")
+    if any(M.shape != (n, n) for M in mats):
+        raise ValueError("basic transition matrices must be same-size")
     return mats
 
 
@@ -100,9 +108,7 @@ def _basic(cycle: ValidatedCycle, j: int) -> np.ndarray:
 
 def basic_matrix(cycle: ValidatedCycle, j: int) -> TransitionMatrix:
     """M_j for node j: permuted base matrix built from the eigenvalue ratios."""
-    if not 0 <= j < cycle.m:
-        raise IndexError(f"node index {j} out of range for m={cycle.m}")
-    return TransitionMatrix(_basic(cycle, j), provenance=f"basic[{j}]")
+    return TransitionMatrix(_basic(cycle, _node_index(j, cycle.m)), provenance=f"basic[{j}]")
 
 
 def log_offsets(cycle: CycleLike) -> list[np.ndarray]:
@@ -153,18 +159,16 @@ def full_return_matrix(cycle: CycleLike, j: int) -> TransitionMatrix:
     """M^(j): product of all m basic matrices starting from node j."""
     mats = as_basic_matrices(cycle)
     m = len(mats)
-    if not 0 <= j < m:
-        raise IndexError(f"node index {j} out of range for m={m}")
-    return TransitionMatrix(cyclic_products(mats, j, m)[-1], provenance=f"full-return[{j}]")
+    return TransitionMatrix(cyclic_products(mats, _node_index(j, m), m)[-1],
+                            provenance=f"full-return[{j}]")
 
 
 def partial_turn_matrix(cycle: CycleLike, l: int, j: int) -> TransitionMatrix:
     """M_(l,j): product M_l ... M_j taken cyclically (M_j alone when l == j)."""
     mats = as_basic_matrices(cycle)
     m = len(mats)
-    if not (0 <= j < m and 0 <= l < m):
-        raise IndexError(f"indices (l={l}, j={j}) out of range for m={m}")
-    prod = cyclic_products(mats, j, ((l - j) % m) + 1)[-1]
+    steps = ((_node_index(l, m) - _node_index(j, m)) % m) + 1
+    prod = cyclic_products(mats, j, steps)[-1]
     return TransitionMatrix(prod, provenance=f"partial[({l},{j})]")
 
 
