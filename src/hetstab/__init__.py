@@ -36,16 +36,13 @@ from .findex import (
     f_plus,
 )
 from .oracle import (
-    ESCAPED,
     BasinEstimate,
-    Escaped,
     EstimatorConfig,
     FplusEstimate,
     InsufficientResolution,
     LevelEstimate,
     NonPositiveInput,
     SlopeFit,
-    apply_matrix_map,
     estimate_fplus_mc,
     estimate_sigma_mc,
     in_delta_basin,
@@ -66,7 +63,6 @@ from .spectral import (
     NoAdmissibleDominant,
     SpectralError,
     SpectralSummary,
-    check_podvigina_conditions,
     eigen_decompose,
     vmax_row,
 )
@@ -86,7 +82,6 @@ from .transition import (
     as_basic_matrices,
     basic_matrix,
     full_return_matrix,
-    log_offsets,
     negative_entry_indices,
     partial_turn_matrix,
 )
@@ -102,10 +97,10 @@ __all__ = [
     # transition matrices
     "TransitionMatrix", "basic_matrix", "full_return_matrix",
     "partial_turn_matrix", "negative_entry_indices", "as_basic_matrices",
-    "log_offsets", "ProductOverflow",
+    "ProductOverflow",
     # spectral
-    "SpectralSummary", "eigen_decompose", "check_podvigina_conditions",
-    "vmax_row", "SpectralError", "DefectiveMatrix", "NoAdmissibleDominant",
+    "SpectralSummary", "eigen_decompose", "vmax_row", "SpectralError",
+    "DefectiveMatrix", "NoAdmissibleDominant",
     # f-index
     "ExtendedReal", "POS_INF", "NEG_INF", "f_plus", "f_minus", "f_index",
     "f_index_n3", "ZeroVectorError",
@@ -114,9 +109,8 @@ __all__ = [
     "collect_alpha_vectors", "classification_from_sigmas", "IndeterminateError",
     # oracle
     "EstimatorConfig", "BasinEstimate", "FplusEstimate", "LevelEstimate",
-    "SlopeFit", "apply_matrix_map", "in_delta_basin", "estimate_sigma_mc",
-    "estimate_fplus_mc", "matrix_basin_membership", "Escaped", "ESCAPED",
-    "NonPositiveInput", "InsufficientResolution",
+    "SlopeFit", "in_delta_basin", "estimate_sigma_mc", "estimate_fplus_mc",
+    "matrix_basin_membership", "NonPositiveInput", "InsufficientResolution",
     # rsp example
     "RspParams", "RspComparison", "rsp_matrices", "rsp_cycle_spec",
     "rsp_closed_form", "rsp_compare", "ParamOutOfRange", "NotFAS",

@@ -19,7 +19,10 @@ real line: ordinary floats plus math.inf / -math.inf.
 Sums use math.fsum, so permuting the components can never change the branch
 taken nor the returned value.  Branch comparisons are exact: inputs are
 finite-precision already and the branches agree on shared boundaries, so no
-epsilon snapping is applied.
+epsilon snapping is applied.  Every branch is homogeneous of degree 0 in
+alpha, so a sum that overflows is taken again on alpha / 4, which is exact
+for normal components; a value beyond double range rounds to +-inf, as the
+IEEE division does.
 """
 
 from __future__ import annotations
@@ -68,9 +71,12 @@ def f_plus(alpha: Iterable[float]) -> ExtendedReal:
 
 def _f_plus(comps: list[float]) -> ExtendedReal:
     amin = min(comps)
-    total = math.fsum(comps)
     if amin >= 0.0:
         return POS_INF
+    try:
+        total = math.fsum(comps)
+    except OverflowError:                 # degree-0 homogeneous; alpha / 4 is exact
+        return _f_plus([a / 4 for a in comps])
     if total <= 0.0:
         return 0.0
     return -total / amin
@@ -107,11 +113,14 @@ def f_index_n3(a1: float, a2: float, a3: float) -> ExtendedReal:
     comps = _components((a1, a2, a3))
     mn = min(comps)
     mx = max(comps)
-    total = math.fsum(comps)
     if mn >= 0.0:
         return POS_INF
     if mx <= 0.0:
         return NEG_INF
+    try:
+        total = math.fsum(comps)
+    except OverflowError:                 # degree-0 homogeneous; alpha / 4 is exact
+        return f_index_n3(*(a / 4 for a in comps))
     if total == 0.0:
         return 0.0
     if total < 0.0:

@@ -4,8 +4,9 @@ Everything here works at the return-map level, iterating the cross-section
 maps directly rather than trusting any eigen-structure argument:
 
 * point orbits are followed in log coordinates eta = ln x, where the maps
-  are affine eta -> M_j eta + F_j; extremely small positive coordinates stay
-  representable and overflow of exp is the only escape hatch needed;
+  are affine eta -> M_j eta + F_j, so extremely small positive coordinates
+  stay representable and no point is ever exponentiated; an orbit that
+  overflows even in log coordinates counts as escaped;
 * delta-basin membership demands that every partial-turn image stays below
   delta in max-norm over a budget of full returns, with a decreasing
   max-norm trend over the last quarter of the budget standing in for
@@ -51,9 +52,8 @@ from .cycle import ValidatedCycle
 from .findex import _components
 from .stability import IndeterminateError
 from .transition import (CycleLike, TransitionMatrix, _entries, _node_index, as_basic_matrices,
-                         cyclic_products, log_offsets)
+                         cyclic_products)
 
-LOG_CAP = 709.0          # exp overflow boundary in double precision
 DEEP_LOG = -1e9          # max-norm in log coordinates below this counts as converged
 MIN_FIT_HITS = 8         # levels with fewer hits carry too much ln() bias to fit
 BLOCK = 16384            # points per sampling block (384 KB of draws at N = 3)
@@ -65,23 +65,6 @@ class NonPositiveInput(ValueError):
 
 class InsufficientResolution(RuntimeError):
     """Too few usable ladder levels to fit a slope."""
-
-
-class Escaped:
-    """Sentinel: an orbit left the representable / tracked region."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "ESCAPED"
-
-
-ESCAPED = Escaped()
 
 
 def _ladder(epsilon_ladder: Iterable[float]) -> tuple[float, ...]:
@@ -167,36 +150,22 @@ class FplusEstimate:
 # ---------------------------------------------------------------------------
 
 
-def apply_matrix_map(
-    matrix: TransitionMatrix | np.ndarray,
-    x: Sequence[float],
-    consts: Sequence[float] | None = None,
-    log_cap: float = LOG_CAP,
-):
-    """One cross-section map in original coordinates: x'_i = c_i prod_k x_k^{M_ik}.
-
-    Evaluated through log coordinates; returns ESCAPED when the image
-    overflows exp (any log coordinate above log_cap or non-finite).
-    """
-    M = _entries(matrix)
-    eta = M @ _log_point(x, M.shape[0])
-    if consts is not None:
-        eta = eta + np.log(np.asarray(consts, float))
-    if not np.all(np.isfinite(eta)) or np.any(eta > log_cap):
-        return ESCAPED
-    return np.exp(eta)
-
-
 def _gmaps(cycle: CycleLike) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Basic matrices and log offsets of the maps, checking a raw list once.
+    """Matrices M_j and offsets F_j of the log-coordinate maps eta -> M_j eta + F_j.
 
-    log_offsets would check a raw matrix list a second time only to size
-    its zero offsets, so those are sized here from the checked matrices.
+    F_j = A_j (ln v_{0,j} + ln a_{j,1}, ln a_{j,2}, ..., ln a_{j,N}), with A_j
+    the connection's axis permutation: zero for default constants, and
+    always zero when the cycle is given as raw matrices.
     """
     mats = as_basic_matrices(cycle)
     if not isinstance(cycle, ValidatedCycle):
         return mats, [np.zeros(M.shape[0]) for M in mats]
-    return mats, log_offsets(cycle)
+    offs = []
+    for conn in cycle.connections:
+        f = np.log(np.asarray(conn.scalings, float))
+        f[0] += np.log(conn.contraction_offset)
+        offs.append(f[list(conn.permutation)])
+    return mats, offs
 
 
 @np.errstate(over="ignore", invalid="ignore")   # an orbit that overflows has escaped
@@ -437,9 +406,12 @@ def estimate_fplus_mc(
     the fraction with |x_1^{a_1} ... x_N^{a_N}| < 1, i.e. alpha . ln(x) < 0;
     the slope of ln(1 - fraction) against R is the escape exponent.  A run
     saturated inside the slice at every level reports the +inf candidate; one
-    that never enters reports exactly 0.
+    that never enters reports exactly 0.  alpha is first scaled by a power
+    of two to max|a| in [0.5, 1): that keeps the sign of alpha . ln(x) (exact
+    for normal components) and keeps a huge alpha from overflowing it.
     """
     a = np.asarray(_components(alpha))
+    a = np.ldexp(a, -np.frexp(np.abs(a).max())[1])
     ladder = _ladder(epsilon_ladder)
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -462,6 +434,7 @@ def estimate_fplus_mc(
 # ---------------------------------------------------------------------------
 
 
+@np.errstate(over="ignore", invalid="ignore")   # an orbit that overflows is decided by its max
 def matrix_basin_membership(
     matrix: TransitionMatrix | np.ndarray,
     y: Sequence[float],
@@ -472,9 +445,12 @@ def matrix_basin_membership(
 
     Brute force, no eigen-analysis: iterate until the largest component
     crosses -blowup_factor * ||y||_inf (diverged to -inf in every component,
-    True) or +blowup_factor * ||y||_inf / reaches non-finite values (False),
-    else judge by the max-component trend over the final quarter of the
-    budget.  A flat trend at the cap raises IndeterminateError.
+    True) or +blowup_factor * ||y||_inf (False), else judge by the
+    max-component trend over the final quarter of the budget.  A flat trend
+    at the cap raises IndeterminateError.  The map is linear, so each point
+    is first scaled by a power of two to ||y||_inf in [0.5, 1) (exact for
+    normal components), and an orbit that overflows is decided by its max
+    alone: -inf has diverged, +inf or NaN has escaped.
 
     y may be a single strictly negative vector or a batch of them stacked in
     rows; batches return a boolean array.  The batch is iterated as one
@@ -490,9 +466,8 @@ def matrix_basin_membership(
         raise ValueError("initial points must be finite and strictly negative")
 
     cur = np.ascontiguousarray(batch.T)
-    scale = np.abs(cur).max(axis=0)
-    neg_wall = -blowup_factor * scale
-    pos_wall = blowup_factor * scale
+    cur = np.ldexp(cur, -np.frexp(np.abs(cur).max(axis=0))[1])
+    wall = blowup_factor * np.abs(cur).max(axis=0)
 
     n = batch.shape[0]
     result = np.zeros(n, dtype=bool)
@@ -503,14 +478,13 @@ def matrix_basin_membership(
     for it in range(max_iterations):
         cur = M @ cur
         mx = cur.max(axis=0)
-        finite = np.isfinite(cur).all(axis=0)
-        diverged = (mx <= neg_wall[idx]) & finite
+        diverged = mx <= -wall[idx]
         # escape means the signed max component blowing up, not magnitude:
-        # a diverging orbit's most negative component grows just as fast
-        blown = ((mx >= pos_wall[idx]) & finite) | ~finite
+        # a diverging orbit's most negative component grows just as fast.
+        # A NaN max fails both tests and counts as escaped.
         if diverged.any():
             result[idx[diverged]] = True
-        keep = ~(diverged | blown)
+        keep = ~diverged & (mx < wall[idx])
         if not keep.all():
             idx, cur, mx = idx[keep], cur[:, keep], mx[keep]
         if idx.size == 0:

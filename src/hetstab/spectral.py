@@ -161,18 +161,6 @@ def eigen_decompose(
     )
 
 
-def check_podvigina_conditions(
-    matrix: TransitionMatrix | np.ndarray, tol: float = DEFAULT_TOL
-) -> tuple[bool, bool, bool]:
-    """The three positivity-of-measure flags for matrix.
-
-    The attracted set of strictly negative points has positive measure iff
-    all three hold.
-    """
-    s = eigen_decompose(matrix, tol)
-    return (s.condition_i, s.condition_ii, s.condition_iii)
-
-
 def vmax_row(matrix: TransitionMatrix | np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Row of the inverse eigenvector basis paired with lambda_max.
 

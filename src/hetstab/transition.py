@@ -9,8 +9,9 @@ eta -> M_j eta + F_j, with
                 [   ...           ]
                 [ b_{j,N}  0 ... 1 ]
 
-where A_j is the connection's axis permutation.  Full returns and partial
-turns are cyclic products of these basic matrices:
+where A_j is the connection's axis permutation.  Only the oracle iterates
+points, so it alone builds the offsets F_j (oracle._gmaps).  Full returns
+and partial turns are cyclic products of these basic matrices:
 
     M^(j)    = M_{j-1} ... M_{j+1} M_j                (all m factors)
     M_(l,j)  = M_l ... M_j                            (((l-j) mod m) + 1 factors)
@@ -46,10 +47,6 @@ class TransitionMatrix:
         arr = np.array(self.entries, dtype=float)
         arr.flags.writeable = False
         object.__setattr__(self, "entries", arr)
-
-    @property
-    def dimension(self) -> int:
-        return self.entries.shape[0]
 
     def to_csv_block(self) -> str:
         """Rows as comma-separated lines, for debug printing."""
@@ -109,24 +106,6 @@ def _basic(cycle: ValidatedCycle, j: int) -> np.ndarray:
 def basic_matrix(cycle: ValidatedCycle, j: int) -> TransitionMatrix:
     """M_j for node j: permuted base matrix built from the eigenvalue ratios."""
     return TransitionMatrix(_basic(cycle, _node_index(j, cycle.m)), provenance=f"basic[{j}]")
-
-
-def log_offsets(cycle: CycleLike) -> list[np.ndarray]:
-    """Affine parts F_j of the log-coordinate maps.
-
-    F_j = A_j (ln v_{0,j} + ln a_{j,1}, ln a_{j,2}, ..., ln a_{j,N}); zero for
-    default constants, and always zero when the cycle is given as raw
-    matrices.
-    """
-    if not isinstance(cycle, ValidatedCycle):
-        mats = as_basic_matrices(cycle)
-        return [np.zeros(M.shape[0]) for M in mats]
-    offsets = []
-    for conn in cycle.connections:
-        f = np.log(np.asarray(conn.scalings, float))
-        f[0] += np.log(conn.contraction_offset)
-        offsets.append(f[list(conn.permutation)])
-    return offsets
 
 
 @np.errstate(over="ignore", invalid="ignore")

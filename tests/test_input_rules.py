@@ -21,10 +21,8 @@ from hetstab import (
     NonPositiveInput,
     ProductOverflow,
     RspParams,
-    apply_matrix_map,
     as_basic_matrices,
     basic_matrix,
-    check_podvigina_conditions,
     collect_alpha_vectors,
     eigen_decompose,
     estimate_fplus_mc,
@@ -136,9 +134,7 @@ def test_node_index_rule(entry, j):
 MATRIX_ENTRY_POINTS = {
     "as_basic_matrices": lambda M: as_basic_matrices([M, M]),
     "eigen_decompose": eigen_decompose,
-    "check_podvigina_conditions": check_podvigina_conditions,
     "vmax_row": vmax_row,
-    "apply_matrix_map": lambda M: apply_matrix_map(M, (0.5, 0.5)),
     "matrix_basin_membership": lambda M: matrix_basin_membership(M, (-1.0, -1.0)),
 }
 BAD_MATRICES = {
@@ -180,6 +176,21 @@ def test_direction_vector_rule(entry, alpha):
     assert exc.type is ValueError
 
 
+@pytest.mark.parametrize("alpha", [(1e308, 1e308, -1.0), (1e308, -1e308, 1.0),
+                                   (-1e308, -1e308, 1.0), (1e308, 1e308, -1e300)],
+                         ids=["sum-overflows", "sum-finite", "negative-sum-overflows", "finite-index"])
+@pytest.mark.parametrize("entry", sorted(ALPHA_ENTRY_POINTS))
+def test_direction_vector_rule_accepts_huge_components(entry, alpha):
+    # every index is homogeneous of degree 0, so alpha / 2**20 has the same
+    # value, and the estimator the same level fractions; an overflowing sum
+    # is no error and no warning
+    small = tuple(a / 2**20 for a in alpha)
+    got, want = ALPHA_ENTRY_POINTS[entry](alpha), ALPHA_ENTRY_POINTS[entry](small)
+    if entry == "estimate_fplus_mc":
+        got, want = got.levels, want.levels
+    assert got == want
+
+
 # ---------------------------------------------------------------------------
 # Ladder: oracle._ladder
 # ---------------------------------------------------------------------------
@@ -205,7 +216,6 @@ def test_ladder_rule(entry, ladder):
 
 
 POINT_ENTRY_POINTS = {
-    "apply_matrix_map": lambda x: apply_matrix_map(np.eye(3), x),
     "in_delta_basin": lambda x: in_delta_basin(RAW, 0, x, TINY),
 }
 
@@ -217,7 +227,8 @@ POINT_ENTRY_POINTS = {
     ((1e-3, NAN, 1e-3), NonPositiveInput, "^point must have finite"),
     ((1e-3, INF, 1e-3), NonPositiveInput, "^point must have finite"),
     ((1e-3, 0.0, 1e-3), NonPositiveInput, "^point must have finite"),
-], ids=["short", "long", "2-d", "nan", "inf", "zero"])
+    ((1e-3, -1e-3, 1e-3), NonPositiveInput, "^point must have finite"),
+], ids=["short", "long", "2-d", "nan", "inf", "zero", "negative"])
 @pytest.mark.parametrize("entry", sorted(POINT_ENTRY_POINTS))
 def test_point_rule(entry, x, kind, message):
     with pytest.raises(ValueError, match=message) as exc:
@@ -279,3 +290,9 @@ def test_cli_rejects_with_exit_one(cli_files, capsys, argv, error):
     err = capsys.readouterr().err
     assert err.startswith(error)
     assert "Traceback" not in err
+
+
+def test_cli_findex_accepts_an_overflowing_sum(capsys):
+    assert main(["findex", "--alpha", "1e308,1e308,-1"]) == 0
+    assert capsys.readouterr().out.splitlines() == ["F+      = +inf", "F-      = 0.0",
+                                                    "F^index = +inf"]

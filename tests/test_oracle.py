@@ -8,23 +8,20 @@ import pytest
 from conftest import dominant_pair_matrix, random_cycle
 from hetstab import oracle
 from hetstab import (
-    ESCAPED,
     ConnectionSpec,
     CycleSpec,
     EstimatorConfig,
     IndeterminateError,
     InsufficientResolution,
     NodeSpec,
-    NonPositiveInput,
     RspParams,
+    ValidatedCycle,
     ZeroVectorError,
-    apply_matrix_map,
     as_basic_matrices,
     classify,
     estimate_fplus_mc,
     estimate_sigma_mc,
     in_delta_basin,
-    log_offsets,
     matrix_basin_membership,
     rsp_cycle_spec,
     rsp_matrices,
@@ -50,41 +47,39 @@ def unstable_cycle():
 
 
 # ---------------------------------------------------------------------------
-# apply_matrix_map
+# Log-coordinate maps eta -> M_j eta + F_j: oracle._gmaps
 # ---------------------------------------------------------------------------
+
+
+def _log_image(cycle, j, x):
+    """ln of the image of the point x under map j, built by oracle._gmaps."""
+    mats, offs = oracle._gmaps(cycle)
+    return mats[j] @ np.log(x) + offs[j]
 
 
 def test_identity_map_fixes_points():
     x = (0.3, 0.7)
-    out = apply_matrix_map(np.eye(2), x)
-    assert out == pytest.approx(x)
+    assert np.exp(_log_image([np.eye(2)], 0, x)) == pytest.approx(x)
 
 
 def test_power_map_hand_exponentiation():
-    out = apply_matrix_map([[2.0, 0.0], [1.0, 1.0]], (0.1, 0.2))
+    # a raw matrix is the map x -> (x_1^2, x_1 x_2), with no constants
+    out = np.exp(_log_image([[[2.0, 0.0], [1.0, 1.0]]], 0, (0.1, 0.2)))
     assert out == pytest.approx([0.01, 0.02])
 
 
 def test_rsp_map_in_log_coordinates():
-    m0 = rsp_matrices(RspParams(0.0, 0.0))[0]
-    img = apply_matrix_map(m0, (math.exp(-1),) * 3)
-    assert np.log(img) == pytest.approx([-1.5, -0.5, -1.0])
+    img = _log_image(rsp_matrices(RspParams(0.0, 0.0)), 0, (math.exp(-1),) * 3)
+    assert img == pytest.approx([-1.5, -0.5, -1.0])
 
 
 def test_consts_multiply_image():
-    out = apply_matrix_map(np.eye(2), (0.5, 0.5), consts=(2.0, 4.0))
-    assert out == pytest.approx([1.0, 2.0])
-
-
-def test_escape_on_log_overflow():
-    assert apply_matrix_map([[400.0, 0.0], [0.0, 1.0]], (100.0, 0.5)) is ESCAPED
-
-
-def test_non_positive_input_rejected():
-    with pytest.raises(NonPositiveInput):
-        apply_matrix_map(np.eye(2), (0.0, 1.0))
-    with pytest.raises(NonPositiveInput):
-        apply_matrix_map(np.eye(2), (-1.0, 1.0))
+    # with c = e = 1 and t = 0 the map is x -> A (v0 a_1 x_1, a_2 x_2), and
+    # the permutation (1, 0) swaps the two scaled coordinates
+    nd = NodeSpec(contracting=1.0, expanding=1.0, transverse=(0.0,))
+    conn = ConnectionSpec(permutation=(1, 0), scalings=(2.0, 4.0), contraction_offset=1.5)
+    cycle = validate_cycle(CycleSpec(nodes=(nd, nd), connections=(conn, conn)))
+    assert np.exp(_log_image(cycle, 0, (0.5, 0.5))) == pytest.approx([2.0, 1.5])
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +255,24 @@ def test_requires_strictly_negative_start():
         matrix_basin_membership(2.0 * np.eye(2), (-1.0, 0.0))
 
 
+@pytest.mark.parametrize("M,y", [
+    (2.0 * np.eye(2), (-1e300, -1e300)),
+    (np.diag([1e200, 1e200]), (-1e200, -1e200)),
+    (2.0 * np.eye(2), (-1.0, -0.75)),
+    (np.diag([2.0, 4.0]), (-1.0, -3.0)),
+    (np.array([[0.5, -1.2], [0.3, 0.9]]), (-2.0, -1.0)),
+    (np.array([[1.2, -0.9], [-0.9, 1.2]]), (-1.0, -0.3)),
+])
+def test_membership_verdict_is_scale_free(M, y):
+    # the map is linear, so y and 2**k y have one verdict, also where the
+    # orbit or the blow-up walls of a large y leave double range
+    y = np.asarray(y)
+    e = int(np.frexp(y)[1].max())                  # max|y| < 2**e
+    verdicts = {matrix_basin_membership(M, np.ldexp(y, k))
+                for k in (-900 - e, -40, 0, 512 - e, 1023 - e)}
+    assert len(verdicts) == 1
+
+
 def test_batch_matches_scalar():
     rng = np.random.default_rng(17)
     M, _, _ = dominant_pair_matrix(rng, n=3)
@@ -359,8 +372,17 @@ def _out_of_place_log_cube(rng, eps, n, dim):
 
 
 def _reference_maps(cycle):
-    """Basic matrices and every log offset, zero ones included, from the public API."""
-    return as_basic_matrices(cycle), log_offsets(cycle)
+    """Basic matrices, and every log offset computed from the spec:
+    F_j = A_j (ln v0 + ln a_1, ln a_2, ..., ln a_N), zero for raw matrices."""
+    mats = as_basic_matrices(cycle)
+    if not isinstance(cycle, ValidatedCycle):
+        return mats, [np.zeros(len(M)) for M in mats]
+    offs = []
+    for conn in cycle.connections:
+        ln_v0, *ln_a = np.log([conn.contraction_offset, *conn.scalings])
+        f = [ln_v0 + ln_a[0], *ln_a[1:]]
+        offs.append(np.array([f[p] for p in conn.permutation]))
+    return mats, offs
 
 
 def _reference_level_fracs(cycle, j, cfg):
@@ -399,8 +421,10 @@ def test_gmaps_checks_a_raw_list_once(monkeypatch):
     from hetstab import transition
 
     raw = rsp_matrices(RspParams(-0.5, 0.2))
-    scaled = validate_cycle(rsp_cycle_spec(RspParams(-0.5, 0.2)))
-    expected = {id(c): (as_basic_matrices(c), log_offsets(c)) for c in (raw, scaled)}
+    spec = rsp_cycle_spec(RspParams(-0.5, 0.2))
+    conn = ConnectionSpec((1, 2, 0), scalings=(2.0, 0.5, 1.5), contraction_offset=0.3)
+    scaled = validate_cycle(CycleSpec(nodes=spec.nodes, connections=(conn, conn)))
+    expected = {id(c): _reference_maps(c) for c in (raw, scaled)}
     calls = []
     real = transition.as_basic_matrices
 

@@ -5,7 +5,6 @@ from conftest import assert_multisets_close, charpoly_eigenvalues, dominant_pair
 from hetstab import (
     DefectiveMatrix,
     NoAdmissibleDominant,
-    check_podvigina_conditions,
     eigen_decompose,
     full_return_matrix,
     matrix_basin_membership,
@@ -22,7 +21,6 @@ def test_symmetric_two_by_two():
     assert s.lambda_max == pytest.approx(3.0)          # modulus-1 eigenvalue skipped
     assert s.w_max == pytest.approx([1.0, 1.0])
     assert s.condition_i and s.condition_ii and s.condition_iii
-    assert check_podvigina_conditions(M) == (True, True, True)
     assert vmax_row(M) == pytest.approx([0.5, 0.5])
 
 
@@ -46,8 +44,7 @@ def test_diagonal_case():
 
 
 def test_contraction_fails_condition_ii():
-    flags = check_podvigina_conditions([[0.5, 0.0], [0.0, 0.25]])
-    assert flags[1] is False
+    assert eigen_decompose([[0.5, 0.0], [0.0, 0.25]]).condition_ii is False
 
 
 def test_charpoly_oracle_on_random_three_by_three():

@@ -19,7 +19,6 @@ from hetstab import (
     RspParams,
     SpectralError,
     as_basic_matrices,
-    check_podvigina_conditions,
     classification_from_sigmas,
     classify,
     collect_alpha_vectors,
@@ -204,10 +203,11 @@ def test_checkpoint_reduction_matches_checking_everywhere():
             continue
         checkpoints = sorted({(q + 1) % cycle.m for q in negative})
         try:
-            per_node = [all(check_podvigina_conditions(full_return_matrix(cycle, j).entries))
-                        for j in range(cycle.m)]
+            summaries = [eigen_decompose(full_return_matrix(cycle, j).entries)
+                         for j in range(cycle.m)]
         except Exception:
             continue
+        per_node = [s.condition_i and s.condition_ii and s.condition_iii for s in summaries]
         at_checkpoints = all(per_node[q] for q in checkpoints)
         everywhere = all(per_node)
         assert at_checkpoints == everywhere
@@ -233,7 +233,8 @@ def test_marginal_classification_end_to_end():
     M = np.array([[-1.0, -1.0, 2.0],
                   [1.0, -0.5, -0.5],
                   [0.0, 0.0, 1.5]])
-    assert check_podvigina_conditions(M) == (True, True, True)
+    s = eigen_decompose(M)
+    assert s.condition_i and s.condition_ii and s.condition_iii
     report = classify([M])
     assert report.sigma == (0.0,)
     assert report.classification is Classification.MARGINAL
