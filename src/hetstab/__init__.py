@@ -20,7 +20,6 @@ from .cycle import (
     ValidatedCycle,
     cycle_from_dict,
     cycle_to_dict,
-    find_violations,
     load_cycle,
     save_cycle,
     validate_cycle,
@@ -78,7 +77,6 @@ from .stability import (
 )
 from .transition import (
     ProductOverflow,
-    TransitionMatrix,
     as_basic_matrices,
     basic_matrix,
     full_return_matrix,
@@ -90,14 +88,13 @@ __all__ = [
     "__version__",
     # cycle model
     "NodeSpec", "ConnectionSpec", "CycleSpec", "ValidatedCycle",
-    "validate_cycle", "find_violations", "load_cycle", "save_cycle",
+    "validate_cycle", "load_cycle", "save_cycle",
     "cycle_from_dict", "cycle_to_dict",
     "CycleValidationError", "NonPositiveEigenvalue", "MismatchedTransverseCount",
     "InvalidPermutation", "NonPositiveScaling",
     # transition matrices
-    "TransitionMatrix", "basic_matrix", "full_return_matrix",
-    "partial_turn_matrix", "negative_entry_indices", "as_basic_matrices",
-    "ProductOverflow",
+    "basic_matrix", "full_return_matrix", "partial_turn_matrix",
+    "negative_entry_indices", "as_basic_matrices", "ProductOverflow",
     # spectral
     "SpectralSummary", "eigen_decompose", "vmax_row", "SpectralError",
     "DefectiveMatrix", "NoAdmissibleDominant",

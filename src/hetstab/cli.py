@@ -53,6 +53,11 @@ def _write_json(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
+def _csv_block(matrix) -> str:
+    """Rows of a matrix as comma-separated lines of exact float reprs."""
+    return "\n".join(",".join(repr(float(v)) for v in row) for row in matrix)
+
+
 def _parse_csv_floats(text: str) -> list[float]:
     try:
         return [float(tok) for tok in text.split(",") if tok.strip() != ""]
@@ -67,31 +72,31 @@ def _parse_ladder(text: str) -> list[float]:
         start, end, count = float(start_s), float(end_s), int(count_s)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"expected start:end:count, got {text!r}") from exc
-    if start <= 0 or end <= 0 or count < 1 or end >= start:
-        raise argparse.ArgumentTypeError("ladder needs 0 < end < start and count >= 1")
+    if not (0 < end < start < math.inf and count >= 1):   # NaN fails too
+        raise argparse.ArgumentTypeError("ladder needs 0 < end < start < inf and count >= 1")
     if count == 1:
         return [start]
     return list(np.geomspace(start, end, count))
 
 
+def _grid(text: str) -> int:
+    """--grid: a whole number of points per axis, at least 1."""
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"grid must be an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def _glue_signed_values(argv: list[str]) -> list[str]:
     """Let '--alpha -1,1,1' parse: glue a leading-dash value onto its flag."""
-    out = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if tok in ("--alpha",) and i + 1 < len(argv):
-            out.append(f"{tok}={argv[i + 1]}")
-            i += 2
-        else:
-            out.append(tok)
-            i += 1
+    out, rest = [], iter(argv)
+    for tok in rest:
+        value = next(rest, None) if tok == "--alpha" else None
+        out.append(tok if value is None else f"{tok}={value}")
     return out
 
 
 def _config_dict(args: argparse.Namespace) -> dict:
-    skip = {"func"}
-    return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
+    return {k: v for k, v in sorted(vars(args).items()) if k != "func"}
 
 
 def _report_header(args) -> dict:
@@ -112,7 +117,7 @@ def _cmd_analyze(args) -> int:
         from .transition import basic_matrix, negative_entry_indices
         for j in range(cycle.m):
             print(f"M_{j}:")
-            print(basic_matrix(cycle, j).to_csv_block())
+            print(_csv_block(basic_matrix(cycle, j)))
         print(f"negative-entry nodes: {negative_entry_indices(cycle)}")
     print(f"{'j':>3} {'sigma_j':>18}  source")
     for j, (s, prov) in enumerate(zip(report.sigma, report.provenance)):
@@ -139,9 +144,9 @@ def _cmd_rsp(args) -> int:
     m0, m1 = rsp_matrices(params)
     print(f"eps_x={params.eps_x} eps_y={params.eps_y}")
     print("M_0:")
-    print(m0.to_csv_block())
+    print(_csv_block(m0))
     print("M_1:")
-    print(m1.to_csv_block())
+    print(_csv_block(m1))
     for j, s in enumerate(comparison.report.sigma):
         print(f"sigma_{j} (pipeline)    = {_fmt(s)}")
     if comparison.closed_form is not None:
@@ -244,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_rsp)
 
     p = sub.add_parser("rsp-sweep", help="sweep the RSP parameter square to CSV")
-    p.add_argument("--grid", type=int, default=9, help="points per axis inside (-1,1)")
+    p.add_argument("--grid", type=_grid, default=9, help="points per axis inside (-1,1)")
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_rsp_sweep)

@@ -80,7 +80,10 @@ class ConnectionSpec:
     contraction_offset: float = 1.0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "permutation", tuple(int(i) for i in self.permutation))
+        # an integral entry becomes an int; 1.9 or NaN stays a float for validation to reject
+        object.__setattr__(self, "permutation", tuple(
+            i if type(i) is int else int(i) if float(i).is_integer() else float(i)
+            for i in self.permutation))
         if self.scalings is not None:
             object.__setattr__(self, "scalings", tuple(float(a) for a in self.scalings))
         object.__setattr__(self, "contraction_offset", float(self.contraction_offset))
@@ -102,25 +105,18 @@ class CycleSpec:
 class ValidatedCycle:
     """Validated handle with resolved defaults.
 
-    m is the number of nodes, n_transverse the common transverse count and
-    dimension N = n_transverse + 1 the size of the transition matrices.
+    m is the number of nodes and dimension N, one more than the common
+    transverse count, the size of the transition matrices.
     """
 
     nodes: tuple[NodeSpec, ...]
     connections: tuple[ConnectionSpec, ...]
     m: int = field(init=False)
-    n_transverse: int = field(init=False)
     dimension: int = field(init=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "m", len(self.nodes))
-        object.__setattr__(self, "n_transverse", len(self.nodes[0].transverse))
-        object.__setattr__(self, "dimension", self.n_transverse + 1)
-
-
-def find_violations(spec: CycleSpec) -> list[str]:
-    """Collect every violation in spec as a human-readable message list."""
-    return [message for _, message in _violations(spec)]
+        object.__setattr__(self, "dimension", len(self.nodes[0].transverse) + 1)
 
 
 def _violations(spec: CycleSpec) -> list[tuple[type[CycleValidationError], str]]:

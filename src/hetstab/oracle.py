@@ -15,7 +15,9 @@ maps directly rather than trusting any eigen-structure argument:
   eps-cubes at a ladder of levels, fitting the slopes of ln(fraction) and
   ln(1 - fraction) against ln(eps) over levels strictly inside (0, 1);
 * the escape-exponent slope of a single half-space slice is estimated the
-  same way from the membership test |x_1^{a_1} ... x_N^{a_N}| < 1.
+  same way from the membership test |x_1^{a_1} ... x_N^{a_N}| < 1;
+* matrix_basin_membership decides divergence of y <- M y by brute force,
+  within MEMBERSHIP_STEPS iterations and a wall at BLOWUP times ||y||_inf.
 
 Point batches are iterated coordinate-major: the orbit loops keep one
 C-contiguous (N, n) array with a column per point, so a step is one N x N
@@ -51,12 +53,13 @@ import numpy as np
 from .cycle import ValidatedCycle
 from .findex import _components
 from .stability import IndeterminateError
-from .transition import (CycleLike, TransitionMatrix, _entries, _node_index, as_basic_matrices,
-                         cyclic_products)
+from .transition import CycleLike, _entries, _node_index, as_basic_matrices, cyclic_products
 
 DEEP_LOG = -1e9          # max-norm in log coordinates below this counts as converged
 MIN_FIT_HITS = 8         # levels with fewer hits carry too much ln() bias to fit
 BLOCK = 16384            # points per sampling block (384 KB of draws at N = 3)
+MEMBERSHIP_STEPS = 400   # iteration budget of matrix_basin_membership
+BLOWUP = 1e9             # its divergence wall, in units of ||y||_inf
 
 
 class NonPositiveInput(ValueError):
@@ -435,19 +438,14 @@ def estimate_fplus_mc(
 
 
 @np.errstate(over="ignore", invalid="ignore")   # an orbit that overflows is decided by its max
-def matrix_basin_membership(
-    matrix: TransitionMatrix | np.ndarray,
-    y: Sequence[float],
-    max_iterations: int = 400,
-    blowup_factor: float = 1e9,
-) -> bool | np.ndarray:
+def matrix_basin_membership(matrix: np.ndarray, y: Sequence[float]) -> bool | np.ndarray:
     """Does iterating y <- M y drive every component to -inf?
 
     Brute force, no eigen-analysis: iterate until the largest component
-    crosses -blowup_factor * ||y||_inf (diverged to -inf in every component,
-    True) or +blowup_factor * ||y||_inf (False), else judge by the
-    max-component trend over the final quarter of the budget.  A flat trend
-    at the cap raises IndeterminateError.  The map is linear, so each point
+    crosses -BLOWUP * ||y||_inf (diverged to -inf in every component, True)
+    or +BLOWUP * ||y||_inf (False), else judge by the max-component trend
+    over the final quarter of MEMBERSHIP_STEPS iterations.  A flat trend at
+    the cap raises IndeterminateError.  The map is linear, so each point
     is first scaled by a power of two to ||y||_inf in [0.5, 1) (exact for
     normal components), and an orbit that overflows is decided by its max
     alone: -inf has diverged, +inf or NaN has escaped.
@@ -467,15 +465,15 @@ def matrix_basin_membership(
 
     cur = np.ascontiguousarray(batch.T)
     cur = np.ldexp(cur, -np.frexp(np.abs(cur).max(axis=0))[1])
-    wall = blowup_factor * np.abs(cur).max(axis=0)
+    wall = BLOWUP * np.abs(cur).max(axis=0)
 
     n = batch.shape[0]
     result = np.zeros(n, dtype=bool)
     idx = np.arange(n)
-    q3 = (3 * max_iterations) // 4
+    q3 = (3 * MEMBERSHIP_STEPS) // 4
     q3_max = np.full(n, np.nan)
     mx = cur.max(axis=0)
-    for it in range(max_iterations):
+    for it in range(MEMBERSHIP_STEPS):
         cur = M @ cur
         mx = cur.max(axis=0)
         diverged = mx <= -wall[idx]
@@ -502,7 +500,7 @@ def matrix_basin_membership(
                 node=-1,
                 cause=RuntimeError(
                     f"{int(flat.sum())} orbit(s) neither diverging nor escaping "
-                    f"after {max_iterations} iterations"
+                    f"after {MEMBERSHIP_STEPS} iterations"
                 ),
             )
         result[idx[falling]] = True

@@ -27,7 +27,6 @@ import numpy as np
 
 from .cycle import ConnectionSpec, CycleSpec, NodeSpec
 from .stability import Classification, IndexReport, classify
-from .transition import TransitionMatrix
 
 
 class ParamOutOfRange(ValueError):
@@ -51,15 +50,12 @@ class RspParams:
                 raise ParamOutOfRange(f"{name}={v} is outside (-1, 1)")
 
 
-def rsp_matrices(params: RspParams) -> tuple[TransitionMatrix, TransitionMatrix]:
-    """The two basic transition matrices (M_0, M_1)."""
+def rsp_matrices(params: RspParams) -> tuple[np.ndarray, np.ndarray]:
+    """The two basic transition matrices (M_0, M_1), each a 3 x 3 array."""
     ex, ey = params.eps_x, params.eps_y
     m0 = [[(1 - ey) / 2, 1.0, 0.0], [-(1 + ex) / 2, 0.0, 1.0], [1.0, 0.0, 0.0]]
     m1 = [[(1 - ex) / 2, 1.0, 0.0], [-(1 + ey) / 2, 0.0, 1.0], [1.0, 0.0, 0.0]]
-    return (
-        TransitionMatrix(np.array(m0), provenance="basic[0]"),
-        TransitionMatrix(np.array(m1), provenance="basic[1]"),
-    )
+    return np.array(m0), np.array(m1)
 
 
 def rsp_cycle_spec(params: RspParams) -> CycleSpec:

@@ -18,6 +18,10 @@ Sign convention: w_max is scaled so its largest-magnitude component is
 exactly +1, which under (iii) points it into the positive orthant; v_max is
 the corresponding row of P^{-1} under the same scaling, making the membership
 test v_max . y < 0 match the convergence direction.
+
+A basis with condition number above COND_LIMIT counts as defective.  tol
+(default DEFAULT_TOL) decides moduli near 1, modulus ties and realness, and
+_tolerance owns its rule: finite with 0 <= tol < 1.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .transition import TransitionMatrix, _entries
+from .transition import _entries
 
 DEFAULT_TOL = 1e-9
 COND_LIMIT = 1e12
@@ -64,7 +68,14 @@ class SpectralSummary:
     condition_i: bool
     condition_ii: bool
     condition_iii: bool
-    tol: float
+
+
+def _tolerance(tol: float) -> float:
+    """tol as a float; ValueError unless it is finite with 0 <= tol < 1."""
+    value = float(tol)
+    if not 0.0 <= value < 1.0:   # NaN fails too
+        raise ValueError(f"tol must be finite with 0 <= tol < 1, got {tol!r}")
+    return value
 
 
 def dominant_eigenvalue(eigenvalues: np.ndarray, tol: float = DEFAULT_TOL) -> int:
@@ -98,24 +109,21 @@ def dominant_eigenvalue(eigenvalues: np.ndarray, tol: float = DEFAULT_TOL) -> in
     )
 
 
-def eigen_decompose(
-    matrix: TransitionMatrix | np.ndarray,
-    tol: float = DEFAULT_TOL,
-    cond_limit: float = COND_LIMIT,
-) -> SpectralSummary:
+def eigen_decompose(matrix: np.ndarray, tol: float = DEFAULT_TOL) -> SpectralSummary:
     """Decompose a small dense real matrix and locate its dominant pair.
 
-    Raises ValueError unless matrix is 2-D, square and finite,
-    DefectiveMatrix when the eigenvector basis has condition number above
-    cond_limit (linearly independent eigenvectors are assumed
+    Raises ValueError unless tol obeys _tolerance and matrix is 2-D, square
+    and finite, DefectiveMatrix when the eigenvector basis has condition
+    number above COND_LIMIT (linearly independent eigenvectors are assumed
     throughout), and NoAdmissibleDominant when every modulus is within tol
     of 1 or the top modulus is an ambiguous tie.
     """
+    tol = _tolerance(tol)
     eigenvalues, P = np.linalg.eig(_entries(matrix))
 
-    if not np.all(np.isfinite(P)) or np.linalg.cond(P) > cond_limit:
+    if not np.all(np.isfinite(P)) or np.linalg.cond(P) > COND_LIMIT:
         raise DefectiveMatrix(
-            f"eigenvector basis condition exceeds {cond_limit:g}; "
+            f"eigenvector basis condition exceeds {COND_LIMIT:g}; "
             "matrix is (numerically) defective"
         )
 
@@ -157,11 +165,10 @@ def eigen_decompose(
         condition_i=cond_i,
         condition_ii=cond_ii,
         condition_iii=cond_iii,
-        tol=tol,
     )
 
 
-def vmax_row(matrix: TransitionMatrix | np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+def vmax_row(matrix: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Row of the inverse eigenvector basis paired with lambda_max.
 
     Requires the dominant eigenvalue to be real and > 1 (the membership test

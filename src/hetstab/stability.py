@@ -49,6 +49,7 @@ from .spectral import (
     DEFAULT_TOL,
     SpectralError,
     SpectralSummary,
+    _tolerance,
     dominant_eigenvalue,
     eigen_decompose,
 )
@@ -156,9 +157,9 @@ class _CycleAnalysis:
     """
 
     def __init__(self, cycle: CycleLike, tol: float):
+        self.tol = _tolerance(tol)
         self.mats = as_basic_matrices(cycle)
         self.m = len(self.mats)
-        self.tol = tol
         self.negative = _negative_entry_nodes(self.mats)
         self._turns: dict[int, list[np.ndarray]] = {}
         self._spectra: dict[int, SpectralSummary] = {}
@@ -240,7 +241,8 @@ def classify(cycle: CycleLike, tol: float = DEFAULT_TOL) -> IndexReport:
     """Compute every sigma_j and classify the cycle.
 
     Raises IndeterminateError when a spectral degeneracy (no admissible
-    dominant eigenvalue, or a defective full return) blocks the decision.
+    dominant eigenvalue, or a defective full return) blocks the decision,
+    and ValueError, before any decomposition, when tol breaks its rule.
     """
     analysis = _CycleAnalysis(cycle, tol)
     sigmas, provenance = zip(*analysis.indices(range(analysis.m)))
@@ -248,5 +250,5 @@ def classify(cycle: CycleLike, tol: float = DEFAULT_TOL) -> IndexReport:
         sigma=sigmas,
         provenance=provenance,
         classification=classification_from_sigmas(sigmas),
-        tol=tol,
+        tol=analysis.tol,
     )

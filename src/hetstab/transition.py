@@ -9,7 +9,8 @@ eta -> M_j eta + F_j, with
                 [   ...           ]
                 [ b_{j,N}  0 ... 1 ]
 
-where A_j is the connection's axis permutation.  Only the oracle iterates
+where A_j is the connection's axis permutation.  Every matrix here is a plain
+N x N float array, freshly built on each call.  Only the oracle iterates
 points, so it alone builds the offsets F_j (oracle._gmaps).  Full returns
 and partial turns are cyclic products of these basic matrices:
 
@@ -24,7 +25,6 @@ rejected with ProductOverflow rather than handed on as inf or NaN.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
@@ -36,29 +36,12 @@ class ProductOverflow(CycleValidationError):
     """A cyclic product of the basic matrices is not finite in double precision."""
 
 
-@dataclass(frozen=True)
-class TransitionMatrix:
-    """Dense N x N real matrix tagged with its origin in the cycle."""
-
-    entries: np.ndarray
-    provenance: str
-
-    def __post_init__(self) -> None:
-        arr = np.array(self.entries, dtype=float)
-        arr.flags.writeable = False
-        object.__setattr__(self, "entries", arr)
-
-    def to_csv_block(self) -> str:
-        """Rows as comma-separated lines, for debug printing."""
-        return "\n".join(",".join(repr(float(v)) for v in row) for row in self.entries)
-
-
 CycleLike = Union[ValidatedCycle, Sequence]
 
 
 def _entries(matrix) -> np.ndarray:
     """The float entries of matrix; ValueError unless 2-D, square and finite."""
-    M = matrix.entries if isinstance(matrix, TransitionMatrix) else np.asarray(matrix, float)
+    M = np.asarray(matrix, float)
     if M.ndim != 2 or M.shape[0] != M.shape[1] or not np.isfinite(M).all():
         raise ValueError(f"expected a finite square matrix, got shape {M.shape}")
     return M
@@ -80,7 +63,7 @@ def as_basic_matrices(cycle: CycleLike) -> list[np.ndarray]:
     N >= 2; anything else raises ValueError.
     """
     if isinstance(cycle, ValidatedCycle):
-        return [_basic(cycle, j) for j in range(cycle.m)]
+        return [basic_matrix(cycle, j) for j in range(cycle.m)]
     mats = [np.array(_entries(M)) for M in cycle]
     if not mats:
         raise ValueError("empty matrix sequence")
@@ -92,20 +75,14 @@ def as_basic_matrices(cycle: CycleLike) -> list[np.ndarray]:
     return mats
 
 
-def _basic(cycle: ValidatedCycle, j: int) -> np.ndarray:
-    node = cycle.nodes[j]
-    conn = cycle.connections[j]
-    n = cycle.dimension
-    base = np.eye(n)
+def basic_matrix(cycle: ValidatedCycle, j: int) -> np.ndarray:
+    """M_j for node j: permuted base matrix built from the eigenvalue ratios."""
+    node = cycle.nodes[_node_index(j, cycle.m)]
+    base = np.eye(cycle.dimension)
     base[0, 0] = node.contracting / node.expanding
     for s, t in enumerate(node.transverse):
         base[s + 1, 0] = -t / node.expanding
-    return base[list(conn.permutation)]
-
-
-def basic_matrix(cycle: ValidatedCycle, j: int) -> TransitionMatrix:
-    """M_j for node j: permuted base matrix built from the eigenvalue ratios."""
-    return TransitionMatrix(_basic(cycle, _node_index(j, cycle.m)), provenance=f"basic[{j}]")
+    return base[list(cycle.connections[j].permutation)]
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -134,21 +111,19 @@ def cyclic_products(mats: list[np.ndarray], j: int, steps: int) -> list[np.ndarr
     return out
 
 
-def full_return_matrix(cycle: CycleLike, j: int) -> TransitionMatrix:
+def full_return_matrix(cycle: CycleLike, j: int) -> np.ndarray:
     """M^(j): product of all m basic matrices starting from node j."""
     mats = as_basic_matrices(cycle)
     m = len(mats)
-    return TransitionMatrix(cyclic_products(mats, _node_index(j, m), m)[-1],
-                            provenance=f"full-return[{j}]")
+    return cyclic_products(mats, _node_index(j, m), m)[-1]
 
 
-def partial_turn_matrix(cycle: CycleLike, l: int, j: int) -> TransitionMatrix:
+def partial_turn_matrix(cycle: CycleLike, l: int, j: int) -> np.ndarray:
     """M_(l,j): product M_l ... M_j taken cyclically (M_j alone when l == j)."""
     mats = as_basic_matrices(cycle)
     m = len(mats)
     steps = ((_node_index(l, m) - _node_index(j, m)) % m) + 1
-    prod = cyclic_products(mats, j, steps)[-1]
-    return TransitionMatrix(prod, provenance=f"partial[({l},{j})]")
+    return cyclic_products(mats, j, steps)[-1]
 
 
 def negative_entry_indices(cycle: CycleLike) -> list[int]:

@@ -151,18 +151,17 @@ def test_criterion_7_similarity_and_commutation():
     ok = True
     for _ in range(100):
         cycle = random_cycle(rng, max_m=5, max_nt=3)
-        base = np.linalg.eigvals(full_return_matrix(cycle, 0).entries)
+        base = np.linalg.eigvals(full_return_matrix(cycle, 0))
         for j in range(cycle.m):
-            ev = np.linalg.eigvals(full_return_matrix(cycle, j).entries)
+            ev = np.linalg.eigvals(full_return_matrix(cycle, j))
             try:
                 assert_multisets_close(ev, base, tol=1e-9)
             except AssertionError:
                 ok = False
             for l in range(cycle.m):
-                lhs = partial_turn_matrix(cycle, l, j).entries @ \
-                    full_return_matrix(cycle, j).entries
-                rhs = full_return_matrix(cycle, (l + 1) % cycle.m).entries @ \
-                    partial_turn_matrix(cycle, l, j).entries
+                lhs = partial_turn_matrix(cycle, l, j) @ full_return_matrix(cycle, j)
+                rhs = full_return_matrix(cycle, (l + 1) % cycle.m) @ \
+                    partial_turn_matrix(cycle, l, j)
                 ok &= bool(np.max(np.abs(lhs - rhs)) <= 1e-9)
     _line(7, "eigen multisets j-independent and partial/full turns commute "
              "on 100 random cycles (1e-9)", ok)
@@ -195,7 +194,7 @@ def test_criterion_9_basin_membership_oracle_agreement():
         n = M.shape[0]
         v = vmax_row(M)
         ys = -rng.uniform(0.01, 2.0, (10_000, n))
-        brute = matrix_basin_membership(M, ys, max_iterations=400)
+        brute = matrix_basin_membership(M, ys)
         analytic = ys @ v < 0.0
         disagree = brute != analytic
         rate = float(disagree.mean())

@@ -16,7 +16,6 @@ from hetstab import (
     NonPositiveScaling,
     cycle_from_dict,
     cycle_to_dict,
-    find_violations,
     load_cycle,
     save_cycle,
     validate_cycle,
@@ -32,7 +31,6 @@ def minimal_spec():
 def test_minimal_two_node_cycle_valid():
     cycle = validate_cycle(minimal_spec())
     assert cycle.m == 2
-    assert cycle.n_transverse == 2
     assert cycle.dimension == 3
 
 
@@ -41,7 +39,6 @@ def test_validation_is_deterministic():
     a = validate_cycle(spec)
     b = validate_cycle(spec)
     assert a == b
-    assert find_violations(spec) == find_violations(spec) == []
 
 
 def test_mismatched_transverse_count():
@@ -93,7 +90,6 @@ def test_non_positive_scalings_rejected():
         "inf-scaling", "inf-v0"])
 def test_non_finite_data_rejected(node, conn):
     spec = CycleSpec(nodes=(node, node), connections=(conn, conn))
-    assert find_violations(spec)
     with pytest.raises(CycleValidationError) as exc:
         validate_cycle(spec)
     assert exc.type is CycleValidationError      # not a "non-positive" subclass

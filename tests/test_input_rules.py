@@ -7,6 +7,7 @@ a warning or an answer.
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,7 +16,9 @@ from hetstab import (
     ConnectionSpec,
     CycleSpec,
     CycleValidationError,
+    DefectiveMatrix,
     EstimatorConfig,
+    InvalidPermutation,
     NodeSpec,
     NonPositiveEigenvalue,
     NonPositiveInput,
@@ -23,7 +26,9 @@ from hetstab import (
     RspParams,
     as_basic_matrices,
     basic_matrix,
+    classify,
     collect_alpha_vectors,
+    cycle_from_dict,
     eigen_decompose,
     estimate_fplus_mc,
     estimate_sigma_mc,
@@ -31,11 +36,12 @@ from hetstab import (
     f_index_n3,
     f_minus,
     f_plus,
-    find_violations,
     full_return_matrix,
+    load_cycle,
     in_delta_basin,
     matrix_basin_membership,
     partial_turn_matrix,
+    rsp_compare,
     rsp_cycle_spec,
     rsp_matrices,
     save_cycle,
@@ -88,17 +94,49 @@ def test_cycle_spec_rule_keeps_its_messages_and_types_the_first():
         connections=(ConnectionSpec((0, 0), scalings=(1.0, 0.0)),
                      ConnectionSpec((0, 1), contraction_offset=0.0)),
     )
-    assert find_violations(spec) == [
+    with pytest.raises(CycleValidationError) as exc:
+        validate_cycle(spec)
+    assert exc.type is NonPositiveEigenvalue
+    assert str(exc.value).split("; ") == [
         "node 0: contracting eigenvalue magnitude must be > 0",
         "node 1: transverse count 2 != 1 at node 0",
         "connection 0: permutation [0, 0] is not a bijection on 0..1",
         "connection 0: scalings must be > 0",
         "connection 1: v0 must be > 0",
     ]
-    with pytest.raises(CycleValidationError) as exc:
-        validate_cycle(spec)
-    assert exc.type is NonPositiveEigenvalue
-    assert str(exc.value) == "; ".join(find_violations(spec))
+
+
+# ---------------------------------------------------------------------------
+# Permutation entries: ConnectionSpec makes integral entries ints, and
+# cycle._violations rejects every other entry
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("perm,shown", [
+    ((1.9, 0.2), "[1.9, 0.2]"),
+    ((1, 0.5), "[1, 0.5]"),
+    ((NAN, 0.0), "[nan, 0]"),
+    ((INF, 0.0), "[inf, 0]"),
+], ids=["fractions", "one-fraction", "nan", "inf"])
+def test_permutation_rule_rejects_non_integral_entries(perm, shown):
+    message = f"^connection 0: permutation {re.escape(shown)} is not a bijection on 0..1"
+    with pytest.raises(InvalidPermutation, match=message):
+        validate_cycle(two_nodes(node(), ConnectionSpec(perm)))
+    doc = {"nodes": [{"contracting": 1.0, "expanding": 1.0, "transverse": [-0.5]}] * 2,
+           "connections": [{"permutation": list(perm)}] * 2}
+    with pytest.raises(InvalidPermutation, match=message):
+        validate_cycle(cycle_from_dict(doc))
+
+
+@pytest.mark.parametrize("perm", [
+    (1.0, 0.0), (np.int64(1), np.int32(0)), tuple(np.arange(2)[::-1]),
+], ids=["integral-floats", "numpy-ints", "numpy-array"])
+def test_permutation_rule_accepts_integral_entries(perm, tmp_path):
+    spec = two_nodes(node(), ConnectionSpec(perm))
+    assert [type(i) for i in spec.connections[0].permutation] == [int, int]
+    save_cycle(spec, str(tmp_path / "c.json"))
+    assert validate_cycle(load_cycle(str(tmp_path / "c.json"))) == validate_cycle(spec)
+    assert validate_cycle(spec).connections[0].permutation == (1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +299,46 @@ def test_orbit_overflow_in_the_oracle_is_an_escape_not_a_warning():
 
 
 # ---------------------------------------------------------------------------
-# CLI: every rejected input exits 1 with a one-line error
+# Tolerance: spectral._tolerance, checked before any decomposition
+# ---------------------------------------------------------------------------
+
+
+FULL = full_return_matrix(RAW, 0)
+DEFECTIVE = [[2.0, 1.0], [0.0, 2.0]]                        # one Jordan block
+TOL_ERROR = "tol must be finite with 0 <= tol < 1, got "
+TOL_ENTRY_POINTS = {
+    "classify": lambda tol: classify(RAW, tol=tol),
+    "sigma": lambda tol: sigma(RAW, 0, tol=tol),
+    "collect_alpha_vectors": lambda tol: collect_alpha_vectors(RAW, 0, tol=tol),
+    "eigen_decompose": lambda tol: eigen_decompose(FULL, tol),
+    "vmax_row": lambda tol: vmax_row(FULL, tol),
+    "rsp_compare": lambda tol: rsp_compare(RspParams(-0.5, 0.2), tol=tol),
+    "eigen_decompose-defective": lambda tol: eigen_decompose(DEFECTIVE, tol),
+    "classify-defective": lambda tol: classify([DEFECTIVE], tol=tol),
+}
+
+
+@pytest.mark.parametrize("tol", [NAN, -1.0, INF, 1.0], ids=["nan", "-1", "inf", "1"])
+@pytest.mark.parametrize("entry", sorted(TOL_ENTRY_POINTS))
+def test_tolerance_rule(entry, tol):
+    with pytest.raises(ValueError, match=f"^{TOL_ERROR}{tol}$") as exc:
+        TOL_ENTRY_POINTS[entry](tol)
+    assert exc.type is ValueError
+
+
+@pytest.mark.parametrize("entry", sorted(e for e in TOL_ENTRY_POINTS if "defective" not in e))
+def test_tolerance_rule_accepts_zero(entry):
+    TOL_ENTRY_POINTS[entry](0.0)
+
+
+def test_defective_matrix_reports_after_the_tolerance_rule():
+    with pytest.raises(DefectiveMatrix):
+        eigen_decompose(DEFECTIVE)
+
+
+# ---------------------------------------------------------------------------
+# CLI: every rejected input exits 1 with a one-line error, or with the usage
+# and a one-line error for a bad flag
 # ---------------------------------------------------------------------------
 
 
@@ -271,25 +348,56 @@ def cli_files(tmp_path):
     doc = {"nodes": [{"contracting": 1e200, "expanding": 1.0, "transverse": [-0.5]}] * 3,
            "connections": [{"permutation": [0, 1]}] * 3}
     (tmp_path / "overflow.json").write_text(json.dumps(doc))
+    doc = {"nodes": [{"contracting": 1.0, "expanding": 1.0, "transverse": [-0.5]}] * 2,
+           "connections": [{"permutation": [1.9, 0.2]}] * 2}
+    (tmp_path / "fraction.json").write_text(json.dumps(doc))
     return tmp_path
 
 
-@pytest.mark.parametrize("argv,error", [
-    (["findex", "--alpha", "1,nan"], "error: direction vector components must be finite"),
-    (["oracle", "fplus", "--alpha", "1,nan", "--samples", "100"],
-     "error: direction vector components must be finite"),
-    (["oracle", "sigma", "{d}/c.json", "--node", "5", "--samples", "10"],
-     "error: node index 5 out of range for m=2"),
-    (["oracle", "sigma", "{d}/overflow.json", "--samples", "10"],
-     "error: cyclic product from node 0 is not finite"),
-    (["analyze", "{d}"], "error: [Errno 21] Is a directory"),
-    (["analyze", "{d}/c.json", "--json", "{d}"], "error: [Errno 21] Is a directory"),
-], ids=["findex-nan", "fplus-nan", "sigma-node", "sigma-overflow", "analyze-dir", "json-dir"])
-def test_cli_rejects_with_exit_one(cli_files, capsys, argv, error):
+LADDER_USAGE = "argument {}: ladder needs 0 < end < start < inf and count >= 1"
+CLI_REJECTIONS = {
+    "findex-nan": (["findex", "--alpha", "1,nan"],
+                   "error: direction vector components must be finite"),
+    "fplus-nan": (["oracle", "fplus", "--alpha", "1,nan", "--samples", "100"],
+                  "error: direction vector components must be finite"),
+    "sigma-node": (["oracle", "sigma", "{d}/c.json", "--node", "5", "--samples", "10"],
+                   "error: node index 5 out of range for m=2"),
+    "sigma-overflow": (["oracle", "sigma", "{d}/overflow.json", "--samples", "10"],
+                       "error: cyclic product from node 0 is not finite"),
+    "analyze-dir": (["analyze", "{d}"], "error: [Errno 21] Is a directory"),
+    "json-dir": (["analyze", "{d}/c.json", "--json", "{d}"], "error: [Errno 21] Is a directory"),
+    "analyze-fraction": (["analyze", "{d}/fraction.json"],
+                         "error: connection 0: permutation [1.9, 0.2] is not a bijection"),
+    "fplus-levels-inf": (["oracle", "fplus", "--alpha", "-1,1,1", "--levels", "inf:1e-3:3"],
+                         "hetstab oracle fplus: error: " + LADDER_USAGE.format("--levels")),
+    "fplus-levels-nan": (["oracle", "fplus", "--alpha", "-1,1,1", "--levels", "nan:1e-3:3"],
+                         "hetstab oracle fplus: error: " + LADDER_USAGE.format("--levels")),
+    "sigma-eps-inf": (["oracle", "sigma", "{d}/c.json", "--eps", "inf:1e-5:3"],
+                      "hetstab oracle sigma: error: " + LADDER_USAGE.format("--eps")),
+    "sweep-grid-negative": (["rsp-sweep", "--grid", "-5", "--out", "{d}/s.csv"],
+                            "hetstab rsp-sweep: error: argument --grid: "
+                            "grid must be an integer >= 1, got '-5'"),
+    "sweep-grid-zero": (["rsp-sweep", "--grid", "0", "--out", "{d}/s.csv"],
+                        "hetstab rsp-sweep: error: argument --grid: "
+                        "grid must be an integer >= 1, got '0'"),
+}
+for _tol in ("nan", "-1.0", "inf", "1.0"):
+    for _name, _argv in [("analyze", ["analyze", "{d}/c.json"]),
+                         ("rsp", ["rsp", "--eps-x", "-0.5", "--eps-y", "0.2"]),
+                         ("rsp-sweep", ["rsp-sweep", "--grid", "1", "--out", "{d}/s.csv"])]:
+        CLI_REJECTIONS[f"{_name}-tol-{_tol}"] = (
+            _argv + ["--tol", _tol], f"error: {TOL_ERROR}{_tol}")
+
+
+@pytest.mark.parametrize("case", sorted(CLI_REJECTIONS))
+def test_cli_rejects_with_exit_one(cli_files, capsys, case):
+    argv, error = CLI_REJECTIONS[case]
     assert main([a.format(d=cli_files) for a in argv]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(error)
-    assert "Traceback" not in err
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[-1].startswith(error)
+    assert len(lines) == 1 or lines[0].startswith("usage: hetstab ")
+    assert not [line for line in lines if "Traceback" in line or "Warning" in line]
+    assert not (cli_files / "s.csv").exists()
 
 
 def test_cli_findex_accepts_an_overflowing_sum(capsys):

@@ -31,19 +31,19 @@ def test_params_validated():
 def test_matrices_at_zero():
     m0, m1 = rsp_matrices(RspParams(0.0, 0.0))
     expected = [[0.5, 1, 0], [-0.5, 0, 1], [1, 0, 0]]
-    assert np.array_equal(m0.entries, np.array(expected, float))
-    assert np.array_equal(m1.entries, np.array(expected, float))
+    assert np.array_equal(m0, np.array(expected, float))
+    assert np.array_equal(m1, np.array(expected, float))
 
 
 def test_matrix_rows_at_sample_point():
     m0, _ = rsp_matrices(RspParams(-0.5, 0.2))
-    assert m0.entries[0] == pytest.approx([0.4, 1.0, 0.0])
+    assert m0[0] == pytest.approx([0.4, 1.0, 0.0])
 
 
 def test_swap_symmetry_of_matrices():
     a, b = 0.3, -0.7
-    assert np.array_equal(rsp_matrices(RspParams(a, b))[0].entries,
-                          rsp_matrices(RspParams(b, a))[1].entries)
+    assert np.array_equal(rsp_matrices(RspParams(a, b))[0],
+                          rsp_matrices(RspParams(b, a))[1])
 
 
 def test_cycle_spec_reproduces_matrices_entrywise():
@@ -52,8 +52,8 @@ def test_cycle_spec_reproduces_matrices_entrywise():
         cycle = validate_cycle(rsp_cycle_spec(params))
         assert cycle.m == 2 and cycle.dimension == 3
         m0, m1 = rsp_matrices(params)
-        assert np.array_equal(basic_matrix(cycle, 0).entries, m0.entries)
-        assert np.array_equal(basic_matrix(cycle, 1).entries, m1.entries)
+        assert np.array_equal(basic_matrix(cycle, 0), m0)
+        assert np.array_equal(basic_matrix(cycle, 1), m1)
 
 
 @pytest.mark.parametrize("ex,ey,sigma0", [
@@ -87,7 +87,7 @@ def test_attracted_set_is_whole_negative_orthant():
     for ex, ey in [(-0.5, 0.2), (-0.2, -0.2), (-0.8, 0.4)]:
         mats = rsp_matrices(RspParams(ex, ey))
         for j in range(2):
-            v = vmax_row(full_return_matrix(mats, j).entries)
+            v = vmax_row(full_return_matrix(mats, j))
             assert np.all(v >= 0)
             assert f_index(v) == math.inf
 

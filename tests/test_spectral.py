@@ -119,15 +119,15 @@ def test_eigenvector_propagation_through_partial_turns():
         if not negative_entry_indices(cycle):
             continue
         try:
-            s_j = eigen_decompose(full_return_matrix(cycle, 0).entries)
+            s_j = eigen_decompose(full_return_matrix(cycle, 0))
         except (NoAdmissibleDominant, DefectiveMatrix):
             continue
         if not (s_j.condition_i and s_j.condition_ii):
             continue
         for l in range(cycle.m):
             target = (l + 1) % cycle.m
-            w_prop = partial_turn_matrix(cycle, l, 0).entries @ np.real(s_j.w_max)
-            M_l = full_return_matrix(cycle, target).entries
+            w_prop = partial_turn_matrix(cycle, l, 0) @ np.real(s_j.w_max)
+            M_l = full_return_matrix(cycle, target)
             assert np.allclose(M_l @ w_prop, s_j.lambda_max.real * w_prop, atol=1e-8)
         checked += 1
     assert checked >= 5

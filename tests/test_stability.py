@@ -97,8 +97,8 @@ def test_nonnegative_dichotomy_uniform_over_j():
 
 def test_collect_alpha_vectors_rsp():
     mats = rsp_matrices(RspParams(-0.5, 0.2))
-    m0 = mats[0].entries
-    full0 = full_return_matrix(mats, 0).entries
+    m0 = mats[0]
+    full0 = full_return_matrix(mats, 0)
     vectors = collect_alpha_vectors(mats, 0)
     assert len(vectors) == 1 + 2 * 3          # v_max plus rows of M_(0,0) and M_(1,0)
     assert np.allclose(vectors[0], vmax_row(full0))
@@ -203,7 +203,7 @@ def test_checkpoint_reduction_matches_checking_everywhere():
             continue
         checkpoints = sorted({(q + 1) % cycle.m for q in negative})
         try:
-            summaries = [eigen_decompose(full_return_matrix(cycle, j).entries)
+            summaries = [eigen_decompose(full_return_matrix(cycle, j))
                          for j in range(cycle.m)]
         except Exception:
             continue
@@ -219,7 +219,7 @@ def test_vmax_redundant_when_basin_is_full_orthant():
     # when v_max is componentwise non-negative its index is +inf and the
     # partial-turn rows alone decide sigma
     mats = rsp_matrices(RspParams(-0.5, 0.2))
-    v = vmax_row(full_return_matrix(mats, 0).entries)
+    v = vmax_row(full_return_matrix(mats, 0))
     assert np.all(v >= 0)
     assert f_index(v) == INF
     report = classify(mats)
@@ -244,7 +244,7 @@ def reference_report(cycle, tol=1e-9):
     """(sigma, provenance, verdict) for a cycle with a negative entry, from the
     public products, eigen_decompose and f_index alone, one j at a time."""
     m = cycle.m
-    negative = [q for q in range(m) if partial_turn_matrix(cycle, q, q).entries.min() < 0.0]
+    negative = [q for q in range(m) if partial_turn_matrix(cycle, q, q).min() < 0.0]
     assert negative
 
     def spectrum(j):
@@ -264,7 +264,7 @@ def reference_report(cycle, tol=1e-9):
         assert s.condition_i and s.condition_ii
         candidates = [(np.real(s.v_max), f"v_max[{j}]")]
         for q in negative:
-            rows = partial_turn_matrix(cycle, q, j).entries
+            rows = partial_turn_matrix(cycle, q, j)
             candidates += [(row, f"M_({q},{j}) row {r}") for r, row in enumerate(rows)]
         alpha, tag = min(candidates, key=lambda c: f_index(c[0]))  # first of equal minima
         sigmas.append(f_index(alpha))

@@ -28,18 +28,18 @@ def single_node(c, e, transverse, perm=None):
 
 def test_basic_matrix_direct_substitution():
     cycle = single_node(2.0, 1.0, (-1.0,))
-    assert np.array_equal(basic_matrix(cycle, 0).entries, [[2.0, 0.0], [1.0, 1.0]])
+    assert np.array_equal(basic_matrix(cycle, 0), [[2.0, 0.0], [1.0, 1.0]])
 
 
 def test_basic_matrix_hand_evaluated_ratios():
     cycle = single_node(1.0, 2.0, (0.5, -0.5))
     expected = [[0.5, 0.0, 0.0], [-0.25, 1.0, 0.0], [0.25, 0.0, 1.0]]
-    assert np.array_equal(basic_matrix(cycle, 0).entries, expected)
+    assert np.array_equal(basic_matrix(cycle, 0), expected)
 
 
 def test_basic_matrix_rsp_node0():
     ex, ey = -0.5, 0.2
-    m0 = rsp_matrices(RspParams(ex, ey))[0].entries
+    m0 = rsp_matrices(RspParams(ex, ey))[0]
     expected = [[(1 - ey) / 2, 1, 0], [-(1 + ex) / 2, 0, 1], [1, 0, 0]]
     assert np.array_equal(m0, np.array(expected, dtype=float))
 
@@ -49,7 +49,7 @@ def test_basic_matrix_invariants_random(subtests=None):
     for _ in range(50):
         cycle = random_cycle(rng)
         for j in range(cycle.m):
-            M = basic_matrix(cycle, j).entries
+            M = basic_matrix(cycle, j)
             # every column beyond the first is one-hot with a single 1
             for col in range(1, cycle.dimension):
                 column = M[:, col]
@@ -62,16 +62,16 @@ def test_basic_matrix_invariants_random(subtests=None):
 
 def test_full_return_single_node_is_basic():
     cycle = single_node(2.0, 1.0, (-1.0,))
-    assert np.array_equal(full_return_matrix(cycle, 0).entries,
-                          basic_matrix(cycle, 0).entries)
+    assert np.array_equal(full_return_matrix(cycle, 0),
+                          basic_matrix(cycle, 0))
 
 
 def test_full_return_rsp_order():
     params = RspParams(-0.5, 0.2)
-    m0, m1 = (m.entries for m in rsp_matrices(params))
-    full0 = full_return_matrix(rsp_matrices(params), 0).entries
+    m0, m1 = rsp_matrices(params)
+    full0 = full_return_matrix(rsp_matrices(params), 0)
     assert np.allclose(full0, naive_matmul(m1, m0), atol=0, rtol=0)
-    full1 = full_return_matrix(rsp_matrices(params), 1).entries
+    full1 = full_return_matrix(rsp_matrices(params), 1)
     assert np.allclose(full1, naive_matmul(m0, m1), atol=0, rtol=0)
 
 
@@ -79,24 +79,24 @@ def test_products_match_naive_multiplication_oracle():
     rng = np.random.default_rng(23)
     for _ in range(20):
         cycle = random_cycle(rng, max_m=4)
-        mats = [basic_matrix(cycle, j).entries for j in range(cycle.m)]
+        mats = [basic_matrix(cycle, j) for j in range(cycle.m)]
         for j in range(cycle.m):
             expected = np.eye(cycle.dimension)
             for step in range(cycle.m):
                 expected = naive_matmul(mats[(j + step) % cycle.m], expected)
-            assert np.allclose(full_return_matrix(cycle, j).entries, expected, atol=1e-12)
+            assert np.allclose(full_return_matrix(cycle, j), expected, atol=1e-12)
 
 
 def test_partial_turn_cases():
     params = RspParams(-0.3, 0.1)
     mats = rsp_matrices(params)
-    m0, m1 = (m.entries for m in mats)
+    m0, m1 = mats
     # l = j: the single basic matrix
-    assert np.array_equal(partial_turn_matrix(mats, 0, 0).entries, m0)
+    assert np.array_equal(partial_turn_matrix(mats, 0, 0), m0)
     # l = j - 1 (mod m): the full turn
-    assert np.array_equal(partial_turn_matrix(mats, 1, 0).entries,
-                          full_return_matrix(mats, 0).entries)
-    assert np.allclose(partial_turn_matrix(mats, 1, 0).entries,
+    assert np.array_equal(partial_turn_matrix(mats, 1, 0),
+                          full_return_matrix(mats, 0))
+    assert np.allclose(partial_turn_matrix(mats, 1, 0),
                        naive_matmul(m1, m0), atol=0)
 
 
@@ -104,13 +104,13 @@ def test_commutation_identity_and_similarity():
     rng = np.random.default_rng(37)
     for _ in range(25):
         cycle = random_cycle(rng, max_m=4)
-        base = np.linalg.eigvals(full_return_matrix(cycle, 0).entries)
+        base = np.linalg.eigvals(full_return_matrix(cycle, 0))
         for j in range(cycle.m):
-            ev = np.linalg.eigvals(full_return_matrix(cycle, j).entries)
+            ev = np.linalg.eigvals(full_return_matrix(cycle, j))
             assert_multisets_close(ev, base, tol=1e-9)
             for l in range(cycle.m):
-                lhs = partial_turn_matrix(cycle, l, j).entries @ full_return_matrix(cycle, j).entries
-                rhs = full_return_matrix(cycle, (l + 1) % cycle.m).entries @ partial_turn_matrix(cycle, l, j).entries
+                lhs = partial_turn_matrix(cycle, l, j) @ full_return_matrix(cycle, j)
+                rhs = full_return_matrix(cycle, (l + 1) % cycle.m) @ partial_turn_matrix(cycle, l, j)
                 assert np.allclose(lhs, rhs, atol=1e-9)
 
 
@@ -121,7 +121,7 @@ def test_full_return_determinant():
         expected = 1.0
         for node in cycle.nodes:
             expected *= node.contracting / node.expanding
-        det = np.linalg.det(full_return_matrix(cycle, 0).entries)
+        det = np.linalg.det(full_return_matrix(cycle, 0))
         assert abs(det) == pytest.approx(expected, rel=1e-9)
 
 
@@ -139,17 +139,6 @@ def test_negative_entry_indices():
         connections=(ConnectionSpec((0, 1)), ConnectionSpec((0, 1))),
     ))
     assert negative_entry_indices(one_pos) == [1]
-
-
-def test_provenance_tags_and_csv_block():
-    cycle = single_node(2.0, 1.0, (-1.0,))
-    M = basic_matrix(cycle, 0)
-    assert M.provenance == "basic[0]"
-    assert full_return_matrix(cycle, 0).provenance == "full-return[0]"
-    assert partial_turn_matrix(cycle, 0, 0).provenance == "partial[(0,0)]"
-    assert M.to_csv_block() == "2.0,0.0\n1.0,1.0"
-    with pytest.raises(ValueError):
-        M.entries[0, 0] = 5.0  # entries are frozen
 
 
 @pytest.mark.parametrize("mats", [
