@@ -25,9 +25,6 @@ from .cycle import (
     validate_cycle,
 )
 from .findex import (
-    NEG_INF,
-    POS_INF,
-    ExtendedReal,
     ZeroVectorError,
     f_index,
     f_index_n3,
@@ -99,8 +96,7 @@ __all__ = [
     "SpectralSummary", "eigen_decompose", "vmax_row", "SpectralError",
     "DefectiveMatrix", "NoAdmissibleDominant",
     # f-index
-    "ExtendedReal", "POS_INF", "NEG_INF", "f_plus", "f_minus", "f_index",
-    "f_index_n3", "ZeroVectorError",
+    "f_plus", "f_minus", "f_index", "f_index_n3", "ZeroVectorError",
     # stability
     "Classification", "IndexReport", "IndexProvenance", "classify", "sigma",
     "collect_alpha_vectors", "classification_from_sigmas", "IndeterminateError",

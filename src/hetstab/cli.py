@@ -22,6 +22,7 @@ from .cycle import load_cycle, validate_cycle
 from .findex import f_index, f_minus, f_plus, inf_str
 from .oracle import EstimatorConfig, InsufficientResolution, estimate_fplus_mc, estimate_sigma_mc
 from .rsp import RspParams, rsp_compare, rsp_matrices
+from .spectral import DEFAULT_TOL
 from .stability import IndeterminateError, classify
 
 
@@ -231,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="classify a cycle from a JSON spec")
     p.add_argument("cycle", help="path to cycle-spec JSON document")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--json", default=None, help="write a JSON report here")
     p.add_argument("--verbose", "-v", action="store_true",
                    help="also print the basic transition matrices")
@@ -244,28 +245,29 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rsp", help="Rock-Scissors-Paper cycle at one parameter point")
     p.add_argument("--eps-x", type=float, required=True, dest="eps_x")
     p.add_argument("--eps-y", type=float, required=True, dest="eps_y")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--json", default=None)
     p.set_defaults(func=_cmd_rsp)
 
     p = sub.add_parser("rsp-sweep", help="sweep the RSP parameter square to CSV")
     p.add_argument("--grid", type=_grid, default=9, help="points per axis inside (-1,1)")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_rsp_sweep)
 
     oracle = sub.add_parser("oracle", help="Monte-Carlo estimators")
     osub = oracle.add_subparsers(dest="oracle_command", required=True)
 
+    plan = EstimatorConfig()
     p = osub.add_parser("sigma", help="estimate a stability index by sampling")
     p.add_argument("cycle")
     p.add_argument("--node", type=int, default=0)
-    p.add_argument("--delta", type=float, default=1e-2)
-    p.add_argument("--eps", type=_parse_ladder, default=_parse_ladder("1e-3:1e-7:5"),
+    p.add_argument("--delta", type=float, default=plan.delta)
+    p.add_argument("--eps", type=_parse_ladder, default=plan.epsilon_ladder,
                    help="epsilon ladder start:end:count")
-    p.add_argument("--samples", type=int, default=4000)
-    p.add_argument("--turns", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--samples", type=int, default=plan.samples_per_level)
+    p.add_argument("--turns", type=int, default=plan.max_full_turns)
+    p.add_argument("--seed", type=int, default=plan.seed)
     p.add_argument("--csv", default=None)
     p.set_defaults(func=_cmd_oracle_sigma)
 
@@ -273,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", required=True)
     p.add_argument("--levels", type=_parse_ladder, default=_parse_ladder("1e-1:1e-4:7"))
     p.add_argument("--samples", type=int, default=100000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=plan.seed)
     p.set_defaults(func=_cmd_oracle_fplus)
 
     return parser

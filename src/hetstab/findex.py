@@ -30,13 +30,6 @@ from __future__ import annotations
 import math
 from typing import Iterable
 
-POS_INF = math.inf
-NEG_INF = -math.inf
-
-#: Extended real values are plain floats; +-math.inf are the two infinities.
-ExtendedReal = float
-
-
 def inf_str(x):
     """Serialized form of a value: "+inf" / "-inf" for a float infinity.
 
@@ -64,15 +57,15 @@ def _components(alpha: Iterable[float]) -> list[float]:
     return comps
 
 
-def f_plus(alpha: Iterable[float]) -> ExtendedReal:
+def f_plus(alpha: Iterable[float]) -> float:
     """Escape exponent F+ of the slice normal alpha."""
     return _f_plus(_components(alpha))
 
 
-def _f_plus(comps: list[float]) -> ExtendedReal:
+def _f_plus(comps: list[float]) -> float:
     amin = min(comps)
     if amin >= 0.0:
-        return POS_INF
+        return math.inf
     try:
         total = math.fsum(comps)
     except OverflowError:                 # degree-0 homogeneous; alpha / 4 is exact
@@ -82,24 +75,24 @@ def _f_plus(comps: list[float]) -> ExtendedReal:
     return -total / amin
 
 
-def f_minus(alpha: Iterable[float]) -> ExtendedReal:
+def f_minus(alpha: Iterable[float]) -> float:
     """Capture exponent F- of the slice normal alpha: F+(-alpha)."""
     return _f_plus([-a for a in _components(alpha)])
 
 
-def f_index(alpha: Iterable[float]) -> ExtendedReal:
+def f_index(alpha: Iterable[float]) -> float:
     """Stability index F+(alpha) - F-(alpha) of the slice normal alpha."""
     comps = _components(alpha)
     fp = _f_plus(comps)
-    if fp == POS_INF:
-        return POS_INF
+    if fp == math.inf:
+        return math.inf
     fm = _f_plus([-a for a in comps])
-    if fm == POS_INF:
-        return NEG_INF
+    if fm == math.inf:
+        return -math.inf
     return fp - fm
 
 
-def f_index_n3(a1: float, a2: float, a3: float) -> ExtendedReal:
+def f_index_n3(a1: float, a2: float, a3: float) -> float:
     """Five-branch closed form of the index for three components.
 
     Agrees with f_index branch for branch on every length-3 input:
@@ -114,9 +107,9 @@ def f_index_n3(a1: float, a2: float, a3: float) -> ExtendedReal:
     mn = min(comps)
     mx = max(comps)
     if mn >= 0.0:
-        return POS_INF
+        return math.inf
     if mx <= 0.0:
-        return NEG_INF
+        return -math.inf
     try:
         total = math.fsum(comps)
     except OverflowError:                 # degree-0 homogeneous; alpha / 4 is exact

@@ -14,8 +14,10 @@ maps directly rather than trusting any eigen-structure argument:
 * the local index is estimated by sampling uniform points in positive-orthant
   eps-cubes at a ladder of levels, fitting the slopes of ln(fraction) and
   ln(1 - fraction) against ln(eps) over levels strictly inside (0, 1);
-* the escape-exponent slope of a single half-space slice is estimated the
-  same way from the membership test |x_1^{a_1} ... x_N^{a_N}| < 1;
+* the escape exponent F+ of a single half-space slice is the complement
+  side of the same fit, with |x_1^{a_1} ... x_N^{a_N}| < 1 as the membership
+  test: one owner (_side) decides saturation, the fit and
+  InsufficientResolution for both estimators;
 * matrix_basin_membership decides divergence of y <- M y by brute force,
   within MEMBERSHIP_STEPS iterations and a wall at BLOWUP times ||y||_inf.
 
@@ -80,6 +82,13 @@ def _ladder(epsilon_ladder: Iterable[float]) -> tuple[float, ...]:
     return lad
 
 
+def _whole(value, least: int, name: str) -> int:
+    """value as an int; ValueError unless an integer >= least (numpy ints count, bools do not)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
 def _log_point(x: Sequence[float], dim: int) -> np.ndarray:
     """ln x for a point x of shape (dim,) with finite, strictly positive coordinates."""
     x = np.asarray(x, float)
@@ -96,7 +105,8 @@ class EstimatorConfig:
 
     delta in (0, 1) caps the tube around the cycle; epsilon_ladder is a strictly
     decreasing list of cube half-widths, all below delta; max_full_turns
-    bounds the orbit budget per sample.
+    bounds the orbit budget per sample.  samples_per_level >= 1,
+    max_full_turns >= 4 and seed >= 0 are integers.
     """
 
     delta: float = 1e-2
@@ -111,8 +121,8 @@ class EstimatorConfig:
         object.__setattr__(self, "epsilon_ladder", _ladder(self.epsilon_ladder))
         if any(e >= self.delta for e in self.epsilon_ladder):
             raise ValueError("every ladder level must be < delta")
-        if self.samples_per_level < 1 or self.max_full_turns < 4:
-            raise ValueError("need samples_per_level >= 1 and max_full_turns >= 4")
+        for name, least in (("samples_per_level", 1), ("max_full_turns", 4), ("seed", 0)):
+            object.__setattr__(self, name, _whole(getattr(self, name), least, name))
 
 
 @dataclass(frozen=True)
@@ -153,14 +163,17 @@ class FplusEstimate:
 # ---------------------------------------------------------------------------
 
 
-def _gmaps(cycle: CycleLike) -> tuple[list[np.ndarray], list[np.ndarray]]:
+def _gmaps(cycle: CycleLike, j: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Matrices M_j and offsets F_j of the log-coordinate maps eta -> M_j eta + F_j.
 
     F_j = A_j (ln v_{0,j} + ln a_{j,1}, ln a_{j,2}, ..., ln a_{j,N}), with A_j
     the connection's axis permutation: zero for default constants, and
-    always zero when the cycle is given as raw matrices.
+    always zero when the cycle is given as raw matrices.  The start node j
+    is checked, and a product pass from j that overflows raises
+    ProductOverflow, as in classify.
     """
     mats = as_basic_matrices(cycle)
+    cyclic_products(mats, _node_index(j, len(mats)), len(mats))
     if not isinstance(cycle, ValidatedCycle):
         return mats, [np.zeros(M.shape[0]) for M in mats]
     offs = []
@@ -227,8 +240,7 @@ def _basin_mask(
 def in_delta_basin(cycle: CycleLike, j: int, x: Sequence[float], config: EstimatorConfig) -> bool:
     """Does the orbit of x from the incoming section of node j stay in the
     delta-tube and converge?"""
-    mats, offs = _gmaps(cycle)
-    cyclic_products(mats, _node_index(j, len(mats)), len(mats))
+    mats, offs = _gmaps(cycle, j)
     eta0 = _log_point(x, mats[0].shape[0])[None, :]
     return bool(
         _basin_mask(mats, offs, j, eta0, config.delta, config.max_full_turns)[0]
@@ -319,24 +331,17 @@ def _sample_log_cube(rng: np.random.Generator, eps: float, out: np.ndarray) -> n
     return out
 
 
-def _log_cube_blocks(rng: np.random.Generator, eps: float, n: int, dim: int):
-    """Yield n log-cube points as consecutive blocks of at most BLOCK rows.
-
-    Every block is written into the same buffer, so each must be used up
-    before the next is drawn.
-    """
-    buf = np.empty((min(n, BLOCK), dim))
-    for start in range(0, n, BLOCK):
-        yield _sample_log_cube(rng, eps, buf[:min(BLOCK, n - start)])
-
-
 def _levels(ladder: tuple[float, ...], samples: int, dim: int, seed: int,
             count: Callable[[np.ndarray], int]) -> tuple[LevelEstimate, ...]:
     """Per ladder level li, the fraction of samples log-cube points drawn from
-    the RNG stream (seed, li) that count(block) finds inside, block by block."""
+    the RNG stream (seed, li) that count(block) finds inside, in consecutive
+    blocks of at most BLOCK rows drawn into one buffer that the level owns
+    (a slice past its end stops at BLOCK rows)."""
     def level(li: int) -> LevelEstimate:
         rng = np.random.default_rng((seed, li))
-        inside = sum(int(count(eta)) for eta in _log_cube_blocks(rng, ladder[li], samples, dim))
+        buf = np.empty((min(samples, BLOCK), dim))
+        inside = sum(int(count(_sample_log_cube(rng, ladder[li], buf[:samples - start])))
+                     for start in range(0, samples, BLOCK))
         frac = inside / samples
         stderr = math.sqrt(frac * (1.0 - frac) / samples)
         return LevelEstimate(epsilon=ladder[li], sigma_frac=frac, stderr=stderr, samples=samples)
@@ -346,6 +351,29 @@ def _levels(ladder: tuple[float, ...], samples: int, dim: int, seed: int,
         return tuple(map(level, range(len(ladder))))
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return tuple(pool.map(level, range(len(ladder))))
+
+
+def _side(levels: Sequence[LevelEstimate], complement: bool) -> tuple[float, SlopeFit | None]:
+    """Tail exponent of the complement side (the sigma_plus half) or of the
+    basin side (sigma_minus), with its fit.
+
+    A side that is empty at every level has exponent +inf, and one that fills
+    every level has exponent 0; neither is fitted.  Otherwise the exponent is
+    the _tail_slope fit, and too few usable levels raise
+    InsufficientResolution naming the side.
+    """
+    fracs = {lev.sigma_frac for lev in levels}
+    if fracs == {float(complement)}:
+        return math.inf, None
+    if fracs == {float(not complement)}:
+        return 0.0, None
+    fit = _tail_slope(levels, use_complement=complement)
+    if fit is None:
+        raise InsufficientResolution(
+            f"fewer than two usable ladder levels on the {'complement' if complement else 'basin'} "
+            "side; deepen the ladder or raise the samples per level"
+        )
+    return fit.slope, fit
 
 
 def estimate_sigma_mc(cycle: CycleLike, j: int, config: EstimatorConfig) -> BasinEstimate:
@@ -359,42 +387,18 @@ def estimate_sigma_mc(cycle: CycleLike, j: int, config: EstimatorConfig) -> Basi
         sigma_plus  ~ slope of ln(1-Sigma-hat) vs ln(eps)
 
     over interior levels, returning sigma_hat = sigma_plus - sigma_minus.
-    Uniform saturation at 1 (or 0) short-circuits to the +inf (-inf)
-    candidate; partial saturation with fewer than two usable levels raises
-    InsufficientResolution.  A product pass from j that overflows raises
-    ProductOverflow, as in classify.
+    Uniform saturation at 1 (or 0) gives the +inf (-inf) candidate; see
+    _side.  A product pass from j that overflows raises ProductOverflow.
     """
-    mats, offs = _gmaps(cycle)
-    cyclic_products(mats, _node_index(j, len(mats)), len(mats))
+    mats, offs = _gmaps(cycle, j)
     levels = _levels(
         config.epsilon_ladder, config.samples_per_level, mats[0].shape[0], config.seed,
         lambda eta0: np.count_nonzero(
             _basin_mask(mats, offs, j, eta0, config.delta, config.max_full_turns)),
     )
-
-    if all(lev.sigma_frac == 1.0 for lev in levels):
-        return BasinEstimate(levels, sigma_minus=0.0, sigma_plus=math.inf,
-                             fit_minus=None, fit_plus=None, sigma_hat=math.inf)
-    if all(lev.sigma_frac == 0.0 for lev in levels):
-        return BasinEstimate(levels, sigma_minus=math.inf, sigma_plus=0.0,
-                             fit_minus=None, fit_plus=None, sigma_hat=-math.inf)
-
-    fit_minus = _tail_slope(levels, use_complement=False)
-    fit_plus = _tail_slope(levels, use_complement=True)
-    if fit_minus is None or fit_plus is None:
-        side = "basin" if fit_minus is None else "complement"
-        raise InsufficientResolution(
-            f"fewer than two usable ladder levels on the {side} side; "
-            "deepen the ladder or raise samples_per_level"
-        )
-    return BasinEstimate(
-        levels=levels,
-        sigma_minus=fit_minus.slope,
-        sigma_plus=fit_plus.slope,
-        fit_minus=fit_minus,
-        fit_plus=fit_plus,
-        sigma_hat=fit_plus.slope - fit_minus.slope,
-    )
+    minus, fit_minus = _side(levels, complement=False)
+    plus, fit_plus = _side(levels, complement=True)
+    return BasinEstimate(levels, minus, plus, fit_minus, fit_plus, sigma_hat=plus - minus)
 
 
 def estimate_fplus_mc(
@@ -407,29 +411,20 @@ def estimate_fplus_mc(
 
     Per level eps = e^R, samples the positive-orthant eps-cube and counts
     the fraction with |x_1^{a_1} ... x_N^{a_N}| < 1, i.e. alpha . ln(x) < 0;
-    the slope of ln(1 - fraction) against R is the escape exponent.  A run
-    saturated inside the slice at every level reports the +inf candidate; one
-    that never enters reports exactly 0.  alpha is first scaled by a power
-    of two to max|a| in [0.5, 1): that keeps the sign of alpha . ln(x) (exact
-    for normal components) and keeps a huge alpha from overflowing it.
+    the escape exponent is the complement side of the sigma fit (_side): the
+    slope of ln(1 - fraction) against R, +inf for a run inside the slice at
+    every level and exactly 0 for one that never enters.  alpha is first
+    scaled by a power of two to max|a| in [0.5, 1): that keeps the sign of
+    alpha . ln(x) (exact for normal components) and keeps a huge alpha from
+    overflowing it.  samples >= 1 and seed >= 0 are integers.
     """
     a = np.asarray(_components(alpha))
     a = np.ldexp(a, -np.frexp(np.abs(a).max())[1])
     ladder = _ladder(epsilon_ladder)
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    samples, seed = _whole(samples, 1, "samples"), _whole(seed, 0, "seed")
     levels = _levels(ladder, samples, a.size, seed, lambda eta: np.count_nonzero(eta @ a < 0.0))
-
-    if all(lev.sigma_frac == 1.0 for lev in levels):
-        return FplusEstimate(levels=levels, fit=None, fplus_hat=math.inf)
-    if all(lev.sigma_frac == 0.0 for lev in levels):
-        return FplusEstimate(levels=levels, fit=None, fplus_hat=0.0)
-    fit = _tail_slope(levels, use_complement=True)
-    if fit is None:
-        raise InsufficientResolution(
-            "fewer than two usable ladder levels for the complement fraction"
-        )
-    return FplusEstimate(levels=levels, fit=fit, fplus_hat=fit.slope)
+    fplus_hat, fit = _side(levels, complement=True)
+    return FplusEstimate(levels, fit, fplus_hat)
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cycle import ConnectionSpec, CycleSpec, NodeSpec
+from .spectral import DEFAULT_TOL
 from .stability import Classification, IndexReport, classify
 
 
@@ -87,14 +88,12 @@ def rsp_closed_form(params: RspParams) -> tuple[float, float]:
 class RspComparison:
     """Pipeline output vs closed form at one parameter point."""
 
-    params: RspParams
     report: IndexReport
     closed_form: tuple[float, float] | None
-    deviations: tuple[float, float] | None
     consistent: bool
 
 
-def rsp_compare(params: RspParams, tol: float = 1e-9) -> RspComparison:
+def rsp_compare(params: RspParams, tol: float = DEFAULT_TOL) -> RspComparison:
     """Run the full pipeline on the injected matrices and diff the closed form.
 
     On the attracting side both indices must agree within tol and the verdict
@@ -103,11 +102,9 @@ def rsp_compare(params: RspParams, tol: float = 1e-9) -> RspComparison:
     report = classify(rsp_matrices(params), tol=tol)
     if params.eps_x + params.eps_y < 0.0:
         closed = rsp_closed_form(params)
-        deviations = tuple(abs(report.sigma[i] - closed[i]) for i in range(2))
         consistent = (
-            max(deviations) <= tol
+            max(abs(s - c) for s, c in zip(report.sigma, closed)) <= tol
             and report.classification is Classification.ESSENTIALLY_ASYMPTOTICALLY_STABLE
         )
-        return RspComparison(params, report, closed, deviations, consistent)
-    consistent = report.classification is Classification.NOT_ATTRACTOR
-    return RspComparison(params, report, None, None, consistent)
+        return RspComparison(report, closed, consistent)
+    return RspComparison(report, None, report.classification is Classification.NOT_ATTRACTOR)

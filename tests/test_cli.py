@@ -1,10 +1,13 @@
+import argparse
+import inspect
 import json
 import warnings
 
 import pytest
 
-from hetstab import RspParams, rsp_cycle_spec, save_cycle
-from hetstab.cli import main
+from hetstab import EstimatorConfig, RspParams, rsp_compare, rsp_cycle_spec, save_cycle
+from hetstab.cli import build_parser, main
+from hetstab.spectral import DEFAULT_TOL
 
 
 @pytest.fixture
@@ -134,3 +137,27 @@ def test_missing_file_exits_one(capsys):
 def test_usage_error_exits_one(capsys):
     assert main(["findex"]) == 1               # --alpha is required
     assert main(["no-such-command"]) == 1
+
+
+def _subcommands(parser, path=()):
+    """Every (path, parser) pair below parser, itself included."""
+    yield path, parser
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _subcommands(sub, path + (name,))
+
+
+def test_cli_defaults_are_read_from_their_owners():
+    parsers = dict(_subcommands(build_parser()))
+    tols = {path: p.get_default("tol") for path, p in parsers.items()
+            if any(a.dest == "tol" for a in p._actions)}
+    assert tols == {("analyze",): DEFAULT_TOL, ("rsp",): DEFAULT_TOL, ("rsp-sweep",): DEFAULT_TOL}
+    assert inspect.signature(rsp_compare).parameters["tol"].default == DEFAULT_TOL
+
+    sigma, plan = parsers[("oracle", "sigma")], EstimatorConfig()
+    assert tuple(sigma.get_default("eps")) == plan.epsilon_ladder
+    for flag, field in [("delta", "delta"), ("samples", "samples_per_level"),
+                        ("turns", "max_full_turns"), ("seed", "seed")]:
+        assert sigma.get_default(flag) == getattr(plan, field), flag
+    assert parsers[("oracle", "fplus")].get_default("seed") == plan.seed

@@ -249,6 +249,61 @@ def test_ladder_rule(entry, ladder):
 
 
 # ---------------------------------------------------------------------------
+# Sampling plan: oracle._whole, an integer (not a bool, numpy ints allowed)
+# at or above its least value
+# ---------------------------------------------------------------------------
+
+
+PLAN_ENTRY_POINTS = {
+    "estimate_sigma_mc": lambda samples=20, turns=200, seed=0: estimate_sigma_mc(
+        RAW, 0, EstimatorConfig(epsilon_ladder=(1e-40, 1e-50), samples_per_level=samples,
+                                max_full_turns=turns, seed=seed)),
+    "estimate_fplus_mc": lambda samples=100, seed=0: estimate_fplus_mc(
+        (1.0, 1.0, 1.0), (1e-1, 1e-2), samples, seed),
+}
+PLAN_NAMES = {"estimate_sigma_mc": {"samples": "samples_per_level", "turns": "max_full_turns"},
+              "estimate_fplus_mc": {}}
+BAD_PLANS = {
+    "seed-negative": ("seed", -1, 0),
+    "seed-numpy-negative": ("seed", np.int64(-1), 0),
+    "seed-fraction": ("seed", 1.5, 0),
+    "seed-bool": ("seed", True, 0),
+    "seed-string": ("seed", "0", 0),
+    "samples-zero": ("samples", 0, 1),
+    "samples-fraction": ("samples", 2.5, 1),
+    "samples-bool": ("samples", True, 1),
+    "turns-three": ("turns", 3, 4),
+    "turns-fraction": ("turns", 10.5, 4),
+}
+
+
+@pytest.mark.parametrize("entry,bad", [
+    (entry, bad) for entry in sorted(PLAN_ENTRY_POINTS) for bad in sorted(BAD_PLANS)
+    if entry == "estimate_sigma_mc" or not bad.startswith("turns")   # F+ has no turn budget
+])
+def test_sampling_plan_rule(entry, bad):
+    key, value, least = BAD_PLANS[bad]
+    name = PLAN_NAMES[entry].get(key, key)
+    message = f"^{name} must be an integer >= {least}, got {re.escape(repr(value))}$"
+    with pytest.raises(ValueError, match=message) as exc:
+        PLAN_ENTRY_POINTS[entry](**{key: value})
+    assert exc.type is ValueError
+
+
+@pytest.mark.parametrize("entry", sorted(PLAN_ENTRY_POINTS))
+def test_sampling_plan_rule_accepts_numpy_integers(entry):
+    assert PLAN_ENTRY_POINTS[entry](samples=np.int32(20), seed=np.int64(3)) == \
+        PLAN_ENTRY_POINTS[entry](samples=20, seed=3)
+
+
+def test_sampling_plan_rule_stores_python_ints():
+    plan = EstimatorConfig(samples_per_level=np.int32(20), max_full_turns=np.int64(8),
+                           seed=np.uint8(3))
+    assert plan == EstimatorConfig(samples_per_level=20, max_full_turns=8, seed=3)
+    assert {type(plan.samples_per_level), type(plan.max_full_turns), type(plan.seed)} == {int}
+
+
+# ---------------------------------------------------------------------------
 # Point: oracle._log_point
 # ---------------------------------------------------------------------------
 
@@ -374,6 +429,16 @@ CLI_REJECTIONS = {
                          "hetstab oracle fplus: error: " + LADDER_USAGE.format("--levels")),
     "sigma-eps-inf": (["oracle", "sigma", "{d}/c.json", "--eps", "inf:1e-5:3"],
                       "hetstab oracle sigma: error: " + LADDER_USAGE.format("--eps")),
+    "sigma-seed": (["oracle", "sigma", "{d}/c.json", "--seed", "-1", "--samples", "10"],
+                   "error: seed must be an integer >= 0, got -1"),
+    "fplus-seed": (["oracle", "fplus", "--alpha", "-1,1,1", "--seed", "-1", "--samples", "100"],
+                   "error: seed must be an integer >= 0, got -1"),
+    "sigma-samples": (["oracle", "sigma", "{d}/c.json", "--samples", "0"],
+                      "error: samples_per_level must be an integer >= 1, got 0"),
+    "fplus-samples": (["oracle", "fplus", "--alpha", "-1,1,1", "--samples", "0"],
+                      "error: samples must be an integer >= 1, got 0"),
+    "sigma-turns": (["oracle", "sigma", "{d}/c.json", "--turns", "3", "--samples", "10"],
+                    "error: max_full_turns must be an integer >= 4, got 3"),
     "sweep-grid-negative": (["rsp-sweep", "--grid", "-5", "--out", "{d}/s.csv"],
                             "hetstab rsp-sweep: error: argument --grid: "
                             "grid must be an integer >= 1, got '-5'"),

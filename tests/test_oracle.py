@@ -53,7 +53,7 @@ def unstable_cycle():
 
 def _log_image(cycle, j, x):
     """ln of the image of the point x under map j, built by oracle._gmaps."""
-    mats, offs = oracle._gmaps(cycle)
+    mats, offs = oracle._gmaps(cycle, j)
     return mats[j] @ np.log(x) + offs[j]
 
 
@@ -178,8 +178,20 @@ def test_thread_env_does_not_change_results(monkeypatch):
 def test_insufficient_resolution_with_single_interior_level():
     mats = rsp_matrices(RspParams(-0.5, 0.2))
     cfg = EstimatorConfig(epsilon_ladder=(1e-6,), samples_per_level=400, seed=1)
-    with pytest.raises(InsufficientResolution):
+    with pytest.raises(InsufficientResolution, match=" on the basin side; "):
         estimate_sigma_mc(mats, 0, cfg)
+
+
+@pytest.mark.parametrize("estimate", [
+    lambda: estimate_sigma_mc(rsp_matrices(RspParams(-0.5, 0.2)), 0, EstimatorConfig(
+        epsilon_ladder=(1e-20, 1e-21, 1e-22), samples_per_level=400, seed=1)),
+    lambda: estimate_fplus_mc((-1.0, 1.0, 1.0), (1e-1, 1e-2, 1e-3), 400, seed=1),
+], ids=["sigma", "fplus"])
+def test_insufficient_resolution_names_the_complement_side(estimate):
+    # one owner decides the fit for both estimators: F+ is the complement side
+    with pytest.raises(InsufficientResolution,
+                       match="^fewer than two usable ladder levels on the complement side; "):
+        estimate()
 
 
 def test_constants_do_not_move_the_estimate():
@@ -406,7 +418,7 @@ def _reference_fplus_fracs(alpha, ladder, samples, seed):
 
 def _assert_masks_match(cycle, j, eps_levels, n, delta, turns, seed):
     mats, offs = _reference_maps(cycle)
-    got_mats, got_offs = oracle._gmaps(cycle)
+    got_mats, got_offs = oracle._gmaps(cycle, j)
     outcomes = set()
     for li, eps in enumerate(eps_levels):
         eta0 = _out_of_place_log_cube(np.random.default_rng((seed, li)), eps, n, mats[0].shape[0])
@@ -436,7 +448,7 @@ def test_gmaps_checks_a_raw_list_once(monkeypatch):
     monkeypatch.setattr(oracle, "as_basic_matrices", counting)
     for cycle in (raw, scaled):
         calls.clear()
-        mats, offs = oracle._gmaps(cycle)
+        mats, offs = oracle._gmaps(cycle, 0)
         assert len(calls) == 1
         want_mats, want_offs = expected[id(cycle)]
         assert all(np.array_equal(a, b) for a, b in zip(mats, want_mats))
@@ -521,9 +533,10 @@ BLOCK_EDGES = (1, oracle.BLOCK - 1, oracle.BLOCK, oracle.BLOCK + 1, 5 * oracle.B
 
 @pytest.mark.parametrize("n", BLOCK_EDGES)
 def test_log_cube_blocks_continue_one_draw(n):
-    blocks = [b.copy() for b in oracle._log_cube_blocks(np.random.default_rng((6, 2)), 1e-5, n, 3)]
+    blocks = []
+    oracle._levels((1e-5,), n, 3, 6, lambda block: blocks.append(block.copy()) or 0)
     assert len(blocks) == -(-n // oracle.BLOCK)
-    expected = _out_of_place_log_cube(np.random.default_rng((6, 2)), 1e-5, n, 3)
+    expected = oracle._sample_log_cube(np.random.default_rng((6, 0)), 1e-5, np.empty((n, 3)))
     assert np.array_equal(np.concatenate(blocks), expected)
 
 
