@@ -55,7 +55,8 @@ import numpy as np
 from .cycle import ValidatedCycle
 from .findex import _components
 from .stability import IndeterminateError
-from .transition import CycleLike, _entries, _node_index, as_basic_matrices, cyclic_products
+from .transition import (CycleLike, _entries, _node_index, as_basic_matrices, cyclic_products,
+                         finite_pass)
 
 DEEP_LOG = -1e9          # max-norm in log coordinates below this counts as converged
 MIN_FIT_HITS = 8         # levels with fewer hits carry too much ln() bias to fit
@@ -173,7 +174,8 @@ def _gmaps(cycle: CycleLike, j: int) -> tuple[list[np.ndarray], list[np.ndarray]
     ProductOverflow, as in classify.
     """
     mats = as_basic_matrices(cycle)
-    cyclic_products(mats, _node_index(j, len(mats)), len(mats))
+    j = _node_index(j, len(mats))
+    finite_pass(cyclic_products(mats, range(j, j + 1), len(mats))[0], j)
     if not isinstance(cycle, ValidatedCycle):
         return mats, [np.zeros(M.shape[0]) for M in mats]
     offs = []
@@ -199,7 +201,10 @@ def _basin_mask(
     loop works on a C-contiguous (N, n) array.  A sample is in the basin
     when no partial-turn image ever reaches delta in max-norm and its orbit
     either dives below DEEP_LOG or shows a decreasing max-norm trend over
-    the last quarter of the turn budget.  A zero offset (raw matrices,
+    the last quarter of the turn budget.  An orbit whose max comes out NaN
+    is replayed by _Replay, so a coordinate that has overflowed to -inf
+    (converged) does not turn 0 * -inf into an escape; the per-step path
+    keeps no earlier state for it.  A zero offset (raw matrices,
     default scalings) is skipped rather than added: the mask is the same,
     as -0.0 == 0.0, and the loop takes about a fifth less time.
     """
@@ -217,6 +222,7 @@ def _basin_mask(
     cols = [off[:, None] if off.any() else None for off in offs]
     q3 = (3 * max_full_turns) // 4
     q3_max = np.full(n_samples, np.inf)
+    replay = None
     for turn in range(max_full_turns):
         for step in range(m):
             l = (j + step) % m
@@ -224,9 +230,17 @@ def _basin_mask(
             if cols[l] is not None:
                 eta += cols[l]
             mx = eta.max(axis=0)
-            # a NaN max fails both tests and counts as escaped
+            # a NaN max fails both tests and counts as escaped, unless the
+            # replay shows it was 0 * -inf from a converged coordinate
             keep = (mx > DEEP_LOG) & (mx < ln_delta)
             if not keep.all():
+                nan = np.flatnonzero(np.isnan(mx))
+                if nan.size:
+                    if replay is None:
+                        replay = _Replay(mats, cols, j, eta0)
+                    eta[:, nan] = replay(idx[nan], turn * m + step + 1)
+                    mx[nan] = eta[:, nan].max(axis=0)
+                    keep = (mx > DEEP_LOG) & (mx < ln_delta)
                 result[idx[mx <= DEEP_LOG]] = True
                 idx, eta, mx = idx[keep], eta[:, keep], mx[keep]
                 if idx.size == 0:
@@ -235,6 +249,44 @@ def _basin_mask(
             q3_max[idx] = mx
     result[idx[mx < q3_max[idx]]] = True
     return result
+
+
+class _Replay:
+    """Orbits of one _basin_mask batch, stepped again with _log_step.
+
+    A call advances the given orbits, by their indices in the batch, to
+    `steps` map steps: from their start point the first time, and after
+    that from where their last replay left them, so an orbit replayed at
+    every step costs one step per step.
+    """
+
+    def __init__(self, mats: list[np.ndarray], cols: list, j: int, eta0: np.ndarray):
+        self.mats, self.cols, self.j = mats, cols, j
+        self.state = np.array(eta0.T)
+        self.done = np.zeros(eta0.shape[0], dtype=int)
+
+    def __call__(self, orbits: np.ndarray, steps: int) -> np.ndarray:
+        state, done = self.state[:, orbits], self.done[orbits]
+        for s in range(done.min(), steps):
+            l = (self.j + s) % len(self.mats)
+            go = done <= s
+            state[:, go] = _log_step(self.mats[l], state[:, go], self.cols[l])
+        self.state[:, orbits], self.done[orbits] = state, steps
+        return state
+
+
+def _log_step(M: np.ndarray, eta: np.ndarray, col: np.ndarray | None) -> np.ndarray:
+    """One map step M eta (+ col) for orbits that may have a coordinate at
+    -inf (x_k = 0 in double precision).  A zero entry M_ik contributes
+    nothing, as x_k^0 = 1, where the matmul gives 0 * -inf = NaN; so an
+    orbit with a coordinate at -inf goes on under its other coordinates.
+    """
+    terms = M[:, :, None] * eta[None, :, :]
+    terms[M == 0.0] = 0.0
+    out = terms.sum(axis=1)
+    if col is not None:
+        out += col
+    return out
 
 
 def in_delta_basin(cycle: CycleLike, j: int, x: Sequence[float], config: EstimatorConfig) -> bool:
@@ -315,10 +367,17 @@ def _tail_slope(levels: Sequence[LevelEstimate], use_complement: bool) -> SlopeF
 
 
 def _thread_count() -> int:
-    try:
-        return max(1, int(os.environ.get("HETSTAB_THREADS", "1")))
-    except ValueError:
+    """HETSTAB_THREADS as an int, 1 when unset; ValueError unless an integer >= 1."""
+    raw = os.environ.get("HETSTAB_THREADS")
+    if raw is None:
         return 1
+    try:
+        threads = int(raw)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise ValueError(f"HETSTAB_THREADS must be an integer >= 1, got {raw!r}")
+    return threads
 
 
 def _sample_log_cube(rng: np.random.Generator, eps: float, out: np.ndarray) -> np.ndarray:

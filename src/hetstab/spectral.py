@@ -129,11 +129,10 @@ def eigen_decompose(matrix: np.ndarray, tol: float = DEFAULT_TOL) -> SpectralSum
 
     # Deterministic column scaling: largest-magnitude component -> exactly 1
     # (complex division z/z can miss 1.0 by an ulp, so pin it afterwards).
-    basis = P.astype(complex).copy()
-    for c in range(basis.shape[1]):
-        k = int(np.argmax(np.abs(basis[:, c])))
-        basis[:, c] = basis[:, c] / basis[k, c]
-        basis[k, c] = 1.0
+    basis = P.astype(complex)
+    pivots = (np.argmax(np.abs(basis), axis=0), np.arange(basis.shape[1]))
+    basis /= basis[pivots]
+    basis[pivots] = 1.0
     basis_inverse = np.linalg.inv(basis)
 
     idx = dominant_eigenvalue(eigenvalues, tol)

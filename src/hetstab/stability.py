@@ -26,14 +26,28 @@ Classification from the indices: any -inf -> not an attractor; any exact 0
 essentially asymptotically stable; otherwise (all > -inf, some < 0) the
 cycle is fragmentarily asymptotically stable only.
 
-Every index of one cycle comes from a single analysis pass.  The
-negative-entry list is found once.  From each start node j one product pass
-builds M_(j,j), M_(j+1,j), ..., M^(j): its steps are the partial turns
-ending at the negative-entry nodes and its last step is the full return.
-Each full return is decomposed at most once, and the checkpoint checks and
-v_max[j] share that decomposition.  classify runs the pass for all j;
-sigma(cycle, j) runs it for one j, so calling it for every j repeats the
-products and decompositions that classify shares.
+Every index of one cycle comes from a single analysis.  The negative-entry
+list is found once.  One stacked product pass (transition.cyclic_products)
+builds M_(j,j), M_(j+1,j), ..., M^(j) for every start node j at once, with
+one (m, N, N) @ (m, N, N) matmul per step: m matmul calls, not m^2.  The
+steps of pass j are the partial turns ending at the negative-entry nodes and
+its last step is the full return; a pass that overflows raises
+ProductOverflow when the analysis first reads it, so a checkpoint that fails
+still gives -inf when some other pass overflows.  Each full return is
+decomposed at most once, and the checkpoint checks and v_max[j] share that
+decomposition.
+
+The minimum over each node's K = 1 + L*N direction vectors is found by
+filter, then verify (_first_minima).  The vectors of all nodes form one
+(m, K, N) array whose min, max, plain sum and sum of magnitudes bound every
+index: the plain sum of N terms is within (N - 1) u sum|alpha| of the exact
+sum (u = 2^-53), the index is monotone in the sum, and the radius
+(N + 1) u sum|alpha| leaves room for rounding the bound itself
+(_index_bounds).  findex.f_index runs only on the vectors that can still be
+the first minimum, so every sigma_j and its provenance are those of f_index
+over every vector in order, bit for bit.  classify does this for all j;
+sigma(cycle, j) for one j, so calling it for every j repeats the
+decompositions that classify shares.
 """
 
 from __future__ import annotations
@@ -53,8 +67,8 @@ from .spectral import (
     dominant_eigenvalue,
     eigen_decompose,
 )
-from .transition import (CycleLike, as_basic_matrices, cyclic_products, _negative_entry_nodes,
-                         _node_index)
+from .transition import (CycleLike, as_basic_matrices, cyclic_products, finite_pass,
+                         _negative_entry_nodes, _node_index)
 
 
 class IndeterminateError(RuntimeError):
@@ -149,11 +163,67 @@ def _sigma_nonnegative(full0: np.ndarray, tol: float) -> float:
     return math.inf if abs(eigenvalues[idx]) > 1.0 else -math.inf
 
 
+_U = 2.0 ** -53                              # unit roundoff of double precision
+_ENDS = np.array([-1.0, 1.0])[:, None, None]   # sum - radius, sum + radius
+
+
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def _index_bounds(alphas: np.ndarray) -> np.ndarray:
+    """Bounds lo <= findex.f_index(alpha) <= hi for every vector alpha along
+    the last axis of the (rows, K, N) array alphas (finite, nonzero), as a
+    (2, rows, K) array [lo, hi], found without an exact sum.
+
+    min >= 0 gives +inf and max <= 0 gives -inf, and so do both bounds.
+    Otherwise the index is S / max for S < 0, -S / min for S > 0 and 0 at S = 0, where S
+    is the correctly rounded sum that f_index takes with math.fsum; each
+    branch is one correctly rounded division, so the index is monotone in
+    S.  Any order of plain summation of the N terms lands within
+    (N - 1) u sum|alpha| of the exact sum (u = 2^-53; Higham's gamma_{N-1}).
+    The radius (N + 1) u sum|alpha| also covers the rounding of the radius
+    and of sum -+ radius, so S lies in [sum - radius, sum + radius] and the
+    index between its values at the two ends.  A bound that overflows to
+    NaN compares false both ways, so it never excludes a vector.
+    """
+    radius = np.abs(alphas).sum(axis=-1) * ((alphas.shape[-1] + 1) * _U)
+    ends = alphas.sum(axis=-1) + _ENDS * radius
+    den = np.where(ends < 0.0, alphas.max(axis=-1), -alphas.min(axis=-1))
+    # only a vector of one sign lacks a positive denominator, and both its
+    # ends carry that sign: dividing by +0.0 gives its exact +-inf
+    return ends / np.where(den > 0.0, den, 0.0)
+
+
+def _first_minima(alphas: np.ndarray) -> list[tuple[float, int]]:
+    """(value, k) for each row of the (rows, K, N) array alphas: the first
+    of the smallest findex.f_index values over the row's K vectors (each
+    finite and nonzero), and its position k.
+
+    Filter, then verify: f_index runs only on the vectors whose lower bound
+    (_index_bounds) reaches the smallest upper bound of their row, and not
+    on those whose bounds meet at a nonzero value (a zero could carry
+    either sign).  A vector left out has an index above some other's, so it
+    is never a minimum, and value and k are those of the exhaustive loop.
+    """
+    lo, hi = _index_bounds(alphas)
+    out = []
+    for row, los, his, top in zip(alphas, lo.tolist(), hi.tolist(), hi.min(axis=1).tolist()):
+        best = None
+        for k, (low, high) in enumerate(zip(los, his)):
+            if low > top:
+                continue
+            value = high if low == high != 0.0 else findex.f_index(row[k])
+            if best is None or value < best[0]:
+                best = (value, k)
+        out.append(best)
+    return out
+
+
 class _CycleAnalysis:
     """The transition-matrix analysis of one cycle, for one public call.
 
-    Each product pass and each full-return decomposition is built on first
-    use and then shared; nothing outlives the call that made the object.
+    The product passes from every node are built together up front; a pass
+    is checked for overflow when first read, and each full-return
+    decomposition is built on first use and then shared.  Nothing outlives
+    the call that made the object.
     """
 
     def __init__(self, cycle: CycleLike, tol: float):
@@ -161,14 +231,12 @@ class _CycleAnalysis:
         self.mats = as_basic_matrices(cycle)
         self.m = len(self.mats)
         self.negative = _negative_entry_nodes(self.mats)
-        self._turns: dict[int, list[np.ndarray]] = {}
+        self._passes = cyclic_products(self.mats, range(self.m), self.m)
         self._spectra: dict[int, SpectralSummary] = {}
 
-    def turns(self, j: int) -> list[np.ndarray]:
+    def turns(self, j: int) -> np.ndarray:
         """[M_(j,j), M_(j+1,j), ..., M^(j)]: the product pass from node j."""
-        if j not in self._turns:
-            self._turns[j] = cyclic_products(self.mats, j, self.m)
-        return self._turns[j]
+        return finite_pass(self._passes[j], j)
 
     def spectrum(self, j: int) -> SpectralSummary:
         """Decomposition of the full return M^(j)."""
@@ -179,22 +247,25 @@ class _CycleAnalysis:
                 raise IndeterminateError(j, exc) from exc
         return self._spectra[j]
 
-    def alpha_vectors(self, j: int) -> list[tuple[np.ndarray, str]]:
-        """v_max of M^(j), then the rows of each M_(j_p, j), with their tags."""
-        if not self.negative:
-            raise ValueError("no negative entries: the spectral-radius dichotomy applies")
+    def v_max(self, j: int) -> np.ndarray:
+        """v_max of M^(j), the first direction vector of sigma_j."""
         summary = self.spectrum(j)
         if not (summary.condition_i and summary.condition_ii):
             raise ValueError(
                 "dominant-pair conditions fail; sigma_j is -inf by the zero-measure "
                 "argument, not a minimum of indices"
             )
-        turns = self.turns(j)
-        tagged = [(np.real(summary.v_max), f"v_max[{j}]")]
-        for q in self.negative:
-            part = turns[(q - j) % self.m]
-            tagged.extend((row, f"M_({q},{j}) row {s}") for s, row in enumerate(part))
-        return tagged
+        return summary.v_max
+
+    def rows(self, nodes) -> np.ndarray:
+        """The other K - 1 direction vectors of sigma_j for each j in nodes:
+        the rows of M_(j_1, j), ..., M_(j_L, j), as a (len(nodes), L*N, N)
+        array.  Passes are read unchecked; v_max(j) checks pass j."""
+        if not self.negative:
+            raise ValueError("no negative entries: the spectral-radius dichotomy applies")
+        at = np.array(nodes)[:, None]
+        turns = self._passes[at, (np.asarray(self.negative) - at) % self.m]
+        return turns.reshape(len(at), -1, turns.shape[-1])
 
     def indices(self, nodes) -> list[tuple[float, IndexProvenance]]:
         """sigma_j and its provenance for each j in nodes."""
@@ -207,17 +278,32 @@ class _CycleAnalysis:
             if not (s.condition_i and s.condition_ii and s.condition_iii):
                 fail = IndexProvenance(source="dominant-pair-conditions-fail", alpha=None)
                 return [(-math.inf, fail)] * len(nodes)
-        return [self._index(j) for j in nodes]
+        return self._minima(list(nodes))
 
-    def _index(self, j: int) -> tuple[float, IndexProvenance]:
-        best = math.inf
-        best_tag = None
-        for alpha, tag in self.alpha_vectors(j):
-            value = findex.f_index(alpha)
-            if value < best or best_tag is None:
-                best = value
-                best_tag = (tag, tuple(float(a) for a in alpha))
-        return best, IndexProvenance(source=best_tag[0], alpha=best_tag[1])
+    def _minima(self, nodes: list[int]) -> list[tuple[float, IndexProvenance]]:
+        """sigma_j as the first minimum (_first_minima) over the K direction
+        vectors of each j in nodes, stacked into one (len(nodes), K, N) array."""
+        rows = self.rows(nodes)
+        nonzero = rows.any(axis=2).all(axis=1)
+        alphas = np.empty((len(nodes), 1 + rows.shape[1], rows.shape[2]))
+        alphas[:, 1:] = rows
+        for i, j in enumerate(nodes):
+            alphas[i, 0] = self.v_max(j)
+            if not nonzero[i]:         # f_index raises at the first zero row, node by node
+                for alpha in rows[i]:
+                    findex.f_index(alpha)
+        out = []
+        for i, (j, (value, k)) in enumerate(zip(nodes, _first_minima(alphas))):
+            alpha = tuple(alphas[i, k].tolist())
+            out.append((value, IndexProvenance(source=self._tag(j, k), alpha=alpha)))
+        return out
+
+    def _tag(self, j: int, k: int) -> str:
+        """Provenance of direction vector k of sigma_j."""
+        if k == 0:
+            return f"v_max[{j}]"
+        p, s = divmod(k - 1, self.mats[0].shape[0])
+        return f"M_({self.negative[p]},{j}) row {s}"
 
 
 def collect_alpha_vectors(cycle: CycleLike, j: int, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
@@ -227,7 +313,9 @@ def collect_alpha_vectors(cycle: CycleLike, j: int, tol: float = DEFAULT_TOL) ->
     ending at a negative-entry matrix: K = 1 + L*N vectors in total.
     """
     analysis = _CycleAnalysis(cycle, tol)
-    return [alpha for alpha, _ in analysis.alpha_vectors(_node_index(j, analysis.m))]
+    j = _node_index(j, analysis.m)
+    rows = analysis.rows([j])[0]
+    return [analysis.v_max(j), *rows]
 
 
 def sigma(cycle: CycleLike, j: int, tol: float = DEFAULT_TOL) -> float:

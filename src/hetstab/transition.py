@@ -19,8 +19,11 @@ and partial turns are cyclic products of these basic matrices:
 
 All indices are 0-based and taken mod m.  Products are accumulated in plain
 double precision in exact cyclic order; N and m are desk-scale here so no
-balancing is applied.  A product pass that overflows double precision is
-rejected with ProductOverflow rather than handed on as inf or NaN.
+balancing is applied.  The product passes from several start nodes are
+built together, as one (starts, steps, N, N) array with one stacked matmul
+per step (cyclic_products).  A pass that overflows double precision is
+rejected with ProductOverflow when it is read (finite_pass), rather than
+handed on as inf or NaN.
 """
 
 from __future__ import annotations
@@ -86,36 +89,53 @@ def basic_matrix(cycle: ValidatedCycle, j: int) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def cyclic_products(mats: list[np.ndarray], j: int, steps: int) -> list[np.ndarray]:
-    """One product pass from node j: [M_(j,j), M_(j+1,j), ..., M_(j+steps-1,j)].
+def cyclic_products(mats: list[np.ndarray], starts: range, steps: int) -> np.ndarray:
+    """The product passes from every start node in the range starts, built together.
 
-    Entry s is the partial turn M_(j+s, j); with steps = m the last entry is
-    the full return M^(j).  Every full-return and partial-turn product in
-    the package is built here, so they all share one factor order.
+    Returns an array of shape (len(starts), steps, N, N) whose row i is the
+    pass [M_(j,j), M_(j+1,j), ..., M_(j+steps-1,j)] from j = starts[i]; with
+    steps = m its last entry is the full return M^(j).  Every full-return
+    and partial-turn product in the package is built here, so they all
+    share one factor order.  Step s advances every pass at once with one
+    stacked (k, N, N) @ (k, N, N) matmul, which multiplies each pair as the
+    single-matrix product does, bit for bit: m starts cost m matmul calls,
+    not m^2.  The factors of step s are one slice of the matrices laid out
+    twice in cyclic order.
 
-    Overflow raises ProductOverflow instead of a numpy warning.  Only the
-    last product is checked: an inf or NaN in one product reaches every
-    later one (0 * inf is NaN), so a finite last product means the whole
-    pass is finite.
+    A pass that overflows double precision keeps its inf or NaN here and
+    raises nothing, so one extreme pass does not stop the analysis of the
+    others; finite_pass rejects it when it is read.
     """
-    prod = np.eye(mats[0].shape[0])
-    out = []
+    ring = np.array(mats + mats)
+    prods = np.empty((steps, len(starts)) + ring.shape[1:])
+    prod = np.eye(ring.shape[-1])
     for step in range(steps):
-        prod = mats[(j + step) % len(mats)] @ prod
-        out.append(prod)
-    if not np.isfinite(prod).all():
+        factors = ring[starts.start + step:starts.stop + step]
+        prod = np.matmul(factors, prod, out=prods[step])
+    return prods.swapaxes(0, 1)
+
+
+def finite_pass(turns: np.ndarray, j: int) -> np.ndarray:
+    """turns, one pass of cyclic_products, if it is finite; ProductOverflow
+    naming its start node j otherwise.
+
+    Only the last product is checked: an inf or NaN in one product reaches
+    every later one (0 * inf is NaN), so a finite last product means the
+    whole pass is finite.
+    """
+    if not np.isfinite(turns[-1]).all():
         raise ProductOverflow(
             f"cyclic product from node {j} is not finite in double precision; "
             "the basic matrices are too extreme to analyse"
         )
-    return out
+    return turns
 
 
 def full_return_matrix(cycle: CycleLike, j: int) -> np.ndarray:
     """M^(j): product of all m basic matrices starting from node j."""
     mats = as_basic_matrices(cycle)
-    m = len(mats)
-    return cyclic_products(mats, _node_index(j, m), m)[-1]
+    j = _node_index(j, len(mats))
+    return finite_pass(cyclic_products(mats, range(j, j + 1), len(mats))[0], j)[-1]
 
 
 def partial_turn_matrix(cycle: CycleLike, l: int, j: int) -> np.ndarray:
@@ -123,7 +143,7 @@ def partial_turn_matrix(cycle: CycleLike, l: int, j: int) -> np.ndarray:
     mats = as_basic_matrices(cycle)
     m = len(mats)
     steps = ((_node_index(l, m) - _node_index(j, m)) % m) + 1
-    return cyclic_products(mats, j, steps)[-1]
+    return finite_pass(cyclic_products(mats, range(j, j + 1), steps)[0], j)[-1]
 
 
 def negative_entry_indices(cycle: CycleLike) -> list[int]:

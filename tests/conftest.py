@@ -113,6 +113,26 @@ def random_cycle(rng: np.random.Generator, max_m: int = 5, max_nt: int = 3,
     return validate_cycle(CycleSpec(nodes=tuple(nodes), connections=tuple(conns)))
 
 
+def attracting_cycle(rng: np.random.Generator, m: int, nt: int = 3) -> ValidatedCycle:
+    """Random valid cycle of m nodes that mostly reaches the full sigma_j path.
+
+    Every transverse eigenvalue is negative except one at 30% of the nodes,
+    and c/e > 1 on average, so the dominant-pair conditions usually hold at
+    every checkpoint and each sigma_j is a minimum over K direction vectors.
+    """
+    positive = set(rng.choice(m, round(0.3 * m), replace=False).tolist())
+    nodes, conns = [], []
+    for j in range(m):
+        t = -rng.uniform(0.2, 1.2, nt)
+        if j in positive:
+            t[rng.integers(nt)] = rng.uniform(0.05, 0.3)
+        nodes.append(NodeSpec(contracting=float(rng.uniform(1.1, 1.8)),
+                              expanding=float(rng.uniform(0.8, 1.2)),
+                              transverse=tuple(float(x) for x in t)))
+        conns.append(ConnectionSpec(permutation=tuple(int(i) for i in rng.permutation(nt + 1))))
+    return validate_cycle(CycleSpec(nodes=tuple(nodes), connections=tuple(conns)))
+
+
 def dominant_pair_matrix(rng: np.random.Generator, n: int | None = None,
                  lam_range=(1.3, 2.2)) -> tuple[np.ndarray, np.ndarray, float]:
     """Random matrix with a real dominant eigenvalue > 1 and a strictly

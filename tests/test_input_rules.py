@@ -8,6 +8,7 @@ a warning or an answer.
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -353,6 +354,44 @@ def test_orbit_overflow_in_the_oracle_is_an_escape_not_a_warning():
     assert in_delta_basin([np.diag([1e300, 1.0])], 0, (1e-3, 1e-3), TINY) is False
 
 
+@pytest.mark.parametrize("c", [1e3, 1e100, 1e300])
+def test_orbit_with_a_coordinate_at_minus_inf_has_converged(c):
+    # x_0 -> 0 so fast that ln x_0 overflows to -inf before the max-norm
+    # reaches DEEP_LOG, while ln x_1 doubles each step; the zero entries of
+    # the matrix must not turn 0 * -inf into an escape
+    config = EstimatorConfig(epsilon_ladder=(1e-4,), samples_per_level=10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert in_delta_basin([np.diag([c, 2.0])], 0, (1e-3, 1e-3), config) is True
+
+
+# ---------------------------------------------------------------------------
+# Thread count: oracle._thread_count, read by both estimators
+# ---------------------------------------------------------------------------
+
+
+THREAD_ENTRY_POINTS = {                     # each saturates, so no fit can fail
+    "estimate_sigma_mc": lambda: estimate_sigma_mc([2.0 * np.eye(2)], 0, TINY),
+    "estimate_fplus_mc": lambda: estimate_fplus_mc((-1.0, 1.0, 1.0), (1e-1, 1e-2), 20, 0),
+}
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-3", "1.5", ""])
+@pytest.mark.parametrize("entry", sorted(THREAD_ENTRY_POINTS))
+def test_thread_count_rule(monkeypatch, entry, value):
+    monkeypatch.setenv("HETSTAB_THREADS", value)
+    message = f"HETSTAB_THREADS must be an integer >= 1, got {value!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as exc:
+        THREAD_ENTRY_POINTS[entry]()
+    assert exc.type is ValueError
+
+
+@pytest.mark.parametrize("entry", sorted(THREAD_ENTRY_POINTS))
+def test_thread_count_rule_accepts_one(monkeypatch, entry):
+    monkeypatch.setenv("HETSTAB_THREADS", "1")
+    THREAD_ENTRY_POINTS[entry]()
+
+
 # ---------------------------------------------------------------------------
 # Tolerance: spectral._tolerance, checked before any decomposition
 # ---------------------------------------------------------------------------
@@ -463,6 +502,13 @@ def test_cli_rejects_with_exit_one(cli_files, capsys, case):
     assert len(lines) == 1 or lines[0].startswith("usage: hetstab ")
     assert not [line for line in lines if "Traceback" in line or "Warning" in line]
     assert not (cli_files / "s.csv").exists()
+
+
+def test_cli_rejects_a_bad_thread_count_with_exit_one(cli_files, capsys, monkeypatch):
+    monkeypatch.setenv("HETSTAB_THREADS", "abc")
+    assert main(["oracle", "sigma", str(cli_files / "c.json"), "--samples", "10"]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: HETSTAB_THREADS must be an integer >= 1, got 'abc'"]
 
 
 def test_cli_findex_accepts_an_overflowing_sum(capsys):

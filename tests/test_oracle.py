@@ -483,6 +483,49 @@ def test_basin_mask_matches_row_major_reference_on_random_cycles():
     assert outcomes == {True, False}
 
 
+def _careful_basin_member(mats, j, eta, delta, max_full_turns):
+    """Reference basin test for one point, in Python floats: a term whose
+    matrix entry is 0 is dropped, as x^0 = 1, so a coordinate that has
+    overflowed to -inf (x = 0) adds nothing where the map ignores it."""
+    m, ln_delta = len(mats), math.log(delta)
+    eta = [float(e) for e in eta]
+    if max(eta) >= ln_delta:
+        return False
+    q3, q3_max = (3 * max_full_turns) // 4, None
+    for turn in range(max_full_turns):
+        for step in range(m):
+            M = mats[(j + step) % m]
+            eta = [sum(float(a) * e for a, e in zip(row, eta) if a != 0.0) for row in M]
+            mx = max(eta) if not any(map(math.isnan, eta)) else math.nan
+            if not oracle.DEEP_LOG < mx < ln_delta:
+                return mx <= oracle.DEEP_LOG
+        if turn == q3:
+            q3_max = mx
+    return mx < q3_max
+
+
+def test_basin_mask_matches_careful_stepping_when_coordinates_overflow(monkeypatch):
+    # near-diagonal maps with entries up to 1e300 drive some log coordinates
+    # to -inf within a few steps; the matmul then meets 0 * -inf
+    replays = []
+    replay_call = oracle._Replay.__call__
+    monkeypatch.setattr(oracle._Replay, "__call__",
+                        lambda self, orbits, steps: replays.append(steps) or
+                        replay_call(self, orbits, steps))
+    rng = np.random.default_rng(61)
+    for _ in range(20):
+        n, m = int(rng.integers(2, 4)), int(rng.integers(1, 3))
+        mats = []
+        for _ in range(m):
+            M = np.diag(rng.choice([1e300, 1e200, 2.0, 1.0, 0.5, 1.5], n))
+            M[rng.integers(n), rng.integers(n)] += rng.choice([0.5, -0.3, 1e100])
+            mats.append(M)
+        eta0 = np.log(rng.uniform(1e-6, 1e-3, (10, n)))
+        got = oracle._basin_mask(mats, [np.zeros(n)] * m, 0, eta0, 1e-2, 30)
+        assert got.tolist() == [_careful_basin_member(mats, 0, e, 1e-2, 30) for e in eta0]
+    assert len(replays) > 20
+
+
 @pytest.mark.parametrize("cycle,j,x", [
     (stable_cycle(), 0, (1e-8, 1e-8)),
     (rsp_matrices(RspParams(0.3, 0.3)), 0, (1e-4, 8e-3, 1e-4)),

@@ -1,5 +1,7 @@
+import importlib.util
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hetstab.stability
-from conftest import dominant_pair_matrix, random_cycle
+from conftest import attracting_cycle, dominant_pair_matrix, random_cycle
 from hetstab import (
     Classification,
     ConnectionSpec,
@@ -22,6 +24,7 @@ from hetstab import (
     classification_from_sigmas,
     classify,
     collect_alpha_vectors,
+    cycle_from_dict,
     eigen_decompose,
     f_index,
     full_return_matrix,
@@ -31,6 +34,7 @@ from hetstab import (
     sigma,
     validate_cycle,
     vmax_row,
+    ZeroVectorError,
 )
 
 INF = math.inf
@@ -274,10 +278,12 @@ def reference_report(cycle, tol=1e-9):
 
 def test_classify_matches_per_node_reference_exactly():
     rng = np.random.default_rng(71)
+    cycles = [random_cycle(rng, max_m=12, sign="mixed") for _ in range(200)]
+    cycles += [random_cycle(rng, max_m=32, sign="mixed") for _ in range(8)]
+    cycles += [attracting_cycle(rng, 32) for _ in range(8)]
     verdicts = set()
-    full_path = 0
-    for _ in range(200):
-        cycle = random_cycle(rng, max_m=12, sign="mixed")
+    full_path = long_full_path = 0
+    for cycle in cycles:
         try:
             expected = reference_report(cycle)
         except IndeterminateError as exc:
@@ -289,8 +295,10 @@ def test_classify_matches_per_node_reference_exactly():
         assert (report.sigma, report.provenance, report.classification) == expected
         verdicts.add(report.classification)
         full_path += report.provenance[0].alpha is not None
+        long_full_path += cycle.m == 32 and report.provenance[0].alpha is not None
     assert len(verdicts) >= 3
     assert full_path >= 20
+    assert long_full_path >= 5
 
 
 def test_classify_decomposes_each_full_return_at_most_once(monkeypatch):
@@ -356,3 +364,122 @@ def test_sigma_is_the_classify_entry(cycle):
     except IndeterminateError:
         return
     assert [sigma(cycle, j) for j in range(cycle.m)] == list(report.sigma)
+
+
+def test_overflowing_pass_that_is_never_read_does_not_raise():
+    # only M_1 has a negative entry, so node 0 is the one checkpoint: its
+    # pass is finite and fails the sign condition, while the pass from node 1
+    # overflows (M_0 M_1 holds 1e300 * 1e10); classify builds both passes
+    mats = [np.diag([1e300, 1e-300]), np.array([[0.5, 1e10], [-0.5, 0.5]])]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ProductOverflow, match="^cyclic product from node 1 "):
+            full_return_matrix(mats, 1)
+        report = classify(mats)
+        assert sigma(mats, 1) == -INF
+    assert report.sigma == (-INF, -INF)
+    assert report.provenance[0].source == "dominant-pair-conditions-fail"
+
+
+def test_underflowed_zero_row_raises_as_the_exhaustive_loop_does():
+    # M_2 M_1 underflows to a zero first row, while the checkpoint's full
+    # return M_2 (M_1 M_0) keeps that row tiny and positive, so the dominant
+    # pair holds and the zero row is one of sigma_1's direction vectors
+    mats = [np.array([[1e200, 2e200], [1e200, 1e200]]),
+            np.array([[1e-200, 2e-200], [3e-200, 1e-200]]),
+            np.array([[1e-200, 1e-200], [1.0, -0.1]])]
+    assert not partial_turn_matrix(mats, 2, 1)[0].any()
+    with pytest.raises(ZeroVectorError):
+        classify(mats)
+    with pytest.raises(ZeroVectorError):
+        sigma(mats, 1)
+    assert sigma(mats, 0) == INF
+
+
+WIDE = st.builds(lambda mag, sign: sign * mag, st.floats(1e-300, 1e300), st.sampled_from([-1.0, 1.0]))
+
+
+@st.composite
+def direction_vector(draw, n, earlier):
+    """One finite, nonzero vector of n components, of a kind that sits on a
+    branch or rounding edge of f_index, or a tie with an earlier vector."""
+    kind = draw(st.sampled_from(["any", "wide", "zero-sum", "ulp-of-zero", "nonneg", "nonpos",
+                                 "tie"] if earlier else
+                                ["any", "wide", "zero-sum", "ulp-of-zero", "nonneg", "nonpos"]))
+    if kind == "any":
+        v = [draw(st.floats(allow_nan=False, allow_infinity=False)) for _ in range(n)]
+    elif kind == "wide":
+        v = [draw(WIDE) for _ in range(n)]
+    elif kind in ("zero-sum", "ulp-of-zero"):
+        half = [draw(WIDE) for _ in range(n // 2)]
+        v = half + [-a for a in half] + [0.0] * (n % 2)
+        if kind == "ulp-of-zero":   # the sum is one ulp of a component away from 0
+            v[0] = float(np.nextafter(v[0], draw(st.sampled_from([-INF, INF]))))
+        v = draw(st.permutations(v))
+    elif kind in ("nonneg", "nonpos"):
+        sign = 1.0 if kind == "nonneg" else -1.0
+        v = [sign * abs(draw(WIDE)) for _ in range(n)]
+        v[draw(st.integers(0, n - 1))] = 0.0 if draw(st.booleans()) else v[0]
+    else:                           # the same index: permuted, or scaled by a power of two
+        v = draw(st.permutations(draw(st.sampled_from(earlier))))
+        scale = 2.0 ** draw(st.integers(-4, 4))
+        v = [a * scale for a in v] if all(math.isfinite(a * scale) for a in v) else v
+    if not any(v):
+        v[0] = 1.0
+    return list(v)
+
+
+@st.composite
+def candidate_arrays(draw):
+    n, rows, k = draw(st.integers(2, 5)), draw(st.integers(1, 3)), draw(st.integers(1, 12))
+    out = []
+    for _ in range(rows):
+        row = []
+        for _ in range(k):
+            row.append(draw(direction_vector(n, row)))
+        out.append(row)
+    return np.array(out)
+
+
+@settings(deadline=None, max_examples=200)
+@given(candidate_arrays())
+def test_filtered_minimum_equals_the_exhaustive_loop(alphas):
+    lo, hi = hetstab.stability._index_bounds(alphas)
+    got = hetstab.stability._first_minima(alphas)
+    for i, row in enumerate(alphas):
+        values = [f_index(alpha) for alpha in row]
+        for k, value in enumerate(values):   # a NaN bound excludes nothing
+            assert not lo[i, k] > value and not hi[i, k] < value
+        k = min(range(len(values)), key=values.__getitem__)   # first of equal minima
+        assert got[i][1] == k
+        assert got[i][0] == values[k]
+        assert math.copysign(1.0, got[i][0]) == math.copysign(1.0, values[k])
+
+
+def test_classify_verifies_at_most_a_quarter_of_its_candidates(monkeypatch):
+    # the seed-3 classify-large population of perfbench, N = 4 at m = 8 and 32
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_inputs", Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    calls = []
+
+    def counting(alpha):
+        calls.append(1)
+        return f_index(alpha)
+
+    monkeypatch.setattr(hetstab.stability.findex, "f_index", counting)
+    verified, candidates = {8: 0, 32: 0}, {8: 0, 32: 0}
+    for entry in inputs.classify_population(3):
+        cycle = validate_cycle(cycle_from_dict(entry["doc"]))
+        calls.clear()
+        try:
+            report = classify(cycle)
+        except IndeterminateError:
+            continue
+        k = 1 + len(negative_entry_indices(cycle)) * cycle.dimension
+        verified[cycle.m] += len(calls)
+        candidates[cycle.m] += k * sum(p.alpha is not None for p in report.provenance)
+    for m in (8, 32):
+        assert candidates[m] > 1000
+        assert verified[m] <= candidates[m] / 4

@@ -17,6 +17,7 @@ from hetstab import (
     rsp_matrices,
     validate_cycle,
 )
+from hetstab.transition import cyclic_products
 
 
 def single_node(c, e, transverse, perm=None):
@@ -85,6 +86,27 @@ def test_products_match_naive_multiplication_oracle():
             for step in range(cycle.m):
                 expected = naive_matmul(mats[(j + step) % cycle.m], expected)
             assert np.allclose(full_return_matrix(cycle, j), expected, atol=1e-12)
+
+
+def test_stacked_pass_equals_the_single_start_passes():
+    # one stacked matmul per step must give each pass bit for bit as the
+    # single-start pass and as one single-matrix product after another
+    rng = np.random.default_rng(43)
+    cycles = [random_cycle(rng, max_m=8) for _ in range(20)]
+    cycles += [random_cycle(np.random.default_rng(seed), max_m=32, max_nt=5) for seed in range(4)]
+    for cycle in cycles:
+        mats = as_basic_matrices(cycle)
+        m = len(mats)
+        stacked = cyclic_products(mats, range(m), m)
+        assert stacked.shape == (m, m, cycle.dimension, cycle.dimension)
+        for j in range(m):
+            single = cyclic_products(mats, range(j, j + 1), m)[0]
+            prod = np.eye(cycle.dimension)
+            for step in range(m):
+                prod = mats[(j + step) % m] @ prod
+                assert np.array_equal(stacked[j, step], single[step])
+                assert np.array_equal(stacked[j, step], prod)
+    assert max(c.m for c in cycles) > 16
 
 
 def test_partial_turn_cases():
