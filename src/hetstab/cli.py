@@ -23,7 +23,7 @@ from .findex import f_index, f_minus, f_plus, inf_str
 from .oracle import EstimatorConfig, InsufficientResolution, estimate_fplus_mc, estimate_sigma_mc
 from .rsp import RspParams, rsp_compare, rsp_matrices
 from .spectral import DEFAULT_TOL
-from .stability import IndeterminateError, classify
+from .stability import IndeterminateError, _classify_many, classify
 
 
 class _Parser(argparse.ArgumentParser):
@@ -168,16 +168,17 @@ def _cmd_rsp(args) -> int:
 def _cmd_rsp_sweep(args) -> int:
     grid = np.linspace(-1.0, 1.0, args.grid + 2)[1:-1]  # interior points only
     rows = []
-    for ex in grid:
-        for ey in grid:
-            params = RspParams(float(ex), float(ey))
-            try:
-                report = classify(rsp_matrices(params), tol=args.tol)
-                s0, s1 = report.sigma
-                label = report.classification.value
-            except IndeterminateError:
+    for ex in grid:   # one batch per row of the grid keeps the batch's arrays small
+        cycles = [rsp_matrices(RspParams(float(ex), float(ey))) for ey in grid]
+        for ey, report in zip(grid, _classify_many(cycles, args.tol)):
+            if isinstance(report, IndeterminateError):
                 s0 = s1 = math.nan
                 label = "indeterminate"
+            elif isinstance(report, Exception):
+                raise report
+            else:
+                s0, s1 = report.sigma
+                label = report.classification.value
             rows.append((float(ex), float(ey), s0, s1, label))
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)

@@ -22,11 +22,23 @@ test v_max . y < 0 match the convergence direction.
 A basis with condition number above COND_LIMIT counts as defective.  tol
 (default DEFAULT_TOL) decides moduli near 1, modulus ties and realness, and
 _tolerance owns its rule: finite with 0 <= tol < 1.
+
+Every decomposition is made by _eigen_decompose_many, on a stack of
+matrices, with one eig, at most two SVDs for the condition numbers and one
+inv for the whole stack; eigen_decompose is its view of one matrix.  Each
+matrix of a stack decomposes bit for bit as it does alone.  That takes one
+rule per matrix: numpy's eig gives a single matrix real eigenvalues and
+eigenvectors when all its eigenvalues are real, but makes a whole stack
+complex when any one matrix has a complex eigenvalue.  So a matrix whose
+eigenvalues all have zero imaginary part keeps the real arrays, and the
+condition numbers of the real bases and of the complex ones are taken
+apart, as a complex SVD can differ from the real one in the last bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -86,7 +98,7 @@ def dominant_eigenvalue(eigenvalues: np.ndarray, tol: float = DEFAULT_TOL) -> in
     realness flag then fails downstream); any other modulus tie between
     distinct eigenvalues is reported as ambiguous rather than guessed.
     """
-    moduli = np.abs(eigenvalues)
+    moduli = np.abs(eigenvalues).tolist()
     candidates = [i for i, r in enumerate(moduli) if abs(r - 1.0) > tol]
     if not candidates:
         raise NoAdmissibleDominant(
@@ -119,52 +131,107 @@ def eigen_decompose(matrix: np.ndarray, tol: float = DEFAULT_TOL) -> SpectralSum
     of 1 or the top modulus is an ambiguous tie.
     """
     tol = _tolerance(tol)
-    eigenvalues, P = np.linalg.eig(_entries(matrix))
+    return _eigen_decompose_many(_entries(matrix)[None], tol).summary(0)
 
-    if not np.all(np.isfinite(P)) or np.linalg.cond(P) > COND_LIMIT:
-        raise DefectiveMatrix(
-            f"eigenvector basis condition exceeds {COND_LIMIT:g}; "
-            "matrix is (numerically) defective"
+
+class _Spectra(NamedTuple):
+    """eigen_decompose of each matrix b of a stack, as arrays over the stack.
+
+    Where errors[b] is set, the rest of entry b means nothing.
+    """
+
+    eigenvalues: np.ndarray                        # (B, N), complex unless every spectrum is real
+    real: list[bool]                               # whether the spectrum of matrix b is real
+    basis: np.ndarray                              # (B, N, N) complex
+    basis_inverse: np.ndarray                      # (B, N, N) complex
+    index: list[int]                               # lambda_index of matrix b
+    conditions: list[tuple[bool, bool, bool]]      # conditions (i), (ii), (iii) of matrix b
+    errors: list[SpectralError | None]             # the error of matrix b, or None
+
+    def v_max(self) -> np.ndarray:
+        """(B, N): the real part of every v_max (all of it where (i) holds)."""
+        return self.basis_inverse[np.arange(len(self.index)), self.index].real
+
+    def summary(self, b: int) -> SpectralSummary:
+        """What eigen_decompose gives for matrix b alone: its summary, or its
+        error raised."""
+        if self.errors[b] is not None:
+            raise self.errors[b]
+        eigenvalues = self.eigenvalues[b].real if self.real[b] else self.eigenvalues[b]
+        idx = self.index[b]
+        cond_i, cond_ii, cond_iii = self.conditions[b]
+        w = self.basis[b, :, idx]
+        v = self.basis_inverse[b, idx, :]
+        if cond_i:
+            w = np.real(w)
+            v = np.real(v)
+        w = np.array(w)
+        v = np.array(v)
+        w.flags.writeable = False
+        v.flags.writeable = False
+        return SpectralSummary(
+            eigenvalues=eigenvalues,
+            basis=self.basis[b],
+            basis_inverse=self.basis_inverse[b],
+            lambda_max=complex(eigenvalues[idx]),
+            lambda_index=idx,
+            w_max=w,
+            v_max=v,
+            condition_i=cond_i,
+            condition_ii=cond_ii,
+            condition_iii=cond_iii,
         )
+
+
+def _eigen_decompose_many(matrices: np.ndarray, tol: float) -> _Spectra:
+    """eigen_decompose of each matrix of the finite (B, N, N) stack matrices,
+    for a tol already checked, bit for bit as of each matrix alone (see the
+    module docstring for the per-matrix dtype rule).  Errors are kept
+    without a traceback, which would keep the stack's arrays alive.
+    """
+    eigenvalues, P = np.linalg.eig(matrices)
+    real = (eigenvalues.imag == 0.0).all(axis=1).tolist()
+    defective = (~np.isfinite(P).all(axis=(1, 2))).tolist()
+    for spectrum in (True, False):
+        group = [b for b, bad in enumerate(defective) if not bad and real[b] == spectrum]
+        if group:
+            bases = P if len(group) == len(P) else P[group]
+            bases = bases.real if spectrum else bases
+            for b, s in zip(group, np.linalg.svd(bases, compute_uv=False).tolist()):
+                # np.linalg.cond is s[0] / s[-1], with 0 / 0 read as inf
+                defective[b] = not (s[-1] > 0.0 and s[0] / s[-1] <= COND_LIMIT)
+    if any(defective):                           # swapped for the identity, so that inv runs
+        P = np.where(np.array(defective)[:, None, None], np.eye(P.shape[1]), P)
 
     # Deterministic column scaling: largest-magnitude component -> exactly 1
     # (complex division z/z can miss 1.0 by an ulp, so pin it afterwards).
+    rows = np.arange(len(P))
     basis = P.astype(complex)
-    pivots = (np.argmax(np.abs(basis), axis=0), np.arange(basis.shape[1]))
-    basis /= basis[pivots]
+    pivots = (rows[:, None], np.argmax(np.abs(basis), axis=1), np.arange(P.shape[1]))
+    basis /= basis[pivots][:, None, :]
     basis[pivots] = 1.0
     basis_inverse = np.linalg.inv(basis)
 
-    idx = dominant_eigenvalue(eigenvalues, tol)
-    lam = complex(eigenvalues[idx])
-    cond_i = abs(lam.imag) <= tol * abs(lam)
-    cond_ii = lam.real > 1.0
-
-    w = basis[:, idx]
-    v = basis_inverse[idx, :]
-    if cond_i:
-        w = np.real(w)
-        v = np.real(v)
-        cond_iii = bool(np.all(w > 0.0) or np.all(w < 0.0))
-    else:
-        cond_iii = False
-
-    w = np.array(w)
-    v = np.array(v)
-    w.flags.writeable = False
-    v.flags.writeable = False
-    return SpectralSummary(
-        eigenvalues=eigenvalues,
-        basis=basis,
-        basis_inverse=basis_inverse,
-        lambda_max=lam,
-        lambda_index=int(idx),
-        w_max=w,
-        v_max=v,
-        condition_i=cond_i,
-        condition_ii=cond_ii,
-        condition_iii=cond_iii,
-    )
+    index, conditions, errors = [0] * len(P), [(False, False, False)] * len(P), [None] * len(P)
+    for b, is_defective in enumerate(defective):
+        if is_defective:
+            errors[b] = DefectiveMatrix(f"eigenvector basis condition exceeds {COND_LIMIT:g}; "
+                                        "matrix is (numerically) defective")
+            continue
+        values = eigenvalues[b].real if real[b] else eigenvalues[b]
+        try:
+            index[b] = dominant_eigenvalue(values, tol)
+        except NoAdmissibleDominant as exc:
+            exc.__traceback__ = None
+            errors[b] = exc
+            continue
+        lam = complex(values[index[b]])
+        conditions[b] = (abs(lam.imag) <= tol * abs(lam), lam.real > 1.0, False)
+    for b, w in enumerate(basis[rows, :, index].real.tolist()):
+        if conditions[b][0]:
+            one_sign = all(x > 0.0 for x in w) or all(x < 0.0 for x in w)
+            conditions[b] = (True, conditions[b][1], one_sign)
+    return _Spectra(eigenvalues, real, basis, basis_inverse, index, conditions, errors)
 
 
 def vmax_row(matrix: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:

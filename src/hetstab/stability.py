@@ -26,28 +26,42 @@ Classification from the indices: any -inf -> not an attractor; any exact 0
 essentially asymptotically stable; otherwise (all > -inf, some < 0) the
 cycle is fragmentarily asymptotically stable only.
 
-Every index of one cycle comes from a single analysis.  The negative-entry
-list is found once.  One stacked product pass (transition.cyclic_products)
-builds M_(j,j), M_(j+1,j), ..., M^(j) for every start node j at once, with
-one (m, N, N) @ (m, N, N) matmul per step: m matmul calls, not m^2.  The
-steps of pass j are the partial turns ending at the negative-entry nodes and
-its last step is the full return; a pass that overflows raises
-ProductOverflow when the analysis first reads it, so a checkpoint that fails
-still gives -inf when some other pass overflows.  Each full return is
-decomposed at most once, and the checkpoint checks and v_max[j] share that
-decomposition.
+Every index comes from one analysis of a batch of cycles that share m, N
+and their negative-entry nodes (_Batch); classify, sigma and
+collect_alpha_vectors analyse the batch of one, and _classify_many groups
+many cycles into batches.  One stacked product pass
+(transition.cyclic_products) builds M_(j,j), M_(j+1,j), ..., M^(j) for
+every cycle and every start node j at once, with one stacked matmul per
+step: m matmul calls, not m^2, for any number of cycles.  The steps of pass
+j are the partial turns ending at the negative-entry nodes and its last step
+is the full return.  The full returns are decomposed in at most two stacked
+calls (spectral._eigen_decompose_many): first the checkpoints of every
+cycle, then the other nodes of the cycles whose checkpoints all hold, so
+each full return is decomposed at most once and the checkpoint checks and
+v_max[j] share that decomposition.
+
+Each cycle's errors come in the order of a one-cycle reading.  First the
+checkpoints in sorted order: a pass that overflows (ProductOverflow), then a
+spectral degeneracy (IndeterminateError), then failed conditions, which give
+-inf; so a checkpoint that fails still gives -inf when a later pass
+overflows.  Then nodes 0..m-1: overflow, degeneracy, conditions (i)/(ii)
+failing at a non-checkpoint (ValueError), then a zero direction vector
+(findex.ZeroVectorError).  A pass that overflows is left out of the stacked
+decomposition, as eig rejects a stack holding inf or NaN.  An error is kept
+without its traceback until it is raised, so that it does not keep the
+batch's arrays alive.
 
 The minimum over each node's K = 1 + L*N direction vectors is found by
-filter, then verify (_first_minima).  The vectors of all nodes form one
-(m, K, N) array whose min, max, plain sum and sum of magnitudes bound every
-index: the plain sum of N terms is within (N - 1) u sum|alpha| of the exact
-sum (u = 2^-53), the index is monotone in the sum, and the radius
-(N + 1) u sum|alpha| leaves room for rounding the bound itself
-(_index_bounds).  findex.f_index runs only on the vectors that can still be
-the first minimum, so every sigma_j and its provenance are those of f_index
-over every vector in order, bit for bit.  classify does this for all j;
-sigma(cycle, j) for one j, so calling it for every j repeats the
-decompositions that classify shares.
+filter, then verify (_first_minima), over one (B*m, K, N) array of the
+candidates of every cycle and node of a batch.  The min, max, plain sum and
+sum of magnitudes of each vector bound its index: the plain sum of N terms
+is within (N - 1) u sum|alpha| of the exact sum (u = 2^-53), the index is
+monotone in the sum, and the radius (N + 1) u sum|alpha| leaves room for
+rounding the bound itself (_index_bounds).  findex.f_index runs only on the
+vectors that can still be the first minimum, so every sigma_j and its
+provenance are those of f_index over every vector in order, bit for bit.
+classify does this for all j; sigma(cycle, j) for one j, so calling it for
+every j repeats the decompositions that classify shares.
 """
 
 from __future__ import annotations
@@ -62,13 +76,12 @@ from . import findex
 from .spectral import (
     DEFAULT_TOL,
     SpectralError,
-    SpectralSummary,
+    _eigen_decompose_many,
     _tolerance,
     dominant_eigenvalue,
-    eigen_decompose,
 )
-from .transition import (CycleLike, as_basic_matrices, cyclic_products, finite_pass,
-                         _negative_entry_nodes, _node_index)
+from .transition import (CycleLike, as_basic_matrices, cyclic_products, _negative_entry_nodes,
+                         _node_index, _overflow)
 
 
 class IndeterminateError(RuntimeError):
@@ -217,93 +230,206 @@ def _first_minima(alphas: np.ndarray) -> list[tuple[float, int]]:
     return out
 
 
-class _CycleAnalysis:
-    """The transition-matrix analysis of one cycle, for one public call.
+def _bare(exc: Exception) -> Exception:
+    """exc, and the error it was raised from, without a traceback: a kept
+    traceback would keep the frames of a batch, and all their arrays, alive."""
+    for e in (exc, exc.__cause__, exc.__context__):
+        if e is not None:
+            e.__traceback__ = None
+    return exc
 
-    The product passes from every node are built together up front; a pass
-    is checked for overflow when first read, and each full-return
-    decomposition is built on first use and then shared.  Nothing outlives
-    the call that made the object.
+
+def _raised(result):
+    """A result of _Batch.indices or _classify_many, or its error raised."""
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+class _Batch:
+    """The transition-matrix analysis of B cycles that share m, N and their
+    negative-entry nodes, for one call.
+
+    The product passes of every cycle from every node are built together up
+    front (cyclic_products).  Full returns are decomposed in stacked calls
+    (spectral._eigen_decompose_many), and what the analysis reads of each,
+    its dominant-pair conditions, v_max or its degeneracy, is kept.  A pass
+    is checked for overflow when first read.  Nothing outlives the call that
+    made the object.
     """
 
-    def __init__(self, cycle: CycleLike, tol: float):
-        self.tol = _tolerance(tol)
-        self.mats = as_basic_matrices(cycle)
-        self.m = len(self.mats)
-        self.negative = _negative_entry_nodes(self.mats)
-        self._passes = cyclic_products(self.mats, range(self.m), self.m)
-        self._spectra: dict[int, SpectralSummary] = {}
+    def __init__(self, mats: list[list[np.ndarray]], negative: list[int], tol: float):
+        self.tol = tol
+        self.negative = negative
+        self.m, self.n = len(mats[0]), len(mats[0][0])
+        self._passes = cyclic_products(np.array(mats), range(self.m), self.m)
+        self._finite = np.isfinite(self._passes[:, :, -1]).all(axis=(2, 3)).tolist()
+        self._spectra: dict[tuple[int, int], tuple] = {}
 
-    def turns(self, j: int) -> np.ndarray:
-        """[M_(j,j), M_(j+1,j), ..., M^(j)]: the product pass from node j."""
-        return finite_pass(self._passes[j], j)
+    @classmethod
+    def of(cls, cycle: CycleLike, tol: float) -> "_Batch":
+        """The batch of one cycle."""
+        tol = _tolerance(tol)
+        mats = as_basic_matrices(cycle)
+        return cls([mats], _negative_entry_nodes(mats), tol)
 
-    def spectrum(self, j: int) -> SpectralSummary:
-        """Decomposition of the full return M^(j)."""
-        if j not in self._spectra:
-            try:
-                self._spectra[j] = eigen_decompose(self.turns(j)[-1], self.tol)
-            except SpectralError as exc:
-                raise IndeterminateError(j, exc) from exc
-        return self._spectra[j]
+    def decompose(self, cells: list[tuple[int, int]]) -> None:
+        """Decompose, in one stacked call, the finite full returns M^(j) of
+        cycle b for the pairs (b, j) in cells not decomposed yet."""
+        cells = [c for c in cells if self._finite[c[0]][c[1]] and c not in self._spectra]
+        if cells:
+            spectra = _eigen_decompose_many(self._passes[tuple(zip(*cells)) + (-1,)], self.tol)
+            self._spectra.update(zip(cells, zip(spectra.conditions, spectra.errors,
+                                                spectra.v_max().tolist())))
 
-    def v_max(self, j: int) -> np.ndarray:
-        """v_max of M^(j), the first direction vector of sigma_j."""
-        summary = self.spectrum(j)
-        if not (summary.condition_i and summary.condition_ii):
+    def conditions(self, b: int, j: int) -> tuple[bool, bool, bool]:
+        """Dominant-pair conditions (i), (ii), (iii) of M^(j) of cycle b,
+        once decompose has seen it."""
+        if not self._finite[b][j]:
+            raise _overflow(j)
+        conditions, error, _ = self._spectra[b, j]
+        if error is not None:
+            raise IndeterminateError(j, error) from error
+        return conditions
+
+    def check_v_max(self, b: int, j: int) -> None:
+        """Raise unless v_max of M^(j) of cycle b is a direction vector."""
+        if not all(self.conditions(b, j)[:2]):
             raise ValueError(
                 "dominant-pair conditions fail; sigma_j is -inf by the zero-measure "
                 "argument, not a minimum of indices"
             )
-        return summary.v_max
 
-    def rows(self, nodes) -> np.ndarray:
-        """The other K - 1 direction vectors of sigma_j for each j in nodes:
-        the rows of M_(j_1, j), ..., M_(j_L, j), as a (len(nodes), L*N, N)
-        array.  Passes are read unchecked; v_max(j) checks pass j."""
+    def rows(self, cycles: list[int], nodes: list[int]) -> np.ndarray:
+        """The other K - 1 direction vectors of sigma_j for each cycle b in
+        cycles and each j in nodes: the rows of M_(j_1, j), ..., M_(j_L, j),
+        as a (len(cycles), len(nodes), L*N, N) array.  Passes are read
+        unchecked; check_v_max(b, j) checks pass j of cycle b."""
         if not self.negative:
             raise ValueError("no negative entries: the spectral-radius dichotomy applies")
-        at = np.array(nodes)[:, None]
-        turns = self._passes[at, (np.asarray(self.negative) - at) % self.m]
-        return turns.reshape(len(at), -1, turns.shape[-1])
+        b = np.array(cycles)[:, None, None]
+        j = np.array(nodes)[None, :, None]
+        turns = self._passes[b, j, (np.array(self.negative) - j) % self.m]
+        return turns.reshape(turns.shape[:2] + (-1, self.n))
 
-    def indices(self, nodes) -> list[tuple[float, IndexProvenance]]:
-        """sigma_j and its provenance for each j in nodes."""
+    def v_max(self, cycles: list[int], nodes: list[int]) -> np.ndarray:
+        """v_max of M^(j), the first direction vector of sigma_j, for each
+        cycle b in cycles and j in nodes, as a (len(cycles), len(nodes), N)
+        array; check_v_max checks each."""
+        return np.array([[self._spectra[b, j][2] for j in nodes] for b in cycles])
+
+    def indices(self, nodes: list[int]) -> list:
+        """For each cycle, sigma_j and its provenance for each j in nodes, or
+        the error that ends that cycle's analysis (_bare), in the order the
+        module docstring gives.  The checkpoints of every cycle are
+        decomposed in one stacked call, the nodes of the cycles whose
+        checkpoints all hold in a second."""
+        cycles = range(len(self._finite))
         if not self.negative:
-            value = _sigma_nonnegative(self.turns(0)[-1], self.tol)
-            dichotomy = IndexProvenance(source="nonnegative-dichotomy", alpha=None)
-            return [(value, dichotomy)] * len(nodes)
-        for q in _checkpoints(self.m, self.negative):
-            s = self.spectrum(q)
-            if not (s.condition_i and s.condition_ii and s.condition_iii):
-                fail = IndexProvenance(source="dominant-pair-conditions-fail", alpha=None)
-                return [(-math.inf, fail)] * len(nodes)
-        return self._minima(list(nodes))
-
-    def _minima(self, nodes: list[int]) -> list[tuple[float, IndexProvenance]]:
-        """sigma_j as the first minimum (_first_minima) over the K direction
-        vectors of each j in nodes, stacked into one (len(nodes), K, N) array."""
-        rows = self.rows(nodes)
-        nonzero = rows.any(axis=2).all(axis=1)
-        alphas = np.empty((len(nodes), 1 + rows.shape[1], rows.shape[2]))
-        alphas[:, 1:] = rows
-        for i, j in enumerate(nodes):
-            alphas[i, 0] = self.v_max(j)
-            if not nonzero[i]:         # f_index raises at the first zero row, node by node
-                for alpha in rows[i]:
-                    findex.f_index(alpha)
-        out = []
-        for i, (j, (value, k)) in enumerate(zip(nodes, _first_minima(alphas))):
-            alpha = tuple(alphas[i, k].tolist())
-            out.append((value, IndexProvenance(source=self._tag(j, k), alpha=alpha)))
+            return [_attempt(self._dichotomy, b, len(nodes)) for b in cycles]
+        checkpoints = _checkpoints(self.m, self.negative)
+        self.decompose([(b, q) for b in cycles for q in checkpoints])
+        holds = [_attempt(self._holds, b, checkpoints) for b in cycles]
+        fail = [(-math.inf, IndexProvenance(source="dominant-pair-conditions-fail", alpha=None))]
+        out = [fail * len(nodes) if h is False else h for h in holds]
+        held = [b for b in cycles if holds[b] is True]
+        if held:
+            self._minima(held, nodes, out)
         return out
 
-    def _tag(self, j: int, k: int) -> str:
-        """Provenance of direction vector k of sigma_j."""
+    def _dichotomy(self, b: int, count: int) -> list[tuple[float, IndexProvenance]]:
+        """The non-negative regime's index of cycle b, count times."""
+        if not self._finite[b][0]:
+            raise _overflow(0)
+        value = _sigma_nonnegative(self._passes[b, 0, -1], self.tol)
+        return [(value, IndexProvenance(source="nonnegative-dichotomy", alpha=None))] * count
+
+    def _holds(self, b: int, checkpoints: list[int]) -> bool:
+        """Whether all three dominant-pair conditions hold at every
+        checkpoint of cycle b, read in order."""
+        return all(all(self.conditions(b, q)) for q in checkpoints)
+
+    def _minima(self, cycles: list[int], nodes: list[int], out: list) -> None:
+        """Into out[b] for each cycle b in cycles: sigma_j for each j in
+        nodes, as the first minimum (_first_minima) over its K direction
+        vectors, all stacked into one (cycles * nodes, K, N) array; or the
+        error of the first node that fails its checks."""
+        self.decompose([(b, j) for b in cycles for j in nodes])
+        rows = self.rows(cycles, nodes)
+        nonzero = rows.any(axis=3).all(axis=2).tolist()
+        for i, b in enumerate(cycles):
+            out[b] = _attempt(self._check, b, nodes, rows[i], nonzero[i])
+        kept = [i for i, b in enumerate(cycles) if out[b] is None]
+        if not kept:
+            return
+        alphas = np.empty((len(kept), len(nodes), 1 + rows.shape[2], self.n))
+        alphas[:, :, 0] = self.v_max([cycles[i] for i in kept], nodes)
+        alphas[:, :, 1:] = rows[kept]
+        minima = iter(_first_minima(alphas.reshape(-1, alphas.shape[2], self.n)))
+        for i, row in zip(kept, alphas):
+            out[cycles[i]] = [self._index(j, alpha, next(minima)) for j, alpha in zip(nodes, row)]
+
+    def _check(self, b: int, nodes: list[int], rows: np.ndarray, nonzero: list[bool]) -> None:
+        """Raise at the first node j of cycle b whose v_max or rows are no
+        direction vectors."""
+        for j, node_rows, node_nonzero in zip(nodes, rows, nonzero):
+            self.check_v_max(b, j)
+            if not node_nonzero:        # f_index raises at the first zero row
+                for alpha in node_rows:
+                    findex.f_index(alpha)
+
+    def _index(self, j: int, alphas: np.ndarray, minimum: tuple[float, int]):
+        """(sigma_j, provenance) from the first minimum (value, k) over alphas."""
+        value, k = minimum
         if k == 0:
-            return f"v_max[{j}]"
-        p, s = divmod(k - 1, self.mats[0].shape[0])
-        return f"M_({self.negative[p]},{j}) row {s}"
+            tag = f"v_max[{j}]"
+        else:
+            p, s = divmod(k - 1, self.n)
+            tag = f"M_({self.negative[p]},{j}) row {s}"
+        return value, IndexProvenance(source=tag, alpha=tuple(alphas[k].tolist()))
+
+
+def _attempt(fn, *args):
+    """fn(*args), or the error of the analysis it raised, _bare."""
+    try:
+        return fn(*args)
+    except (ValueError, IndeterminateError) as exc:
+        return _bare(exc)
+
+
+def _classify_many(cycles, tol: float = DEFAULT_TOL) -> list:
+    """classify of each cycle: its IndexReport, or the error classify raises
+    for it, kept without a traceback.
+
+    The cycles are analysed in batches (_Batch) of those that share m, N
+    and their negative-entry nodes.  A tol that breaks its rule is raised.
+    """
+    tol = _tolerance(tol)
+    out: list = [None] * len(cycles)
+    groups: dict[tuple, list[tuple[int, list[np.ndarray]]]] = {}
+    for i, cycle in enumerate(cycles):
+        try:
+            mats = as_basic_matrices(cycle)
+        except (TypeError, ValueError) as exc:
+            out[i] = _bare(exc)
+            continue
+        key = (len(mats), mats[0].shape[0], tuple(_negative_entry_nodes(mats)))
+        groups.setdefault(key, []).append((i, mats))
+    for (m, _, negative), members in groups.items():
+        batch = _Batch([mats for _, mats in members], list(negative), tol)
+        for (i, _), result in zip(members, batch.indices(list(range(m)))):
+            out[i] = result if isinstance(result, Exception) else _report(result, tol)
+    return out
+
+
+def _report(indices, tol: float) -> IndexReport:
+    sigmas, provenance = zip(*indices)
+    return IndexReport(
+        sigma=sigmas,
+        provenance=provenance,
+        classification=classification_from_sigmas(sigmas),
+        tol=tol,
+    )
 
 
 def collect_alpha_vectors(cycle: CycleLike, j: int, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
@@ -312,17 +438,19 @@ def collect_alpha_vectors(cycle: CycleLike, j: int, tol: float = DEFAULT_TOL) ->
     v_max of M^(j) first, then the N rows of each partial turn M_(j_p, j)
     ending at a negative-entry matrix: K = 1 + L*N vectors in total.
     """
-    analysis = _CycleAnalysis(cycle, tol)
-    j = _node_index(j, analysis.m)
-    rows = analysis.rows([j])[0]
-    return [analysis.v_max(j), *rows]
+    batch = _Batch.of(cycle, tol)
+    j = _node_index(j, batch.m)
+    rows = batch.rows([0], [j])[0, 0]
+    batch.decompose([(0, j)])
+    batch.check_v_max(0, j)
+    return [batch.v_max([0], [j])[0, 0], *rows]
 
 
 def sigma(cycle: CycleLike, j: int, tol: float = DEFAULT_TOL) -> float:
     """Local stability index along the connection entering node j."""
-    analysis = _CycleAnalysis(cycle, tol)
-    [(value, _)] = analysis.indices([_node_index(j, analysis.m)])
-    return value
+    batch = _Batch.of(cycle, tol)
+    [indices] = batch.indices([_node_index(j, batch.m)])
+    return _raised(indices)[0][0]
 
 
 def classify(cycle: CycleLike, tol: float = DEFAULT_TOL) -> IndexReport:
@@ -332,11 +460,5 @@ def classify(cycle: CycleLike, tol: float = DEFAULT_TOL) -> IndexReport:
     dominant eigenvalue, or a defective full return) blocks the decision,
     and ValueError, before any decomposition, when tol breaks its rule.
     """
-    analysis = _CycleAnalysis(cycle, tol)
-    sigmas, provenance = zip(*analysis.indices(range(analysis.m)))
-    return IndexReport(
-        sigma=sigmas,
-        provenance=provenance,
-        classification=classification_from_sigmas(sigmas),
-        tol=analysis.tol,
-    )
+    [report] = _classify_many([cycle], tol)
+    return _raised(report)

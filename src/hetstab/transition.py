@@ -19,11 +19,13 @@ and partial turns are cyclic products of these basic matrices:
 
 All indices are 0-based and taken mod m.  Products are accumulated in plain
 double precision in exact cyclic order; N and m are desk-scale here so no
-balancing is applied.  The product passes from several start nodes are
-built together, as one (starts, steps, N, N) array with one stacked matmul
-per step (cyclic_products).  A pass that overflows double precision is
-rejected with ProductOverflow when it is read (finite_pass), rather than
-handed on as inf or NaN.
+balancing is applied.  The product passes from several start nodes, of one
+cycle or of a stack of cycles that share m and N, are built together, as
+one (starts, steps, N, N) or (cycles, starts, steps, N, N) array with one
+stacked matmul per step (cyclic_products).  A pass that overflows double
+precision is rejected with ProductOverflow when it is read (finite_pass,
+or the stacked analysis in stability), rather than handed on as inf or NaN;
+it never reaches an eigendecomposition.
 """
 
 from __future__ import annotations
@@ -89,30 +91,43 @@ def basic_matrix(cycle: ValidatedCycle, j: int) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def cyclic_products(mats: list[np.ndarray], starts: range, steps: int) -> np.ndarray:
-    """The product passes from every start node in the range starts, built together.
+def cyclic_products(mats, starts: range, steps: int) -> np.ndarray:
+    """The product passes from every start node in the range starts, built
+    together, for one cycle or for a stack of cycles.
 
-    Returns an array of shape (len(starts), steps, N, N) whose row i is the
-    pass [M_(j,j), M_(j+1,j), ..., M_(j+steps-1,j)] from j = starts[i]; with
-    steps = m its last entry is the full return M^(j).  Every full-return
-    and partial-turn product in the package is built here, so they all
-    share one factor order.  Step s advances every pass at once with one
-    stacked (k, N, N) @ (k, N, N) matmul, which multiplies each pair as the
-    single-matrix product does, bit for bit: m starts cost m matmul calls,
-    not m^2.  The factors of step s are one slice of the matrices laid out
-    twice in cyclic order.
+    mats is the list of a cycle's m basic matrices, or a (B, m, N, N) array
+    of B cycles that share m and N.  Returns an array of shape
+    (len(starts), steps, N, N), or (B, len(starts), steps, N, N) for a
+    stack, whose row i is the pass [M_(j,j), M_(j+1,j), ..., M_(j+steps-1,j)]
+    from j = starts[i]; with steps = m its last entry is the full return
+    M^(j).  Every full-return and partial-turn product in the package is
+    built here, so they all share one factor order.  Step s advances every
+    pass of every cycle at once with one stacked matmul, which multiplies
+    each pair as the single-matrix product does, bit for bit: m starts cost
+    m matmul calls, not m^2, for any B.  The factors of step s are one slice
+    of the matrices laid out twice in cyclic order.
 
     A pass that overflows double precision keeps its inf or NaN here and
     raises nothing, so one extreme pass does not stop the analysis of the
     others; finite_pass rejects it when it is read.
     """
-    ring = np.array(mats + mats)
-    prods = np.empty((steps, len(starts)) + ring.shape[1:])
+    mats = np.asarray(mats)
+    ring = np.concatenate((mats, mats), axis=-3)
+    prods = np.empty((steps,) + ring.shape[:-3] + (len(starts),) + ring.shape[-2:])
     prod = np.eye(ring.shape[-1])
     for step in range(steps):
-        factors = ring[starts.start + step:starts.stop + step]
+        factors = ring[..., starts.start + step:starts.stop + step, :, :]
         prod = np.matmul(factors, prod, out=prods[step])
-    return prods.swapaxes(0, 1)
+    d = prods.ndim                      # move the step axis in front of N, N
+    return prods.transpose(tuple(range(1, d - 2)) + (0, d - 2, d - 1))
+
+
+def _overflow(j: int) -> ProductOverflow:
+    """The error for a product pass from node j that is not finite."""
+    return ProductOverflow(
+        f"cyclic product from node {j} is not finite in double precision; "
+        "the basic matrices are too extreme to analyse"
+    )
 
 
 def finite_pass(turns: np.ndarray, j: int) -> np.ndarray:
@@ -124,10 +139,7 @@ def finite_pass(turns: np.ndarray, j: int) -> np.ndarray:
     whole pass is finite.
     """
     if not np.isfinite(turns[-1]).all():
-        raise ProductOverflow(
-            f"cyclic product from node {j} is not finite in double precision; "
-            "the basic matrices are too extreme to analyse"
-        )
+        raise _overflow(j)
     return turns
 
 

@@ -1,13 +1,16 @@
 import argparse
+import hashlib
 import inspect
 import json
+import tracemalloc
 import warnings
 
 import pytest
 
 from hetstab import EstimatorConfig, RspParams, rsp_compare, rsp_cycle_spec, save_cycle
 from hetstab.cli import build_parser, main
-from hetstab.spectral import DEFAULT_TOL
+import hetstab.stability
+from hetstab.spectral import DEFAULT_TOL, _eigen_decompose_many
 
 
 @pytest.fixture
@@ -104,6 +107,41 @@ def test_rsp_sweep_csv(tmp_path, capsys):
     assert len(lines) == 1 + 9
     assert any("-inf" in line for line in lines[1:])
     assert any("essentially_asymptotically_stable" in line for line in lines[1:])
+
+
+GRID_61 = ["rsp-sweep", "--grid", "61", "--out"]
+
+
+def test_rsp_sweep_grid_61_bytes(tmp_path, capsys):
+    out_csv = tmp_path / "sweep.csv"
+    assert main(GRID_61 + [str(out_csv)]) == 0
+    assert hashlib.sha256(out_csv.read_bytes()).hexdigest() == (
+        "66181d4388fec4424f6c134135bf835ade9910ee2186d9903dee2f34e0b8e518")
+
+
+def test_rsp_sweep_makes_at_most_two_stacked_decompositions_per_row(tmp_path, monkeypatch,
+                                                                    capsys):
+    calls = []
+
+    def counting(matrices, tol):
+        calls.append(len(matrices))
+        return _eigen_decompose_many(matrices, tol)
+
+    monkeypatch.setattr(hetstab.stability, "_eigen_decompose_many", counting)
+    assert main(GRID_61 + [str(tmp_path / "sweep.csv")]) == 0
+    assert 0 < len(calls) <= 2 * 61
+    assert sum(calls) <= 61 * 61 * 2          # each full return at most once
+
+
+def test_rsp_sweep_memory_stays_small(tmp_path, capsys):
+    # one batch per grid row: a batch of the whole grid peaks near 12 MB
+    tracemalloc.start()
+    try:
+        assert main(GRID_61 + [str(tmp_path / "sweep.csv")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 def test_oracle_sigma_csv_and_determinism(rsp_json, tmp_path, capsys):

@@ -1,3 +1,6 @@
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 
@@ -12,6 +15,7 @@ from hetstab import (
     partial_turn_matrix,
     vmax_row,
 )
+from hetstab.spectral import DEFAULT_TOL, _eigen_decompose_many
 
 
 def test_symmetric_two_by_two():
@@ -131,3 +135,50 @@ def test_eigenvector_propagation_through_partial_turns():
             assert np.allclose(M_l @ w_prop, s_j.lambda_max.real * w_prop, atol=1e-8)
         checked += 1
     assert checked >= 5
+
+
+def _assert_same_summary(got, alone):
+    for field in dataclasses.fields(alone):
+        g, a = getattr(got, field.name), getattr(alone, field.name)
+        if isinstance(a, np.ndarray):
+            assert (g.dtype, g.shape, g.tobytes()) == (a.dtype, a.shape, a.tobytes()), field.name
+        else:
+            assert (type(g), g) == (type(a), a), field.name
+
+
+def test_stacked_decomposition_keeps_each_matrix_dtype():
+    # eig makes a whole stack complex when one matrix has a complex
+    # eigenvalue; each matrix must still decompose as it does alone
+    mats = [np.zeros((2, 2)), np.array([[0.0, -2.0], [2.0, 0.0]]),
+            np.array([[2.0, 1.0], [0.5, -1.0]])]
+    spectra = _eigen_decompose_many(np.array(mats), DEFAULT_TOL)
+    message = re.escape("ambiguous dominant eigenvalue among [np.float64(0.0), np.float64(0.0)]")
+    for decompose in (spectra.summary, lambda b: eigen_decompose(mats[b])):
+        with pytest.raises(NoAdmissibleDominant, match=message):
+            decompose(0)
+    for b in (1, 2):
+        _assert_same_summary(spectra.summary(b), eigen_decompose(mats[b]))
+    assert spectra.summary(1).eigenvalues.dtype == np.complex128
+    assert spectra.summary(2).eigenvalues.dtype == np.float64
+
+
+def test_stacked_decomposition_equals_one_matrix_at_a_time():
+    rng = np.random.default_rng(23)
+    mats = rng.uniform(-2.0, 2.0, (60, 4, 4))
+    mats[::7] = np.round(mats[::7])                 # ties and degenerate spectra
+    mats[3] = [[1.5, 1.0, 0, 0], [0, 1.5, 0, 0], [0, 0, 2.0, 0], [0, 0, 0, 0.5]]  # defective
+    mats[5] = np.diag([2.0, -2.0, 0.5, 0.1])        # ambiguous tie
+    mats[6] = np.eye(4)                             # every modulus 1
+    spectra = _eigen_decompose_many(mats, DEFAULT_TOL)
+    kinds = set()
+    for b, M in enumerate(mats):
+        try:
+            alone = eigen_decompose(M)
+        except (NoAdmissibleDominant, DefectiveMatrix) as exc:
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                spectra.summary(b)
+            kinds.add(type(exc))
+            continue
+        _assert_same_summary(spectra.summary(b), alone)
+        kinds.add(alone.eigenvalues.dtype)
+    assert kinds == {NoAdmissibleDominant, DefectiveMatrix, np.dtype(float), np.dtype(complex)}

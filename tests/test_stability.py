@@ -36,6 +36,7 @@ from hetstab import (
     vmax_row,
     ZeroVectorError,
 )
+from hetstab.spectral import _eigen_decompose_many
 
 INF = math.inf
 
@@ -302,24 +303,31 @@ def test_classify_matches_per_node_reference_exactly():
 
 
 def test_classify_decomposes_each_full_return_at_most_once(monkeypatch):
+    # counts the matrices handed to the stacked decomposition, which owns
+    # every eig of the analysis: at most m per classify, in at most 2 calls
     calls = []
 
-    def counting(matrix, tol):
-        calls.append(1)
-        return eigen_decompose(matrix, tol)
+    def counting(matrices, tol):
+        calls.append(len(matrices))
+        return _eigen_decompose_many(matrices, tol)
 
-    monkeypatch.setattr(hetstab.stability, "eigen_decompose", counting)
+    monkeypatch.setattr(hetstab.stability, "_eigen_decompose_many", counting)
     rng = np.random.default_rng(72)
     cycles = [random_cycle(rng, max_m=12, sign="mixed") for _ in range(40)]
     cycles += [random_cycle(np.random.default_rng(seed), max_m=32, sign="mixed") for seed in range(8)]
+    cycles += [attracting_cycle(rng, 32) for _ in range(4)]
+    decomposed = 0
     for cycle in cycles:
         calls.clear()
         try:
             classify(cycle)
         except IndeterminateError:
             pass
-        assert len(calls) <= cycle.m
+        assert len(calls) <= 2
+        assert sum(calls) <= cycle.m
+        decomposed += sum(calls)
     assert max(c.m for c in cycles) > 12
+    assert decomposed > 4 * 32
 
 
 @st.composite
@@ -379,6 +387,14 @@ def test_overflowing_pass_that_is_never_read_does_not_raise():
         assert sigma(mats, 1) == -INF
     assert report.sigma == (-INF, -INF)
     assert report.provenance[0].source == "dominant-pair-conditions-fail"
+    # both nodes are checkpoints now: node 0 fails the sign condition before
+    # the overflowing pass from node 1 is read
+    both = [np.array([[1e300, 0.0], [-1.0, 1e-300]]), mats[1]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ProductOverflow, match="^cyclic product from node 1 "):
+            full_return_matrix(both, 1)
+        assert classify(both).sigma == (-INF, -INF)
 
 
 def test_underflowed_zero_row_raises_as_the_exhaustive_loop_does():
@@ -394,6 +410,52 @@ def test_underflowed_zero_row_raises_as_the_exhaustive_loop_does():
     with pytest.raises(ZeroVectorError):
         sigma(mats, 1)
     assert sigma(mats, 0) == INF
+
+
+def _outcome(result):
+    """A report as it is, an error as (type, message, node)."""
+    if isinstance(result, Exception):
+        return type(result), str(result), getattr(result, "node", None)
+    return result
+
+
+def _classify_outcome(cycle, tol):
+    try:
+        return classify(cycle, tol)
+    except Exception as exc:   # every error classify raises is compared
+        return _outcome(exc)
+
+
+@pytest.mark.parametrize("tol", [1e-9, 0.0])
+def test_batch_equals_per_cycle_exactly(tol):
+    rng = np.random.default_rng(74)
+    underflow = [np.array([[1e200, 2e200], [1e200, 1e200]]),
+                 np.array([[1e-200, 2e-200], [3e-200, 1e-200]]),
+                 np.array([[1e-200, 1e-200], [1.0, -0.1]])]
+    never_read = [np.diag([1e300, 1e-300]), np.array([[0.5, 1e10], [-0.5, 0.5]])]
+    mixed = np.array([[1e200, 0.0], [-1.0, 1.0]])
+    batch = [rsp_matrices(RspParams(ex, ey)) for ex, ey in
+             [(-0.5, 0.2), (0.4, -0.4), (0.5, 0.2), (-0.2, -0.2), (0.1, 0.05)]]
+    batch += [underflow, [2.0 * M for M in underflow],                       # zero row
+              [underflow[0], 1e100 * underflow[1], underflow[2]],            # same pattern
+              never_read, [np.diag([3.0, 0.5]), never_read[1]],              # pattern [1]
+              [mixed, mixed], [np.diag([2.0, 0.5]), mixed],                  # pattern [0, 1]
+              two_node_nonnegative(2.0), two_node_nonnegative(0.8),          # non-negative
+              [2.0 * np.eye(2)], [np.diag([2.0, 0.5])],                      # one node, tie or not
+              [np.abs(mixed), np.abs(mixed)], [], [np.eye(3)[:2]],           # its overflow, bad input
+              [np.array([[1.5, -1.0], [0.0, 1.5]])], [np.diag([2.0, -2.0])]]  # defective, tie
+    batch += [random_cycle(rng, max_m=4, sign="mixed") for _ in range(40)]
+    batch += [attracting_cycle(rng, 6) for _ in range(6)]
+    order = rng.permutation(len(batch))
+    batch = [batch[i] for i in order]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = [_outcome(r) for r in hetstab.stability._classify_many(batch, tol)]
+        expected = [_classify_outcome(cycle, tol) for cycle in batch]
+    assert got == expected
+    kinds = {r[0] if isinstance(r, tuple) else r.classification for r in expected}
+    assert {IndeterminateError, ProductOverflow, ZeroVectorError, ValueError} <= kinds
+    assert len(kinds & set(Classification)) >= 3
 
 
 WIDE = st.builds(lambda mag, sign: sign * mag, st.floats(1e-300, 1e300), st.sampled_from([-1.0, 1.0]))

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -107,6 +108,21 @@ def test_stacked_pass_equals_the_single_start_passes():
                 assert np.array_equal(stacked[j, step], single[step])
                 assert np.array_equal(stacked[j, step], prod)
     assert max(c.m for c in cycles) > 16
+
+
+def test_stack_of_cycles_equals_each_cycle_alone():
+    # the stacked analysis builds the passes of many cycles in one call
+    rng = np.random.default_rng(44)
+    for m, n in [(2, 3), (5, 4), (17, 2)]:
+        stack = rng.uniform(-1.5, 1.5, (9, m, n, n))
+        stack[4, 0] *= 1e200                       # a cycle whose passes overflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            passes = cyclic_products(stack, range(m), m)
+        assert passes.shape == (9, m, m, n, n)
+        for b, mats in enumerate(stack):
+            alone = cyclic_products(list(mats), range(m), m)
+            assert np.array_equal(passes[b], alone, equal_nan=True)
 
 
 def test_partial_turn_cases():
