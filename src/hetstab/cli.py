@@ -20,7 +20,8 @@ import numpy as np
 from . import __version__
 from .cycle import load_cycle, validate_cycle
 from .findex import f_index, f_minus, f_plus, inf_str
-from .oracle import EstimatorConfig, InsufficientResolution, estimate_fplus_mc, estimate_sigma_mc
+from .oracle import (EstimatorConfig, InsufficientResolution, _log_ladder, estimate_fplus_mc,
+                     estimate_sigma_mc)
 from .rsp import RspParams, rsp_compare, rsp_matrices
 from .spectral import DEFAULT_TOL
 from .stability import IndeterminateError, _classify_many, classify
@@ -48,9 +49,12 @@ def _json_ready(obj):
     return inf_str(obj)
 
 
-def _write_json(path: str, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_json_ready(payload), fh, indent=2, sort_keys=True)
+def _write_report(args: argparse.Namespace, **fields) -> None:
+    """Write the version, every flag and fields as JSON to args.json."""
+    config = {k: v for k, v in vars(args).items() if k != "func"}
+    with open(args.json, "w", encoding="utf-8") as fh:
+        json.dump(_json_ready({"version": __version__, "config": config, **fields}), fh,
+                  indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -67,7 +71,7 @@ def _parse_csv_floats(text: str) -> list[float]:
 
 
 def _parse_ladder(text: str) -> list[float]:
-    """Geometric ladder 'start:end:count', e.g. 1e-3:1e-7:5."""
+    """The ladder 'start:end:count', e.g. 1e-3:1e-7:5 (oracle._log_ladder)."""
     try:
         start_s, end_s, count_s = text.split(":")
         start, end, count = float(start_s), float(end_s), int(count_s)
@@ -75,9 +79,7 @@ def _parse_ladder(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"expected start:end:count, got {text!r}") from exc
     if not (0 < end < start < math.inf and count >= 1):   # NaN fails too
         raise argparse.ArgumentTypeError("ladder needs 0 < end < start < inf and count >= 1")
-    if count == 1:
-        return [start]
-    return list(np.geomspace(start, end, count))
+    return _log_ladder(start, end, count)
 
 
 def _grid(text: str) -> int:
@@ -94,14 +96,6 @@ def _glue_signed_values(argv: list[str]) -> list[str]:
         value = next(rest, None) if tok == "--alpha" else None
         out.append(tok if value is None else f"{tok}={value}")
     return out
-
-
-def _config_dict(args: argparse.Namespace) -> dict:
-    return {k: v for k, v in sorted(vars(args).items()) if k != "func"}
-
-
-def _report_header(args) -> dict:
-    return {"version": __version__, "config": _config_dict(args)}
 
 
 # ---------------------------------------------------------------------------
@@ -125,9 +119,7 @@ def _cmd_analyze(args) -> int:
         print(f"{j:>3} {_fmt(s):>18}  {prov.source}")
     print(f"classification: {report.classification.value} ({report.classification.short})")
     if args.json:
-        payload = _report_header(args)
-        payload["report"] = report.to_dict()
-        _write_json(args.json, payload)
+        _write_report(args, report=report.to_dict())
     return 0
 
 
@@ -157,11 +149,8 @@ def _cmd_rsp(args) -> int:
           f"({comparison.report.classification.short})")
     print(f"pipeline/closed-form consistent: {comparison.consistent}")
     if args.json:
-        payload = _report_header(args)
-        payload["report"] = comparison.report.to_dict()
-        payload["closed_form"] = list(comparison.closed_form) if comparison.closed_form else None
-        payload["consistent"] = comparison.consistent
-        _write_json(args.json, payload)
+        _write_report(args, report=comparison.report.to_dict(), consistent=comparison.consistent,
+                      closed_form=list(comparison.closed_form) if comparison.closed_form else None)
     return 0 if comparison.consistent else 1
 
 

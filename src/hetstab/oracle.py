@@ -7,34 +7,24 @@ maps directly rather than trusting any eigen-structure argument:
   are affine eta -> M_j eta + F_j, so extremely small positive coordinates
   stay representable and no point is ever exponentiated; an orbit that
   overflows even in log coordinates counts as escaped;
-* delta-basin membership demands that every partial-turn image stays below
-  delta in max-norm over a budget of full returns, with a decreasing
-  max-norm trend over the last quarter of the budget standing in for
-  convergence to the cycle;
+* delta-basin membership is decided over a budget of full returns, with a
+  falling max-norm standing in for convergence to the cycle (_basin_mask);
 * the local index is estimated by sampling uniform points in positive-orthant
   eps-cubes at a ladder of levels, fitting the slopes of ln(fraction) and
   ln(1 - fraction) against ln(eps) over levels strictly inside (0, 1);
 * the escape exponent F+ of a single half-space slice is the complement
   side of the same fit, with |x_1^{a_1} ... x_N^{a_N}| < 1 as the membership
-  test: one owner (_side) decides saturation, the fit and
-  InsufficientResolution for both estimators;
-* matrix_basin_membership decides divergence of y <- M y by brute force,
-  within MEMBERSHIP_STEPS iterations and a wall at BLOWUP times ||y||_inf.
+  test; _side decides saturation, the fit and InsufficientResolution for
+  both estimators;
+* matrix_basin_membership decides divergence of y <- M y by brute force.
 
 Point batches are iterated coordinate-major: the orbit loops keep one
 C-contiguous (N, n) array with a column per point, so a step is one N x N
 matrix times a wide array and the max-norm is an element-wise maximum over
-N contiguous rows.  Samples are drawn as rows of N coordinates, built in
-place (uniform draw, negate, log1p, add ln eps) and transposed once on entry
-to the loop, so the layout never changes which random number lands in which
-coordinate.
-
-Every ladder level is streamed: its draws are made, tested and counted in
-consecutive blocks of at most BLOCK points in one buffer that the level
-owns, so memory per level is bounded by the block and does not grow with
-the sample count.  The blocks consume the level's RNG stream in the same
-order as one big draw, and each point's membership depends on that point
-alone, so the counts, and hence every estimate, are those of one big batch.
+N contiguous rows.  Samples are drawn as rows of N coordinates
+(_sample_log_cube) and transposed once on entry to the loop, so the layout
+never changes which random number lands in which coordinate.  Every ladder
+level is streamed in blocks (_levels).
 
 Estimates are deterministic: the RNG stream of every level is derived from
 (seed, level index), so results are bit-identical for identical configs
@@ -55,8 +45,7 @@ import numpy as np
 from .cycle import ValidatedCycle
 from .findex import _components
 from .stability import IndeterminateError
-from .transition import (CycleLike, _entries, _node_index, as_basic_matrices, cyclic_products,
-                         finite_pass)
+from .transition import CycleLike, _entries, _integer, _node_index, _pass, as_basic_matrices
 
 DEEP_LOG = -1e9          # max-norm in log coordinates below this counts as converged
 MIN_FIT_HITS = 8         # levels with fewer hits carry too much ln() bias to fit
@@ -83,9 +72,17 @@ def _ladder(epsilon_ladder: Iterable[float]) -> tuple[float, ...]:
     return lad
 
 
+def _log_ladder(start: float, end: float, count: int) -> list[float]:
+    """count levels from start down to end, both kept exactly, evenly spaced
+    in log10; 10.0 ** k is correctly rounded, so whole decades give exact
+    powers of ten, where np.geomspace can miss them by an ulp."""
+    logs = np.linspace(math.log10(start), math.log10(end), count).tolist()
+    return [start, *(10.0 ** x for x in logs[1:-1]), end][:count]
+
+
 def _whole(value, least: int, name: str) -> int:
     """value as an int; ValueError unless an integer >= least (numpy ints count, bools do not)."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+    if not _integer(value) or value < least:
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
     return int(value)
 
@@ -174,8 +171,7 @@ def _gmaps(cycle: CycleLike, j: int) -> tuple[list[np.ndarray], list[np.ndarray]
     ProductOverflow, as in classify.
     """
     mats = as_basic_matrices(cycle)
-    j = _node_index(j, len(mats))
-    finite_pass(cyclic_products(mats, range(j, j + 1), len(mats))[0], j)
+    _pass(mats, _node_index(j, len(mats)), len(mats))
     if not isinstance(cycle, ValidatedCycle):
         return mats, [np.zeros(M.shape[0]) for M in mats]
     offs = []
@@ -197,16 +193,15 @@ def _basin_mask(
 ) -> np.ndarray:
     """Vectorised delta-basin membership for a batch of log-coordinate points.
 
-    eta0 holds one point per row; it is transposed once so that the orbit
-    loop works on a C-contiguous (N, n) array.  A sample is in the basin
-    when no partial-turn image ever reaches delta in max-norm and its orbit
-    either dives below DEEP_LOG or shows a decreasing max-norm trend over
-    the last quarter of the turn budget.  An orbit whose max comes out NaN
-    is replayed by _Replay, so a coordinate that has overflowed to -inf
+    eta0 holds one point per row.  A sample is in the basin when no
+    partial-turn image ever reaches delta in max-norm and its orbit either
+    dives below DEEP_LOG or shows a decreasing max-norm trend over the last
+    quarter of the turn budget.  An orbit whose max comes out NaN is
+    replayed by _Replay, so a coordinate that has overflowed to -inf
     (converged) does not turn 0 * -inf into an escape; the per-step path
-    keeps no earlier state for it.  A zero offset (raw matrices,
-    default scalings) is skipped rather than added: the mask is the same,
-    as -0.0 == 0.0, and the loop takes about a fifth less time.
+    keeps no earlier state for it.  A zero offset (raw matrices, default
+    scalings) is skipped rather than added: the mask is the same, as
+    -0.0 == 0.0, and the loop takes about a fifth less time.
     """
     m = len(mats)
     ln_delta = math.log(delta)
@@ -393,9 +388,15 @@ def _sample_log_cube(rng: np.random.Generator, eps: float, out: np.ndarray) -> n
 def _levels(ladder: tuple[float, ...], samples: int, dim: int, seed: int,
             count: Callable[[np.ndarray], int]) -> tuple[LevelEstimate, ...]:
     """Per ladder level li, the fraction of samples log-cube points drawn from
-    the RNG stream (seed, li) that count(block) finds inside, in consecutive
-    blocks of at most BLOCK rows drawn into one buffer that the level owns
-    (a slice past its end stops at BLOCK rows)."""
+    the RNG stream (seed, li) that count(block) finds inside.
+
+    The draws are made, tested and counted in consecutive blocks of at most
+    BLOCK rows in one buffer that the level owns (a slice past its end stops
+    at BLOCK rows), so memory per level does not grow with samples.  The
+    blocks consume the stream in the same order as one big draw, and each
+    point's membership depends on that point alone, so the counts are those
+    of one big batch.
+    """
     def level(li: int) -> LevelEstimate:
         rng = np.random.default_rng((seed, li))
         buf = np.empty((min(samples, BLOCK), dim))
@@ -445,9 +446,8 @@ def estimate_sigma_mc(cycle: CycleLike, j: int, config: EstimatorConfig) -> Basi
         sigma_minus ~ slope of ln(Sigma-hat)   vs ln(eps)
         sigma_plus  ~ slope of ln(1-Sigma-hat) vs ln(eps)
 
-    over interior levels, returning sigma_hat = sigma_plus - sigma_minus.
-    Uniform saturation at 1 (or 0) gives the +inf (-inf) candidate; see
-    _side.  A product pass from j that overflows raises ProductOverflow.
+    over interior levels (_side), returning sigma_hat = sigma_plus -
+    sigma_minus.  A product pass from j that overflows raises ProductOverflow.
     """
     mats, offs = _gmaps(cycle, j)
     levels = _levels(
@@ -470,12 +470,11 @@ def estimate_fplus_mc(
 
     Per level eps = e^R, samples the positive-orthant eps-cube and counts
     the fraction with |x_1^{a_1} ... x_N^{a_N}| < 1, i.e. alpha . ln(x) < 0;
-    the escape exponent is the complement side of the sigma fit (_side): the
-    slope of ln(1 - fraction) against R, +inf for a run inside the slice at
-    every level and exactly 0 for one that never enters.  alpha is first
-    scaled by a power of two to max|a| in [0.5, 1): that keeps the sign of
-    alpha . ln(x) (exact for normal components) and keeps a huge alpha from
-    overflowing it.  samples >= 1 and seed >= 0 are integers.
+    the escape exponent is the complement side of the sigma fit (_side), the
+    slope of ln(1 - fraction) against R.  alpha is first scaled by a power
+    of two to max|a| in [0.5, 1): that keeps the sign of alpha . ln(x)
+    (exact for normal components) and keeps a huge alpha from overflowing
+    it.  samples >= 1 and seed >= 0 are integers.
     """
     a = np.asarray(_components(alpha))
     a = np.ldexp(a, -np.frexp(np.abs(a).max())[1])
@@ -505,8 +504,7 @@ def matrix_basin_membership(matrix: np.ndarray, y: Sequence[float]) -> bool | np
     alone: -inf has diverged, +inf or NaN has escaped.
 
     y may be a single strictly negative vector or a batch of them stacked in
-    rows; batches return a boolean array.  The batch is iterated as one
-    (N, n) array, one column per point.
+    rows; batches return a boolean array.
     """
     M = _entries(matrix)
     arr = np.asarray(y, float)
@@ -526,7 +524,6 @@ def matrix_basin_membership(matrix: np.ndarray, y: Sequence[float]) -> bool | np
     idx = np.arange(n)
     q3 = (3 * MEMBERSHIP_STEPS) // 4
     q3_max = np.full(n, np.nan)
-    mx = cur.max(axis=0)
     for it in range(MEMBERSHIP_STEPS):
         cur = M @ cur
         mx = cur.max(axis=0)

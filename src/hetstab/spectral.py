@@ -20,25 +20,17 @@ the corresponding row of P^{-1} under the same scaling, making the membership
 test v_max . y < 0 match the convergence direction.
 
 A basis with condition number above COND_LIMIT counts as defective.  tol
-(default DEFAULT_TOL) decides moduli near 1, modulus ties and realness, and
-_tolerance owns its rule: finite with 0 <= tol < 1.
+(default DEFAULT_TOL, checked by _tolerance) decides moduli near 1, modulus
+ties and realness.
 
 Every decomposition is made by _eigen_decompose_many, on a stack of
-matrices, with one eig, at most two SVDs for the condition numbers and one
-inv for the whole stack; eigen_decompose is its view of one matrix.  Each
-matrix of a stack decomposes bit for bit as it does alone.  That takes one
-rule per matrix: numpy's eig gives a single matrix real eigenvalues and
-eigenvectors when all its eigenvalues are real, but makes a whole stack
-complex when any one matrix has a complex eigenvalue.  So a matrix whose
-eigenvalues all have zero imaginary part keeps the real arrays, and the
-condition numbers of the real bases and of the complex ones are taken
-apart, as a complex SVD can differ from the real one in the last bit.
+matrices; eigen_decompose is its view of one matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -88,6 +80,20 @@ def _tolerance(tol: float) -> float:
     if not 0.0 <= value < 1.0:   # NaN fails too
         raise ValueError(f"tol must be finite with 0 <= tol < 1, got {tol!r}")
     return value
+
+
+def _attempt(kinds: tuple[type[Exception], ...], fn: Callable, *args):
+    """fn(*args), or the error of one of the types kinds that it raised,
+    with no traceback on it, its __cause__ or its __context__: a batch keeps
+    its members' errors until they are read, and a kept traceback would
+    keep the batch's frames, and all their arrays, alive."""
+    try:
+        return fn(*args)
+    except kinds as exc:
+        for e in (exc, exc.__cause__, exc.__context__):
+            if e is not None:
+                e.__traceback__ = None
+        return exc
 
 
 def dominant_eigenvalue(eigenvalues: np.ndarray, tol: float = DEFAULT_TOL) -> int:
@@ -148,10 +154,6 @@ class _Spectra(NamedTuple):
     conditions: list[tuple[bool, bool, bool]]      # conditions (i), (ii), (iii) of matrix b
     errors: list[SpectralError | None]             # the error of matrix b, or None
 
-    def v_max(self) -> np.ndarray:
-        """(B, N): the real part of every v_max (all of it where (i) holds)."""
-        return self.basis_inverse[np.arange(len(self.index)), self.index].real
-
     def summary(self, b: int) -> SpectralSummary:
         """What eigen_decompose gives for matrix b alone: its summary, or its
         error raised."""
@@ -185,9 +187,17 @@ class _Spectra(NamedTuple):
 
 def _eigen_decompose_many(matrices: np.ndarray, tol: float) -> _Spectra:
     """eigen_decompose of each matrix of the finite (B, N, N) stack matrices,
-    for a tol already checked, bit for bit as of each matrix alone (see the
-    module docstring for the per-matrix dtype rule).  Errors are kept
-    without a traceback, which would keep the stack's arrays alive.
+    for a tol already checked, with one eig, at most two SVDs for the
+    condition numbers and one inv for the whole stack.  Errors are kept
+    (_attempt).
+
+    Each matrix decomposes bit for bit as it does alone, which takes one
+    rule per matrix: numpy's eig gives a single matrix real eigenvalues and
+    eigenvectors when all its eigenvalues are real, but makes a whole stack
+    complex when any one matrix has a complex eigenvalue.  So a matrix whose
+    eigenvalues all have zero imaginary part keeps the real arrays, and the
+    condition numbers of the real bases and of the complex ones are taken
+    apart, as a complex SVD can differ from the real one in the last bit.
     """
     eigenvalues, P = np.linalg.eig(matrices)
     real = (eigenvalues.imag == 0.0).all(axis=1).tolist()
@@ -219,12 +229,11 @@ def _eigen_decompose_many(matrices: np.ndarray, tol: float) -> _Spectra:
                                         "matrix is (numerically) defective")
             continue
         values = eigenvalues[b].real if real[b] else eigenvalues[b]
-        try:
-            index[b] = dominant_eigenvalue(values, tol)
-        except NoAdmissibleDominant as exc:
-            exc.__traceback__ = None
-            errors[b] = exc
+        found = _attempt((NoAdmissibleDominant,), dominant_eigenvalue, values, tol)
+        if isinstance(found, Exception):
+            errors[b] = found
             continue
+        index[b] = found
         lam = complex(values[index[b]])
         conditions[b] = (abs(lam.imag) <= tol * abs(lam), lam.real > 1.0, False)
     for b, w in enumerate(basis[rows, :, index].real.tolist()):

@@ -27,41 +27,13 @@ essentially asymptotically stable; otherwise (all > -inf, some < 0) the
 cycle is fragmentarily asymptotically stable only.
 
 Every index comes from one analysis of a batch of cycles that share m, N
-and their negative-entry nodes (_Batch); classify, sigma and
+and their negative-entry nodes (_Batch; _Batch.indices gives its
+decomposition stages and each cycle's error order).  classify, sigma and
 collect_alpha_vectors analyse the batch of one, and _classify_many groups
-many cycles into batches.  One stacked product pass
-(transition.cyclic_products) builds M_(j,j), M_(j+1,j), ..., M^(j) for
-every cycle and every start node j at once, with one stacked matmul per
-step: m matmul calls, not m^2, for any number of cycles.  The steps of pass
-j are the partial turns ending at the negative-entry nodes and its last step
-is the full return.  The full returns are decomposed in at most two stacked
-calls (spectral._eigen_decompose_many): first the checkpoints of every
-cycle, then the other nodes of the cycles whose checkpoints all hold, so
-each full return is decomposed at most once and the checkpoint checks and
-v_max[j] share that decomposition.
-
-Each cycle's errors come in the order of a one-cycle reading.  First the
-checkpoints in sorted order: a pass that overflows (ProductOverflow), then a
-spectral degeneracy (IndeterminateError), then failed conditions, which give
--inf; so a checkpoint that fails still gives -inf when a later pass
-overflows.  Then nodes 0..m-1: overflow, degeneracy, conditions (i)/(ii)
-failing at a non-checkpoint (ValueError), then a zero direction vector
-(findex.ZeroVectorError).  A pass that overflows is left out of the stacked
-decomposition, as eig rejects a stack holding inf or NaN.  An error is kept
-without its traceback until it is raised, so that it does not keep the
-batch's arrays alive.
-
-The minimum over each node's K = 1 + L*N direction vectors is found by
-filter, then verify (_first_minima), over one (B*m, K, N) array of the
-candidates of every cycle and node of a batch.  The min, max, plain sum and
-sum of magnitudes of each vector bound its index: the plain sum of N terms
-is within (N - 1) u sum|alpha| of the exact sum (u = 2^-53), the index is
-monotone in the sum, and the radius (N + 1) u sum|alpha| leaves room for
-rounding the bound itself (_index_bounds).  findex.f_index runs only on the
-vectors that can still be the first minimum, so every sigma_j and its
-provenance are those of f_index over every vector in order, bit for bit.
-classify does this for all j; sigma(cycle, j) for one j, so calling it for
-every j repeats the decompositions that classify shares.
+many cycles into batches.  Each minimum over a node's K = 1 + L*N direction
+vectors is that of findex.f_index over every vector in order, bit for bit
+(_first_minima).  Calling sigma(cycle, j) for every j repeats the
+decompositions that classify shares.
 """
 
 from __future__ import annotations
@@ -73,15 +45,10 @@ from enum import Enum
 import numpy as np
 
 from . import findex
-from .spectral import (
-    DEFAULT_TOL,
-    SpectralError,
-    _eigen_decompose_many,
-    _tolerance,
-    dominant_eigenvalue,
-)
-from .transition import (CycleLike, as_basic_matrices, cyclic_products, _negative_entry_nodes,
-                         _node_index, _overflow)
+from .spectral import (DEFAULT_TOL, SpectralError, _attempt, _eigen_decompose_many, _tolerance,
+                       dominant_eigenvalue)
+from .transition import (CycleLike, as_basic_matrices, cyclic_products, _finite,
+                         _negative_entry_nodes, _node_index, _overflow)
 
 
 class IndeterminateError(RuntimeError):
@@ -156,26 +123,6 @@ def classification_from_sigmas(sigmas) -> Classification:
     return Classification.FRAGMENTARILY_ASYMPTOTICALLY_STABLE_ONLY
 
 
-def _checkpoints(m: int, negative: list[int]) -> list[int]:
-    """Nodes immediately after a negative-entry matrix, cyclically.
-
-    The sign condition on w_max propagates through the non-negative factors
-    between consecutive negative matrices, so these are exactly the indices
-    where it must be verified directly.
-    """
-    return sorted({(q + 1) % m for q in negative})
-
-
-def _sigma_nonnegative(full0: np.ndarray, tol: float) -> float:
-    """Spectral-radius dichotomy when every basic matrix is non-negative."""
-    eigenvalues = np.linalg.eigvals(full0)
-    try:
-        idx = dominant_eigenvalue(eigenvalues, tol)
-    except SpectralError as exc:
-        raise IndeterminateError(0, exc) from exc
-    return math.inf if abs(eigenvalues[idx]) > 1.0 else -math.inf
-
-
 _U = 2.0 ** -53                              # unit roundoff of double precision
 _ENDS = np.array([-1.0, 1.0])[:, None, None]   # sum - radius, sum + radius
 
@@ -187,15 +134,15 @@ def _index_bounds(alphas: np.ndarray) -> np.ndarray:
     (2, rows, K) array [lo, hi], found without an exact sum.
 
     min >= 0 gives +inf and max <= 0 gives -inf, and so do both bounds.
-    Otherwise the index is S / max for S < 0, -S / min for S > 0 and 0 at S = 0, where S
-    is the correctly rounded sum that f_index takes with math.fsum; each
-    branch is one correctly rounded division, so the index is monotone in
-    S.  Any order of plain summation of the N terms lands within
-    (N - 1) u sum|alpha| of the exact sum (u = 2^-53; Higham's gamma_{N-1}).
-    The radius (N + 1) u sum|alpha| also covers the rounding of the radius
-    and of sum -+ radius, so S lies in [sum - radius, sum + radius] and the
-    index between its values at the two ends.  A bound that overflows to
-    NaN compares false both ways, so it never excludes a vector.
+    Otherwise the index is S / max, -S / min or 0 as the correctly rounded
+    sum S that f_index takes (math.fsum) is negative, positive or zero: one
+    correctly rounded division, so monotone in S.  Any order of plain
+    summation of the N terms lands within (N - 1) u sum|alpha| of the exact
+    sum (u = 2^-53; Higham's gamma_{N-1}).  The radius (N + 1) u sum|alpha|
+    also covers the rounding of the radius and of sum -+ radius, so S lies
+    in [sum - radius, sum + radius] and the index between its values at the
+    two ends.  A bound that overflows to NaN compares false both ways, so it
+    never excludes a vector.
     """
     radius = np.abs(alphas).sum(axis=-1) * ((alphas.shape[-1] + 1) * _U)
     ends = alphas.sum(axis=-1) + _ENDS * radius
@@ -230,32 +177,11 @@ def _first_minima(alphas: np.ndarray) -> list[tuple[float, int]]:
     return out
 
 
-def _bare(exc: Exception) -> Exception:
-    """exc, and the error it was raised from, without a traceback: a kept
-    traceback would keep the frames of a batch, and all their arrays, alive."""
-    for e in (exc, exc.__cause__, exc.__context__):
-        if e is not None:
-            e.__traceback__ = None
-    return exc
-
-
-def _raised(result):
-    """A result of _Batch.indices or _classify_many, or its error raised."""
-    if isinstance(result, Exception):
-        raise result
-    return result
-
-
 class _Batch:
     """The transition-matrix analysis of B cycles that share m, N and their
-    negative-entry nodes, for one call.
-
-    The product passes of every cycle from every node are built together up
-    front (cyclic_products).  Full returns are decomposed in stacked calls
-    (spectral._eigen_decompose_many), and what the analysis reads of each,
-    its dominant-pair conditions, v_max or its degeneracy, is kept.  A pass
-    is checked for overflow when first read.  Nothing outlives the call that
-    made the object.
+    negative-entry nodes, for one call.  It builds every product pass up
+    front and keeps what it reads of each decomposed full return: its
+    dominant-pair conditions, v_max or its degeneracy.
     """
 
     def __init__(self, mats: list[list[np.ndarray]], negative: list[int], tol: float):
@@ -263,7 +189,7 @@ class _Batch:
         self.negative = negative
         self.m, self.n = len(mats[0]), len(mats[0][0])
         self._passes = cyclic_products(np.array(mats), range(self.m), self.m)
-        self._finite = np.isfinite(self._passes[:, :, -1]).all(axis=(2, 3)).tolist()
+        self._finite = _finite(self._passes).tolist()
         self._spectra: dict[tuple[int, int], tuple] = {}
 
     @classmethod
@@ -275,12 +201,13 @@ class _Batch:
 
     def decompose(self, cells: list[tuple[int, int]]) -> None:
         """Decompose, in one stacked call, the finite full returns M^(j) of
-        cycle b for the pairs (b, j) in cells not decomposed yet."""
+        cycle b for the pairs (b, j) in cells not decomposed yet; eig
+        rejects a stack holding inf or NaN."""
         cells = [c for c in cells if self._finite[c[0]][c[1]] and c not in self._spectra]
         if cells:
             spectra = _eigen_decompose_many(self._passes[tuple(zip(*cells)) + (-1,)], self.tol)
-            self._spectra.update(zip(cells, zip(spectra.conditions, spectra.errors,
-                                                spectra.v_max().tolist())))
+            v_max = spectra.basis_inverse[np.arange(len(cells)), spectra.index].real.tolist()
+            self._spectra.update(zip(cells, zip(spectra.conditions, spectra.errors, v_max)))
 
     def conditions(self, b: int, j: int) -> tuple[bool, bool, bool]:
         """Dominant-pair conditions (i), (ii), (iii) of M^(j) of cycle b,
@@ -301,10 +228,9 @@ class _Batch:
             )
 
     def rows(self, cycles: list[int], nodes: list[int]) -> np.ndarray:
-        """The other K - 1 direction vectors of sigma_j for each cycle b in
-        cycles and each j in nodes: the rows of M_(j_1, j), ..., M_(j_L, j),
-        as a (len(cycles), len(nodes), L*N, N) array.  Passes are read
-        unchecked; check_v_max(b, j) checks pass j of cycle b."""
+        """The rows of M_(j_1, j), ..., M_(j_L, j) for each cycle b in cycles
+        and each j in nodes, as a (len(cycles), len(nodes), L*N, N) array,
+        read unchecked (check_v_max(b, j) checks pass j of cycle b)."""
         if not self.negative:
             raise ValueError("no negative entries: the spectral-radius dichotomy applies")
         b = np.array(cycles)[:, None, None]
@@ -312,62 +238,77 @@ class _Batch:
         turns = self._passes[b, j, (np.array(self.negative) - j) % self.m]
         return turns.reshape(turns.shape[:2] + (-1, self.n))
 
-    def v_max(self, cycles: list[int], nodes: list[int]) -> np.ndarray:
-        """v_max of M^(j), the first direction vector of sigma_j, for each
-        cycle b in cycles and j in nodes, as a (len(cycles), len(nodes), N)
-        array; check_v_max checks each."""
-        return np.array([[self._spectra[b, j][2] for j in nodes] for b in cycles])
+    def alphas(self, cycles: list[int], nodes: list[int], rows: np.ndarray) -> np.ndarray:
+        """All K direction vectors of sigma_j, v_max of M^(j) (check_v_max(b, j)
+        checks it) in front of the rows of the same cycles and nodes."""
+        alphas = np.empty(rows.shape[:2] + (1 + rows.shape[2], self.n))
+        alphas[:, :, 0] = [[self._spectra[b, j][2] for j in nodes] for b in cycles]
+        alphas[:, :, 1:] = rows
+        return alphas
 
     def indices(self, nodes: list[int]) -> list:
         """For each cycle, sigma_j and its provenance for each j in nodes, or
-        the error that ends that cycle's analysis (_bare), in the order the
-        module docstring gives.  The checkpoints of every cycle are
-        decomposed in one stacked call, the nodes of the cycles whose
-        checkpoints all hold in a second."""
+        the error that ends that cycle's analysis (_attempt).
+
+        The full returns are decomposed in at most two stacked calls: the
+        checkpoints of every cycle, then the given nodes of the cycles whose
+        checkpoints all hold; the checkpoint checks and v_max[j] share one
+        decomposition.  Each cycle's errors come in the order of a one-cycle
+        reading.  First the checkpoints in sorted order: a pass that
+        overflows (ProductOverflow), then a spectral degeneracy
+        (IndeterminateError), then failed conditions, which give -inf even
+        when a later pass overflows.  Then the given nodes in order:
+        overflow, degeneracy, conditions (i)/(ii) failing (ValueError), then
+        a zero direction vector (findex.ZeroVectorError).  Nodes not given
+        are never read, so their errors do not reach sigma_j.
+        """
         cycles = range(len(self._finite))
+        fails = (ValueError, IndeterminateError)
         if not self.negative:
-            return [_attempt(self._dichotomy, b, len(nodes)) for b in cycles]
-        checkpoints = _checkpoints(self.m, self.negative)
+            return [_attempt(fails, self._dichotomy, b, len(nodes)) for b in cycles]
+        # the sign condition on w_max propagates through the non-negative
+        # factors between negative-entry matrices, so it is checked directly
+        # only at the nodes just after one
+        checkpoints = sorted({(q + 1) % self.m for q in self.negative})
         self.decompose([(b, q) for b in cycles for q in checkpoints])
-        holds = [_attempt(self._holds, b, checkpoints) for b in cycles]
+        holds = [_attempt(fails, self._holds, b, checkpoints) for b in cycles]
         fail = [(-math.inf, IndexProvenance(source="dominant-pair-conditions-fail", alpha=None))]
         out = [fail * len(nodes) if h is False else h for h in holds]
         held = [b for b in cycles if holds[b] is True]
-        if held:
-            self._minima(held, nodes, out)
+        if not held:
+            return out
+        self.decompose([(b, j) for b in held for j in nodes])
+        rows = self.rows(held, nodes)
+        nonzero = rows.any(axis=3).all(axis=2).tolist()
+        for i, b in enumerate(held):
+            out[b] = _attempt(fails, self._check, b, nodes, rows[i], nonzero[i])
+        kept = [i for i, b in enumerate(held) if out[b] is None]
+        if not kept:
+            return out
+        alphas = self.alphas([held[i] for i in kept], nodes, rows[kept])
+        minima = iter(_first_minima(alphas.reshape(-1, alphas.shape[2], self.n)))
+        for i, row in zip(kept, alphas):
+            out[held[i]] = [self._index(j, alpha, next(minima)) for j, alpha in zip(nodes, row)]
         return out
 
     def _dichotomy(self, b: int, count: int) -> list[tuple[float, IndexProvenance]]:
-        """The non-negative regime's index of cycle b, count times."""
+        """The non-negative regime's index of cycle b, count times.  It takes
+        eigvals, not _eigen_decompose_many, which would make a defective full
+        return indeterminate instead of +-inf."""
         if not self._finite[b][0]:
             raise _overflow(0)
-        value = _sigma_nonnegative(self._passes[b, 0, -1], self.tol)
+        eigenvalues = np.linalg.eigvals(self._passes[b, 0, -1])
+        try:
+            idx = dominant_eigenvalue(eigenvalues, self.tol)
+        except SpectralError as exc:
+            raise IndeterminateError(0, exc) from exc
+        value = math.inf if abs(eigenvalues[idx]) > 1.0 else -math.inf
         return [(value, IndexProvenance(source="nonnegative-dichotomy", alpha=None))] * count
 
     def _holds(self, b: int, checkpoints: list[int]) -> bool:
         """Whether all three dominant-pair conditions hold at every
         checkpoint of cycle b, read in order."""
         return all(all(self.conditions(b, q)) for q in checkpoints)
-
-    def _minima(self, cycles: list[int], nodes: list[int], out: list) -> None:
-        """Into out[b] for each cycle b in cycles: sigma_j for each j in
-        nodes, as the first minimum (_first_minima) over its K direction
-        vectors, all stacked into one (cycles * nodes, K, N) array; or the
-        error of the first node that fails its checks."""
-        self.decompose([(b, j) for b in cycles for j in nodes])
-        rows = self.rows(cycles, nodes)
-        nonzero = rows.any(axis=3).all(axis=2).tolist()
-        for i, b in enumerate(cycles):
-            out[b] = _attempt(self._check, b, nodes, rows[i], nonzero[i])
-        kept = [i for i, b in enumerate(cycles) if out[b] is None]
-        if not kept:
-            return
-        alphas = np.empty((len(kept), len(nodes), 1 + rows.shape[2], self.n))
-        alphas[:, :, 0] = self.v_max([cycles[i] for i in kept], nodes)
-        alphas[:, :, 1:] = rows[kept]
-        minima = iter(_first_minima(alphas.reshape(-1, alphas.shape[2], self.n)))
-        for i, row in zip(kept, alphas):
-            out[cycles[i]] = [self._index(j, alpha, next(minima)) for j, alpha in zip(nodes, row)]
 
     def _check(self, b: int, nodes: list[int], rows: np.ndarray, nonzero: list[bool]) -> None:
         """Raise at the first node j of cycle b whose v_max or rows are no
@@ -389,47 +330,30 @@ class _Batch:
         return value, IndexProvenance(source=tag, alpha=tuple(alphas[k].tolist()))
 
 
-def _attempt(fn, *args):
-    """fn(*args), or the error of the analysis it raised, _bare."""
-    try:
-        return fn(*args)
-    except (ValueError, IndeterminateError) as exc:
-        return _bare(exc)
-
-
 def _classify_many(cycles, tol: float = DEFAULT_TOL) -> list:
     """classify of each cycle: its IndexReport, or the error classify raises
-    for it, kept without a traceback.
-
-    The cycles are analysed in batches (_Batch) of those that share m, N
-    and their negative-entry nodes.  A tol that breaks its rule is raised.
+    for it (_attempt), from batches (_Batch).  A tol that breaks its rule is
+    raised.
     """
     tol = _tolerance(tol)
     out: list = [None] * len(cycles)
     groups: dict[tuple, list[tuple[int, list[np.ndarray]]]] = {}
     for i, cycle in enumerate(cycles):
-        try:
-            mats = as_basic_matrices(cycle)
-        except (TypeError, ValueError) as exc:
-            out[i] = _bare(exc)
+        mats = _attempt((TypeError, ValueError), as_basic_matrices, cycle)
+        if isinstance(mats, Exception):
+            out[i] = mats
             continue
         key = (len(mats), mats[0].shape[0], tuple(_negative_entry_nodes(mats)))
         groups.setdefault(key, []).append((i, mats))
     for (m, _, negative), members in groups.items():
         batch = _Batch([mats for _, mats in members], list(negative), tol)
         for (i, _), result in zip(members, batch.indices(list(range(m)))):
-            out[i] = result if isinstance(result, Exception) else _report(result, tol)
+            if isinstance(result, Exception):
+                out[i] = result
+                continue
+            sigmas, provenance = zip(*result)
+            out[i] = IndexReport(sigmas, provenance, classification_from_sigmas(sigmas), tol)
     return out
-
-
-def _report(indices, tol: float) -> IndexReport:
-    sigmas, provenance = zip(*indices)
-    return IndexReport(
-        sigma=sigmas,
-        provenance=provenance,
-        classification=classification_from_sigmas(sigmas),
-        tol=tol,
-    )
 
 
 def collect_alpha_vectors(cycle: CycleLike, j: int, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
@@ -440,17 +364,19 @@ def collect_alpha_vectors(cycle: CycleLike, j: int, tol: float = DEFAULT_TOL) ->
     """
     batch = _Batch.of(cycle, tol)
     j = _node_index(j, batch.m)
-    rows = batch.rows([0], [j])[0, 0]
+    rows = batch.rows([0], [j])
     batch.decompose([(0, j)])
     batch.check_v_max(0, j)
-    return [batch.v_max([0], [j])[0, 0], *rows]
+    return list(batch.alphas([0], [j], rows)[0, 0])
 
 
 def sigma(cycle: CycleLike, j: int, tol: float = DEFAULT_TOL) -> float:
     """Local stability index along the connection entering node j."""
     batch = _Batch.of(cycle, tol)
     [indices] = batch.indices([_node_index(j, batch.m)])
-    return _raised(indices)[0][0]
+    if isinstance(indices, Exception):
+        raise indices
+    return indices[0][0]
 
 
 def classify(cycle: CycleLike, tol: float = DEFAULT_TOL) -> IndexReport:
@@ -461,4 +387,6 @@ def classify(cycle: CycleLike, tol: float = DEFAULT_TOL) -> IndexReport:
     and ValueError, before any decomposition, when tol breaks its rule.
     """
     [report] = _classify_many([cycle], tol)
-    return _raised(report)
+    if isinstance(report, Exception):
+        raise report
+    return report

@@ -18,14 +18,10 @@ and partial turns are cyclic products of these basic matrices:
     M_(l,j)  = M_l ... M_j                            (((l-j) mod m) + 1 factors)
 
 All indices are 0-based and taken mod m.  Products are accumulated in plain
-double precision in exact cyclic order; N and m are desk-scale here so no
-balancing is applied.  The product passes from several start nodes, of one
-cycle or of a stack of cycles that share m and N, are built together, as
-one (starts, steps, N, N) or (cycles, starts, steps, N, N) array with one
-stacked matmul per step (cyclic_products).  A pass that overflows double
-precision is rejected with ProductOverflow when it is read (finite_pass,
-or the stacked analysis in stability), rather than handed on as inf or NaN;
-it never reaches an eigendecomposition.
+double precision in exact cyclic order (cyclic_products); N and m are
+desk-scale here so no balancing is applied.  A pass that overflows is
+rejected with ProductOverflow when it is read (_pass, _finite), so inf or
+NaN never reaches an eigendecomposition.
 """
 
 from __future__ import annotations
@@ -52,11 +48,19 @@ def _entries(matrix) -> np.ndarray:
     return M
 
 
-def _node_index(j: int, m: int) -> int:
-    """j when it names one of the m nodes; IndexError otherwise (no wrap-around)."""
+def _integer(value) -> bool:
+    """Whether value is an integer: a Python or numpy int, but not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _node_index(j, m: int) -> int:
+    """j as an int when it is an integer naming one of the m nodes;
+    IndexError otherwise (no wrap-around)."""
+    if not _integer(j):
+        raise IndexError(f"node index must be an integer, got {j!r}")
     if not 0 <= j < m:
         raise IndexError(f"node index {j} out of range for m={m}")
-    return j
+    return int(j)
 
 
 def as_basic_matrices(cycle: CycleLike) -> list[np.ndarray]:
@@ -82,7 +86,8 @@ def as_basic_matrices(cycle: CycleLike) -> list[np.ndarray]:
 
 def basic_matrix(cycle: ValidatedCycle, j: int) -> np.ndarray:
     """M_j for node j: permuted base matrix built from the eigenvalue ratios."""
-    node = cycle.nodes[_node_index(j, cycle.m)]
+    j = _node_index(j, cycle.m)
+    node = cycle.nodes[j]
     base = np.eye(cycle.dimension)
     base[0, 0] = node.contracting / node.expanding
     for s, t in enumerate(node.transverse):
@@ -93,23 +98,20 @@ def basic_matrix(cycle: ValidatedCycle, j: int) -> np.ndarray:
 @np.errstate(over="ignore", invalid="ignore")
 def cyclic_products(mats, starts: range, steps: int) -> np.ndarray:
     """The product passes from every start node in the range starts, built
-    together, for one cycle or for a stack of cycles.
+    together, for one cycle or for a stack of cycles.  Every full return and
+    partial turn in the package is built here, in one factor order.
 
     mats is the list of a cycle's m basic matrices, or a (B, m, N, N) array
     of B cycles that share m and N.  Returns an array of shape
     (len(starts), steps, N, N), or (B, len(starts), steps, N, N) for a
     stack, whose row i is the pass [M_(j,j), M_(j+1,j), ..., M_(j+steps-1,j)]
     from j = starts[i]; with steps = m its last entry is the full return
-    M^(j).  Every full-return and partial-turn product in the package is
-    built here, so they all share one factor order.  Step s advances every
-    pass of every cycle at once with one stacked matmul, which multiplies
-    each pair as the single-matrix product does, bit for bit: m starts cost
-    m matmul calls, not m^2, for any B.  The factors of step s are one slice
-    of the matrices laid out twice in cyclic order.
-
-    A pass that overflows double precision keeps its inf or NaN here and
+    M^(j).  Step s advances every pass of every cycle with one stacked
+    matmul over one slice of the matrices laid out twice in cyclic order,
+    bit for bit as the single-matrix product: m starts cost m matmul calls,
+    not m^2, for any B.  A pass that overflows keeps its inf or NaN and
     raises nothing, so one extreme pass does not stop the analysis of the
-    others; finite_pass rejects it when it is read.
+    others.
     """
     mats = np.asarray(mats)
     ring = np.concatenate((mats, mats), axis=-3)
@@ -122,6 +124,13 @@ def cyclic_products(mats, starts: range, steps: int) -> np.ndarray:
     return prods.transpose(tuple(range(1, d - 2)) + (0, d - 2, d - 1))
 
 
+def _finite(passes: np.ndarray) -> np.ndarray:
+    """Whether each pass of cyclic_products in passes is finite, over the
+    leading axes.  Its last product decides: an inf or NaN in one product
+    reaches every later one (0 * inf is NaN)."""
+    return np.isfinite(passes[..., -1, :, :]).all(axis=(-2, -1))
+
+
 def _overflow(j: int) -> ProductOverflow:
     """The error for a product pass from node j that is not finite."""
     return ProductOverflow(
@@ -130,15 +139,11 @@ def _overflow(j: int) -> ProductOverflow:
     )
 
 
-def finite_pass(turns: np.ndarray, j: int) -> np.ndarray:
-    """turns, one pass of cyclic_products, if it is finite; ProductOverflow
-    naming its start node j otherwise.
-
-    Only the last product is checked: an inf or NaN in one product reaches
-    every later one (0 * inf is NaN), so a finite last product means the
-    whole pass is finite.
-    """
-    if not np.isfinite(turns[-1]).all():
+def _pass(mats: list[np.ndarray], j: int, steps: int) -> np.ndarray:
+    """The pass of cyclic_products from node j over steps factors, as a
+    (steps, N, N) array; ProductOverflow naming j unless it is _finite."""
+    turns = cyclic_products(mats, range(j, j + 1), steps)[0]
+    if not _finite(turns):
         raise _overflow(j)
     return turns
 
@@ -146,16 +151,15 @@ def finite_pass(turns: np.ndarray, j: int) -> np.ndarray:
 def full_return_matrix(cycle: CycleLike, j: int) -> np.ndarray:
     """M^(j): product of all m basic matrices starting from node j."""
     mats = as_basic_matrices(cycle)
-    j = _node_index(j, len(mats))
-    return finite_pass(cyclic_products(mats, range(j, j + 1), len(mats))[0], j)[-1]
+    return _pass(mats, _node_index(j, len(mats)), len(mats))[-1]
 
 
 def partial_turn_matrix(cycle: CycleLike, l: int, j: int) -> np.ndarray:
     """M_(l,j): product M_l ... M_j taken cyclically (M_j alone when l == j)."""
     mats = as_basic_matrices(cycle)
     m = len(mats)
-    steps = ((_node_index(l, m) - _node_index(j, m)) % m) + 1
-    return finite_pass(cyclic_products(mats, range(j, j + 1), steps)[0], j)[-1]
+    l, j = _node_index(l, m), _node_index(j, m)
+    return _pass(mats, j, ((l - j) % m) + 1)[-1]
 
 
 def negative_entry_indices(cycle: CycleLike) -> list[int]:

@@ -2,13 +2,14 @@ import argparse
 import hashlib
 import inspect
 import json
+import math
 import tracemalloc
 import warnings
 
 import pytest
 
 from hetstab import EstimatorConfig, RspParams, rsp_compare, rsp_cycle_spec, save_cycle
-from hetstab.cli import build_parser, main
+from hetstab.cli import _parse_ladder, build_parser, main
 import hetstab.stability
 from hetstab.spectral import DEFAULT_TOL, _eigen_decompose_many
 
@@ -199,3 +200,31 @@ def test_cli_defaults_are_read_from_their_owners():
                         ("turns", "max_full_turns"), ("seed", "seed")]:
         assert sigma.get_default(flag) == getattr(plan, field), flag
     assert parsers[("oracle", "fplus")].get_default("seed") == plan.seed
+
+
+def test_decade_ladder_matches_the_default_ladder():
+    assert _parse_ladder("1e-3:1e-7:5") == list(EstimatorConfig().epsilon_ladder)
+
+
+@pytest.mark.parametrize("top", [1, 2, 7, 15, 100])
+def test_decade_ladders_are_exact_powers_of_ten(top):
+    decades = 300 - top
+    assert _parse_ladder(f"1e-{top}:1e-300:{decades + 1}") == [
+        float(f"1e-{k}") for k in range(top, 301)]
+    assert _parse_ladder(f"1e-{top}:1e-300:1") == [float(f"1e-{top}")]
+
+
+def test_ladder_keeps_its_ends_and_spacing():
+    ladder = _parse_ladder("3e-1:7e-9:9")
+    assert (ladder[0], ladder[-1], len(ladder)) == (3e-1, 7e-9, 9)
+    steps = [math.log10(a / b) for a, b in zip(ladder, ladder[1:])]
+    assert max(steps) - min(steps) < 1e-12
+
+
+def test_explicit_decade_ladder_writes_the_default_bytes(rsp_json, tmp_path, capsys):
+    common = ["oracle", "sigma", rsp_json, "--samples", "2000", "--turns", "20"]
+    explicit, default = tmp_path / "explicit.csv", tmp_path / "default.csv"
+    assert main(common + ["--eps", "1e-3:1e-7:5", "--csv", str(explicit)]) == 0
+    assert main(common + ["--csv", str(default)]) == 0
+    assert explicit.read_bytes() == default.read_bytes()
+    assert b"\n2,1e-05," in default.read_bytes()

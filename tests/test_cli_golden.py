@@ -40,11 +40,11 @@ GOLDEN = {
         "cdfeaad91222b5c4d044c90622604f3fdb64733532ad353ecf05a239537749e6",
     ],
     "oracle-fplus": [
-        "28a590b639665f23d6e2b448b6e95402a15f0be5198ee7dc2d919b88ca90b83e",
+        "fa71097d1aa06fbce25c63256c35cb02f3ce0eedf6e34b298993197fca1cb475",
     ],
     "oracle-sigma": [
         "17cf4a1c72650da72de5f54848965641c77b177a4e5f0db32c5cfb1ceb628cfe",
-        "cdf15e9588986c9c5cffd6232e9a630574fb567ba484358a16e46e35d981d524",
+        "4c7f6bf559efa7bc8fb19c1e0fcca3ae7b1d088eaad9ff5c584d2460666a694d",
     ],
     "rsp": [
         "d7c9a2644ff6749874900679bc85bb5411929b0a43ada8a9773d4f435cd66bed",

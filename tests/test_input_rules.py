@@ -50,6 +50,7 @@ from hetstab import (
     validate_cycle,
     vmax_row,
 )
+import hetstab.transition
 from hetstab.cli import main
 
 NAN, INF = math.nan, math.inf
@@ -157,12 +158,24 @@ NODE_ENTRY_POINTS = {
 }
 
 
-@pytest.mark.parametrize("j", [2, -1])
+NOT_INTEGERS = [1.0, np.float64(1.0), 0.5, "1", True]
+
+
+@pytest.mark.parametrize("j", [2, -1] + [
+    pytest.param(j, id=f"{type(j).__name__}-{j}") for j in NOT_INTEGERS])
 @pytest.mark.parametrize("entry", sorted(NODE_ENTRY_POINTS))
 def test_node_index_rule(entry, j):
-    with pytest.raises(IndexError, match=f"^node index {j} out of range for m=2$") as exc:
+    message = (f"^node index {j} out of range for m=2$" if type(j) is int
+               else f"^node index must be an integer, got {re.escape(repr(j))}$")
+    with pytest.raises(IndexError, match=message) as exc:
         NODE_ENTRY_POINTS[entry](j)
     assert exc.type is IndexError
+
+
+@pytest.mark.parametrize("entry", sorted(NODE_ENTRY_POINTS))
+def test_node_index_rule_accepts_numpy_integers(entry):
+    assert repr(NODE_ENTRY_POINTS[entry](np.int64(1))) == repr(NODE_ENTRY_POINTS[entry](1))
+    assert type(hetstab.transition._node_index(np.int32(1), 2)) is int
 
 
 # ---------------------------------------------------------------------------

@@ -458,6 +458,28 @@ def test_batch_equals_per_cycle_exactly(tol):
     assert len(kinds & set(Classification)) >= 3
 
 
+def test_batch_errors_keep_no_traceback():
+    mixed = np.array([[1e200, 0.0], [-1.0, 1.0]])
+    zero_row = [np.array([[1e200, 2e200], [1e200, 1e200]]),
+                np.array([[1e-200, 2e-200], [3e-200, 1e-200]]),
+                np.array([[1e-200, 1e-200], [1.0, -0.1]])]
+    cases = {
+        "overflow": ([np.abs(mixed)] * 2, ProductOverflow),
+        "defective": ([np.array([[1.5, -1.0], [0.0, 1.5]])], IndeterminateError),
+        "nonnegative-tie": ([2.0 * np.eye(2)], IndeterminateError),
+        "zero-row": (zero_row, ZeroVectorError),
+        "bad-matrix": ([np.eye(3)[:2]], ValueError),
+        "not-a-list": (5, TypeError),
+    }
+    results = hetstab.stability._classify_many([cycle for cycle, _ in cases.values()])
+    for (name, (_, kind)), exc in zip(cases.items(), results):
+        assert type(exc) is kind, name
+        for e in (exc, exc.__cause__, exc.__context__):
+            assert e is None or e.__traceback__ is None, name
+    tie = results[list(cases).index("nonnegative-tie")]
+    assert isinstance(tie.__cause__, SpectralError) and tie.__context__ is tie.__cause__
+
+
 WIDE = st.builds(lambda mag, sign: sign * mag, st.floats(1e-300, 1e300), st.sampled_from([-1.0, 1.0]))
 
 
