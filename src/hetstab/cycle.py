@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 
@@ -217,23 +218,35 @@ def validate_cycle(spec: CycleSpec) -> ValidatedCycle:
 # ---------------------------------------------------------------------------
 
 
+def _number(value, key: str):
+    """value when it is a number (an int or a float, numpy's too), not a
+    bool or a string; TypeError naming key otherwise."""
+    if type(value) in (float, int):     # what JSON gives, without the slower ABC check
+        return value
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{key}: expected a number, got {value!r}")
+    return value
+
+
 def cycle_from_dict(doc: dict) -> CycleSpec:
-    """Build a CycleSpec from the JSON document layout."""
+    """Build a CycleSpec from the JSON document layout; CycleValidationError
+    when a key is missing or a value is not of its type."""
     try:
         nodes = tuple(
             NodeSpec(
-                contracting=nd["contracting"],
-                expanding=nd["expanding"],
-                transverse=tuple(nd["transverse"]),
-                radial=tuple(nd.get("radial", ())),
+                contracting=_number(nd["contracting"], "contracting"),
+                expanding=_number(nd["expanding"], "expanding"),
+                transverse=tuple(_number(t, "transverse") for t in nd["transverse"]),
+                radial=tuple(_number(r, "radial") for r in nd.get("radial", ())),
             )
             for nd in doc["nodes"]
         )
         connections = tuple(
             ConnectionSpec(
-                permutation=tuple(cd["permutation"]),
-                scalings=tuple(cd["scalings"]) if "scalings" in cd else None,
-                contraction_offset=cd.get("v0", 1.0),
+                permutation=tuple(_number(i, "permutation") for i in cd["permutation"]),
+                scalings=(tuple(_number(a, "scalings") for a in cd["scalings"])
+                          if "scalings" in cd else None),
+                contraction_offset=_number(cd.get("v0", 1.0), "v0"),
             )
             for cd in doc["connections"]
         )

@@ -133,8 +133,9 @@ def eigen_decompose(matrix: np.ndarray, tol: float = DEFAULT_TOL) -> SpectralSum
     Raises ValueError unless tol obeys _tolerance and matrix is 2-D, square
     and finite, DefectiveMatrix when the eigenvector basis has condition
     number above COND_LIMIT (linearly independent eigenvectors are assumed
-    throughout), and NoAdmissibleDominant when every modulus is within tol
-    of 1 or the top modulus is an ambiguous tie.
+    throughout), NoAdmissibleDominant when every modulus is within tol of
+    1 or the top modulus is an ambiguous tie, and SpectralError when LAPACK's
+    eig does not converge.
     """
     tol = _tolerance(tol)
     return _eigen_decompose_many(_entries(matrix)[None], tol).summary(0)
@@ -185,9 +186,33 @@ class _Spectra(NamedTuple):
         )
 
 
+def _converged(eig: Callable, matrices: np.ndarray):
+    """eig(matrices) for a numpy eigenvalue routine eig, with LAPACK's
+    failure to converge raised as SpectralError."""
+    try:
+        return eig(matrices)
+    except np.linalg.LinAlgError as exc:
+        raise SpectralError(str(exc)) from None
+
+
+def _eig(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[SpectralError | None]]:
+    """np.linalg.eig of the stack matrices, and the error of each matrix.
+    When LAPACK fails on the stack, each matrix is decomposed alone; one
+    that fails keeps its SpectralError and the identity's eigenpairs."""
+    try:
+        return (*np.linalg.eig(matrices), [None] * len(matrices))
+    except np.linalg.LinAlgError:
+        pass
+    n = matrices.shape[-1]
+    pairs = [_attempt((SpectralError,), _converged, np.linalg.eig, M) for M in matrices]
+    errors = [p if isinstance(p, SpectralError) else None for p in pairs]
+    pairs = [(np.ones(n), np.eye(n)) if e else p for p, e in zip(pairs, errors)]
+    return np.array([w for w, _ in pairs]), np.array([P for _, P in pairs]), errors
+
+
 def _eigen_decompose_many(matrices: np.ndarray, tol: float) -> _Spectra:
     """eigen_decompose of each matrix of the finite (B, N, N) stack matrices,
-    for a tol already checked, with one eig, at most two SVDs for the
+    for a tol already checked, with one eig (_eig), at most two SVDs for the
     condition numbers and one inv for the whole stack.  Errors are kept
     (_attempt).
 
@@ -199,7 +224,7 @@ def _eigen_decompose_many(matrices: np.ndarray, tol: float) -> _Spectra:
     condition numbers of the real bases and of the complex ones are taken
     apart, as a complex SVD can differ from the real one in the last bit.
     """
-    eigenvalues, P = np.linalg.eig(matrices)
+    eigenvalues, P, errors = _eig(matrices)
     real = (eigenvalues.imag == 0.0).all(axis=1).tolist()
     defective = (~np.isfinite(P).all(axis=(1, 2))).tolist()
     for spectrum in (True, False):
@@ -222,8 +247,10 @@ def _eigen_decompose_many(matrices: np.ndarray, tol: float) -> _Spectra:
     basis[pivots] = 1.0
     basis_inverse = np.linalg.inv(basis)
 
-    index, conditions, errors = [0] * len(P), [(False, False, False)] * len(P), [None] * len(P)
+    index, conditions = [0] * len(P), [(False, False, False)] * len(P)
     for b, is_defective in enumerate(defective):
+        if errors[b] is not None:
+            continue
         if is_defective:
             errors[b] = DefectiveMatrix(f"eigenvector basis condition exceeds {COND_LIMIT:g}; "
                                         "matrix is (numerically) defective")

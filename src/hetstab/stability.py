@@ -27,8 +27,8 @@ essentially asymptotically stable; otherwise (all > -inf, some < 0) the
 cycle is fragmentarily asymptotically stable only.
 
 Every index comes from one analysis of a batch of cycles that share m, N
-and their negative-entry nodes (_Batch; _Batch.indices gives its
-decomposition stages and each cycle's error order).  classify, sigma and
+and their negative-entry nodes (_Batch; _Batch.indices gives its one
+stacked decomposition and each cycle's error order).  classify, sigma and
 collect_alpha_vectors analyse the batch of one, and _classify_many groups
 many cycles into batches.  Each minimum over a node's K = 1 + L*N direction
 vectors is that of findex.f_index over every vector in order, bit for bit
@@ -45,8 +45,8 @@ from enum import Enum
 import numpy as np
 
 from . import findex
-from .spectral import (DEFAULT_TOL, SpectralError, _attempt, _eigen_decompose_many, _tolerance,
-                       dominant_eigenvalue)
+from .spectral import (DEFAULT_TOL, SpectralError, _attempt, _converged, _eigen_decompose_many,
+                       _tolerance, dominant_eigenvalue)
 from .transition import (CycleLike, as_basic_matrices, cyclic_products, _finite,
                          _negative_entry_nodes, _node_index, _overflow)
 
@@ -180,8 +180,8 @@ def _first_minima(alphas: np.ndarray) -> list[tuple[float, int]]:
 class _Batch:
     """The transition-matrix analysis of B cycles that share m, N and their
     negative-entry nodes, for one call.  It builds every product pass up
-    front and keeps what it reads of each decomposed full return: its
-    dominant-pair conditions, v_max or its degeneracy.
+    front, decomposes the full returns it reads in one stacked call, and
+    keeps their dominant-pair conditions, v_max or degeneracy.
     """
 
     def __init__(self, mats: list[list[np.ndarray]], negative: list[int], tol: float):
@@ -201,9 +201,9 @@ class _Batch:
 
     def decompose(self, cells: list[tuple[int, int]]) -> None:
         """Decompose, in one stacked call, the finite full returns M^(j) of
-        cycle b for the pairs (b, j) in cells not decomposed yet; eig
-        rejects a stack holding inf or NaN."""
-        cells = [c for c in cells if self._finite[c[0]][c[1]] and c not in self._spectra]
+        cycle b for the pairs (b, j) in cells; eig rejects a stack holding
+        inf or NaN."""
+        cells = [c for c in cells if self._finite[c[0]][c[1]]]
         if cells:
             spectra = _eigen_decompose_many(self._passes[tuple(zip(*cells)) + (-1,)], self.tol)
             v_max = spectra.basis_inverse[np.arange(len(cells)), spectra.index].real.tolist()
@@ -250,17 +250,16 @@ class _Batch:
         """For each cycle, sigma_j and its provenance for each j in nodes, or
         the error that ends that cycle's analysis (_attempt).
 
-        The full returns are decomposed in at most two stacked calls: the
-        checkpoints of every cycle, then the given nodes of the cycles whose
-        checkpoints all hold; the checkpoint checks and v_max[j] share one
-        decomposition.  Each cycle's errors come in the order of a one-cycle
-        reading.  First the checkpoints in sorted order: a pass that
-        overflows (ProductOverflow), then a spectral degeneracy
+        One stacked call decomposes the full returns at the checkpoints and
+        the given nodes of every cycle, so the checkpoint checks and v_max[j]
+        share one decomposition.  Each cycle's errors come in the order of a
+        one-cycle reading.  First the checkpoints in sorted order: a pass
+        that overflows (ProductOverflow), then a spectral degeneracy
         (IndeterminateError), then failed conditions, which give -inf even
-        when a later pass overflows.  Then the given nodes in order:
-        overflow, degeneracy, conditions (i)/(ii) failing (ValueError), then
-        a zero direction vector (findex.ZeroVectorError).  Nodes not given
-        are never read, so their errors do not reach sigma_j.
+        when a later pass overflows or a given node is degenerate.  Then the
+        given nodes in order: overflow, degeneracy, conditions (i)/(ii)
+        failing (ValueError), then a zero direction vector
+        (findex.ZeroVectorError).  Nodes not given are never decomposed.
         """
         cycles = range(len(self._finite))
         fails = (ValueError, IndeterminateError)
@@ -270,14 +269,14 @@ class _Batch:
         # factors between negative-entry matrices, so it is checked directly
         # only at the nodes just after one
         checkpoints = sorted({(q + 1) % self.m for q in self.negative})
-        self.decompose([(b, q) for b in cycles for q in checkpoints])
+        read = set(checkpoints).union(nodes)
+        self.decompose([(b, j) for b in cycles for j in read])
         holds = [_attempt(fails, self._holds, b, checkpoints) for b in cycles]
         fail = [(-math.inf, IndexProvenance(source="dominant-pair-conditions-fail", alpha=None))]
         out = [fail * len(nodes) if h is False else h for h in holds]
         held = [b for b in cycles if holds[b] is True]
         if not held:
             return out
-        self.decompose([(b, j) for b in held for j in nodes])
         rows = self.rows(held, nodes)
         nonzero = rows.any(axis=3).all(axis=2).tolist()
         for i, b in enumerate(held):
@@ -297,8 +296,8 @@ class _Batch:
         return indeterminate instead of +-inf."""
         if not self._finite[b][0]:
             raise _overflow(0)
-        eigenvalues = np.linalg.eigvals(self._passes[b, 0, -1])
         try:
+            eigenvalues = _converged(np.linalg.eigvals, self._passes[b, 0, -1])
             idx = dominant_eigenvalue(eigenvalues, self.tol)
         except SpectralError as exc:
             raise IndeterminateError(0, exc) from exc
@@ -383,8 +382,9 @@ def classify(cycle: CycleLike, tol: float = DEFAULT_TOL) -> IndexReport:
     """Compute every sigma_j and classify the cycle.
 
     Raises IndeterminateError when a spectral degeneracy (no admissible
-    dominant eigenvalue, or a defective full return) blocks the decision,
-    and ValueError, before any decomposition, when tol breaks its rule.
+    dominant eigenvalue, a defective full return, or an eigenvalue routine
+    that does not converge) blocks the decision, and ValueError, before any
+    decomposition, when tol breaks its rule.
     """
     [report] = _classify_many([cycle], tol)
     if isinstance(report, Exception):

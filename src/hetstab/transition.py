@@ -41,9 +41,10 @@ CycleLike = Union[ValidatedCycle, Sequence]
 
 
 def _entries(matrix) -> np.ndarray:
-    """The float entries of matrix; ValueError unless 2-D, square and finite."""
+    """The float entries of matrix; ValueError unless 2-D, square, at least
+    1 x 1 and finite."""
     M = np.asarray(matrix, float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1] or not np.isfinite(M).all():
+    if M.ndim != 2 or M.shape[0] != M.shape[1] or not M.size or not np.isfinite(M).all():
         raise ValueError(f"expected a finite square matrix, got shape {M.shape}")
     return M
 

@@ -7,6 +7,18 @@ import numpy as np
 from hetstab import ConnectionSpec, CycleSpec, NodeSpec, ValidatedCycle, validate_cycle
 
 
+# A finite 4 x 4 matrix on which LAPACK's eig (numpy 2.4.6) and the eigvals
+# of its absolute value raise LinAlgError("Eigenvalues did not converge")
+NONCONVERGENT = np.array([
+    [-7.205883002316442e-193, 1.8115688211657617e-117, -1.1376883250057382e-125,
+     -2.3856253803235328e+259],
+    [0.0, 2.427489073221464e-86, 2.42566882401769e+40, -3.34152636362843e-160],
+    [-0.0, -0.0, 0.0, 4.6747501137243005e-154],
+    [2.390254576447452e+227, -7.777549064736068e-287, 1.5237073606204463e-104,
+     1.0025038266656042e-98],
+])
+
+
 def naive_matmul(A, B) -> np.ndarray:
     """Triple-loop matrix product, independent of numpy's matmul path."""
     A = [[float(v) for v in row] for row in np.asarray(A)]

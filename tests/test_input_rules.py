@@ -109,6 +109,28 @@ def test_cycle_spec_rule_keeps_its_messages_and_types_the_first():
 
 
 # ---------------------------------------------------------------------------
+# Cycle document: cycle.cycle_from_dict takes numbers only, not strings or
+# bools, where the JSON layout has a number
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("key,value,bad", [
+    ("contracting", "1.5", "1.5"), ("contracting", True, True), ("transverse", [False], False),
+    ("radial", ["x"], "x"), ("permutation", [True, False], True), ("scalings", [1.0, "2"], "2"),
+    ("v0", False, False),
+])
+def test_cycle_document_rule_rejects_strings_and_bools(key, value, bad):
+    doc = {"nodes": [{"contracting": 1.0, "expanding": 1.0, "transverse": [-0.5]}],
+           "connections": [{"permutation": [1, 0]}]}
+    part = "nodes" if key in ("contracting", "transverse", "radial") else "connections"
+    doc[part][0][key] = value
+    message = f"^malformed cycle document: {key}: expected a number, got {re.escape(repr(bad))}$"
+    with pytest.raises(CycleValidationError, match=message) as exc:
+        cycle_from_dict(doc)
+    assert exc.type is CycleValidationError
+
+
+# ---------------------------------------------------------------------------
 # Permutation entries: ConnectionSpec makes integral entries ints, and
 # cycle._violations rejects every other entry
 # ---------------------------------------------------------------------------
@@ -194,6 +216,7 @@ BAD_MATRICES = {
     "inf": [[2.0, 0.0], [INF, 2.0]],
     "2x3": [[2.0, 0.0, 0.0], [0.0, 2.0, 0.0]],
     "vector": [2.0, 2.0],
+    "0x0": np.zeros((0, 0)),
 }
 
 
@@ -458,6 +481,12 @@ def cli_files(tmp_path):
     doc = {"nodes": [{"contracting": 1.0, "expanding": 1.0, "transverse": [-0.5]}] * 2,
            "connections": [{"permutation": [1.9, 0.2]}] * 2}
     (tmp_path / "fraction.json").write_text(json.dumps(doc))
+    doc = {"nodes": [{"contracting": "x", "expanding": 1.0, "transverse": [-0.5]}] * 2,
+           "connections": [{"permutation": [1, 0]}] * 2}
+    (tmp_path / "string.json").write_text(json.dumps(doc))
+    doc = {"nodes": [{"contracting": 1.0, "expanding": 1.0, "transverse": [-0.5]}] * 2,
+           "connections": [{"permutation": [True, False]}] * 2}
+    (tmp_path / "bool.json").write_text(json.dumps(doc))
     return tmp_path
 
 
@@ -475,6 +504,10 @@ CLI_REJECTIONS = {
     "json-dir": (["analyze", "{d}/c.json", "--json", "{d}"], "error: [Errno 21] Is a directory"),
     "analyze-fraction": (["analyze", "{d}/fraction.json"],
                          "error: connection 0: permutation [1.9, 0.2] is not a bijection"),
+    "analyze-string": (["analyze", "{d}/string.json"],
+                       "error: malformed cycle document: contracting: expected a number, got 'x'"),
+    "analyze-bool": (["analyze", "{d}/bool.json"],
+                     "error: malformed cycle document: permutation: expected a number, got True"),
     "fplus-levels-inf": (["oracle", "fplus", "--alpha", "-1,1,1", "--levels", "inf:1e-3:3"],
                          "hetstab oracle fplus: error: " + LADDER_USAGE.format("--levels")),
     "fplus-levels-nan": (["oracle", "fplus", "--alpha", "-1,1,1", "--levels", "nan:1e-3:3"],

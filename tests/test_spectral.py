@@ -4,10 +4,12 @@ import re
 import numpy as np
 import pytest
 
-from conftest import assert_multisets_close, charpoly_eigenvalues, dominant_pair_matrix, random_cycle
+from conftest import (NONCONVERGENT, assert_multisets_close, charpoly_eigenvalues,
+                      dominant_pair_matrix, random_cycle)
 from hetstab import (
     DefectiveMatrix,
     NoAdmissibleDominant,
+    SpectralError,
     eigen_decompose,
     full_return_matrix,
     matrix_basin_membership,
@@ -169,16 +171,18 @@ def test_stacked_decomposition_equals_one_matrix_at_a_time():
     mats[3] = [[1.5, 1.0, 0, 0], [0, 1.5, 0, 0], [0, 0, 2.0, 0], [0, 0, 0, 0.5]]  # defective
     mats[5] = np.diag([2.0, -2.0, 0.5, 0.1])        # ambiguous tie
     mats[6] = np.eye(4)                             # every modulus 1
+    mats[8] = NONCONVERGENT                         # LAPACK's eig does not converge
     spectra = _eigen_decompose_many(mats, DEFAULT_TOL)
     kinds = set()
     for b, M in enumerate(mats):
         try:
             alone = eigen_decompose(M)
-        except (NoAdmissibleDominant, DefectiveMatrix) as exc:
+        except SpectralError as exc:
             with pytest.raises(type(exc), match=re.escape(str(exc))):
                 spectra.summary(b)
             kinds.add(type(exc))
             continue
         _assert_same_summary(spectra.summary(b), alone)
         kinds.add(alone.eigenvalues.dtype)
-    assert kinds == {NoAdmissibleDominant, DefectiveMatrix, np.dtype(float), np.dtype(complex)}
+    assert kinds == {NoAdmissibleDominant, DefectiveMatrix, SpectralError,
+                     np.dtype(float), np.dtype(complex)}

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hetstab.stability
-from conftest import attracting_cycle, dominant_pair_matrix, random_cycle
+from conftest import NONCONVERGENT, attracting_cycle, dominant_pair_matrix, random_cycle
 from hetstab import (
     Classification,
     ConnectionSpec,
@@ -302,9 +302,9 @@ def test_classify_matches_per_node_reference_exactly():
     assert long_full_path >= 5
 
 
-def test_classify_decomposes_each_full_return_at_most_once(monkeypatch):
-    # counts the matrices handed to the stacked decomposition, which owns
-    # every eig of the analysis: at most m per classify, in at most 2 calls
+def _count_decompositions(monkeypatch) -> list[int]:
+    """The sizes of the stacks handed to the stacked decomposition, which
+    owns every eig of the analysis, from now on."""
     calls = []
 
     def counting(matrices, tol):
@@ -312,6 +312,12 @@ def test_classify_decomposes_each_full_return_at_most_once(monkeypatch):
         return _eigen_decompose_many(matrices, tol)
 
     monkeypatch.setattr(hetstab.stability, "_eigen_decompose_many", counting)
+    return calls
+
+
+def test_classify_decomposes_each_full_return_at_most_once(monkeypatch):
+    # one stacked call of at most m matrices per classify with a negative entry
+    calls = _count_decompositions(monkeypatch)
     rng = np.random.default_rng(72)
     cycles = [random_cycle(rng, max_m=12, sign="mixed") for _ in range(40)]
     cycles += [random_cycle(np.random.default_rng(seed), max_m=32, sign="mixed") for seed in range(8)]
@@ -323,11 +329,26 @@ def test_classify_decomposes_each_full_return_at_most_once(monkeypatch):
             classify(cycle)
         except IndeterminateError:
             pass
-        assert len(calls) <= 2
+        assert len(calls) == 1
         assert sum(calls) <= cycle.m
         decomposed += sum(calls)
     assert max(c.m for c in cycles) > 12
     assert decomposed > 4 * 32
+    for cycle in [two_node_nonnegative(2.0), two_node_nonnegative(0.8)]:
+        calls.clear()
+        classify(cycle)
+        assert calls == []
+
+
+def test_sigma_decomposes_in_one_call(monkeypatch):
+    # the checkpoints and node j share one stacked call
+    calls = _count_decompositions(monkeypatch)
+    cycle = attracting_cycle(np.random.default_rng(1), 32)
+    checkpoints = len({(q + 1) % cycle.m for q in negative_entry_indices(cycle)})
+    for j in range(cycle.m):
+        sigma(cycle, j)
+    assert len(calls) == cycle.m
+    assert max(calls) <= checkpoints + 1
 
 
 @st.composite
@@ -443,7 +464,8 @@ def test_batch_equals_per_cycle_exactly(tol):
               two_node_nonnegative(2.0), two_node_nonnegative(0.8),          # non-negative
               [2.0 * np.eye(2)], [np.diag([2.0, 0.5])],                      # one node, tie or not
               [np.abs(mixed), np.abs(mixed)], [], [np.eye(3)[:2]],           # its overflow, bad input
-              [np.array([[1.5, -1.0], [0.0, 1.5]])], [np.diag([2.0, -2.0])]]  # defective, tie
+              [np.array([[1.5, -1.0], [0.0, 1.5]])], [np.diag([2.0, -2.0])],  # defective, tie
+              [NONCONVERGENT], [np.abs(NONCONVERGENT)]]                      # eig, eigvals fail
     batch += [random_cycle(rng, max_m=4, sign="mixed") for _ in range(40)]
     batch += [attracting_cycle(rng, 6) for _ in range(6)]
     order = rng.permutation(len(batch))
