@@ -228,27 +228,42 @@ def _number(value, key: str):
     return value
 
 
+def _listed(value, key: str, item=_number, item_key: str | None = None) -> tuple:
+    """item(entry, item_key or key) of each entry of the list (or tuple)
+    value, after one type check however long it is; TypeError naming key."""
+    if not isinstance(value, (list, tuple)):
+        raise TypeError(f"{key}: expected a list, got {value!r}")
+    return tuple([item(v, item_key or key) for v in value])
+
+
+def _dict(value, key: str) -> dict:
+    """value when it is a dict; TypeError naming key otherwise."""
+    if not isinstance(value, dict):
+        raise TypeError(f"{key}: expected a dict, got {value!r}")
+    return value
+
+
 def cycle_from_dict(doc: dict) -> CycleSpec:
     """Build a CycleSpec from the JSON document layout; CycleValidationError
     when a key is missing or a value is not of its type."""
     try:
+        doc = _dict(doc, "document")
         nodes = tuple(
             NodeSpec(
                 contracting=_number(nd["contracting"], "contracting"),
                 expanding=_number(nd["expanding"], "expanding"),
-                transverse=tuple(_number(t, "transverse") for t in nd["transverse"]),
-                radial=tuple(_number(r, "radial") for r in nd.get("radial", ())),
+                transverse=_listed(nd["transverse"], "transverse"),
+                radial=_listed(nd.get("radial", ()), "radial"),
             )
-            for nd in doc["nodes"]
+            for nd in _listed(doc["nodes"], "nodes", _dict, "node")
         )
         connections = tuple(
             ConnectionSpec(
-                permutation=tuple(_number(i, "permutation") for i in cd["permutation"]),
-                scalings=(tuple(_number(a, "scalings") for a in cd["scalings"])
-                          if "scalings" in cd else None),
+                permutation=_listed(cd["permutation"], "permutation"),
+                scalings=_listed(cd["scalings"], "scalings") if "scalings" in cd else None,
                 contraction_offset=_number(cd.get("v0", 1.0), "v0"),
             )
-            for cd in doc["connections"]
+            for cd in _listed(doc["connections"], "connections", _dict, "connection")
         )
     except (KeyError, TypeError) as exc:
         raise CycleValidationError(f"malformed cycle document: {exc}") from exc

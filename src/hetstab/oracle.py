@@ -321,39 +321,35 @@ def _tail_slope(levels: Sequence[LevelEstimate], use_complement: bool) -> SlopeF
     biased.  Weights are inverse delta-method variances and the log estimate
     carries the matching first-order bias correction.
 
-    Two passes: choosing the window from *observed* counts keeps only levels
-    that fluctuated upward near the cutoff, tilting the slope, so the first
-    fit's predicted counts (noise-independent) pick the final window and
-    weights, and only then are the observed fractions refit.
+    Two passes of _window_fit: choosing the window from *observed* counts
+    keeps only levels that fluctuated upward near the cutoff, tilting the
+    slope, so the first fit's predicted counts (noise-independent) pick the
+    final window and weights, and then the observed fractions are refit.
     """
     interior = []
     for lev in levels:
         p = 1.0 - lev.sigma_frac if use_complement else lev.sigma_frac
         if 0.0 <= p < 1.0:
             interior.append((math.log(lev.epsilon), p, lev.samples))
-
-    xs, ys, ws = [], [], []
-    for x, p, n in interior:
-        if p * n < MIN_FIT_HITS:
-            continue
-        xs.append(x)
-        ys.append(math.log(p) + (1.0 - p) / (2.0 * n * p))
-        ws.append(n * p / (1.0 - p))
-    if len(xs) < 2:
+    first = _window_fit(interior, [p for _, p, _ in interior])
+    if first is None:
         return None
-    first = _weighted_line_fit(xs, ys, ws)
+    predicted = [math.exp(first.intercept + first.slope * x) for x, _, _ in interior]
+    return _window_fit(interior, predicted) or first
 
+
+def _window_fit(interior: list[tuple[float, float, int]], expected: list[float]) -> SlopeFit | None:
+    """The weighted fit of ln p against x over the levels (x, p, n) of
+    interior whose expected fraction q has 0 < q < 1, q n >= MIN_FIT_HITS
+    and p > 0, with the bias correction (1 - q) / (2 n q) and the weight
+    n q / (1 - q); None with fewer than two such levels."""
     xs, ys, ws = [], [], []
-    for x, p, n in interior:
-        p_pred = math.exp(first.intercept + first.slope * x)
-        if not 0.0 < p_pred < 1.0 or p_pred * n < MIN_FIT_HITS or p == 0.0:
-            continue
-        xs.append(x)
-        ys.append(math.log(p) + (1.0 - p_pred) / (2.0 * n * p_pred))
-        ws.append(n * p_pred / (1.0 - p_pred))
-    if len(xs) < 2:
-        return first
-    return _weighted_line_fit(xs, ys, ws)
+    for (x, p, n), q in zip(interior, expected):
+        if 0.0 < q < 1.0 and q * n >= MIN_FIT_HITS and p > 0.0:
+            xs.append(x)
+            ys.append(math.log(p) + (1.0 - q) / (2.0 * n * q))
+            ws.append(n * q / (1.0 - q))
+    return _weighted_line_fit(xs, ys, ws) if len(xs) >= 2 else None
 
 
 # ---------------------------------------------------------------------------

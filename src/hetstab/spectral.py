@@ -24,7 +24,10 @@ A basis with condition number above COND_LIMIT counts as defective.  tol
 ties and realness.
 
 Every decomposition is made by _eigen_decompose_many, on a stack of
-matrices; eigen_decompose is its view of one matrix.
+matrices, and _eig is the package's only call of numpy's eigen routines.
+eigen_decompose is its view of one matrix, which reads the basis and the
+eigenvalues (_Spectra.error); the non-negative dichotomy
+(stability._Batch._dichotomy) reads the eigenvalues alone.
 """
 
 from __future__ import annotations
@@ -144,7 +147,9 @@ def eigen_decompose(matrix: np.ndarray, tol: float = DEFAULT_TOL) -> SpectralSum
 class _Spectra(NamedTuple):
     """eigen_decompose of each matrix b of a stack, as arrays over the stack.
 
-    Where errors[b] is set, the rest of entry b means nothing.
+    What the eigenvalues decide (eig failing, no admissible dominant) is
+    kept apart from what the basis decides (defective).  Where error(b) is
+    set, the rest of entry b means nothing.
     """
 
     eigenvalues: np.ndarray                        # (B, N), complex unless every spectrum is real
@@ -153,59 +158,46 @@ class _Spectra(NamedTuple):
     basis_inverse: np.ndarray                      # (B, N, N) complex
     index: list[int]                               # lambda_index of matrix b
     conditions: list[tuple[bool, bool, bool]]      # conditions (i), (ii), (iii) of matrix b
-    errors: list[SpectralError | None]             # the error of matrix b, or None
+    errors: list[SpectralError | None]             # what the eigenvalues of matrix b decide
+    defective: list[bool]                          # what its basis decides
+
+    def error(self, b: int) -> SpectralError | None:
+        """The error eigen_decompose raises for matrix b alone, or None; a
+        matrix on which eig failed has the identity's basis, not defective."""
+        if self.defective[b]:
+            return DefectiveMatrix(f"eigenvector basis condition exceeds {COND_LIMIT:g}; "
+                                   "matrix is (numerically) defective")
+        return self.errors[b]
 
     def summary(self, b: int) -> SpectralSummary:
         """What eigen_decompose gives for matrix b alone: its summary, or its
         error raised."""
-        if self.errors[b] is not None:
-            raise self.errors[b]
+        error = self.error(b)
+        if error is not None:
+            raise error
         eigenvalues = self.eigenvalues[b].real if self.real[b] else self.eigenvalues[b]
         idx = self.index[b]
-        cond_i, cond_ii, cond_iii = self.conditions[b]
-        w = self.basis[b, :, idx]
-        v = self.basis_inverse[b, idx, :]
-        if cond_i:
-            w = np.real(w)
-            v = np.real(v)
-        w = np.array(w)
-        v = np.array(v)
-        w.flags.writeable = False
-        v.flags.writeable = False
-        return SpectralSummary(
-            eigenvalues=eigenvalues,
-            basis=self.basis[b],
-            basis_inverse=self.basis_inverse[b],
-            lambda_max=complex(eigenvalues[idx]),
-            lambda_index=idx,
-            w_max=w,
-            v_max=v,
-            condition_i=cond_i,
-            condition_ii=cond_ii,
-            condition_iii=cond_iii,
-        )
-
-
-def _converged(eig: Callable, matrices: np.ndarray):
-    """eig(matrices) for a numpy eigenvalue routine eig, with LAPACK's
-    failure to converge raised as SpectralError."""
-    try:
-        return eig(matrices)
-    except np.linalg.LinAlgError as exc:
-        raise SpectralError(str(exc)) from None
+        w, v = self.basis[b, :, idx], self.basis_inverse[b, idx, :]
+        if self.conditions[b][0]:
+            w, v = w.real, v.real
+        w, v = np.array(w), np.array(v)
+        w.flags.writeable = v.flags.writeable = False
+        return SpectralSummary(eigenvalues, self.basis[b], self.basis_inverse[b],
+                               complex(eigenvalues[idx]), idx, w, v, *self.conditions[b])
 
 
 def _eig(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[SpectralError | None]]:
-    """np.linalg.eig of the stack matrices, and the error of each matrix.
-    When LAPACK fails on the stack, each matrix is decomposed alone; one
-    that fails keeps its SpectralError and the identity's eigenpairs."""
+    """np.linalg.eig of the stack matrices, and the error of each matrix:
+    the package's only call of numpy's eigen routines.  When LAPACK fails
+    on the stack, each matrix is decomposed alone; one that fails keeps
+    LAPACK's message as a SpectralError and the identity's eigenpairs."""
     try:
         return (*np.linalg.eig(matrices), [None] * len(matrices))
     except np.linalg.LinAlgError:
         pass
     n = matrices.shape[-1]
-    pairs = [_attempt((SpectralError,), _converged, np.linalg.eig, M) for M in matrices]
-    errors = [p if isinstance(p, SpectralError) else None for p in pairs]
+    pairs = [_attempt((np.linalg.LinAlgError,), np.linalg.eig, M) for M in matrices]
+    errors = [SpectralError(str(p)) if isinstance(p, Exception) else None for p in pairs]
     pairs = [(np.ones(n), np.eye(n)) if e else p for p, e in zip(pairs, errors)]
     return np.array([w for w, _ in pairs]), np.array([P for _, P in pairs]), errors
 
@@ -214,7 +206,7 @@ def _eigen_decompose_many(matrices: np.ndarray, tol: float) -> _Spectra:
     """eigen_decompose of each matrix of the finite (B, N, N) stack matrices,
     for a tol already checked, with one eig (_eig), at most two SVDs for the
     condition numbers and one inv for the whole stack.  Errors are kept
-    (_attempt).
+    (_attempt); a defective matrix gets its dominant eigenvalue too.
 
     Each matrix decomposes bit for bit as it does alone, which takes one
     rule per matrix: numpy's eig gives a single matrix real eigenvalues and
@@ -248,26 +240,22 @@ def _eigen_decompose_many(matrices: np.ndarray, tol: float) -> _Spectra:
     basis_inverse = np.linalg.inv(basis)
 
     index, conditions = [0] * len(P), [(False, False, False)] * len(P)
-    for b, is_defective in enumerate(defective):
+    for b, values in enumerate(eigenvalues):
         if errors[b] is not None:
             continue
-        if is_defective:
-            errors[b] = DefectiveMatrix(f"eigenvector basis condition exceeds {COND_LIMIT:g}; "
-                                        "matrix is (numerically) defective")
-            continue
-        values = eigenvalues[b].real if real[b] else eigenvalues[b]
+        values = values.real if real[b] else values
         found = _attempt((NoAdmissibleDominant,), dominant_eigenvalue, values, tol)
         if isinstance(found, Exception):
             errors[b] = found
             continue
         index[b] = found
-        lam = complex(values[index[b]])
+        lam = complex(values[found])
         conditions[b] = (abs(lam.imag) <= tol * abs(lam), lam.real > 1.0, False)
     for b, w in enumerate(basis[rows, :, index].real.tolist()):
         if conditions[b][0]:
             one_sign = all(x > 0.0 for x in w) or all(x < 0.0 for x in w)
             conditions[b] = (True, conditions[b][1], one_sign)
-    return _Spectra(eigenvalues, real, basis, basis_inverse, index, conditions, errors)
+    return _Spectra(eigenvalues, real, basis, basis_inverse, index, conditions, errors, defective)
 
 
 def vmax_row(matrix: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:

@@ -5,7 +5,8 @@ Two regimes, decided by the signs of the basic transition matrices:
 * All entries non-negative (every transverse eigenvalue negative): the whole
   question reduces to the spectral radius of one full return.  |lambda_max|
   > 1 gives sigma_j = +inf at every connection (asymptotically stable);
-  otherwise sigma_j = -inf everywhere (not an attractor).
+  otherwise sigma_j = -inf everywhere (not an attractor).  Only the
+  eigenvalues are read, so a defective full return is decided too.
 
 * Some matrix M_q has a negative entry (indices q = j_1 < ... < j_L).  The
   full returns are all similar, so the realness/size conditions on
@@ -27,13 +28,14 @@ essentially asymptotically stable; otherwise (all > -inf, some < 0) the
 cycle is fragmentarily asymptotically stable only.
 
 Every index comes from one analysis of a batch of cycles that share m, N
-and their negative-entry nodes (_Batch; _Batch.indices gives its one
-stacked decomposition and each cycle's error order).  classify, sigma and
-collect_alpha_vectors analyse the batch of one, and _classify_many groups
-many cycles into batches.  Each minimum over a node's K = 1 + L*N direction
-vectors is that of findex.f_index over every vector in order, bit for bit
-(_first_minima).  Calling sigma(cycle, j) for every j repeats the
-decompositions that classify shares.
+and their negative-entry nodes (_Batch).  Both regimes read one stacked
+decomposition (_Batch.indices), and each cycle's first error is read as a
+value, in the order of a one-cycle reading (_Batch._fault).  classify,
+sigma and collect_alpha_vectors analyse the batch of one, and
+_classify_many groups many cycles into batches.  Each minimum over a
+node's K = 1 + L*N direction vectors is that of findex.f_index over every
+vector in order, bit for bit (_first_minima).  Calling sigma(cycle, j) for
+every j repeats the decompositions that classify shares.
 """
 
 from __future__ import annotations
@@ -45,8 +47,7 @@ from enum import Enum
 import numpy as np
 
 from . import findex
-from .spectral import (DEFAULT_TOL, SpectralError, _attempt, _converged, _eigen_decompose_many,
-                       _tolerance, dominant_eigenvalue)
+from .spectral import DEFAULT_TOL, _attempt, _eigen_decompose_many, _tolerance
 from .transition import (CycleLike, as_basic_matrices, cyclic_products, _finite,
                          _negative_entry_nodes, _node_index, _overflow)
 
@@ -57,7 +58,7 @@ class IndeterminateError(RuntimeError):
     def __init__(self, node: int, cause: Exception):
         super().__init__(f"indeterminate at node {node}: {cause}")
         self.node = node
-        self.cause = cause
+        self.cause = self.__cause__ = cause
 
 
 class Classification(Enum):
@@ -177,11 +178,14 @@ def _first_minima(alphas: np.ndarray) -> list[tuple[float, int]]:
     return out
 
 
+_FAIL = (-math.inf, IndexProvenance(source="dominant-pair-conditions-fail", alpha=None))
+
+
 class _Batch:
     """The transition-matrix analysis of B cycles that share m, N and their
     negative-entry nodes, for one call.  It builds every product pass up
     front, decomposes the full returns it reads in one stacked call, and
-    keeps their dominant-pair conditions, v_max or degeneracy.
+    keeps their spectra.
     """
 
     def __init__(self, mats: list[list[np.ndarray]], negative: list[int], tol: float):
@@ -190,7 +194,6 @@ class _Batch:
         self.m, self.n = len(mats[0]), len(mats[0][0])
         self._passes = cyclic_products(np.array(mats), range(self.m), self.m)
         self._finite = _finite(self._passes).tolist()
-        self._spectra: dict[tuple[int, int], tuple] = {}
 
     @classmethod
     def of(cls, cycle: CycleLike, tol: float) -> "_Batch":
@@ -204,33 +207,17 @@ class _Batch:
         cycle b for the pairs (b, j) in cells; eig rejects a stack holding
         inf or NaN."""
         cells = [c for c in cells if self._finite[c[0]][c[1]]]
+        self._at = {c: i for i, c in enumerate(cells)}
         if cells:
-            spectra = _eigen_decompose_many(self._passes[tuple(zip(*cells)) + (-1,)], self.tol)
-            v_max = spectra.basis_inverse[np.arange(len(cells)), spectra.index].real.tolist()
-            self._spectra.update(zip(cells, zip(spectra.conditions, spectra.errors, v_max)))
-
-    def conditions(self, b: int, j: int) -> tuple[bool, bool, bool]:
-        """Dominant-pair conditions (i), (ii), (iii) of M^(j) of cycle b,
-        once decompose has seen it."""
-        if not self._finite[b][j]:
-            raise _overflow(j)
-        conditions, error, _ = self._spectra[b, j]
-        if error is not None:
-            raise IndeterminateError(j, error) from error
-        return conditions
-
-    def check_v_max(self, b: int, j: int) -> None:
-        """Raise unless v_max of M^(j) of cycle b is a direction vector."""
-        if not all(self.conditions(b, j)[:2]):
-            raise ValueError(
-                "dominant-pair conditions fail; sigma_j is -inf by the zero-measure "
-                "argument, not a minimum of indices"
-            )
+            self._spectra = _eigen_decompose_many(self._passes[tuple(zip(*cells)) + (-1,)],
+                                                  self.tol)
+            rows = np.arange(len(cells)), self._spectra.index
+            self._v_max = self._spectra.basis_inverse[rows].real.tolist()
 
     def rows(self, cycles: list[int], nodes: list[int]) -> np.ndarray:
         """The rows of M_(j_1, j), ..., M_(j_L, j) for each cycle b in cycles
         and each j in nodes, as a (len(cycles), len(nodes), L*N, N) array,
-        read unchecked (check_v_max(b, j) checks pass j of cycle b)."""
+        read unchecked (_Batch._fault checks them)."""
         if not self.negative:
             raise ValueError("no negative entries: the spectral-radius dichotomy applies")
         b = np.array(cycles)[:, None, None]
@@ -239,48 +226,43 @@ class _Batch:
         return turns.reshape(turns.shape[:2] + (-1, self.n))
 
     def alphas(self, cycles: list[int], nodes: list[int], rows: np.ndarray) -> np.ndarray:
-        """All K direction vectors of sigma_j, v_max of M^(j) (check_v_max(b, j)
+        """All K direction vectors of sigma_j, v_max of M^(j) (_Batch._fault
         checks it) in front of the rows of the same cycles and nodes."""
         alphas = np.empty(rows.shape[:2] + (1 + rows.shape[2], self.n))
-        alphas[:, :, 0] = [[self._spectra[b, j][2] for j in nodes] for b in cycles]
+        alphas[:, :, 0] = [[self._v_max[self._at[b, j]] for j in nodes] for b in cycles]
         alphas[:, :, 1:] = rows
         return alphas
 
     def indices(self, nodes: list[int]) -> list:
         """For each cycle, sigma_j and its provenance for each j in nodes, or
-        the error that ends that cycle's analysis (_attempt).
+        the error that ends that cycle's analysis (_Batch._fault).
 
         One stacked call decomposes the full returns at the checkpoints and
         the given nodes of every cycle, so the checkpoint checks and v_max[j]
-        share one decomposition.  Each cycle's errors come in the order of a
-        one-cycle reading.  First the checkpoints in sorted order: a pass
-        that overflows (ProductOverflow), then a spectral degeneracy
-        (IndeterminateError), then failed conditions, which give -inf even
-        when a later pass overflows or a given node is degenerate.  Then the
-        given nodes in order: overflow, degeneracy, conditions (i)/(ii)
-        failing (ValueError), then a zero direction vector
-        (findex.ZeroVectorError).  Nodes not given are never decomposed.
+        share one decomposition.  Nodes not given are never decomposed.
+        Each cycle's errors come in the order of a one-cycle reading: its
+        checkpoints in sorted order, then the given nodes in order.  Without
+        negative entries it decomposes M^(0) of every cycle alone
+        (_Batch._dichotomy).
         """
         cycles = range(len(self._finite))
-        fails = (ValueError, IndeterminateError)
         if not self.negative:
-            return [_attempt(fails, self._dichotomy, b, len(nodes)) for b in cycles]
+            self.decompose([(b, 0) for b in cycles])
+            return [self._dichotomy(b, len(nodes)) for b in cycles]
         # the sign condition on w_max propagates through the non-negative
         # factors between negative-entry matrices, so it is checked directly
         # only at the nodes just after one
         checkpoints = sorted({(q + 1) % self.m for q in self.negative})
-        read = set(checkpoints).union(nodes)
-        self.decompose([(b, j) for b in cycles for j in read])
-        holds = [_attempt(fails, self._holds, b, checkpoints) for b in cycles]
-        fail = [(-math.inf, IndexProvenance(source="dominant-pair-conditions-fail", alpha=None))]
-        out = [fail * len(nodes) if h is False else h for h in holds]
-        held = [b for b in cycles if holds[b] is True]
+        self.decompose([(b, j) for b in cycles for j in set(checkpoints).union(nodes)])
+        out = [self._fault(b, checkpoints) for b in cycles]
+        out = [[_FAIL] * len(nodes) if f is _FAIL else f for f in out]
+        held = [b for b in cycles if out[b] is None]
         if not held:
             return out
         rows = self.rows(held, nodes)
         nonzero = rows.any(axis=3).all(axis=2).tolist()
         for i, b in enumerate(held):
-            out[b] = _attempt(fails, self._check, b, nodes, rows[i], nonzero[i])
+            out[b] = self._fault(b, nodes, rows[i], nonzero[i])
         kept = [i for i, b in enumerate(held) if out[b] is None]
         if not kept:
             return out
@@ -290,33 +272,45 @@ class _Batch:
             out[held[i]] = [self._index(j, alpha, next(minima)) for j, alpha in zip(nodes, row)]
         return out
 
-    def _dichotomy(self, b: int, count: int) -> list[tuple[float, IndexProvenance]]:
-        """The non-negative regime's index of cycle b, count times.  It takes
-        eigvals, not _eigen_decompose_many, which would make a defective full
-        return indeterminate instead of +-inf."""
+    def _dichotomy(self, b: int, count: int):
+        """The non-negative regime's index of cycle b, count times, or its
+        error.  Only the eigenvalues of M^(0) are read, so a defective full
+        return keeps its +-inf."""
         if not self._finite[b][0]:
-            raise _overflow(0)
-        try:
-            eigenvalues = _converged(np.linalg.eigvals, self._passes[b, 0, -1])
-            idx = dominant_eigenvalue(eigenvalues, self.tol)
-        except SpectralError as exc:
-            raise IndeterminateError(0, exc) from exc
-        value = math.inf if abs(eigenvalues[idx]) > 1.0 else -math.inf
+            return _overflow(0)
+        spectra, i = self._spectra, self._at[b, 0]
+        if spectra.errors[i] is not None:
+            return IndeterminateError(0, spectra.errors[i])
+        value = math.inf if abs(spectra.eigenvalues[i, spectra.index[i]]) > 1.0 else -math.inf
         return [(value, IndexProvenance(source="nonnegative-dichotomy", alpha=None))] * count
 
-    def _holds(self, b: int, checkpoints: list[int]) -> bool:
-        """Whether all three dominant-pair conditions hold at every
-        checkpoint of cycle b, read in order."""
-        return all(all(self.conditions(b, q)) for q in checkpoints)
-
-    def _check(self, b: int, nodes: list[int], rows: np.ndarray, nonzero: list[bool]) -> None:
-        """Raise at the first node j of cycle b whose v_max or rows are no
-        direction vectors."""
-        for j, node_rows, node_nonzero in zip(nodes, rows, nonzero):
-            self.check_v_max(b, j)
-            if not node_nonzero:        # f_index raises at the first zero row
-                for alpha in node_rows:
-                    findex.f_index(alpha)
+    def _fault(self, b: int, nodes: list[int], rows: np.ndarray | None = None,
+               nonzero: list[bool] | None = None):
+        """What ends the analysis of cycle b at the first of nodes, as a
+        value, or None.  At each node in order: a pass that overflows
+        (ProductOverflow), a spectral degeneracy (IndeterminateError), then
+        failed conditions.  At checkpoints (rows None) that is any of the
+        three, which makes every sigma_j -inf (_FAIL).  At given nodes, with
+        their rows and whether none is zero, it is (i) or (ii) (ValueError),
+        then a zero row (findex.ZeroVectorError).
+        """
+        for k, j in enumerate(nodes):
+            if not self._finite[b][j]:
+                return _overflow(j)
+            error = self._spectra.error(self._at[b, j])
+            if error is not None:
+                return IndeterminateError(j, error)
+            conditions = self._spectra.conditions[self._at[b, j]]
+            if rows is None:
+                if not all(conditions):
+                    return _FAIL
+            elif not all(conditions[:2]):
+                return ValueError("dominant-pair conditions fail; sigma_j is -inf by the "
+                                  "zero-measure argument, not a minimum of indices")
+            elif not nonzero[k]:                        # f_index raises at the first zero row
+                return _attempt((findex.ZeroVectorError,), findex.f_index,
+                                rows[k, rows[k].any(axis=1).argmin()])
+        return None
 
     def _index(self, j: int, alphas: np.ndarray, minimum: tuple[float, int]):
         """(sigma_j, provenance) from the first minimum (value, k) over alphas."""
@@ -347,11 +341,10 @@ def _classify_many(cycles, tol: float = DEFAULT_TOL) -> list:
     for (m, _, negative), members in groups.items():
         batch = _Batch([mats for _, mats in members], list(negative), tol)
         for (i, _), result in zip(members, batch.indices(list(range(m)))):
-            if isinstance(result, Exception):
-                out[i] = result
-                continue
-            sigmas, provenance = zip(*result)
-            out[i] = IndexReport(sigmas, provenance, classification_from_sigmas(sigmas), tol)
+            if not isinstance(result, Exception):
+                sigmas, provenance = zip(*result)
+                result = IndexReport(sigmas, provenance, classification_from_sigmas(sigmas), tol)
+            out[i] = result
     return out
 
 
@@ -365,7 +358,9 @@ def collect_alpha_vectors(cycle: CycleLike, j: int, tol: float = DEFAULT_TOL) ->
     j = _node_index(j, batch.m)
     rows = batch.rows([0], [j])
     batch.decompose([(0, j)])
-    batch.check_v_max(0, j)
+    fault = batch._fault(0, [j], rows[0], [True])
+    if fault is not None:
+        raise fault
     return list(batch.alphas([0], [j], rows)[0, 0])
 
 

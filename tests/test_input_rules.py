@@ -130,6 +130,48 @@ def test_cycle_document_rule_rejects_strings_and_bools(key, value, bad):
     assert exc.type is CycleValidationError
 
 
+def _document():
+    return {"nodes": [{"contracting": 1.0, "expanding": 1.0, "transverse": [-0.5]}],
+            "connections": [{"permutation": [1, 0]}]}
+
+
+@pytest.mark.parametrize("path,value,key,kind", [
+    (("nodes", 0, "transverse"), "ab", "transverse", "list"),
+    (("nodes", 0, "transverse"), 5, "transverse", "list"),
+    (("nodes", 0, "radial"), 3, "radial", "list"),
+    (("connections", 0, "permutation"), "10", "permutation", "list"),
+    (("connections", 0, "scalings"), 2.0, "scalings", "list"),
+    (("nodes",), "ab", "nodes", "list"),
+    (("connections",), 7, "connections", "list"),
+    (("nodes", 0), 5, "node", "dict"),
+    (("connections", 0), [1, 0], "connection", "dict"),
+    ((), [], "document", "dict"),
+])
+def test_cycle_document_rule_wants_lists_and_dicts(path, value, key, kind):
+    doc = _document()
+    if path:
+        *head, last = path
+        target = doc
+        for part in head:
+            target = target[part]
+        target[last] = value
+    else:
+        doc = value
+    message = f"^malformed cycle document: {key}: expected a {kind}, got {re.escape(repr(value))}$"
+    with pytest.raises(CycleValidationError, match=message) as exc:
+        cycle_from_dict(doc)
+    assert exc.type is CycleValidationError
+
+
+def test_cycle_document_rule_accepts_tuples_for_lists():
+    doc = _document()
+    doc["nodes"][0]["radial"] = [2.0]
+    doc["connections"][0]["scalings"] = [1.0, 2.0]
+    as_tuples = {"nodes": ({**doc["nodes"][0], "transverse": (-0.5,), "radial": (2.0,)},),
+                 "connections": ({"permutation": (1, 0), "scalings": (1.0, 2.0)},)}
+    assert cycle_from_dict(as_tuples) == cycle_from_dict(doc)
+
+
 # ---------------------------------------------------------------------------
 # Permutation entries: ConnectionSpec makes integral entries ints, and
 # cycle._violations rejects every other entry
@@ -487,6 +529,10 @@ def cli_files(tmp_path):
     doc = {"nodes": [{"contracting": 1.0, "expanding": 1.0, "transverse": [-0.5]}] * 2,
            "connections": [{"permutation": [True, False]}] * 2}
     (tmp_path / "bool.json").write_text(json.dumps(doc))
+    doc = {"nodes": [{"contracting": 1.0, "expanding": 1.0, "transverse": 5}] * 2,
+           "connections": [{"permutation": [1, 0]}] * 2}
+    (tmp_path / "number.json").write_text(json.dumps(doc))
+    (tmp_path / "array.json").write_text("[]")
     return tmp_path
 
 
@@ -508,6 +554,10 @@ CLI_REJECTIONS = {
                        "error: malformed cycle document: contracting: expected a number, got 'x'"),
     "analyze-bool": (["analyze", "{d}/bool.json"],
                      "error: malformed cycle document: permutation: expected a number, got True"),
+    "analyze-number": (["analyze", "{d}/number.json"],
+                       "error: malformed cycle document: transverse: expected a list, got 5"),
+    "analyze-array": (["analyze", "{d}/array.json"],
+                      "error: malformed cycle document: document: expected a dict, got []"),
     "fplus-levels-inf": (["oracle", "fplus", "--alpha", "-1,1,1", "--levels", "inf:1e-3:3"],
                          "hetstab oracle fplus: error: " + LADDER_USAGE.format("--levels")),
     "fplus-levels-nan": (["oracle", "fplus", "--alpha", "-1,1,1", "--levels", "nan:1e-3:3"],

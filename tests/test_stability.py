@@ -14,6 +14,7 @@ from hetstab import (
     Classification,
     ConnectionSpec,
     CycleSpec,
+    DefectiveMatrix,
     IndeterminateError,
     IndexProvenance,
     NodeSpec,
@@ -60,6 +61,26 @@ def test_nonnegative_dichotomy_contracting():
     report = classify(two_node_nonnegative(0.8))
     assert report.sigma == (-INF, -INF)
     assert report.classification is Classification.NOT_ATTRACTOR
+
+
+# One-node non-negative cycles whose full return is defective (a Jordan
+# block at 0.5 or 0.3) but has one admissible dominant eigenvalue: the
+# dichotomy reads the eigenvalues alone, so each keeps its +-inf.
+DEFECTIVE_NONNEGATIVE = [
+    (np.array([[2.0, 0.0, 0.0], [0.0, 0.5, 1.0], [0.0, 0.0, 0.5]]), INF),
+    (np.array([[0.9, 0.0, 0.0], [0.0, 0.3, 1.0], [0.0, 0.0, 0.3]]), -INF),
+]
+
+
+@pytest.mark.parametrize("matrix,value", DEFECTIVE_NONNEGATIVE)
+def test_nonnegative_dichotomy_keeps_a_defective_full_return(matrix, value):
+    with pytest.raises(DefectiveMatrix):
+        eigen_decompose(matrix)
+    report = classify([matrix])
+    assert report.sigma == (value,)
+    assert report.classification is (Classification.ASYMPTOTICALLY_STABLE if value > 0
+                                     else Classification.NOT_ATTRACTOR)
+    assert sigma([matrix], 0) == value
 
 
 @pytest.mark.parametrize("node", [
@@ -337,7 +358,7 @@ def test_classify_decomposes_each_full_return_at_most_once(monkeypatch):
     for cycle in [two_node_nonnegative(2.0), two_node_nonnegative(0.8)]:
         calls.clear()
         classify(cycle)
-        assert calls == []
+        assert calls == [1]
 
 
 def test_sigma_decomposes_in_one_call(monkeypatch):
@@ -465,7 +486,9 @@ def test_batch_equals_per_cycle_exactly(tol):
               [2.0 * np.eye(2)], [np.diag([2.0, 0.5])],                      # one node, tie or not
               [np.abs(mixed), np.abs(mixed)], [], [np.eye(3)[:2]],           # its overflow, bad input
               [np.array([[1.5, -1.0], [0.0, 1.5]])], [np.diag([2.0, -2.0])],  # defective, tie
-              [NONCONVERGENT], [np.abs(NONCONVERGENT)]]                      # eig, eigvals fail
+              [NONCONVERGENT], [np.abs(NONCONVERGENT)]]                      # eig fails
+    defective = [[M] for M, _ in DEFECTIVE_NONNEGATIVE]
+    batch += defective                                                       # +-inf all the same
     batch += [random_cycle(rng, max_m=4, sign="mixed") for _ in range(40)]
     batch += [attracting_cycle(rng, 6) for _ in range(6)]
     order = rng.permutation(len(batch))
@@ -475,6 +498,9 @@ def test_batch_equals_per_cycle_exactly(tol):
         got = [_outcome(r) for r in hetstab.stability._classify_many(batch, tol)]
         expected = [_classify_outcome(cycle, tol) for cycle in batch]
     assert got == expected
+    for cycle, (_, value) in zip(defective, DEFECTIVE_NONNEGATIVE):
+        [k] = [k for k, c in enumerate(batch) if c is cycle]
+        assert got[k].sigma == (value,)
     kinds = {r[0] if isinstance(r, tuple) else r.classification for r in expected}
     assert {IndeterminateError, ProductOverflow, ZeroVectorError, ValueError} <= kinds
     assert len(kinds & set(Classification)) >= 3
@@ -499,7 +525,7 @@ def test_batch_errors_keep_no_traceback():
         for e in (exc, exc.__cause__, exc.__context__):
             assert e is None or e.__traceback__ is None, name
     tie = results[list(cases).index("nonnegative-tie")]
-    assert isinstance(tie.__cause__, SpectralError) and tie.__context__ is tie.__cause__
+    assert isinstance(tie.__cause__, SpectralError) and tie.cause is tie.__cause__
 
 
 WIDE = st.builds(lambda mag, sign: sign * mag, st.floats(1e-300, 1e300), st.sampled_from([-1.0, 1.0]))
