@@ -22,7 +22,7 @@ from .cycle import load_cycle, validate_cycle
 from .findex import f_index, f_minus, f_plus, inf_str
 from .oracle import (EstimatorConfig, InsufficientResolution, _log_ladder, estimate_fplus_mc,
                      estimate_sigma_mc)
-from .rsp import RspParams, rsp_compare, rsp_matrices
+from .rsp import RspParams, _rsp_stack, rsp_compare, rsp_matrices
 from .spectral import DEFAULT_TOL
 from .stability import IndeterminateError, _classify_many, classify
 
@@ -90,10 +90,12 @@ def _grid(text: str) -> int:
 
 
 def _glue_signed_values(argv: list[str]) -> list[str]:
-    """Let '--alpha -1,1,1' parse: glue a leading-dash value onto its flag."""
+    """Let '--alpha -1,1,1' and '--eps-x -5e-1' parse: glue the value of
+    --alpha, --eps-x and --eps-y onto its flag, as argparse takes a value
+    that starts with '-' for a flag unless it is a plain negative number."""
     out, rest = [], iter(argv)
     for tok in rest:
-        value = next(rest, None) if tok == "--alpha" else None
+        value = next(rest, None) if tok in ("--alpha", "--eps-x", "--eps-y") else None
         out.append(tok if value is None else f"{tok}={value}")
     return out
 
@@ -157,9 +159,8 @@ def _cmd_rsp(args) -> int:
 def _cmd_rsp_sweep(args) -> int:
     grid = np.linspace(-1.0, 1.0, args.grid + 2)[1:-1]  # interior points only
     rows = []
-    for ex in grid:   # one batch per row of the grid keeps the batch's arrays small
-        cycles = [rsp_matrices(RspParams(float(ex), float(ey))) for ey in grid]
-        for ey, report in zip(grid, _classify_many(cycles, args.tol)):
+    for ex in grid:   # one stack per row of the grid keeps the batch's arrays small
+        for ey, report in zip(grid, _classify_many(_rsp_stack(ex, grid), args.tol)):
             if isinstance(report, IndeterminateError):
                 s0 = s1 = math.nan
                 label = "indeterminate"

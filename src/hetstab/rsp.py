@@ -53,10 +53,19 @@ class RspParams:
 
 def rsp_matrices(params: RspParams) -> tuple[np.ndarray, np.ndarray]:
     """The two basic transition matrices (M_0, M_1), each a 3 x 3 array."""
-    ex, ey = params.eps_x, params.eps_y
-    m0 = [[(1 - ey) / 2, 1.0, 0.0], [-(1 + ex) / 2, 0.0, 1.0], [1.0, 0.0, 0.0]]
-    m1 = [[(1 - ex) / 2, 1.0, 0.0], [-(1 + ey) / 2, 0.0, 1.0], [1.0, 0.0, 0.0]]
-    return np.array(m0), np.array(m1)
+    return tuple(_rsp_stack(params.eps_x, params.eps_y))
+
+
+def _rsp_stack(eps_x, eps_y) -> np.ndarray:
+    """rsp_matrices at every pair of tie payoffs that the arrays eps_x and
+    eps_y broadcast to, without the range check, as one (..., 2, 3, 3)
+    array: rsp-sweep builds a grid row with one call."""
+    ex, ey = np.asarray(eps_x, float), np.asarray(eps_y, float)
+    mats = np.zeros(np.broadcast_shapes(ex.shape, ey.shape) + (2, 3, 3))
+    mats[..., 0, 0, 0], mats[..., 1, 0, 0] = (1 - ey) / 2, (1 - ex) / 2
+    mats[..., 0, 1, 0], mats[..., 1, 1, 0] = -(1 + ex) / 2, -(1 + ey) / 2
+    mats[..., 0, 1] = mats[..., 1, 2] = mats[..., 2, 0] = 1.0
+    return mats
 
 
 def rsp_cycle_spec(params: RspParams) -> CycleSpec:

@@ -25,6 +25,9 @@ ties and realness.
 
 Every decomposition is made by _eigen_decompose_many, on a stack of
 matrices, and _eig is the package's only call of numpy's eigen routines.
+The dominant eigenvalue of every matrix of the stack and conditions
+(i)-(iii) on it come from array operations over the whole stack
+(_dominant); Python runs only for a matrix that has no admissible one.
 eigen_decompose is its view of one matrix, which reads the basis and the
 eigenvalues (_Spectra.error); the non-negative dichotomy
 (stability._Batch._dichotomy) reads the eigenvalues alone.
@@ -97,37 +100,6 @@ def _attempt(kinds: tuple[type[Exception], ...], fn: Callable, *args):
             if e is not None:
                 e.__traceback__ = None
         return exc
-
-
-def dominant_eigenvalue(eigenvalues: np.ndarray, tol: float = DEFAULT_TOL) -> int:
-    """Index of the dominant eigenvalue; raises when none is admissible.
-
-    Eigenvalues with modulus within tol of 1 are skipped.  A conjugate pair
-    at the top is resolved to the member with positive imaginary part (the
-    realness flag then fails downstream); any other modulus tie between
-    distinct eigenvalues is reported as ambiguous rather than guessed.
-    """
-    moduli = np.abs(eigenvalues).tolist()
-    candidates = [i for i, r in enumerate(moduli) if abs(r - 1.0) > tol]
-    if not candidates:
-        raise NoAdmissibleDominant(
-            f"all eigenvalue moduli within {tol} of 1: {eigenvalues!r}"
-        )
-    rho = max(moduli[i] for i in candidates)
-    top = [i for i in candidates if moduli[i] >= rho * (1.0 - tol)]
-    if len(top) == 1:
-        return top[0]
-    if len(top) == 2:
-        a, b = eigenvalues[top[0]], eigenvalues[top[1]]
-        conjugate_pair = (
-            abs(np.conj(a) - b) <= tol * max(1.0, rho)
-            and abs(a.imag) > tol * max(1.0, rho)
-        )
-        if conjugate_pair:
-            return top[0] if a.imag > 0 else top[1]
-    raise NoAdmissibleDominant(
-        f"ambiguous dominant eigenvalue among {[eigenvalues[i] for i in top]!r}"
-    )
 
 
 def eigen_decompose(matrix: np.ndarray, tol: float = DEFAULT_TOL) -> SpectralSummary:
@@ -205,8 +177,9 @@ def _eig(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[SpectralErr
 def _eigen_decompose_many(matrices: np.ndarray, tol: float) -> _Spectra:
     """eigen_decompose of each matrix of the finite (B, N, N) stack matrices,
     for a tol already checked, with one eig (_eig), at most two SVDs for the
-    condition numbers and one inv for the whole stack.  Errors are kept
-    (_attempt); a defective matrix gets its dominant eigenvalue too.
+    condition numbers and one inv for the whole stack, and the dominant
+    eigenvalue of every matrix from one array rule (_dominant).  Errors are
+    kept; a defective matrix gets its dominant eigenvalue too.
 
     Each matrix decomposes bit for bit as it does alone, which takes one
     rule per matrix: numpy's eig gives a single matrix real eigenvalues and
@@ -239,23 +212,50 @@ def _eigen_decompose_many(matrices: np.ndarray, tol: float) -> _Spectra:
     basis[pivots] = 1.0
     basis_inverse = np.linalg.inv(basis)
 
-    index, conditions = [0] * len(P), [(False, False, False)] * len(P)
-    for b, values in enumerate(eigenvalues):
-        if errors[b] is not None:
-            continue
-        values = values.real if real[b] else values
-        found = _attempt((NoAdmissibleDominant,), dominant_eigenvalue, values, tol)
-        if isinstance(found, Exception):
-            errors[b] = found
-            continue
-        index[b] = found
-        lam = complex(values[found])
-        conditions[b] = (abs(lam.imag) <= tol * abs(lam), lam.real > 1.0, False)
-    for b, w in enumerate(basis[rows, :, index].real.tolist()):
-        if conditions[b][0]:
-            one_sign = all(x > 0.0 for x in w) or all(x < 0.0 for x in w)
-            conditions[b] = (True, conditions[b][1], one_sign)
+    index, conditions = _dominant(eigenvalues, real, basis, tol, errors)
     return _Spectra(eigenvalues, real, basis, basis_inverse, index, conditions, errors, defective)
+
+
+@np.errstate(invalid="ignore", over="ignore")
+def _dominant(eigenvalues: np.ndarray, real: list[bool], basis: np.ndarray, tol: float,
+              errors: list[SpectralError | None]) -> tuple[list[int], list[tuple[bool, bool, bool]]]:
+    """The index of the dominant eigenvalue of each row b of the (B, N) array
+    eigenvalues and conditions (i)-(iii) on it, by array operations over the
+    rows.  basis is the scaled (B, N, N) eigenvector basis, real[b] whether
+    row b is read as real, and errors[b] its error so far: a row that has
+    none and no admissible dominant gets its NoAdmissibleDominant there.
+    Where errors[b] is set, index and conditions of row b mean nothing.
+
+    Eigenvalues with modulus within tol of 1 are skipped.  A conjugate pair
+    at the top is resolved to the member with positive imaginary part
+    (condition (i) then fails); any other modulus tie between distinct
+    eigenvalues is reported as ambiguous rather than guessed.  Near the top
+    of double range the pair test may overflow or make NaN; it then fails.
+    """
+    moduli = np.abs(eigenvalues)
+    admissible = np.abs(moduli - 1.0) > tol
+    rho = np.where(admissible, moduli, -np.inf).max(axis=1)
+    top = admissible & (moduli >= (rho * (1.0 - tol))[:, None])
+    count = top.sum(axis=1)
+    rows = np.arange(len(top))
+    first, last = top.argmax(axis=1), top.shape[1] - 1 - top[:, ::-1].argmax(axis=1)
+    u, v = eigenvalues[rows, first], eigenvalues[rows, last]
+    scale = tol * np.maximum(1.0, rho)
+    pair = (count == 2) & (np.abs(np.conj(u) - v) <= scale) & (np.abs(u.imag) > scale)
+    index = np.where(pair & (u.imag < 0.0), last, first)
+    ok = pair | (count == 1)
+    lam = eigenvalues[rows, index]
+    i = np.abs(lam.imag) <= tol * np.hypot(lam.real, lam.imag)
+    # each column of basis has a component exactly +1, so one strict sign is all > 0
+    iii = i & (basis[rows, :, index].real > 0.0).all(axis=1)
+    for b in np.flatnonzero(~ok).tolist():
+        if errors[b] is None:                       # a matrix on which eig failed keeps its error
+            values = eigenvalues[b].real if real[b] else eigenvalues[b]
+            errors[b] = NoAdmissibleDominant(
+                f"ambiguous dominant eigenvalue among {list(values[top[b]])!r}" if count[b] else
+                f"all eigenvalue moduli within {tol} of 1: {values!r}")
+    conditions = zip(i.tolist(), (lam.real > 1.0).tolist(), iii.tolist())
+    return index.tolist(), list(conditions)
 
 
 def vmax_row(matrix: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:

@@ -32,7 +32,11 @@ and their negative-entry nodes (_Batch).  Both regimes read one stacked
 decomposition (_Batch.indices), and each cycle's first error is read as a
 value, in the order of a one-cycle reading (_Batch._fault).  classify,
 sigma and collect_alpha_vectors analyse the batch of one, and
-_classify_many groups many cycles into batches.  Each minimum over a
+_classify_many groups many cycles into batches.  It also takes one float
+(B, m, N, N) array of B cycles, as rsp-sweep hands it each grid row: the
+matrix rule checks the stack once (transition._basic_stack), and one min
+reduction finds every cycle's negative-entry nodes
+(transition._negative_entries).  Each minimum over a
 node's K = 1 + L*N direction vectors is that of findex.f_index over every
 vector in order, bit for bit (_first_minima).  Calling sigma(cycle, j) for
 every j repeats the decompositions that classify shares.
@@ -48,8 +52,8 @@ import numpy as np
 
 from . import findex
 from .spectral import DEFAULT_TOL, _attempt, _eigen_decompose_many, _tolerance
-from .transition import (CycleLike, as_basic_matrices, cyclic_products, _finite,
-                         _negative_entry_nodes, _node_index, _overflow)
+from .transition import (CycleLike, as_basic_matrices, cyclic_products, _basic_stack, _finite,
+                         _negative_entries, _node_index, _overflow)
 
 
 class IndeterminateError(RuntimeError):
@@ -200,7 +204,7 @@ class _Batch:
         """The batch of one cycle."""
         tol = _tolerance(tol)
         mats = as_basic_matrices(cycle)
-        return cls([mats], _negative_entry_nodes(mats), tol)
+        return cls([mats], np.flatnonzero(_negative_entries(mats)).tolist(), tol)
 
     def decompose(self, cells: list[tuple[int, int]]) -> None:
         """Decompose, in one stacked call, the finite full returns M^(j) of
@@ -325,22 +329,28 @@ class _Batch:
 
 def _classify_many(cycles, tol: float = DEFAULT_TOL) -> list:
     """classify of each cycle: its IndexReport, or the error classify raises
-    for it (_attempt), from batches (_Batch).  A tol that breaks its rule is
-    raised.
+    for it (_attempt), from batches (_Batch) of the cycles that share N and
+    their negative-entry nodes.  cycles is a sequence of cycles, or one
+    float (B, m, N, N) array of B cycles' basic matrices, which is checked
+    at once (transition._basic_stack) and whose negative-entry nodes come
+    from one min reduction.  A tol that breaks its rule is raised.
     """
     tol = _tolerance(tol)
-    out: list = [None] * len(cycles)
-    groups: dict[tuple, list[tuple[int, list[np.ndarray]]]] = {}
-    for i, cycle in enumerate(cycles):
-        mats = _attempt((TypeError, ValueError), as_basic_matrices, cycle)
-        if isinstance(mats, Exception):
-            out[i] = mats
-            continue
-        key = (len(mats), mats[0].shape[0], tuple(_negative_entry_nodes(mats)))
-        groups.setdefault(key, []).append((i, mats))
-    for (m, _, negative), members in groups.items():
-        batch = _Batch([mats for _, mats in members], list(negative), tol)
-        for (i, _), result in zip(members, batch.indices(list(range(m)))):
+    out = _basic_stack(cycles)
+    if out is None:
+        mats = [_attempt((TypeError, ValueError), as_basic_matrices, cycle) for cycle in cycles]
+        out = [m if isinstance(m, Exception) else None for m in mats]
+        patterns = [None if e else _negative_entries(m).tolist() for m, e in zip(mats, out)]
+    else:
+        mats, patterns = cycles, _negative_entries(cycles).tolist()
+    groups: dict[tuple, list[int]] = {}
+    for i, pattern in enumerate(patterns):
+        if out[i] is None:
+            groups.setdefault((len(mats[i][0]), *pattern), []).append(i)
+    for (_, *pattern), members in groups.items():
+        group = [mats[i] for i in members] if isinstance(mats, list) else mats[members]
+        batch = _Batch(group, [j for j, neg in enumerate(pattern) if neg], tol)
+        for i, result in zip(members, batch.indices(list(range(batch.m)))):
             if not isinstance(result, Exception):
                 sigmas, provenance = zip(*result)
                 result = IndexReport(sigmas, provenance, classification_from_sigmas(sigmas), tol)

@@ -45,8 +45,27 @@ def _entries(matrix) -> np.ndarray:
     1 x 1 and finite."""
     M = np.asarray(matrix, float)
     if M.ndim != 2 or M.shape[0] != M.shape[1] or not M.size or not np.isfinite(M).all():
-        raise ValueError(f"expected a finite square matrix, got shape {M.shape}")
+        raise _not_a_matrix(M.shape)
     return M
+
+
+def _not_a_matrix(shape: tuple[int, ...]) -> ValueError:
+    """The error of the matrix rule (_entries) for a matrix of that shape."""
+    return ValueError(f"expected a finite square matrix, got shape {shape}")
+
+
+def _basic_stack(cycles) -> list[ValueError | None] | None:
+    """as_basic_matrices of each cycle of cycles, checked at once, when
+    cycles is one float (B, m, N, N) array of B cycles' basic matrices with
+    m >= 1 and N >= 2: for each cycle None, or the ValueError that
+    as_basic_matrices raises for it (a matrix that is not finite).  None for
+    anything else, whose cycles are read one at a time.
+    """
+    if not (isinstance(cycles, np.ndarray) and cycles.dtype == float and cycles.ndim == 4
+            and cycles.shape[1] >= 1 and cycles.shape[2] == cycles.shape[3] >= 2):
+        return None
+    finite = np.isfinite(cycles).all(axis=(1, 2, 3)).tolist()
+    return [None if ok else _not_a_matrix(cycles.shape[2:]) for ok in finite]
 
 
 def _integer(value) -> bool:
@@ -169,10 +188,11 @@ def negative_entry_indices(cycle: CycleLike) -> list[int]:
     An empty result means every transverse eigenvalue is negative, which
     decides stability by the spectral-radius dichotomy alone.
     """
-    return _negative_entry_nodes(as_basic_matrices(cycle))
+    return np.flatnonzero(_negative_entries(as_basic_matrices(cycle))).tolist()
 
 
-def _negative_entry_nodes(mats: list[np.ndarray]) -> list[int]:
-    """negative_entry_indices for basic matrices already checked by
-    as_basic_matrices, without copying and checking them again."""
-    return [j for j, M in enumerate(mats) if M.min() < 0.0]
+def _negative_entries(mats) -> np.ndarray:
+    """Whether each basic matrix has a negative entry, from one min
+    reduction over the leading axes of mats: the list of a cycle's m basic
+    matrices, or a (B, m, N, N) array of B cycles."""
+    return np.asarray(mats).min(axis=(-2, -1)) < 0.0

@@ -11,6 +11,7 @@ import pytest
 from hetstab import EstimatorConfig, RspParams, rsp_compare, rsp_cycle_spec, save_cycle
 from hetstab.cli import _parse_ladder, build_parser, main
 import hetstab.stability
+import hetstab.transition
 from hetstab.spectral import DEFAULT_TOL, _eigen_decompose_many
 
 
@@ -100,6 +101,17 @@ def test_rsp_subcommand(capsys):
     assert "e.a.s." in out
 
 
+def test_rsp_takes_exponent_negatives(tmp_path, capsys):
+    # argparse reads '-5e-1' as a flag: the CLI glues it onto --eps-x
+    outputs, report = [], tmp_path / "report.json"
+    for eps_x in ("-0.5", "-5e-1"):
+        assert main(["rsp", "--eps-x", eps_x, "--eps-y", "0.2", "--json", str(report)]) == 0
+        outputs.append((capsys.readouterr().out, report.read_bytes()))
+    assert outputs[0] == outputs[1]
+    assert main(["rsp", "--eps-x", "-0.5", "--eps-y", "-1e-3"]) == 0
+    assert "eps_x=-0.5 eps_y=-0.001" in capsys.readouterr().out
+
+
 def test_rsp_sweep_csv(tmp_path, capsys):
     out_csv = tmp_path / "sweep.csv"
     assert main(["rsp-sweep", "--grid", "3", "--out", str(out_csv)]) == 0
@@ -132,6 +144,22 @@ def test_rsp_sweep_makes_at_most_two_stacked_decompositions_per_row(tmp_path, mo
     assert main(GRID_61 + [str(tmp_path / "sweep.csv")]) == 0
     assert len(calls) == 61                   # one stacked call per row
     assert sum(calls) <= 61 * 61 * 2          # each full return at most once
+
+
+def test_rsp_sweep_checks_each_row_once(tmp_path, monkeypatch, capsys):
+    # the matrix rule runs on one stack per row, not on each of the 7442 matrices
+    calls = []
+
+    def counting(rule):
+        def count(*args):
+            calls.append(rule.__name__)
+            return rule(*args)
+        return count
+
+    monkeypatch.setattr(hetstab.transition, "_entries", counting(hetstab.transition._entries))
+    monkeypatch.setattr(hetstab.stability, "_basic_stack", counting(hetstab.stability._basic_stack))
+    assert main(GRID_61 + [str(tmp_path / "sweep.csv")]) == 0
+    assert calls == ["_basic_stack"] * 61
 
 
 def test_rsp_sweep_memory_stays_small(tmp_path, capsys):

@@ -19,6 +19,7 @@ from hetstab import (
     validate_cycle,
     vmax_row,
 )
+from hetstab.rsp import _rsp_stack
 
 
 def test_params_validated():
@@ -38,6 +39,20 @@ def test_matrices_at_zero():
 def test_matrix_rows_at_sample_point():
     m0, _ = rsp_matrices(RspParams(-0.5, 0.2))
     assert m0[0] == pytest.approx([0.4, 1.0, 0.0])
+
+
+def test_matrices_are_the_formula_in_double_precision():
+    grid = np.linspace(-1.0, 1.0, 63)[1:-1]
+    for ex in grid[::6]:
+        row = _rsp_stack(ex, grid)                           # one rsp-sweep grid row
+        for ey, mats in zip(grid, row):
+            ex, ey = float(ex), float(ey)
+            m0, m1 = rsp_matrices(RspParams(ex, ey))
+            assert m0.tolist() == [[(1 - ey) / 2, 1.0, 0.0], [-(1 + ex) / 2, 0.0, 1.0],
+                                   [1.0, 0.0, 0.0]]
+            assert m1.tolist() == [[(1 - ex) / 2, 1.0, 0.0], [-(1 + ey) / 2, 0.0, 1.0],
+                                   [1.0, 0.0, 0.0]]
+            assert mats.tolist() == [m0.tolist(), m1.tolist()]
 
 
 def test_swap_symmetry_of_matrices():

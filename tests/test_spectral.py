@@ -1,8 +1,11 @@
+import cmath
 import dataclasses
 import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import (NONCONVERGENT, assert_multisets_close, charpoly_eigenvalues,
                       dominant_pair_matrix, random_cycle)
@@ -17,7 +20,7 @@ from hetstab import (
     partial_turn_matrix,
     vmax_row,
 )
-from hetstab.spectral import DEFAULT_TOL, _eigen_decompose_many
+from hetstab.spectral import DEFAULT_TOL, _dominant, _eigen_decompose_many
 
 
 def test_symmetric_two_by_two():
@@ -95,6 +98,8 @@ def test_ambiguous_dominant_ties():
         eigen_decompose(np.diag([2.0, -2.0]))
     with pytest.raises(NoAdmissibleDominant):
         eigen_decompose(2.0 * np.eye(2))
+    with pytest.raises(NoAdmissibleDominant):                # the pair test overflows
+        eigen_decompose(np.diag([1.7e308, -1.7e308]))
 
 
 def test_vmax_requires_expanding_real_dominant():
@@ -186,3 +191,108 @@ def test_stacked_decomposition_equals_one_matrix_at_a_time():
         kinds.add(alone.eigenvalues.dtype)
     assert kinds == {NoAdmissibleDominant, DefectiveMatrix, SpectralError,
                      np.dtype(float), np.dtype(complex)}
+
+
+def dominant_eigenvalue(eigenvalues: np.ndarray, tol: float = DEFAULT_TOL) -> int:
+    """The one-row rule that spectral._dominant replaced, kept as its
+    reference: the index of the dominant eigenvalue; raises when none is
+    admissible."""
+    moduli = np.abs(eigenvalues).tolist()
+    candidates = [i for i, r in enumerate(moduli) if abs(r - 1.0) > tol]
+    if not candidates:
+        raise NoAdmissibleDominant(
+            f"all eigenvalue moduli within {tol} of 1: {eigenvalues!r}"
+        )
+    rho = max(moduli[i] for i in candidates)
+    top = [i for i in candidates if moduli[i] >= rho * (1.0 - tol)]
+    if len(top) == 1:
+        return top[0]
+    if len(top) == 2:
+        a, b = eigenvalues[top[0]], eigenvalues[top[1]]
+        conjugate_pair = (
+            abs(np.conj(a) - b) <= tol * max(1.0, rho)
+            and abs(a.imag) > tol * max(1.0, rho)
+        )
+        if conjugate_pair:
+            return top[0] if a.imag > 0 else top[1]
+    raise NoAdmissibleDominant(
+        f"ambiguous dominant eigenvalue among {[eigenvalues[i] for i in top]!r}"
+    )
+
+
+def _reference(values: np.ndarray, w: np.ndarray, tol: float):
+    """(index, conditions) of one row by the one-row rule, or its error's message."""
+    try:
+        found = dominant_eigenvalue(values, tol)
+    except NoAdmissibleDominant as exc:
+        return str(exc)
+    lam = complex(values[found])
+    i = abs(lam.imag) <= tol * abs(lam)
+    w = w[:, found].real.tolist()
+    one_sign = i and (all(x > 0.0 for x in w) or all(x < 0.0 for x in w))
+    return found, (i, lam.real > 1.0, one_sign)
+
+
+@st.composite
+def _rows(draw):
+    """(tol, rows): a stack of eigenvalue rows that hits the rule's edges."""
+    tol = draw(st.sampled_from([0.0, 1e-9, 1e-3, 0.25]))
+    n = draw(st.integers(1, 5))
+    edges = [0.0, 0.5, 1.0, 1.0 + tol / 2, 1.0 - tol / 2, 1.0 + 2 * tol, 2.0, 2.0 * (1 - tol),
+             2.0 * (1 - tol / 2), 3.0]
+    moduli = st.one_of(st.sampled_from(edges), st.floats(0.0, 4.0))
+    angles = st.one_of(st.sampled_from([0.0, np.pi, np.pi / 2, -np.pi / 3, 1e-10]),
+                       st.floats(-np.pi, np.pi))
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        unit = draw(st.booleans())                     # every modulus within tol of 1
+        row = []
+        while len(row) < n:
+            r = draw(st.sampled_from([1.0, 1.0 + tol / 2, 1.0 - tol / 2])) if unit else draw(moduli)
+            z = cmath.rect(r, draw(angles))
+            kind = draw(st.sampled_from(["real", "pair", "tie", "complex"]))
+            if kind == "real":
+                row.append(complex(draw(st.sampled_from([r, -r]))))
+            elif kind == "complex" or len(row) == n - 1:
+                row.append(z)
+            elif kind == "pair":                       # a conjugate pair, or nearly one
+                shift = draw(st.sampled_from([0.0, 0.5, 0.75, 2.0])) * tol * max(1.0, r)
+                row += draw(st.permutations([z, z.conjugate() + shift]))
+            else:                                      # an exact tie of distinct values
+                row += [z, draw(st.sampled_from([-z, z, -z.conjugate(), 1j * z]))]
+        rows.append(row)
+    return tol, np.array(rows)
+
+
+def _scaled_bases(rng, shape) -> np.ndarray:
+    """Random bases whose columns each have a component exactly +1, some
+    with every component positive, some with a zero real part."""
+    bases = rng.uniform(-1.0, 1.0, shape) + 1j * rng.uniform(-1.0, 1.0, shape)
+    positive = rng.random(shape[:1] + shape[2:]) < 0.5
+    bases.real = np.where(positive[:, None, :], np.abs(bases.real) + 0.01, bases.real)
+    bases.real[rng.random(shape) < 0.1] = 0.0
+    bases[:, rng.integers(0, shape[1]), :] = 1.0
+    return bases
+
+
+@settings(max_examples=400, deadline=None)
+@given(_rows(), st.booleans(), st.integers(0, 2**32 - 1))
+@example((0.0, np.array([[2.0, -2.0, 0.5]])), True, 0)                 # exact tie, tol 0
+@example((1e-9, np.array([[2j, -2j, 0.5], [1 + 3e-10, -1.0, 1j]])), False, 1)  # pair on top; all ~1
+@example((0.0, np.array([[2.0, 0.5, 1.0 + 1e-12]])), True, 2)          # tol 0: ~1 is admissible
+@example((0.25, np.array([[0.5j, 0.1875 - 0.5j, 0.1]])), False, 3)    # a near pair below 1
+def test_array_rule_equals_the_one_row_rule(case, as_real, seed):
+    tol, eigenvalues = case
+    real = (eigenvalues.imag == 0.0).all(axis=1)
+    if as_real and real.all():                 # eig gives a real array when every row is real
+        eigenvalues = eigenvalues.real
+    basis = _scaled_bases(np.random.default_rng(seed), eigenvalues.shape + eigenvalues.shape[1:])
+    errors = [None] * len(eigenvalues)
+    index, conditions = _dominant(eigenvalues, real.tolist(), basis, tol, errors)
+    for b, row in enumerate(eigenvalues):
+        expected = _reference(row.real if real[b] else row, basis[b], tol)
+        if isinstance(expected, str):
+            assert type(errors[b]) is NoAdmissibleDominant and str(errors[b]) == expected
+        else:
+            assert errors[b] is None
+            assert (index[b], conditions[b]) == expected

@@ -528,6 +528,36 @@ def test_batch_errors_keep_no_traceback():
     assert isinstance(tie.__cause__, SpectralError) and tie.cause is tie.__cause__
 
 
+
+def _rsp_rows() -> list[np.ndarray]:
+    """The grid of rsp-sweep --grid 61, one (61, 2, 3, 3) stack per eps_x row."""
+    grid = np.linspace(-1.0, 1.0, 61 + 2)[1:-1]
+    return [np.array([rsp_matrices(RspParams(float(ex), float(ey))) for ey in grid])
+            for ex in grid]
+
+
+def test_a_stack_classifies_as_its_list_of_cycles():
+    from test_outcome_golden import _canonical
+    rows = _rsp_rows()
+    mixed = rows[20].copy()
+    mixed[3, 1, 2, 0] = np.nan                                   # not finite
+    mixed[4, 0, 1, 1] = np.inf
+    mixed[5] = [np.diag([1e200, 1.0, 1.0])] * 2                  # its full returns overflow
+    mixed[6] = [np.diag([2.0, -2.0, 0.5])] * 2                   # a tie at the top
+    mixed[7] = [np.diag([2.0, 2.0, 0.5])] * 2                    # the same, non-negative
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for stack in rows + [mixed]:
+            got = hetstab.stability._classify_many(stack)
+            assert [_canonical(r) for r in got] == [
+                _canonical(r) for r in hetstab.stability._classify_many(list(stack))]
+    kinds = [type(r) for r in got[3:8]]
+    assert kinds == [ValueError] * 2 + [ProductOverflow] + [IndeterminateError] * 2
+    assert str(got[3]) == "expected a finite square matrix, got shape (3, 3)"
+    clean = hetstab.stability._classify_many(rows[20])        # the other cycles are untouched
+    assert [_canonical(r) for r in got[:3] + got[8:]] == [
+        _canonical(r) for r in clean[:3] + clean[8:]]
+
 WIDE = st.builds(lambda mag, sign: sign * mag, st.floats(1e-300, 1e300), st.sampled_from([-1.0, 1.0]))
 
 

@@ -1,9 +1,11 @@
-"""numpy's eigen routines are called in one place.
+"""numpy's eigen routines are called in one place, and the dominant
+eigenvalue has one rule.
 
 Every eigendecomposition in the package goes through spectral._eig, so
 each full return is decomposed by one rule and once per analysis.  The
 source of src/hetstab is scanned for any other use of eig, eigvals, eigh or
-eigvalsh: an attribute, a name or an import.
+eigvalsh: an attribute, a name or an import.  It is also scanned for every
+place a NoAdmissibleDominant is built, which must be one function.
 """
 
 import ast
@@ -14,10 +16,12 @@ ROUTINES = {"eig", "eigvals", "eigh", "eigvalsh"}
 
 
 class _Uses(ast.NodeVisitor):
-    """The dotted scope (module.class.function) of every use of a routine."""
+    """The dotted scope (module.class.function) of every use of a name in
+    names (a routine by default)."""
 
-    def __init__(self, module: str):
+    def __init__(self, module: str, names=ROUTINES):
         self.scope = [module]
+        self.names = names
         self.found: list[str] = []
 
     def _enter(self, node):
@@ -28,7 +32,7 @@ class _Uses(ast.NodeVisitor):
     visit_ClassDef = visit_FunctionDef = visit_AsyncFunctionDef = _enter
 
     def _check(self, name: str | None):
-        if name in ROUTINES:
+        if name in self.names:
             self.found.append(".".join(self.scope))
 
     def visit_Attribute(self, node):
@@ -43,17 +47,36 @@ class _Uses(ast.NodeVisitor):
         self._check(node.asname)
 
 
-def _routine_uses() -> list[str]:
+class _Calls(_Uses):
+    """The dotted scope of every call of a name in names: a mention that is
+    not called (an import, a raise of a kept error, an except) is not one."""
+
+    def visit_Call(self, node):
+        func = node.func
+        self._check(func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None))
+        self.generic_visit(node)
+
+    def visit_Attribute(self, node):
+        self.generic_visit(node)
+
+    def visit_Name(self, node):
+        pass
+
+    def visit_alias(self, node):
+        pass
+
+
+def _scan(visitor=_Uses, *names) -> list[str]:
     found = []
     for path in sorted(SRC.glob("*.py")):
-        uses = _Uses(path.stem)
+        uses = visitor(path.stem, *names)
         uses.visit(ast.parse(path.read_text(encoding="utf-8")))
         found += uses.found
     return found
 
 
 def test_only_spectral_eig_calls_numpy_eigen_routines():
-    uses = _routine_uses()
+    uses = _scan()
     assert "spectral._eig" in uses
     assert [scope for scope in uses if scope != "spectral._eig"] == []
 
@@ -64,3 +87,17 @@ def test_the_scan_sees_every_form_of_use():
     uses = _Uses("m")
     uses.visit(ast.parse(source))
     assert uses.found == ["m", "m", "m.A.f", "m.A.f"]
+
+
+def test_one_function_builds_no_admissible_dominant():
+    assert sorted(set(_scan(_Calls, {"NoAdmissibleDominant"}))) == ["spectral._dominant"]
+
+
+def test_the_call_scan_sees_only_calls():
+    source = ("from spectral import NoAdmissibleDominant as N\n"
+              "def f():\n    raise spectral.NoAdmissibleDominant('x')\n"
+              "def g():\n    return NoAdmissibleDominant\n"
+              "def h():\n    return [NoAdmissibleDominant(m) for m in ms]\n")
+    calls = _Calls("m", {"NoAdmissibleDominant"})
+    calls.visit(ast.parse(source))
+    assert calls.found == ["m.f", "m.h"]
