@@ -82,7 +82,11 @@ def f_minus(alpha: Iterable[float]) -> float:
 
 def f_index(alpha: Iterable[float]) -> float:
     """Stability index F+(alpha) - F-(alpha) of the slice normal alpha."""
-    comps = _components(alpha)
+    return _f_index(_components(alpha))
+
+
+def _f_index(comps: list[float]) -> float:
+    """f_index of floats that _components has passed, unchecked."""
     fp = _f_plus(comps)
     if fp == math.inf:
         return math.inf

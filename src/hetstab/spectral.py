@@ -19,18 +19,28 @@ exactly +1, which under (iii) points it into the positive orthant; v_max is
 the corresponding row of P^{-1} under the same scaling, making the membership
 test v_max . y < 0 match the convergence direction.
 
-A basis with condition number above COND_LIMIT counts as defective.  tol
-(default DEFAULT_TOL, checked by _tolerance) decides moduli near 1, modulus
-ties and realness.
+A basis with condition number above COND_LIMIT counts as defective
+(_defective).  eig gives the basis P unit columns, so s_1 <= ||P||_F =
+sqrt(N), and s_1 ... s_N = |det P| gives cond_2(P) <= N^(N/2) / |det P|.
+One stacked det clears every basis whose bound is at most COND_LIMIT / 1000.
+The factor 1000 is the rounding margin (Higham 2002, Thm 9.3): the computed
+det is that of P + dP with ||dP||_2 <= 3 N^3 2^(N-1) u, which moves each
+singular value by at most that (Weyl); for N <= 11 it is below 5e-10 <=
+s_1 / (2 10^9), so cond_2(P) <= 2 10^9 and the SVD rule clears P too.  The
+SVD rule (np.linalg.cond's s_1 / s_N) still decides every other basis: N >
+11, a bound above the margin, a det that is 0 or not finite.  So the flags
+are bit for bit those of the SVD rule alone.  tol (default DEFAULT_TOL,
+checked by _tolerance) decides moduli near 1, modulus ties and realness.
 
 Every decomposition is made by _eigen_decompose_many, on a stack of
 matrices, and _eig is the package's only call of numpy's eigen routines.
 The dominant eigenvalue of every matrix of the stack and conditions
 (i)-(iii) on it come from array operations over the whole stack
-(_dominant); Python runs only for a matrix that has no admissible one.
-eigen_decompose is its view of one matrix, which reads the basis and the
-eigenvalues (_Spectra.error); the non-negative dichotomy
-(stability._Batch._dichotomy) reads the eigenvalues alone.
+(_dominant); the message of a matrix that has no admissible one is built
+only when its error is read (_no_dominant).  eigen_decompose is its view of
+one matrix, which reads the basis and the eigenvalues (_Spectra.error); the
+non-negative dichotomy (stability._Batch._dichotomy) reads the eigenvalues
+alone.
 """
 
 from __future__ import annotations
@@ -130,16 +140,21 @@ class _Spectra(NamedTuple):
     basis_inverse: np.ndarray                      # (B, N, N) complex
     index: list[int]                               # lambda_index of matrix b
     conditions: list[tuple[bool, bool, bool]]      # conditions (i), (ii), (iii) of matrix b
-    errors: list[SpectralError | None]             # what the eigenvalues of matrix b decide
-    defective: list[bool]                          # what its basis decides
+    failed: list[SpectralError | None]             # the error of eig on matrix b
+    top: dict[int, np.ndarray]                     # top set of each b with no admissible dominant
+    tol: float
+    defective: list[bool]                          # what the basis of matrix b decides
 
-    def error(self, b: int) -> SpectralError | None:
-        """The error eigen_decompose raises for matrix b alone, or None; a
-        matrix on which eig failed has the identity's basis, not defective."""
-        if self.defective[b]:
+    def error(self, b: int, eigenvalues_only: bool = False) -> SpectralError | None:
+        """The error eigen_decompose raises for matrix b alone, or what its
+        eigenvalues decide, or None; eig failing leaves no defective basis."""
+        if self.defective[b] and not eigenvalues_only:
             return DefectiveMatrix(f"eigenvector basis condition exceeds {COND_LIMIT:g}; "
                                    "matrix is (numerically) defective")
-        return self.errors[b]
+        if self.failed[b] is None and b in self.top:
+            values = self.eigenvalues[b].real if self.real[b] else self.eigenvalues[b]
+            return _no_dominant(values, self.top[b], self.tol)
+        return self.failed[b]
 
     def summary(self, b: int) -> SpectralSummary:
         """What eigen_decompose gives for matrix b alone: its summary, or its
@@ -176,10 +191,10 @@ def _eig(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[SpectralErr
 
 def _eigen_decompose_many(matrices: np.ndarray, tol: float) -> _Spectra:
     """eigen_decompose of each matrix of the finite (B, N, N) stack matrices,
-    for a tol already checked, with one eig (_eig), at most two SVDs for the
-    condition numbers and one inv for the whole stack, and the dominant
-    eigenvalue of every matrix from one array rule (_dominant).  Errors are
-    kept; a defective matrix gets its dominant eigenvalue too.
+    for a tol already checked, with one eig (_eig), one defective rule
+    (_defective) and one inv for the whole stack, and the dominant eigenvalue
+    of every matrix from one array rule (_dominant).  Errors are kept; a
+    defective matrix gets its dominant eigenvalue too.
 
     Each matrix decomposes bit for bit as it does alone, which takes one
     rule per matrix: numpy's eig gives a single matrix real eigenvalues and
@@ -189,17 +204,9 @@ def _eigen_decompose_many(matrices: np.ndarray, tol: float) -> _Spectra:
     condition numbers of the real bases and of the complex ones are taken
     apart, as a complex SVD can differ from the real one in the last bit.
     """
-    eigenvalues, P, errors = _eig(matrices)
+    eigenvalues, P, failed = _eig(matrices)
     real = (eigenvalues.imag == 0.0).all(axis=1).tolist()
-    defective = (~np.isfinite(P).all(axis=(1, 2))).tolist()
-    for spectrum in (True, False):
-        group = [b for b, bad in enumerate(defective) if not bad and real[b] == spectrum]
-        if group:
-            bases = P if len(group) == len(P) else P[group]
-            bases = bases.real if spectrum else bases
-            for b, s in zip(group, np.linalg.svd(bases, compute_uv=False).tolist()):
-                # np.linalg.cond is s[0] / s[-1], with 0 / 0 read as inf
-                defective[b] = not (s[-1] > 0.0 and s[0] / s[-1] <= COND_LIMIT)
+    defective = _defective(P, real)
     if any(defective):                           # swapped for the identity, so that inv runs
         P = np.where(np.array(defective)[:, None, None], np.eye(P.shape[1]), P)
 
@@ -212,19 +219,51 @@ def _eigen_decompose_many(matrices: np.ndarray, tol: float) -> _Spectra:
     basis[pivots] = 1.0
     basis_inverse = np.linalg.inv(basis)
 
-    index, conditions = _dominant(eigenvalues, real, basis, tol, errors)
-    return _Spectra(eigenvalues, real, basis, basis_inverse, index, conditions, errors, defective)
+    index, conditions, top = _dominant(eigenvalues, basis, tol)
+    return _Spectra(eigenvalues, real, basis, basis_inverse, index, conditions, failed, top, tol,
+                    defective)
 
 
 @np.errstate(invalid="ignore", over="ignore")
-def _dominant(eigenvalues: np.ndarray, real: list[bool], basis: np.ndarray, tol: float,
-              errors: list[SpectralError | None]) -> tuple[list[int], list[tuple[bool, bool, bool]]]:
+def _defective(bases: np.ndarray, real: list[bool]) -> list[bool]:
+    """Whether each basis of the (B, N, N) stack bases, with unit columns as
+    eig gives them, is not finite or has condition number above COND_LIMIT:
+    the det bound first, then the SVD rule, on the real bases (real[b])
+    apart from the complex ones, for the bases it cannot clear."""
+    n = bases.shape[-1]
+    # |det| >= floor is N^(N/2) / |det| <= COND_LIMIT / 1000; the margin holds for N <= 11
+    floor = n ** (n / 2) * 1e3 / COND_LIMIT if n <= 11 else np.inf
+    finite = np.isfinite(bases).all(axis=(1, 2)).tolist()
+    dets = np.abs(np.linalg.det(bases)).tolist()
+    unclear = [b for b, (ok, det) in enumerate(zip(finite, dets)) if ok and not det >= floor]
+    defective = [not ok for ok in finite]
+    for spectrum in (True, False):
+        group = [b for b in unclear if real[b] == spectrum]
+        if group:
+            group_bases = bases[group].real if spectrum else bases[group]
+            for b, s in zip(group, np.linalg.svd(group_bases, compute_uv=False).tolist()):
+                # np.linalg.cond is s[0] / s[-1], with 0 / 0 read as inf
+                defective[b] = not (s[-1] > 0.0 and s[0] / s[-1] <= COND_LIMIT)
+    return defective
+
+
+def _no_dominant(values: np.ndarray, top: np.ndarray, tol: float) -> NoAdmissibleDominant:
+    """The error of eigenvalues values with no admissible dominant, whose
+    top set top is empty when every modulus is within tol of 1."""
+    return NoAdmissibleDominant(
+        f"ambiguous dominant eigenvalue among {list(values[top])!r}" if top.any() else
+        f"all eigenvalue moduli within {tol} of 1: {values!r}")
+
+
+@np.errstate(invalid="ignore", over="ignore")
+def _dominant(eigenvalues: np.ndarray, basis: np.ndarray, tol: float
+              ) -> tuple[list[int], list[tuple[bool, bool, bool]], dict[int, np.ndarray]]:
     """The index of the dominant eigenvalue of each row b of the (B, N) array
     eigenvalues and conditions (i)-(iii) on it, by array operations over the
-    rows.  basis is the scaled (B, N, N) eigenvector basis, real[b] whether
-    row b is read as real, and errors[b] its error so far: a row that has
-    none and no admissible dominant gets its NoAdmissibleDominant there.
-    Where errors[b] is set, index and conditions of row b mean nothing.
+    rows, and the top set (a bool row) of each row that has no admissible
+    dominant, from which _no_dominant builds its error when it is read.
+    basis is the scaled (B, N, N) eigenvector basis.  Where a row has no
+    admissible dominant, its index and conditions mean nothing.
 
     Eigenvalues with modulus within tol of 1 are skipped.  A conjugate pair
     at the top is resolved to the member with positive imaginary part
@@ -248,14 +287,8 @@ def _dominant(eigenvalues: np.ndarray, real: list[bool], basis: np.ndarray, tol:
     i = np.abs(lam.imag) <= tol * np.hypot(lam.real, lam.imag)
     # each column of basis has a component exactly +1, so one strict sign is all > 0
     iii = i & (basis[rows, :, index].real > 0.0).all(axis=1)
-    for b in np.flatnonzero(~ok).tolist():
-        if errors[b] is None:                       # a matrix on which eig failed keeps its error
-            values = eigenvalues[b].real if real[b] else eigenvalues[b]
-            errors[b] = NoAdmissibleDominant(
-                f"ambiguous dominant eigenvalue among {list(values[top[b]])!r}" if count[b] else
-                f"all eigenvalue moduli within {tol} of 1: {values!r}")
     conditions = zip(i.tolist(), (lam.real > 1.0).tolist(), iii.tolist())
-    return index.tolist(), list(conditions)
+    return index.tolist(), list(conditions), {b: top[b] for b in np.flatnonzero(~ok).tolist()}
 
 
 def vmax_row(matrix: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:

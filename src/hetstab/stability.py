@@ -117,13 +117,13 @@ class IndexReport:
 
 def classification_from_sigmas(sigmas) -> Classification:
     sigmas = list(sigmas)
-    if any(s == -math.inf for s in sigmas):
+    if -math.inf in sigmas:
         return Classification.NOT_ATTRACTOR
-    if any(s == 0.0 for s in sigmas):
+    if 0.0 in sigmas:
         return Classification.MARGINAL
-    if all(s == math.inf for s in sigmas):
+    if sigmas.count(math.inf) == len(sigmas):
         return Classification.ASYMPTOTICALLY_STABLE
-    if all(s > 0.0 for s in sigmas):
+    if all(map((0.0).__lt__, sigmas)):
         return Classification.ESSENTIALLY_ASYMPTOTICALLY_STABLE
     return Classification.FRAGMENTARILY_ASYMPTOTICALLY_STABLE_ONLY
 
@@ -162,24 +162,20 @@ def _first_minima(alphas: np.ndarray) -> list[tuple[float, int]]:
     of the smallest findex.f_index values over the row's K vectors (each
     finite and nonzero), and its position k.
 
-    Filter, then verify: f_index runs only on the vectors whose lower bound
-    (_index_bounds) reaches the smallest upper bound of their row, and not
-    on those whose bounds meet at a nonzero value (a zero could carry
-    either sign).  A vector left out has an index above some other's, so it
-    is never a minimum, and value and k are those of the exhaustive loop.
+    Filter, then verify, by array operations: a vector is a candidate unless
+    its lower bound (_index_bounds) exceeds the smallest upper bound of its
+    row, so a NaN bound excludes nothing.  A candidate whose bounds meet at a
+    nonzero value (a zero could carry either sign) has that value, and the
+    others go through findex._f_index.  A vector left out is never a minimum,
+    and argmin takes the first of equal minima, as the exhaustive loop does.
     """
     lo, hi = _index_bounds(alphas)
-    out = []
-    for row, los, his, top in zip(alphas, lo.tolist(), hi.tolist(), hi.min(axis=1).tolist()):
-        best = None
-        for k, (low, high) in enumerate(zip(los, his)):
-            if low > top:
-                continue
-            value = high if low == high != 0.0 else findex.f_index(row[k])
-            if best is None or value < best[0]:
-                best = (value, k)
-        out.append(best)
-    return out
+    candidate = ~(lo > hi.min(axis=1)[:, None])
+    values = np.where(candidate, hi, math.inf)
+    rows, ks = np.nonzero(candidate & ~((lo == hi) & (lo != 0.0)))
+    values[rows, ks] = [findex._f_index(alpha) for alpha in alphas[rows, ks].tolist()]
+    k = values.argmin(axis=1)
+    return list(zip(values[np.arange(len(k)), k].tolist(), k.tolist()))
 
 
 _FAIL = (-math.inf, IndexProvenance(source="dominant-pair-conditions-fail", alpha=None))
@@ -270,10 +266,12 @@ class _Batch:
         kept = [i for i, b in enumerate(held) if out[b] is None]
         if not kept:
             return out
-        alphas = self.alphas([held[i] for i in kept], nodes, rows[kept])
-        minima = iter(_first_minima(alphas.reshape(-1, alphas.shape[2], self.n)))
-        for i, row in zip(kept, alphas):
-            out[held[i]] = [self._index(j, alpha, next(minima)) for j, alpha in zip(nodes, row)]
+        alphas = self.alphas([held[i] for i in kept], nodes, rows[kept]).reshape(
+            -1, 1 + rows.shape[2], self.n)
+        minima = _first_minima(alphas)
+        found = iter(zip(minima, alphas[np.arange(len(alphas)), [k for _, k in minima]].tolist()))
+        for i in kept:
+            out[held[i]] = [self._index(j, *next(found)) for j in nodes]
         return out
 
     def _dichotomy(self, b: int, count: int):
@@ -283,8 +281,9 @@ class _Batch:
         if not self._finite[b][0]:
             return _overflow(0)
         spectra, i = self._spectra, self._at[b, 0]
-        if spectra.errors[i] is not None:
-            return IndeterminateError(0, spectra.errors[i])
+        error = spectra.error(i, eigenvalues_only=True)
+        if error is not None:
+            return IndeterminateError(0, error)
         value = math.inf if abs(spectra.eigenvalues[i, spectra.index[i]]) > 1.0 else -math.inf
         return [(value, IndexProvenance(source="nonnegative-dichotomy", alpha=None))] * count
 
@@ -316,15 +315,15 @@ class _Batch:
                                 rows[k, rows[k].any(axis=1).argmin()])
         return None
 
-    def _index(self, j: int, alphas: np.ndarray, minimum: tuple[float, int]):
-        """(sigma_j, provenance) from the first minimum (value, k) over alphas."""
+    def _index(self, j: int, minimum: tuple[float, int], alpha: list[float]):
+        """(sigma_j, provenance) from its first minimum (value, k) and vector alpha."""
         value, k = minimum
         if k == 0:
             tag = f"v_max[{j}]"
         else:
             p, s = divmod(k - 1, self.n)
             tag = f"M_({self.negative[p]},{j}) row {s}"
-        return value, IndexProvenance(source=tag, alpha=tuple(alphas[k].tolist()))
+        return value, IndexProvenance(source=tag, alpha=tuple(alpha))
 
 
 def _classify_many(cycles, tol: float = DEFAULT_TOL) -> list:

@@ -3,11 +3,16 @@ import hashlib
 import inspect
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
+import numpy as np
 import pytest
 
+import hetstab
 from hetstab import EstimatorConfig, RspParams, rsp_compare, rsp_cycle_spec, save_cycle
 from hetstab.cli import _parse_ladder, build_parser, main
 import hetstab.stability
@@ -162,6 +167,19 @@ def test_rsp_sweep_checks_each_row_once(tmp_path, monkeypatch, capsys):
     assert calls == ["_basic_stack"] * 61
 
 
+def test_rsp_sweep_makes_no_svd(tmp_path, monkeypatch, capsys):
+    # the det bound clears every eigenvector basis of the grid; a defective
+    # matrix still reaches the SVD rule
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+    assert main(GRID_61 + [str(tmp_path / "sweep.csv")]) == 0
+    assert calls == []
+    with pytest.raises(hetstab.DefectiveMatrix):
+        hetstab.eigen_decompose([[2.0, 1.0], [0.0, 2.0]])
+    assert calls == [1]
+
+
 def test_rsp_sweep_memory_stays_small(tmp_path, capsys):
     # one batch per grid row: a batch of the whole grid peaks near 12 MB
     tracemalloc.start()
@@ -256,3 +274,14 @@ def test_explicit_decade_ladder_writes_the_default_bytes(rsp_json, tmp_path, cap
     assert main(common + ["--csv", str(default)]) == 0
     assert explicit.read_bytes() == default.read_bytes()
     assert b"\n2,1e-05," in default.read_bytes()
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    src = os.path.dirname(os.path.dirname(hetstab.__file__))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = ["findex", "--alpha", "-1,2,3"]
+    run = subprocess.run([sys.executable, "-m", "hetstab", *argv], env=env, capture_output=True,
+                         text=True, check=True)
+    assert main(argv) == 0
+    assert run.stdout == capsys.readouterr().out

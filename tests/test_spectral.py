@@ -20,7 +20,8 @@ from hetstab import (
     partial_turn_matrix,
     vmax_row,
 )
-from hetstab.spectral import DEFAULT_TOL, _dominant, _eigen_decompose_many
+from hetstab.spectral import (COND_LIMIT, DEFAULT_TOL, _defective, _dominant, _eigen_decompose_many,
+                              _no_dominant)
 
 
 def test_symmetric_two_by_two():
@@ -142,6 +143,74 @@ def test_eigenvector_propagation_through_partial_turns():
             assert np.allclose(M_l @ w_prop, s_j.lambda_max.real * w_prop, atol=1e-8)
         checked += 1
     assert checked >= 5
+
+
+def svd_defective(bases: np.ndarray, real: list[bool]) -> list[bool]:
+    """The SVD rule that the det bound of spectral._defective filters, kept
+    as its reference: not finite, or np.linalg.cond above COND_LIMIT, from
+    the real SVD of a real basis and the complex SVD of a complex one."""
+    out = []
+    for P, is_real in zip(bases, real):
+        if not np.isfinite(P).all():
+            out.append(True)
+            continue
+        s = np.linalg.svd(P.real if is_real else P, compute_uv=False).tolist()
+        out.append(not (s[-1] > 0.0 and s[0] / s[-1] <= COND_LIMIT))
+    return out
+
+
+def _unit_basis(rng, n: int, real: bool, tilt: float) -> np.ndarray:
+    """An n x n basis with unit columns whose last column is its second-last
+    tilted by tilt, so that its condition number is about 1 / tilt (exactly
+    singular at tilt 0)."""
+    P = rng.standard_normal((n, n)) + (0 if real else 1j * rng.standard_normal((n, n)))
+    P[:, -1] = P[:, -2] + tilt * P[:, -1]
+    return P / np.linalg.norm(P, axis=0)
+
+
+@st.composite
+def _bases(draw):
+    """(bases, real): a stack of unit-column bases, real and complex, N 2-5,
+    with condition numbers from 1 to past 1e16, near COND_LIMIT, exactly
+    singular or not finite, and real[b] as eig's spectrum flag reads it."""
+    n = draw(st.integers(2, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bases, real = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["spread", "near-limit", "singular", "not-finite"]))
+        tilt = {"spread": 10.0 ** -draw(st.floats(0.0, 17.0)),
+                "near-limit": 10.0 ** -draw(st.floats(11.0, 13.0))}.get(kind, 0.0)
+        real.append(draw(st.booleans()))
+        P = _unit_basis(rng, n, real[-1], tilt)
+        if kind == "not-finite":
+            P[draw(st.integers(0, n - 1)), 0] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        bases.append(P)
+    return np.array(bases), real
+
+
+@settings(max_examples=300, deadline=None)
+@given(_bases())
+def test_det_bound_keeps_the_svd_rule(case):
+    bases, real = case
+    assert _defective(bases, real) == svd_defective(bases, real)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+@pytest.mark.parametrize("real", [True, False])
+def test_det_bound_near_the_limit_and_past_it(n, real):
+    # tilts of 1e-13 to 1e-11 put the condition number on both sides of
+    # COND_LIMIT; then an exactly singular basis and two not finite
+    rng = np.random.default_rng(n)
+    bases = [_unit_basis(rng, n, real, 1.0 / (COND_LIMIT * f)) for f in (0.1, 0.3, 1.0, 3.0, 10.0)]
+    bases.append(_unit_basis(rng, n, real, 0.0))
+    for bad in (np.nan, np.inf):
+        bases.append(_unit_basis(rng, n, real, 1.0))
+        bases[-1][0, -1] = bad
+    bases = np.array(bases)
+    flags = [real] * len(bases)
+    defective = _defective(bases, flags)
+    assert defective == svd_defective(bases, flags)
+    assert set(defective[:5]) == {False, True} and defective[5:] == [True] * 3
 
 
 def _assert_same_summary(got, alone):
@@ -287,12 +356,13 @@ def test_array_rule_equals_the_one_row_rule(case, as_real, seed):
     if as_real and real.all():                 # eig gives a real array when every row is real
         eigenvalues = eigenvalues.real
     basis = _scaled_bases(np.random.default_rng(seed), eigenvalues.shape + eigenvalues.shape[1:])
-    errors = [None] * len(eigenvalues)
-    index, conditions = _dominant(eigenvalues, real.tolist(), basis, tol, errors)
+    index, conditions, top = _dominant(eigenvalues, basis, tol)
     for b, row in enumerate(eigenvalues):
-        expected = _reference(row.real if real[b] else row, basis[b], tol)
+        values = row.real if real[b] else row
+        expected = _reference(values, basis[b], tol)
         if isinstance(expected, str):
-            assert type(errors[b]) is NoAdmissibleDominant and str(errors[b]) == expected
+            error = _no_dominant(values, top[b], tol)
+            assert type(error) is NoAdmissibleDominant and str(error) == expected
         else:
-            assert errors[b] is None
+            assert b not in top
             assert (index[b], conditions[b]) == expected

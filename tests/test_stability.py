@@ -1,11 +1,12 @@
 import importlib.util
+import itertools
 import math
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hetstab.stability
@@ -180,6 +181,29 @@ def test_classification_rules():
     assert classification_from_sigmas([0.0, 0.4]) is C.MARGINAL
     assert classification_from_sigmas([-INF, 0.0]) is C.NOT_ATTRACTOR   # -inf wins
     assert classification_from_sigmas([INF, -0.1]) is C.FRAGMENTARILY_ASYMPTOTICALLY_STABLE_ONLY
+
+
+def classification_by_loops(sigmas) -> Classification:
+    """classification_from_sigmas as generator loops in Python, its
+    reference."""
+    sigmas = list(sigmas)
+    if any(s == -math.inf for s in sigmas):
+        return Classification.NOT_ATTRACTOR
+    if any(s == 0.0 for s in sigmas):
+        return Classification.MARGINAL
+    if all(s == math.inf for s in sigmas):
+        return Classification.ASYMPTOTICALLY_STABLE
+    if all(s > 0.0 for s in sigmas):
+        return Classification.ESSENTIALLY_ASYMPTOTICALLY_STABLE
+    return Classification.FRAGMENTARILY_ASYMPTOTICALLY_STABLE_ONLY
+
+
+def test_classification_equals_the_loops_on_every_short_tuple():
+    values = [INF, -INF, 0.0, -0.0, 1.0, -1.0, math.nan, 5e-324, -5e-324]
+    tuples = [t for n in (1, 2, 3) for t in itertools.product(values, repeat=n)]
+    assert len(tuples) == 819
+    for t in tuples:
+        assert classification_from_sigmas(t) is classification_by_loops(t), t
 
 
 def test_report_consistency_invariant():
@@ -605,6 +629,10 @@ def candidate_arrays(draw):
 
 @settings(deadline=None, max_examples=200)
 @given(candidate_arrays())
+# sums that overflow: a NaN lower bound on the minimum (row 0), a NaN upper
+# bound and so a NaN smallest upper bound (row 1)
+@example(np.array([[[1.7e308, 1.7e308, -1.7e308], [1.0, -0.1, 0.5]],
+                   [[-1.7e308, -1.7e308, 1.7e308], [1.0, -2.0, 0.5]]]))
 def test_filtered_minimum_equals_the_exhaustive_loop(alphas):
     lo, hi = hetstab.stability._index_bounds(alphas)
     got = hetstab.stability._first_minima(alphas)
@@ -625,12 +653,13 @@ def test_classify_verifies_at_most_a_quarter_of_its_candidates(monkeypatch):
     inputs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(inputs)
     calls = []
+    formula = hetstab.stability.findex._f_index
 
-    def counting(alpha):
+    def counting(comps):
         calls.append(1)
-        return f_index(alpha)
+        return formula(comps)
 
-    monkeypatch.setattr(hetstab.stability.findex, "f_index", counting)
+    monkeypatch.setattr(hetstab.stability.findex, "_f_index", counting)
     verified, candidates = {8: 0, 32: 0}, {8: 0, 32: 0}
     for entry in inputs.classify_population(3):
         cycle = validate_cycle(cycle_from_dict(entry["doc"]))

@@ -90,7 +90,7 @@ def test_the_scan_sees_every_form_of_use():
 
 
 def test_one_function_builds_no_admissible_dominant():
-    assert sorted(set(_scan(_Calls, {"NoAdmissibleDominant"}))) == ["spectral._dominant"]
+    assert sorted(set(_scan(_Calls, {"NoAdmissibleDominant"}))) == ["spectral._no_dominant"]
 
 
 def test_the_call_scan_sees_only_calls():
