@@ -158,9 +158,10 @@ def _cmd_rsp(args) -> int:
 
 def _cmd_rsp_sweep(args) -> int:
     grid = np.linspace(-1.0, 1.0, args.grid + 2)[1:-1]  # interior points only
+    text = [repr(x) for x in grid.tolist()]   # each grid value formatted once
     rows = []
-    for ex in grid:   # one stack per row of the grid keeps the batch's arrays small
-        for ey, report in zip(grid, _classify_many(_rsp_stack(ex, grid), args.tol)):
+    for ex, tx in zip(grid, text):   # one stack per row of the grid keeps the batch's arrays small
+        for ty, report in zip(text, _classify_many(_rsp_stack(ex, grid), args.tol)):
             if isinstance(report, IndeterminateError):
                 s0 = s1 = math.nan
                 label = "indeterminate"
@@ -169,12 +170,11 @@ def _cmd_rsp_sweep(args) -> int:
             else:
                 s0, s1 = report.sigma
                 label = report.classification.value
-            rows.append((float(ex), float(ey), s0, s1, label))
+            rows.append((tx, ty, _fmt(s0), _fmt(s1), label))
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["eps_x", "eps_y", "sigma0", "sigma1", "classification"])
-        for ex, ey, s0, s1, label in rows:
-            writer.writerow([repr(ex), repr(ey), _fmt(s0), _fmt(s1), label])
+        writer.writerows(rows)
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0
 

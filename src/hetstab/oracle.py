@@ -20,11 +20,14 @@ maps directly rather than trusting any eigen-structure argument:
 
 Point batches are iterated coordinate-major: the orbit loops keep one
 C-contiguous (N, n) array with a column per point, so a step is one N x N
-matrix times a wide array and the max-norm is an element-wise maximum over
-N contiguous rows.  Samples are drawn as rows of N coordinates
-(_sample_log_cube) and transposed once on entry to the loop, so the layout
-never changes which random number lands in which coordinate.  Every ladder
-level is streamed in blocks (_levels).
+matrix times a wide array.  _basin_mask first settles a step for the whole
+block, by one full max and a carried bound on the max-norm that uses
+||M_j||_inf and ||F_j||_inf only, and takes the per-column maxima (an
+element-wise maximum over N contiguous rows) only when that cannot decide.
+Samples are drawn as rows of N coordinates (_sample_log_cube) and
+transposed once on entry to the loop, so the layout never changes which
+random number lands in which coordinate.  Every ladder level is streamed
+in blocks (_levels).
 
 Estimates are deterministic: the RNG stream of every level is derived from
 (seed, level index), so results are bit-identical for identical configs
@@ -182,6 +185,12 @@ def _gmaps(cycle: CycleLike, j: int) -> tuple[list[np.ndarray], list[np.ndarray]
     return mats, offs
 
 
+def _growth(mats: list[np.ndarray], offs: list[np.ndarray]) -> list[tuple[float, float]]:
+    """(||M_l||_inf, ||F_l||_inf) of every map, for _basin_mask's dive bound."""
+    return [(float(np.abs(M).sum(axis=1).max()), float(np.abs(f).max(initial=0.0)))
+            for M, f in zip(mats, offs)]
+
+
 @np.errstate(over="ignore", invalid="ignore")   # an orbit that overflows has escaped
 def _basin_mask(
     mats: list[np.ndarray],
@@ -190,6 +199,7 @@ def _basin_mask(
     eta0: np.ndarray,
     delta: float,
     max_full_turns: int,
+    growth: list[tuple[float, float]] | None = None,
 ) -> np.ndarray:
     """Vectorised delta-basin membership for a batch of log-coordinate points.
 
@@ -201,7 +211,33 @@ def _basin_mask(
     (converged) does not turn 0 * -inf into an escape; the per-step path
     keeps no earlier state for it.  A zero offset (raw matrices, default
     scalings) is skipped rather than added: the mask is the same, as
-    -0.0 == 0.0, and the loop takes about a fifth less time.
+    -0.0 == 0.0, and the criterion-6 estimate takes about a fifth less time.
+    growth is _growth(mats, offs), taken here when not given.
+
+    Each step first tries to settle the whole block, and takes the column
+    maxima only when that fails, so the masks are those of the per-column
+    test bit for bit:
+    * tube: eta.max() < ln(delta) puts every column inside the tube; a NaN
+      propagates through the max and fails the comparison;
+    * dive: no column can reach max <= DEEP_LOG while every |eta_ic| is
+      below -DEEP_LOG.  A bound B >= ||eta||_inf is carried as
+      B' = (||M_l|| B + ||F_l||) * slack, and re-measured as -eta.min()
+      (every coordinate is negative once the tube test has passed) when B'
+      reaches -DEEP_LOG.  With u = 2^-53 and gamma_N = N u / (1 - N u),
+      any summation order gives |fl(M x + f)| <= (1 + gamma_N)(|M||x| + |f|)
+      (1 + u) (Higham 2002, sec. 3.5), so ||eta'|| <= (1 + gamma_N)(1 + u)
+      (||M|| B + ||F||).  The computed row sums of |M| lose at most a factor
+      (1 - u)^(N-1), and the three operations of B' at most (1 - u)^3, so
+      slack = 1 + (2N + 3) 2u >= 1 / (1 - (2N + 3) u) covers all of it.  A
+      B' below 1e9 rules out overflow, and underflow adds a few subnormals,
+      far below the gap between B' and 1e9.
+    A step after a per-column step that removed columns goes straight to
+    the per-column test, so a draining block pays no extra reduction, and
+    every per-column step drops the bound.  The column maxima are taken
+    only for the per-column test, at turn q3 and after the last turn.  On
+    the criterion-6 config 420 of the 7056 steps take the per-column test,
+    and the estimate takes about 0.7 times the time of a per-column test at
+    every step (2 cores, numpy 2.4.6).
     """
     m = len(mats)
     ln_delta = math.log(delta)
@@ -215,20 +251,33 @@ def _basin_mask(
         return result
 
     cols = [off[:, None] if off.any() else None for off in offs]
+    growth = _growth(mats, offs) if growth is None else growth
+    slack = 1.0 + (2 * eta.shape[0] + 3) * 2.0**-52
     q3 = (3 * max_full_turns) // 4
     q3_max = np.full(n_samples, np.inf)
     replay = None
+    bound, mx, drained = math.inf, None, False   # mx is None while not taken
     for turn in range(max_full_turns):
         for step in range(m):
             l = (j + step) % m
             eta = mats[l] @ eta
             if cols[l] is not None:
                 eta += cols[l]
+            if not drained and eta.max() < ln_delta:
+                norm_m, norm_f = growth[l]
+                bound = (norm_m * bound + norm_f) * slack
+                if not bound < -DEEP_LOG:   # also NaN, from inf * 0
+                    bound = -float(eta.min())
+                if bound < -DEEP_LOG:
+                    mx = None
+                    continue
             mx = eta.max(axis=0)
+            bound = math.inf
             # a NaN max fails both tests and counts as escaped, unless the
             # replay shows it was 0 * -inf from a converged coordinate
             keep = (mx > DEEP_LOG) & (mx < ln_delta)
-            if not keep.all():
+            drained = not keep.all()
+            if drained:
                 nan = np.flatnonzero(np.isnan(mx))
                 if nan.size:
                     if replay is None:
@@ -241,7 +290,9 @@ def _basin_mask(
                 if idx.size == 0:
                     return result
         if turn == q3:
-            q3_max[idx] = mx
+            q3_max[idx] = eta.max(axis=0) if mx is None else mx
+    if mx is None:
+        mx = eta.max(axis=0)
     result[idx[mx < q3_max[idx]]] = True
     return result
 
@@ -446,10 +497,11 @@ def estimate_sigma_mc(cycle: CycleLike, j: int, config: EstimatorConfig) -> Basi
     sigma_minus.  A product pass from j that overflows raises ProductOverflow.
     """
     mats, offs = _gmaps(cycle, j)
+    growth = _growth(mats, offs)
     levels = _levels(
         config.epsilon_ladder, config.samples_per_level, mats[0].shape[0], config.seed,
         lambda eta0: np.count_nonzero(
-            _basin_mask(mats, offs, j, eta0, config.delta, config.max_full_turns)),
+            _basin_mask(mats, offs, j, eta0, config.delta, config.max_full_turns, growth)),
     )
     minus, fit_minus = _side(levels, complement=False)
     plus, fit_plus = _side(levels, complement=True)

@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import dominant_pair_matrix, random_cycle
 from hetstab import oracle
@@ -481,6 +483,87 @@ def test_basin_mask_matches_row_major_reference_on_random_cycles():
                                         delta=1e-2, turns=60, seed=kept)
         kept += 1
     assert outcomes == {True, False}
+
+
+# Whole-block tests: each step first settles the tube and the dive for the
+# whole block (one max, and a carried bound on ||eta||_inf), and takes the
+# column maxima only when that cannot decide; the masks must not move.
+
+
+def test_a_deep_coordinate_under_a_shallow_max_goes_to_the_column_test():
+    # coordinate 0 passes DEEP_LOG within 9 steps and keeps falling, so the
+    # bound re-measures past -DEEP_LOG at every step while no column max
+    # comes near it; coordinates 1 and 2 decide by trend or by escape
+    M = np.diag([10.0, 1.0, 1.0])
+    F = np.array([0.0, -0.01, 0.01])
+    eta0 = np.array([[-5.0, -6.0, -20.0],    # max falls: in the basin
+                     [-5.0, -20.0, -6.0],    # max rises inside the tube
+                     [-5.0, -20.0, -4.8],    # max leaves the tube at step 20
+                     [-12.0, -9.0, -30.0]])
+    expected = _row_major_basin_mask([M], [F], 0, eta0, 1e-2, 100)
+    assert expected.tolist() == [True, False, False, True]
+    assert np.array_equal(oracle._basin_mask([M], [F], 0, eta0, 1e-2, 100), expected)
+
+
+def test_offsets_carry_the_dive_bound():
+    # the first step measures the bound; then one offset takes every
+    # coordinate to about -1e9 and the next brings it back.  A column dives
+    # exactly when each coordinate starts at or below -10, and with M = I
+    # only ||F|| lifts the carried bound far enough to notice it
+    mats = [np.eye(3)] * 3
+    offs = [np.zeros(3), np.full(3, -1e9 + 10.0), np.full(3, 1e9)]
+    eta0 = np.random.default_rng(3).uniform(-12.0, -9.0, (400, 3))
+    expected = _row_major_basin_mask(mats, offs, 0, eta0, 1e-2, 20)
+    assert np.array_equal(expected, (eta0 <= -10.0).all(axis=1))
+    assert set(expected.tolist()) == {True, False}
+    assert np.array_equal(oracle._basin_mask(mats, offs, 0, eta0, 1e-2, 20), expected)
+
+
+def test_a_max_on_ln_delta_has_left_the_tube():
+    # the first map puts the max exactly on ln(delta) and the second takes it
+    # back inside, where it falls: only the tube's strict < says escaped
+    ln_delta = math.log(1e-2)
+    start = ln_delta - 1.0
+    assert start + 1.0 == ln_delta
+    mats = [np.eye(2)] * 2
+    offs = [np.array([1.0, 0.0]), np.array([-1.01, -0.01])]
+    eta0 = np.array([[start, -9.0], [start - 0.5, -9.0]])
+    expected = _row_major_basin_mask(mats, offs, 0, eta0, 1e-2, 20)
+    assert expected.tolist() == [False, True]
+    assert np.array_equal(oracle._basin_mask(mats, offs, 0, eta0, 1e-2, 20), expected)
+
+
+@pytest.mark.parametrize("turns", [5, 6, 7, 12, 30])
+def test_orbits_undecided_at_the_budget_end_match(turns):
+    # a short budget leaves most orbits to the trend verdict, which reads the
+    # column maxima of turn q3 and of the last turn
+    mats = rsp_matrices(RspParams(-0.5, 0.2))
+    outcomes = _assert_masks_match(mats, 0, (1e-3, 1e-9, 1e-15), n=2000,
+                                   delta=1e-2, turns=turns, seed=turns)
+    assert outcomes == {True, False}
+
+
+def _scaled_rsp_cycle(rng):
+    """An RSP cycle at random (eps_x, eps_y) with random connection constants,
+    so that both the basin's cusp and non-zero offsets occur."""
+    spec = rsp_cycle_spec(RspParams(*rng.uniform(-0.9, 0.9, 2).tolist()))
+    return validate_cycle(CycleSpec(nodes=spec.nodes, connections=tuple(
+        ConnectionSpec(permutation=c.permutation,
+                       scalings=tuple(rng.uniform(0.5, 2.0, 3).tolist()),
+                       contraction_offset=float(rng.uniform(0.5, 2.0)))
+        for c in spec.connections)))
+
+
+@settings(deadline=None, max_examples=60)
+@given(seed=st.integers(0, 2**32 - 1), level=st.integers(3, 60), turns=st.integers(4, 40),
+       family=st.sampled_from(["rsp", "any", "mixed", "negative"]))
+def test_basin_mask_matches_row_major_reference_property(seed, level, turns, family):
+    rng = np.random.default_rng(seed)
+    cycle = (_scaled_rsp_cycle(rng) if family == "rsp"
+             else random_cycle(rng, max_m=3, sign=family))
+    j = int(rng.integers(cycle.m))
+    _assert_masks_match(cycle, j, (10.0 ** -level,), n=200, delta=1e-2, turns=turns,
+                        seed=seed)
 
 
 def _careful_basin_member(mats, j, eta, delta, max_full_turns):

@@ -1,11 +1,13 @@
 """numpy's eigen routines are called in one place, and the dominant
-eigenvalue has one rule.
+eigenvalue has one rule, and the oracle stays independent of both.
 
 Every eigendecomposition in the package goes through spectral._eig, so
 each full return is decomposed by one rule and once per analysis.  The
 source of src/hetstab is scanned for any other use of eig, eigvals, eigh or
 eigvalsh: an attribute, a name or an import.  It is also scanned for every
-place a NoAdmissibleDominant is built, which must be one function.
+place a NoAdmissibleDominant is built, which must be one function.  The
+Monte-Carlo oracle checks the analytic indices, so its imports are scanned
+too: nothing from spectral, and from stability only IndeterminateError.
 """
 
 import ast
@@ -101,3 +103,30 @@ def test_the_call_scan_sees_only_calls():
     calls = _Calls("m", {"NoAdmissibleDominant"})
     calls.visit(ast.parse(source))
     assert calls.found == ["m.f", "m.h"]
+
+
+def _imported(source: str) -> list[tuple[str, ...]]:
+    """The dotted path of every name that source imports, as a tuple of its
+    parts; a relative import keeps the parts after its dots."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [tuple(alias.name.split(".")) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = tuple(node.module.split(".")) if node.module else ()
+            found += [base + (alias.name,) for alias in node.names]
+    return found
+
+
+def test_the_oracle_takes_no_eigen_data():
+    imported = _imported((SRC / "oracle.py").read_text(encoding="utf-8"))
+    assert [path for path in imported if "spectral" in path] == []
+    assert [path for path in imported if "stability" in path] == [
+        ("stability", "IndeterminateError")]
+
+
+def test_the_import_scan_sees_every_form_of_import():
+    source = ("import hetstab.spectral\nfrom . import spectral as s\n"
+              "def f():\n    from .stability import classify, IndeterminateError\n")
+    assert _imported(source) == [("hetstab", "spectral"), ("spectral",),
+                                 ("stability", "classify"), ("stability", "IndeterminateError")]
