@@ -27,6 +27,9 @@ from .spectral import DEFAULT_TOL
 from .stability import IndeterminateError, _classify_many, classify
 
 
+SWEEP_CYCLES = 256   # cycles per _classify_many stack of rsp-sweep
+
+
 class _Parser(argparse.ArgumentParser):
     # usage problems are input problems: keep exit code 2 reserved for
     # indeterminate spectral results
@@ -159,9 +162,15 @@ def _cmd_rsp(args) -> int:
 def _cmd_rsp_sweep(args) -> int:
     grid = np.linspace(-1.0, 1.0, args.grid + 2)[1:-1]  # interior points only
     text = [repr(x) for x in grid.tolist()]   # each grid value formatted once
+    # one _classify_many stack per run of whole eps_x rows: as many rows as
+    # fit in SWEEP_CYCLES cycles, or one row when a row alone is longer, so a
+    # sweep makes few calls and no stack grows with the number of rows
+    step = max(1, SWEEP_CYCLES // len(grid))
     rows = []
-    for ex, tx in zip(grid, text):   # one stack per row of the grid keeps the batch's arrays small
-        for ty, report in zip(text, _classify_many(_rsp_stack(ex, grid), args.tol)):
+    for i in range(0, len(grid), step):
+        stack = _rsp_stack(grid[i:i + step, None], grid[None, :]).reshape(-1, 2, 3, 3)
+        cells = ((tx, ty) for tx in text[i:i + step] for ty in text)
+        for (tx, ty), report in zip(cells, _classify_many(stack, args.tol)):
             if isinstance(report, IndeterminateError):
                 s0 = s1 = math.nan
                 label = "indeterminate"

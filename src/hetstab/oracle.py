@@ -442,7 +442,11 @@ def _levels(ladder: tuple[float, ...], samples: int, dim: int, seed: int,
     at BLOCK rows), so memory per level does not grow with samples.  The
     blocks consume the stream in the same order as one big draw, and each
     point's membership depends on that point alone, so the counts are those
-    of one big batch.
+    of one big batch, except where a point's test lies within rounding of
+    its threshold: BLAS may round a product over a one-row block (the last
+    block when samples % BLOCK == 1) differently in the last bit from the
+    same row inside a larger block, so a point with alpha . eta within
+    rounding of 0 (estimate_fplus_mc) can count differently there.
     """
     def level(li: int) -> LevelEstimate:
         rng = np.random.default_rng((seed, li))

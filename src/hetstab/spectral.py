@@ -36,9 +36,11 @@ Every decomposition is made by _eigen_decompose_many, on a stack of
 matrices, and _eig is the package's only call of numpy's eigen routines.
 The dominant eigenvalue of every matrix of the stack and conditions
 (i)-(iii) on it come from array operations over the whole stack
-(_dominant); the message of a matrix that has no admissible one is built
-only when its error is read (_no_dominant).  eigen_decompose is its view of
-one matrix, which reads the basis and the eigenvalues (_Spectra.error); the
+(_dominant).  A matrix that has no admissible one keeps its top set, and
+gets its error (_no_dominant) only when _Spectra.error is asked for it; the
+text of that error is formatted only when it is read (str), so a sweep that
+prints no message formats none.  eigen_decompose is its view of one matrix,
+which reads the basis and the eigenvalues (_Spectra.error); the
 non-negative dichotomy (stability._Batch._dichotomy) reads the eigenvalues
 alone.
 """
@@ -247,12 +249,29 @@ def _defective(bases: np.ndarray, real: list[bool]) -> list[bool]:
     return defective
 
 
+class _NoDominantMessage(NamedTuple):
+    """The message of _no_dominant's error, formatted when it is read (str),
+    with numpy's print options of that moment."""
+
+    values: np.ndarray
+    top: np.ndarray
+    tol: float
+
+    def __str__(self) -> str:
+        if self.top.any():
+            return f"ambiguous dominant eigenvalue among {list(self.values[self.top])!r}"
+        return f"all eigenvalue moduli within {self.tol} of 1: {self.values!r}"
+
+    def __repr__(self) -> str:
+        return repr(str(self))
+
+
 def _no_dominant(values: np.ndarray, top: np.ndarray, tol: float) -> NoAdmissibleDominant:
     """The error of eigenvalues values with no admissible dominant, whose
-    top set top is empty when every modulus is within tol of 1."""
-    return NoAdmissibleDominant(
-        f"ambiguous dominant eigenvalue among {list(values[top])!r}" if top.any() else
-        f"all eigenvalue moduli within {tol} of 1: {values!r}")
+    top set top is empty when every modulus is within tol of 1.  It holds
+    copies of values and top, not views into a batch's arrays, so a kept
+    error does not keep the batch alive."""
+    return NoAdmissibleDominant(_NoDominantMessage(values.copy(), top.copy(), tol))
 
 
 @np.errstate(invalid="ignore", over="ignore")

@@ -33,7 +33,7 @@ decomposition (_Batch.indices), and each cycle's first error is read as a
 value, in the order of a one-cycle reading (_Batch._fault).  classify,
 sigma and collect_alpha_vectors analyse the batch of one, and
 _classify_many groups many cycles into batches.  It also takes one float
-(B, m, N, N) array of B cycles, as rsp-sweep hands it each grid row: the
+(B, m, N, N) array of B cycles, as rsp-sweep hands it whole grid rows: the
 matrix rule checks the stack once (transition._basic_stack), and one min
 reduction finds every cycle's negative-entry nodes
 (transition._negative_entries).  Each minimum over a
@@ -57,12 +57,18 @@ from .transition import (CycleLike, as_basic_matrices, cyclic_products, _basic_s
 
 
 class IndeterminateError(RuntimeError):
-    """A spectral degeneracy prevented classification (reported, not guessed)."""
+    """A spectral degeneracy prevented classification (reported, not guessed).
+
+    Its args are (node, cause), so it pickles, and its message is formatted
+    only when it is read (str)."""
 
     def __init__(self, node: int, cause: Exception):
-        super().__init__(f"indeterminate at node {node}: {cause}")
+        super().__init__(node, cause)
         self.node = node
         self.cause = self.__cause__ = cause
+
+    def __str__(self) -> str:
+        return f"indeterminate at node {self.node}: {self.cause}"
 
 
 class Classification(Enum):

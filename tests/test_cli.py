@@ -14,10 +14,13 @@ import pytest
 
 import hetstab
 from hetstab import EstimatorConfig, RspParams, rsp_compare, rsp_cycle_spec, save_cycle
-from hetstab.cli import _parse_ladder, build_parser, main
+from hetstab.cli import SWEEP_CYCLES, _parse_ladder, build_parser, main
+import hetstab.cli
 import hetstab.stability
 import hetstab.transition
 from hetstab.spectral import DEFAULT_TOL, _eigen_decompose_many
+from hetstab.stability import _classify_many
+from test_cli_golden import GOLDEN
 
 
 @pytest.fixture
@@ -84,6 +87,15 @@ def test_analyze_indeterminate_exits_two(tmp_path, capsys):
     assert "indeterminate" in capsys.readouterr().err
 
 
+def test_analyze_indeterminate_message(tmp_path, capsys):
+    path = tmp_path / "boundary.json"
+    save_cycle(rsp_cycle_spec(RspParams(0.5, -0.5)), str(path))
+    assert main(["analyze", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "indeterminate: indeterminate at node 0: all eigenvalue moduli within 1e-09 of 1: "
+        "array([ 1.     +0.j        , -0.90625+0.42274216j, -0.90625-0.42274216j])\n")
+
+
 def test_findex_with_leading_dash_alpha(capsys):
     assert main(["findex", "--alpha", "-1,1,1"]) == 0
     out = capsys.readouterr().out
@@ -128,6 +140,7 @@ def test_rsp_sweep_csv(tmp_path, capsys):
 
 
 GRID_61 = ["rsp-sweep", "--grid", "61", "--out"]
+STACKS_61 = math.ceil(61 / (SWEEP_CYCLES // 61))    # whole rows per stack, within the budget
 
 
 def test_rsp_sweep_grid_61_bytes(tmp_path, capsys):
@@ -147,12 +160,12 @@ def test_rsp_sweep_makes_at_most_two_stacked_decompositions_per_row(tmp_path, mo
 
     monkeypatch.setattr(hetstab.stability, "_eigen_decompose_many", counting)
     assert main(GRID_61 + [str(tmp_path / "sweep.csv")]) == 0
-    assert len(calls) == 61                   # one stacked call per row
+    assert len(calls) == STACKS_61            # one stacked call per stack of rows
     assert sum(calls) <= 61 * 61 * 2          # each full return at most once
 
 
 def test_rsp_sweep_checks_each_row_once(tmp_path, monkeypatch, capsys):
-    # the matrix rule runs on one stack per row, not on each of the 7442 matrices
+    # the matrix rule runs once per stack of rows, not on each of the 7442 matrices
     calls = []
 
     def counting(rule):
@@ -164,7 +177,7 @@ def test_rsp_sweep_checks_each_row_once(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(hetstab.transition, "_entries", counting(hetstab.transition._entries))
     monkeypatch.setattr(hetstab.stability, "_basic_stack", counting(hetstab.stability._basic_stack))
     assert main(GRID_61 + [str(tmp_path / "sweep.csv")]) == 0
-    assert calls == ["_basic_stack"] * 61
+    assert calls == ["_basic_stack"] * STACKS_61
 
 
 def test_rsp_sweep_makes_no_svd(tmp_path, monkeypatch, capsys):
@@ -180,8 +193,38 @@ def test_rsp_sweep_makes_no_svd(tmp_path, monkeypatch, capsys):
     assert calls == [1]
 
 
+@pytest.mark.parametrize("budget, sizes", [(81, [81]), (80, [72, 9]), (20, [18] * 4 + [9]),
+                                           (5, [9] * 9)])
+def test_rsp_sweep_stacks_whole_rows_within_the_budget(tmp_path, monkeypatch, capsys, budget,
+                                                       sizes):
+    # a budget below one row still gives each row a stack of its own
+    calls = []
+
+    def counting(stack, tol):
+        calls.append(len(stack))
+        return _classify_many(stack, tol)
+
+    monkeypatch.setattr(hetstab.cli, "SWEEP_CYCLES", budget)
+    monkeypatch.setattr(hetstab.cli, "_classify_many", counting)
+    out_csv = tmp_path / "sweep.csv"
+    assert main(["rsp-sweep", "--grid", "9", "--out", str(out_csv)]) == 0
+    assert calls == sizes
+    assert hashlib.sha256(out_csv.read_bytes()).hexdigest() == GOLDEN["rsp-sweep"][1]
+
+
+def test_rsp_sweep_formats_no_error_message(tmp_path, capsys):
+    # the 61 cycles on eps_x + eps_y = 0 are indeterminate, and the CSV says
+    # only that: none of their messages, each an eigenvalue array, is formatted
+    reprs = []
+    with np.printoptions(override_repr=lambda a: reprs.append(a.shape) or "array"):
+        assert repr(np.zeros(2)) == "array"
+        assert main(GRID_61 + [str(tmp_path / "sweep.csv")]) == 0
+    assert reprs == [(2,)]
+    assert (tmp_path / "sweep.csv").read_text().count("indeterminate") == 61
+
+
 def test_rsp_sweep_memory_stays_small(tmp_path, capsys):
-    # one batch per grid row: a batch of the whole grid peaks near 12 MB
+    # stacks of at most SWEEP_CYCLES cycles: a batch of the whole grid peaks near 12 MB
     tracemalloc.start()
     try:
         assert main(GRID_61 + [str(tmp_path / "sweep.csv")]) == 0

@@ -289,6 +289,40 @@ def dominant_eigenvalue(eigenvalues: np.ndarray, tol: float = DEFAULT_TOL) -> in
     )
 
 
+ROTATION = [[0.0, -1.0], [1.0, 0.0]]
+
+
+@pytest.mark.parametrize("matrix", [
+    np.diag([2.0, -2.0, 0.5]),                                    # a real tie
+    np.block([[2.0, np.zeros((1, 2))], [np.zeros((2, 1)), 2.0 * np.array(ROTATION)]]),  # complex
+    np.diag([1.0, -1.0, 1.0 + 1e-10]),                            # every modulus ~1, real
+    ROTATION,                                                     # and complex
+])
+def test_no_dominant_message_is_the_eager_one(matrix):
+    # the message is formatted when read, and reads as the one-row rule's,
+    # which is formatted when raised
+    with pytest.raises(NoAdmissibleDominant) as eager:
+        dominant_eigenvalue(np.linalg.eigvals(matrix))
+    with pytest.raises(NoAdmissibleDominant) as lazy:
+        eigen_decompose(matrix)
+    assert str(lazy.value) == str(eager.value)
+    assert repr(lazy.value) == repr(eager.value)
+
+
+def test_no_dominant_message_outlives_its_batch():
+    mats = np.array([np.diag([2.0, -2.0, 0.5]), np.diag([1.0, -1.0, 1.0]),
+                     np.diag([3.0, 0.5, 0.2])])
+    spectra = _eigen_decompose_many(mats, DEFAULT_TOL)
+    errors = [spectra.error(0), spectra.error(1)]
+    spectra.eigenvalues[:] = 7.0                  # the error holds copies, not views
+    for top in spectra.top.values():
+        top[:] = ~top
+    assert [str(e) for e in errors] == [
+        "ambiguous dominant eigenvalue among [np.float64(2.0), np.float64(-2.0)]",
+        "all eigenvalue moduli within 1e-09 of 1: array([ 1., -1.,  1.])"]
+    assert str(NoAdmissibleDominant("text")) == "text"
+
+
 def _reference(values: np.ndarray, w: np.ndarray, tol: float):
     """(index, conditions) of one row by the one-row rule, or its error's message."""
     try:

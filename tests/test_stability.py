@@ -1,6 +1,7 @@
 import importlib.util
 import itertools
 import math
+import pickle
 import warnings
 from pathlib import Path
 
@@ -38,7 +39,7 @@ from hetstab import (
     vmax_row,
     ZeroVectorError,
 )
-from hetstab.spectral import _eigen_decompose_many
+from hetstab.spectral import DEFAULT_TOL, _eigen_decompose_many, _no_dominant
 
 INF = math.inf
 
@@ -170,6 +171,33 @@ def test_indeterminate_on_degenerate_boundary():
     # eps_x + eps_y = 0 puts every eigenvalue modulus at 1
     with pytest.raises(IndeterminateError):
         classify(rsp_matrices(RspParams(0.4, -0.4)))
+
+
+def _errors():
+    """An error of each exception class that hetstab exports, by name, and
+    IndeterminateError with each kind of cause."""
+    tie = _no_dominant(np.array([2.0, -2.0, 0.5]), np.array([True, True, False]), DEFAULT_TOL)
+    unit = _no_dominant(np.array([1.0, 1j, -1j]), np.zeros(3, bool), DEFAULT_TOL)
+    classes = [getattr(hetstab, n) for n in hetstab.__all__]
+    out = {c.__name__: c("text") for c in classes
+           if isinstance(c, type) and issubclass(c, Exception) and c is not IndeterminateError}
+    out.update({"NoAdmissibleDominant-tie": tie, "NoAdmissibleDominant-unit": unit,
+                "IndeterminateError": IndeterminateError(3, tie),
+                "IndeterminateError-unit": IndeterminateError(0, unit),
+                "IndeterminateError-oracle": IndeterminateError(node=-1, cause=RuntimeError("x"))})
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(_errors()))
+def test_every_error_survives_a_pickle_round_trip(name):
+    error = _errors()[name]
+    back = pickle.loads(pickle.dumps(error))
+    assert type(back) is type(error) and str(back) == str(error)
+    for attr in ("node", "cause"):
+        assert hasattr(back, attr) == hasattr(error, attr)
+    if isinstance(error, IndeterminateError):
+        assert back.node == error.node and back.__cause__ is back.cause
+        assert type(back.cause) is type(error.cause) and str(back.cause) == str(error.cause)
 
 
 def test_classification_rules():
