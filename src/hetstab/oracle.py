@@ -199,7 +199,6 @@ def _basin_mask(
     eta0: np.ndarray,
     delta: float,
     max_full_turns: int,
-    growth: list[tuple[float, float]] | None = None,
 ) -> np.ndarray:
     """Vectorised delta-basin membership for a batch of log-coordinate points.
 
@@ -212,7 +211,6 @@ def _basin_mask(
     keeps no earlier state for it.  A zero offset (raw matrices, default
     scalings) is skipped rather than added: the mask is the same, as
     -0.0 == 0.0, and the criterion-6 estimate takes about a fifth less time.
-    growth is _growth(mats, offs), taken here when not given.
 
     Each step first tries to settle the whole block, and takes the column
     maxima only when that fails, so the masks are those of the per-column
@@ -251,7 +249,7 @@ def _basin_mask(
         return result
 
     cols = [off[:, None] if off.any() else None for off in offs]
-    growth = _growth(mats, offs) if growth is None else growth
+    growth = _growth(mats, offs)
     slack = 1.0 + (2 * eta.shape[0] + 3) * 2.0**-52
     q3 = (3 * max_full_turns) // 4
     q3_max = np.full(n_samples, np.inf)
@@ -501,11 +499,10 @@ def estimate_sigma_mc(cycle: CycleLike, j: int, config: EstimatorConfig) -> Basi
     sigma_minus.  A product pass from j that overflows raises ProductOverflow.
     """
     mats, offs = _gmaps(cycle, j)
-    growth = _growth(mats, offs)
     levels = _levels(
         config.epsilon_ladder, config.samples_per_level, mats[0].shape[0], config.seed,
         lambda eta0: np.count_nonzero(
-            _basin_mask(mats, offs, j, eta0, config.delta, config.max_full_turns, growth)),
+            _basin_mask(mats, offs, j, eta0, config.delta, config.max_full_turns)),
     )
     minus, fit_minus = _side(levels, complement=False)
     plus, fit_plus = _side(levels, complement=True)

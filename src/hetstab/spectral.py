@@ -36,13 +36,12 @@ Every decomposition is made by _eigen_decompose_many, on a stack of
 matrices, and _eig is the package's only call of numpy's eigen routines.
 The dominant eigenvalue of every matrix of the stack and conditions
 (i)-(iii) on it come from array operations over the whole stack
-(_dominant).  A matrix that has no admissible one keeps its top set, and
-gets its error (_no_dominant) only when _Spectra.error is asked for it; the
-text of that error is formatted only when it is read (str), so a sweep that
-prints no message formats none.  eigen_decompose is its view of one matrix,
-which reads the basis and the eigenvalues (_Spectra.error); the
-non-negative dichotomy (stability._Batch._dichotomy) reads the eigenvalues
-alone.
+(_dominant).  What the eigenvalues decide, eig failing or no admissible
+dominant (_no_dominant), is one list, _Spectra.errors; the text of a
+no-dominant error is formatted only when it is read (str), so a sweep that
+prints no message formats none.  _Spectra.error adds what the basis
+decides: eigen_decompose is its view of one matrix, and the non-negative
+dichotomy (stability._Batch._dichotomy) reads _Spectra.errors alone.
 """
 
 from __future__ import annotations
@@ -131,9 +130,9 @@ def eigen_decompose(matrix: np.ndarray, tol: float = DEFAULT_TOL) -> SpectralSum
 class _Spectra(NamedTuple):
     """eigen_decompose of each matrix b of a stack, as arrays over the stack.
 
-    What the eigenvalues decide (eig failing, no admissible dominant) is
-    kept apart from what the basis decides (defective).  Where error(b) is
-    set, the rest of entry b means nothing.
+    What the eigenvalues decide (errors) is kept apart from what the basis
+    decides (defective).  Where error(b) is set, the rest of entry b means
+    nothing.
     """
 
     eigenvalues: np.ndarray                        # (B, N), complex unless every spectrum is real
@@ -142,21 +141,16 @@ class _Spectra(NamedTuple):
     basis_inverse: np.ndarray                      # (B, N, N) complex
     index: list[int]                               # lambda_index of matrix b
     conditions: list[tuple[bool, bool, bool]]      # conditions (i), (ii), (iii) of matrix b
-    failed: list[SpectralError | None]             # the error of eig on matrix b
-    top: dict[int, np.ndarray]                     # top set of each b with no admissible dominant
-    tol: float
+    errors: list[SpectralError | None]             # eig failing, or no admissible dominant
     defective: list[bool]                          # what the basis of matrix b decides
 
-    def error(self, b: int, eigenvalues_only: bool = False) -> SpectralError | None:
-        """The error eigen_decompose raises for matrix b alone, or what its
-        eigenvalues decide, or None; eig failing leaves no defective basis."""
-        if self.defective[b] and not eigenvalues_only:
+    def error(self, b: int) -> SpectralError | None:
+        """The error eigen_decompose raises for matrix b alone, or None; eig
+        failing leaves no defective basis."""
+        if self.defective[b]:
             return DefectiveMatrix(f"eigenvector basis condition exceeds {COND_LIMIT:g}; "
                                    "matrix is (numerically) defective")
-        if self.failed[b] is None and b in self.top:
-            values = self.eigenvalues[b].real if self.real[b] else self.eigenvalues[b]
-            return _no_dominant(values, self.top[b], self.tol)
-        return self.failed[b]
+        return self.errors[b]
 
     def summary(self, b: int) -> SpectralSummary:
         """What eigen_decompose gives for matrix b alone: its summary, or its
@@ -195,8 +189,9 @@ def _eigen_decompose_many(matrices: np.ndarray, tol: float) -> _Spectra:
     """eigen_decompose of each matrix of the finite (B, N, N) stack matrices,
     for a tol already checked, with one eig (_eig), one defective rule
     (_defective) and one inv for the whole stack, and the dominant eigenvalue
-    of every matrix from one array rule (_dominant).  Errors are kept; a
-    defective matrix gets its dominant eigenvalue too.
+    of every matrix from one array rule (_dominant).  Errors are kept, and
+    what the eigenvalues decide is one list (_Spectra.errors); a defective
+    matrix gets its dominant eigenvalue too.
 
     Each matrix decomposes bit for bit as it does alone, which takes one
     rule per matrix: numpy's eig gives a single matrix real eigenvalues and
@@ -206,7 +201,7 @@ def _eigen_decompose_many(matrices: np.ndarray, tol: float) -> _Spectra:
     condition numbers of the real bases and of the complex ones are taken
     apart, as a complex SVD can differ from the real one in the last bit.
     """
-    eigenvalues, P, failed = _eig(matrices)
+    eigenvalues, P, errors = _eig(matrices)
     real = (eigenvalues.imag == 0.0).all(axis=1).tolist()
     defective = _defective(P, real)
     if any(defective):                           # swapped for the identity, so that inv runs
@@ -222,8 +217,10 @@ def _eigen_decompose_many(matrices: np.ndarray, tol: float) -> _Spectra:
     basis_inverse = np.linalg.inv(basis)
 
     index, conditions, top = _dominant(eigenvalues, basis, tol)
-    return _Spectra(eigenvalues, real, basis, basis_inverse, index, conditions, failed, top, tol,
-                    defective)
+    for b, row in top.items():
+        if errors[b] is None:                    # eig failing keeps its own error
+            errors[b] = _no_dominant(eigenvalues[b].real if real[b] else eigenvalues[b], row, tol)
+    return _Spectra(eigenvalues, real, basis, basis_inverse, index, conditions, errors, defective)
 
 
 @np.errstate(invalid="ignore", over="ignore")
@@ -280,7 +277,7 @@ def _dominant(eigenvalues: np.ndarray, basis: np.ndarray, tol: float
     """The index of the dominant eigenvalue of each row b of the (B, N) array
     eigenvalues and conditions (i)-(iii) on it, by array operations over the
     rows, and the top set (a bool row) of each row that has no admissible
-    dominant, from which _no_dominant builds its error when it is read.
+    dominant, from which _no_dominant builds its error.
     basis is the scaled (B, N, N) eigenvector basis.  Where a row has no
     admissible dominant, its index and conditions mean nothing.
 

@@ -27,19 +27,20 @@ Classification from the indices: any -inf -> not an attractor; any exact 0
 essentially asymptotically stable; otherwise (all > -inf, some < 0) the
 cycle is fragmentarily asymptotically stable only.
 
-Every index comes from one analysis of a batch of cycles that share m, N
-and their negative-entry nodes (_Batch).  Both regimes read one stacked
-decomposition (_Batch.indices), and each cycle's first error is read as a
-value, in the order of a one-cycle reading (_Batch._fault).  classify,
-sigma and collect_alpha_vectors analyse the batch of one, and
-_classify_many groups many cycles into batches.  It also takes one float
-(B, m, N, N) array of B cycles, as rsp-sweep hands it whole grid rows: the
-matrix rule checks the stack once (transition._basic_stack), and one min
-reduction finds every cycle's negative-entry nodes
-(transition._negative_entries).  Each minimum over a
-node's K = 1 + L*N direction vectors is that of findex.f_index over every
-vector in order, bit for bit (_first_minima).  Calling sigma(cycle, j) for
-every j repeats the decompositions that classify shares.
+Every index comes from one path, _Batch.indices, over a batch of cycles
+that share m, N and their negative-entry nodes (_Batch).  It gives each
+sigma_j with its provenance and its K = 1 + L*N candidate vectors, from one
+stacked decomposition, or each cycle's first error as a value, in the order
+of a one-cycle reading (_Batch._fault).  classify, sigma and
+collect_alpha_vectors read its result for the batch of one, so the
+candidates' minimum is sigma_j and both raise alike; _classify_many groups
+many cycles into batches.  It also takes one float (B, m, N, N) array of B
+cycles, as rsp-sweep hands it whole grid rows: the matrix rule checks the
+stack once (transition._basic_stack), and one min reduction finds every
+cycle's negative-entry nodes (transition._negative_entries).  Each minimum
+over the K vectors is that of findex.f_index over every vector in order,
+bit for bit (_first_minima).  Calling sigma(cycle, j) for every j repeats
+the decompositions that classify shares.
 """
 
 from __future__ import annotations
@@ -184,15 +185,18 @@ def _first_minima(alphas: np.ndarray) -> list[tuple[float, int]]:
     return list(zip(values[np.arange(len(k)), k].tolist(), k.tolist()))
 
 
-_FAIL = (-math.inf, IndexProvenance(source="dominant-pair-conditions-fail", alpha=None))
+_FAIL = (-math.inf, IndexProvenance(source="dominant-pair-conditions-fail", alpha=None), None)
+
+
+def _no_minimum() -> ValueError:
+    """The error of a sigma_j that is -inf by failed conditions, not a minimum."""
+    return ValueError("dominant-pair conditions fail; sigma_j is -inf by the "
+                      "zero-measure argument, not a minimum of indices")
 
 
 class _Batch:
     """The transition-matrix analysis of B cycles that share m, N and their
-    negative-entry nodes, for one call.  It builds every product pass up
-    front, decomposes the full returns it reads in one stacked call, and
-    keeps their spectra.
-    """
+    negative-entry nodes, for one call, on product passes built up front."""
 
     def __init__(self, mats: list[list[np.ndarray]], negative: list[int], tol: float):
         self.tol = tol
@@ -208,95 +212,75 @@ class _Batch:
         mats = as_basic_matrices(cycle)
         return cls([mats], np.flatnonzero(_negative_entries(mats)).tolist(), tol)
 
-    def decompose(self, cells: list[tuple[int, int]]) -> None:
-        """Decompose, in one stacked call, the finite full returns M^(j) of
-        cycle b for the pairs (b, j) in cells; eig rejects a stack holding
-        inf or NaN."""
-        cells = [c for c in cells if self._finite[c[0]][c[1]]]
-        self._at = {c: i for i, c in enumerate(cells)}
-        if cells:
-            self._spectra = _eigen_decompose_many(self._passes[tuple(zip(*cells)) + (-1,)],
-                                                  self.tol)
-            rows = np.arange(len(cells)), self._spectra.index
-            self._v_max = self._spectra.basis_inverse[rows].real.tolist()
-
-    def rows(self, cycles: list[int], nodes: list[int]) -> np.ndarray:
-        """The rows of M_(j_1, j), ..., M_(j_L, j) for each cycle b in cycles
-        and each j in nodes, as a (len(cycles), len(nodes), L*N, N) array,
-        read unchecked (_Batch._fault checks them)."""
-        if not self.negative:
-            raise ValueError("no negative entries: the spectral-radius dichotomy applies")
-        b = np.array(cycles)[:, None, None]
-        j = np.array(nodes)[None, :, None]
-        turns = self._passes[b, j, (np.array(self.negative) - j) % self.m]
-        return turns.reshape(turns.shape[:2] + (-1, self.n))
-
-    def alphas(self, cycles: list[int], nodes: list[int], rows: np.ndarray) -> np.ndarray:
-        """All K direction vectors of sigma_j, v_max of M^(j) (_Batch._fault
-        checks it) in front of the rows of the same cycles and nodes."""
-        alphas = np.empty(rows.shape[:2] + (1 + rows.shape[2], self.n))
-        alphas[:, :, 0] = [[self._v_max[self._at[b, j]] for j in nodes] for b in cycles]
-        alphas[:, :, 1:] = rows
-        return alphas
-
     def indices(self, nodes: list[int]) -> list:
-        """For each cycle, sigma_j and its provenance for each j in nodes, or
-        the error that ends that cycle's analysis (_Batch._fault).
+        """For each cycle, (sigma_j, provenance, candidates) for each j in
+        nodes, or the error that ends that cycle's analysis (_Batch._fault).
+        candidates is the (K, N) array whose first minimum of findex.f_index
+        is sigma_j (_first_minima), v_max of M^(j) in front of the rows of
+        M_(j_1, j), ..., M_(j_L, j), or None where no minimum sets sigma_j.
 
-        One stacked call decomposes the full returns at the checkpoints and
-        the given nodes of every cycle, so the checkpoint checks and v_max[j]
-        share one decomposition.  Nodes not given are never decomposed.
-        Each cycle's errors come in the order of a one-cycle reading: its
-        checkpoints in sorted order, then the given nodes in order.  Without
-        negative entries it decomposes M^(0) of every cycle alone
-        (_Batch._dichotomy).
+        One stacked call decomposes the finite full returns at the
+        checkpoints and the given nodes of every cycle (M^(0) alone without
+        negative entries), so the checkpoints and v_max share one
+        decomposition.  Each cycle's errors come in the order of a one-cycle
+        reading: its checkpoints in sorted order, then the given nodes in
+        order.  Only cycles whose checkpoints hold get partial-turn rows.
         """
-        cycles = range(len(self._finite))
-        if not self.negative:
-            self.decompose([(b, 0) for b in cycles])
-            return [self._dichotomy(b, len(nodes)) for b in cycles]
         # the sign condition on w_max propagates through the non-negative
         # factors between negative-entry matrices, so it is checked directly
         # only at the nodes just after one
         checkpoints = sorted({(q + 1) % self.m for q in self.negative})
-        self.decompose([(b, j) for b in cycles for j in set(checkpoints).union(nodes)])
-        out = [self._fault(b, checkpoints) for b in cycles]
+        read = sorted(set(checkpoints).union(nodes)) if self.negative else [0]
+        # cells[b][j] is the place of M^(j) of cycle b in the stack, and None
+        # where its pass is not finite: eig rejects a stack holding inf or NaN
+        picked = [(b, j) for b, finite in enumerate(self._finite) for j in read if finite[j]]
+        cells = [[None] * self.m for _ in self._finite]
+        for i, (b, j) in enumerate(picked):
+            cells[b][j] = i
+        spectra = (_eigen_decompose_many(self._passes[tuple(zip(*picked)) + (-1,)], self.tol)
+                   if picked else None)
+        if not self.negative:
+            return [self._dichotomy(spectra, at, len(nodes)) for at in cells]
+        out = [self._fault(spectra, at, checkpoints) for at in cells]
         out = [[_FAIL] * len(nodes) if f is _FAIL else f for f in out]
-        held = [b for b in cycles if out[b] is None]
+        held = [b for b, f in enumerate(out) if f is None]
         if not held:
             return out
-        rows = self.rows(held, nodes)
+        b, j = np.array(held)[:, None, None], np.array(nodes)[None, :, None]
+        turns = self._passes[b, j, (np.array(self.negative) - j) % self.m]
+        rows = turns.reshape(turns.shape[:2] + (-1, self.n))
         nonzero = rows.any(axis=3).all(axis=2).tolist()
-        for i, b in enumerate(held):
-            out[b] = self._fault(b, nodes, rows[i], nonzero[i])
-        kept = [i for i, b in enumerate(held) if out[b] is None]
-        if not kept:
-            return out
-        alphas = self.alphas([held[i] for i in kept], nodes, rows[kept]).reshape(
-            -1, 1 + rows.shape[2], self.n)
+        for i, c in enumerate(held):
+            out[c] = self._fault(spectra, cells[c], nodes, rows[i], nonzero[i])
+        kept = [i for i, c in enumerate(held) if out[c] is None]
+        at = [cells[held[i]][j] for i in kept for j in nodes]
+        alphas = np.empty((len(at), 1 + rows.shape[2], self.n))
+        alphas[:, 0] = spectra.basis_inverse[at, [spectra.index[i] for i in at]].real
+        alphas[:, 1:] = rows[kept].reshape(-1, *rows.shape[2:])
         minima = _first_minima(alphas)
-        found = iter(zip(minima, alphas[np.arange(len(alphas)), [k for _, k in minima]].tolist()))
+        winners = alphas[np.arange(len(at)), [k for _, k in minima]].tolist()
+        found = iter(zip(minima, winners, alphas))
         for i in kept:
             out[held[i]] = [self._index(j, *next(found)) for j in nodes]
         return out
 
-    def _dichotomy(self, b: int, count: int):
-        """The non-negative regime's index of cycle b, count times, or its
-        error.  Only the eigenvalues of M^(0) are read, so a defective full
-        return keeps its +-inf."""
-        if not self._finite[b][0]:
+    def _dichotomy(self, spectra, at: list, count: int):
+        """The non-negative regime's index of one cycle, count times, or its
+        error, at the places at of its full returns in spectra.  Only the
+        eigenvalues of M^(0) are read, so a defective one keeps its +-inf."""
+        i = at[0]
+        if i is None:
             return _overflow(0)
-        spectra, i = self._spectra, self._at[b, 0]
-        error = spectra.error(i, eigenvalues_only=True)
-        if error is not None:
-            return IndeterminateError(0, error)
+        if spectra.errors[i] is not None:
+            return IndeterminateError(0, spectra.errors[i])
         value = math.inf if abs(spectra.eigenvalues[i, spectra.index[i]]) > 1.0 else -math.inf
-        return [(value, IndexProvenance(source="nonnegative-dichotomy", alpha=None))] * count
+        return [(value, IndexProvenance(source="nonnegative-dichotomy", alpha=None), None)] * count
 
-    def _fault(self, b: int, nodes: list[int], rows: np.ndarray | None = None,
+    def _fault(self, spectra, at: list, nodes: list[int], rows: np.ndarray | None = None,
                nonzero: list[bool] | None = None):
-        """What ends the analysis of cycle b at the first of nodes, as a
-        value, or None.  At each node in order: a pass that overflows
+        """What ends the analysis of one cycle at the first of nodes, as a
+        value, or None; at holds the places of the cycle's full returns in
+        spectra.  At each node in order: a pass that overflows
         (ProductOverflow), a spectral degeneracy (IndeterminateError), then
         failed conditions.  At checkpoints (rows None) that is any of the
         three, which makes every sigma_j -inf (_FAIL).  At given nodes, with
@@ -304,32 +288,33 @@ class _Batch:
         then a zero row (findex.ZeroVectorError).
         """
         for k, j in enumerate(nodes):
-            if not self._finite[b][j]:
+            i = at[j]
+            if i is None:
                 return _overflow(j)
-            error = self._spectra.error(self._at[b, j])
+            error = spectra.error(i)
             if error is not None:
                 return IndeterminateError(j, error)
-            conditions = self._spectra.conditions[self._at[b, j]]
+            conditions = spectra.conditions[i]
             if rows is None:
                 if not all(conditions):
                     return _FAIL
             elif not all(conditions[:2]):
-                return ValueError("dominant-pair conditions fail; sigma_j is -inf by the "
-                                  "zero-measure argument, not a minimum of indices")
+                return _no_minimum()
             elif not nonzero[k]:                        # f_index raises at the first zero row
                 return _attempt((findex.ZeroVectorError,), findex.f_index,
                                 rows[k, rows[k].any(axis=1).argmin()])
         return None
 
-    def _index(self, j: int, minimum: tuple[float, int], alpha: list[float]):
-        """(sigma_j, provenance) from its first minimum (value, k) and vector alpha."""
+    def _index(self, j: int, minimum: tuple[float, int], alpha: list, candidates: np.ndarray):
+        """(sigma_j, provenance, candidates) from the first minimum (value, k)
+        of the candidates and its vector alpha."""
         value, k = minimum
         if k == 0:
             tag = f"v_max[{j}]"
         else:
             p, s = divmod(k - 1, self.n)
             tag = f"M_({self.negative[p]},{j}) row {s}"
-        return value, IndexProvenance(source=tag, alpha=tuple(alpha))
+        return value, IndexProvenance(source=tag, alpha=tuple(alpha)), candidates
 
 
 def _classify_many(cycles, tol: float = DEFAULT_TOL) -> list:
@@ -357,26 +342,32 @@ def _classify_many(cycles, tol: float = DEFAULT_TOL) -> list:
         batch = _Batch(group, [j for j, neg in enumerate(pattern) if neg], tol)
         for i, result in zip(members, batch.indices(list(range(batch.m)))):
             if not isinstance(result, Exception):
-                sigmas, provenance = zip(*result)
+                sigmas, provenance, _ = zip(*result)
                 result = IndexReport(sigmas, provenance, classification_from_sigmas(sigmas), tol)
             out[i] = result
     return out
 
 
 def collect_alpha_vectors(cycle: CycleLike, j: int, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
-    """Direction vectors whose indices are minimised to obtain sigma_j.
+    """The candidates of sigma(cycle, j) (_Batch.indices): the K = 1 + L*N
+    direction vectors whose first minimum of findex.f_index is sigma_j, v_max
+    of M^(j) and then the N rows of each partial turn M_(j_p, j).
 
-    v_max of M^(j) first, then the N rows of each partial turn M_(j_p, j)
-    ending at a negative-entry matrix: K = 1 + L*N vectors in total.
+    After the node-index check: ValueError without negative entries (the
+    dichotomy applies), else what sigma raises, and ValueError where the
+    dominant-pair conditions fail at a checkpoint (sigma_j = -inf).
     """
     batch = _Batch.of(cycle, tol)
     j = _node_index(j, batch.m)
-    rows = batch.rows([0], [j])
-    batch.decompose([(0, j)])
-    fault = batch._fault(0, [j], rows[0], [True])
-    if fault is not None:
-        raise fault
-    return list(batch.alphas([0], [j], rows)[0, 0])
+    if not batch.negative:
+        raise ValueError("no negative entries: the spectral-radius dichotomy applies")
+    [indices] = batch.indices([j])
+    if isinstance(indices, Exception):
+        raise indices
+    candidates = indices[0][2]
+    if candidates is None:
+        raise _no_minimum()
+    return list(candidates)
 
 
 def sigma(cycle: CycleLike, j: int, tol: float = DEFAULT_TOL) -> float:

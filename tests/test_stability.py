@@ -152,6 +152,35 @@ def test_collect_alpha_vectors_requires_negative_entries():
         collect_alpha_vectors(two_node_nonnegative(2.0), 0)
 
 
+def test_collect_alpha_vectors_raises_where_a_checkpoint_fails():
+    # M_0 is the one negative-entry matrix, so node 1 is the checkpoint: its
+    # lambda_max is 1.7186, but w_max has mixed signs (iii), so every
+    # sigma_j is -inf and no minimum of indices sets it; the vectors of
+    # sigma_0 alone have the minimum -0.136
+    mats = [np.array([[2.1988, 0], [-1.136, 1]]), np.array([[0.4981, 1], [0.8805, 0]]),
+            np.array([[1.496, 1], [1.2365, 0]])]
+    summary = eigen_decompose(full_return_matrix(mats, 1))
+    assert summary.lambda_max.real == pytest.approx(1.7186, abs=1e-4)
+    assert summary.condition_ii and not summary.condition_iii
+    assert classify(mats).sigma == (-INF,) * 3
+    for j in range(3):
+        with pytest.raises(ValueError, match="^dominant-pair conditions fail; sigma_j is -inf"):
+            collect_alpha_vectors(mats, j)
+
+
+def test_collect_alpha_vectors_raises_on_a_zero_row_as_sigma_does():
+    # the matrices of test_underflowed_zero_row_raises_as_the_exhaustive_loop_does:
+    # the first row of M_(2,1) underflows to zero
+    mats = [np.array([[1e200, 2e200], [1e200, 1e200]]),
+            np.array([[1e-200, 2e-200], [3e-200, 1e-200]]),
+            np.array([[1e-200, 1e-200], [1.0, -0.1]])]
+    with pytest.raises(ZeroVectorError):
+        sigma(mats, 1)
+    with pytest.raises(ZeroVectorError):
+        collect_alpha_vectors(mats, 1)
+    assert min(f_index(v) for v in collect_alpha_vectors(mats, 0)) == sigma(mats, 0) == INF
+
+
 def test_sigma_rsp_closed_form_value():
     mats = rsp_matrices(RspParams(-0.5, 0.2))
     assert sigma(mats, 0) == pytest.approx(0.8 * 0.8 / (2 * 1.2), abs=1e-12)
@@ -466,6 +495,37 @@ def test_sigma_is_the_classify_entry(cycle):
     except IndeterminateError:
         return
     assert [sigma(cycle, j) for j in range(cycle.m)] == list(report.sigma)
+
+
+@settings(deadline=None)
+@given(mixed_cycles())
+def test_collect_alpha_vectors_is_a_view_of_sigma(cycle):
+    # it raises exactly when sigma raises or no minimum sets sigma_j;
+    # otherwise its 1 + L*N vectors have the minimum sigma_j and hold the
+    # winner that classify reports
+    size = len(negative_entry_indices(cycle)) * cycle.dimension
+    assert size > 0
+    try:
+        provenance = classify(cycle).provenance
+    except (IndeterminateError, ValueError):    # an error at some node; sigma says which
+        provenance = None
+    for j in range(cycle.m):
+        try:
+            value = sigma(cycle, j)
+        except (IndeterminateError, ValueError) as exc:
+            with pytest.raises(type(exc)) as raised:
+                collect_alpha_vectors(cycle, j)
+            assert (type(raised.value), str(raised.value)) == (type(exc), str(exc))
+            continue
+        if provenance is not None and provenance[j].alpha is None:
+            with pytest.raises(ValueError, match="^dominant-pair conditions fail"):
+                collect_alpha_vectors(cycle, j)
+            continue
+        vectors = collect_alpha_vectors(cycle, j)
+        assert len(vectors) == 1 + size
+        assert min(f_index(v) for v in vectors) == value
+        if provenance is not None:
+            assert provenance[j].alpha in [tuple(v.tolist()) for v in vectors]
 
 
 def test_overflowing_pass_that_is_never_read_does_not_raise():

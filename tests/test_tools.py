@@ -1,0 +1,27 @@
+"""A smoke run of tools/ab_lone.py, so that the lone-call A/B cannot rot.
+
+The script is run for two rounds against this checkout on both sides; it
+must load both, time all four cases and print one row for each.
+"""
+
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_ab_lone_runs_against_its_own_checkout():
+    proc = subprocess.run(
+        [sys.executable, "tools/ab_lone.py", str(ROOT), str(ROOT), "--rounds", "2"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    header, *rows = proc.stdout.splitlines()
+    assert header.split() == ["case", "reps", "parent", "ms", "change", "ms", "ratio", "IQR", "won"]
+    assert [row[:16].strip() for row in rows] == [
+        "rsp(-0.5, 0.2)", "rsp(0.5, 0.2)", "seed-3 m=8", "seed-3 m=32"]
+    for row in rows:
+        reps, parent, change, ratio, iqr, won = row[16:].split()
+        assert int(reps) >= 1 and float(parent) > 0.0 and float(change) > 0.0
+        assert float(ratio) > 0.0 and won.endswith("/2")
