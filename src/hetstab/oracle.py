@@ -14,8 +14,11 @@ maps directly rather than trusting any eigen-structure argument:
   ln(1 - fraction) against ln(eps) over levels strictly inside (0, 1);
 * the escape exponent F+ of a single half-space slice is the complement
   side of the same fit, with |x_1^{a_1} ... x_N^{a_N}| < 1 as the membership
-  test; _side decides saturation, the fit and InsufficientResolution for
-  both estimators;
+  test; most samples are certified inside from their raw uniforms by a
+  bound on alpha . ln(x) that keeps a margin far beyond the log test's
+  rounding (_certificate), and only the rest take logarithms, so the
+  counts are those of the log test on every sample; _side decides
+  saturation, the fit and InsufficientResolution for both estimators;
 * matrix_basin_membership decides divergence of y <- M y by brute force.
 
 Point batches are iterated coordinate-major: the orbit loops keep one
@@ -24,10 +27,10 @@ matrix times a wide array.  _basin_mask first settles a step for the whole
 block, by one full max and a carried bound on the max-norm that uses
 ||M_j||_inf and ||F_j||_inf only, and takes the per-column maxima (an
 element-wise maximum over N contiguous rows) only when that cannot decide.
-Samples are drawn as rows of N coordinates (_sample_log_cube) and
-transposed once on entry to the loop, so the layout never changes which
-random number lands in which coordinate.  Every ladder level is streamed
-in blocks (_levels).
+Samples are drawn as rows of N raw uniforms (_levels), turned into log
+coordinates in place (_sample_log_cube) and transposed once on entry to
+the loop, so the layout never changes which random number lands in which
+coordinate.  Every ladder level is streamed in blocks (_levels).
 
 Estimates are deterministic: the RNG stream of every level is derived from
 (seed, level index), so results are bit-identical for identical configs
@@ -55,6 +58,7 @@ MIN_FIT_HITS = 8         # levels with fewer hits carry too much ln() bias to fi
 BLOCK = 16384            # points per sampling block (384 KB of draws at N = 3)
 MEMBERSHIP_STEPS = 400   # iteration budget of matrix_basin_membership
 BLOWUP = 1e9             # its divergence wall, in units of ||y||_inf
+MIN_CERTIFIED = 0.6      # least share of F+ rows a certificate must decide to pay for its pass
 
 
 class NonPositiveInput(ValueError):
@@ -420,36 +424,47 @@ def _thread_count() -> int:
     return threads
 
 
-def _sample_log_cube(rng: np.random.Generator, eps: float, out: np.ndarray) -> np.ndarray:
-    # ln of Uniform(0, eps): ln(eps) + ln(U), U in (0, 1]; no underflow at any
-    # depth.  Fills the caller's C-contiguous (n, dim) block in place.
-    rng.random(out=out)
-    np.negative(out, out=out)
-    np.log1p(out, out=out)
-    out += math.log(eps)
-    return out
+def _sample_log_cube(block: np.ndarray, eps: float) -> np.ndarray:
+    """Raw uniforms U in [0, 1), one point per row, turned in place into
+    log coordinates of Uniform(0, eps): ln(eps) + log1p(-U), as 1 - U lies
+    in (0, 1]; no underflow at any depth.  estimate_sigma_mc turns every
+    block; estimate_fplus_mc only the rows that its certificate, a bound on
+    alpha . eta with a margin far beyond this transform's rounding
+    (_certificate), leaves undecided, and every row of a level that has no
+    certificate."""
+    np.negative(block, out=block)
+    np.log1p(block, out=block)
+    block += math.log(eps)
+    return block
 
 
 def _levels(ladder: tuple[float, ...], samples: int, dim: int, seed: int,
-            count: Callable[[np.ndarray], int]) -> tuple[LevelEstimate, ...]:
-    """Per ladder level li, the fraction of samples log-cube points drawn from
-    the RNG stream (seed, li) that count(block) finds inside.
+            count: Callable[[np.ndarray, float], int]) -> tuple[LevelEstimate, ...]:
+    """Per ladder level li, the fraction of samples points drawn from the RNG
+    stream (seed, li) that count(block, eps) finds inside the eps-cube.
 
-    The draws are made, tested and counted in consecutive blocks of at most
-    BLOCK rows in one buffer that the level owns (a slice past its end stops
-    at BLOCK rows), so memory per level does not grow with samples.  The
-    blocks consume the stream in the same order as one big draw, and each
-    point's membership depends on that point alone, so the counts are those
-    of one big batch, except where a point's test lies within rounding of
-    its threshold: BLAS may round a product over a one-row block (the last
-    block when samples % BLOCK == 1) differently in the last bit from the
-    same row inside a larger block, so a point with alpha . eta within
-    rounding of 0 (estimate_fplus_mc) can count differently there.
+    count is handed raw uniforms, one point per row, and owns the block: it
+    may turn the rows into log coordinates (_sample_log_cube) in place, or,
+    as estimate_fplus_mc does, count most rows inside from their uniforms
+    alone (_certificate, which keeps a margin of 2^-30 sum |a_i|
+    (37 + |ln eps|) inside the slice) and transform only the rest.  The
+    draws are made and counted in consecutive blocks of at most BLOCK rows
+    in one buffer that the level owns (a slice past its end stops at BLOCK
+    rows), so memory per level does not grow with samples.  The blocks
+    consume the stream in the same order as one big draw, and each point's
+    membership depends on that point alone, so the counts are those of one
+    big batch, except where a point's test lies within rounding of its
+    threshold: BLAS may round a product over one row differently in the
+    last bit from the same row inside a larger block, so a point with
+    alpha . eta within rounding of 0 (estimate_fplus_mc) can count
+    differently when it is the one row of a block (the last block when
+    samples % BLOCK == 1) or of the rows estimate_fplus_mc leaves to the
+    log test, which it compacts from each block.
     """
     def level(li: int) -> LevelEstimate:
         rng = np.random.default_rng((seed, li))
         buf = np.empty((min(samples, BLOCK), dim))
-        inside = sum(int(count(_sample_log_cube(rng, ladder[li], buf[:samples - start])))
+        inside = sum(int(count(rng.random(out=buf[:samples - start]), ladder[li]))
                      for start in range(0, samples, BLOCK))
         frac = inside / samples
         stderr = math.sqrt(frac * (1.0 - frac) / samples)
@@ -501,12 +516,53 @@ def estimate_sigma_mc(cycle: CycleLike, j: int, config: EstimatorConfig) -> Basi
     mats, offs = _gmaps(cycle, j)
     levels = _levels(
         config.epsilon_ladder, config.samples_per_level, mats[0].shape[0], config.seed,
-        lambda eta0: np.count_nonzero(
-            _basin_mask(mats, offs, j, eta0, config.delta, config.max_full_turns)),
+        lambda block, eps: np.count_nonzero(_basin_mask(
+            mats, offs, j, _sample_log_cube(block, eps), config.delta, config.max_full_turns)),
     )
     minus, fit_minus = _side(levels, complement=False)
     plus, fit_plus = _side(levels, complement=True)
     return BasinEstimate(levels, minus, plus, fit_minus, fit_plus, sigma_hat=plus - minus)
+
+
+def _certificate(a: list[float], eps: float) -> tuple[list[int], list[float]] | None:
+    """Columns i and thresholds t_i such that a row of raw uniforms with
+    u_i < t_i in every listed column lies in the slice a . eta < 0 at level
+    eps, as computed by the log test; None where no such certificate decides
+    at least MIN_CERTIFIED of the rows.
+
+    With L = ln(eps), S = fsum(a) and E_i = -log1p(-u_i) >= 0, the log test
+    reads a . (L - E) < 0, and in exact arithmetic
+        a . (L - E) <= S L + sum over a_i < 0 of |a_i| E_i.
+    With B = -S L - margin > 0 and k negative components, a row has
+    a . (L - E) < -margin when every negative-coefficient coordinate has
+    |a_i| E_i < B / k, i.e. u_i < -expm1(-B / (k |a_i|)); t_i is that value
+    rounded down by 2^-50 of itself (at least 4 ulps, more than the error
+    of math.expm1), and a column with B / (k |a_i|) >= 40 is not tested,
+    since every u the generator draws (u <= 1 - 2^-53) has
+    E_i <= 53 ln 2 < 37.
+
+    margin = 2^-30 sum |a_i| (37 + |L|).  The log test rounds log1p, the
+    sum with L and the dot (BLAS, in any order, with or without FMA); each
+    adds a few ulps of sum |a_i| (37 + |L|), as |L - E_i| < 37 + |L|, and
+    underflow a few subnormals.  The certificate's own B, B / (k |a_i|) and
+    expm1 err by a few ulps of B <= 2^30 margin.  So a certified row lies
+    at least 2^15 times that rounding below 0, and is never one that the
+    log test would count outside.  B <= 0 (S <= 0, or eps near 1) leaves
+    every row to the log test.
+    """
+    ln_eps = math.log(eps)
+    margin = 2.0**-30 * math.fsum(map(abs, a)) * (37.0 + abs(ln_eps))
+    bound = -math.fsum(a) * ln_eps - margin
+    if not bound > 0.0:
+        return None
+    neg = [i for i, a_i in enumerate(a) if a_i < 0.0]
+    cols, ts = [], []
+    for i in neg:
+        weight = -a[i] * len(neg)             # k |a_i|
+        if weight * 40.0 > bound:
+            cols.append(i)
+            ts.append(-math.expm1(-bound / weight) * (1.0 - 2.0**-50))
+    return (cols, ts) if math.prod(ts) >= MIN_CERTIFIED else None
 
 
 def estimate_fplus_mc(
@@ -524,12 +580,32 @@ def estimate_fplus_mc(
     of two to max|a| in [0.5, 1): that keeps the sign of alpha . ln(x)
     (exact for normal components) and keeps a huge alpha from overflowing
     it.  samples >= 1 and seed >= 0 are integers.
+
+    A row of raw uniforms whose negative-coefficient coordinates all fall
+    below the level's thresholds (_certificate) counts inside with no
+    logarithm: it lies a margin of 2^-30 sum |a_i| (37 + |ln eps|) inside
+    the slice, at least 2^15 times the rounding of the log test.  Only the
+    other rows are compacted and take the log test, ln(eps) + log1p(-U)
+    (_sample_log_cube), then alpha . eta < 0, so every count is that of the
+    log test on every row.
     """
     a = np.asarray(_components(alpha))
     a = np.ldexp(a, -np.frexp(np.abs(a).max())[1])
     ladder = _ladder(epsilon_ladder)
     samples, seed = _whole(samples, 1, "samples"), _whole(seed, 0, "seed")
-    levels = _levels(ladder, samples, a.size, seed, lambda eta: np.count_nonzero(eta @ a < 0.0))
+    certificates = {eps: _certificate(a.tolist(), eps) for eps in ladder}
+
+    def count(block: np.ndarray, eps: float) -> int:
+        certified, cert = 0, certificates[eps]
+        if cert is not None:
+            undecided = np.zeros(len(block), dtype=bool)
+            for col, t in zip(*cert):
+                undecided |= block[:, col] >= t
+            rest = np.compress(undecided, block, axis=0)
+            certified, block = len(block) - len(rest), rest
+        return certified + np.count_nonzero(_sample_log_cube(block, eps) @ a < 0.0)
+
+    levels = _levels(ladder, samples, a.size, seed, count)
     fplus_hat, fit = _side(levels, complement=True)
     return FplusEstimate(levels, fit, fplus_hat)
 

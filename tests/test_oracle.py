@@ -1,10 +1,11 @@
+import itertools
 import math
 import os
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import dominant_pair_matrix, random_cycle
@@ -637,10 +638,14 @@ def test_membership_batch_matches_row_major_reference():
 
 
 def test_fplus_levels_match_out_of_place_reference():
-    alpha = np.array([-1.0, 1.0, 1.0])
+    # one, two and three negative components share the certificate's bound,
+    # and with none every row is certified
     ladder = np.geomspace(1e-1, 1e-4, 9)
-    est = estimate_fplus_mc(alpha, ladder, 50_000, seed=8)
-    assert [lev.sigma_frac for lev in est.levels] == _reference_fplus_fracs(alpha, ladder, 50_000, 8)
+    for alpha in ((-1.0, 1.0, 1.0), (-0.5, -0.5, 2.0), (-1.0, -1.0, -1.0, 4.0), (1.0, 0.5, 0.0)):
+        alpha = np.array(alpha)
+        est = estimate_fplus_mc(alpha, ladder, 50_000, seed=8)
+        assert [lev.sigma_frac for lev in est.levels] == _reference_fplus_fracs(
+            alpha, ladder, 50_000, 8), alpha
 
 
 def test_sigma_levels_match_row_major_reference():
@@ -659,11 +664,15 @@ BLOCK_EDGES = (1, oracle.BLOCK - 1, oracle.BLOCK, oracle.BLOCK + 1, 5 * oracle.B
 
 @pytest.mark.parametrize("n", BLOCK_EDGES)
 def test_log_cube_blocks_continue_one_draw(n):
+    # count is handed raw uniforms that continue one draw, and the in-place
+    # transform of their concatenation is the out-of-place log cube
     blocks = []
-    oracle._levels((1e-5,), n, 3, 6, lambda block: blocks.append(block.copy()) or 0)
+    oracle._levels((1e-5,), n, 3, 6, lambda block, eps: blocks.append(block.copy()) or 0)
     assert len(blocks) == -(-n // oracle.BLOCK)
-    expected = oracle._sample_log_cube(np.random.default_rng((6, 0)), 1e-5, np.empty((n, 3)))
-    assert np.array_equal(np.concatenate(blocks), expected)
+    raw = np.concatenate(blocks)
+    assert np.array_equal(raw, np.random.default_rng((6, 0)).random((n, 3)))
+    expected = _out_of_place_log_cube(np.random.default_rng((6, 0)), 1e-5, n, 3)
+    assert np.array_equal(oracle._sample_log_cube(raw, 1e-5), expected)
 
 
 @pytest.mark.parametrize("n", BLOCK_EDGES)
@@ -689,6 +698,100 @@ def test_fplus_levels_exact_at_block_boundaries(n, monkeypatch):
         monkeypatch.setenv("HETSTAB_THREADS", threads)
         est = estimate_fplus_mc(alpha, ladder, n, seed=12)
         assert [lev.sigma_frac for lev in est.levels] == expected
+
+
+@st.composite
+def _fplus_alphas(draw):
+    """alpha with N = 2..5 components, k = 0..N of them negative and a sum
+    S > 0, = 0 or < 0.  The components are integers times powers of two, so
+    a balanced draw (the positives' sum cut into the k negatives) sums to
+    exactly 0; some components may sit up to 2^-900 below the others, tiny
+    after the oracle's power-of-two scaling but still normal."""
+    n = draw(st.integers(2, 5))
+    k = draw(st.integers(0, n))
+    pos = draw(st.lists(st.integers(0, 2**20), min_size=n - k, max_size=n - k))
+    if 0 < k < n and sum(pos) >= k and draw(st.booleans()):
+        cuts = sorted(draw(st.lists(st.integers(1, sum(pos) - 1), min_size=k - 1,
+                                    max_size=k - 1, unique=True)))
+        neg = [hi - lo for lo, hi in zip([0, *cuts], [*cuts, sum(pos)])]
+    else:
+        neg = draw(st.lists(st.integers(1, 2**20), min_size=k, max_size=k))
+    ints = pos + [-m for m in neg]
+    assume(any(ints))
+    shifts = draw(st.lists(st.one_of(st.just(0), st.integers(40, 900)), min_size=n, max_size=n))
+    scale = draw(st.integers(-30, 30))
+    return np.array([math.ldexp(m, scale - t) for m, t in zip(ints, shifts)])
+
+
+_LADDERS = st.lists(
+    st.one_of(st.floats(1.0 - 1e-3, 1.0, exclude_max=True), st.floats(1e-300, 1e-3)),
+    min_size=1, max_size=4, unique=True,
+).map(lambda levels: sorted(levels, reverse=True))
+
+
+@settings(deadline=None, max_examples=60)
+@given(alpha=_fplus_alphas(), ladder=_LADDERS, n=st.sampled_from(BLOCK_EDGES),
+       seed=st.integers(0, 2**32 - 1), threads=st.sampled_from(["1", "2"]))
+def test_fplus_levels_match_out_of_place_reference_property(alpha, ladder, n, seed, threads):
+    # certified and log-tested rows together count as the log test on every
+    # row; every level is compared, whether or not the levels fit a slope
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("HETSTAB_THREADS", threads)
+        mp.setattr(oracle, "_side", lambda levels, complement: (0.0, None))
+        est = estimate_fplus_mc(alpha, ladder, n, seed)
+    assert [lev.sigma_frac for lev in est.levels] == _reference_fplus_fracs(alpha, ladder, n, seed)
+
+
+CRITERION_5_LADDER = np.exp(np.concatenate([np.linspace(-2.0, -4.0, 100, endpoint=False),
+                                            np.linspace(-4.0, -10.0, 31)]))
+
+
+@pytest.mark.parametrize("alpha", [
+    (-1.0, 1.0, 1.0), (-0.25, 1.0, 0.0), (0.7, -0.3, 0.0),    # criterion 5
+    (-0.125, -0.125, 1.0), (-0.1, -0.1, -0.1, 1.0),           # k = 2 and 3 share the bound
+])
+def test_rows_at_the_certificate_edge_pass_the_log_test(alpha):
+    # the largest certified uniform in every tested column, and 0 or
+    # 1 - 2^-53 in the others, at every level of the criterion-5 ladder.
+    # The log test must count each such row inside, over the rows together
+    # and one row at a time, and the row must lie half a margin inside the
+    # slice, far beyond the test's rounding: without the margin the rows of
+    # the shallow levels sit within about 1e-15 of 0
+    a = np.array(alpha)
+    scaled = np.ldexp(a, -np.frexp(np.abs(a).max())[1])
+    for eps in CRITERION_5_LADDER:
+        ln_eps = math.log(eps)
+        margin = 2.0**-30 * np.abs(scaled).sum() * (37.0 + abs(ln_eps))
+        cols, ts = oracle._certificate(scaled.tolist(), eps)
+        assert cols == np.flatnonzero(a < 0.0).tolist()
+        others = [i for i in range(a.size) if i not in cols]
+        rows = np.empty((2 ** len(others), a.size))
+        rows[:, cols] = np.nextafter(ts, 0.0)
+        rows[:, others] = list(itertools.product([0.0, 1.0 - 2.0**-53], repeat=len(others)))
+        log_rows = np.log1p(-rows) + ln_eps
+        assert (log_rows @ a < 0.0).all(), eps
+        assert all(row @ a < 0.0 for row in log_rows), eps
+        assert (log_rows @ scaled < -margin / 2).all(), eps
+
+
+@pytest.mark.parametrize("alpha, ladder", [
+    ((1.0, -1.0, 0.5, -0.5), CRITERION_5_LADDER),          # S = 0
+    ((-1.0, 0.5, 0.25), CRITERION_5_LADDER),               # S < 0
+    ((-1.0, 1.0, 1.0), (1.0 - 1e-4, 1.0 - 1e-6)),           # eps near 1
+    ((-1.0, 1.0, 1.0), (math.exp(-0.5),)),                 # certifies 39% of the rows
+])
+def test_no_certificate_where_it_would_decide_too_few_rows(alpha, ladder):
+    for eps in ladder:
+        assert oracle._certificate(list(alpha), eps) is None
+
+
+def test_a_slice_with_no_negative_component_is_certified_whole():
+    assert oracle._certificate([0.5, 0.25, 0.0], 0.9) == ([], [])
+
+
+def test_a_tiny_negative_component_is_not_tested():
+    cols, ts = oracle._certificate([0.5, -2.0**-40, -0.25], 1e-3)
+    assert cols == [2] and 0.5 < ts[0] < 1.0
 
 
 def test_estimator_memory_does_not_grow_with_samples(monkeypatch):

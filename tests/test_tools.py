@@ -1,7 +1,7 @@
-"""A smoke run of tools/ab_lone.py, so that the lone-call A/B cannot rot.
+"""Smoke runs of the in-process A/B tools, so that they cannot rot.
 
-The script is run for two rounds against this checkout on both sides; it
-must load both, time all four cases and print one row for each.
+Each script is run for two rounds against this checkout on both sides; it
+must load both, time every case and print one row for each.
 """
 
 import subprocess
@@ -24,4 +24,21 @@ def test_ab_lone_runs_against_its_own_checkout():
     for row in rows:
         reps, parent, change, ratio, iqr, won = row[16:].split()
         assert int(reps) >= 1 and float(parent) > 0.0 and float(change) > 0.0
+        assert float(ratio) > 0.0 and won.endswith("/2")
+
+
+def test_ab_oracle_runs_against_its_own_checkout():
+    proc = subprocess.run(
+        [sys.executable, "tools/ab_oracle.py", str(ROOT), str(ROOT), "--rounds", "2",
+         "--samples", "2000"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    header, *rows = proc.stdout.splitlines()
+    assert header.split() == ["case", "parent", "s", "change", "s", "ratio", "IQR", "won"]
+    assert [row[:20].strip() for row in rows] == [
+        "fplus -1,1,1", "fplus -0.25,1,0", "fplus 0.7,-0.3,0", "sigma rsp"]
+    for row in rows:
+        parent, change, ratio, iqr, won = row[20:].split()
+        assert float(parent) > 0.0 and float(change) > 0.0
         assert float(ratio) > 0.0 and won.endswith("/2")
