@@ -24,10 +24,10 @@ from .oracle import (EstimatorConfig, InsufficientResolution, _log_ladder, estim
                      estimate_sigma_mc)
 from .rsp import RspParams, _rsp_stack, rsp_compare, rsp_matrices
 from .spectral import DEFAULT_TOL
-from .stability import IndeterminateError, _classify_many, classify
+from .stability import IndeterminateError, _sigma_rows, _verdicts, classify
 
 
-SWEEP_CYCLES = 256   # cycles per _classify_many stack of rsp-sweep
+SWEEP_CYCLES = 256   # cycles per _sigma_rows stack of rsp-sweep
 
 
 class _Parser(argparse.ArgumentParser):
@@ -162,23 +162,23 @@ def _cmd_rsp(args) -> int:
 def _cmd_rsp_sweep(args) -> int:
     grid = np.linspace(-1.0, 1.0, args.grid + 2)[1:-1]  # interior points only
     text = [repr(x) for x in grid.tolist()]   # each grid value formatted once
-    # one _classify_many stack per run of whole eps_x rows: as many rows as
-    # fit in SWEEP_CYCLES cycles, or one row when a row alone is longer, so a
+    # one _sigma_rows stack per run of whole eps_x rows: as many rows as fit
+    # in SWEEP_CYCLES cycles, or one row when a row alone is longer, so a
     # sweep makes few calls and no stack grows with the number of rows
     step = max(1, SWEEP_CYCLES // len(grid))
     rows = []
     for i in range(0, len(grid), step):
         stack = _rsp_stack(grid[i:i + step, None], grid[None, :]).reshape(-1, 2, 3, 3)
+        sigma, errors = _sigma_rows(stack, args.tol)
         cells = ((tx, ty) for tx in text[i:i + step] for ty in text)
-        for (tx, ty), report in zip(cells, _classify_many(stack, args.tol)):
-            if isinstance(report, IndeterminateError):
-                s0 = s1 = math.nan
-                label = "indeterminate"
-            elif isinstance(report, Exception):
-                raise report
+        for (tx, ty), (s0, s1), verdict, error in zip(cells, sigma.tolist(), _verdicts(sigma),
+                                                      errors):
+            if error is None:
+                label = verdict.value
+            elif isinstance(error, IndeterminateError):
+                label = "indeterminate"      # its sigma row is NaN
             else:
-                s0, s1 = report.sigma
-                label = report.classification.value
+                raise error
             rows.append((tx, ty, _fmt(s0), _fmt(s1), label))
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)

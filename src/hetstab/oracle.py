@@ -44,7 +44,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Collection, Iterable, Sequence
 
 import numpy as np
 
@@ -439,9 +439,12 @@ def _sample_log_cube(block: np.ndarray, eps: float) -> np.ndarray:
 
 
 def _levels(ladder: tuple[float, ...], samples: int, dim: int, seed: int,
-            count: Callable[[np.ndarray, float], int]) -> tuple[LevelEstimate, ...]:
+            count: Callable[[np.ndarray, float], int],
+            settled: Collection[float] = ()) -> tuple[LevelEstimate, ...]:
     """Per ladder level li, the fraction of samples points drawn from the RNG
-    stream (seed, li) that count(block, eps) finds inside the eps-cube.
+    stream (seed, li) that count(block, eps) finds inside the eps-cube.  A
+    level whose eps is in settled counts every point inside and draws
+    nothing; each level has its own stream, so the others are unchanged.
 
     count is handed raw uniforms, one point per row, and owns the block: it
     may turn the rows into log coordinates (_sample_log_cube) in place, or,
@@ -462,10 +465,13 @@ def _levels(ladder: tuple[float, ...], samples: int, dim: int, seed: int,
     log test, which it compacts from each block.
     """
     def level(li: int) -> LevelEstimate:
-        rng = np.random.default_rng((seed, li))
-        buf = np.empty((min(samples, BLOCK), dim))
-        inside = sum(int(count(rng.random(out=buf[:samples - start]), ladder[li]))
-                     for start in range(0, samples, BLOCK))
+        if ladder[li] in settled:
+            inside = samples
+        else:
+            rng = np.random.default_rng((seed, li))
+            buf = np.empty((min(samples, BLOCK), dim))
+            inside = sum(int(count(rng.random(out=buf[:samples - start]), ladder[li]))
+                         for start in range(0, samples, BLOCK))
         frac = inside / samples
         stderr = math.sqrt(frac * (1.0 - frac) / samples)
         return LevelEstimate(epsilon=ladder[li], sigma_frac=frac, stderr=stderr, samples=samples)
@@ -587,7 +593,9 @@ def estimate_fplus_mc(
     the slice, at least 2^15 times the rounding of the log test.  Only the
     other rows are compacted and take the log test, ln(eps) + log1p(-U)
     (_sample_log_cube), then alpha . eta < 0, so every count is that of the
-    log test on every row.
+    log test on every row.  A level whose certificate tests no column (every
+    negative component too small to matter, or none) counts every row
+    inside without drawing one (_levels).
     """
     a = np.asarray(_components(alpha))
     a = np.ldexp(a, -np.frexp(np.abs(a).max())[1])
@@ -605,7 +613,8 @@ def estimate_fplus_mc(
             certified, block = len(block) - len(rest), rest
         return certified + np.count_nonzero(_sample_log_cube(block, eps) @ a < 0.0)
 
-    levels = _levels(ladder, samples, a.size, seed, count)
+    settled = [eps for eps, cert in certificates.items() if cert is not None and not cert[0]]
+    levels = _levels(ladder, samples, a.size, seed, count, settled)
     fplus_hat, fit = _side(levels, complement=True)
     return FplusEstimate(levels, fit, fplus_hat)
 

@@ -25,29 +25,50 @@ Two regimes, decided by the signs of the basic transition matrices:
 Classification from the indices: any -inf -> not an attractor; any exact 0
 -> marginal (no claim made); all +inf -> asymptotically stable; all > 0 ->
 essentially asymptotically stable; otherwise (all > -inf, some < 0) the
-cycle is fragmentarily asymptotically stable only.
+cycle is fragmentarily asymptotically stable only.  One array rule
+(_verdicts) gives the verdict of every row of indices at once, and
+classification_from_sigmas is its view of one row.
 
 Every index comes from one path, _Batch.indices, over a batch of cycles
-that share m, N and their negative-entry nodes (_Batch).  It gives each
-sigma_j with its provenance and its K = 1 + L*N candidate vectors, from one
-stacked decomposition, or each cycle's first error as a value, in the order
-of a one-cycle reading (_Batch._fault).  classify, sigma and
-collect_alpha_vectors read its result for the batch of one, so the
-candidates' minimum is sigma_j and both raise alike; _classify_many groups
-many cycles into batches.  It also takes one float (B, m, N, N) array of B
-cycles, as rsp-sweep hands it whole grid rows: the matrix rule checks the
-stack once (transition._basic_stack), and one min reduction finds every
-cycle's negative-entry nodes (transition._negative_entries).  Each minimum
-over the K vectors is that of findex.f_index over every vector in order,
-bit for bit (_first_minima).  Calling sigma(cycle, j) for every j repeats
-the decompositions that classify shares.
+that share m, N and their negative-entry nodes (_Batch).  Its result is
+columnar (_Indices): a (B, J) array of sigma_j, a (B, J) array of the
+positions k of the vectors that realise them (-1 where no minimum sets
+sigma_j), the candidate vectors of every index that is a minimum, and each
+cycle's first error, as a value, in the order of a one-cycle reading.  Each
+decomposed full return gets one small-integer state, and a short scan of
+those states finds each cycle's first fault; the zero partial-turn rows and
+every minimum are decided in arrays over the whole batch.  classify, sigma
+and collect_alpha_vectors read the result for the batch of one.
+_classify_many reads many cycles, grouped into batches by _analyses, and
+_reports is the one place that builds IndexReport and IndexProvenance, with
+the provenance tags from one table per batch (_Batch.source).  _sigma_rows
+reads a float (B, m, N, N) stack as one (B, m) array of sigma_j and the
+errors and builds no report, as rsp-sweep reads its grid rows.  A stack is
+checked once (transition._basic_stack), and one min reduction finds every
+cycle's negative-entry nodes (transition._negative_entries).
+
+Each minimum over the K vectors is that of findex.f_index over every
+vector in order, bit for bit (_first_minima).  f_index takes the correctly
+rounded sum S of a vector (math.fsum), and S is found in arrays: two TwoSum
+cascades, over the components and over their rounding errors, write the
+exact sum as fl(s + E) + r + sum f_i with r exact, and where every f_i is 0,
+or |r| plus a bound on sum f_i stays below half the gap from fl(s + E) to
+its nearer neighbour (the gap below a power of two is half the one above
+it), fl(s + E) is S (Ogita, Rump & Oishi 2005, SIAM J. Sci. Comput. 26).
+Only a sum that close to a rounding midpoint, or a vector large enough that
+fsum could overflow, goes to the exact findex._f_index.  Calling
+sigma(cycle, j) for every j repeats the decompositions that classify
+shares.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -122,70 +143,109 @@ class IndexReport:
         }
 
 
-def classification_from_sigmas(sigmas) -> Classification:
-    sigmas = list(sigmas)
-    if -math.inf in sigmas:
+def _verdict(kinds: set[int]) -> Classification:
+    """The verdict of indices of the kinds in kinds (_KIND_EDGES): some
+    -inf, some 0, all +inf, all > 0, or none of these, in that order."""
+    if 1 in kinds:
         return Classification.NOT_ATTRACTOR
-    if 0.0 in sigmas:
+    if 3 in kinds:
         return Classification.MARGINAL
-    if sigmas.count(math.inf) == len(sigmas):
+    if kinds <= {5}:
         return Classification.ASYMPTOTICALLY_STABLE
-    if all(map((0.0).__lt__, sigmas)):
+    if kinds <= {4, 5}:
         return Classification.ESSENTIALLY_ASYMPTOTICALLY_STABLE
     return Classification.FRAGMENTARILY_ASYMPTOTICALLY_STABLE_ONLY
 
 
-_U = 2.0 ** -53                              # unit roundoff of double precision
-_ENDS = np.array([-1.0, 1.0])[:, None, None]   # sum - radius, sum + radius
+# the kind of a value x is the number of these edges <= x, in numpy's sort
+# order (NaN last): 1 for -inf, 2 negative, 3 zero, 4 positive, 5 +inf, 6 NaN
+_KIND_EDGES = np.array([-math.inf, -sys.float_info.max, 0.0, 5e-324, math.inf, math.nan])
+# the verdict of every set of kinds, as the bit mask of its members
+_VERDICTS = [_verdict({kind for kind in range(7) if mask >> kind & 1}) for mask in range(128)]
+
+
+def _verdicts(sigma: np.ndarray) -> list[Classification]:
+    """The verdict (_verdict) of each row of the (B, J) float array sigma,
+    from the bit mask of the kinds of its values."""
+    masks = np.bitwise_or.reduce(1 << _KIND_EDGES.searchsorted(sigma, "right"), axis=1)
+    return list(map(_VERDICTS.__getitem__, masks.tolist()))
+
+
+def classification_from_sigmas(sigmas) -> Classification:
+    """The verdict of one cycle's indices sigma_j (_verdicts)."""
+    return _verdicts(np.array([list(sigmas)], dtype=float))[0]
+
+
+_LIMIT = 2.0 ** 1022   # where N max|alpha| < _LIMIT, no sum here or in fsum overflows
+
+
+def _cascade(terms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(s, errors) for the terms along axis 0: s the running sum of one
+    cumsum at its end, and errors the exact error of each of its additions
+    (TwoSum, Knuth), so that the exact sum of the terms is s + sum(errors)
+    unless an addition overflows, which makes NaN."""
+    partial = np.cumsum(terms, axis=0)
+    before, after = partial[:-1], partial[1:]
+    step = after - before
+    return partial[-1], (before - (after - step)) + (terms[1:] - step)
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
-def _index_bounds(alphas: np.ndarray) -> np.ndarray:
-    """Bounds lo <= findex.f_index(alpha) <= hi for every vector alpha along
-    the last axis of the (rows, K, N) array alphas (finite, nonzero), as a
-    (2, rows, K) array [lo, hi], found without an exact sum.
+def _first_minima(alphas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(values, k) for the coordinate-major (N, rows, K) array alphas, whose
+    [:, r, k] is vector k of row r (each finite and nonzero): for each row,
+    the first of the smallest findex.f_index values over its K vectors, bit
+    for bit and sign of zero included, and its position k.
 
-    min >= 0 gives +inf and max <= 0 gives -inf, and so do both bounds.
-    Otherwise the index is S / max, -S / min or 0 as the correctly rounded
-    sum S that f_index takes (math.fsum) is negative, positive or zero: one
-    correctly rounded division, so monotone in S.  Any order of plain
-    summation of the N terms lands within (N - 1) u sum|alpha| of the exact
-    sum (u = 2^-53; Higham's gamma_{N-1}).  The radius (N + 1) u sum|alpha|
-    also covers the rounding of the radius and of sum -+ radius, so S lies
-    in [sum - radius, sum + radius] and the index between its values at the
-    two ends.  A bound that overflows to NaN compares false both ways, so it
-    never excludes a vector.
+    f_index is +inf where min >= 0 and -inf where max <= 0; otherwise, with
+    S the correctly rounded sum (math.fsum), it is -S / min where S > 0 and
+    0.0 - S / -max where S <= 0, which keeps the +0.0 of a zero sum.  S is
+    found by array operations.  Two TwoSum cascades (_cascade), over the
+    components and then over the errors of the first, write the exact sum
+    as s + E + sum f_i, and one more TwoSum gives T = fl(s + E) with its
+    exact residual r, so the exact sum is T + r + sum f_i.  delta = (1 +
+    N 2^-52) fl(sum |f_i|) bounds |sum f_i|, the rounding of its own sum
+    and product included, and is 0 only where every f_i is.  T is S where
+    delta is 0, as T then rounds the exact sum itself, and where 2 (|r| +
+    delta) is below the gap from |T| to the next float toward zero, the
+    smaller of its two gaps (below a power of two it is half the other), as
+    the exact sum then lies strictly within half a gap of T (Ogita, Rump &
+    Oishi 2005).  The rounded |r| + delta decides that test as the exact one
+    would: rounding is monotone, and in the lowest binade, where half the
+    gap is no float, |r| + delta is exact.  The other vectors go through
+    findex._f_index: a sum within delta of a rounding midpoint, and a vector
+    whose max - min reaches _LIMIT / N, where fsum could overflow and
+    f_index reads alpha / 4, and one whose sum overflows here (T is then
+    +-inf or NaN, which neither test takes, though with N = 2 there is no f_i
+    to carry the NaN into delta).  argmin takes the first of equal minima, as
+    the exhaustive loop does.
     """
-    radius = np.abs(alphas).sum(axis=-1) * ((alphas.shape[-1] + 1) * _U)
-    ends = alphas.sum(axis=-1) + _ENDS * radius
-    den = np.where(ends < 0.0, alphas.max(axis=-1), -alphas.min(axis=-1))
-    # only a vector of one sign lacks a positive denominator, and both its
-    # ends carry that sign: dividing by +0.0 gives its exact +-inf
-    return ends / np.where(den > 0.0, den, 0.0)
+    n = len(alphas)
+    lo, hi = alphas.min(axis=0), alphas.max(axis=0)
+    s, errors = _cascade(alphas)                 # the exact sum is s + sum(errors)
+    e, rest = _cascade(errors)                   # and sum(errors) is e + sum(rest)
+    delta = np.abs(rest).sum(axis=0) * (1.0 + n * 2.0**-52)
+    total = s + e
+    step = total - s
+    r = (s - (total - step)) + (e - step)
+    size = np.abs(total)
+    gap = size - np.nextafter(size, -1.0)        # to the next float toward zero, the smaller
+    exact = (((delta == 0.0) & np.isfinite(total) | (2.0 * (np.abs(r) + delta) < gap))
+             & (hi - lo < _LIMIT / n))
+    # only a vector of one sign lacks a positive denominator, and its sum
+    # carries that sign: dividing by +0.0 gives its exact +-inf
+    den = np.where(total > 0.0, -lo, hi)
+    values = total / np.where(den > 0.0, den, 0.0) + 0.0       # + 0.0 turns -0.0 into +0.0
+    if not exact.all():
+        rows, ks = np.nonzero(~exact)
+        values[rows, ks] = [findex._f_index(alpha) for alpha in alphas[:, rows, ks].T.tolist()]
+    return values.min(axis=1), values.argmin(axis=1)
 
 
-def _first_minima(alphas: np.ndarray) -> list[tuple[float, int]]:
-    """(value, k) for each row of the (rows, K, N) array alphas: the first
-    of the smallest findex.f_index values over the row's K vectors (each
-    finite and nonzero), and its position k.
-
-    Filter, then verify, by array operations: a vector is a candidate unless
-    its lower bound (_index_bounds) exceeds the smallest upper bound of its
-    row, so a NaN bound excludes nothing.  A candidate whose bounds meet at a
-    nonzero value (a zero could carry either sign) has that value, and the
-    others go through findex._f_index.  A vector left out is never a minimum,
-    and argmin takes the first of equal minima, as the exhaustive loop does.
-    """
-    lo, hi = _index_bounds(alphas)
-    candidate = ~(lo > hi.min(axis=1)[:, None])
-    values = np.where(candidate, hi, math.inf)
-    rows, ks = np.nonzero(candidate & ~((lo == hi) & (lo != 0.0)))
-    values[rows, ks] = [findex._f_index(alpha) for alpha in alphas[rows, ks].tolist()]
-    k = values.argmin(axis=1)
-    return list(zip(values[np.arange(len(k)), k].tolist(), k.tolist()))
-
-
-_FAIL = (-math.inf, IndexProvenance(source="dominant-pair-conditions-fail", alpha=None), None)
+# the provenance of a sigma_j that no minimum sets, with and without
+# negative entries
+_NO_MINIMUM = {True: IndexProvenance("dominant-pair-conditions-fail", None),
+               False: IndexProvenance("nonnegative-dichotomy", None)}
 
 
 def _no_minimum() -> ValueError:
@@ -194,142 +254,193 @@ def _no_minimum() -> ValueError:
                       "zero-measure argument, not a minimum of indices")
 
 
+class _Indices(NamedTuple):
+    """The result of _Batch.indices for B cycles and J given nodes.
+
+    candidates holds the K = 1 + L*N vectors of every (b, j) with winner
+    >= 0, in row-major order of (b, j), coordinate-major: [:, r, k] is
+    vector k of row r, v_max of M^(j) first, then the rows of M_(j_1, j),
+    ..., M_(j_L, j).
+    """
+
+    sigma: np.ndarray          # (B, J) sigma_j; NaN for a cycle with an error
+    winner: np.ndarray         # (B, J) k of sigma_j's first minimum, -1 where none sets it
+    candidates: np.ndarray     # (N, rows, K)
+    errors: list               # each cycle's first error, or None
+
+
+# what a decomposed full return says at a node: 0 when conditions (i)-(iii)
+# hold, 1 when only (iii) fails, 2 when (i) or (ii) fails, 3 on an error of
+# its decomposition (_INDETERMINATE), and 4 when its pass is not finite
+_STATE = {(True, True, True): 0, (True, True, False): 1}
+_INDETERMINATE, _OVERFLOW = 3, 4
+
+
 class _Batch:
     """The transition-matrix analysis of B cycles that share m, N and their
-    negative-entry nodes, for one call, on product passes built up front."""
+    negative-entry nodes, for one call; indices builds the product passes."""
 
-    def __init__(self, mats: list[list[np.ndarray]], negative: list[int], tol: float):
+    def __init__(self, mats: np.ndarray, negative: list[int], tol: float):
+        """The batch of the float (B, m, N, N) array mats of B cycles' basic
+        matrices."""
         self.tol = tol
         self.negative = negative
-        self.m, self.n = len(mats[0]), len(mats[0][0])
-        self._passes = cyclic_products(np.array(mats), range(self.m), self.m)
-        self._finite = _finite(self._passes).tolist()
+        self.m, self.n = mats.shape[1:3]
+        self._mats = mats
+        self._tags: dict[tuple[int, int], str] = {}
 
     @classmethod
     def of(cls, cycle: CycleLike, tol: float) -> "_Batch":
         """The batch of one cycle."""
         tol = _tolerance(tol)
-        mats = as_basic_matrices(cycle)
-        return cls([mats], np.flatnonzero(_negative_entries(mats)).tolist(), tol)
+        mats = np.array(as_basic_matrices(cycle))
+        return cls(mats[None], np.flatnonzero(_negative_entries(mats)).tolist(), tol)
 
-    def indices(self, nodes: list[int]) -> list:
-        """For each cycle, (sigma_j, provenance, candidates) for each j in
-        nodes, or the error that ends that cycle's analysis (_Batch._fault).
-        candidates is the (K, N) array whose first minimum of findex.f_index
-        is sigma_j (_first_minima), v_max of M^(j) in front of the rows of
-        M_(j_1, j), ..., M_(j_L, j), or None where no minimum sets sigma_j.
+    def indices(self, nodes: list[int]) -> _Indices:
+        """sigma_j of every cycle for each j in nodes, with the position k of
+        the vector that realises it and the candidates (_Indices), or the
+        error that ends a cycle's analysis.  Each minimum is the first of
+        findex.f_index over the candidates (_first_minima).
 
-        One stacked call decomposes the finite full returns at the
-        checkpoints and the given nodes of every cycle (M^(0) alone without
-        negative entries), so the checkpoints and v_max share one
-        decomposition.  Each cycle's errors come in the order of a one-cycle
-        reading: its checkpoints in sorted order, then the given nodes in
-        order.  Only cycles whose checkpoints hold get partial-turn rows.
+        One stacked call decomposes the full returns at the checkpoints and
+        the given nodes of every cycle (M^(0) alone without negative
+        entries), so the checkpoints and v_max share one decomposition.  A
+        cycle's first fault follows a one-cycle reading: its checkpoints in
+        sorted order, then the given nodes in order.  At each, a pass that
+        overflows (ProductOverflow), then a spectral degeneracy
+        (IndeterminateError), then failed conditions: at a checkpoint any of
+        the three, which makes every sigma_j -inf with no minimum; at a given
+        node (i) or (ii) (ValueError), then a zero partial-turn row
+        (findex.ZeroVectorError).
         """
+        passes = cyclic_products(self._mats, range(self.m), self.m)
+        count, m, n = len(passes), self.m, self.n
         # the sign condition on w_max propagates through the non-negative
         # factors between negative-entry matrices, so it is checked directly
         # only at the nodes just after one
-        checkpoints = sorted({(q + 1) % self.m for q in self.negative})
+        checkpoints = sorted({(q + 1) % m for q in self.negative})
         read = sorted(set(checkpoints).union(nodes)) if self.negative else [0]
-        # cells[b][j] is the place of M^(j) of cycle b in the stack, and None
-        # where its pass is not finite: eig rejects a stack holding inf or NaN
-        picked = [(b, j) for b, finite in enumerate(self._finite) for j in read if finite[j]]
-        cells = [[None] * self.m for _ in self._finite]
-        for i, (b, j) in enumerate(picked):
-            cells[b][j] = i
-        spectra = (_eigen_decompose_many(self._passes[tuple(zip(*picked)) + (-1,)], self.tol)
-                   if picked else None)
+        # a slice reads every node without a copy; eig rejects a stack holding
+        # inf or NaN, so a pass that is not finite is decomposed as the
+        # identity and read as an overflow
+        cols = slice(None) if len(read) == m else read
+        finite = _finite(passes)[:, cols]
+        flags = finite.ravel().tolist()
+        stack = passes[:, cols, -1].reshape(-1, n, n)
+        if not all(flags):
+            stack = np.where(finite.reshape(-1, 1, 1), stack, np.eye(n))
+        spectra = _eigen_decompose_many(stack, self.tol)
+        # every sigma_j is -inf until it is set: failed conditions at a
+        # checkpoint leave it so, and an error makes the cycle's row NaN
+        sigma, winner = np.empty((count, len(nodes))), np.empty((count, len(nodes)), dtype=int)
+        sigma.fill(-math.inf)
+        winner.fill(-1)
         if not self.negative:
-            return [self._dichotomy(spectra, at, len(nodes)) for at in cells]
-        out = [self._fault(spectra, at, checkpoints) for at in cells]
-        out = [[_FAIL] * len(nodes) if f is _FAIL else f for f in out]
-        held = [b for b, f in enumerate(out) if f is None]
-        if not held:
-            return out
-        b, j = np.array(held)[:, None, None], np.array(nodes)[None, :, None]
-        turns = self._passes[b, j, (np.array(self.negative) - j) % self.m]
-        rows = turns.reshape(turns.shape[:2] + (-1, self.n))
-        nonzero = rows.any(axis=3).all(axis=2).tolist()
-        for i, c in enumerate(held):
-            out[c] = self._fault(spectra, cells[c], nodes, rows[i], nonzero[i])
-        kept = [i for i, c in enumerate(held) if out[c] is None]
-        at = [cells[held[i]][j] for i in kept for j in nodes]
-        alphas = np.empty((len(at), 1 + rows.shape[2], self.n))
-        alphas[:, 0] = spectra.basis_inverse[at, [spectra.index[i] for i in at]].real
-        alphas[:, 1:] = rows[kept].reshape(-1, *rows.shape[2:])
-        minima = _first_minima(alphas)
-        winners = alphas[np.arange(len(at)), [k for _, k in minima]].tolist()
-        found = iter(zip(minima, winners, alphas))
-        for i in kept:
-            out[held[i]] = [self._index(j, *next(found)) for j in nodes]
-        return out
+            errors = self._dichotomy(spectra, flags, sigma)
+            return _Indices(sigma, winner, np.empty((n, 0, 1)), errors)
 
-    def _dichotomy(self, spectra, at: list, count: int):
-        """The non-negative regime's index of one cycle, count times, or its
-        error, at the places at of its full returns in spectra.  Only the
-        eigenvalues of M^(0) are read, so a defective one keeps its +-inf."""
-        i = at[0]
-        if i is None:
-            return _overflow(0)
-        if spectra.errors[i] is not None:
-            return IndeterminateError(0, spectra.errors[i])
-        value = math.inf if abs(spectra.eigenvalues[i, spectra.index[i]]) > 1.0 else -math.inf
-        return [(value, IndexProvenance(source="nonnegative-dichotomy", alpha=None), None)] * count
+        # one state per decomposed return, and each cycle's first fault from
+        # them: at a checkpoint any state but 0, at a given node a state of 2
+        # or more, or a zero partial-turn row
+        state = [_STATE.get(c, 2) if f and not d and e is None else _INDETERMINATE + (not f)
+                 for f, c, e, d in zip(flags, spectra.conditions, spectra.errors,
+                                       spectra.defective)]
+        size, errors, held = len(read), [None] * count, []
+        at = [read.index(j) for j in checkpoints]
+        for c in range(count):
+            for j, i in zip(checkpoints, at):
+                if state[c * size + i]:
+                    if state[c * size + i] >= _INDETERMINATE:
+                        errors[c] = self._fault(spectra, c * size + i, state, j)
+                    break
+            else:
+                held.append(c)
+        alphas = np.empty((n, 0, 1))
+        if held:
+            steps = (np.array(self.negative) - np.array(nodes)[:, None]) % m
+            rows = passes[np.array(held)[:, None, None], np.array(nodes)[:, None], steps]
+            rows = rows.reshape(rows.shape[:2] + (-1, n))
+            zero = (~rows.any(axis=3).all(axis=2)).tolist()
+            at = [read.index(j) for j in nodes]
+            kept = []
+            for h, c in enumerate(held):
+                for p, (j, i) in enumerate(zip(nodes, at)):
+                    if state[c * size + i] >= 2:
+                        errors[c] = self._fault(spectra, c * size + i, state, j)
+                        break
+                    if zero[h][p]:                          # f_index raises at the first zero row
+                        row = rows[h, p]
+                        errors[c] = _attempt((findex.ZeroVectorError,), findex.f_index,
+                                             row[row.any(axis=1).argmin()])
+                        break
+                else:
+                    kept.append(h)
+            if len(kept) < len(held):
+                rows = rows[kept]
+            kept = np.array(held)[kept]
+            place = (kept[:, None] * size + at).ravel()
+            alphas = np.empty((n, len(place), 1 + rows.shape[2]))
+            if len(place):
+                alphas[:, :, 0] = spectra.basis_inverse[place, np.array(spectra.index)[place]].real.T
+                alphas[:, :, 1:] = rows.reshape(len(place), -1, n).transpose(2, 0, 1)
+                values, k = _first_minima(alphas)
+                sigma[kept] = values.reshape(len(kept), -1)
+                winner[kept] = k.reshape(len(kept), -1)
+        failing = [c for c, error in enumerate(errors) if error is not None]
+        if failing:
+            sigma[failing] = math.nan
+        return _Indices(sigma, winner, alphas, errors)
 
-    def _fault(self, spectra, at: list, nodes: list[int], rows: np.ndarray | None = None,
-               nonzero: list[bool] | None = None):
-        """What ends the analysis of one cycle at the first of nodes, as a
-        value, or None; at holds the places of the cycle's full returns in
-        spectra.  At each node in order: a pass that overflows
-        (ProductOverflow), a spectral degeneracy (IndeterminateError), then
-        failed conditions.  At checkpoints (rows None) that is any of the
-        three, which makes every sigma_j -inf (_FAIL).  At given nodes, with
-        their rows and whether none is zero, it is (i) or (ii) (ValueError),
-        then a zero row (findex.ZeroVectorError).
-        """
-        for k, j in enumerate(nodes):
-            i = at[j]
-            if i is None:
-                return _overflow(j)
-            error = spectra.error(i)
-            if error is not None:
-                return IndeterminateError(j, error)
-            conditions = spectra.conditions[i]
-            if rows is None:
-                if not all(conditions):
-                    return _FAIL
-            elif not all(conditions[:2]):
-                return _no_minimum()
-            elif not nonzero[k]:                        # f_index raises at the first zero row
-                return _attempt((findex.ZeroVectorError,), findex.f_index,
-                                rows[k, rows[k].any(axis=1).argmin()])
-        return None
+    @staticmethod
+    def _fault(spectra, i: int, state: list[int], node: int) -> Exception:
+        """The error at node of the return decomposed at place i of spectra,
+        whose state (_STATE) is 2 or more at a given node, or 3 or more at a
+        checkpoint."""
+        if state[i] == _OVERFLOW:
+            return _overflow(node)
+        if state[i] == _INDETERMINATE:
+            return IndeterminateError(node, spectra.error(i))
+        return _no_minimum()
 
-    def _index(self, j: int, minimum: tuple[float, int], alpha: list, candidates: np.ndarray):
-        """(sigma_j, provenance, candidates) from the first minimum (value, k)
-        of the candidates and its vector alpha."""
-        value, k = minimum
-        if k == 0:
-            tag = f"v_max[{j}]"
-        else:
+    def _dichotomy(self, spectra, finite: list[bool], sigma: np.ndarray) -> list:
+        """The non-negative regime: fill each row of sigma with its cycle's
+        +-inf, and give each cycle's error or None, where spectra holds M^(0)
+        of each cycle and finite says whether its pass is finite.  Only the
+        eigenvalues are read, so a defective M^(0) keeps its +-inf."""
+        errors = [None if e is None else IndeterminateError(0, e) for e in spectra.errors]
+        errors = [e if f else _overflow(0) for e, f in zip(errors, finite)]
+        top = spectra.eigenvalues[np.arange(len(finite)), spectra.index]
+        sigma[:] = np.where(np.abs(top) > 1.0, math.inf, -math.inf)[:, None]
+        sigma[[e is not None for e in errors]] = math.nan
+        return errors
+
+    def source(self, j: int, k: int) -> str:
+        """The provenance tag of position k >= 0 of the candidates of
+        sigma_j, from the batch's table of the tags made so far."""
+        tag = self._tags.get((j, k))
+        if tag is None:
             p, s = divmod(k - 1, self.n)
-            tag = f"M_({self.negative[p]},{j}) row {s}"
-        return value, IndexProvenance(source=tag, alpha=tuple(alpha)), candidates
+            tag = self._tags[j, k] = f"v_max[{j}]" if k == 0 else f"M_({self.negative[p]},{j}) row {s}"
+        return tag
 
 
-def _classify_many(cycles, tol: float = DEFAULT_TOL) -> list:
-    """classify of each cycle: its IndexReport, or the error classify raises
-    for it (_attempt), from batches (_Batch) of the cycles that share N and
-    their negative-entry nodes.  cycles is a sequence of cycles, or one
-    float (B, m, N, N) array of B cycles' basic matrices, which is checked
-    at once (transition._basic_stack) and whose negative-entry nodes come
-    from one min reduction.  A tol that breaks its rule is raised.
+def _analyses(cycles, tol: float) -> tuple[list, list[tuple[list[int], _Batch]]]:
+    """(out, batches) for many cycles: out holds each cycle's input error,
+    or None, and batches pairs the members of each batch (_Batch) of the
+    cycles that share N and their negative-entry nodes with the batch.
+    cycles is a sequence of cycles, or one float (B, m, N, N) array of B
+    cycles' basic matrices, which is checked at once
+    (transition._basic_stack) and whose negative-entry nodes come from one
+    min reduction.  A tol that breaks its rule is raised.  A batch builds
+    its product passes only while its indices are read (_Batch.indices), so
+    one batch at a time holds them.
     """
     tol = _tolerance(tol)
     out = _basic_stack(cycles)
     if out is None:
         mats = [_attempt((TypeError, ValueError), as_basic_matrices, cycle) for cycle in cycles]
         out = [m if isinstance(m, Exception) else None for m in mats]
+        mats = [m if e else np.array(m) for m, e in zip(mats, out)]
         patterns = [None if e else _negative_entries(m).tolist() for m, e in zip(mats, out)]
     else:
         mats, patterns = cycles, _negative_entries(cycles).tolist()
@@ -337,15 +448,55 @@ def _classify_many(cycles, tol: float = DEFAULT_TOL) -> list:
     for i, pattern in enumerate(patterns):
         if out[i] is None:
             groups.setdefault((len(mats[i][0]), *pattern), []).append(i)
+    batches = []
     for (_, *pattern), members in groups.items():
-        group = [mats[i] for i in members] if isinstance(mats, list) else mats[members]
-        batch = _Batch(group, [j for j, neg in enumerate(pattern) if neg], tol)
-        for i, result in zip(members, batch.indices(list(range(batch.m)))):
-            if not isinstance(result, Exception):
-                sigmas, provenance, _ = zip(*result)
-                result = IndexReport(sigmas, provenance, classification_from_sigmas(sigmas), tol)
-            out[i] = result
+        group = np.array([mats[i] for i in members]) if isinstance(mats, list) else mats[members]
+        batches.append((members, _Batch(group, [j for j, neg in enumerate(pattern) if neg], tol)))
+    return out, batches
+
+
+def _reports(batch: _Batch) -> list:
+    """Each cycle's IndexReport, or its error, read from the indices of the
+    batch at every node: the one place that builds reports and provenance,
+    with the tags from the batch's table (_Batch.source)."""
+    result = batch.indices(list(range(batch.m)))
+    rows = itertools.count()                           # the candidates' rows, in order
+    none = _NO_MINIMUM[bool(batch.negative)]
+    out = list(result.errors)
+    for b, (sigmas, ks, verdict) in enumerate(zip(result.sigma.tolist(), result.winner.tolist(),
+                                                  _verdicts(result.sigma))):
+        if out[b] is None:
+            provenance = tuple(none if k < 0 else IndexProvenance(
+                batch.source(j, k), tuple(result.candidates[:, next(rows), k].tolist()))
+                for j, k in enumerate(ks))
+            out[b] = IndexReport(tuple(sigmas), provenance, verdict, batch.tol)
     return out
+
+
+def _classify_many(cycles, tol: float = DEFAULT_TOL) -> list:
+    """classify of each cycle: its IndexReport, or the error classify raises
+    for it (_attempt), read from the batches of _analyses (_reports)."""
+    out, batches = _analyses(cycles, tol)
+    for members, batch in batches:
+        for i, report in zip(members, _reports(batch)):
+            out[i] = report
+    return out
+
+
+def _sigma_rows(stack: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, list]:
+    """(sigma, errors) for a float (B, m, N, N) stack of B cycles' basic
+    matrices, read from the batches of _analyses and building no report:
+    sigma is the (B, m) array of every sigma_j, NaN on a cycle whose
+    analysis ends in an error, and errors holds each cycle's error (the one
+    classify raises) or None."""
+    out, batches = _analyses(stack, tol)
+    sigma = np.full(stack.shape[:2], math.nan)
+    for members, batch in batches:
+        result = batch.indices(list(range(batch.m)))
+        sigma[members] = result.sigma
+        for i, error in zip(members, result.errors):
+            out[i] = error
+    return sigma, out
 
 
 def collect_alpha_vectors(cycle: CycleLike, j: int, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
@@ -361,22 +512,21 @@ def collect_alpha_vectors(cycle: CycleLike, j: int, tol: float = DEFAULT_TOL) ->
     j = _node_index(j, batch.m)
     if not batch.negative:
         raise ValueError("no negative entries: the spectral-radius dichotomy applies")
-    [indices] = batch.indices([j])
-    if isinstance(indices, Exception):
-        raise indices
-    candidates = indices[0][2]
-    if candidates is None:
+    result = batch.indices([j])
+    if result.errors[0] is not None:
+        raise result.errors[0]
+    if result.winner[0, 0] < 0:
         raise _no_minimum()
-    return list(candidates)
+    return list(result.candidates[:, 0].T)
 
 
 def sigma(cycle: CycleLike, j: int, tol: float = DEFAULT_TOL) -> float:
     """Local stability index along the connection entering node j."""
     batch = _Batch.of(cycle, tol)
-    [indices] = batch.indices([_node_index(j, batch.m)])
-    if isinstance(indices, Exception):
-        raise indices
-    return indices[0][0]
+    result = batch.indices([_node_index(j, batch.m)])
+    if result.errors[0] is not None:
+        raise result.errors[0]
+    return float(result.sigma[0, 0])
 
 
 def classify(cycle: CycleLike, tol: float = DEFAULT_TOL) -> IndexReport:
@@ -387,7 +537,7 @@ def classify(cycle: CycleLike, tol: float = DEFAULT_TOL) -> IndexReport:
     that does not converge) blocks the decision, and ValueError, before any
     decomposition, when tol breaks its rule.
     """
-    [report] = _classify_many([cycle], tol)
+    [report] = _reports(_Batch.of(cycle, tol))
     if isinstance(report, Exception):
         raise report
     return report

@@ -19,7 +19,7 @@ import hetstab.cli
 import hetstab.stability
 import hetstab.transition
 from hetstab.spectral import DEFAULT_TOL, _eigen_decompose_many
-from hetstab.stability import _classify_many
+from hetstab.stability import _sigma_rows
 from test_cli_golden import GOLDEN
 
 
@@ -202,10 +202,10 @@ def test_rsp_sweep_stacks_whole_rows_within_the_budget(tmp_path, monkeypatch, ca
 
     def counting(stack, tol):
         calls.append(len(stack))
-        return _classify_many(stack, tol)
+        return _sigma_rows(stack, tol)
 
     monkeypatch.setattr(hetstab.cli, "SWEEP_CYCLES", budget)
-    monkeypatch.setattr(hetstab.cli, "_classify_many", counting)
+    monkeypatch.setattr(hetstab.cli, "_sigma_rows", counting)
     out_csv = tmp_path / "sweep.csv"
     assert main(["rsp-sweep", "--grid", "9", "--out", str(out_csv)]) == 0
     assert calls == sizes
@@ -221,6 +221,19 @@ def test_rsp_sweep_formats_no_error_message(tmp_path, capsys):
         assert main(GRID_61 + [str(tmp_path / "sweep.csv")]) == 0
     assert reprs == [(2,)]
     assert (tmp_path / "sweep.csv").read_text().count("indeterminate") == 61
+
+
+def test_rsp_sweep_builds_no_report(tmp_path, monkeypatch, capsys):
+    # the sweep reads sigma rows and verdicts from the batch results; only
+    # classify's reader builds IndexReport and IndexProvenance
+    built = []
+    for kind in (hetstab.IndexReport, hetstab.IndexProvenance):
+        monkeypatch.setattr(kind, "__init__", lambda self, *args, init=kind.__init__, kind=kind,
+                            **kwargs: built.append(kind) or init(self, *args, **kwargs))
+    assert main(GRID_61 + [str(tmp_path / "sweep.csv")]) == 0
+    assert built == []
+    hetstab.classify(hetstab.rsp_matrices(RspParams(-0.5, 0.2)))
+    assert set(built) == {hetstab.IndexReport, hetstab.IndexProvenance}
 
 
 def test_rsp_sweep_memory_stays_small(tmp_path, capsys):

@@ -700,6 +700,37 @@ def test_fplus_levels_exact_at_block_boundaries(n, monkeypatch):
         assert [lev.sigma_frac for lev in est.levels] == expected
 
 
+def test_fplus_levels_with_no_tested_column_draw_nothing(monkeypatch):
+    # a level whose certificate tests no column counts every row inside
+    # without a draw, and every other level draws its own stream as before
+    ladder = np.geomspace(0.5, 1e-3, 8)
+    alphas = [np.array(alpha) for alpha in ((1.0, 0.5, 0.0), (-0.05, 1.0, 0.0))]
+    expected = [_reference_fplus_fracs(alpha, ladder, 20_000, 3) for alpha in alphas]
+    drawn = []
+    real = np.random.default_rng
+
+    class Spy:
+        def __init__(self, seed):
+            self.seed, self.rng = seed, real(seed)
+
+        def random(self, *args, **kwargs):
+            drawn.append(self.seed[1])
+            return self.rng.random(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", Spy)
+    settled_counts = []
+    for alpha, fracs in zip(alphas, expected):
+        drawn.clear()
+        est = estimate_fplus_mc(alpha, ladder, 20_000, seed=3)
+        assert [lev.sigma_frac for lev in est.levels] == fracs
+        scaled = np.ldexp(alpha, -np.frexp(np.abs(alpha).max())[1]).tolist()
+        settled = {li for li, eps in enumerate(ladder)
+                   if oracle._certificate(scaled, eps) == ([], [])}
+        assert set(drawn) == set(range(len(ladder))) - settled
+        settled_counts.append(len(settled))
+    assert settled_counts[0] == len(ladder) and 0 < settled_counts[1] < len(ladder)
+
+
 @st.composite
 def _fplus_alphas(draw):
     """alpha with N = 2..5 components, k = 0..N of them negative and a sum

@@ -670,16 +670,126 @@ def test_a_stack_classifies_as_its_list_of_cycles():
     assert [_canonical(r) for r in got[:3] + got[8:]] == [
         _canonical(r) for r in clean[:3] + clean[8:]]
 
+
+def _jordan(n: int, corner: float) -> np.ndarray:
+    """An n x n matrix whose eigenvalue 2 has a 2 x 2 Jordan block, with
+    corner above the diagonal and 0.5 on the rest of it."""
+    M = np.diag([2.0, 2.0] + [0.5] * (n - 2))
+    M[0, 1] = corner
+    return M
+
+
+@st.composite
+def cycle_stacks(draw):
+    """A float (B, m, N, N) stack of B cycles with N = 2..5 and m = 1..4,
+    each of a kind that ends its analysis in a different way: mixed signs
+    (failing checkpoints, most of them), attracting (every sigma_j a
+    minimum), non-negative (the dichotomy), a pass that overflows, a zero
+    partial-turn row, a defective, a complex and an all-moduli-near-1 full
+    return, and a matrix that is not finite."""
+    n, m, count = draw(st.integers(2, 5)), draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    stack = np.empty((count, m, n, n))
+    for b in range(count):
+        kind = draw(st.sampled_from(["mixed", "attracting", "nonnegative", "overflow", "zero-row",
+                                     "defective", "complex", "near-1", "not-finite"]))
+        mats = np.array(as_basic_matrices(attracting_cycle(rng, m, n - 1)))
+        if kind == "mixed":
+            mats = rng.uniform(-1.0, 2.0, (m, n, n)) * 10.0 ** rng.integers(-2, 3, (m, 1, 1))
+        elif kind == "nonnegative":
+            mats = np.abs(mats)
+        elif kind == "overflow":
+            mats[:] *= 1e200
+        elif kind == "zero-row":                      # in a matrix with a negative entry
+            negative = np.flatnonzero(mats.min(axis=(1, 2)) < 0.0)
+            q = rng.choice(negative) if len(negative) else rng.integers(m)
+            mats[q, rng.integers(n)] = 0.0
+        elif kind in ("defective", "complex", "near-1"):
+            mats[:] = np.eye(n)
+            if kind == "defective":
+                mats[0] = _jordan(n, draw(st.sampled_from([1.0, -1.0])))
+            elif kind == "complex":
+                mats[0, :2, :2] = [[1.5, -2.0], [2.0, 1.5]]
+                mats[0, -1, 0] -= 0.25
+            else:
+                mats[0] = np.diag(1.0 + 1e-12 * np.arange(n))
+                mats[0, 0, -1] = -1e-13
+        elif kind == "not-finite":
+            mats[rng.integers(m), rng.integers(n), rng.integers(n)] = np.nan
+        stack[b] = mats
+    return stack
+
+
+# partial turns that underflow to a zero row while every full return holds
+ZERO_ROW = np.array([[[1e200, 2e200], [1e200, 1e200]], [[1e-200, 2e-200], [3e-200, 1e-200]],
+                     [[1e-200, 1e-200], [1.0, -0.1]]])
+
+
+@settings(deadline=None, max_examples=80)
+@given(cycle_stacks())
+@example(np.array([ZERO_ROW, 2.0 * ZERO_ROW, np.abs(ZERO_ROW), ZERO_ROW[[2, 0, 1]]]))
+def test_the_sweep_reader_agrees_with_the_reports(stack):
+    # _sigma_rows and _classify_many read one analysis: the same sigma row,
+    # bit for bit and sign of zero included, verdict and error for each cycle
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sigmas, errors = hetstab.stability._sigma_rows(stack)
+        reports = hetstab.stability._classify_many(stack)
+    verdicts = hetstab.stability._verdicts(sigmas)
+    for row, verdict, error, report in zip(sigmas.tolist(), verdicts, errors, reports):
+        if isinstance(report, Exception):
+            assert (type(error), str(error)) == (type(report), str(report))
+            assert all(map(math.isnan, row))
+        else:
+            assert error is None and verdict is report.classification
+            assert [s.hex() for s in row] == [s.hex() for s in report.sigma]
+
+
+def test_the_sweep_reader_agrees_with_the_reports_on_the_rsp_grid():
+    grid = np.linspace(-1.0, 1.0, 61 + 2)[1:-1]
+    stack = np.array([rsp_matrices(RspParams(float(ex), float(ey))) for ex in grid for ey in grid])
+    sigmas, errors = hetstab.stability._sigma_rows(stack)
+    reports = hetstab.stability._classify_many(stack)
+    verdicts = hetstab.stability._verdicts(sigmas)
+    kinds = set()
+    for row, verdict, error, report in zip(sigmas.tolist(), verdicts, errors, reports):
+        if isinstance(report, Exception):
+            assert (type(error), str(error)) == (type(report), str(report))
+            kinds.add(type(report))
+        else:
+            assert [s.hex() for s in row] == [s.hex() for s in report.sigma]
+            assert verdict is report.classification
+            kinds.add(verdict)
+    assert len(kinds) >= 3
+
+
 WIDE = st.builds(lambda mag, sign: sign * mag, st.floats(1e-300, 1e300), st.sampled_from([-1.0, 1.0]))
+SIGNS = st.sampled_from([-1.0, 1.0])
+
+
+@st.composite
+def near_midpoint(draw, n):
+    """A vector of n >= 3 components whose exact sum lies within a few bits
+    of a rounding midpoint: x, half a gap of x, and a far smaller term, so
+    that the rounding errors of the running sums carry the decisive bits,
+    some of them between +-2^k that cancel."""
+    x = draw(SIGNS) * (2.0 ** draw(st.integers(-60, 60))
+                       if draw(st.booleans()) else draw(st.floats(1e-30, 1e30)))
+    half = math.ulp(x) / draw(st.sampled_from([2.0, 4.0]))       # 4: below a power of two
+    v = [x, draw(SIGNS) * half, draw(SIGNS) * half * 2.0 ** -draw(st.integers(1, 70))]
+    if n >= 5 and draw(st.booleans()):
+        big = 2.0 ** draw(st.integers(0, 200))
+        v = [big] + v + [-big]
+    return v + [0.0] * (n - len(v))
 
 
 @st.composite
 def direction_vector(draw, n, earlier):
     """One finite, nonzero vector of n components, of a kind that sits on a
     branch or rounding edge of f_index, or a tie with an earlier vector."""
-    kind = draw(st.sampled_from(["any", "wide", "zero-sum", "ulp-of-zero", "nonneg", "nonpos",
-                                 "tie"] if earlier else
-                                ["any", "wide", "zero-sum", "ulp-of-zero", "nonneg", "nonpos"]))
+    kinds = ["any", "wide", "zero-sum", "ulp-of-zero", "nonneg", "nonpos", "subnormal", "huge"]
+    kinds += ["midpoint"] * (n >= 3) + ["tie"] * bool(earlier)
+    kind = draw(st.sampled_from(kinds))
     if kind == "any":
         v = [draw(st.floats(allow_nan=False, allow_infinity=False)) for _ in range(n)]
     elif kind == "wide":
@@ -694,6 +804,14 @@ def direction_vector(draw, n, earlier):
         sign = 1.0 if kind == "nonneg" else -1.0
         v = [sign * abs(draw(WIDE)) for _ in range(n)]
         v[draw(st.integers(0, n - 1))] = 0.0 if draw(st.booleans()) else v[0]
+    elif kind == "subnormal":       # subnormal components beside normal ones
+        v = [draw(SIGNS) * draw(st.floats(5e-324, 2.2e-308)) if draw(st.booleans())
+             else draw(WIDE) for _ in range(n)]
+    elif kind == "huge":            # sums near or past the top of double range
+        v = [draw(SIGNS) * draw(st.floats(1e306, 1.7e308)) if draw(st.booleans())
+             else draw(st.sampled_from([draw(WIDE), 5e-324, 1.0])) for _ in range(n)]
+    elif kind == "midpoint":
+        v = draw(near_midpoint(n))
     else:                           # the same index: permuted, or scaled by a power of two
         v = draw(st.permutations(draw(st.sampled_from(earlier))))
         scale = 2.0 ** draw(st.integers(-4, 4))
@@ -705,33 +823,39 @@ def direction_vector(draw, n, earlier):
 
 @st.composite
 def candidate_arrays(draw):
-    n, rows, k = draw(st.integers(2, 5)), draw(st.integers(1, 3)), draw(st.integers(1, 12))
+    """A coordinate-major (N, rows, K) array of candidate vectors, N = 2..6."""
+    n, rows, k = draw(st.integers(2, 6)), draw(st.integers(1, 3)), draw(st.integers(1, 12))
     out = []
     for _ in range(rows):
         row = []
         for _ in range(k):
             row.append(draw(direction_vector(n, row)))
         out.append(row)
-    return np.array(out)
+    return np.array(out).transpose(2, 0, 1).copy()
 
 
-@settings(deadline=None, max_examples=200)
+def _coordinate_major(*vectors):
+    return np.array([vectors]).transpose(2, 0, 1).copy()
+
+
+@settings(deadline=None, max_examples=300)
 @given(candidate_arrays())
-# sums that overflow: a NaN lower bound on the minimum (row 0), a NaN upper
-# bound and so a NaN smallest upper bound (row 1)
+# sums that overflow in fsum and in the cascade, in rows of their own
 @example(np.array([[[1.7e308, 1.7e308, -1.7e308], [1.0, -0.1, 0.5]],
-                   [[-1.7e308, -1.7e308, 1.7e308], [1.0, -2.0, 0.5]]]))
-def test_filtered_minimum_equals_the_exhaustive_loop(alphas):
-    lo, hi = hetstab.stability._index_bounds(alphas)
-    got = hetstab.stability._first_minima(alphas)
-    for i, row in enumerate(alphas):
-        values = [f_index(alpha) for alpha in row]
-        for k, value in enumerate(values):   # a NaN bound excludes nothing
-            assert not lo[i, k] > value and not hi[i, k] < value
-        k = min(range(len(values)), key=values.__getitem__)   # first of equal minima
-        assert got[i][1] == k
-        assert got[i][0] == values[k]
-        assert math.copysign(1.0, got[i][0]) == math.copysign(1.0, values[k])
+                   [[-1.7e308, -1.7e308, 1.7e308], [1.0, -2.0, 0.5]]]).transpose(2, 0, 1).copy())
+# a sum that overflows with no second-level error to carry the NaN (N = 2)
+@example(_coordinate_major([-2.0**1023, -2.0**1023], [2.0**1023, 2.0**1023]))
+# just below the midpoint under 1, which the rounded error sum puts on it
+@example(_coordinate_major([1.0, -2.0**-54, -2.0**-120]))
+# just above a midpoint that only the errors of cancelling 2^200 carry
+@example(_coordinate_major([2.0**200, 1.5, 2.0**-53 - 2.0**-75, 2.0**-74, -2.0**200]))
+def test_exact_minimum_equals_the_exhaustive_loop(alphas):
+    values, ks = hetstab.stability._first_minima(alphas)
+    for i in range(alphas.shape[1]):
+        row = [f_index(alpha) for alpha in alphas[:, i].T]
+        k = min(range(len(row)), key=row.__getitem__)   # first of equal minima
+        assert ks[i] == k
+        assert values[i].hex() == row[k].hex()           # bit for bit, sign of zero included
 
 
 def test_classify_verifies_at_most_a_quarter_of_its_candidates(monkeypatch):

@@ -1,7 +1,8 @@
 """Smoke runs of the in-process A/B tools, so that they cannot rot.
 
 Each script is run for two rounds against this checkout on both sides; it
-must load both, time every case and print one row for each.
+must load both, time every case and print one row for each, and
+tools/ab_lone.py must find the two sides' rsp-sweep CSVs equal.
 """
 
 import subprocess
@@ -11,20 +12,32 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_ab_lone_runs_against_its_own_checkout():
+def _run_ab_lone(*flags: str) -> list[str]:
+    """The case names of a two-round tools/ab_lone.py run of this checkout on
+    both sides, after checking its header and every row."""
     proc = subprocess.run(
-        [sys.executable, "tools/ab_lone.py", str(ROOT), str(ROOT), "--rounds", "2"],
+        [sys.executable, "tools/ab_lone.py", str(ROOT), str(ROOT), "--rounds", "2", *flags],
         cwd=ROOT, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
     header, *rows = proc.stdout.splitlines()
     assert header.split() == ["case", "reps", "parent", "ms", "change", "ms", "ratio", "IQR", "won"]
-    assert [row[:16].strip() for row in rows] == [
-        "rsp(-0.5, 0.2)", "rsp(0.5, 0.2)", "seed-3 m=8", "seed-3 m=32"]
     for row in rows:
         reps, parent, change, ratio, iqr, won = row[16:].split()
         assert int(reps) >= 1 and float(parent) > 0.0 and float(change) > 0.0
         assert float(ratio) > 0.0 and won.endswith("/2")
+    return [row[:16].strip() for row in rows]
+
+
+def test_ab_lone_runs_against_its_own_checkout():
+    assert _run_ab_lone() == ["rsp(-0.5, 0.2)", "rsp(0.5, 0.2)", "seed-3 m=8", "seed-3 m=32",
+                              "rsp-sweep 61", "rsp-sweep 9"]
+
+
+def test_ab_lone_times_whole_populations():
+    assert _run_ab_lone("--population") == [
+        "rsp(-0.5, 0.2)", "rsp(0.5, 0.2)", "seed-3 m=8 all", "seed-3 m=32 all", "rsp-sweep 61",
+        "rsp-sweep 9"]
 
 
 def test_ab_oracle_runs_against_its_own_checkout():
