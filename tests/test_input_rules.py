@@ -327,6 +327,28 @@ def test_ladder_rule(entry, ladder):
         LADDER_ENTRY_POINTS[entry](ladder)
 
 
+@pytest.mark.parametrize("ladder", [None, 1e-3, np.float64(1e-3), (1e-3, 1e-4j), "0.001", "21"],
+                         ids=["none", "scalar", "numpy-scalar", "complex", "string", "digits"])
+@pytest.mark.parametrize("entry", sorted(LADDER_ENTRY_POINTS))
+def test_ladder_rule_rejects_what_is_not_a_sequence_of_numbers(entry, ladder):
+    # a ValueError that names the ladder, not a TypeError from iterating it
+    with pytest.raises(ValueError, match="^epsilon ladder must be a sequence of numbers, got "):
+        LADDER_ENTRY_POINTS[entry](ladder)
+
+
+@pytest.mark.parametrize("delta", [None, "0.01", 0.01j, (0.01,)],
+                         ids=["none", "string", "complex", "tuple"])
+def test_delta_rule_rejects_what_is_not_a_real_number(delta):
+    # a ValueError that names delta, not a TypeError from comparing it
+    with pytest.raises(ValueError, match=r"^delta must be a real number in \(0, 1\), got "):
+        EstimatorConfig(delta=delta)
+
+
+def test_delta_rule_accepts_numpy_reals():
+    assert EstimatorConfig(delta=np.float64(0.01)).delta == 0.01
+    assert EstimatorConfig(delta=np.float32(0.25)).delta == np.float32(0.25)
+
+
 # ---------------------------------------------------------------------------
 # Sampling plan: oracle._whole, an integer (not a bool, numpy ints allowed)
 # at or above its least value

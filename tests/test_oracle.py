@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import os
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import dominant_pair_matrix, random_cycle
+from conftest import attracting_cycle, dominant_pair_matrix, random_cycle
 from hetstab import oracle
 from hetstab import (
     ConnectionSpec,
@@ -33,6 +34,7 @@ from hetstab import (
 )
 
 CFG_SMALL = EstimatorConfig(epsilon_ladder=(1e-4,), samples_per_level=10)
+CONE_DIM_CAP = oracle.CONE_MAX_DIM
 
 
 def stable_cycle():
@@ -656,6 +658,169 @@ def test_sigma_levels_match_row_major_reference():
 
 
 # ---------------------------------------------------------------------------
+# Basin certificate: oracle._cone proves a dive early, and no mask moves
+# ---------------------------------------------------------------------------
+
+CRITERION_6 = EstimatorConfig(delta=1e-2, epsilon_ladder=tuple(10.0 ** -k for k in range(15, 23)),
+                              samples_per_level=40_000, max_full_turns=200, seed=20260806)
+
+
+@pytest.fixture
+def certified(monkeypatch):
+    """A list that gets the number of columns each oracle._in_cone call certifies."""
+    counts = []
+    real = oracle._in_cone
+
+    def counting(cone, eta, turn):
+        inside = real(cone, eta, turn)
+        counts.append(int(inside.sum()))
+        return inside
+
+    monkeypatch.setattr(oracle, "_in_cone", counting)
+    return counts
+
+
+def test_cone_decides_the_criterion_6_basin_with_every_mask_exact(certified):
+    mats = rsp_matrices(RspParams(-0.5, 0.2))
+    cfg = CRITERION_6
+    cone = oracle._cone(mats, [np.zeros(3)] * 2, 0, cfg.delta, cfg.max_full_turns)
+    assert cone is not None
+    basin = 0
+    for li, eps in enumerate(cfg.epsilon_ladder):
+        eta0 = _out_of_place_log_cube(np.random.default_rng((cfg.seed, li)), eps,
+                                      cfg.samples_per_level, 3)
+        expected = _row_major_basin_mask(mats, [np.zeros(3)] * 2, 0, eta0, cfg.delta,
+                                         cfg.max_full_turns)
+        got = oracle._basin_mask(mats, [np.zeros(3)] * 2, 0, eta0.copy(), cfg.delta,
+                                 cfg.max_full_turns, cone)
+        assert np.array_equal(got, expected), eps
+        basin += int(expected.sum())
+    assert sum(certified) >= 0.95 * basin > 0
+
+
+def _cone_masks_match(cycle, j, eps, n, turns, seed):
+    """Whether the mask with the cycle's cone (if any) equals the row-major
+    reference; True when there is no cone, where the loop is unchanged."""
+    mats, offs = oracle._gmaps(cycle, j)
+    cone = oracle._cone(mats, offs, j, 1e-2, turns)
+    ref_mats, ref_offs = _reference_maps(cycle)
+    eta0 = _out_of_place_log_cube(np.random.default_rng(seed), eps, n, mats[0].shape[0])
+    expected = _row_major_basin_mask(ref_mats, ref_offs, j, eta0, 1e-2, turns)
+    return np.array_equal(oracle._basin_mask(mats, offs, j, eta0.copy(), 1e-2, turns, cone),
+                          expected)
+
+
+def test_the_box_keeps_deep_orbits_off_the_direction_out(certified):
+    # y <- M y with a positive dominant eigenvector and a mixed-sign left one:
+    # a deep start whose dominant component points out of the orthant
+    # escapes, and only the ratio box tells it from a basin orbit
+    rng = np.random.default_rng(5)
+    while True:
+        M, _, _ = dominant_pair_matrix(rng, n=3)
+        v = vmax_row(M)
+        if v.min() < 0.0 < v.max():
+            break
+    cone = oracle._cone([M], [np.zeros(3)], 0, 1e-2, 200)
+    eta0 = -np.random.default_rng(1).uniform(5.0, 300.0, (3000, 3))
+    expected = _row_major_basin_mask([M], [np.zeros(3)], 0, eta0, 1e-2, 200)
+    got = oracle._basin_mask([M], [np.zeros(3)], 0, eta0.copy(), 1e-2, 200, cone)
+    assert np.array_equal(got, expected) and sum(certified) > 0
+    no_box = dataclasses.replace(cone, lo=np.zeros((2, 1)), hi=np.full((2, 1), np.inf))
+    assert not np.array_equal(
+        oracle._basin_mask([M], [np.zeros(3)], 0, eta0.copy(), 1e-2, 200, no_box), expected)
+
+
+def test_the_depth_floor_keeps_orbits_that_leave_the_tube_mid_turn_out(certified):
+    # at RSP (0.15, -0.42) the cone's partial images come close to 0, so a
+    # shallow column inside the box can still leave the tube mid-turn
+    mats, offs = rsp_matrices(RspParams(0.15, -0.42)), [np.zeros(3)] * 2
+    cone = oracle._cone(mats, offs, 0, 1e-2, 200)
+    eta0 = _out_of_place_log_cube(np.random.default_rng(0), 1e-4, 2000, 3)
+    expected = _row_major_basin_mask(mats, offs, 0, eta0, 1e-2, 200)
+    got = oracle._basin_mask(mats, offs, 0, eta0.copy(), 1e-2, 200, cone)
+    assert np.array_equal(got, expected) and sum(certified) > 0
+    shallow = dataclasses.replace(cone, depth=[1.0] * 200)
+    assert not np.array_equal(
+        oracle._basin_mask(mats, offs, 0, eta0.copy(), 1e-2, 200, shallow), expected)
+
+
+def test_cone_certifies_with_non_zero_offsets(certified):
+    # the offsets are a perturbation of the cone, not a reason to skip it
+    spec = rsp_cycle_spec(RspParams(-0.5, 0.2))
+    conn = ConnectionSpec((1, 2, 0), scalings=(2.0, 0.5, 1.5), contraction_offset=0.3)
+    cycle = validate_cycle(CycleSpec(nodes=spec.nodes, connections=(conn, conn)))
+    assert _cone_masks_match(cycle, 0, 1e-15, 3000, 200, seed=3)
+    assert sum(certified) > 1000
+
+
+def test_cone_masks_match_row_major_reference_property(certified):
+    # scaled RSP cycles carry non-zero offsets; attracting cycles dive fast
+    @settings(deadline=None, max_examples=60, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), level=st.integers(3, 40),
+           turns=st.integers(60, 200), family=st.sampled_from(["rsp", "attracting"]))
+    def masks_match(seed, level, turns, family):
+        rng = np.random.default_rng(seed)
+        cycle = (_scaled_rsp_cycle(rng) if family == "rsp"
+                 else attracting_cycle(rng, m=int(rng.integers(1, 4))))
+        j = int(rng.integers(cycle.m))
+        assert _cone_masks_match(cycle, j, 10.0 ** -level, 200, turns, seed)
+
+    masks_match()
+    assert sum(certified) > 0
+
+
+def test_cone_keeps_levels_across_thread_counts(monkeypatch, certified):
+    mats = rsp_matrices(RspParams(-0.5, 0.2))
+    cfg = EstimatorConfig(epsilon_ladder=CRITERION_6.epsilon_ladder, samples_per_level=3000,
+                          seed=5)
+    expected = _reference_level_fracs(mats, 0, cfg)
+    for threads in ("1", "2"):
+        monkeypatch.setenv("HETSTAB_THREADS", threads)
+        certified.clear()
+        assert [lev.sigma_frac for lev in estimate_sigma_mc(mats, 0, cfg).levels] == expected
+        assert sum(certified) > 0
+
+
+def test_cone_is_built_once_per_estimate_and_never_for_one_point(monkeypatch):
+    calls = []
+    real = oracle._cone
+    monkeypatch.setattr(oracle, "_cone", lambda *args: calls.append(args) or real(*args))
+    mats = rsp_matrices(RspParams(-0.5, 0.2))
+    cfg = EstimatorConfig(epsilon_ladder=(1e-15, 1e-16, 1e-17), samples_per_level=400, seed=7)
+    for threads in ("1", "2"):
+        monkeypatch.setenv("HETSTAB_THREADS", threads)
+        calls.clear()
+        estimate_sigma_mc(mats, 0, cfg)
+        assert len(calls) == 1
+    calls.clear()
+    assert in_delta_basin(mats, 0, (1e-15, 1e-15, 1e-15), cfg)
+    assert calls == []
+
+
+@pytest.mark.parametrize("mats,turns", [
+    ([np.array([[1.0, -2.0], [0.0, 3.0]])], 200),   # the power iteration leaves the orthant
+    ([np.diag([0.9, 0.8])], 200),                   # negative direction, but orbits shrink
+    ([np.eye(CONE_DIM_CAP + 1) + 1.0], 200),        # 2^N vertex rays, above the cap
+    (rsp_matrices(RspParams(-0.5, 0.2)), 4),        # too few turns for the dive
+], ids=["direction", "no-pair", "vertex-cap", "short-budget"])
+def test_no_cone_where_it_cannot_be_verified(mats, turns):
+    offs = [np.zeros(len(M)) for M in mats]
+    assert oracle._cone(mats, offs, 0, 1e-2, turns) is None
+    rng = np.random.default_rng(turns)
+    eta0 = np.log(rng.uniform(1e-12, 1e-4, (300, len(mats[0]))))
+    assert np.array_equal(oracle._basin_mask(mats, offs, 0, eta0.copy(), 1e-2, turns),
+                          _row_major_basin_mask(mats, offs, 0, eta0, 1e-2, turns))
+
+
+def test_a_cone_exists_at_the_vertex_cap_and_at_a_long_budget():
+    # the counterparts of the vertex-cap and short-budget cases above
+    assert oracle._cone([np.eye(CONE_DIM_CAP) + 1.0], [np.zeros(CONE_DIM_CAP)], 0, 1e-2,
+                        200) is not None
+    assert oracle._cone(rsp_matrices(RspParams(-0.5, 0.2)), [np.zeros(3)] * 2, 0, 1e-2,
+                        200) is not None
+
+
+# ---------------------------------------------------------------------------
 # Streaming in blocks: exact at every block boundary, memory bounded by the block
 # ---------------------------------------------------------------------------
 
@@ -742,7 +907,8 @@ def _fplus_alphas(draw):
     k = draw(st.integers(0, n))
     pos = draw(st.lists(st.integers(0, 2**20), min_size=n - k, max_size=n - k))
     if 0 < k < n and sum(pos) >= k and draw(st.booleans()):
-        cuts = sorted(draw(st.lists(st.integers(1, sum(pos) - 1), min_size=k - 1,
+        # k = 1 draws no cut, and sum(pos) = 1 allows no cut either
+        cuts = sorted(draw(st.lists(st.integers(1, max(1, sum(pos) - 1)), min_size=k - 1,
                                     max_size=k - 1, unique=True)))
         neg = [hi - lo for lo, hi in zip([0, *cuts], [*cuts, sum(pos)])]
     else:

@@ -886,3 +886,27 @@ def test_classify_verifies_at_most_a_quarter_of_its_candidates(monkeypatch):
     for m in (8, 32):
         assert candidates[m] > 1000
         assert verified[m] <= candidates[m] / 4
+
+
+def test_rsp_sweep_verifies_at_most_one_percent_of_its_candidates(monkeypatch, tmp_path):
+    # every sigma row of rsp-sweep --grid 61 reaches _first_minima with its
+    # K candidates; the exact sums settle all of them today, and a cascade
+    # that sent a fifth of them to findex._f_index again would fail here
+    from hetstab.cli import main
+
+    calls, candidates = [], []
+    formula, minima = hetstab.stability.findex._f_index, hetstab.stability._first_minima
+
+    def counting(comps):
+        calls.append(1)
+        return formula(comps)
+
+    def counting_minima(alphas):
+        candidates.append(alphas.shape[1] * alphas.shape[2])
+        return minima(alphas)
+
+    monkeypatch.setattr(hetstab.stability.findex, "_f_index", counting)
+    monkeypatch.setattr(hetstab.stability, "_first_minima", counting_minima)
+    assert main(["rsp-sweep", "--grid", "61", "--out", str(tmp_path / "sweep.csv")]) == 0
+    assert sum(candidates) > 10_000
+    assert len(calls) <= sum(candidates) / 100

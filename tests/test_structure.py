@@ -7,7 +7,8 @@ source of src/hetstab is scanned for any other use of eig, eigvals, eigh or
 eigvalsh: an attribute, a name or an import.  It is also scanned for every
 place a NoAdmissibleDominant is built, which must be one function.  The
 Monte-Carlo oracle checks the analytic indices, so its imports are scanned
-too: nothing from spectral, and from stability only IndeterminateError.
+too: nothing from spectral, and from stability only IndeterminateError;
+and it may not use any of the eigen routines itself.
 """
 
 import ast
@@ -119,10 +120,16 @@ def _imported(source: str) -> list[tuple[str, ...]]:
 
 
 def test_the_oracle_takes_no_eigen_data():
-    imported = _imported((SRC / "oracle.py").read_text(encoding="utf-8"))
+    source = (SRC / "oracle.py").read_text(encoding="utf-8")
+    imported = _imported(source)
     assert [path for path in imported if "spectral" in path] == []
     assert [path for path in imported if "stability" in path] == [
         ("stability", "IndeterminateError")]
+    # its basin certificate (oracle._cone) finds its direction by its own
+    # power iteration: no linalg.eig or eigvals call, in any form
+    uses = _Uses("oracle")
+    uses.visit(ast.parse(source))
+    assert uses.found == []
 
 
 def test_the_import_scan_sees_every_form_of_import():

@@ -1,8 +1,9 @@
 """Smoke runs of the in-process A/B tools, so that they cannot rot.
 
 Each script is run for two rounds against this checkout on both sides; it
-must load both, time every case and print one row for each, and
-tools/ab_lone.py must find the two sides' rsp-sweep CSVs equal.
+must load both, time every case (or the ones its filter names) and print one
+row for each, and tools/ab_lone.py must find the two sides' rsp-sweep CSVs
+equal.
 """
 
 import subprocess
@@ -40,18 +41,37 @@ def test_ab_lone_times_whole_populations():
         "rsp-sweep 9"]
 
 
-def test_ab_oracle_runs_against_its_own_checkout():
+def _run_ab_oracle(*flags: str) -> list[str]:
+    """The case names of a two-round tools/ab_oracle.py smoke run of this
+    checkout on both sides, after checking its header and every row."""
     proc = subprocess.run(
         [sys.executable, "tools/ab_oracle.py", str(ROOT), str(ROOT), "--rounds", "2",
-         "--samples", "2000"],
+         "--samples", "2000", *flags],
         cwd=ROOT, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
     header, *rows = proc.stdout.splitlines()
     assert header.split() == ["case", "parent", "s", "change", "s", "ratio", "IQR", "won"]
-    assert [row[:20].strip() for row in rows] == [
-        "fplus -1,1,1", "fplus -0.25,1,0", "fplus 0.7,-0.3,0", "sigma rsp"]
     for row in rows:
         parent, change, ratio, iqr, won = row[20:].split()
         assert float(parent) > 0.0 and float(change) > 0.0
         assert float(ratio) > 0.0 and won.endswith("/2")
+    return [row[:20].strip() for row in rows]
+
+
+def test_ab_oracle_runs_against_its_own_checkout():
+    assert _run_ab_oracle() == ["fplus -1,1,1", "fplus -0.25,1,0", "fplus 0.7,-0.3,0",
+                                "sigma rsp", "in_delta_basin"]
+
+
+def test_ab_oracle_times_only_the_cases_asked_for():
+    assert _run_ab_oracle("--cases", "in_delta_basin,fplus -1") == ["fplus -1,1,1",
+                                                                   "in_delta_basin"]
+
+
+def test_ab_oracle_rejects_a_filter_that_names_no_case():
+    proc = subprocess.run(
+        [sys.executable, "tools/ab_oracle.py", str(ROOT), str(ROOT), "--cases", "nothing"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 2 and "--cases nothing names no case" in proc.stderr

@@ -1,7 +1,7 @@
 """Interleaved in-process A/B of the Monte-Carlo oracle between two checkouts.
 
     OPENBLAS_NUM_THREADS=1 python tools/ab_oracle.py PARENT CHANGE [--rounds 10]
-        [--samples 1000000] [--alpha=-0.25,1,0 ...]
+        [--samples 1000000] [--alpha=-0.25,1,0 ...] [--cases sigma,in_delta_basin]
 
 PARENT and CHANGE are repository checkouts, as for tools/ab_lone.py, whose
 _load imports each one's src/hetstab under its own module name into this
@@ -10,13 +10,19 @@ one process.  The configurations are read from PARENT's perfbench/inputs.py:
 * estimate_fplus_mc on the criterion-5 ladder (131 levels) and seed, at
   each of the criterion-5 alphas (-1, 1, 1), (-0.25, 1, 0) and (0.7, -0.3, 0),
   or at the alphas given with --alpha;
-* estimate_sigma_mc at the criterion-6 configuration, RSP (-0.5, 0.2).
+* estimate_sigma_mc at the criterion-6 configuration, RSP (-0.5, 0.2);
+* in_delta_basin at that configuration, once at each of the 100 points of
+  in_basin_points (the first criterion-6 eps-cube, at perfbench seed 1),
+  timed as one call: the single-point calls of perfbench's
+  oracle.in_delta_basin.ms.
 
 --samples sets the F+ samples per level (10^6 in criterion 5) and scales
 the sigma samples per level (40000) by the same factor, so a smoke run
 takes seconds.  A call that ends in InsufficientResolution, as small
 samples can, is timed all the same: every level is drawn and counted
-before the fit.  HETSTAB_THREADS is 1 unless set.
+before the fit.  --cases keeps only the cases whose name starts with one of
+its comma-separated prefixes (fplus, sigma, in_delta_basin).
+HETSTAB_THREADS is 1 unless set.
 
 Each round times one call of every case on both sides, the side that goes
 first alternating by round, with the garbage collector off.  For each case
@@ -41,13 +47,14 @@ from ab_lone import _load
 
 CRITERION_5_ALPHAS = ((-1.0, 1.0, 1.0), (-0.25, 1.0, 0.0), (0.7, -0.3, 0.0))
 SIGMA_SAMPLES = 40_000
+IN_BASIN_SEED = 1
 
 
 def _alpha(text: str) -> tuple[float, ...]:
     return tuple(float(c) for c in text.split(","))
 
 
-def _cases(hs, plan: dict, alphas, samples: int) -> dict[str, object]:
+def _cases(hs, plan: dict, points: np.ndarray, alphas, samples: int) -> dict[str, object]:
     """Name -> a no-argument call of the package hs, one per case."""
     fp = plan["fplus"]
     cases = {f"fplus {','.join(f'{c:g}' for c in alpha)}":
@@ -58,6 +65,8 @@ def _cases(hs, plan: dict, alphas, samples: int) -> dict[str, object]:
     config = hs.EstimatorConfig(**dict(plan["sigma_config"], samples_per_level=sigma_samples))
     mats = hs.rsp_matrices(hs.RspParams(*plan["rsp"]))
     cases["sigma rsp"] = lambda: hs.estimate_sigma_mc(mats, plan["node"], config)
+    cases["in_delta_basin"] = lambda: [hs.in_delta_basin(mats, plan["node"], x, config)
+                                       for x in points]
     return cases
 
 
@@ -85,6 +94,8 @@ def main(argv=None) -> int:
     parser.add_argument("--alpha", type=_alpha, action="append",
                         help="an F+ alpha, comma-separated; repeat for more "
                              "(default: the three criterion-5 alphas)")
+    parser.add_argument("--cases", type=lambda text: text.split(","),
+                        help="comma-separated prefixes of the case names to time (default: all)")
     args = parser.parse_args(argv)
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
@@ -94,9 +105,15 @@ def main(argv=None) -> int:
 
     sides = [_load(args.parent / "src" / "hetstab", "hetstab_parent"),
              _load(args.change / "src" / "hetstab", "hetstab_change")]
-    plan = _load(args.parent / "perfbench" / "inputs.py", "ab_oracle_inputs").oracle_plan()
+    inputs = _load(args.parent / "perfbench" / "inputs.py", "ab_oracle_inputs")
+    plan, points = inputs.oracle_plan(), inputs.in_basin_points(IN_BASIN_SEED)
     alphas = args.alpha or CRITERION_5_ALPHAS
-    cases = [_cases(hs, plan, alphas, args.samples) for hs in sides]
+    cases = [_cases(hs, plan, points, alphas, args.samples) for hs in sides]
+    if args.cases:
+        names = [name for name in cases[0] if name.startswith(tuple(args.cases))]
+        if not names:
+            parser.error(f"--cases {','.join(args.cases)} names no case")
+        cases = [{name: side[name] for name in names} for side in cases]
     insufficient = [hs.InsufficientResolution for hs in sides]
     for side, exc in zip(cases, insufficient):   # warm both sides up
         for call in side.values():
