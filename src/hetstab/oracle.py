@@ -72,6 +72,7 @@ CONE_TURNS = (1, 2, 4, 8, 16, 32)       # the k ladder of the basin certificate 
 CONE_WIDTHS = (1 / 2, 1 / 4, 1 / 8, 1 / 16)   # its ratio-box half-widths, widest first
 CONE_MAX_DIM = 8         # largest N with a basin certificate: 2^(N-1) = 128 vertex rays
 POWER_SQUARINGS = 6      # the certificate's direction is that of 2^6 = 64 turns
+CONE_GATE = 64           # columns of a block tested before the whole block (_in_cone)
 
 
 class NonPositiveInput(ValueError):
@@ -209,10 +210,12 @@ def _gmaps(cycle: CycleLike, j: int) -> tuple[list[np.ndarray], list[np.ndarray]
     return mats, offs
 
 
-def _growth(mats: list[np.ndarray], offs: list[np.ndarray]) -> list[tuple[float, float]]:
-    """(||M_l||_inf, ||F_l||_inf) of every map, for _basin_mask's dive bound."""
-    return [(float(np.abs(M).sum(axis=1).max()), float(np.abs(f).max(initial=0.0)))
-            for M, f in zip(mats, offs)]
+def _affine(mats: list[np.ndarray], offs: list[np.ndarray]) -> tuple[list, list]:
+    """The offsets as columns (None where zero, so _basin_mask skips them),
+    and (||M_l||_inf, ||F_l||_inf) of every map, for its dive bound."""
+    return ([f[:, None] if f.any() else None for f in offs],
+            [(float(np.abs(M).sum(axis=1).max()), float(np.abs(f).max(initial=0.0)))
+             for M, f in zip(mats, offs)])
 
 
 @dataclass(frozen=True)
@@ -295,9 +298,11 @@ def _cone(mats: list[np.ndarray], offs: list[np.ndarray], j: int, delta: float,
     rho > 0 and every computed vertex ratio lies in [lo + tau, hi - tau],
     tau = 3 rho (1 + hi) / g + 2^-50 hi.  Offsets are taken as this
     perturbation, not skipped: non-zero offsets keep the offset term of rho
-    at most rho_F = w min(1, lo) / 32 by certifying only depths s >= s_F =
-    Omega / rho_F, and depth only grows, so the bound holds at every later
-    step; zero offsets have no such term.  A live
+    at most rho_F by certifying only depths s >= s_F = Omega / rho_F, and
+    depth only grows, so the bound holds at every later step; zero offsets
+    have no such term.  Any rho_F > 0 is sound, as the checks read rho with
+    it; rho_F is half the largest rho that they admit (from g^, q^ and the
+    vertex ratios' distance to the box edges) less the rest of rho.  A live
     column has s < -DEEP_LOG / min(1, lo), so every coordinate of its orbit
     stays below -DEEP_LOG (A h + rho) / min(1, lo) in magnitude, which is
     checked to be far from overflow; underflow adds a few subnormals, far
@@ -349,7 +354,7 @@ def _cone(mats: list[np.ndarray], offs: list[np.ndarray], j: int, delta: float,
         shift = omega + 2.0 * steps * (2.0 * norm) * gamma * phi   # Omega before its divisor
         for b in range(wider):
             cols = slice(b * nv, (b + 1) * nv)
-            cone = _verified(steps // m, steps, CONE_WIDTHS[b], *boxes[b], rays[:, cols],
+            cone = _verified(steps // m, steps, *boxes[b], rays[:, cols],
                              least[cols], 2.0 * norm, mu, shift, gamma, delta, max_full_turns)
             if cone is not None:
                 best, wider = cone, b
@@ -359,9 +364,9 @@ def _cone(mats: list[np.ndarray], offs: list[np.ndarray], j: int, delta: float,
     return best
 
 
-def _verified(k: int, steps: int, w: float, lo: np.ndarray, hi: np.ndarray,
-              images: np.ndarray, least: np.ndarray, a: float, mu: float, shift: float,
-              gamma: float, delta: float, max_full_turns: int) -> _Cone | None:
+def _verified(k: int, steps: int, lo: np.ndarray, hi: np.ndarray, images: np.ndarray,
+              least: np.ndarray, a: float, mu: float, shift: float, gamma: float,
+              delta: float, max_full_turns: int) -> _Cone | None:
     """The certificate of one (k, w) pair of _cone, from the computed vertex
     images after k turns and the least -coordinate of their partial images;
     None unless it verifies with the margins stated there."""
@@ -370,18 +375,24 @@ def _verified(k: int, steps: int, w: float, lo: np.ndarray, hi: np.ndarray,
         return None
     h, floor = max(1.0, float(hi.max())), min(1.0, float(lo.min()))
     rho = steps * a * a * gamma * mu * h / (1.0 - c)
+    g, q = float(-images[0].max()), float(least.min())
+    ratios = images[1:] / images[0]
     least_depth = 0.0
     if shift > 0.0:
-        rho_f = w * floor / 32.0
+        edge = np.maximum(np.minimum(ratios - lo[:, None], hi[:, None] - ratios).min(axis=1)
+                          - 2.0**-50 * hi, 0.0)
+        room = min((g - 1.0) / 2.0, q / 2.0,
+                   float(np.min(edge * g / (3.0 * (1.0 + hi) + 2.0 * edge), initial=math.inf)))
+        rho_f = room / 2.0 - rho
+        if not rho_f > 0.0:
+            return None
         least_depth = shift / ((1.0 - 2.0 * c) ** 2 * rho_f)
         rho += rho_f
-    g = float(-images[0].max()) - 2.0 * rho
-    q = float(least.min()) - 2.0 * rho
+    g, q = g - 2.0 * rho, q - 2.0 * rho
     deep = -DEEP_LOG / floor
     if not (g > 1.0 and q > 0.0 and deep * (a * h + rho) < 1e300):
         return None
     tau = (3.0 * rho * (1.0 + hi) / g + 2.0**-50 * hi)[:, None]
-    ratios = images[1:] / images[0]
     if not ((ratios >= lo[:, None] + tau) & (ratios <= hi[:, None] - tau)).all():
         return None
     least_depth = max(least_depth, abs(math.log(delta)) / q) * (1.0 + 2.0**-30)
@@ -393,13 +404,24 @@ def _verified(k: int, steps: int, w: float, lo: np.ndarray, hi: np.ndarray,
     return _Cone((lo * (1.0 + 2.0**-50))[:, None], (hi * (1.0 - 2.0**-50))[:, None], depth)
 
 
-def _in_cone(cone: _Cone, eta: np.ndarray, turn: int) -> np.ndarray:
-    """The columns of eta, at the end of turn, that the certificate puts in the basin."""
-    inside = -eta[0] > cone.depth[turn]
-    if inside.any():
-        ratios = eta[1:] / eta[0]
-        inside &= ((ratios >= cone.lo) & (ratios <= cone.hi)).all(axis=0)
-    return inside
+def _compact(keep: np.ndarray, idx: np.ndarray, eta: np.ndarray,
+             mx: np.ndarray | None) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """The kept columns of a _basin_mask block: indices, orbits, maxima (None while not taken)."""
+    return idx[keep], np.compress(keep, eta, axis=1), None if mx is None else mx[keep]
+
+
+def _in_cone(cone: _Cone, eta: np.ndarray, turn: int, idx: np.ndarray, n: int) -> np.ndarray:
+    """The live columns of eta (index idx < n), at the end of turn, that the
+    certificate puts in the basin; none, with no full test, when none of
+    the first CONE_GATE columns passes, which only delays a certification."""
+    def inside(part: np.ndarray) -> np.ndarray:
+        ratios = part[1:] / part[0]
+        return (-part[0] > cone.depth[turn]) & ((ratios >= cone.lo) & (ratios <= cone.hi)).all(0)
+
+    head = inside(eta[:, :CONE_GATE])
+    if not head.any():
+        return np.zeros(eta.shape[1], dtype=bool)
+    return (inside(eta) if eta.shape[1] > CONE_GATE else head) & (idx < n)
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")   # an orbit that overflows has escaped
@@ -411,6 +433,7 @@ def _basin_mask(
     delta: float,
     max_full_turns: int,
     cone: _Cone | None = None,
+    affine: tuple[list, list] | None = None,
 ) -> np.ndarray:
     """Vectorised delta-basin membership for a batch of log-coordinate points.
 
@@ -441,53 +464,58 @@ def _basin_mask(
       slack = 1 + (2N + 3) 2u >= 1 / (1 - (2N + 3) u) covers all of it.  A
       B' below 1e9 rules out overflow, and underflow adds a few subnormals,
       far below the gap between B' and 1e9.
-    A step after a per-column step that removed columns goes straight to
-    the per-column test, so a draining block pays no extra reduction, and
-    every per-column step drops the bound.  The column maxima are taken
-    only for the per-column test, at turn q3 and after the last turn.
+    The entry takes the column maxima only when one eta.max() < ln(delta)
+    fails.  A column that the per-column test decides stays in its slot as
+    a copy of a live column, with its index at a trash slot (result[n], cut
+    off on return).  A whole-block test speaks for every column, so it holds
+    for the live ones whatever the dead slots hold, and as copies they step
+    like live columns and fail no test of their own; a dead copy that turns
+    NaN is overwritten again, and only live columns are replayed.  A block
+    is compacted (_compact) only at a turn end: with the columns a cone
+    certifies, or once more than half of it is dead.  The column maxima are
+    taken only for the per-column test, at turn q3 and after the last turn.
 
     With a cone (_cone, built once per estimate_sigma_mc call; None for
-    in_delta_basin), every live column is tested at the end of each turn
-    (_in_cone), and one that the certificate puts in the basin is marked so
-    and dropped.  The certificate proves, with margins for every rounding,
-    that the per-column test would find that column's first decision to be
-    a dive below DEEP_LOG within the budget; it never decides an escape,
-    and every other column runs the loop above unchanged, so each mask is
-    still bit for bit that of the per-column test.  It is built from the
-    maps and the oracle's own power iteration, with no eigen-analysis, so
-    the oracle stays independent of the analytic path.  On the criterion-6
-    config the cone decides all 311663 basin samples by turn 3, so 192 map
-    steps run instead of 7056 (48 of them take the per-column test, against
-    420), and the estimate takes 0.15 times its time without the cone
-    (median 30 ms against 205 ms over 10 interleaved rounds of
-    tools/ab_oracle.py; 2 cores, numpy 2.4.6, one thread); building the
-    cone takes 0.7-1.2 ms of that.
+    in_delta_basin), the live columns are tested at the end of each turn
+    (_in_cone; only when one of the first CONE_GATE passes, as a skipped
+    test only delays a certification), and one that the certificate puts
+    in the basin is marked so and dropped.  The certificate proves, with
+    margins for every rounding, that the per-column test would find that
+    column's first decision to be a dive below DEEP_LOG within the budget;
+    it never decides an escape, and every other column runs the loop above
+    unchanged, so each mask is still bit for bit that of the per-column
+    test.  On the criterion-6 config the cone decides all 311663 basin
+    samples by turn 3, so 192 map steps run instead of 7056 (24 of them
+    take the per-column test, one per block); each block is compacted once,
+    at the drop of turn 2, and ends at turn 3, where every live column is
+    certified (24 compactions per estimate, against 108 when every entry,
+    escape step and drop compacted), and the estimate takes 22 ms against
+    30 ms (40 interleaved rounds of tools/ab_oracle.py; 2 cores, one thread).
     """
     m = len(mats)
     ln_delta = math.log(delta)
-    n_samples = eta0.shape[0]
-    result = np.zeros(n_samples, dtype=bool)
+    n = eta0.shape[0]
+    result = np.zeros(n + 1, dtype=bool)   # result[n] is the dead columns' trash slot
 
     eta = np.ascontiguousarray(eta0.T)
-    keep = eta.max(axis=0) < ln_delta
-    idx, eta = np.flatnonzero(keep), np.compress(keep, eta, axis=1)
-    if idx.size == 0:
-        return result
+    idx = np.arange(n)
+    if not eta.max() < ln_delta:
+        idx, eta, _ = _compact(eta.max(axis=0) < ln_delta, idx, eta, None)
+        if idx.size == 0:
+            return result[:n]
 
-    cols = [off[:, None] if off.any() else None for off in offs]
-    growth = _growth(mats, offs)
+    cols, growth = affine or _affine(mats, offs)
     slack = 1.0 + (2 * eta.shape[0] + 3) * 2.0**-52
     q3 = (3 * max_full_turns) // 4
-    q3_max = np.full(n_samples, np.inf)
     replay = None
-    bound, mx, drained = math.inf, None, False   # mx is None while not taken
+    bound, mx, dead = math.inf, None, 0   # mx is None while not taken
     for turn in range(max_full_turns):
         for step in range(m):
             l = (j + step) % m
             eta = mats[l] @ eta
             if cols[l] is not None:
                 eta += cols[l]
-            if not drained and eta.max() < ln_delta:
+            if eta.max() < ln_delta:
                 norm_m, norm_f = growth[l]
                 bound = (norm_m * bound + norm_f) * slack
                 if not bound < -DEEP_LOG:   # also NaN, from inf * 0
@@ -500,34 +528,44 @@ def _basin_mask(
             # a NaN max fails both tests and counts as escaped, unless the
             # replay shows it was 0 * -inf from a converged coordinate
             keep = (mx > DEEP_LOG) & (mx < ln_delta)
-            drained = not keep.all()
-            if drained:
-                nan = np.flatnonzero(np.isnan(mx))
-                if nan.size:
-                    if replay is None:
-                        replay = _Replay(mats, cols, j, eta0)
-                    eta[:, nan] = replay(idx[nan], turn * m + step + 1)
-                    mx[nan] = eta[:, nan].max(axis=0)
-                    keep = (mx > DEEP_LOG) & (mx < ln_delta)
-                result[idx[mx <= DEEP_LOG]] = True
-                idx, eta, mx = idx[keep], np.compress(keep, eta, axis=1), mx[keep]
-                if idx.size == 0:
-                    return result
+            out = np.flatnonzero(~keep)
+            if out.size == 0:
+                continue
+            nan = out[np.isnan(mx[out]) & (idx[out] < n)]   # a dead copy is overwritten
+            if nan.size:
+                if replay is None:
+                    replay = _Replay(mats, cols, j, eta0)
+                eta[:, nan] = replay(idx[nan], turn * m + step + 1)
+                mx[nan] = eta[:, nan].max(axis=0)
+                keep[nan] = (mx[nan] > DEEP_LOG) & (mx[nan] < ln_delta)
+                out = out[~keep[out]]
+            result[idx[out[mx[out] <= DEEP_LOG]]] = True
+            if out.size == idx.size:
+                return result[:n]
+            dead += np.count_nonzero(idx[out] < n)
+            idx[out] = n
+            eta[:, out] = eta[:, keep.argmax(), None]
         if turn == q3:
+            q3_max = np.full(n + 1, np.inf)
             q3_max[idx] = eta.max(axis=0) if mx is None else mx
-        if cone is not None and cone.depth[turn] < math.inf:
-            sure = _in_cone(cone, eta, turn)
-            if sure.any():
-                result[idx[sure]] = True
-                keep = ~sure
-                idx, eta = idx[keep], np.compress(keep, eta, axis=1)
-                mx = None if mx is None else mx[keep]
-                if idx.size == 0:
-                    return result
+        certify = cone is not None and cone.depth[turn] < math.inf
+        sure = _in_cone(cone, eta, turn, idx, n) if certify else None
+        certified = 0 if sure is None else np.count_nonzero(sure)
+        if certified:
+            result[idx[sure]] = True
+            if certified + dead == idx.size:
+                return result[:n]
+        elif 2 * dead <= idx.size:
+            continue
+        keep = idx < n if sure is None else (idx < n) & ~sure
+        idx, eta, mx = _compact(keep, idx, eta, mx)
+        dead = 0
+        if idx.size == 0:
+            return result[:n]
     if mx is None:
         mx = eta.max(axis=0)
     result[idx[mx < q3_max[idx]]] = True
-    return result
+    return result[:n]
 
 
 class _Replay:
@@ -753,12 +791,12 @@ def estimate_sigma_mc(cycle: CycleLike, j: int, config: EstimatorConfig) -> Basi
     block of every level; it changes no level fraction.
     """
     mats, offs = _gmaps(cycle, j)
-    cone = _cone(mats, offs, j, config.delta, config.max_full_turns)
+    cone, affine = _cone(mats, offs, j, config.delta, config.max_full_turns), _affine(mats, offs)
     levels = _levels(
         config.epsilon_ladder, config.samples_per_level, mats[0].shape[0], config.seed,
         lambda block, eps: np.count_nonzero(_basin_mask(
             mats, offs, j, _sample_log_cube(block, eps), config.delta, config.max_full_turns,
-            cone)),
+            cone, affine)),
     )
     minus, fit_minus = _side(levels, complement=False)
     plus, fit_plus = _side(levels, complement=True)
@@ -841,8 +879,9 @@ def estimate_fplus_mc(
     def count(block: np.ndarray, eps: float) -> int:
         certified, cert = 0, certificates[eps]
         if cert is not None:
-            undecided = np.zeros(len(block), dtype=bool)
-            for col, t in zip(*cert):
+            cols, ts = cert
+            undecided = block[:, cols[0]] >= ts[0]
+            for col, t in zip(cols[1:], ts[1:]):
                 undecided |= block[:, col] >= t
             rest = np.compress(undecided, block, axis=0)
             certified, block = len(block) - len(rest), rest

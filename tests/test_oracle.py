@@ -671,8 +671,8 @@ def certified(monkeypatch):
     counts = []
     real = oracle._in_cone
 
-    def counting(cone, eta, turn):
-        inside = real(cone, eta, turn)
+    def counting(*args):
+        inside = real(*args)
         counts.append(int(inside.sum()))
         return inside
 
@@ -818,6 +818,102 @@ def test_a_cone_exists_at_the_vertex_cap_and_at_a_long_budget():
                         200) is not None
     assert oracle._cone(rsp_matrices(RspParams(-0.5, 0.2)), [np.zeros(3)] * 2, 0, 1e-2,
                         200) is not None
+
+
+# Block bookkeeping: a column decided by the per-column test stays in its
+# slot as a copy of a live column, indexed to a trash slot, and a block is
+# compacted only at a cone drop or once more than half of it is dead.
+
+
+@pytest.fixture
+def compactions(monkeypatch):
+    """A list that gets, per oracle._compact call, whether the column maxima
+    were taken and the batch indices of the columns it removes (the batch
+    size for a dead slot)."""
+    calls = []
+    real = oracle._compact
+
+    def counting(keep, idx, eta, mx):
+        calls.append((mx is not None, idx[~keep]))
+        return real(keep, idx, eta, mx)
+
+    monkeypatch.setattr(oracle, "_compact", counting)
+    return calls
+
+
+def test_a_criterion_6_estimate_compacts_at_most_60_times(compactions):
+    # 24 blocks: the entry tube test passes whole, the turn-0 escapes stay as
+    # dead slots, and only the cone drop of turn 2 compacts; turn 3's
+    # certifies every live column (24 today, 108 when every entry, escape
+    # step and cone drop compacted)
+    estimate_sigma_mc(rsp_matrices(RspParams(-0.5, 0.2)), 0, CRITERION_6)
+    assert 0 < len(compactions) <= 60
+
+
+@pytest.mark.parametrize("with_cone", [False, True])
+def test_a_block_whose_entry_tube_test_fails_for_some_columns(with_cone, compactions):
+    # rows of an eps-cube wider than delta among deep rows: the whole-block
+    # entry test fails, and only then are the column maxima taken and the
+    # block compacted
+    mats, offs = rsp_matrices(RspParams(-0.5, 0.2)), [np.zeros(3)] * 2
+    cone = oracle._cone(mats, offs, 0, 1e-2, 200) if with_cone else None
+    rng = np.random.default_rng(9)
+    eta0 = np.concatenate([_out_of_place_log_cube(rng, eps, 1500, 3) for eps in (1.5e-2, 1e-15)])
+    outside = eta0.max(axis=1) >= math.log(1e-2)
+    assert 0 < outside.sum() < len(eta0)
+    expected = _row_major_basin_mask(mats, offs, 0, eta0, 1e-2, 200)
+    assert set(expected.tolist()) == {True, False}
+    got = oracle._basin_mask(mats, offs, 0, eta0.copy(), 1e-2, 200, cone)
+    assert np.array_equal(got, expected)
+    taken, removed = compactions[0]            # the entry
+    assert not taken and np.array_equal(removed, np.flatnonzero(outside))
+
+
+def test_escapes_and_dives_in_the_step_of_a_cone_drop(compactions):
+    # shallow columns escape at the last step of turns 0-2 and deep ones
+    # dive there, in the blocks where the cone certifies others at those
+    # turns' ends: the drop compacts the dead slots with the certified
+    mats, offs = rsp_matrices(RspParams(-0.5, 0.2)), [np.zeros(3)] * 2
+    cone = oracle._cone(mats, offs, 0, 1e-2, 200)
+    rng = np.random.default_rng(0)
+    eta0 = -np.exp(np.concatenate([rng.uniform(math.log(4.7), math.log(1e4), (1000, 3)),
+                                   rng.uniform(math.log(1e6), math.log(2e9), (1000, 3))]))
+    expected = _row_major_basin_mask(mats, offs, 0, eta0, 1e-2, 200)
+    got = oracle._basin_mask(mats, offs, 0, eta0.copy(), 1e-2, 200, cone)
+    assert np.array_equal(got, expected) and set(expected.tolist()) == {True, False}
+    n = len(eta0)
+    assert sum(taken and (removed == n).any() and (removed < n).any()
+               for taken, removed in compactions) >= 2
+
+
+def test_a_nan_replay_of_a_column_whose_copy_is_dead(monkeypatch):
+    # columns 0 and 2 overflow to -inf at step 1 and their matmul turns NaN
+    # from step 2 on; column 1 escapes at step 1, so its slot carries a copy
+    # of column 0 that turns NaN too.  Only the live columns are replayed,
+    # at every step, and the dead copy is overwritten each time
+    replays = []
+    replay_call = oracle._Replay.__call__
+    monkeypatch.setattr(oracle._Replay, "__call__",
+                        lambda self, orbits, steps: replays.append(orbits.tolist()) or
+                        replay_call(self, orbits, steps))
+    M = np.diag([1e300, 2.0])
+    eta0 = np.array([[-5.0, -6.0], [-1e-301, -6.0], [-6.0, -7.0]])
+    got = oracle._basin_mask([M], [np.zeros(2)], 0, eta0, 1e-2, 40)
+    assert got.tolist() == [_careful_basin_member([M], 0, e, 1e-2, 40) for e in eta0]
+    assert got.tolist() == [True, False, True]
+    assert len(replays) > 20 and all(orbits == [0, 2] for orbits in replays)
+
+
+def test_a_no_cone_block_that_drains_past_half_dead(compactions):
+    # with no cone, a block compacts only at a turn end where more than half
+    # of it is dead, and then removes dead slots alone
+    mats, offs = rsp_matrices(RspParams(-0.5, 0.2)), [np.zeros(3)] * 2
+    eta0 = _out_of_place_log_cube(np.random.default_rng(4), 1e-4, 3000, 3)
+    expected = _row_major_basin_mask(mats, offs, 0, eta0, 1e-2, 200)
+    assert 0 < expected.sum() < len(eta0) / 2
+    got = oracle._basin_mask(mats, offs, 0, eta0.copy(), 1e-2, 200)
+    assert np.array_equal(got, expected)
+    assert compactions and all((removed == len(eta0)).all() for _, removed in compactions)
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,11 @@
 
 Each script is run for two rounds against this checkout on both sides; it
 must load both, time every case (or the ones its filter names) and print one
-row for each, and tools/ab_lone.py must find the two sides' rsp-sweep CSVs
-equal.
+row for each; tools/ab_lone.py must find the two sides' rsp-sweep CSVs
+equal, and tools/ab_oracle.py the two sides' results.
 """
 
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -50,7 +51,8 @@ def _run_ab_oracle(*flags: str) -> list[str]:
         cwd=ROOT, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    header, *rows = proc.stdout.splitlines()
+    verdict, header, *rows = proc.stdout.splitlines()
+    assert verdict == "results identical in every case"
     assert header.split() == ["case", "parent", "s", "change", "s", "ratio", "IQR", "won"]
     for row in rows:
         parent, change, ratio, iqr, won = row[20:].split()
@@ -61,7 +63,7 @@ def _run_ab_oracle(*flags: str) -> list[str]:
 
 def test_ab_oracle_runs_against_its_own_checkout():
     assert _run_ab_oracle() == ["fplus -1,1,1", "fplus -0.25,1,0", "fplus 0.7,-0.3,0",
-                                "sigma rsp", "in_delta_basin"]
+                                "sigma rsp", "sigma scaled", "in_delta_basin"]
 
 
 def test_ab_oracle_times_only_the_cases_asked_for():
@@ -75,3 +77,20 @@ def test_ab_oracle_rejects_a_filter_that_names_no_case():
         cwd=ROOT, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 2 and "--cases nothing names no case" in proc.stderr
+
+
+def test_ab_oracle_stops_when_the_two_sides_disagree(tmp_path):
+    # a CHANGE checkout whose in_delta_basin inverts every verdict
+    change = tmp_path / "src" / "hetstab"
+    shutil.copytree(ROOT / "src" / "hetstab", change,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    oracle = change / "oracle.py"
+    text = oracle.read_text()
+    assert text.count("    return bool(\n") == 1
+    oracle.write_text(text.replace("    return bool(\n", "    return not bool(\n"))
+    proc = subprocess.run(
+        [sys.executable, "tools/ab_oracle.py", str(ROOT), str(tmp_path), "--rounds", "1",
+         "--samples", "2000", "--cases", "sigma rsp,in_delta_basin"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 1 and proc.stdout == "results differ: in_delta_basin\n"

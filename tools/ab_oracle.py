@@ -10,7 +10,10 @@ one process.  The configurations are read from PARENT's perfbench/inputs.py:
 * estimate_fplus_mc on the criterion-5 ladder (131 levels) and seed, at
   each of the criterion-5 alphas (-1, 1, 1), (-0.25, 1, 0) and (0.7, -0.3, 0),
   or at the alphas given with --alpha;
-* estimate_sigma_mc at the criterion-6 configuration, RSP (-0.5, 0.2);
+* estimate_sigma_mc at the criterion-6 configuration, RSP (-0.5, 0.2), as
+  raw matrices (sigma rsp) and as a validated cycle with connection
+  constants, scalings (2, 0.5, 1.5) and offset 0.3 on both connections, so
+  with non-zero log offsets (sigma scaled);
 * in_delta_basin at that configuration, once at each of the 100 points of
   in_basin_points (the first criterion-6 eps-cube, at perfbench seed 1),
   timed as one call: the single-point calls of perfbench's
@@ -24,12 +27,16 @@ before the fit.  --cases keeps only the cases whose name starts with one of
 its comma-separated prefixes (fplus, sigma, in_delta_basin).
 HETSTAB_THREADS is 1 unless set.
 
-Each round times one call of every case on both sides, the side that goes
-first alternating by round, with the garbage collector off.  For each case
-the script prints both sides' median time per call, the median and
-interquartile range of the per-round ratio CHANGE / PARENT, and the rounds
-in which CHANGE was faster.  The times are wall time in this process, with
-no calibration task between them.
+A warm-up call of every case on both sides comes first, and its results are
+compared: every level fraction and sigma_hat or fplus_hat, each
+in_delta_basin verdict, or the InsufficientResolution message.  The script
+prints whether they are identical, and stops with exit code 1 when a case
+differs.  Then each round times one call of every case on both sides, the
+side that goes first alternating by round, with the garbage collector off.
+For each case the script prints both sides' median time per call, the
+median and interquartile range of the per-round ratio CHANGE / PARENT, and
+the rounds in which CHANGE was faster.  The times are wall time in this
+process, with no calibration task between them.
 """
 
 from __future__ import annotations
@@ -48,6 +55,8 @@ from ab_lone import _load
 CRITERION_5_ALPHAS = ((-1.0, 1.0, 1.0), (-0.25, 1.0, 0.0), (0.7, -0.3, 0.0))
 SIGMA_SAMPLES = 40_000
 IN_BASIN_SEED = 1
+SCALED_CONNECTION = {"permutation": (1, 2, 0), "scalings": (2.0, 0.5, 1.5),
+                     "contraction_offset": 0.3}
 
 
 def _alpha(text: str) -> tuple[float, ...]:
@@ -65,23 +74,33 @@ def _cases(hs, plan: dict, points: np.ndarray, alphas, samples: int) -> dict[str
     config = hs.EstimatorConfig(**dict(plan["sigma_config"], samples_per_level=sigma_samples))
     mats = hs.rsp_matrices(hs.RspParams(*plan["rsp"]))
     cases["sigma rsp"] = lambda: hs.estimate_sigma_mc(mats, plan["node"], config)
+    conn = hs.ConnectionSpec(**SCALED_CONNECTION)
+    scaled = hs.validate_cycle(hs.CycleSpec(
+        nodes=hs.rsp_cycle_spec(hs.RspParams(*plan["rsp"])).nodes, connections=(conn, conn)))
+    cases["sigma scaled"] = lambda: hs.estimate_sigma_mc(scaled, plan["node"], config)
     cases["in_delta_basin"] = lambda: [hs.in_delta_basin(mats, plan["node"], x, config)
                                        for x in points]
     return cases
 
 
-def _sample(call, insufficient: type) -> float:
-    """The time in seconds of one call."""
+def _sample(call, insufficient: type) -> tuple[float, str]:
+    """The time in seconds of one call, and its result as text: the level
+    fractions and the estimate, the in_delta_basin verdicts, or the
+    InsufficientResolution it raised."""
     gc.disable()
     try:
         start = time.perf_counter()
         try:
-            call()
-        except insufficient:
-            pass
-        return time.perf_counter() - start
+            result = call()
+        except insufficient as exc:
+            result = exc
+        seconds = time.perf_counter() - start
     finally:
         gc.enable()
+    if hasattr(result, "levels"):
+        result = ([lev.sigma_frac for lev in result.levels],
+                  getattr(result, "sigma_hat", getattr(result, "fplus_hat", None)))
+    return seconds, repr(result)
 
 
 def main(argv=None) -> int:
@@ -115,16 +134,19 @@ def main(argv=None) -> int:
             parser.error(f"--cases {','.join(args.cases)} names no case")
         cases = [{name: side[name] for name in names} for side in cases]
     insufficient = [hs.InsufficientResolution for hs in sides]
-    for side, exc in zip(cases, insufficient):   # warm both sides up
-        for call in side.values():
-            _sample(call, exc)
+    differ = [name for name in cases[0]   # warm both sides up
+              if len({_sample(side[name], exc)[1] for side, exc in zip(cases, insufficient)}) > 1]
+    if differ:
+        print(f"results differ: {', '.join(differ)}")
+        return 1
+    print("results identical in every case")
 
     times = {name: [[], []] for name in cases[0]}
     for r in range(args.rounds):
         order = (0, 1) if r % 2 == 0 else (1, 0)
         for name in times:
             for s in order:
-                times[name][s].append(_sample(cases[s][name], insufficient[s]))
+                times[name][s].append(_sample(cases[s][name], insufficient[s])[0])
 
     print(f"{'case':<20}{'parent s':>10}{'change s':>10}{'ratio':>8}{'IQR':>16}{'won':>8}")
     for name, (parent, change) in times.items():
