@@ -11,9 +11,10 @@ the signs above, N >= 2, bijective permutations and the eigenvalue-count
 shadow of quasi-simplicity (equal transverse counts at every node, simple
 contracting/expanding pair).  Each check names the CycleValidationError
 subclass that reports it; validate_cycle raises the class of the first
-violation, and a non-finite value always gets the base class.  Whether the
-data comes from an actual cycle of some vector field is the caller's
-responsibility.
+violation, and a non-finite value always gets the base class, as does an
+int beyond double range, which NodeSpec and ConnectionSpec reject as they
+are built.  Whether the data comes from an actual cycle of some vector
+field is the caller's responsibility.
 """
 
 from __future__ import annotations
@@ -58,10 +59,14 @@ class NodeSpec:
     radial: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "transverse", tuple(float(t) for t in self.transverse))
-        object.__setattr__(self, "radial", tuple(float(r) for r in self.radial))
-        object.__setattr__(self, "contracting", float(self.contracting))
-        object.__setattr__(self, "expanding", float(self.expanding))
+        try:
+            object.__setattr__(self, "transverse", tuple(float(t) for t in self.transverse))
+            object.__setattr__(self, "radial", tuple(float(r) for r in self.radial))
+            object.__setattr__(self, "contracting", float(self.contracting))
+            object.__setattr__(self, "expanding", float(self.expanding))
+        except OverflowError:   # an int beyond double range
+            raise CycleValidationError(
+                "node value beyond double range among c, e, t and radial") from None
 
 
 @dataclass(frozen=True)
@@ -85,9 +90,13 @@ class ConnectionSpec:
         object.__setattr__(self, "permutation", tuple(
             i if type(i) is int else int(i) if float(i).is_integer() else float(i)
             for i in self.permutation))
-        if self.scalings is not None:
-            object.__setattr__(self, "scalings", tuple(float(a) for a in self.scalings))
-        object.__setattr__(self, "contraction_offset", float(self.contraction_offset))
+        try:
+            if self.scalings is not None:
+                object.__setattr__(self, "scalings", tuple(float(a) for a in self.scalings))
+            object.__setattr__(self, "contraction_offset", float(self.contraction_offset))
+        except OverflowError:   # an int beyond double range
+            raise CycleValidationError(
+                "connection value beyond double range among scalings and v0") from None
 
 
 @dataclass(frozen=True)

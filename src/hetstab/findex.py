@@ -46,8 +46,15 @@ class ZeroVectorError(ValueError):
 
 
 def _components(alpha: Iterable[float]) -> list[float]:
-    """alpha as floats; ZeroVectorError if empty or zero, ValueError if not finite."""
-    comps = [float(a) for a in alpha]
+    """alpha as floats; ZeroVectorError if empty or zero, ValueError if not
+    a sequence of numbers or not finite."""
+    try:
+        if isinstance(alpha, (str, bytes)):   # would iterate by character
+            raise TypeError
+        comps = [float(a) for a in alpha]
+    except (TypeError, ValueError):
+        raise ValueError(
+            f"direction vector must be a sequence of numbers, got {alpha!r}") from None
     if not comps:
         raise ZeroVectorError("empty direction vector")
     if not all(map(math.isfinite, comps)):

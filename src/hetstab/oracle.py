@@ -490,7 +490,7 @@ def _basin_mask(
     at the drop of turn 2, and ends at turn 3, where every live column is
     certified (24 compactions per estimate, against 108 when every entry,
     escape step and drop compacted), and the estimate takes 22 ms against
-    30 ms (40 interleaved rounds of tools/ab_oracle.py; 2 cores, one thread).
+    30 ms (40 interleaved rounds of tools/ab.py; 2 cores, one thread).
     """
     m = len(mats)
     ln_delta = math.log(delta)

@@ -46,6 +46,7 @@ dichotomy (stability._Batch._dichotomy) reads _Spectra.errors alone.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -92,11 +93,12 @@ class SpectralSummary:
 
 
 def _tolerance(tol: float) -> float:
-    """tol as a float; ValueError unless it is finite with 0 <= tol < 1."""
-    value = float(tol)
-    if not 0.0 <= value < 1.0:   # NaN fails too
+    """tol as a float; ValueError unless it is a real number (not a string)
+    with 0 <= tol < 1."""
+    # a float skips the slower ABC check; NaN fails the range test
+    if not ((type(tol) is float or isinstance(tol, numbers.Real)) and 0.0 <= tol < 1.0):
         raise ValueError(f"tol must be finite with 0 <= tol < 1, got {tol!r}")
-    return value
+    return float(tol)
 
 
 def _attempt(kinds: tuple[type[Exception], ...], fn: Callable, *args):

@@ -163,6 +163,21 @@ def test_cycle_document_rule_wants_lists_and_dicts(path, value, key, kind):
     assert exc.type is CycleValidationError
 
 
+@pytest.mark.parametrize("path,value", [
+    (("nodes", 0, "contracting"), 10**400), (("nodes", 0, "transverse"), [-(10**400)]),
+    (("nodes", 0, "radial"), [10**400]), (("connections", 0, "scalings"), [1.0, 10**400]),
+    (("connections", 0, "v0"), 10**400),
+], ids=["contracting", "transverse", "radial", "scalings", "v0"])
+def test_cycle_document_rule_rejects_ints_beyond_double_range(path, value):
+    # a CycleValidationError, not the OverflowError of float(10**400)
+    doc = _document()
+    doc[path[0]][path[1]][path[2]] = value
+    part = "node value" if path[0] == "nodes" else "connection value"
+    with pytest.raises(CycleValidationError, match=f"^{part} beyond double range among ") as exc:
+        cycle_from_dict(doc)
+    assert exc.type is CycleValidationError
+
+
 def test_cycle_document_rule_accepts_tuples_for_lists():
     doc = _document()
     doc["nodes"][0]["radial"] = [2.0]
@@ -289,6 +304,18 @@ ALPHA_ENTRY_POINTS = {
 @pytest.mark.parametrize("entry", sorted(ALPHA_ENTRY_POINTS))
 def test_direction_vector_rule(entry, alpha):
     with pytest.raises(ValueError, match="^direction vector components must be finite$") as exc:
+        ALPHA_ENTRY_POINTS[entry](alpha)
+    assert exc.type is ValueError
+
+
+@pytest.mark.parametrize("alpha", ["12", None, 3.0, ((1.0, -2.0), (0.5, 1.0)), (1.0, -1j)],
+                         ids=["string", "none", "scalar", "nested", "complex"])
+@pytest.mark.parametrize("entry", sorted(set(ALPHA_ENTRY_POINTS) - {"f_index_n3"}))
+def test_direction_vector_rule_rejects_what_is_not_a_sequence_of_numbers(entry, alpha):
+    # a ValueError that names the direction vector, neither a TypeError nor an
+    # answer for the characters of a string
+    with pytest.raises(ValueError, match="^direction vector must be a sequence of numbers, got ") \
+            as exc:
         ALPHA_ENTRY_POINTS[entry](alpha)
     assert exc.type is ValueError
 
@@ -512,10 +539,13 @@ TOL_ENTRY_POINTS = {
 }
 
 
-@pytest.mark.parametrize("tol", [NAN, -1.0, INF, 1.0], ids=["nan", "-1", "inf", "1"])
+@pytest.mark.parametrize("tol", [NAN, -1.0, INF, 1.0, None, 1j, "x", "1e-9"],
+                         ids=["nan", "-1", "inf", "1", "none", "complex", "string", "digits"])
 @pytest.mark.parametrize("entry", sorted(TOL_ENTRY_POINTS))
 def test_tolerance_rule(entry, tol):
-    with pytest.raises(ValueError, match=f"^{TOL_ERROR}{tol}$") as exc:
+    # what is not a real number gets the same ValueError, not a TypeError,
+    # float's message or a parsed string
+    with pytest.raises(ValueError, match=f"^{TOL_ERROR}{re.escape(repr(tol))}$") as exc:
         TOL_ENTRY_POINTS[entry](tol)
     assert exc.type is ValueError
 
@@ -555,6 +585,9 @@ def cli_files(tmp_path):
            "connections": [{"permutation": [1, 0]}] * 2}
     (tmp_path / "number.json").write_text(json.dumps(doc))
     (tmp_path / "array.json").write_text("[]")
+    doc = {"nodes": [{"contracting": 10**400, "expanding": 1.0, "transverse": [-0.5]}] * 2,
+           "connections": [{"permutation": [1, 0]}] * 2}
+    (tmp_path / "huge.json").write_text(json.dumps(doc))
     return tmp_path
 
 
@@ -580,6 +613,10 @@ CLI_REJECTIONS = {
                        "error: malformed cycle document: transverse: expected a list, got 5"),
     "analyze-array": (["analyze", "{d}/array.json"],
                       "error: malformed cycle document: document: expected a dict, got []"),
+    "analyze-huge": (["analyze", "{d}/huge.json"],
+                     "error: node value beyond double range among c, e, t and radial"),
+    "sigma-huge": (["oracle", "sigma", "{d}/huge.json", "--samples", "10"],
+                   "error: node value beyond double range among c, e, t and radial"),
     "fplus-levels-inf": (["oracle", "fplus", "--alpha", "-1,1,1", "--levels", "inf:1e-3:3"],
                          "hetstab oracle fplus: error: " + LADDER_USAGE.format("--levels")),
     "fplus-levels-nan": (["oracle", "fplus", "--alpha", "-1,1,1", "--levels", "nan:1e-3:3"],

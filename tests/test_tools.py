@@ -1,9 +1,9 @@
-"""Smoke runs of the in-process A/B tools, so that they cannot rot.
+"""Smoke runs of the in-process A/B tool, so that it cannot rot.
 
-Each script is run for two rounds against this checkout on both sides; it
-must load both, time every case (or the ones its filter names) and print one
-row for each; tools/ab_lone.py must find the two sides' rsp-sweep CSVs
-equal, and tools/ab_oracle.py the two sides' results.
+tools/ab.py is run for two rounds against this checkout on both sides; it
+must load both, find their results identical, time every case (or the ones
+its filter names) and print one row for each.  A CHANGE copy that gives a
+different result in one case must stop it with exit code 1, naming that case.
 """
 
 import shutil
@@ -14,83 +14,73 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _run_ab_lone(*flags: str) -> list[str]:
-    """The case names of a two-round tools/ab_lone.py run of this checkout on
-    both sides, after checking its header and every row."""
-    proc = subprocess.run(
-        [sys.executable, "tools/ab_lone.py", str(ROOT), str(ROOT), "--rounds", "2", *flags],
+def _ab(change: Path, *flags: str) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, "tools/ab.py", str(ROOT), str(change), "--samples", "2000", *flags],
         cwd=ROOT, capture_output=True, text=True, timeout=300,
     )
-    assert proc.returncode == 0, proc.stderr
-    header, *rows = proc.stdout.splitlines()
-    assert header.split() == ["case", "reps", "parent", "ms", "change", "ms", "ratio", "IQR", "won"]
-    for row in rows:
-        reps, parent, change, ratio, iqr, won = row[16:].split()
-        assert int(reps) >= 1 and float(parent) > 0.0 and float(change) > 0.0
-        assert float(ratio) > 0.0 and won.endswith("/2")
-    return [row[:16].strip() for row in rows]
 
 
-def test_ab_lone_runs_against_its_own_checkout():
-    assert _run_ab_lone() == ["rsp(-0.5, 0.2)", "rsp(0.5, 0.2)", "seed-3 m=8", "seed-3 m=32",
-                              "rsp-sweep 61", "rsp-sweep 9"]
-
-
-def test_ab_lone_times_whole_populations():
-    assert _run_ab_lone("--population") == [
-        "rsp(-0.5, 0.2)", "rsp(0.5, 0.2)", "seed-3 m=8 all", "seed-3 m=32 all", "rsp-sweep 61",
-        "rsp-sweep 9"]
-
-
-def _run_ab_oracle(*flags: str) -> list[str]:
-    """The case names of a two-round tools/ab_oracle.py smoke run of this
-    checkout on both sides, after checking its header and every row."""
-    proc = subprocess.run(
-        [sys.executable, "tools/ab_oracle.py", str(ROOT), str(ROOT), "--rounds", "2",
-         "--samples", "2000", *flags],
-        cwd=ROOT, capture_output=True, text=True, timeout=300,
-    )
+def _case_names(*flags: str) -> list[str]:
+    """The case names of a two-round smoke run of this checkout on both
+    sides, after checking its verdict line, its header and every row."""
+    proc = _ab(ROOT, "--rounds", "2", *flags)
     assert proc.returncode == 0, proc.stderr
     verdict, header, *rows = proc.stdout.splitlines()
     assert verdict == "results identical in every case"
-    assert header.split() == ["case", "parent", "s", "change", "s", "ratio", "IQR", "won"]
+    assert header.split() == ["case", "reps", "parent", "ms", "change", "ms", "ratio", "IQR", "won"]
+    names = []
     for row in rows:
-        parent, change, ratio, iqr, won = row[20:].split()
-        assert float(parent) > 0.0 and float(change) > 0.0
+        name, reps, parent, change, ratio, iqr, won = row.rsplit(maxsplit=6)
+        assert int(reps) >= 1 and float(parent) > 0.0 and float(change) > 0.0
         assert float(ratio) > 0.0 and won.endswith("/2")
-    return [row[:20].strip() for row in rows]
+        names.append(name.strip())
+    return names
 
 
-def test_ab_oracle_runs_against_its_own_checkout():
-    assert _run_ab_oracle() == ["fplus -1,1,1", "fplus -0.25,1,0", "fplus 0.7,-0.3,0",
-                                "sigma rsp", "sigma scaled", "in_delta_basin"]
+def _change_copy(tmp_path: Path, module: str, old: str, new: str) -> Path:
+    """A CHANGE checkout under tmp_path: this checkout's package with the one
+    occurrence of old in module replaced by new."""
+    package = tmp_path / "src" / "hetstab"
+    shutil.copytree(ROOT / "src" / "hetstab", package,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    text = (package / module).read_text()
+    assert text.count(old) == 1
+    (package / module).write_text(text.replace(old, new))
+    return tmp_path
 
 
-def test_ab_oracle_times_only_the_cases_asked_for():
-    assert _run_ab_oracle("--cases", "in_delta_basin,fplus -1") == ["fplus -1,1,1",
-                                                                   "in_delta_basin"]
+def test_ab_runs_every_case_against_its_own_checkout():
+    assert _case_names() == [
+        "rsp(-0.5, 0.2)", "rsp(0.5, 0.2)", "seed-3 m=8", "seed-3 m=32", "seed-3 m=8 all",
+        "seed-3 m=32 all", "rsp-sweep 61", "rsp-sweep 9", "fplus -1,1,1", "fplus -0.25,1,0",
+        "fplus 0.7,-0.3,0", "sigma rsp", "sigma scaled", "in_delta_basin"]
 
 
-def test_ab_oracle_rejects_a_filter_that_names_no_case():
-    proc = subprocess.run(
-        [sys.executable, "tools/ab_oracle.py", str(ROOT), str(ROOT), "--cases", "nothing"],
-        cwd=ROOT, capture_output=True, text=True, timeout=300,
-    )
+def test_ab_selects_the_whole_populations_by_name():
+    assert _case_names("--cases", "seed-3 m=8 all,seed-3 m=32 all") == [
+        "seed-3 m=8 all", "seed-3 m=32 all"]
+
+
+def test_ab_times_only_the_cases_asked_for():
+    assert _case_names("--cases", "in_delta_basin,fplus -1") == ["fplus -1,1,1", "in_delta_basin"]
+
+
+def test_ab_rejects_a_filter_that_names_no_case():
+    proc = _ab(ROOT, "--cases", "nothing")
     assert proc.returncode == 2 and "--cases nothing names no case" in proc.stderr
 
 
-def test_ab_oracle_stops_when_the_two_sides_disagree(tmp_path):
+def test_ab_stops_when_in_delta_basin_differs(tmp_path):
     # a CHANGE checkout whose in_delta_basin inverts every verdict
-    change = tmp_path / "src" / "hetstab"
-    shutil.copytree(ROOT / "src" / "hetstab", change,
-                    ignore=shutil.ignore_patterns("__pycache__"))
-    oracle = change / "oracle.py"
-    text = oracle.read_text()
-    assert text.count("    return bool(\n") == 1
-    oracle.write_text(text.replace("    return bool(\n", "    return not bool(\n"))
-    proc = subprocess.run(
-        [sys.executable, "tools/ab_oracle.py", str(ROOT), str(tmp_path), "--rounds", "1",
-         "--samples", "2000", "--cases", "sigma rsp,in_delta_basin"],
-        cwd=ROOT, capture_output=True, text=True, timeout=300,
-    )
+    change = _change_copy(tmp_path, "oracle.py", "    return bool(\n", "    return not bool(\n")
+    proc = _ab(change, "--rounds", "1", "--cases", "sigma rsp,in_delta_basin")
     assert proc.returncode == 1 and proc.stdout == "results differ: in_delta_basin\n"
+
+
+def test_ab_stops_when_a_classify_report_differs(tmp_path):
+    # a CHANGE checkout whose default tolerance, and so every report's tol, differs;
+    # the sweep's CSV does not show tol, so it must still read identical
+    change = _change_copy(tmp_path, "spectral.py", "DEFAULT_TOL = 1e-9\n", "DEFAULT_TOL = 1e-10\n")
+    proc = _ab(change, "--rounds", "1", "--cases", "rsp(-0.5,rsp-sweep 9")
+    assert proc.returncode == 1 and proc.stdout == "results differ: rsp(-0.5, 0.2)\n"
