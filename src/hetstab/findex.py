@@ -55,6 +55,8 @@ def _components(alpha: Iterable[float]) -> list[float]:
     except (TypeError, ValueError):
         raise ValueError(
             f"direction vector must be a sequence of numbers, got {alpha!r}") from None
+    except OverflowError:                 # an int beyond double range is not finite
+        comps = [math.inf]
     if not comps:
         raise ZeroVectorError("empty direction vector")
     if not all(map(math.isfinite, comps)):

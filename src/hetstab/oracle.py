@@ -28,11 +28,13 @@ maps directly rather than trusting any eigen-structure argument:
   saturation, the fit and InsufficientResolution for both estimators;
 * matrix_basin_membership decides divergence of y <- M y by brute force.
 
-Point batches are iterated coordinate-major: the orbit loops keep one
+Each call builds its maps once, in turn order from its start node, with the
+one full return of the call and the map norms (_gmaps, _Maps).  Point
+batches are iterated coordinate-major: the orbit loops keep one
 C-contiguous (N, n) array with a column per point, so a step is one N x N
 matrix times a wide array.  _basin_mask first settles a step for the whole
 block, by one full max and a carried bound on the max-norm that uses
-||M_j||_inf and ||F_j||_inf only, and takes the per-column maxima (an
+||M||_inf and ||F||_inf only, and takes the per-column maxima (an
 element-wise maximum over N contiguous rows) only when that cannot decide.
 Samples are drawn as rows of N raw uniforms (_levels), turned into log
 coordinates in place (_sample_log_cube) and transposed once on entry to
@@ -53,14 +55,15 @@ import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Collection, Iterable, Sequence
+from typing import Callable, Collection, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .cycle import ValidatedCycle
 from .findex import _components
 from .stability import IndeterminateError
-from .transition import CycleLike, _entries, _integer, _node_index, _pass, as_basic_matrices
+from .transition import (CycleLike, _entries, _floats, _integer, _node_index, _overflow,
+                         as_basic_matrices, cyclic_products)
 
 DEEP_LOG = -1e9          # max-norm in log coordinates below this counts as converged
 MIN_FIT_HITS = 8         # levels with fewer hits carry too much ln() bias to fit
@@ -93,6 +96,8 @@ def _ladder(epsilon_ladder: Iterable[float]) -> tuple[float, ...]:
     except (TypeError, ValueError):
         raise ValueError(
             f"epsilon ladder must be a sequence of numbers, got {epsilon_ladder!r}") from None
+    except OverflowError:                 # an int beyond double range is not finite
+        lad = (math.inf,)
     if not lad or any(not 0 < e < math.inf for e in lad):
         raise ValueError("epsilon ladder must be non-empty, finite and positive")
     if any(a <= b for a, b in zip(lad, lad[1:])):
@@ -117,7 +122,7 @@ def _whole(value, least: int, name: str) -> int:
 
 def _log_point(x: Sequence[float], dim: int) -> np.ndarray:
     """ln x for a point x of shape (dim,) with finite, strictly positive coordinates."""
-    x = np.asarray(x, float)
+    x = _floats(x)
     if x.shape != (dim,):
         raise ValueError(f"point has wrong shape {x.shape} for dimension {dim}")
     if not (np.isfinite(x).all() and (x > 0.0).all()):
@@ -189,48 +194,73 @@ class FplusEstimate:
 # ---------------------------------------------------------------------------
 
 
-def _gmaps(cycle: CycleLike, j: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Matrices M_j and offsets F_j of the log-coordinate maps eta -> M_j eta + F_j.
+class _Maps(NamedTuple):
+    """The log-coordinate maps eta -> M eta + F of a cycle in turn order from
+    a start node j: entry s is the map of node (j + s) mod m (_gmaps)."""
 
-    F_j = A_j (ln v_{0,j} + ln a_{j,1}, ln a_{j,2}, ..., ln a_{j,N}), with A_j
-    the connection's axis permutation: zero for default constants, and
-    always zero when the cycle is given as raw matrices.  The start node j
-    is checked, and a product pass from j that overflows raises
-    ProductOverflow, as in classify.
-    """
+    mats: list[np.ndarray]         # M, (N, N)
+    cols: list                     # F as an (N, 1) column, None where zero (skipped, not added)
+    norms: list[tuple[float, float]]   # (||M||_inf, ||F||_inf), for the dive bound
+    turn: np.ndarray               # the full return M^(j), the product of mats in order
+
+
+def _gmaps(cycle: CycleLike, j: int) -> _Maps:
+    """The maps of the cycle from node j (_maps), with the offsets F_l = A_l
+    (ln v_{0,l} + ln a_{l,1}, ln a_{l,2}, ..., ln a_{l,N}), A_l the
+    connection's axis permutation: zero for default constants, and always
+    zero when the cycle is given as raw matrices.  The start node j is
+    checked, and a product pass from j that overflows raises ProductOverflow
+    naming j, as in classify."""
     mats = as_basic_matrices(cycle)
-    _pass(mats, _node_index(j, len(mats)), len(mats))
-    if not isinstance(cycle, ValidatedCycle):
-        return mats, [np.zeros(M.shape[0]) for M in mats]
-    offs = []
-    for conn in cycle.connections:
-        f = np.log(np.asarray(conn.scalings, float))
-        f[0] += np.log(conn.contraction_offset)
-        offs.append(f[list(conn.permutation)])
-    return mats, offs
+    j = _node_index(j, len(mats))
+    offs = [np.zeros(M.shape[0]) for M in mats]
+    if isinstance(cycle, ValidatedCycle):
+        for l, conn in enumerate(cycle.connections):
+            f = np.log(np.asarray(conn.scalings, float))
+            f[0] += np.log(conn.contraction_offset)
+            offs[l] = f[list(conn.permutation)]
+    maps = _maps(mats, offs, j)
+    if not np.isfinite(maps.turn).all():
+        raise _overflow(j)
+    return maps
 
 
-def _affine(mats: list[np.ndarray], offs: list[np.ndarray]) -> tuple[list, list]:
-    """The offsets as columns (None where zero, so _basin_mask skips them),
-    and (||M_l||_inf, ||F_l||_inf) of every map, for its dive bound."""
-    return ([f[:, None] if f.any() else None for f in offs],
-            [(float(np.abs(M).sum(axis=1).max()), float(np.abs(f).max(initial=0.0)))
-             for M, f in zip(mats, offs)])
+def _maps(mats: list[np.ndarray], offs: list[np.ndarray], j: int) -> _Maps:
+    """The _Maps from node j of the maps eta -> M_l eta + F_l in node order;
+    its turn, the last product of the pass from j, is kept if it overflows."""
+    turn = cyclic_products(mats, range(j, j + 1), len(mats))[0, -1]
+    mats, offs = [*mats[j:], *mats[:j]], [*offs[j:], *offs[:j]]
+    return _Maps(mats, [f[:, None] if f.any() else None for f in offs],
+                 [(float(np.abs(M).sum(axis=1).max()), float(np.abs(f).max(initial=0.0)))
+                  for M, f in zip(mats, offs)], turn)
 
 
 @dataclass(frozen=True)
 class _Cone:
-    """A verified basin certificate for the orbits from node j (_cone).
+    """A verified basin certificate for the orbits of one _Maps (_cone).
 
     A column eta of _basin_mask at the end of turn t is in the basin when
-    -eta_0 > depth[t] and lo <= eta_i / eta_0 <= hi for i >= 1, with the
-    ratios as computed (_in_cone); depth[t] is inf at a turn where no live
-    column can pass.
+    -eta_0 > depth(t) and lo <= eta_i / eta_0 <= hi for i >= 1, with the
+    ratios as computed (_in_cone).
     """
 
     lo: np.ndarray         # (N-1, 1) least ratios of the membership test
     hi: np.ndarray         # (N-1, 1) greatest ratios of the membership test
-    depth: list[float]     # least depth -eta_0, per turn
+    least: float           # least certifiable depth -eta_0
+    deep: float            # a depth that no live column has, -DEEP_LOG / min(1, lo)
+    g: float               # least depth growth per k turns
+    k: int                 # turns per step of the growth g
+    budget: int            # max_full_turns
+
+    def depth(self, turn: int) -> float:
+        """The least depth that passes at the end of turn (_cone); inf where
+        no live column can pass."""
+        try:
+            dive = self.deep / self.g ** ((self.budget - 1 - turn) // self.k) * (1.0 + 2.0**-30)
+        except OverflowError:          # g^n beyond double range: the dive does not bind
+            dive = 0.0
+        need = max(self.least, dive)
+        return need if need < self.deep else math.inf
 
 
 def _vertex_rays(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -239,22 +269,21 @@ def _vertex_rays(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _cone(mats: list[np.ndarray], offs: list[np.ndarray], j: int, delta: float,
-          max_full_turns: int) -> _Cone | None:
-    """The basin certificate of _basin_mask for orbits from node j, or None.
+def _cone(maps: _Maps, delta: float, max_full_turns: int) -> _Cone | None:
+    """The basin certificate of _basin_mask for the orbits of maps, or None.
 
     It is built from the maps alone, with no eigen-analysis.  The direction
-    d is the oracle's own power iteration: the composed maps of one turn
-    from node j, raised to the power 2^POWER_SQUARINGS by squaring (each
-    square rescaled to max |entry| = 1), applied to the all -1 point and
-    rescaled to max |d_i| = 1.  With r = d_i / d_0 (i >= 1) and a half-width w of CONE_WIDTHS,
+    d is the oracle's own power iteration: the full return maps.turn,
+    raised to the power 2^POWER_SQUARINGS by squaring (each square rescaled
+    to max |entry| = 1), applied to the all -1 point and rescaled to max
+    |d_i| = 1.  With r = d_i / d_0 (i >= 1) and a half-width w of CONE_WIDTHS,
     the ratio box is lo = r (1 - w), hi = r (1 + w), and the cone {eta :
     eta_0 < 0, lo <= eta_i / eta_0 <= hi} holds the rays s c, s > 0, with c
     in the convex hull of the box's 2^(N-1) vertex rays v (v_0 = -1).  The
     vertex rays of every box are stepped k full turns (K = k m map steps)
     for k in CONE_TURNS.  For each width, widest first, the least k that
     verifies (the checks below) and leaves the dive unbound at the end of
-    turn 0 (depth[0] is the least certifiable depth) is taken, and the first
+    turn 0 (depth(0) is the least certifiable depth) is taken, and the first
     width that has one gives the certificate.  There is none when N >
     CONE_MAX_DIM, when d is not strictly negative, when no (k, w) verifies,
     and when at every verified pair the turn budget is too short for the
@@ -308,20 +337,17 @@ def _cone(mats: list[np.ndarray], offs: list[np.ndarray], j: int, delta: float,
     checked to be far from overflow; underflow adds a few subnormals, far
     below s rho.
 
-    depth[t] is the least depth that passes at the end of turn t: above
+    depth(t) is the least depth that passes at the end of turn t: above
     |ln delta| / q and s_F, and at least -DEEP_LOG / (min(1, lo) g^n) with
     n = (max_full_turns - 1 - t) // k the whole steps left, each rounded up
-    by 2^-30 of itself.  The membership test reads the box shrunk by 2^-50
-    of each bound, so a computed ratio inside it puts the exact one in [lo,
-    hi].
+    by 2^-30 of itself (_Cone.depth, from the scalars of the certificate).
+    The membership test reads the box shrunk by 2^-50 of each bound, so a
+    computed ratio inside it puts the exact one in [lo, hi].
     """
-    m, n = len(mats), mats[0].shape[0]
+    m, n = len(maps.mats), len(maps.turn)
     if n > CONE_MAX_DIM:
         return None
-    order = [mats[(j + s) % m] for s in range(m)]
-    power = order[0]
-    for M in order[1:]:
-        power = M @ power
+    power = maps.turn
     for _ in range(POWER_SQUARINGS):
         power = power @ power
         power = power / np.abs(power).max()
@@ -332,19 +358,18 @@ def _cone(mats: list[np.ndarray], offs: list[np.ndarray], j: int, delta: float,
     boxes = [(d[1:] / d[0] * (1.0 - w), d[1:] / d[0] * (1.0 + w)) for w in CONE_WIDTHS]
     rays = np.concatenate([_vertex_rays(lo, hi) for lo, hi in boxes], axis=1)
     nv = rays.shape[1] // len(boxes)
-    stack, phases = np.array(mats), np.arange(m)
+    stack, phases = np.array(maps.mats), np.arange(m)
     segment, norm = np.broadcast_to(np.eye(n), (m, n, n)), 1.0
-    mu = max(float(np.abs(M).sum(axis=1).max()) for M in mats)
-    phi = max(float(np.abs(f).max(initial=0.0)) for f in offs)
-    shifts = [offs[(j + s) % m] for s in range(m)] if phi > 0.0 else None
-    origin, omega = np.zeros(n), 0.0   # the float orbit of 0, and its max-norm
+    mu, phi = map(max, zip(*maps.norms))
+    origin, omega = np.zeros((n, 1)), 0.0   # the float orbit of 0, and its max-norm
     gamma = (n + 1) * 2.0**-53 / (1.0 - (n + 1) * 2.0**-53)
     least = np.full(rays.shape[1], np.inf)
     best, wider = None, len(boxes)   # a larger k is tried only on boxes wider than best's
     for steps in range(1, max(CONE_TURNS) * m + 1):
-        rays = order[(steps - 1) % m] @ rays
-        if shifts is not None:
-            origin = order[(steps - 1) % m] @ origin + shifts[(steps - 1) % m]
+        M, col = maps.mats[(steps - 1) % m], maps.cols[(steps - 1) % m]
+        rays = M @ rays
+        if phi > 0.0:
+            origin = M @ origin if col is None else M @ origin + col
             omega = max(omega, float(np.abs(origin).max()))
         least = np.minimum(least, -rays.max(axis=0))
         segment = stack[(phases + steps - 1) % m] @ segment
@@ -396,12 +421,10 @@ def _verified(k: int, steps: int, lo: np.ndarray, hi: np.ndarray, images: np.nda
     if not ((ratios >= lo[:, None] + tau) & (ratios <= hi[:, None] - tau)).all():
         return None
     least_depth = max(least_depth, abs(math.log(delta)) / q) * (1.0 + 2.0**-30)
-    steps_left = (max_full_turns - 1 - np.arange(max_full_turns)) // k
-    need = np.maximum(least_depth, deep / g ** steps_left * (1.0 + 2.0**-30))
-    if need[0] > least_depth or not least_depth < deep:   # the dive binds, or none can pass
-        return None
-    depth = np.where(need < deep, need, math.inf).tolist()
-    return _Cone((lo * (1.0 + 2.0**-50))[:, None], (hi * (1.0 - 2.0**-50))[:, None], depth)
+    cone = _Cone((lo * (1.0 + 2.0**-50))[:, None], (hi * (1.0 - 2.0**-50))[:, None],
+                 least_depth, deep, g, k, max_full_turns)
+    # depth(0) is above least_depth where the dive binds, or no column can pass
+    return cone if cone.depth(0) == least_depth else None
 
 
 def _compact(keep: np.ndarray, idx: np.ndarray, eta: np.ndarray,
@@ -410,13 +433,14 @@ def _compact(keep: np.ndarray, idx: np.ndarray, eta: np.ndarray,
     return idx[keep], np.compress(keep, eta, axis=1), None if mx is None else mx[keep]
 
 
-def _in_cone(cone: _Cone, eta: np.ndarray, turn: int, idx: np.ndarray, n: int) -> np.ndarray:
-    """The live columns of eta (index idx < n), at the end of turn, that the
-    certificate puts in the basin; none, with no full test, when none of
-    the first CONE_GATE columns passes, which only delays a certification."""
+def _in_cone(cone: _Cone, eta: np.ndarray, depth: float, idx: np.ndarray, n: int) -> np.ndarray:
+    """The live columns of eta (index idx < n), at the end of a turn whose
+    least depth is depth (_Cone.depth), that the certificate puts in the
+    basin; none, with no full test, when none of the first CONE_GATE
+    columns passes, which only delays a certification."""
     def inside(part: np.ndarray) -> np.ndarray:
         ratios = part[1:] / part[0]
-        return (-part[0] > cone.depth[turn]) & ((ratios >= cone.lo) & (ratios <= cone.hi)).all(0)
+        return (-part[0] > depth) & ((ratios >= cone.lo) & (ratios <= cone.hi)).all(0)
 
     head = inside(eta[:, :CONE_GATE])
     if not head.any():
@@ -425,17 +449,10 @@ def _in_cone(cone: _Cone, eta: np.ndarray, turn: int, idx: np.ndarray, n: int) -
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")   # an orbit that overflows has escaped
-def _basin_mask(
-    mats: list[np.ndarray],
-    offs: list[np.ndarray],
-    j: int,
-    eta0: np.ndarray,
-    delta: float,
-    max_full_turns: int,
-    cone: _Cone | None = None,
-    affine: tuple[list, list] | None = None,
-) -> np.ndarray:
-    """Vectorised delta-basin membership for a batch of log-coordinate points.
+def _basin_mask(maps: _Maps, eta0: np.ndarray, delta: float, max_full_turns: int,
+                cone: _Cone | None = None) -> np.ndarray:
+    """Vectorised delta-basin membership for a batch of log-coordinate points
+    under the maps of one start node, in turn order (_Maps).
 
     eta0 holds one point per row.  A sample is in the basin when no
     partial-turn image ever reaches delta in max-norm and its orbit either
@@ -454,12 +471,12 @@ def _basin_mask(
       propagates through the max and fails the comparison;
     * dive: no column can reach max <= DEEP_LOG while every |eta_ic| is
       below -DEEP_LOG.  A bound B >= ||eta||_inf is carried as
-      B' = (||M_l|| B + ||F_l||) * slack, and re-measured as -eta.min()
-      (every coordinate is negative once the tube test has passed) when B'
-      reaches -DEEP_LOG.  With u = 2^-53 and gamma_N = N u / (1 - N u),
-      any summation order gives |fl(M x + f)| <= (1 + gamma_N)(|M||x| + |f|)
-      (1 + u) (Higham 2002, sec. 3.5), so ||eta'|| <= (1 + gamma_N)(1 + u)
-      (||M|| B + ||F||).  The computed row sums of |M| lose at most a factor
+      B' = (||M|| B + ||F||) * slack (_Maps.norms), and re-measured as
+      -eta.min() (every coordinate is negative once the tube test has
+      passed) when B' reaches -DEEP_LOG.  With u = 2^-53 and gamma_N = N u
+      / (1 - N u), any summation order gives |fl(M x + f)| <= (1 +
+      gamma_N)(|M||x| + |f|) (1 + u) (Higham 2002, sec. 3.5), so ||eta'||
+      <= (1 + gamma_N)(1 + u) (||M|| B + ||F||).  The computed row sums of |M| lose at most a factor
       (1 - u)^(N-1), and the three operations of B' at most (1 - u)^3, so
       slack = 1 + (2N + 3) 2u >= 1 / (1 - (2N + 3) u) covers all of it.  A
       B' below 1e9 rules out overflow, and underflow adds a few subnormals,
@@ -477,22 +494,18 @@ def _basin_mask(
 
     With a cone (_cone, built once per estimate_sigma_mc call; None for
     in_delta_basin), the live columns are tested at the end of each turn
-    (_in_cone; only when one of the first CONE_GATE passes, as a skipped
-    test only delays a certification), and one that the certificate puts
-    in the basin is marked so and dropped.  The certificate proves, with
-    margins for every rounding, that the per-column test would find that
-    column's first decision to be a dive below DEEP_LOG within the budget;
-    it never decides an escape, and every other column runs the loop above
-    unchanged, so each mask is still bit for bit that of the per-column
-    test.  On the criterion-6 config the cone decides all 311663 basin
-    samples by turn 3, so 192 map steps run instead of 7056 (24 of them
-    take the per-column test, one per block); each block is compacted once,
-    at the drop of turn 2, and ends at turn 3, where every live column is
-    certified (24 compactions per estimate, against 108 when every entry,
-    escape step and drop compacted), and the estimate takes 22 ms against
-    30 ms (40 interleaved rounds of tools/ab.py; 2 cores, one thread).
+    whose least depth (_Cone.depth) is finite (_in_cone; only when one of
+    the first CONE_GATE passes, as a skipped test only delays a
+    certification), and one that the certificate puts in the basin is
+    marked so and dropped.  The certificate proves, with margins for every
+    rounding, that the per-column test would find that column's first
+    decision to be a dive below DEEP_LOG within the budget; it never decides
+    an escape, and every other column runs the loop above unchanged, so
+    each mask is still bit for bit that of the per-column test.  On the
+    criterion-6 config the cone decides all 311663 basin samples by turn 3,
+    and each of the 24 blocks is compacted once, at the drop of turn 2.
     """
-    m = len(mats)
+    layers = list(zip(maps.mats, maps.cols, maps.norms))
     ln_delta = math.log(delta)
     n = eta0.shape[0]
     result = np.zeros(n + 1, dtype=bool)   # result[n] is the dead columns' trash slot
@@ -504,19 +517,16 @@ def _basin_mask(
         if idx.size == 0:
             return result[:n]
 
-    cols, growth = affine or _affine(mats, offs)
     slack = 1.0 + (2 * eta.shape[0] + 3) * 2.0**-52
     q3 = (3 * max_full_turns) // 4
     replay = None
     bound, mx, dead = math.inf, None, 0   # mx is None while not taken
     for turn in range(max_full_turns):
-        for step in range(m):
-            l = (j + step) % m
-            eta = mats[l] @ eta
-            if cols[l] is not None:
-                eta += cols[l]
+        for step, (M, col, (norm_m, norm_f)) in enumerate(layers):
+            eta = M @ eta
+            if col is not None:
+                eta += col
             if eta.max() < ln_delta:
-                norm_m, norm_f = growth[l]
                 bound = (norm_m * bound + norm_f) * slack
                 if not bound < -DEEP_LOG:   # also NaN, from inf * 0
                     bound = -float(eta.min())
@@ -534,8 +544,8 @@ def _basin_mask(
             nan = out[np.isnan(mx[out]) & (idx[out] < n)]   # a dead copy is overwritten
             if nan.size:
                 if replay is None:
-                    replay = _Replay(mats, cols, j, eta0)
-                eta[:, nan] = replay(idx[nan], turn * m + step + 1)
+                    replay = _Replay(maps, eta0)
+                eta[:, nan] = replay(idx[nan], turn * len(layers) + step + 1)
                 mx[nan] = eta[:, nan].max(axis=0)
                 keep[nan] = (mx[nan] > DEEP_LOG) & (mx[nan] < ln_delta)
                 out = out[~keep[out]]
@@ -548,8 +558,8 @@ def _basin_mask(
         if turn == q3:
             q3_max = np.full(n + 1, np.inf)
             q3_max[idx] = eta.max(axis=0) if mx is None else mx
-        certify = cone is not None and cone.depth[turn] < math.inf
-        sure = _in_cone(cone, eta, turn, idx, n) if certify else None
+        depth = math.inf if cone is None else cone.depth(turn)
+        sure = _in_cone(cone, eta, depth, idx, n) if depth < math.inf else None
         certified = 0 if sure is None else np.count_nonzero(sure)
         if certified:
             result[idx[sure]] = True
@@ -577,17 +587,17 @@ class _Replay:
     every step costs one step per step.
     """
 
-    def __init__(self, mats: list[np.ndarray], cols: list, j: int, eta0: np.ndarray):
-        self.mats, self.cols, self.j = mats, cols, j
+    def __init__(self, maps: _Maps, eta0: np.ndarray):
+        self.maps = maps
         self.state = np.array(eta0.T)
         self.done = np.zeros(eta0.shape[0], dtype=int)
 
     def __call__(self, orbits: np.ndarray, steps: int) -> np.ndarray:
         state, done = self.state[:, orbits], self.done[orbits]
         for s in range(done.min(), steps):
-            l = (self.j + s) % len(self.mats)
+            l = s % len(self.maps.mats)
             go = done <= s
-            state[:, go] = _log_step(self.mats[l], state[:, go], self.cols[l])
+            state[:, go] = _log_step(self.maps.mats[l], state[:, go], self.maps.cols[l])
         self.state[:, orbits], self.done[orbits] = state, steps
         return state
 
@@ -609,10 +619,10 @@ def _log_step(M: np.ndarray, eta: np.ndarray, col: np.ndarray | None) -> np.ndar
 def in_delta_basin(cycle: CycleLike, j: int, x: Sequence[float], config: EstimatorConfig) -> bool:
     """Does the orbit of x from the incoming section of node j stay in the
     delta-tube and converge?"""
-    mats, offs = _gmaps(cycle, j)
-    eta0 = _log_point(x, mats[0].shape[0])[None, :]
+    maps = _gmaps(cycle, j)
+    eta0 = _log_point(x, len(maps.turn))[None, :]
     return bool(
-        _basin_mask(mats, offs, j, eta0, config.delta, config.max_full_turns)[0]
+        _basin_mask(maps, eta0, config.delta, config.max_full_turns)[0]
     )
 
 
@@ -790,13 +800,12 @@ def estimate_sigma_mc(cycle: CycleLike, j: int, config: EstimatorConfig) -> Basi
     The basin certificate (_cone) is built once per call and read by every
     block of every level; it changes no level fraction.
     """
-    mats, offs = _gmaps(cycle, j)
-    cone, affine = _cone(mats, offs, j, config.delta, config.max_full_turns), _affine(mats, offs)
+    maps = _gmaps(cycle, j)
+    cone = _cone(maps, config.delta, config.max_full_turns)
     levels = _levels(
-        config.epsilon_ladder, config.samples_per_level, mats[0].shape[0], config.seed,
+        config.epsilon_ladder, config.samples_per_level, len(maps.turn), config.seed,
         lambda block, eps: np.count_nonzero(_basin_mask(
-            mats, offs, j, _sample_log_cube(block, eps), config.delta, config.max_full_turns,
-            cone, affine)),
+            maps, _sample_log_cube(block, eps), config.delta, config.max_full_turns, cone)),
     )
     minus, fit_minus = _side(levels, complement=False)
     plus, fit_plus = _side(levels, complement=True)
@@ -915,7 +924,7 @@ def matrix_basin_membership(matrix: np.ndarray, y: Sequence[float]) -> bool | np
     rows; batches return a boolean array.
     """
     M = _entries(matrix)
-    arr = np.asarray(y, float)
+    arr = _floats(y)
     single = arr.ndim == 1
     batch = arr[None, :] if single else arr
     if batch.ndim != 2 or batch.shape[1] != M.shape[0]:

@@ -44,8 +44,11 @@ class RspParams:
     eps_y: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "eps_x", float(self.eps_x))
-        object.__setattr__(self, "eps_y", float(self.eps_y))
+        for name in ("eps_x", "eps_y"):
+            try:
+                object.__setattr__(self, name, float(getattr(self, name)))
+            except OverflowError:                      # an int beyond double range
+                raise ParamOutOfRange(f"{name} is beyond double range, outside (-1, 1)") from None
         for name, v in (("eps_x", self.eps_x), ("eps_y", self.eps_y)):
             if not -1.0 < v < 1.0:
                 raise ParamOutOfRange(f"{name}={v} is outside (-1, 1)")

@@ -41,7 +41,7 @@ dominant (_no_dominant), is one list, _Spectra.errors; the text of a
 no-dominant error is formatted only when it is read (str), so a sweep that
 prints no message formats none.  _Spectra.error adds what the basis
 decides: eigen_decompose is its view of one matrix, and the non-negative
-dichotomy (stability._Batch._dichotomy) reads _Spectra.errors alone.
+dichotomy (stability._indices) reads _Spectra.errors alone.
 """
 
 from __future__ import annotations

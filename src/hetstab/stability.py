@@ -29,23 +29,23 @@ cycle is fragmentarily asymptotically stable only.  One array rule
 (_verdicts) gives the verdict of every row of indices at once, and
 classification_from_sigmas is its view of one row.
 
-Every index comes from one path, _Batch.indices, over a batch of cycles
-that share m, N and their negative-entry nodes (_Batch).  Its result is
-columnar (_Indices): a (B, J) array of sigma_j, a (B, J) array of the
-positions k of the vectors that realise them (-1 where no minimum sets
-sigma_j), the candidate vectors of every index that is a minimum, and each
-cycle's first error, as a value, in the order of a one-cycle reading.  Each
-decomposed full return gets one small-integer state, and a short scan of
-those states finds each cycle's first fault; the zero partial-turn rows and
-every minimum are decided in arrays over the whole batch.  classify, sigma
-and collect_alpha_vectors read the result for the batch of one.
-_classify_many reads many cycles, grouped into batches by _analyses, and
-_reports is the one place that builds IndexReport and IndexProvenance, with
-the provenance tags from one table per batch (_Batch.source).  _sigma_rows
-reads a float (B, m, N, N) stack as one (B, m) array of sigma_j and the
-errors and builds no report, as rsp-sweep reads its grid rows.  A stack is
-checked once (transition._basic_stack), and one min reduction finds every
-cycle's negative-entry nodes (transition._negative_entries).
+Every index comes from one function, _indices, over a stack of cycles
+that share m, N and their negative-entry nodes.  Its result is columnar
+(_Indices): a (B, J) array of sigma_j, a (B, J) array of the positions k of
+the vectors that realise them (-1 where no minimum sets sigma_j), the
+candidate vectors of every index that is a minimum, and each cycle's first
+error, as a value, in the order of a one-cycle reading.  Each decomposed
+full return gets one small-integer state, and a short scan of those states
+finds each cycle's first fault; the zero partial-turn rows and every
+minimum are decided in arrays over the whole stack.  classify, sigma and
+collect_alpha_vectors read the result for the stack of one cycle (_single).
+_classify_many reads many cycles, grouped by _analyses, and _reports is the
+one place that builds IndexReport and IndexProvenance, with the provenance
+tags from _source.  _sigma_rows reads a float (B, m, N, N) stack as one (B,
+m) array of sigma_j and the errors and builds no report, as rsp-sweep reads
+its grid rows.  A stack is checked once (transition._basic_stack), and one
+min reduction finds every cycle's negative-entry nodes
+(transition._negative_entries).
 
 Each minimum over the K vectors is that of findex.f_index over every
 vector in order, bit for bit (_first_minima).  f_index takes the correctly
@@ -255,7 +255,7 @@ def _no_minimum() -> ValueError:
 
 
 class _Indices(NamedTuple):
-    """The result of _Batch.indices for B cycles and J given nodes.
+    """The result of _indices for B cycles and J given nodes.
 
     candidates holds the K = 1 + L*N vectors of every (b, j) with winner
     >= 0, in row-major order of (b, j), coordinate-major: [:, r, k] is
@@ -276,166 +276,135 @@ _STATE = {(True, True, True): 0, (True, True, False): 1}
 _INDETERMINATE, _OVERFLOW = 3, 4
 
 
-class _Batch:
-    """The transition-matrix analysis of B cycles that share m, N and their
-    negative-entry nodes, for one call; indices builds the product passes."""
+def _indices(mats: np.ndarray, negative: list[int], nodes: list[int], tol: float) -> _Indices:
+    """sigma_j for each j in nodes of the B cycles of the float (B, m, N, N)
+    array mats, which share the negative-entry nodes negative (_Indices), or
+    the error that ends a cycle's analysis; tol has passed its rule.  Each
+    minimum is the first of findex.f_index over the candidates (_first_minima).
 
-    def __init__(self, mats: np.ndarray, negative: list[int], tol: float):
-        """The batch of the float (B, m, N, N) array mats of B cycles' basic
-        matrices."""
-        self.tol = tol
-        self.negative = negative
-        self.m, self.n = mats.shape[1:3]
-        self._mats = mats
-        self._tags: dict[tuple[int, int], str] = {}
+    One stacked call decomposes the full returns at the checkpoints and the
+    given nodes of every cycle, so the checkpoints and v_max share one
+    decomposition; the dichotomy reads only the eigenvalues of M^(0), so a
+    defective one keeps its +-inf.  A cycle's first fault follows a
+    one-cycle reading: its checkpoints in sorted order, then the given nodes
+    in order.  At each, a pass that overflows (ProductOverflow), then a
+    spectral degeneracy (IndeterminateError), then failed conditions: at a
+    checkpoint any of the three, which makes every sigma_j -inf with no
+    minimum; at a given node (i) or (ii) (ValueError), then a zero
+    partial-turn row (findex.ZeroVectorError).
+    """
+    m, n = mats.shape[1:3]
+    passes = cyclic_products(mats, range(m), m)
+    count = len(passes)
+    # the sign condition on w_max propagates through the non-negative
+    # factors between negative-entry matrices, so it is checked directly
+    # only at the nodes just after one
+    checkpoints = sorted({(q + 1) % m for q in negative})
+    read = sorted(set(checkpoints).union(nodes)) if negative else [0]
+    # a slice reads every node without a copy; eig rejects a stack holding
+    # inf or NaN, so a pass that is not finite is decomposed as the
+    # identity and read as an overflow
+    cols = slice(None) if len(read) == m else read
+    finite = _finite(passes)[:, cols]
+    flags = finite.ravel().tolist()
+    stack = passes[:, cols, -1].reshape(-1, n, n)
+    if not all(flags):
+        stack = np.where(finite.reshape(-1, 1, 1), stack, np.eye(n))
+    spectra = _eigen_decompose_many(stack, tol)
+    # every sigma_j is -inf until it is set: failed conditions at a
+    # checkpoint leave it so, and an error makes the cycle's row NaN
+    sigma, winner = np.full((count, len(nodes)), -math.inf), np.full((count, len(nodes)), -1)
+    if not negative:
+        errors = [_overflow(0) if not f else None if e is None else IndeterminateError(0, e)
+                  for f, e in zip(flags, spectra.errors)]
+        sigma[np.abs(spectra.eigenvalues[np.arange(count), spectra.index]) > 1.0] = math.inf
+        sigma[[e is not None for e in errors]] = math.nan
+        return _Indices(sigma, winner, np.empty((n, 0, 1)), errors)
 
-    @classmethod
-    def of(cls, cycle: CycleLike, tol: float) -> "_Batch":
-        """The batch of one cycle."""
-        tol = _tolerance(tol)
-        mats = np.array(as_basic_matrices(cycle))
-        return cls(mats[None], np.flatnonzero(_negative_entries(mats)).tolist(), tol)
+    # one state per decomposed return, and each cycle's first fault from
+    # them: at a checkpoint any state but 0, at a given node a state of 2
+    # or more, or a zero partial-turn row
+    state = [_STATE.get(c, 2) if f and not d and e is None else _INDETERMINATE + (not f)
+             for f, c, e, d in zip(flags, spectra.conditions, spectra.errors, spectra.defective)]
 
-    def indices(self, nodes: list[int]) -> _Indices:
-        """sigma_j of every cycle for each j in nodes, with the position k of
-        the vector that realises it and the candidates (_Indices), or the
-        error that ends a cycle's analysis.  Each minimum is the first of
-        findex.f_index over the candidates (_first_minima).
-
-        One stacked call decomposes the full returns at the checkpoints and
-        the given nodes of every cycle (M^(0) alone without negative
-        entries), so the checkpoints and v_max share one decomposition.  A
-        cycle's first fault follows a one-cycle reading: its checkpoints in
-        sorted order, then the given nodes in order.  At each, a pass that
-        overflows (ProductOverflow), then a spectral degeneracy
-        (IndeterminateError), then failed conditions: at a checkpoint any of
-        the three, which makes every sigma_j -inf with no minimum; at a given
-        node (i) or (ii) (ValueError), then a zero partial-turn row
-        (findex.ZeroVectorError).
-        """
-        passes = cyclic_products(self._mats, range(self.m), self.m)
-        count, m, n = len(passes), self.m, self.n
-        # the sign condition on w_max propagates through the non-negative
-        # factors between negative-entry matrices, so it is checked directly
-        # only at the nodes just after one
-        checkpoints = sorted({(q + 1) % m for q in self.negative})
-        read = sorted(set(checkpoints).union(nodes)) if self.negative else [0]
-        # a slice reads every node without a copy; eig rejects a stack holding
-        # inf or NaN, so a pass that is not finite is decomposed as the
-        # identity and read as an overflow
-        cols = slice(None) if len(read) == m else read
-        finite = _finite(passes)[:, cols]
-        flags = finite.ravel().tolist()
-        stack = passes[:, cols, -1].reshape(-1, n, n)
-        if not all(flags):
-            stack = np.where(finite.reshape(-1, 1, 1), stack, np.eye(n))
-        spectra = _eigen_decompose_many(stack, self.tol)
-        # every sigma_j is -inf until it is set: failed conditions at a
-        # checkpoint leave it so, and an error makes the cycle's row NaN
-        sigma, winner = np.empty((count, len(nodes))), np.empty((count, len(nodes)), dtype=int)
-        sigma.fill(-math.inf)
-        winner.fill(-1)
-        if not self.negative:
-            errors = self._dichotomy(spectra, flags, sigma)
-            return _Indices(sigma, winner, np.empty((n, 0, 1)), errors)
-
-        # one state per decomposed return, and each cycle's first fault from
-        # them: at a checkpoint any state but 0, at a given node a state of 2
-        # or more, or a zero partial-turn row
-        state = [_STATE.get(c, 2) if f and not d and e is None else _INDETERMINATE + (not f)
-                 for f, c, e, d in zip(flags, spectra.conditions, spectra.errors,
-                                       spectra.defective)]
-        size, errors, held = len(read), [None] * count, []
-        at = [read.index(j) for j in checkpoints]
-        for c in range(count):
-            for j, i in zip(checkpoints, at):
-                if state[c * size + i]:
-                    if state[c * size + i] >= _INDETERMINATE:
-                        errors[c] = self._fault(spectra, c * size + i, state, j)
-                    break
-            else:
-                held.append(c)
-        alphas = np.empty((n, 0, 1))
-        if held:
-            steps = (np.array(self.negative) - np.array(nodes)[:, None]) % m
-            rows = passes[np.array(held)[:, None, None], np.array(nodes)[:, None], steps]
-            rows = rows.reshape(rows.shape[:2] + (-1, n))
-            zero = (~rows.any(axis=3).all(axis=2)).tolist()
-            at = [read.index(j) for j in nodes]
-            kept = []
-            for h, c in enumerate(held):
-                for p, (j, i) in enumerate(zip(nodes, at)):
-                    if state[c * size + i] >= 2:
-                        errors[c] = self._fault(spectra, c * size + i, state, j)
-                        break
-                    if zero[h][p]:                          # f_index raises at the first zero row
-                        row = rows[h, p]
-                        errors[c] = _attempt((findex.ZeroVectorError,), findex.f_index,
-                                             row[row.any(axis=1).argmin()])
-                        break
-                else:
-                    kept.append(h)
-            if len(kept) < len(held):
-                rows = rows[kept]
-            kept = np.array(held)[kept]
-            place = (kept[:, None] * size + at).ravel()
-            alphas = np.empty((n, len(place), 1 + rows.shape[2]))
-            if len(place):
-                alphas[:, :, 0] = spectra.basis_inverse[place, np.array(spectra.index)[place]].real.T
-                alphas[:, :, 1:] = rows.reshape(len(place), -1, n).transpose(2, 0, 1)
-                values, k = _first_minima(alphas)
-                sigma[kept] = values.reshape(len(kept), -1)
-                winner[kept] = k.reshape(len(kept), -1)
-        failing = [c for c, error in enumerate(errors) if error is not None]
-        if failing:
-            sigma[failing] = math.nan
-        return _Indices(sigma, winner, alphas, errors)
-
-    @staticmethod
-    def _fault(spectra, i: int, state: list[int], node: int) -> Exception:
-        """The error at node of the return decomposed at place i of spectra,
-        whose state (_STATE) is 2 or more at a given node, or 3 or more at a
-        checkpoint."""
+    def fault(i: int, node: int) -> Exception:
+        """The error at node of the return decomposed at place i of spectra."""
         if state[i] == _OVERFLOW:
             return _overflow(node)
         if state[i] == _INDETERMINATE:
             return IndeterminateError(node, spectra.error(i))
         return _no_minimum()
 
-    def _dichotomy(self, spectra, finite: list[bool], sigma: np.ndarray) -> list:
-        """The non-negative regime: fill each row of sigma with its cycle's
-        +-inf, and give each cycle's error or None, where spectra holds M^(0)
-        of each cycle and finite says whether its pass is finite.  Only the
-        eigenvalues are read, so a defective M^(0) keeps its +-inf."""
-        errors = [None if e is None else IndeterminateError(0, e) for e in spectra.errors]
-        errors = [e if f else _overflow(0) for e, f in zip(errors, finite)]
-        top = spectra.eigenvalues[np.arange(len(finite)), spectra.index]
-        sigma[:] = np.where(np.abs(top) > 1.0, math.inf, -math.inf)[:, None]
-        sigma[[e is not None for e in errors]] = math.nan
-        return errors
+    size, errors, held = len(read), [None] * count, []
+    at = [read.index(j) for j in checkpoints]
+    for c in range(count):
+        for j, i in zip(checkpoints, at):
+            if state[c * size + i]:
+                if state[c * size + i] >= _INDETERMINATE:
+                    errors[c] = fault(c * size + i, j)
+                break
+        else:
+            held.append(c)
+    alphas = np.empty((n, 0, 1))
+    if held:
+        steps = (np.array(negative) - np.array(nodes)[:, None]) % m
+        rows = passes[np.array(held)[:, None, None], np.array(nodes)[:, None], steps]
+        rows = rows.reshape(rows.shape[:2] + (-1, n))
+        zero = (~rows.any(axis=3).all(axis=2)).tolist()
+        at = [read.index(j) for j in nodes]
+        kept = []
+        for h, c in enumerate(held):
+            for p, (j, i) in enumerate(zip(nodes, at)):
+                if state[c * size + i] >= 2:
+                    errors[c] = fault(c * size + i, j)
+                    break
+                if zero[h][p]:                          # f_index raises at the first zero row
+                    row = rows[h, p]
+                    errors[c] = _attempt((findex.ZeroVectorError,), findex.f_index,
+                                         row[row.any(axis=1).argmin()])
+                    break
+            else:
+                kept.append(h)
+        if len(kept) < len(held):
+            rows = rows[kept]
+        kept = np.array(held)[kept]
+        place = (kept[:, None] * size + at).ravel()
+        alphas = np.empty((n, len(place), 1 + rows.shape[2]))
+        if len(place):
+            alphas[:, :, 0] = spectra.basis_inverse[place, np.array(spectra.index)[place]].real.T
+            alphas[:, :, 1:] = rows.reshape(len(place), -1, n).transpose(2, 0, 1)
+            values, k = _first_minima(alphas)
+            sigma[kept] = values.reshape(len(kept), -1)
+            winner[kept] = k.reshape(len(kept), -1)
+    failing = [c for c, error in enumerate(errors) if error is not None]
+    if failing:
+        sigma[failing] = math.nan
+    return _Indices(sigma, winner, alphas, errors)
 
-    def source(self, j: int, k: int) -> str:
-        """The provenance tag of position k >= 0 of the candidates of
-        sigma_j, from the batch's table of the tags made so far."""
-        tag = self._tags.get((j, k))
-        if tag is None:
-            p, s = divmod(k - 1, self.n)
-            tag = self._tags[j, k] = f"v_max[{j}]" if k == 0 else f"M_({self.negative[p]},{j}) row {s}"
-        return tag
+
+def _source(negative: list[int], n: int, j: int, k: int) -> str:
+    """The provenance tag of position k >= 0 of the candidates of sigma_j
+    (_Indices), for N = n and the negative-entry nodes negative."""
+    p, s = divmod(k - 1, n)
+    return f"v_max[{j}]" if k == 0 else f"M_({negative[p]},{j}) row {s}"
 
 
-def _analyses(cycles, tol: float) -> tuple[list, list[tuple[list[int], _Batch]]]:
-    """(out, batches) for many cycles: out holds each cycle's input error,
-    or None, and batches pairs the members of each batch (_Batch) of the
-    cycles that share N and their negative-entry nodes with the batch.
-    cycles is a sequence of cycles, or one float (B, m, N, N) array of B
-    cycles' basic matrices, which is checked at once
-    (transition._basic_stack) and whose negative-entry nodes come from one
-    min reduction.  A tol that breaks its rule is raised.  A batch builds
-    its product passes only while its indices are read (_Batch.indices), so
-    one batch at a time holds them.
+def _single(cycle: CycleLike) -> tuple[np.ndarray, list[int]]:
+    """The (1, m, N, N) stack of one cycle's basic matrices and its
+    negative-entry nodes."""
+    mats = np.array(as_basic_matrices(cycle))
+    return mats[None], np.flatnonzero(_negative_entries(mats)).tolist()
+
+
+def _analyses(cycles) -> tuple[list, list[tuple[list[int], np.ndarray, list[int]]]]:
+    """(out, groups) for many cycles: out holds each cycle's input error, or
+    None, and groups holds (members, mats, negative) for the cycles that
+    share m, N and their negative-entry nodes negative: their indices in
+    cycles and the float (B, m, N, N) array of their basic matrices.  cycles
+    is a sequence of cycles, or one float (B, m, N, N) array of B cycles'
+    basic matrices, which is checked at once (transition._basic_stack) and
+    whose negative-entry nodes come from one min reduction.
     """
-    tol = _tolerance(tol)
     out = _basic_stack(cycles)
     if out is None:
         mats = [_attempt((TypeError, ValueError), as_basic_matrices, cycle) for cycle in cycles]
@@ -448,51 +417,55 @@ def _analyses(cycles, tol: float) -> tuple[list, list[tuple[list[int], _Batch]]]
     for i, pattern in enumerate(patterns):
         if out[i] is None:
             groups.setdefault((len(mats[i][0]), *pattern), []).append(i)
-    batches = []
+    stacks = []
     for (_, *pattern), members in groups.items():
         group = np.array([mats[i] for i in members]) if isinstance(mats, list) else mats[members]
-        batches.append((members, _Batch(group, [j for j, neg in enumerate(pattern) if neg], tol)))
-    return out, batches
+        stacks.append((members, group, [j for j, neg in enumerate(pattern) if neg]))
+    return out, stacks
 
 
-def _reports(batch: _Batch) -> list:
+def _reports(mats: np.ndarray, negative: list[int], tol: float) -> list:
     """Each cycle's IndexReport, or its error, read from the indices of the
-    batch at every node: the one place that builds reports and provenance,
-    with the tags from the batch's table (_Batch.source)."""
-    result = batch.indices(list(range(batch.m)))
+    cycles of mats at every node (_indices): the one place that builds
+    reports and provenance."""
+    m, n = mats.shape[1:3]
+    result = _indices(mats, negative, list(range(m)), tol)
     rows = itertools.count()                           # the candidates' rows, in order
-    none = _NO_MINIMUM[bool(batch.negative)]
+    none = _NO_MINIMUM[bool(negative)]
     out = list(result.errors)
     for b, (sigmas, ks, verdict) in enumerate(zip(result.sigma.tolist(), result.winner.tolist(),
                                                   _verdicts(result.sigma))):
         if out[b] is None:
             provenance = tuple(none if k < 0 else IndexProvenance(
-                batch.source(j, k), tuple(result.candidates[:, next(rows), k].tolist()))
+                _source(negative, n, j, k), tuple(result.candidates[:, next(rows), k].tolist()))
                 for j, k in enumerate(ks))
-            out[b] = IndexReport(tuple(sigmas), provenance, verdict, batch.tol)
+            out[b] = IndexReport(tuple(sigmas), provenance, verdict, tol)
     return out
 
 
 def _classify_many(cycles, tol: float = DEFAULT_TOL) -> list:
     """classify of each cycle: its IndexReport, or the error classify raises
-    for it (_attempt), read from the batches of _analyses (_reports)."""
-    out, batches = _analyses(cycles, tol)
-    for members, batch in batches:
-        for i, report in zip(members, _reports(batch)):
+    for it (_attempt), read group by group (_analyses, _reports).  A tol
+    that breaks its rule is raised."""
+    tol = _tolerance(tol)
+    out, groups = _analyses(cycles)
+    for members, mats, negative in groups:
+        for i, report in zip(members, _reports(mats, negative, tol)):
             out[i] = report
     return out
 
 
 def _sigma_rows(stack: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, list]:
     """(sigma, errors) for a float (B, m, N, N) stack of B cycles' basic
-    matrices, read from the batches of _analyses and building no report:
-    sigma is the (B, m) array of every sigma_j, NaN on a cycle whose
+    matrices, read group by group (_analyses, _indices) and building no
+    report: sigma is the (B, m) array of every sigma_j, NaN on a cycle whose
     analysis ends in an error, and errors holds each cycle's error (the one
     classify raises) or None."""
-    out, batches = _analyses(stack, tol)
+    tol = _tolerance(tol)
+    out, groups = _analyses(stack)
     sigma = np.full(stack.shape[:2], math.nan)
-    for members, batch in batches:
-        result = batch.indices(list(range(batch.m)))
+    for members, mats, negative in groups:
+        result = _indices(mats, negative, list(range(stack.shape[1])), tol)
         sigma[members] = result.sigma
         for i, error in zip(members, result.errors):
             out[i] = error
@@ -500,7 +473,7 @@ def _sigma_rows(stack: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[np.ndarray
 
 
 def collect_alpha_vectors(cycle: CycleLike, j: int, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
-    """The candidates of sigma(cycle, j) (_Batch.indices): the K = 1 + L*N
+    """The candidates of sigma(cycle, j) (_indices): the K = 1 + L*N
     direction vectors whose first minimum of findex.f_index is sigma_j, v_max
     of M^(j) and then the N rows of each partial turn M_(j_p, j).
 
@@ -508,11 +481,12 @@ def collect_alpha_vectors(cycle: CycleLike, j: int, tol: float = DEFAULT_TOL) ->
     dichotomy applies), else what sigma raises, and ValueError where the
     dominant-pair conditions fail at a checkpoint (sigma_j = -inf).
     """
-    batch = _Batch.of(cycle, tol)
-    j = _node_index(j, batch.m)
-    if not batch.negative:
+    tol = _tolerance(tol)
+    mats, negative = _single(cycle)
+    j = _node_index(j, mats.shape[1])
+    if not negative:
         raise ValueError("no negative entries: the spectral-radius dichotomy applies")
-    result = batch.indices([j])
+    result = _indices(mats, negative, [j], tol)
     if result.errors[0] is not None:
         raise result.errors[0]
     if result.winner[0, 0] < 0:
@@ -522,8 +496,9 @@ def collect_alpha_vectors(cycle: CycleLike, j: int, tol: float = DEFAULT_TOL) ->
 
 def sigma(cycle: CycleLike, j: int, tol: float = DEFAULT_TOL) -> float:
     """Local stability index along the connection entering node j."""
-    batch = _Batch.of(cycle, tol)
-    result = batch.indices([_node_index(j, batch.m)])
+    tol = _tolerance(tol)
+    mats, negative = _single(cycle)
+    result = _indices(mats, negative, [_node_index(j, mats.shape[1])], tol)
     if result.errors[0] is not None:
         raise result.errors[0]
     return float(result.sigma[0, 0])
@@ -537,7 +512,8 @@ def classify(cycle: CycleLike, tol: float = DEFAULT_TOL) -> IndexReport:
     that does not converge) blocks the decision, and ValueError, before any
     decomposition, when tol breaks its rule.
     """
-    [report] = _reports(_Batch.of(cycle, tol))
+    tol = _tolerance(tol)
+    [report] = _reports(*_single(cycle), tol)
     if isinstance(report, Exception):
         raise report
     return report

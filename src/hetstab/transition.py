@@ -40,10 +40,19 @@ class ProductOverflow(CycleValidationError):
 CycleLike = Union[ValidatedCycle, Sequence]
 
 
+def _floats(values) -> np.ndarray:
+    """values as a float array, in which an int beyond double range, which
+    float() rejects with OverflowError, is inf, so a finiteness rule rejects it."""
+    try:
+        return np.asarray(values, float)
+    except OverflowError:
+        return np.full(np.shape(values), np.inf)
+
+
 def _entries(matrix) -> np.ndarray:
-    """The float entries of matrix; ValueError unless 2-D, square, at least
-    1 x 1 and finite."""
-    M = np.asarray(matrix, float)
+    """The float entries of matrix (_floats); ValueError unless 2-D, square,
+    at least 1 x 1 and finite."""
+    M = _floats(matrix)
     if M.ndim != 2 or M.shape[0] != M.shape[1] or not M.size or not np.isfinite(M).all():
         raise _not_a_matrix(M.shape)
     return M

@@ -63,7 +63,7 @@ def _readme_refs() -> list[str]:
 def test_docstring_pointers_resolve():
     refs = _source_refs()
     assert ("transition", "oracle._gmaps") in refs
-    assert ("stability", "_Batch.indices") in refs
+    assert ("stability", "_indices") in refs
     assert [(home, ref) for home, ref in refs if not _resolves(ref, home)] == []
 
 
@@ -76,4 +76,4 @@ def test_readme_pointers_resolve():
 def test_a_stale_pointer_is_caught():
     assert not _resolves("stability.no_such_name", None)
     assert not _resolves("_no_such_helper", "stability")
-    assert not _resolves("_Batch.no_such_method", "stability")
+    assert not _resolves("_Spectra.no_such_method", "spectral")

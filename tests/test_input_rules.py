@@ -23,6 +23,7 @@ from hetstab import (
     NodeSpec,
     NonPositiveEigenvalue,
     NonPositiveInput,
+    ParamOutOfRange,
     ProductOverflow,
     RspParams,
     as_basic_matrices,
@@ -454,6 +455,51 @@ POINT_ENTRY_POINTS = {
 def test_point_rule(entry, x, kind, message):
     with pytest.raises(ValueError, match=message) as exc:
         POINT_ENTRY_POINTS[entry](x)
+    assert exc.type is kind
+
+
+# ---------------------------------------------------------------------------
+# Ints beyond double range: each owner of a float conversion reads one as not
+# finite, where float() raises OverflowError
+# ---------------------------------------------------------------------------
+
+
+HUGE = 10**400
+HUGE_MATRIX = [[HUGE, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+MATRIX_ERROR = (ValueError, r"^expected a finite square matrix, got shape \(3, 3\)$")
+ALPHA_ERROR = (ValueError, "^direction vector components must be finite$")
+LADDER_ERROR = (ValueError, "^epsilon ladder must be non-empty, finite and positive$")
+HUGE_INT_ENTRY_POINTS = {
+    "classify": (lambda: classify([RAW[0], HUGE_MATRIX]), MATRIX_ERROR),
+    "sigma": (lambda: sigma([RAW[0], HUGE_MATRIX], 0), MATRIX_ERROR),
+    "eigen_decompose": (lambda: eigen_decompose(HUGE_MATRIX), MATRIX_ERROR),
+    "full_return_matrix": (lambda: full_return_matrix([HUGE_MATRIX], 0), MATRIX_ERROR),
+    "matrix_basin_membership-matrix": (
+        lambda: matrix_basin_membership(HUGE_MATRIX, (-1.0, -1.0, -1.0)), MATRIX_ERROR),
+    "f_index": (lambda: f_index((HUGE, -1.0)), ALPHA_ERROR),
+    "f_plus": (lambda: f_plus((-1.0, HUGE)), ALPHA_ERROR),
+    "f_minus": (lambda: f_minus((1.0, -HUGE)), ALPHA_ERROR),
+    "f_index_n3": (lambda: f_index_n3(1.0, HUGE, -1.0), ALPHA_ERROR),
+    "estimate_fplus_mc-alpha": (
+        lambda: estimate_fplus_mc((-1.0, HUGE), (1e-1, 1e-2), 100, seed=0), ALPHA_ERROR),
+    "EstimatorConfig": (lambda: EstimatorConfig(epsilon_ladder=(HUGE, 1e-3)), LADDER_ERROR),
+    "estimate_fplus_mc-ladder": (
+        lambda: estimate_fplus_mc((-1.0, 1.0), (HUGE, 1e-3), 10, seed=0), LADDER_ERROR),
+    "in_delta_basin": (lambda: in_delta_basin(RAW, 0, (1e-3, HUGE, 1e-3), TINY),
+                       (NonPositiveInput, "^point must have finite, strictly positive")),
+    "matrix_basin_membership-y": (
+        lambda: matrix_basin_membership(np.eye(2), (-1.0, -HUGE)),
+        (ValueError, "^initial points must be finite and strictly negative$")),
+    "RspParams": (lambda: RspParams(-0.5, -HUGE),
+                  (ParamOutOfRange, r"^eps_y is beyond double range, outside \(-1, 1\)$")),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(HUGE_INT_ENTRY_POINTS))
+def test_ints_beyond_double_range_get_the_owners_error(entry):
+    call, (kind, message) = HUGE_INT_ENTRY_POINTS[entry]
+    with pytest.raises(ValueError, match=message) as exc:
+        call()
     assert exc.type is kind
 
 

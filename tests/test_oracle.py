@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import os
+import time
 import tracemalloc
 
 import numpy as np
@@ -18,6 +19,7 @@ from hetstab import (
     IndeterminateError,
     InsufficientResolution,
     NodeSpec,
+    ProductOverflow,
     RspParams,
     ValidatedCycle,
     ZeroVectorError,
@@ -25,6 +27,7 @@ from hetstab import (
     classify,
     estimate_fplus_mc,
     estimate_sigma_mc,
+    full_return_matrix,
     in_delta_basin,
     matrix_basin_membership,
     rsp_cycle_spec,
@@ -58,8 +61,9 @@ def unstable_cycle():
 
 def _log_image(cycle, j, x):
     """ln of the image of the point x under map j, built by oracle._gmaps."""
-    mats, offs = oracle._gmaps(cycle, j)
-    return mats[j] @ np.log(x) + offs[j]
+    maps = oracle._gmaps(cycle, j)
+    col = maps.cols[0]
+    return maps.mats[0] @ np.log(x) + (0.0 if col is None else col[:, 0])
 
 
 def test_identity_map_fixes_points():
@@ -423,12 +427,12 @@ def _reference_fplus_fracs(alpha, ladder, samples, seed):
 
 def _assert_masks_match(cycle, j, eps_levels, n, delta, turns, seed):
     mats, offs = _reference_maps(cycle)
-    got_mats, got_offs = oracle._gmaps(cycle, j)
+    maps = oracle._gmaps(cycle, j)
     outcomes = set()
     for li, eps in enumerate(eps_levels):
         eta0 = _out_of_place_log_cube(np.random.default_rng((seed, li)), eps, n, mats[0].shape[0])
         expected = _row_major_basin_mask(mats, offs, j, eta0, delta, turns)
-        got = oracle._basin_mask(got_mats, got_offs, j, eta0.copy(), delta, turns)
+        got = oracle._basin_mask(maps, eta0.copy(), delta, turns)
         assert np.array_equal(got, expected), (j, eps)
         outcomes.update(expected.tolist())
     return outcomes
@@ -453,12 +457,36 @@ def test_gmaps_checks_a_raw_list_once(monkeypatch):
     monkeypatch.setattr(oracle, "as_basic_matrices", counting)
     for cycle in (raw, scaled):
         calls.clear()
-        mats, offs = oracle._gmaps(cycle, 0)
+        maps = oracle._gmaps(cycle, 0)
         assert len(calls) == 1
         want_mats, want_offs = expected[id(cycle)]
-        assert all(np.array_equal(a, b) for a, b in zip(mats, want_mats))
-        assert len(offs) == len(want_offs)
-        assert all(np.array_equal(a, b) for a, b in zip(offs, want_offs))
+        assert all(np.array_equal(a, b) for a, b in zip(maps.mats, want_mats))
+        assert len(maps.cols) == len(want_offs)
+        assert all(np.array_equal(np.zeros(len(f)) if c is None else c[:, 0], f)
+                   for c, f in zip(maps.cols, want_offs))
+
+
+@pytest.mark.parametrize("family", ["mixed", "scaled-rsp"])
+def test_maps_hold_the_turn_from_j_in_turn_order(family):
+    # the one full return of a call is the package's M^(j), bit for bit, and
+    # map s is that of node (j + s) mod m; a pass from j that overflows is
+    # rejected naming j
+    rng = np.random.default_rng(12)
+    cycle = random_cycle(rng, max_m=5, sign="mixed") if family == "mixed" else _scaled_rsp_cycle(rng)
+    mats, offs = _reference_maps(cycle)
+    m = len(mats)
+    assert m >= 2
+    for j in range(m):
+        maps = oracle._gmaps(cycle, j)
+        assert maps.turn.tobytes() == full_return_matrix(cycle, j).tobytes()
+        order = [(j + s) % m for s in range(m)]
+        assert all(M.tobytes() == mats[l].tobytes() for M, l in zip(maps.mats, order))
+        assert [None if c is None else c[:, 0].tolist() for c in maps.cols] == [
+            offs[l].tolist() if offs[l].any() else None for l in order]
+        assert maps.norms == [(np.abs(mats[l]).sum(axis=1).max(), np.abs(offs[l]).max())
+                              for l in order]
+        with pytest.raises(ProductOverflow, match=f"^cyclic product from node {j} is not finite"):
+            oracle._gmaps([M * 1e200 for M in mats], j)
 
 
 @pytest.mark.parametrize("j", [0, 1])
@@ -505,7 +533,7 @@ def test_a_deep_coordinate_under_a_shallow_max_goes_to_the_column_test():
                      [-12.0, -9.0, -30.0]])
     expected = _row_major_basin_mask([M], [F], 0, eta0, 1e-2, 100)
     assert expected.tolist() == [True, False, False, True]
-    assert np.array_equal(oracle._basin_mask([M], [F], 0, eta0, 1e-2, 100), expected)
+    assert np.array_equal(oracle._basin_mask(oracle._maps([M], [F], 0), eta0, 1e-2, 100), expected)
 
 
 def test_offsets_carry_the_dive_bound():
@@ -519,7 +547,7 @@ def test_offsets_carry_the_dive_bound():
     expected = _row_major_basin_mask(mats, offs, 0, eta0, 1e-2, 20)
     assert np.array_equal(expected, (eta0 <= -10.0).all(axis=1))
     assert set(expected.tolist()) == {True, False}
-    assert np.array_equal(oracle._basin_mask(mats, offs, 0, eta0, 1e-2, 20), expected)
+    assert np.array_equal(oracle._basin_mask(oracle._maps(mats, offs, 0), eta0, 1e-2, 20), expected)
 
 
 def test_a_max_on_ln_delta_has_left_the_tube():
@@ -533,7 +561,7 @@ def test_a_max_on_ln_delta_has_left_the_tube():
     eta0 = np.array([[start, -9.0], [start - 0.5, -9.0]])
     expected = _row_major_basin_mask(mats, offs, 0, eta0, 1e-2, 20)
     assert expected.tolist() == [False, True]
-    assert np.array_equal(oracle._basin_mask(mats, offs, 0, eta0, 1e-2, 20), expected)
+    assert np.array_equal(oracle._basin_mask(oracle._maps(mats, offs, 0), eta0, 1e-2, 20), expected)
 
 
 @pytest.mark.parametrize("turns", [5, 6, 7, 12, 30])
@@ -607,7 +635,7 @@ def test_basin_mask_matches_careful_stepping_when_coordinates_overflow(monkeypat
             M[rng.integers(n), rng.integers(n)] += rng.choice([0.5, -0.3, 1e100])
             mats.append(M)
         eta0 = np.log(rng.uniform(1e-6, 1e-3, (10, n)))
-        got = oracle._basin_mask(mats, [np.zeros(n)] * m, 0, eta0, 1e-2, 30)
+        got = oracle._basin_mask(oracle._maps(mats, [np.zeros(n)] * m, 0), eta0, 1e-2, 30)
         assert got.tolist() == [_careful_basin_member(mats, 0, e, 1e-2, 30) for e in eta0]
     assert len(replays) > 20
 
@@ -683,7 +711,8 @@ def certified(monkeypatch):
 def test_cone_decides_the_criterion_6_basin_with_every_mask_exact(certified):
     mats = rsp_matrices(RspParams(-0.5, 0.2))
     cfg = CRITERION_6
-    cone = oracle._cone(mats, [np.zeros(3)] * 2, 0, cfg.delta, cfg.max_full_turns)
+    maps = oracle._maps(mats, [np.zeros(3)] * 2, 0)
+    cone = oracle._cone(maps, cfg.delta, cfg.max_full_turns)
     assert cone is not None
     basin = 0
     for li, eps in enumerate(cfg.epsilon_ladder):
@@ -691,8 +720,7 @@ def test_cone_decides_the_criterion_6_basin_with_every_mask_exact(certified):
                                       cfg.samples_per_level, 3)
         expected = _row_major_basin_mask(mats, [np.zeros(3)] * 2, 0, eta0, cfg.delta,
                                          cfg.max_full_turns)
-        got = oracle._basin_mask(mats, [np.zeros(3)] * 2, 0, eta0.copy(), cfg.delta,
-                                 cfg.max_full_turns, cone)
+        got = oracle._basin_mask(maps, eta0.copy(), cfg.delta, cfg.max_full_turns, cone)
         assert np.array_equal(got, expected), eps
         basin += int(expected.sum())
     assert sum(certified) >= 0.95 * basin > 0
@@ -701,13 +729,12 @@ def test_cone_decides_the_criterion_6_basin_with_every_mask_exact(certified):
 def _cone_masks_match(cycle, j, eps, n, turns, seed):
     """Whether the mask with the cycle's cone (if any) equals the row-major
     reference; True when there is no cone, where the loop is unchanged."""
-    mats, offs = oracle._gmaps(cycle, j)
-    cone = oracle._cone(mats, offs, j, 1e-2, turns)
+    maps = oracle._gmaps(cycle, j)
+    cone = oracle._cone(maps, 1e-2, turns)
     ref_mats, ref_offs = _reference_maps(cycle)
-    eta0 = _out_of_place_log_cube(np.random.default_rng(seed), eps, n, mats[0].shape[0])
+    eta0 = _out_of_place_log_cube(np.random.default_rng(seed), eps, n, len(maps.turn))
     expected = _row_major_basin_mask(ref_mats, ref_offs, j, eta0, 1e-2, turns)
-    return np.array_equal(oracle._basin_mask(mats, offs, j, eta0.copy(), 1e-2, turns, cone),
-                          expected)
+    return np.array_equal(oracle._basin_mask(maps, eta0.copy(), 1e-2, turns, cone), expected)
 
 
 def test_the_box_keeps_deep_orbits_off_the_direction_out(certified):
@@ -720,28 +747,28 @@ def test_the_box_keeps_deep_orbits_off_the_direction_out(certified):
         v = vmax_row(M)
         if v.min() < 0.0 < v.max():
             break
-    cone = oracle._cone([M], [np.zeros(3)], 0, 1e-2, 200)
+    maps = oracle._maps([M], [np.zeros(3)], 0)
+    cone = oracle._cone(maps, 1e-2, 200)
     eta0 = -np.random.default_rng(1).uniform(5.0, 300.0, (3000, 3))
     expected = _row_major_basin_mask([M], [np.zeros(3)], 0, eta0, 1e-2, 200)
-    got = oracle._basin_mask([M], [np.zeros(3)], 0, eta0.copy(), 1e-2, 200, cone)
+    got = oracle._basin_mask(maps, eta0.copy(), 1e-2, 200, cone)
     assert np.array_equal(got, expected) and sum(certified) > 0
     no_box = dataclasses.replace(cone, lo=np.zeros((2, 1)), hi=np.full((2, 1), np.inf))
-    assert not np.array_equal(
-        oracle._basin_mask([M], [np.zeros(3)], 0, eta0.copy(), 1e-2, 200, no_box), expected)
+    assert not np.array_equal(oracle._basin_mask(maps, eta0.copy(), 1e-2, 200, no_box), expected)
 
 
 def test_the_depth_floor_keeps_orbits_that_leave_the_tube_mid_turn_out(certified):
     # at RSP (0.15, -0.42) the cone's partial images come close to 0, so a
     # shallow column inside the box can still leave the tube mid-turn
     mats, offs = rsp_matrices(RspParams(0.15, -0.42)), [np.zeros(3)] * 2
-    cone = oracle._cone(mats, offs, 0, 1e-2, 200)
+    maps = oracle._maps(mats, offs, 0)
+    cone = oracle._cone(maps, 1e-2, 200)
     eta0 = _out_of_place_log_cube(np.random.default_rng(0), 1e-4, 2000, 3)
     expected = _row_major_basin_mask(mats, offs, 0, eta0, 1e-2, 200)
-    got = oracle._basin_mask(mats, offs, 0, eta0.copy(), 1e-2, 200, cone)
+    got = oracle._basin_mask(maps, eta0.copy(), 1e-2, 200, cone)
     assert np.array_equal(got, expected) and sum(certified) > 0
-    shallow = dataclasses.replace(cone, depth=[1.0] * 200)
-    assert not np.array_equal(
-        oracle._basin_mask(mats, offs, 0, eta0.copy(), 1e-2, 200, shallow), expected)
+    shallow = dataclasses.replace(cone, least=1.0)
+    assert not np.array_equal(oracle._basin_mask(maps, eta0.copy(), 1e-2, 200, shallow), expected)
 
 
 def test_cone_certifies_with_non_zero_offsets(certified):
@@ -797,6 +824,48 @@ def test_cone_is_built_once_per_estimate_and_never_for_one_point(monkeypatch):
     assert calls == []
 
 
+def _cone_cases():
+    """Maps from node 0 that have a cone at 200 turns: RSP with no offsets,
+    the same with offsets, and the RSP point of the depth-floor test."""
+    zero = [np.zeros(3)] * 2
+    spec = rsp_cycle_spec(RspParams(-0.5, 0.2))
+    conn = ConnectionSpec((1, 2, 0), scalings=(2.0, 0.5, 1.5), contraction_offset=0.3)
+    return {"rsp": oracle._maps(rsp_matrices(RspParams(-0.5, 0.2)), zero, 0),
+            "scaled": oracle._gmaps(validate_cycle(CycleSpec(nodes=spec.nodes,
+                                                             connections=(conn, conn))), 0),
+            "floor": oracle._maps(rsp_matrices(RspParams(0.15, -0.42)), zero, 0)}
+
+
+@pytest.mark.parametrize("case", ["rsp", "scaled", "floor"])
+def test_the_cone_depth_of_each_turn_is_that_of_a_whole_table(case):
+    # the table max(least, deep / g^n (1 + 2^-30)), n = (turns - 1 - t) // k,
+    # inf where it reaches deep, taken over every turn at once; its numpy pow
+    # may differ from the per-turn float pow in the last bits, far inside the
+    # 2^-30 that rounds each depth up
+    cone = oracle._cone(_cone_cases()[case], 1e-2, 200)
+    steps_left = (200 - 1 - np.arange(200)) // cone.k
+    need = np.maximum(cone.least, cone.deep / cone.g ** steps_left * (1.0 + 2.0**-30))
+    table = np.where(need < cone.deep, need, math.inf)
+    depth = np.array([cone.depth(t) for t in range(200)])
+    assert np.array_equal(np.isinf(depth), np.isinf(table))
+    assert np.allclose(depth, table, rtol=2.0**-50, atol=0.0)
+    assert depth[0] == cone.least and (depth[np.isfinite(depth)] > cone.least).any()
+
+
+def test_a_cone_for_a_budget_of_10_to_the_15_turns_holds_no_table():
+    maps = _cone_cases()["rsp"]
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        cone = oracle._cone(maps, 1e-2, 10**15)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cone is not None and elapsed < 2.0 and peak < 2**20
+    assert cone.depth(0) == cone.least and cone.depth(10**15 - 1) == math.inf
+
+
 @pytest.mark.parametrize("mats,turns", [
     ([np.array([[1.0, -2.0], [0.0, 3.0]])], 200),   # the power iteration leaves the orthant
     ([np.diag([0.9, 0.8])], 200),                   # negative direction, but orbits shrink
@@ -805,19 +874,20 @@ def test_cone_is_built_once_per_estimate_and_never_for_one_point(monkeypatch):
 ], ids=["direction", "no-pair", "vertex-cap", "short-budget"])
 def test_no_cone_where_it_cannot_be_verified(mats, turns):
     offs = [np.zeros(len(M)) for M in mats]
-    assert oracle._cone(mats, offs, 0, 1e-2, turns) is None
+    maps = oracle._maps(mats, offs, 0)
+    assert oracle._cone(maps, 1e-2, turns) is None
     rng = np.random.default_rng(turns)
     eta0 = np.log(rng.uniform(1e-12, 1e-4, (300, len(mats[0]))))
-    assert np.array_equal(oracle._basin_mask(mats, offs, 0, eta0.copy(), 1e-2, turns),
+    assert np.array_equal(oracle._basin_mask(maps, eta0.copy(), 1e-2, turns),
                           _row_major_basin_mask(mats, offs, 0, eta0, 1e-2, turns))
 
 
 def test_a_cone_exists_at_the_vertex_cap_and_at_a_long_budget():
     # the counterparts of the vertex-cap and short-budget cases above
-    assert oracle._cone([np.eye(CONE_DIM_CAP) + 1.0], [np.zeros(CONE_DIM_CAP)], 0, 1e-2,
-                        200) is not None
-    assert oracle._cone(rsp_matrices(RspParams(-0.5, 0.2)), [np.zeros(3)] * 2, 0, 1e-2,
-                        200) is not None
+    cap = oracle._maps([np.eye(CONE_DIM_CAP) + 1.0], [np.zeros(CONE_DIM_CAP)], 0)
+    assert oracle._cone(cap, 1e-2, 200) is not None
+    rsp = oracle._maps(rsp_matrices(RspParams(-0.5, 0.2)), [np.zeros(3)] * 2, 0)
+    assert oracle._cone(rsp, 1e-2, 200) is not None
 
 
 # Block bookkeeping: a column decided by the per-column test stays in its
@@ -856,14 +926,14 @@ def test_a_block_whose_entry_tube_test_fails_for_some_columns(with_cone, compact
     # entry test fails, and only then are the column maxima taken and the
     # block compacted
     mats, offs = rsp_matrices(RspParams(-0.5, 0.2)), [np.zeros(3)] * 2
-    cone = oracle._cone(mats, offs, 0, 1e-2, 200) if with_cone else None
+    cone = oracle._cone(oracle._maps(mats, offs, 0), 1e-2, 200) if with_cone else None
     rng = np.random.default_rng(9)
     eta0 = np.concatenate([_out_of_place_log_cube(rng, eps, 1500, 3) for eps in (1.5e-2, 1e-15)])
     outside = eta0.max(axis=1) >= math.log(1e-2)
     assert 0 < outside.sum() < len(eta0)
     expected = _row_major_basin_mask(mats, offs, 0, eta0, 1e-2, 200)
     assert set(expected.tolist()) == {True, False}
-    got = oracle._basin_mask(mats, offs, 0, eta0.copy(), 1e-2, 200, cone)
+    got = oracle._basin_mask(oracle._maps(mats, offs, 0), eta0.copy(), 1e-2, 200, cone)
     assert np.array_equal(got, expected)
     taken, removed = compactions[0]            # the entry
     assert not taken and np.array_equal(removed, np.flatnonzero(outside))
@@ -874,12 +944,12 @@ def test_escapes_and_dives_in_the_step_of_a_cone_drop(compactions):
     # dive there, in the blocks where the cone certifies others at those
     # turns' ends: the drop compacts the dead slots with the certified
     mats, offs = rsp_matrices(RspParams(-0.5, 0.2)), [np.zeros(3)] * 2
-    cone = oracle._cone(mats, offs, 0, 1e-2, 200)
+    cone = oracle._cone(oracle._maps(mats, offs, 0), 1e-2, 200)
     rng = np.random.default_rng(0)
     eta0 = -np.exp(np.concatenate([rng.uniform(math.log(4.7), math.log(1e4), (1000, 3)),
                                    rng.uniform(math.log(1e6), math.log(2e9), (1000, 3))]))
     expected = _row_major_basin_mask(mats, offs, 0, eta0, 1e-2, 200)
-    got = oracle._basin_mask(mats, offs, 0, eta0.copy(), 1e-2, 200, cone)
+    got = oracle._basin_mask(oracle._maps(mats, offs, 0), eta0.copy(), 1e-2, 200, cone)
     assert np.array_equal(got, expected) and set(expected.tolist()) == {True, False}
     n = len(eta0)
     assert sum(taken and (removed == n).any() and (removed < n).any()
@@ -898,7 +968,7 @@ def test_a_nan_replay_of_a_column_whose_copy_is_dead(monkeypatch):
                         replay_call(self, orbits, steps))
     M = np.diag([1e300, 2.0])
     eta0 = np.array([[-5.0, -6.0], [-1e-301, -6.0], [-6.0, -7.0]])
-    got = oracle._basin_mask([M], [np.zeros(2)], 0, eta0, 1e-2, 40)
+    got = oracle._basin_mask(oracle._maps([M], [np.zeros(2)], 0), eta0, 1e-2, 40)
     assert got.tolist() == [_careful_basin_member([M], 0, e, 1e-2, 40) for e in eta0]
     assert got.tolist() == [True, False, True]
     assert len(replays) > 20 and all(orbits == [0, 2] for orbits in replays)
@@ -911,7 +981,7 @@ def test_a_no_cone_block_that_drains_past_half_dead(compactions):
     eta0 = _out_of_place_log_cube(np.random.default_rng(4), 1e-4, 3000, 3)
     expected = _row_major_basin_mask(mats, offs, 0, eta0, 1e-2, 200)
     assert 0 < expected.sum() < len(eta0) / 2
-    got = oracle._basin_mask(mats, offs, 0, eta0.copy(), 1e-2, 200)
+    got = oracle._basin_mask(oracle._maps(mats, offs, 0), eta0.copy(), 1e-2, 200)
     assert np.array_equal(got, expected)
     assert compactions and all((removed == len(eta0)).all() for _, removed in compactions)
 

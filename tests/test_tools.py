@@ -1,9 +1,11 @@
-"""Smoke runs of the in-process A/B tool, so that it cannot rot.
+"""Smoke runs of the tools, so that they cannot rot.
 
 tools/ab.py is run for two rounds against this checkout on both sides; it
 must load both, find their results identical, time every case (or the ones
 its filter names) and print one row for each.  A CHANGE copy that gives a
 different result in one case must stop it with exit code 1, naming that case.
+tools/lines.py must count a fixture module's lines as stated, and the source
+lines of this package as wc -l does.
 """
 
 import shutil
@@ -84,3 +86,57 @@ def test_ab_stops_when_a_classify_report_differs(tmp_path):
     change = _change_copy(tmp_path, "spectral.py", "DEFAULT_TOL = 1e-9\n", "DEFAULT_TOL = 1e-10\n")
     proc = _ab(change, "--rounds", "1", "--cases", "rsp(-0.5,rsp-sweep 9")
     assert proc.returncode == 1 and proc.stdout == "results differ: rsp(-0.5, 0.2)\n"
+
+
+LINES_FIXTURE = '''"""A module docstring
+of two lines."""
+
+import math   # a comment after code is code
+
+
+def f(x):
+    """One docstring line."""
+    # a comment alone
+    text = """a string that is
+    not a docstring"""
+    return math.sqrt(x), text
+
+
+class C:
+    """A class docstring,
+
+    with a blank line inside."""
+
+    def g(self):
+        \'\'\'Single-quoted.\'\'\'
+        return 1
+'''
+
+
+def _lines(package: Path) -> dict[str, tuple[int, int]]:
+    """tools/lines.py's rows for package: name -> (source, code)."""
+    proc = subprocess.run([sys.executable, "tools/lines.py", str(package)], cwd=ROOT,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    header, *rows = proc.stdout.splitlines()
+    assert header.split() == ["module", "source", "code"]
+    return {name: (int(source), int(code)) for name, source, code in map(str.split, rows)}
+
+
+def test_lines_counts_no_docstring_blank_or_comment_line(tmp_path):
+    (tmp_path / "fixture.py").write_text(LINES_FIXTURE)
+    (tmp_path / "empty.py").write_text("")
+    rows = _lines(tmp_path)
+    # code: the import, def f, the two lines of text = ..., the return,
+    # class C, def g and its return
+    assert rows["fixture.py"] == (LINES_FIXTURE.count("\n"), 8)
+    assert rows["empty.py"] == (0, 0)
+    assert rows["total"] == (LINES_FIXTURE.count("\n"), 8)
+
+
+def test_lines_totals_the_package_as_wc_does():
+    rows = _lines(ROOT / "src" / "hetstab")
+    sources = sorted((ROOT / "src" / "hetstab").glob("*.py"))
+    assert sorted(rows) == sorted([p.name for p in sources] + ["total"])
+    assert rows["total"][0] == sum(p.read_bytes().count(b"\n") for p in sources)
+    assert rows["total"][1] == sum(code for name, (_, code) in rows.items() if name != "total")
