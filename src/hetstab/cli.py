@@ -67,8 +67,9 @@ def _csv_block(matrix) -> str:
 
 
 def _parse_csv_floats(text: str) -> list[float]:
+    """--alpha: comma-separated floats; an empty token is an error, not skipped."""
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip() != ""]
+        return [float(tok) for tok in text.split(",")]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"not a comma-separated float list: {text!r}") from exc
 
@@ -129,10 +130,9 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_findex(args) -> int:
-    alpha = _parse_csv_floats(args.alpha)
-    print(f"F+      = {_fmt(f_plus(alpha))}")
-    print(f"F-      = {_fmt(f_minus(alpha))}")
-    print(f"F^index = {_fmt(f_index(alpha))}")
+    print(f"F+      = {_fmt(f_plus(args.alpha))}")
+    print(f"F-      = {_fmt(f_minus(args.alpha))}")
+    print(f"F^index = {_fmt(f_index(args.alpha))}")
     return 0
 
 
@@ -215,8 +215,7 @@ def _cmd_oracle_sigma(args) -> int:
 
 
 def _cmd_oracle_fplus(args) -> int:
-    alpha = _parse_csv_floats(args.alpha)
-    estimate = estimate_fplus_mc(alpha, args.levels, args.samples, args.seed)
+    estimate = estimate_fplus_mc(args.alpha, args.levels, args.samples, args.seed)
     print(f"{'level':>5} {'epsilon':>12} {'inside_frac':>12} {'stderr':>10}")
     for li, lev in enumerate(estimate.levels):
         print(f"{li:>5} {lev.epsilon:>12.4e} {lev.sigma_frac:>12.6f} {lev.stderr:>10.2e}")
@@ -239,7 +238,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("findex", help="evaluate F+, F-, F^index for one direction")
-    p.add_argument("--alpha", required=True, help="comma-separated components")
+    p.add_argument("--alpha", type=_parse_csv_floats, required=True,
+                   help="comma-separated components")
     p.set_defaults(func=_cmd_findex)
 
     p = sub.add_parser("rsp", help="Rock-Scissors-Paper cycle at one parameter point")
@@ -272,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_oracle_sigma)
 
     p = osub.add_parser("fplus", help="estimate the escape exponent of one slice")
-    p.add_argument("--alpha", required=True)
+    p.add_argument("--alpha", type=_parse_csv_floats, required=True)
     p.add_argument("--levels", type=_parse_ladder, default=_parse_ladder("1e-1:1e-4:7"))
     p.add_argument("--samples", type=int, default=100000)
     p.add_argument("--seed", type=int, default=plan.seed)

@@ -308,6 +308,8 @@ def load_cycle(path: str) -> CycleSpec:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise CycleValidationError(f"{path}: invalid JSON ({exc})") from exc
+        except RecursionError:
+            raise CycleValidationError(f"{path}: invalid JSON (nested too deeply)") from None
     return cycle_from_dict(doc)
 
 

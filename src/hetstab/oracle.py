@@ -6,7 +6,11 @@ maps directly rather than trusting any eigen-structure argument:
 * point orbits are followed in log coordinates eta = ln x, where the maps
   are affine eta -> M_j eta + F_j, so extremely small positive coordinates
   stay representable and no point is ever exponentiated; an orbit that
-  overflows even in log coordinates counts as escaped;
+  overflows even in log coordinates counts as escaped, and a coordinate
+  that underflows to x = 0 is eta = -inf, which a map ignores where its
+  entry is 0 (x^0 = 1): the matmul gives 0 * -inf = NaN there, so a column
+  that comes out NaN is stepped again from the block before it (_log_step),
+  and that block is released with the step (_basin_mask);
 * delta-basin membership is decided over a budget of full returns, with a
   falling max-norm standing in for convergence to the cycle (_basin_mask);
   estimate_sigma_mc first builds a basin certificate from the maps alone
@@ -60,7 +64,7 @@ from typing import Callable, Collection, Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .cycle import ValidatedCycle
-from .findex import _components
+from .findex import _components, _numbers
 from .stability import IndeterminateError
 from .transition import (CycleLike, _entries, _floats, _integer, _node_index, _overflow,
                          as_basic_matrices, cyclic_products)
@@ -87,17 +91,9 @@ class InsufficientResolution(RuntimeError):
 
 
 def _ladder(epsilon_ladder: Iterable[float]) -> tuple[float, ...]:
-    """epsilon_ladder as floats; ValueError unless a sequence of numbers that
-    are finite, positive and strictly decreasing."""
-    try:
-        if isinstance(epsilon_ladder, (str, bytes)):   # would iterate by character
-            raise TypeError
-        lad = tuple(float(e) for e in epsilon_ladder)
-    except (TypeError, ValueError):
-        raise ValueError(
-            f"epsilon ladder must be a sequence of numbers, got {epsilon_ladder!r}") from None
-    except OverflowError:                 # an int beyond double range is not finite
-        lad = (math.inf,)
+    """epsilon_ladder as floats; ValueError unless a sequence of numbers
+    (_numbers) that are finite, positive and strictly decreasing."""
+    lad = tuple(_numbers(epsilon_ladder, "epsilon ladder"))
     if not lad or any(not 0 < e < math.inf for e in lad):
         raise ValueError("epsilon ladder must be non-empty, finite and positive")
     if any(a <= b for a, b in zip(lad, lad[1:])):
@@ -457,11 +453,13 @@ def _basin_mask(maps: _Maps, eta0: np.ndarray, delta: float, max_full_turns: int
     eta0 holds one point per row.  A sample is in the basin when no
     partial-turn image ever reaches delta in max-norm and its orbit either
     dives below DEEP_LOG or shows a decreasing max-norm trend over the last
-    quarter of the turn budget.  An orbit whose max comes out NaN is
-    replayed by _Replay, so a coordinate that has overflowed to -inf
-    (converged) does not turn 0 * -inf into an escape; the per-step path
-    keeps no earlier state for it.  A zero offset (raw matrices, default
-    scalings) is skipped rather than added: the mask is the same, as
+    quarter of the turn budget.  A live column whose max comes out NaN is
+    stepped again, once, with _log_step from the block its step started
+    from, so a coordinate that has overflowed to -inf (converged) does not
+    turn 0 * -inf into an escape.  That block is released as soon as the
+    step is settled, on the whole-block path too: one kept alive into the
+    next matmul makes it take fresh pages.  A zero offset (raw matrices,
+    default scalings) is skipped rather than added: the mask is the same, as
     -0.0 == 0.0, and the criterion-6 estimate takes about a fifth less time.
 
     Each step first tries to settle the whole block, and takes the column
@@ -487,8 +485,8 @@ def _basin_mask(maps: _Maps, eta0: np.ndarray, delta: float, max_full_turns: int
     off on return).  A whole-block test speaks for every column, so it holds
     for the live ones whatever the dead slots hold, and as copies they step
     like live columns and fail no test of their own; a dead copy that turns
-    NaN is overwritten again, and only live columns are replayed.  A block
-    is compacted (_compact) only at a turn end: with the columns a cone
+    NaN is overwritten again, and only live columns are stepped again.  A
+    block is compacted (_compact) only at a turn end: with the columns a cone
     certifies, or once more than half of it is dead.  The column maxima are
     taken only for the per-column test, at turn q3 and after the last turn.
 
@@ -519,11 +517,10 @@ def _basin_mask(maps: _Maps, eta0: np.ndarray, delta: float, max_full_turns: int
 
     slack = 1.0 + (2 * eta.shape[0] + 3) * 2.0**-52
     q3 = (3 * max_full_turns) // 4
-    replay = None
     bound, mx, dead = math.inf, None, 0   # mx is None while not taken
     for turn in range(max_full_turns):
-        for step, (M, col, (norm_m, norm_f)) in enumerate(layers):
-            eta = M @ eta
+        for M, col, (norm_m, norm_f) in layers:
+            prev, eta = eta, M @ eta
             if col is not None:
                 eta += col
             if eta.max() < ln_delta:
@@ -531,24 +528,23 @@ def _basin_mask(maps: _Maps, eta0: np.ndarray, delta: float, max_full_turns: int
                 if not bound < -DEEP_LOG:   # also NaN, from inf * 0
                     bound = -float(eta.min())
                 if bound < -DEEP_LOG:
-                    mx = None
+                    mx = prev = None
                     continue
             mx = eta.max(axis=0)
             bound = math.inf
-            # a NaN max fails both tests and counts as escaped, unless the
-            # replay shows it was 0 * -inf from a converged coordinate
+            # a NaN max fails both tests and counts as escaped, unless
+            # stepping again shows it was 0 * -inf from a converged coordinate
             keep = (mx > DEEP_LOG) & (mx < ln_delta)
             out = np.flatnonzero(~keep)
-            if out.size == 0:
-                continue
             nan = out[np.isnan(mx[out]) & (idx[out] < n)]   # a dead copy is overwritten
             if nan.size:
-                if replay is None:
-                    replay = _Replay(maps, eta0)
-                eta[:, nan] = replay(idx[nan], turn * len(layers) + step + 1)
+                eta[:, nan] = _log_step(M, prev[:, nan], col)
                 mx[nan] = eta[:, nan].max(axis=0)
                 keep[nan] = (mx[nan] > DEEP_LOG) & (mx[nan] < ln_delta)
                 out = out[~keep[out]]
+            prev = None
+            if out.size == 0:
+                continue
             result[idx[out[mx[out] <= DEEP_LOG]]] = True
             if out.size == idx.size:
                 return result[:n]
@@ -576,30 +572,6 @@ def _basin_mask(maps: _Maps, eta0: np.ndarray, delta: float, max_full_turns: int
         mx = eta.max(axis=0)
     result[idx[mx < q3_max[idx]]] = True
     return result[:n]
-
-
-class _Replay:
-    """Orbits of one _basin_mask batch, stepped again with _log_step.
-
-    A call advances the given orbits, by their indices in the batch, to
-    `steps` map steps: from their start point the first time, and after
-    that from where their last replay left them, so an orbit replayed at
-    every step costs one step per step.
-    """
-
-    def __init__(self, maps: _Maps, eta0: np.ndarray):
-        self.maps = maps
-        self.state = np.array(eta0.T)
-        self.done = np.zeros(eta0.shape[0], dtype=int)
-
-    def __call__(self, orbits: np.ndarray, steps: int) -> np.ndarray:
-        state, done = self.state[:, orbits], self.done[orbits]
-        for s in range(done.min(), steps):
-            l = s % len(self.maps.mats)
-            go = done <= s
-            state[:, go] = _log_step(self.maps.mats[l], state[:, go], self.maps.cols[l])
-        self.state[:, orbits], self.done[orbits] = state, steps
-        return state
 
 
 def _log_step(M: np.ndarray, eta: np.ndarray, col: np.ndarray | None) -> np.ndarray:

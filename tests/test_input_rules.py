@@ -634,15 +634,24 @@ def cli_files(tmp_path):
     doc = {"nodes": [{"contracting": 10**400, "expanding": 1.0, "transverse": [-0.5]}] * 2,
            "connections": [{"permutation": [1, 0]}] * 2}
     (tmp_path / "huge.json").write_text(json.dumps(doc))
+    (tmp_path / "deep.json").write_text("[" * 100_000)
     return tmp_path
 
 
 LADDER_USAGE = "argument {}: ladder needs 0 < end < start < inf and count >= 1"
+ALPHA_USAGE = "error: argument --alpha: not a comma-separated float list: "
 CLI_REJECTIONS = {
     "findex-nan": (["findex", "--alpha", "1,nan"],
                    "error: direction vector components must be finite"),
     "fplus-nan": (["oracle", "fplus", "--alpha", "1,nan", "--samples", "100"],
                   "error: direction vector components must be finite"),
+    "findex-word": (["findex", "--alpha", "1,x"], "hetstab findex: " + ALPHA_USAGE + "'1,x'"),
+    "fplus-word": (["oracle", "fplus", "--alpha", "1,x", "--samples", "100"],
+                   "hetstab oracle fplus: " + ALPHA_USAGE + "'1,x'"),
+    "findex-empty-token": (["findex", "--alpha", "1,,-2"],
+                           "hetstab findex: " + ALPHA_USAGE + "'1,,-2'"),
+    "fplus-trailing-comma": (["oracle", "fplus", "--alpha", "1,-2,", "--samples", "100"],
+                             "hetstab oracle fplus: " + ALPHA_USAGE + "'1,-2,'"),
     "sigma-node": (["oracle", "sigma", "{d}/c.json", "--node", "5", "--samples", "10"],
                    "error: node index 5 out of range for m=2"),
     "sigma-overflow": (["oracle", "sigma", "{d}/overflow.json", "--samples", "10"],
@@ -663,6 +672,10 @@ CLI_REJECTIONS = {
                      "error: node value beyond double range among c, e, t and radial"),
     "sigma-huge": (["oracle", "sigma", "{d}/huge.json", "--samples", "10"],
                    "error: node value beyond double range among c, e, t and radial"),
+    "analyze-deep": (["analyze", "{d}/deep.json"],
+                     "error: {d}/deep.json: invalid JSON (nested too deeply)"),
+    "sigma-deep": (["oracle", "sigma", "{d}/deep.json", "--samples", "10"],
+                   "error: {d}/deep.json: invalid JSON (nested too deeply)"),
     "fplus-levels-inf": (["oracle", "fplus", "--alpha", "-1,1,1", "--levels", "inf:1e-3:3"],
                          "hetstab oracle fplus: error: " + LADDER_USAGE.format("--levels")),
     "fplus-levels-nan": (["oracle", "fplus", "--alpha", "-1,1,1", "--levels", "nan:1e-3:3"],
@@ -699,7 +712,7 @@ def test_cli_rejects_with_exit_one(cli_files, capsys, case):
     argv, error = CLI_REJECTIONS[case]
     assert main([a.format(d=cli_files) for a in argv]) == 1
     lines = capsys.readouterr().err.splitlines()
-    assert lines[-1].startswith(error)
+    assert lines[-1].startswith(error.format(d=cli_files))
     assert len(lines) == 1 or lines[0].startswith("usage: hetstab ")
     assert not [line for line in lines if "Traceback" in line or "Warning" in line]
     assert not (cli_files / "s.csv").exists()

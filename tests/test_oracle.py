@@ -597,19 +597,23 @@ def test_basin_mask_matches_row_major_reference_property(seed, level, turns, fam
                         seed=seed)
 
 
-def _careful_basin_member(mats, j, eta, delta, max_full_turns):
+def _careful_basin_member(mats, j, eta, delta, max_full_turns, offs=None):
     """Reference basin test for one point, in Python floats: a term whose
     matrix entry is 0 is dropped, as x^0 = 1, so a coordinate that has
-    overflowed to -inf (x = 0) adds nothing where the map ignores it."""
+    overflowed to -inf (x = 0) adds nothing where the map ignores it.
+    offs, one offset vector per map in node order, is added to the row
+    sums (zero by default)."""
     m, ln_delta = len(mats), math.log(delta)
     eta = [float(e) for e in eta]
+    offs = [np.zeros(len(eta))] * m if offs is None else offs
     if max(eta) >= ln_delta:
         return False
     q3, q3_max = (3 * max_full_turns) // 4, None
     for turn in range(max_full_turns):
         for step in range(m):
-            M = mats[(j + step) % m]
-            eta = [sum(float(a) * e for a, e in zip(row, eta) if a != 0.0) for row in M]
+            l = (j + step) % m
+            eta = [sum(float(a) * e for a, e in zip(row, eta) if a != 0.0) + float(f)
+                   for row, f in zip(mats[l], offs[l])]
             mx = max(eta) if not any(map(math.isnan, eta)) else math.nan
             if not oracle.DEEP_LOG < mx < ln_delta:
                 return mx <= oracle.DEEP_LOG
@@ -618,26 +622,48 @@ def _careful_basin_member(mats, j, eta, delta, max_full_turns):
     return mx < q3_max
 
 
-def test_basin_mask_matches_careful_stepping_when_coordinates_overflow(monkeypatch):
+@pytest.fixture
+def resteps(monkeypatch):
+    """A list that gets, per oracle._log_step call, the number of columns
+    it steps again and whether it adds an offset."""
+    calls = []
+    real = oracle._log_step
+
+    def counting(M, eta, col):
+        calls.append((eta.shape[1], col is not None))
+        return real(M, eta, col)
+
+    monkeypatch.setattr(oracle, "_log_step", counting)
+    return calls
+
+
+def _assert_overflowing_masks_match(rng, lists, offsets=None):
     # near-diagonal maps with entries up to 1e300 drive some log coordinates
     # to -inf within a few steps; the matmul then meets 0 * -inf
-    replays = []
-    replay_call = oracle._Replay.__call__
-    monkeypatch.setattr(oracle._Replay, "__call__",
-                        lambda self, orbits, steps: replays.append(steps) or
-                        replay_call(self, orbits, steps))
-    rng = np.random.default_rng(61)
-    for _ in range(20):
+    for _ in range(lists):
         n, m = int(rng.integers(2, 4)), int(rng.integers(1, 3))
         mats = []
         for _ in range(m):
             M = np.diag(rng.choice([1e300, 1e200, 2.0, 1.0, 0.5, 1.5], n))
             M[rng.integers(n), rng.integers(n)] += rng.choice([0.5, -0.3, 1e100])
             mats.append(M)
+        offs = ([np.zeros(n)] * m if offsets is None
+                else [rng.choice(offsets, n) for _ in range(m)])
         eta0 = np.log(rng.uniform(1e-6, 1e-3, (10, n)))
-        got = oracle._basin_mask(oracle._maps(mats, [np.zeros(n)] * m, 0), eta0, 1e-2, 30)
-        assert got.tolist() == [_careful_basin_member(mats, 0, e, 1e-2, 30) for e in eta0]
-    assert len(replays) > 20
+        got = oracle._basin_mask(oracle._maps(mats, offs, 0), eta0, 1e-2, 30)
+        assert got.tolist() == [_careful_basin_member(mats, 0, e, 1e-2, 30, offs)
+                                for e in eta0]
+
+
+def test_basin_mask_matches_careful_stepping_when_coordinates_overflow(resteps):
+    _assert_overflowing_masks_match(np.random.default_rng(61), 20)
+    assert len(resteps) > 20
+
+
+def test_basin_mask_matches_careful_stepping_with_offsets(resteps):
+    # the same family with offsets, so that a step again adds its offset
+    _assert_overflowing_masks_match(np.random.default_rng(62), 40, (0.0, 0.25, -0.5))
+    assert sum(offset for _, offset in resteps) > 20
 
 
 @pytest.mark.parametrize("cycle,j,x", [
@@ -956,22 +982,17 @@ def test_escapes_and_dives_in_the_step_of_a_cone_drop(compactions):
                for taken, removed in compactions) >= 2
 
 
-def test_a_nan_replay_of_a_column_whose_copy_is_dead(monkeypatch):
+def test_a_nan_step_of_a_column_whose_copy_is_dead(resteps):
     # columns 0 and 2 overflow to -inf at step 1 and their matmul turns NaN
     # from step 2 on; column 1 escapes at step 1, so its slot carries a copy
-    # of column 0 that turns NaN too.  Only the live columns are replayed,
-    # at every step, and the dead copy is overwritten each time
-    replays = []
-    replay_call = oracle._Replay.__call__
-    monkeypatch.setattr(oracle._Replay, "__call__",
-                        lambda self, orbits, steps: replays.append(orbits.tolist()) or
-                        replay_call(self, orbits, steps))
+    # of column 0 that turns NaN too.  Only the two live columns are stepped
+    # again, at every step, and the dead copy is overwritten each time
     M = np.diag([1e300, 2.0])
     eta0 = np.array([[-5.0, -6.0], [-1e-301, -6.0], [-6.0, -7.0]])
     got = oracle._basin_mask(oracle._maps([M], [np.zeros(2)], 0), eta0, 1e-2, 40)
     assert got.tolist() == [_careful_basin_member([M], 0, e, 1e-2, 40) for e in eta0]
     assert got.tolist() == [True, False, True]
-    assert len(replays) > 20 and all(orbits == [0, 2] for orbits in replays)
+    assert len(resteps) > 20 and all(columns == 2 for columns, _ in resteps)
 
 
 def test_a_no_cone_block_that_drains_past_half_dead(compactions):

@@ -21,7 +21,11 @@ PARENT's perfbench/inputs.py, which is loaded, not edited:
   matrices (sigma rsp) and as a validated cycle with scalings (2, 0.5, 1.5)
   and offset 0.3, so with non-zero log offsets (sigma scaled);
 * in_delta_basin at each of the 100 points of the first criterion-6
-  eps-cube (in_basin_points at perfbench seed 1), timed as one call.
+  eps-cube (in_basin_points at perfbench seed 1), timed as one call; and
+  at the same points on two one-map cycles diag(1e300) + B, whose
+  coordinate 0 reaches -inf (x = 0) within two steps (overflow
+  in_delta_basin).  Every point is in the basin of the first, after steps
+  whose matmul meets 0 * -inf, and every point escapes from the second.
 
 --samples sets the F+ samples per level (10^6 in criterion 5) and scales the
 sigma samples per level (40000) by the same factor.  --cases keeps the cases
@@ -63,6 +67,7 @@ SIGMA_SAMPLES = 40_000
 IN_BASIN_SEED = 1
 SCALED_CONNECTION = {"permutation": (1, 2, 0), "scalings": (2.0, 0.5, 1.5),
                      "contraction_offset": 0.3}
+OVERFLOW_BLOCKS = (((0.5, 1.0), (1.5, 0.2)), ((1.6, 1.0), (-0.1, 0.5)))   # the B of diag(1e300) + B
 
 
 def _load(path: Path, name: str):
@@ -126,6 +131,11 @@ def _cases(hs, inputs, alphas, samples: int, out: Path) -> dict[str, object]:
     points = inputs.in_basin_points(IN_BASIN_SEED)
     cases["in_delta_basin"] = lambda: [hs.in_delta_basin(mats, plan["node"], x, config)
                                        for x in points]
+    overflow = [np.zeros((3, 3)) for _ in OVERFLOW_BLOCKS]
+    for M, block in zip(overflow, OVERFLOW_BLOCKS):
+        M[0, 0], M[1:, 1:] = 1e300, block
+    cases["overflow in_delta_basin"] = lambda: [hs.in_delta_basin([M], 0, x, config)
+                                                for M in overflow for x in points]
     return cases
 
 
