@@ -38,14 +38,14 @@ error, as a value, in the order of a one-cycle reading.  Each decomposed
 full return gets one small-integer state, and a short scan of those states
 finds each cycle's first fault; the zero partial-turn rows and every
 minimum are decided in arrays over the whole stack.  classify, sigma and
-collect_alpha_vectors read the result for the stack of one cycle (_single).
-_classify_many reads many cycles, grouped by _analyses, and _reports is the
-one place that builds IndexReport and IndexProvenance, with the provenance
-tags from _source.  _sigma_rows reads a float (B, m, N, N) stack as one (B,
-m) array of sigma_j and the errors and builds no report, as rsp-sweep reads
-its grid rows.  A stack is checked once (transition._basic_stack), and one
-min reduction finds every cycle's negative-entry nodes
-(transition._negative_entries).
+collect_alpha_vectors read the result for the stack of one cycle (_single),
+and classify is the one place that builds IndexReport and IndexProvenance,
+with the provenance tags from _source.  _sigma_rows reads a float (B, m, N,
+N) stack as one (B, m) array of sigma_j and the errors and builds no
+report, as rsp-sweep reads its grid rows: one isfinite pass checks the
+stack, one min reduction finds every cycle's negative-entry nodes
+(transition._negative_entries), and each pattern of them is one _indices
+call.
 
 Each minimum over the K vectors is that of findex.f_index over every
 vector in order, bit for bit (_first_minima).  f_index takes the correctly
@@ -63,7 +63,6 @@ shares.
 
 from __future__ import annotations
 
-import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -74,8 +73,8 @@ import numpy as np
 
 from . import findex
 from .spectral import DEFAULT_TOL, _attempt, _eigen_decompose_many, _tolerance
-from .transition import (CycleLike, as_basic_matrices, cyclic_products, _basic_stack, _finite,
-                         _negative_entries, _node_index, _overflow)
+from .transition import (CycleLike, as_basic_matrices, cyclic_products, _finite, _negative_entries,
+                         _node_index, _not_a_matrix, _overflow)
 
 
 class IndeterminateError(RuntimeError):
@@ -396,80 +395,30 @@ def _single(cycle: CycleLike) -> tuple[np.ndarray, list[int]]:
     return mats[None], np.flatnonzero(_negative_entries(mats)).tolist()
 
 
-def _analyses(cycles) -> tuple[list, list[tuple[list[int], np.ndarray, list[int]]]]:
-    """(out, groups) for many cycles: out holds each cycle's input error, or
-    None, and groups holds (members, mats, negative) for the cycles that
-    share m, N and their negative-entry nodes negative: their indices in
-    cycles and the float (B, m, N, N) array of their basic matrices.  cycles
-    is a sequence of cycles, or one float (B, m, N, N) array of B cycles'
-    basic matrices, which is checked at once (transition._basic_stack) and
-    whose negative-entry nodes come from one min reduction.
-    """
-    out = _basic_stack(cycles)
-    if out is None:
-        mats = [_attempt((TypeError, ValueError), as_basic_matrices, cycle) for cycle in cycles]
-        out = [m if isinstance(m, Exception) else None for m in mats]
-        mats = [m if e else np.array(m) for m, e in zip(mats, out)]
-        patterns = [None if e else _negative_entries(m).tolist() for m, e in zip(mats, out)]
-    else:
-        mats, patterns = cycles, _negative_entries(cycles).tolist()
-    groups: dict[tuple, list[int]] = {}
-    for i, pattern in enumerate(patterns):
-        if out[i] is None:
-            groups.setdefault((len(mats[i][0]), *pattern), []).append(i)
-    stacks = []
-    for (_, *pattern), members in groups.items():
-        group = np.array([mats[i] for i in members]) if isinstance(mats, list) else mats[members]
-        stacks.append((members, group, [j for j, neg in enumerate(pattern) if neg]))
-    return out, stacks
-
-
-def _reports(mats: np.ndarray, negative: list[int], tol: float) -> list:
-    """Each cycle's IndexReport, or its error, read from the indices of the
-    cycles of mats at every node (_indices): the one place that builds
-    reports and provenance."""
-    m, n = mats.shape[1:3]
-    result = _indices(mats, negative, list(range(m)), tol)
-    rows = itertools.count()                           # the candidates' rows, in order
-    none = _NO_MINIMUM[bool(negative)]
-    out = list(result.errors)
-    for b, (sigmas, ks, verdict) in enumerate(zip(result.sigma.tolist(), result.winner.tolist(),
-                                                  _verdicts(result.sigma))):
-        if out[b] is None:
-            provenance = tuple(none if k < 0 else IndexProvenance(
-                _source(negative, n, j, k), tuple(result.candidates[:, next(rows), k].tolist()))
-                for j, k in enumerate(ks))
-            out[b] = IndexReport(tuple(sigmas), provenance, verdict, tol)
-    return out
-
-
-def _classify_many(cycles, tol: float = DEFAULT_TOL) -> list:
-    """classify of each cycle: its IndexReport, or the error classify raises
-    for it (_attempt), read group by group (_analyses, _reports).  A tol
-    that breaks its rule is raised."""
-    tol = _tolerance(tol)
-    out, groups = _analyses(cycles)
-    for members, mats, negative in groups:
-        for i, report in zip(members, _reports(mats, negative, tol)):
-            out[i] = report
-    return out
-
-
 def _sigma_rows(stack: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, list]:
     """(sigma, errors) for a float (B, m, N, N) stack of B cycles' basic
-    matrices, read group by group (_analyses, _indices) and building no
-    report: sigma is the (B, m) array of every sigma_j, NaN on a cycle whose
-    analysis ends in an error, and errors holds each cycle's error (the one
-    classify raises) or None."""
+    matrices, building no report: sigma is the (B, m) array of every
+    sigma_j, NaN on a cycle whose analysis ends in an error, and errors
+    holds each cycle's error (the one classify raises) or None.  A cycle
+    with a matrix that is not finite has the error of the matrix rule; the
+    others are read by one _indices call per pattern of negative-entry
+    nodes, in the order the patterns first appear."""
     tol = _tolerance(tol)
-    out, groups = _analyses(stack)
+    m, n = stack.shape[1:3]
+    finite = np.isfinite(stack).all(axis=(1, 2, 3)).tolist()
+    errors = [None if ok else _not_a_matrix((n, n)) for ok in finite]
+    groups: dict[tuple, list[int]] = {}
+    for b, pattern in enumerate(map(tuple, _negative_entries(stack).tolist())):
+        if finite[b]:
+            groups.setdefault(pattern, []).append(b)
     sigma = np.full(stack.shape[:2], math.nan)
-    for members, mats, negative in groups:
-        result = _indices(mats, negative, list(range(stack.shape[1])), tol)
+    for pattern, members in groups.items():
+        result = _indices(stack[members], [q for q, neg in enumerate(pattern) if neg],
+                          list(range(m)), tol)
         sigma[members] = result.sigma
-        for i, error in zip(members, result.errors):
-            out[i] = error
-    return sigma, out
+        for b, error in zip(members, result.errors):
+            errors[b] = error
+    return sigma, errors
 
 
 def collect_alpha_vectors(cycle: CycleLike, j: int, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
@@ -513,7 +462,15 @@ def classify(cycle: CycleLike, tol: float = DEFAULT_TOL) -> IndexReport:
     decomposition, when tol breaks its rule.
     """
     tol = _tolerance(tol)
-    [report] = _reports(*_single(cycle), tol)
-    if isinstance(report, Exception):
-        raise report
-    return report
+    mats, negative = _single(cycle)
+    m, n = mats.shape[1:3]
+    result = _indices(mats, negative, list(range(m)), tol)
+    if result.errors[0] is not None:
+        raise result.errors[0]
+    # every sigma_j of a cycle without an error is a minimum or none is, and
+    # the candidates of node j are then row j
+    none = _NO_MINIMUM[bool(negative)]
+    provenance = tuple(none if k < 0 else IndexProvenance(
+        _source(negative, n, j, k), tuple(result.candidates[:, j, k].tolist()))
+        for j, k in enumerate(result.winner[0].tolist()))
+    return IndexReport(tuple(result.sigma[0].tolist()), provenance, _verdicts(result.sigma)[0], tol)

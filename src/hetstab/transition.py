@@ -26,6 +26,7 @@ NaN never reaches an eigendecomposition.
 
 from __future__ import annotations
 
+import numbers
 from typing import Sequence, Union
 
 import numpy as np
@@ -41,12 +42,22 @@ CycleLike = Union[ValidatedCycle, Sequence]
 
 
 def _floats(values) -> np.ndarray:
-    """values as a float array, in which an int beyond double range, which
-    float() rejects with OverflowError, is inf, so a finiteness rule rejects it."""
+    """values as a float array: integer, float or bool entries, in an array
+    or in nested sequences of real numbers, where an int beyond double
+    range, which float() rejects with OverflowError, is inf, so a finiteness
+    rule rejects it.  ValueError for any other entry, so a complex one never
+    loses its imaginary part and a string is never parsed."""
+    array = np.asarray(values)
+    if array.dtype.kind == "O":
+        bad = [type(x).__name__ for x in array.flat if not isinstance(x, (numbers.Real, np.bool_))]
+    else:
+        bad = [] if array.dtype.kind in "biuf" else [array.dtype.type.__name__]
+    if bad:
+        raise ValueError(f"expected real numbers, got {bad[0]} entries")
     try:
-        return np.asarray(values, float)
+        return np.asarray(array, float)
     except OverflowError:
-        return np.full(np.shape(values), np.inf)
+        return np.full(array.shape, np.inf)
 
 
 def _entries(matrix) -> np.ndarray:
@@ -61,20 +72,6 @@ def _entries(matrix) -> np.ndarray:
 def _not_a_matrix(shape: tuple[int, ...]) -> ValueError:
     """The error of the matrix rule (_entries) for a matrix of that shape."""
     return ValueError(f"expected a finite square matrix, got shape {shape}")
-
-
-def _basic_stack(cycles) -> list[ValueError | None] | None:
-    """as_basic_matrices of each cycle of cycles, checked at once, when
-    cycles is one float (B, m, N, N) array of B cycles' basic matrices with
-    m >= 1 and N >= 2: for each cycle None, or the ValueError that
-    as_basic_matrices raises for it (a matrix that is not finite).  None for
-    anything else, whose cycles are read one at a time.
-    """
-    if not (isinstance(cycles, np.ndarray) and cycles.dtype == float and cycles.ndim == 4
-            and cycles.shape[1] >= 1 and cycles.shape[2] == cycles.shape[3] >= 2):
-        return None
-    finite = np.isfinite(cycles).all(axis=(1, 2, 3)).tolist()
-    return [None if ok else _not_a_matrix(cycles.shape[2:]) for ok in finite]
 
 
 def _integer(value) -> bool:

@@ -3,8 +3,11 @@
 import cmath
 
 import numpy as np
+import pytest
 
-from hetstab import ConnectionSpec, CycleSpec, NodeSpec, ValidatedCycle, validate_cycle
+from hetstab import (ConnectionSpec, CycleSpec, NodeSpec, RspParams, ValidatedCycle, classify,
+                     rsp_matrices, validate_cycle)
+from hetstab.spectral import DEFAULT_TOL
 
 
 # A finite 4 x 4 matrix on which LAPACK's eig (numpy 2.4.6) and the eigvals
@@ -161,3 +164,25 @@ def dominant_pair_matrix(rng: np.random.Generator, n: int | None = None,
     D = np.diag(np.concatenate([[lam], others]))
     M = P @ D @ np.linalg.inv(P)
     return M, P, lam
+
+
+def classify_outcome(cycle, tol: float = DEFAULT_TOL):
+    """classify's report for cycle, or the error it raises, as a value."""
+    try:
+        return classify(cycle, tol)
+    except Exception as exc:   # every error classify raises is an outcome
+        return exc
+
+
+def rsp_grid(points: int = 61) -> list[list[np.ndarray]]:
+    """The RSP basic matrices at every point of rsp-sweep --grid points,
+    eps_x major."""
+    grid = np.linspace(-1.0, 1.0, points + 2)[1:-1]
+    return [rsp_matrices(RspParams(float(ex), float(ey))) for ex in grid for ey in grid]
+
+
+@pytest.fixture(scope="session")
+def rsp_grid_outcomes() -> list:
+    """classify_outcome of every cycle of rsp_grid(61), computed once per
+    test session."""
+    return [classify_outcome(cycle) for cycle in rsp_grid()]

@@ -165,19 +165,13 @@ def test_rsp_sweep_makes_at_most_two_stacked_decompositions_per_row(tmp_path, mo
 
 
 def test_rsp_sweep_checks_each_row_once(tmp_path, monkeypatch, capsys):
-    # the matrix rule runs once per stack of rows, not on each of the 7442 matrices
+    # _sigma_rows checks each stack of rows with one isfinite pass: the
+    # matrix rule never runs on each of the 7442 matrices
     calls = []
-
-    def counting(rule):
-        def count(*args):
-            calls.append(rule.__name__)
-            return rule(*args)
-        return count
-
-    monkeypatch.setattr(hetstab.transition, "_entries", counting(hetstab.transition._entries))
-    monkeypatch.setattr(hetstab.stability, "_basic_stack", counting(hetstab.stability._basic_stack))
+    entries = hetstab.transition._entries
+    monkeypatch.setattr(hetstab.transition, "_entries", lambda M: calls.append(1) or entries(M))
     assert main(GRID_61 + [str(tmp_path / "sweep.csv")]) == 0
-    assert calls == ["_basic_stack"] * STACKS_61
+    assert calls == []
 
 
 def test_rsp_sweep_makes_no_svd(tmp_path, monkeypatch, capsys):

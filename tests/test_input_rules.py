@@ -265,25 +265,51 @@ def test_node_index_rule_accepts_numpy_integers(entry):
 
 MATRIX_ENTRY_POINTS = {
     "as_basic_matrices": lambda M: as_basic_matrices([M, M]),
+    "classify": lambda M: classify([M, M]),
     "eigen_decompose": eigen_decompose,
     "vmax_row": vmax_row,
     "matrix_basin_membership": lambda M: matrix_basin_membership(M, (-1.0, -1.0)),
 }
+NOT_A_MATRIX = "^expected a finite square matrix"
+# transition._floats comes first: integer, float and bool entries, also as
+# Python numbers in an object array, are read as floats, while a complex
+# entry never loses its imaginary part and a string is never parsed
 BAD_MATRICES = {
-    "nan": [[2.0, NAN], [0.0, 2.0]],
-    "inf": [[2.0, 0.0], [INF, 2.0]],
-    "2x3": [[2.0, 0.0, 0.0], [0.0, 2.0, 0.0]],
-    "vector": [2.0, 2.0],
-    "0x0": np.zeros((0, 0)),
+    "nan": ([[2.0, NAN], [0.0, 2.0]], NOT_A_MATRIX),
+    "inf": ([[2.0, 0.0], [INF, 2.0]], NOT_A_MATRIX),
+    "2x3": ([[2.0, 0.0, 0.0], [0.0, 2.0, 0.0]], NOT_A_MATRIX),
+    "vector": ([2.0, 2.0], NOT_A_MATRIX),
+    "0x0": (np.zeros((0, 0)), NOT_A_MATRIX),
+    "complex-array": (np.array([[2.0, 0.0], [0.0, 2.0 + 1e-3j]]),
+                      "^expected real numbers, got complex128 entries$"),
+    "complex-entry": ([[2.0, 0.0], [0.0, 2j]], "^expected real numbers, got complex128 entries$"),
+    "string-entry": ([[2.0, 0.0], [0.0, "2"]], "^expected real numbers, got str_ entries$"),
+    "string-object": (np.array([[2.0, 0.0], [0.0, "2"]], dtype=object),
+                      "^expected real numbers, got str entries$"),
+    "complex-object": (np.array([[2.0, 0.0], [0.0, 2j]], dtype=object),
+                       "^expected real numbers, got complex entries$"),
 }
 
 
 @pytest.mark.parametrize("bad", sorted(BAD_MATRICES))
 @pytest.mark.parametrize("entry", sorted(MATRIX_ENTRY_POINTS))
 def test_matrix_rule(entry, bad):
-    with pytest.raises(ValueError, match="^expected a finite square matrix") as exc:
-        MATRIX_ENTRY_POINTS[entry](BAD_MATRICES[bad])
+    matrix, message = BAD_MATRICES[bad]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message) as exc:
+            MATRIX_ENTRY_POINTS[entry](matrix)
     assert exc.type is ValueError
+
+
+@pytest.mark.parametrize("matrix", [
+    np.array([[2, 0], [-1, 1]]), np.array([[2, 0], [-1, 1]], dtype=np.int8),
+    [[2, False], [-1, True]], np.array([[2, 0], [-1, 1]], dtype=object),
+], ids=["int", "int8", "bool", "object"])
+@pytest.mark.parametrize("entry", sorted(MATRIX_ENTRY_POINTS))
+def test_matrix_rule_accepts_integers_and_bools(entry, matrix):
+    floats = [[2.0, 0.0], [-1.0, 1.0]]
+    assert repr(MATRIX_ENTRY_POINTS[entry](matrix)) == repr(MATRIX_ENTRY_POINTS[entry](floats))
 
 
 # ---------------------------------------------------------------------------
@@ -456,6 +482,23 @@ def test_point_rule(entry, x, kind, message):
     with pytest.raises(ValueError, match=message) as exc:
         POINT_ENTRY_POINTS[entry](x)
     assert exc.type is kind
+
+
+@pytest.mark.parametrize("call, sign", [
+    (lambda x: in_delta_basin(RAW, 0, x, TINY), 1.0),
+    (lambda y: matrix_basin_membership(np.eye(3), y), -1.0),
+], ids=["in_delta_basin", "matrix_basin_membership"])
+@pytest.mark.parametrize("point, shown", [
+    (lambda s: np.array([s, s + 1e-9j, s]) * 1e-3, "complex128"),
+    (lambda s: (s * 1e-3, s * 1e-3j, s * 1e-3), "complex128"),
+    (lambda s: (s * 1e-3, f"{s * 1e-3}", s * 1e-3), "str_"),
+], ids=["complex-array", "complex-entry", "string-entry"])
+def test_point_entries_must_be_real_numbers(call, sign, point, shown):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^expected real numbers, got {shown} entries$") as exc:
+            call(point(sign))
+    assert exc.type is ValueError
 
 
 # ---------------------------------------------------------------------------

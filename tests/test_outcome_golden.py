@@ -1,8 +1,9 @@
 """Golden analytic outcomes: the SHA-256 of the canonical form of every report
 and error on fixed-seed populations.
 
-Each case runs the analysis on a population drawn from the conftest
-generators, or on the RSP grid that `rsp-sweep --grid 61` covers.  A report
+Each case runs classify or sigma, one cycle at a time, on a population
+drawn from the conftest generators, or on the RSP grid that
+`rsp-sweep --grid 61` covers (the session's rsp_grid_outcomes).  A report
 is its verdict and, for every j, float.hex of sigma_j, the provenance source
 and float.hex of every component of the provenance vector; an error is its
 type, message and .node.  A change that keeps every number, provenance,
@@ -15,9 +16,8 @@ import hashlib
 import numpy as np
 import pytest
 
-from conftest import attracting_cycle, random_cycle
-from hetstab import RspParams, rsp_matrices, sigma
-from hetstab.stability import _classify_many
+from conftest import attracting_cycle, classify_outcome, random_cycle
+from hetstab import sigma
 
 
 def _canonical(result) -> str:
@@ -58,18 +58,19 @@ def _negative():
     return [random_cycle(rng, max_m=8, sign="negative") for _ in range(200)]
 
 
-def _rsp_grid():
-    grid = np.linspace(-1.0, 1.0, 61 + 2)[1:-1]
-    return [rsp_matrices(RspParams(float(ex), float(ey))) for ex in grid for ey in grid]
+def _classified(cycles) -> list:
+    return [classify_outcome(cycle) for cycle in cycles]
 
 
+# each case reads the pytest request, for the session's classified RSP grid
 CASES = {
-    "classify-mixed": lambda: _classify_many(_mixed()),
-    "classify-attracting-32": lambda: _classify_many(_attracting()),
-    "classify-negative": lambda: _classify_many(_negative()),
-    "classify-rsp-grid-61": lambda: _classify_many(_rsp_grid()),
-    "sigma-mixed": lambda: [s for cycle in _mixed()[::8] for s in _sigmas(cycle)],
-    "sigma-attracting-32": lambda: [s for cycle in _attracting()[:4] for s in _sigmas(cycle)],
+    "classify-mixed": lambda request: _classified(_mixed()),
+    "classify-attracting-32": lambda request: _classified(_attracting()),
+    "classify-negative": lambda request: _classified(_negative()),
+    "classify-rsp-grid-61": lambda request: request.getfixturevalue("rsp_grid_outcomes"),
+    "sigma-mixed": lambda request: [s for cycle in _mixed()[::8] for s in _sigmas(cycle)],
+    "sigma-attracting-32": lambda request: [s for cycle in _attracting()[:4]
+                                            for s in _sigmas(cycle)],
 }
 
 GOLDEN = {
@@ -83,6 +84,6 @@ GOLDEN = {
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_outcomes_match_golden(name):
-    lines = "\n".join(_canonical(r) for r in CASES[name]())
+def test_outcomes_match_golden(name, request):
+    lines = "\n".join(_canonical(r) for r in CASES[name](request))
     assert hashlib.sha256(lines.encode()).hexdigest() == GOLDEN[name]

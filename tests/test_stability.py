@@ -11,7 +11,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hetstab.stability
-from conftest import NONCONVERGENT, attracting_cycle, dominant_pair_matrix, random_cycle
+from conftest import (NONCONVERGENT, attracting_cycle, classify_outcome, dominant_pair_matrix,
+                      random_cycle, rsp_grid)
 from hetstab import (
     Classification,
     ConnectionSpec,
@@ -566,18 +567,43 @@ def test_underflowed_zero_row_raises_as_the_exhaustive_loop_does():
     assert sigma(mats, 0) == INF
 
 
-def _outcome(result):
-    """A report as it is, an error as (type, message, node)."""
-    if isinstance(result, Exception):
-        return type(result), str(result), getattr(result, "node", None)
-    return result
+# partial turns that underflow to a zero row while every full return holds
+ZERO_ROW = np.array([[[1e200, 2e200], [1e200, 1e200]], [[1e-200, 2e-200], [3e-200, 1e-200]],
+                     [[1e-200, 1e-200], [1.0, -0.1]]])
 
 
-def _classify_outcome(cycle, tol):
-    try:
-        return classify(cycle, tol)
-    except Exception as exc:   # every error classify raises is compared
-        return _outcome(exc)
+def _stacks(cycles) -> list[tuple[list[int], np.ndarray]]:
+    """(members, stack) for the cycles of cycles whose basic matrices pass
+    the input rules, one float (B, m, N, N) stack per shape: their indices
+    in cycles and their matrices."""
+    shapes: dict[tuple, list[int]] = {}
+    for i, cycle in enumerate(cycles):
+        try:
+            shapes.setdefault(np.shape(as_basic_matrices(cycle)), []).append(i)
+        except (TypeError, ValueError):
+            pass
+    return [(members, np.array([as_basic_matrices(cycles[i]) for i in members]))
+            for members in shapes.values()]
+
+
+def _sweep_agrees(stack, expected, tol: float = DEFAULT_TOL) -> list:
+    """The errors of _sigma_rows(stack), after checking each cycle's row
+    against its classify outcome in expected (conftest.classify_outcome):
+    the same error, type and message, with a NaN row, or no error, the same
+    verdict and the same sigma row, bit for bit and sign of zero included."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sigmas, errors = hetstab.stability._sigma_rows(stack, tol)
+    verdicts = hetstab.stability._verdicts(sigmas)
+    for row, verdict, error, outcome in zip(sigmas.tolist(), verdicts, errors, expected,
+                                            strict=True):
+        if isinstance(outcome, Exception):
+            assert (type(error), str(error)) == (type(outcome), str(outcome))
+            assert all(map(math.isnan, row))
+        else:
+            assert error is None and verdict is outcome.classification
+            assert [s.hex() for s in row] == [s.hex() for s in outcome.sigma]
+    return errors
 
 
 @pytest.mark.parametrize("tol", [1e-9, 0.0])
@@ -607,68 +633,65 @@ def test_batch_equals_per_cycle_exactly(tol):
     batch = [batch[i] for i in order]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = [_outcome(r) for r in hetstab.stability._classify_many(batch, tol)]
-        expected = [_classify_outcome(cycle, tol) for cycle in batch]
-    assert got == expected
+        expected = [classify_outcome(cycle, tol) for cycle in batch]
+    # every cycle but the two bad inputs reads the same in the stack of its shape
+    stacks = _stacks(batch)
+    for members, stack in stacks:
+        _sweep_agrees(stack, [expected[i] for i in members], tol)
+    assert sum(len(members) for members, _ in stacks) == len(batch) - 2
     for cycle, (_, value) in zip(defective, DEFECTIVE_NONNEGATIVE):
         [k] = [k for k, c in enumerate(batch) if c is cycle]
-        assert got[k].sigma == (value,)
-    kinds = {r[0] if isinstance(r, tuple) else r.classification for r in expected}
+        assert expected[k].sigma == (value,)
+    kinds = {type(r) if isinstance(r, Exception) else r.classification for r in expected}
     assert {IndeterminateError, ProductOverflow, ZeroVectorError, ValueError} <= kinds
     assert len(kinds & set(Classification)) >= 3
 
 
 def test_batch_errors_keep_no_traceback():
     mixed = np.array([[1e200, 0.0], [-1.0, 1.0]])
-    zero_row = [np.array([[1e200, 2e200], [1e200, 1e200]]),
-                np.array([[1e-200, 2e-200], [3e-200, 1e-200]]),
-                np.array([[1e-200, 1e-200], [1.0, -0.1]])]
     cases = {
         "overflow": ([np.abs(mixed)] * 2, ProductOverflow),
         "defective": ([np.array([[1.5, -1.0], [0.0, 1.5]])], IndeterminateError),
         "nonnegative-tie": ([2.0 * np.eye(2)], IndeterminateError),
-        "zero-row": (zero_row, ZeroVectorError),
-        "bad-matrix": ([np.eye(3)[:2]], ValueError),
-        "not-a-list": (5, TypeError),
+        "zero-row": (ZERO_ROW, ZeroVectorError),
+        "not-finite": ([np.array([[1.0, np.nan], [0.0, 1.0]])], ValueError),
     }
-    results = hetstab.stability._classify_many([cycle for cycle, _ in cases.values()])
-    for (name, (_, kind)), exc in zip(cases.items(), results):
+    errors = {}
+    for name, (cycle, kind) in cases.items():
+        [errors[name]] = hetstab.stability._sigma_rows(np.array(cycle)[None])[1]
+        exc = errors[name]
         assert type(exc) is kind, name
         for e in (exc, exc.__cause__, exc.__context__):
             assert e is None or e.__traceback__ is None, name
-    tie = results[list(cases).index("nonnegative-tie")]
+    tie = errors["nonnegative-tie"]
     assert isinstance(tie.__cause__, SpectralError) and tie.cause is tie.__cause__
-
+    # what no float stack holds is raised by classify itself
+    with pytest.raises(ValueError, match="^expected a finite square matrix"):
+        classify([np.eye(3)[:2]])
+    with pytest.raises(TypeError):
+        classify(5)
 
 
 def _rsp_rows() -> list[np.ndarray]:
     """The grid of rsp-sweep --grid 61, one (61, 2, 3, 3) stack per eps_x row."""
-    grid = np.linspace(-1.0, 1.0, 61 + 2)[1:-1]
-    return [np.array([rsp_matrices(RspParams(float(ex), float(ey))) for ey in grid])
-            for ex in grid]
+    cycles = rsp_grid()
+    return [np.array(cycles[r:r + 61]) for r in range(0, len(cycles), 61)]
 
 
-def test_a_stack_classifies_as_its_list_of_cycles():
-    from test_outcome_golden import _canonical
+def test_a_stack_classifies_as_its_list_of_cycles(rsp_grid_outcomes):
     rows = _rsp_rows()
+    for r, stack in enumerate(rows):
+        _sweep_agrees(stack, rsp_grid_outcomes[61 * r:61 * (r + 1)])
     mixed = rows[20].copy()
     mixed[3, 1, 2, 0] = np.nan                                   # not finite
     mixed[4, 0, 1, 1] = np.inf
     mixed[5] = [np.diag([1e200, 1.0, 1.0])] * 2                  # its full returns overflow
     mixed[6] = [np.diag([2.0, -2.0, 0.5])] * 2                   # a tie at the top
     mixed[7] = [np.diag([2.0, 2.0, 0.5])] * 2                    # the same, non-negative
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        for stack in rows + [mixed]:
-            got = hetstab.stability._classify_many(stack)
-            assert [_canonical(r) for r in got] == [
-                _canonical(r) for r in hetstab.stability._classify_many(list(stack))]
-    kinds = [type(r) for r in got[3:8]]
+    got = _sweep_agrees(mixed, [classify_outcome(cycle) for cycle in mixed])
+    kinds = [type(e) for e in got[3:8]]
     assert kinds == [ValueError] * 2 + [ProductOverflow] + [IndeterminateError] * 2
     assert str(got[3]) == "expected a finite square matrix, got shape (3, 3)"
-    clean = hetstab.stability._classify_many(rows[20])        # the other cycles are untouched
-    assert [_canonical(r) for r in got[:3] + got[8:]] == [
-        _canonical(r) for r in clean[:3] + clean[8:]]
 
 
 def _jordan(n: int, corner: float) -> np.ndarray:
@@ -720,46 +743,21 @@ def cycle_stacks(draw):
     return stack
 
 
-# partial turns that underflow to a zero row while every full return holds
-ZERO_ROW = np.array([[[1e200, 2e200], [1e200, 1e200]], [[1e-200, 2e-200], [3e-200, 1e-200]],
-                     [[1e-200, 1e-200], [1.0, -0.1]]])
-
-
 @settings(deadline=None, max_examples=80)
 @given(cycle_stacks())
 @example(np.array([ZERO_ROW, 2.0 * ZERO_ROW, np.abs(ZERO_ROW), ZERO_ROW[[2, 0, 1]]]))
 def test_the_sweep_reader_agrees_with_the_reports(stack):
-    # _sigma_rows and _classify_many read one analysis: the same sigma row,
-    # bit for bit and sign of zero included, verdict and error for each cycle
+    # _sigma_rows and classify read one analysis: the same sigma row, bit
+    # for bit and sign of zero included, verdict and error for each cycle
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        sigmas, errors = hetstab.stability._sigma_rows(stack)
-        reports = hetstab.stability._classify_many(stack)
-    verdicts = hetstab.stability._verdicts(sigmas)
-    for row, verdict, error, report in zip(sigmas.tolist(), verdicts, errors, reports):
-        if isinstance(report, Exception):
-            assert (type(error), str(error)) == (type(report), str(report))
-            assert all(map(math.isnan, row))
-        else:
-            assert error is None and verdict is report.classification
-            assert [s.hex() for s in row] == [s.hex() for s in report.sigma]
+        expected = [classify_outcome(cycle) for cycle in stack]
+    _sweep_agrees(stack, expected)
 
 
-def test_the_sweep_reader_agrees_with_the_reports_on_the_rsp_grid():
-    grid = np.linspace(-1.0, 1.0, 61 + 2)[1:-1]
-    stack = np.array([rsp_matrices(RspParams(float(ex), float(ey))) for ex in grid for ey in grid])
-    sigmas, errors = hetstab.stability._sigma_rows(stack)
-    reports = hetstab.stability._classify_many(stack)
-    verdicts = hetstab.stability._verdicts(sigmas)
-    kinds = set()
-    for row, verdict, error, report in zip(sigmas.tolist(), verdicts, errors, reports):
-        if isinstance(report, Exception):
-            assert (type(error), str(error)) == (type(report), str(report))
-            kinds.add(type(report))
-        else:
-            assert [s.hex() for s in row] == [s.hex() for s in report.sigma]
-            assert verdict is report.classification
-            kinds.add(verdict)
+def test_the_sweep_reader_agrees_with_the_reports_on_the_rsp_grid(rsp_grid_outcomes):
+    _sweep_agrees(np.array(rsp_grid()), rsp_grid_outcomes)
+    kinds = {type(r) if isinstance(r, Exception) else r.classification for r in rsp_grid_outcomes}
     assert len(kinds) >= 3
 
 

@@ -8,11 +8,15 @@ eigvalsh: an attribute, a name or an import.  It is also scanned for every
 place a NoAdmissibleDominant is built, which must be one function.  The
 Monte-Carlo oracle checks the analytic indices, so its imports are scanned
 too: nothing from spectral, and from stability only IndeterminateError;
-and it may not use any of the eigen routines itself.
+and it may not use any of the eigen routines itself.  Last, every
+module-level name outside hetstab.__all__ must be used by package code, so
+no private function, class or constant is kept for tests alone.
 """
 
 import ast
 from pathlib import Path
+
+import hetstab
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "hetstab"
 ROUTINES = {"eig", "eigvals", "eigh", "eigvalsh"}
@@ -137,3 +141,69 @@ def test_the_import_scan_sees_every_form_of_import():
               "def f():\n    from .stability import classify, IndeterminateError\n")
     assert _imported(source) == [("hetstab", "spectral"), ("spectral",),
                                  ("stability", "classify"), ("stability", "IndeterminateError")]
+
+
+class _Loads(_Uses):
+    """(scope, name) for every read of a name in names: an import or an
+    assignment to it is not one."""
+
+    def _check(self, name: str | None):
+        if name in self.names:
+            self.found.append((".".join(self.scope), name))
+
+    def visit_Name(self, node):
+        if not isinstance(node.ctx, ast.Store):
+            super().visit_Name(node)
+
+    def visit_alias(self, node):
+        pass
+
+
+def _module_names(tree: ast.Module) -> list[str]:
+    """Every function, class and variable that the body of tree defines."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [t.id for t in targets if isinstance(t, ast.Name)]
+    return names
+
+
+def _unread_names(sources: dict[str, str], public) -> list[str]:
+    """module.name for every name outside public, and not a dunder, that the
+    module of sources (module -> source) defines and no package code reads
+    outside that name's own definition."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    defined = {(module, name) for module, tree in trees.items() for name in _module_names(tree)
+               if name not in public and not (name.startswith("__") and name.endswith("__"))}
+    reads = []
+    for module, tree in trees.items():
+        loads = _Loads(module, {name for _, name in defined})
+        loads.visit(tree)
+        reads += loads.found
+
+    def read(module: str, name: str) -> bool:
+        own = f"{module}.{name}"
+        return any(n == name and scope != own and not scope.startswith(own + ".")
+                   for scope, n in reads)
+
+    return sorted(f"{module}.{name}" for module, name in defined if not read(module, name))
+
+
+def test_every_name_outside_the_api_is_read_by_the_package():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    assert _unread_names(sources, set(hetstab.__all__)) == []
+
+
+def test_the_unread_name_scan_sees_reads_only():
+    sources = {
+        "a": ("from .b import _helper, _unused\nLIMIT = 2\n_SPARE = 3\n"
+              "def _loop(n):\n    return _loop(n - 1)\n"
+              "class _Kept:\n    def f(self):\n        return _helper(LIMIT)\n"),
+        "b": "def _helper(x):\n    return x\ndef _unused():\n    return 0\n_SPARE = 1\n",
+        "c": "import a\ndef public():\n    return a._Kept()\n",
+    }
+    assert _unread_names(sources, {"public"}) == [
+        "a._SPARE", "a._loop", "b._SPARE", "b._unused"]

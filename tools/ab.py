@@ -24,8 +24,8 @@ PARENT's perfbench/inputs.py, which is loaded, not edited:
   eps-cube (in_basin_points at perfbench seed 1), timed as one call; and
   at the same points on two one-map cycles diag(1e300) + B, whose
   coordinate 0 reaches -inf (x = 0) within two steps (overflow
-  in_delta_basin).  Every point is in the basin of the first, after steps
-  whose matmul meets 0 * -inf, and every point escapes from the second.
+  in_delta_basin).  Every point is in the basin of the first and escapes
+  from the second, in both after steps whose matmul meets 0 * -inf.
 
 --samples sets the F+ samples per level (10^6 in criterion 5) and scales the
 sigma samples per level (40000) by the same factor.  --cases keeps the cases
@@ -67,7 +67,7 @@ SIGMA_SAMPLES = 40_000
 IN_BASIN_SEED = 1
 SCALED_CONNECTION = {"permutation": (1, 2, 0), "scalings": (2.0, 0.5, 1.5),
                      "contraction_offset": 0.3}
-OVERFLOW_BLOCKS = (((0.5, 1.0), (1.5, 0.2)), ((1.6, 1.0), (-0.1, 0.5)))   # the B of diag(1e300) + B
+OVERFLOW_BLOCKS = (((0.5, 1.0), (1.5, 0.2)), ((0.95, 0.0), (0.0, 0.95)))   # the B of diag(1e300) + B
 
 
 def _load(path: Path, name: str):
