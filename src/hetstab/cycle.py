@@ -11,10 +11,16 @@ the signs above, N >= 2, bijective permutations and the eigenvalue-count
 shadow of quasi-simplicity (equal transverse counts at every node, simple
 contracting/expanding pair).  Each check names the CycleValidationError
 subclass that reports it; validate_cycle raises the class of the first
-violation, and a non-finite value always gets the base class, as does an
-int beyond double range, which NodeSpec and ConnectionSpec reject as they
-are built.  Whether the data comes from an actual cycle of some vector
-field is the caller's responsibility.
+violation, and a non-finite value always gets the base class.  Whether the
+data comes from an actual cycle of some vector field is the caller's
+responsibility.
+
+A value that a caller gives as a real number is read by one rule, here and
+in findex, oracle, rsp and transition: _real for a scalar and _reals for a
+sequence.  An int, a float or a bool (numpy's too) is a real number, and an
+int beyond double range reads as -inf or +inf, so the owner's finiteness or
+range check rejects it; a string, bytes, a complex or None never is one, so
+a string is never parsed and a complex never loses its imaginary part.
 """
 
 from __future__ import annotations
@@ -22,7 +28,9 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+
+import numpy as np
 
 
 class CycleValidationError(ValueError):
@@ -45,6 +53,41 @@ class NonPositiveScaling(CycleValidationError):
     """A connection scaling constant or contraction offset was <= 0."""
 
 
+REALS = (numbers.Real, np.bool_)    # the types of the number rule (_real)
+
+
+def _real(value, name: str, error: type[ValueError] = ValueError) -> float:
+    """value as a float when it is a real number (REALS), where an int beyond
+    double range reads as -inf or +inf; error naming name otherwise."""
+    if type(value) is float:            # without the slower ABC check
+        return value
+    if not isinstance(value, REALS):
+        raise error(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
+def _reals(values, name: str, error: type[ValueError] = ValueError, keep: type = float) -> tuple:
+    """values as a tuple of floats (_real), where an entry of type keep is
+    kept as it is, and values itself when it is a tuple of such entries
+    only; error naming name unless an iterable of real numbers that is not
+    a string or bytes."""
+    if type(values) is tuple:           # as cycle_from_dict gives them: no copy
+        for v in values:
+            if type(v) is not keep:
+                break
+        else:
+            return values
+    try:
+        if isinstance(values, (str, bytes)):
+            raise TypeError
+        return tuple([v if type(v) is keep else _real(v, name) for v in values])
+    except (TypeError, ValueError):
+        raise error(f"{name} must be a sequence of numbers, got {values!r}") from None
+
+
 @dataclass(frozen=True)
 class NodeSpec:
     """Eigenvalue data at one node.
@@ -59,14 +102,11 @@ class NodeSpec:
     radial: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
-        try:
-            object.__setattr__(self, "transverse", tuple(float(t) for t in self.transverse))
-            object.__setattr__(self, "radial", tuple(float(r) for r in self.radial))
-            object.__setattr__(self, "contracting", float(self.contracting))
-            object.__setattr__(self, "expanding", float(self.expanding))
-        except OverflowError:   # an int beyond double range
-            raise CycleValidationError(
-                "node value beyond double range among c, e, t and radial") from None
+        error = CycleValidationError
+        object.__setattr__(self, "contracting", _real(self.contracting, "contracting", error))
+        object.__setattr__(self, "expanding", _real(self.expanding, "expanding", error))
+        object.__setattr__(self, "transverse", _reals(self.transverse, "transverse", error))
+        object.__setattr__(self, "radial", _reals(self.radial, "radial", error))
 
 
 @dataclass(frozen=True)
@@ -86,17 +126,14 @@ class ConnectionSpec:
     contraction_offset: float = 1.0
 
     def __post_init__(self) -> None:
+        error = CycleValidationError
         # an integral entry becomes an int; 1.9 or NaN stays a float for validation to reject
         object.__setattr__(self, "permutation", tuple(
-            i if type(i) is int else int(i) if float(i).is_integer() else float(i)
-            for i in self.permutation))
-        try:
-            if self.scalings is not None:
-                object.__setattr__(self, "scalings", tuple(float(a) for a in self.scalings))
-            object.__setattr__(self, "contraction_offset", float(self.contraction_offset))
-        except OverflowError:   # an int beyond double range
-            raise CycleValidationError(
-                "connection value beyond double range among scalings and v0") from None
+            [int(i) if type(i) is float and i.is_integer() else i
+             for i in _reals(self.permutation, "permutation", error, keep=int)]))
+        if self.scalings is not None:
+            object.__setattr__(self, "scalings", _reals(self.scalings, "scalings", error))
+        object.__setattr__(self, "contraction_offset", _real(self.contraction_offset, "v0", error))
 
 
 @dataclass(frozen=True)
@@ -205,14 +242,8 @@ def validate_cycle(spec: CycleSpec) -> ValidatedCycle:
         raise problems[0][0]("; ".join(message for _, message in problems))
 
     dim = len(spec.nodes[0].transverse) + 1
-    connections = tuple(
-        ConnectionSpec(
-            permutation=c.permutation,
-            scalings=c.scalings if c.scalings is not None else (1.0,) * dim,
-            contraction_offset=c.contraction_offset,
-        )
-        for c in spec.connections
-    )
+    connections = tuple(c if c.scalings is not None else replace(c, scalings=(1.0,) * dim)
+                        for c in spec.connections)
     return ValidatedCycle(nodes=spec.nodes, connections=connections)
 
 

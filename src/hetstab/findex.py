@@ -30,6 +30,9 @@ from __future__ import annotations
 import math
 from typing import Iterable
 
+from .cycle import _reals
+
+
 def inf_str(x):
     """Serialized form of a value: "+inf" / "-inf" for a float infinity.
 
@@ -45,23 +48,10 @@ class ZeroVectorError(ValueError):
     """The all-zero direction has no index."""
 
 
-def _numbers(values: Iterable[float], name: str) -> list[float]:
-    """values as floats, [inf] if an int is beyond double range; ValueError
-    naming name unless a sequence of numbers."""
-    try:
-        if isinstance(values, (str, bytes)):   # would iterate by character
-            raise TypeError
-        return [float(v) for v in values]
-    except (TypeError, ValueError):
-        raise ValueError(f"{name} must be a sequence of numbers, got {values!r}") from None
-    except OverflowError:                 # an int beyond double range is not finite
-        return [math.inf]
-
-
-def _components(alpha: Iterable[float]) -> list[float]:
+def _components(alpha: Iterable[float]) -> tuple[float, ...]:
     """alpha as floats; ZeroVectorError if empty or zero, ValueError if not
-    a sequence of numbers (_numbers) or not finite."""
-    comps = _numbers(alpha, "direction vector")
+    a sequence of numbers (cycle._reals) or not finite."""
+    comps = _reals(alpha, "direction vector")
     if not comps:
         raise ZeroVectorError("empty direction vector")
     if not all(map(math.isfinite, comps)):

@@ -55,7 +55,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -63,8 +62,8 @@ from typing import Callable, Collection, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .cycle import ValidatedCycle
-from .findex import _components, _numbers
+from .cycle import REALS, ValidatedCycle, _real, _reals
+from .findex import _components
 from .stability import IndeterminateError
 from .transition import (CycleLike, _entries, _floats, _integer, _node_index, _overflow,
                          as_basic_matrices, cyclic_products)
@@ -92,8 +91,8 @@ class InsufficientResolution(RuntimeError):
 
 def _ladder(epsilon_ladder: Iterable[float]) -> tuple[float, ...]:
     """epsilon_ladder as floats; ValueError unless a sequence of numbers
-    (_numbers) that are finite, positive and strictly decreasing."""
-    lad = tuple(_numbers(epsilon_ladder, "epsilon ladder"))
+    (cycle._reals) that are finite, positive and strictly decreasing."""
+    lad = _reals(epsilon_ladder, "epsilon ladder")
     if not lad or any(not 0 < e < math.inf for e in lad):
         raise ValueError("epsilon ladder must be non-empty, finite and positive")
     if any(a <= b for a, b in zip(lad, lad[1:])):
@@ -143,8 +142,9 @@ class EstimatorConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.delta, numbers.Real) and 0 < self.delta < 1):
+        if not (isinstance(self.delta, REALS) and 0 < self.delta < 1):
             raise ValueError(f"delta must be a real number in (0, 1), got {self.delta!r}")
+        object.__setattr__(self, "delta", _real(self.delta, "delta"))
         object.__setattr__(self, "epsilon_ladder", _ladder(self.epsilon_ladder))
         if any(e >= self.delta for e in self.epsilon_ladder):
             raise ValueError("every ladder level must be < delta")

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cycle import ConnectionSpec, CycleSpec, NodeSpec
+from .cycle import ConnectionSpec, CycleSpec, NodeSpec, _real
 from .spectral import DEFAULT_TOL
 from .stability import Classification, IndexReport, classify
 
@@ -45,13 +45,10 @@ class RspParams:
 
     def __post_init__(self) -> None:
         for name in ("eps_x", "eps_y"):
-            try:
-                object.__setattr__(self, name, float(getattr(self, name)))
-            except OverflowError:                      # an int beyond double range
-                raise ParamOutOfRange(f"{name} is beyond double range, outside (-1, 1)") from None
-        for name, v in (("eps_x", self.eps_x), ("eps_y", self.eps_y)):
+            v = _real(getattr(self, name), name)
             if not -1.0 < v < 1.0:
                 raise ParamOutOfRange(f"{name}={v} is outside (-1, 1)")
+            object.__setattr__(self, name, v)
 
 
 def rsp_matrices(params: RspParams) -> tuple[np.ndarray, np.ndarray]:

@@ -26,12 +26,11 @@ NaN never reaches an eigendecomposition.
 
 from __future__ import annotations
 
-import numbers
 from typing import Sequence, Union
 
 import numpy as np
 
-from .cycle import CycleValidationError, ValidatedCycle
+from .cycle import REALS, CycleValidationError, ValidatedCycle, _real
 
 
 class ProductOverflow(CycleValidationError):
@@ -43,21 +42,21 @@ CycleLike = Union[ValidatedCycle, Sequence]
 
 def _floats(values) -> np.ndarray:
     """values as a float array: integer, float or bool entries, in an array
-    or in nested sequences of real numbers, where an int beyond double
-    range, which float() rejects with OverflowError, is inf, so a finiteness
-    rule rejects it.  ValueError for any other entry, so a complex one never
-    loses its imaginary part and a string is never parsed."""
+    or in nested sequences of real numbers.  The entries of an object array
+    are read one by one by the number rule (cycle._real), so only an int
+    beyond double range among them becomes -inf or +inf.  ValueError for
+    any other entry, so a complex one never loses its imaginary part and a
+    string is never parsed."""
     array = np.asarray(values)
+    if array.dtype.kind in "biuf":
+        return np.asarray(array, float)
     if array.dtype.kind == "O":
-        bad = [type(x).__name__ for x in array.flat if not isinstance(x, (numbers.Real, np.bool_))]
+        bad = [type(x).__name__ for x in array.flat if not isinstance(x, REALS)]
     else:
-        bad = [] if array.dtype.kind in "biuf" else [array.dtype.type.__name__]
+        bad = [array.dtype.type.__name__]
     if bad:
         raise ValueError(f"expected real numbers, got {bad[0]} entries")
-    try:
-        return np.asarray(array, float)
-    except OverflowError:
-        return np.full(array.shape, np.inf)
+    return np.array([_real(x, "entry") for x in array.flat]).reshape(array.shape)
 
 
 def _entries(matrix) -> np.ndarray:

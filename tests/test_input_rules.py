@@ -9,6 +9,7 @@ import json
 import math
 import re
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -51,6 +52,7 @@ from hetstab import (
     validate_cycle,
     vmax_row,
 )
+import hetstab.cycle
 import hetstab.transition
 from hetstab.cli import main
 
@@ -164,18 +166,20 @@ def test_cycle_document_rule_wants_lists_and_dicts(path, value, key, kind):
     assert exc.type is CycleValidationError
 
 
-@pytest.mark.parametrize("path,value", [
-    (("nodes", 0, "contracting"), 10**400), (("nodes", 0, "transverse"), [-(10**400)]),
-    (("nodes", 0, "radial"), [10**400]), (("connections", 0, "scalings"), [1.0, 10**400]),
-    (("connections", 0, "v0"), 10**400),
+@pytest.mark.parametrize("path,value,message", [
+    (("nodes", 0, "contracting"), 10**400, "node 0: non-finite value among c, e, t and radial"),
+    (("nodes", 0, "transverse"), [-(10**400)], "node 0: non-finite value among c, e, t and radial"),
+    (("nodes", 0, "radial"), [10**400], "node 0: non-finite value among c, e, t and radial"),
+    (("connections", 0, "scalings"), [1.0, 10**400], "connection 0: non-finite scaling"),
+    (("connections", 0, "v0"), 10**400, "connection 0: non-finite v0"),
 ], ids=["contracting", "transverse", "radial", "scalings", "v0"])
-def test_cycle_document_rule_rejects_ints_beyond_double_range(path, value):
-    # a CycleValidationError, not the OverflowError of float(10**400)
+def test_cycle_document_rule_rejects_ints_beyond_double_range(path, value, message):
+    # the number rule reads 10**400 as inf, which validation rejects as
+    # non-finite, not the OverflowError of float(10**400)
     doc = _document()
     doc[path[0]][path[1]][path[2]] = value
-    part = "node value" if path[0] == "nodes" else "connection value"
-    with pytest.raises(CycleValidationError, match=f"^{part} beyond double range among ") as exc:
-        cycle_from_dict(doc)
+    with pytest.raises(CycleValidationError, match=f"^{message}$") as exc:
+        validate_cycle(cycle_from_dict(doc))
     assert exc.type is CycleValidationError
 
 
@@ -403,6 +407,11 @@ def test_delta_rule_accepts_numpy_reals():
     assert EstimatorConfig(delta=np.float32(0.25)).delta == np.float32(0.25)
 
 
+def test_delta_rule_stores_a_float():
+    assert EstimatorConfig(delta=Fraction(1, 100)) == EstimatorConfig(delta=0.01)
+    assert type(EstimatorConfig(delta=np.float32(0.25)).delta) is float
+
+
 # ---------------------------------------------------------------------------
 # Sampling plan: oracle._whole, an integer (not a bool, numpy ints allowed)
 # at or above its least value
@@ -502,6 +511,80 @@ def test_point_entries_must_be_real_numbers(call, sign, point, shown):
 
 
 # ---------------------------------------------------------------------------
+# Real numbers: cycle._real and cycle._reals, the number rule under every
+# entry point that takes a number or a sequence of them
+# ---------------------------------------------------------------------------
+
+
+# name -> (call with one value in the entry's place, a valid value there,
+# the type of the error)
+NUMBER_ENTRY_POINTS = {
+    "NodeSpec-contracting": (lambda x: NodeSpec(x, 1.0, (-0.5,)), 2.0, CycleValidationError),
+    "NodeSpec-expanding": (lambda x: NodeSpec(1.0, x, (-0.5,)), 2.0, CycleValidationError),
+    "NodeSpec-transverse": (lambda x: NodeSpec(1.0, 1.0, x), (-0.5, 0.25), CycleValidationError),
+    "NodeSpec-radial": (lambda x: NodeSpec(1.0, 1.0, (-0.5,), x), (2.0, 3.0), CycleValidationError),
+    "ConnectionSpec-permutation": (ConnectionSpec, (1, 0), CycleValidationError),
+    "ConnectionSpec-scalings": (lambda x: ConnectionSpec((1, 0), x), (2.0, 0.5),
+                                CycleValidationError),
+    "ConnectionSpec-v0": (lambda x: ConnectionSpec((1, 0), contraction_offset=x), 0.3,
+                          CycleValidationError),
+    "RspParams-eps_x": (lambda x: RspParams(x, 0.2), -0.5, ValueError),
+    "RspParams-eps_y": (lambda x: RspParams(-0.5, x), 0.2, ValueError),
+    "f_index": (f_index, (1.0, -2.0, 0.5), ValueError),
+    "f_plus": (f_plus, (1.0, -2.0, 0.5), ValueError),
+    "f_minus": (f_minus, (1.0, -2.0, 0.5), ValueError),
+    "f_index_n3": (lambda x: f_index_n3(1.0, x, 0.5), -2.0, ValueError),
+    "estimate_fplus_mc-alpha": (lambda x: estimate_fplus_mc(x, (1e-1, 1e-2), 100, seed=0),
+                                (1.0, -2.0, 0.5), ValueError),
+    "estimate_fplus_mc-ladder": (lambda x: estimate_fplus_mc((-1.0, 1.0), x, 100, seed=0),
+                                 (1e-1, 1e-2), ValueError),
+    "EstimatorConfig-ladder": (lambda x: EstimatorConfig(epsilon_ladder=x), (1e-3, 1e-4),
+                               ValueError),
+    "EstimatorConfig-delta": (lambda x: EstimatorConfig(delta=x), 0.01, ValueError),
+}
+# each is rejected in place of a number, of a sequence and of one entry of it
+NOT_NUMBERS = {"string": "0.5", "digits": "05", "bytes": b"05", "complex": 0.5j, "none": None,
+               "nested": ((0.5,),)}
+SEQUENCE_FORMS = {
+    "list": list, "tuple": tuple, "ndarray": np.array, "generator": lambda v: (x for x in v),
+    "numpy-scalars": lambda v: tuple(map(np.float64, v)),
+}
+
+
+@pytest.mark.parametrize("bad", sorted(NOT_NUMBERS))
+@pytest.mark.parametrize("entry", sorted(NUMBER_ENTRY_POINTS))
+def test_number_rule(entry, bad):
+    # a ValueError that names the input, never a TypeError or a string read
+    # as a number, or as a sequence of digits
+    call, valid, kind = NUMBER_ENTRY_POINTS[entry]
+    # None in place of the scalings is their default, all 1
+    values = [] if (entry, bad) == ("ConnectionSpec-scalings", "none") else [NOT_NUMBERS[bad]]
+    if isinstance(valid, tuple):
+        values.append(valid[:-1] + (NOT_NUMBERS[bad],))
+    for value in values:
+        with pytest.raises(ValueError, match=" must be a (real number|sequence of numbers)") as exc:
+            call(value)
+        assert exc.type is kind
+
+
+@pytest.mark.parametrize("form", sorted(SEQUENCE_FORMS))
+@pytest.mark.parametrize("entry", sorted(NUMBER_ENTRY_POINTS))
+def test_number_rule_accepts_real_numbers(entry, form):
+    # a sequence in any of these forms, and a numpy scalar, reads as the
+    # same floats (integral permutation entries as ints)
+    call, valid, _ = NUMBER_ENTRY_POINTS[entry]
+    value = SEQUENCE_FORMS[form](valid) if isinstance(valid, tuple) else np.float64(valid)
+    assert repr(call(value)) == repr(call(valid))
+
+
+def test_an_int_beyond_double_range_is_read_entry_by_entry():
+    # only that entry becomes -inf or +inf, not every entry of the array
+    assert hetstab.transition._floats([[-HUGE, 0.5], [HUGE, True]]).tolist() == [
+        [-INF, 0.5], [INF, 1.0]]
+    assert hetstab.cycle._reals([0.5, -HUGE], "x") == (0.5, -INF)
+
+
+# ---------------------------------------------------------------------------
 # Ints beyond double range: each owner of a float conversion reads one as not
 # finite, where float() raises OverflowError
 # ---------------------------------------------------------------------------
@@ -534,7 +617,7 @@ HUGE_INT_ENTRY_POINTS = {
         lambda: matrix_basin_membership(np.eye(2), (-1.0, -HUGE)),
         (ValueError, "^initial points must be finite and strictly negative$")),
     "RspParams": (lambda: RspParams(-0.5, -HUGE),
-                  (ParamOutOfRange, r"^eps_y is beyond double range, outside \(-1, 1\)$")),
+                  (ParamOutOfRange, r"^eps_y=-inf is outside \(-1, 1\)$")),
 }
 
 
@@ -712,9 +795,9 @@ CLI_REJECTIONS = {
     "analyze-array": (["analyze", "{d}/array.json"],
                       "error: malformed cycle document: document: expected a dict, got []"),
     "analyze-huge": (["analyze", "{d}/huge.json"],
-                     "error: node value beyond double range among c, e, t and radial"),
+                     "error: node 0: non-finite value among c, e, t and radial"),
     "sigma-huge": (["oracle", "sigma", "{d}/huge.json", "--samples", "10"],
-                   "error: node value beyond double range among c, e, t and radial"),
+                   "error: node 0: non-finite value among c, e, t and radial"),
     "analyze-deep": (["analyze", "{d}/deep.json"],
                      "error: {d}/deep.json: invalid JSON (nested too deeply)"),
     "sigma-deep": (["oracle", "sigma", "{d}/deep.json", "--samples", "10"],

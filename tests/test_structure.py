@@ -8,9 +8,11 @@ eigvalsh: an attribute, a name or an import.  It is also scanned for every
 place a NoAdmissibleDominant is built, which must be one function.  The
 Monte-Carlo oracle checks the analytic indices, so its imports are scanned
 too: nothing from spectral, and from stability only IndeterminateError;
-and it may not use any of the eigen routines itself.  Last, every
-module-level name outside hetstab.__all__ must be used by package code, so
-no private function, class or constant is kept for tests alone.
+and it may not use any of the eigen routines itself.  No __post_init__
+calls float(): every caller's number goes through the number rule of
+cycle.py.  Last, every module-level name outside hetstab.__all__ must be
+used by package code, so no private function, class or constant is kept
+for tests alone.
 """
 
 import ast
@@ -108,6 +110,32 @@ def test_the_call_scan_sees_only_calls():
     calls = _Calls("m", {"NoAdmissibleDominant"})
     calls.visit(ast.parse(source))
     assert calls.found == ["m.f", "m.h"]
+
+
+def _in_post_init(scopes: list[str]) -> list[str]:
+    """The scopes that lie in a __post_init__, or in a function inside one."""
+    return [scope for scope in scopes if "__post_init__" in scope.split(".")]
+
+
+def test_no_post_init_calls_float():
+    # a caller's value is read as a number by the number rule (cycle._real,
+    # cycle._reals), so no dataclass parses a string or drops an imaginary
+    # part with a float() of its own
+    calls = _scan(_Calls, {"float"})
+    assert "cycle._real" in calls
+    assert _in_post_init(calls) == []
+
+
+def test_the_float_scan_sees_every_call_in_a_post_init():
+    source = ("class A:\n    def __post_init__(self):\n"
+              "        self.x = tuple(float(v) for v in self.x)\n"
+              "        def inner():\n            return builtins.float(1)\n"
+              "class B:\n    def __post_init__(self):\n        return float\n"
+              "    def f(self):\n        return float(1)\n")
+    calls = _Calls("m", {"float"})
+    calls.visit(ast.parse(source))
+    assert calls.found == ["m.A.__post_init__", "m.A.__post_init__.inner", "m.B.f"]
+    assert _in_post_init(calls.found) == ["m.A.__post_init__", "m.A.__post_init__.inner"]
 
 
 def _imported(source: str) -> list[tuple[str, ...]]:

@@ -5,7 +5,8 @@ must load both, find their results identical, time every case (or the ones
 its filter names) and print one row for each.  A CHANGE copy that gives a
 different result in one case must stop it with exit code 1, naming that case.
 tools/lines.py must count a fixture module's lines as stated, and the source
-lines of this package as wc -l does.
+lines of this package as wc -l does; the package's code lines must stay
+within the cap of ROADMAP item 7.
 """
 
 import shutil
@@ -141,3 +142,10 @@ def test_lines_totals_the_package_as_wc_does():
     assert sorted(rows) == sorted([p.name for p in sources] + ["total"])
     assert rows["total"][0] == sum(p.read_bytes().count(b"\n") for p in sources)
     assert rows["total"][1] == sum(code for name, (_, code) in rows.items() if name != "total")
+
+
+CODE_LINE_CAP = 1614 + 250   # ROADMAP item 7: the re-anchor's code lines plus item 2's budget
+
+
+def test_package_code_lines_stay_within_the_cap():
+    assert _lines(ROOT / "src" / "hetstab")["total"][1] <= CODE_LINE_CAP
