@@ -69,11 +69,16 @@ def _real(value, name: str, error: type[ValueError] = ValueError) -> float:
         return math.inf if value > 0 else -math.inf
 
 
+def _integer(value) -> bool:
+    """Whether value is an integer: a Python or numpy int, but not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _reals(values, name: str, error: type[ValueError] = ValueError, keep: type = float) -> tuple:
     """values as a tuple of floats (_real), where an entry of type keep is
-    kept as it is, and values itself when it is a tuple of such entries
-    only; error naming name unless an iterable of real numbers that is not
-    a string or bytes."""
+    kept as it is (with keep=int, any _integer as an exact int), and values
+    itself when it is a tuple of such entries only; error naming name unless
+    an iterable of real numbers that is not a string or bytes."""
     if type(values) is tuple:           # as cycle_from_dict gives them: no copy
         for v in values:
             if type(v) is not keep:
@@ -83,7 +88,8 @@ def _reals(values, name: str, error: type[ValueError] = ValueError, keep: type =
     try:
         if isinstance(values, (str, bytes)):
             raise TypeError
-        return tuple([v if type(v) is keep else _real(v, name) for v in values])
+        return tuple([v if type(v) is keep else int(v) if keep is int and _integer(v)
+                      else _real(v, name) for v in values])
     except (TypeError, ValueError):
         raise error(f"{name} must be a sequence of numbers, got {values!r}") from None
 
@@ -127,7 +133,8 @@ class ConnectionSpec:
 
     def __post_init__(self) -> None:
         error = CycleValidationError
-        # an integral entry becomes an int; 1.9 or NaN stays a float for validation to reject
+        # an integer stays exact and an integral float becomes an int; 1.9 or
+        # NaN stays a float for validation to reject
         object.__setattr__(self, "permutation", tuple(
             [int(i) if type(i) is float and i.is_integer() else i
              for i in _reals(self.permutation, "permutation", error, keep=int)]))

@@ -46,26 +46,23 @@ the loop, so the layout never changes which random number lands in which
 coordinate.  Every ladder level is streamed in blocks (_levels).
 
 Estimates are deterministic: the RNG stream of every level is derived from
-(seed, level index), so results are bit-identical for identical configs
-regardless of how levels are scheduled.  HETSTAB_THREADS > 1 evaluates
-ladder levels in a thread pool; the reduction is per-level and order-free.
+(seed, level index), so results are bit-identical for identical configs.
+Each estimate evaluates its ladder levels in order on the calling thread.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Collection, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .cycle import REALS, ValidatedCycle, _real, _reals
+from .cycle import REALS, ValidatedCycle, _integer, _real, _reals
 from .findex import _components
 from .stability import IndeterminateError
-from .transition import (CycleLike, _entries, _floats, _integer, _node_index, _overflow,
+from .transition import (CycleLike, _entries, _floats, _node_index, _overflow,
                          as_basic_matrices, cyclic_products)
 
 DEEP_LOG = -1e9          # max-norm in log coordinates below this counts as converged
@@ -661,20 +658,6 @@ def _window_fit(interior: list[tuple[float, float, int]], expected: list[float])
 # ---------------------------------------------------------------------------
 
 
-def _thread_count() -> int:
-    """HETSTAB_THREADS as an int, 1 when unset; ValueError unless an integer >= 1."""
-    raw = os.environ.get("HETSTAB_THREADS")
-    if raw is None:
-        return 1
-    try:
-        threads = int(raw)
-    except ValueError:
-        threads = 0
-    if threads < 1:
-        raise ValueError(f"HETSTAB_THREADS must be an integer >= 1, got {raw!r}")
-    return threads
-
-
 def _sample_log_cube(block: np.ndarray, eps: float) -> np.ndarray:
     """Raw uniforms U in [0, 1), one point per row, turned in place into
     log coordinates of Uniform(0, eps): ln(eps) + log1p(-U), as 1 - U lies
@@ -727,11 +710,7 @@ def _levels(ladder: tuple[float, ...], samples: int, dim: int, seed: int,
         stderr = math.sqrt(frac * (1.0 - frac) / samples)
         return LevelEstimate(epsilon=ladder[li], sigma_frac=frac, stderr=stderr, samples=samples)
 
-    threads = _thread_count()
-    if threads == 1:
-        return tuple(map(level, range(len(ladder))))
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return tuple(pool.map(level, range(len(ladder))))
+    return tuple(map(level, range(len(ladder))))
 
 
 def _side(levels: Sequence[LevelEstimate], complement: bool) -> tuple[float, SlopeFit | None]:

@@ -72,6 +72,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import findex
+from .cycle import _reals
 from .spectral import DEFAULT_TOL, _attempt, _eigen_decompose_many, _tolerance
 from .transition import (CycleLike, as_basic_matrices, cyclic_products, _finite, _negative_entries,
                          _node_index, _not_a_matrix, _overflow)
@@ -171,8 +172,13 @@ def _verdicts(sigma: np.ndarray) -> list[Classification]:
 
 
 def classification_from_sigmas(sigmas) -> Classification:
-    """The verdict of one cycle's indices sigma_j (_verdicts)."""
-    return _verdicts(np.array([list(sigmas)], dtype=float))[0]
+    """The verdict of one cycle's indices sigma_j (_verdicts): a non-empty
+    sequence of numbers (cycle._reals), -inf and +inf included; ValueError
+    when it is empty or holds a NaN."""
+    values = _reals(sigmas, "sigma")
+    if not values or any(map(math.isnan, values)):
+        raise ValueError(f"sigma must be non-empty and free of NaN, got {list(values)}")
+    return _verdicts(np.array([values]))[0]
 
 
 _LIMIT = 2.0 ** 1022   # where N max|alpha| < _LIMIT, no sum here or in fsum overflows

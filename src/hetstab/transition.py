@@ -30,7 +30,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .cycle import REALS, CycleValidationError, ValidatedCycle, _real
+from .cycle import REALS, CycleValidationError, ValidatedCycle, _integer, _real
 
 
 class ProductOverflow(CycleValidationError):
@@ -71,11 +71,6 @@ def _entries(matrix) -> np.ndarray:
 def _not_a_matrix(shape: tuple[int, ...]) -> ValueError:
     """The error of the matrix rule (_entries) for a matrix of that shape."""
     return ValueError(f"expected a finite square matrix, got shape {shape}")
-
-
-def _integer(value) -> bool:
-    """Whether value is an integer: a Python or numpy int, but not a bool."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _node_index(j, m: int) -> int:

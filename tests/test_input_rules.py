@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from hetstab import (
+    Classification,
     ConnectionSpec,
     CycleSpec,
     CycleValidationError,
@@ -29,6 +30,7 @@ from hetstab import (
     RspParams,
     as_basic_matrices,
     basic_matrix,
+    classification_from_sigmas,
     classify,
     collect_alpha_vectors,
     cycle_from_dict,
@@ -212,6 +214,17 @@ def test_permutation_rule_rejects_non_integral_entries(perm, shown):
            "connections": [{"permutation": list(perm)}] * 2}
     with pytest.raises(InvalidPermutation, match=message):
         validate_cycle(cycle_from_dict(doc))
+
+
+@pytest.mark.parametrize("entry", [2**62 + 1, np.int64(2**62 + 1), np.uint64(2**62 + 1)],
+                         ids=["int", "numpy-int", "numpy-uint"])
+def test_permutation_rule_shows_an_integer_entry_exactly(entry):
+    # 2^62 + 1 is no double: read through float it would show ...904
+    spec = two_nodes(node(), ConnectionSpec((entry, 0)))
+    assert spec.connections[0].permutation == (2**62 + 1, 0)
+    message = "connection 0: permutation [4611686018427387905, 0] is not a bijection on 0..1"
+    with pytest.raises(InvalidPermutation, match=f"^{re.escape(message)}"):
+        validate_cycle(spec)
 
 
 @pytest.mark.parametrize("perm", [
@@ -541,6 +554,7 @@ NUMBER_ENTRY_POINTS = {
     "EstimatorConfig-ladder": (lambda x: EstimatorConfig(epsilon_ladder=x), (1e-3, 1e-4),
                                ValueError),
     "EstimatorConfig-delta": (lambda x: EstimatorConfig(delta=x), 0.01, ValueError),
+    "classification_from_sigmas": (classification_from_sigmas, (0.5, -0.25), ValueError),
 }
 # each is rejected in place of a number, of a sequence and of one entry of it
 NOT_NUMBERS = {"string": "0.5", "digits": "05", "bytes": b"05", "complex": 0.5j, "none": None,
@@ -575,6 +589,25 @@ def test_number_rule_accepts_real_numbers(entry, form):
     call, valid, _ = NUMBER_ENTRY_POINTS[entry]
     value = SEQUENCE_FORMS[form](valid) if isinstance(valid, tuple) else np.float64(valid)
     assert repr(call(value)) == repr(call(valid))
+
+
+def test_classification_from_sigmas_rejects_an_empty_sequence():
+    with pytest.raises(ValueError, match=r"^sigma must be non-empty and free of NaN, got \[\]$"):
+        classification_from_sigmas([])
+
+
+@pytest.mark.parametrize("sigmas", [[NAN], (NAN, 1.0), np.array([INF, NAN])],
+                         ids=["alone", "tuple", "ndarray"])
+def test_classification_from_sigmas_rejects_nan(sigmas):
+    with pytest.raises(ValueError, match=r"^sigma must be non-empty and free of NaN, got \[") as exc:
+        classification_from_sigmas(sigmas)
+    assert exc.type is ValueError
+
+
+def test_classification_from_sigmas_reads_infinities_and_huge_ints():
+    # +-inf are indices like any other, and an int beyond double range is +inf
+    assert classification_from_sigmas((INF, -INF)) is Classification.NOT_ATTRACTOR
+    assert classification_from_sigmas([HUGE, INF]) is Classification.ASYMPTOTICALLY_STABLE
 
 
 def test_an_int_beyond_double_range_is_read_entry_by_entry():
@@ -662,33 +695,6 @@ def test_orbit_with_a_coordinate_at_minus_inf_has_converged(c):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert in_delta_basin([np.diag([c, 2.0])], 0, (1e-3, 1e-3), config) is True
-
-
-# ---------------------------------------------------------------------------
-# Thread count: oracle._thread_count, read by both estimators
-# ---------------------------------------------------------------------------
-
-
-THREAD_ENTRY_POINTS = {                     # each saturates, so no fit can fail
-    "estimate_sigma_mc": lambda: estimate_sigma_mc([2.0 * np.eye(2)], 0, TINY),
-    "estimate_fplus_mc": lambda: estimate_fplus_mc((-1.0, 1.0, 1.0), (1e-1, 1e-2), 20, 0),
-}
-
-
-@pytest.mark.parametrize("value", ["abc", "0", "-3", "1.5", ""])
-@pytest.mark.parametrize("entry", sorted(THREAD_ENTRY_POINTS))
-def test_thread_count_rule(monkeypatch, entry, value):
-    monkeypatch.setenv("HETSTAB_THREADS", value)
-    message = f"HETSTAB_THREADS must be an integer >= 1, got {value!r}"
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as exc:
-        THREAD_ENTRY_POINTS[entry]()
-    assert exc.type is ValueError
-
-
-@pytest.mark.parametrize("entry", sorted(THREAD_ENTRY_POINTS))
-def test_thread_count_rule_accepts_one(monkeypatch, entry):
-    monkeypatch.setenv("HETSTAB_THREADS", "1")
-    THREAD_ENTRY_POINTS[entry]()
 
 
 # ---------------------------------------------------------------------------
@@ -842,13 +848,6 @@ def test_cli_rejects_with_exit_one(cli_files, capsys, case):
     assert len(lines) == 1 or lines[0].startswith("usage: hetstab ")
     assert not [line for line in lines if "Traceback" in line or "Warning" in line]
     assert not (cli_files / "s.csv").exists()
-
-
-def test_cli_rejects_a_bad_thread_count_with_exit_one(cli_files, capsys, monkeypatch):
-    monkeypatch.setenv("HETSTAB_THREADS", "abc")
-    assert main(["oracle", "sigma", str(cli_files / "c.json"), "--samples", "10"]) == 1
-    assert capsys.readouterr().err.splitlines() == [
-        "error: HETSTAB_THREADS must be an integer >= 1, got 'abc'"]
 
 
 def test_cli_findex_accepts_an_overflowing_sum(capsys):

@@ -1,7 +1,6 @@
 import dataclasses
 import itertools
 import math
-import os
 import time
 import tracemalloc
 
@@ -173,15 +172,6 @@ def test_estimates_are_deterministic_and_seed_sensitive():
     cfg2 = EstimatorConfig(epsilon_ladder=(1e-15, 1e-16), samples_per_level=500, seed=43)
     c = estimate_sigma_mc(mats, 0, cfg2)
     assert any(x.sigma_frac != y.sigma_frac for x, y in zip(a.levels, c.levels))
-
-
-def test_thread_env_does_not_change_results(monkeypatch):
-    mats = rsp_matrices(RspParams(-0.5, 0.2))
-    cfg = EstimatorConfig(epsilon_ladder=(1e-15, 1e-16, 1e-17), samples_per_level=400, seed=7)
-    base = estimate_sigma_mc(mats, 0, cfg)
-    monkeypatch.setenv("HETSTAB_THREADS", "3")
-    threaded = estimate_sigma_mc(mats, 0, cfg)
-    assert base == threaded
 
 
 def test_insufficient_resolution_with_single_interior_level():
@@ -822,16 +812,13 @@ def test_cone_masks_match_row_major_reference_property(certified):
     assert sum(certified) > 0
 
 
-def test_cone_keeps_levels_across_thread_counts(monkeypatch, certified):
+def test_cone_keeps_the_reference_levels(certified):
     mats = rsp_matrices(RspParams(-0.5, 0.2))
     cfg = EstimatorConfig(epsilon_ladder=CRITERION_6.epsilon_ladder, samples_per_level=3000,
                           seed=5)
     expected = _reference_level_fracs(mats, 0, cfg)
-    for threads in ("1", "2"):
-        monkeypatch.setenv("HETSTAB_THREADS", threads)
-        certified.clear()
-        assert [lev.sigma_frac for lev in estimate_sigma_mc(mats, 0, cfg).levels] == expected
-        assert sum(certified) > 0
+    assert [lev.sigma_frac for lev in estimate_sigma_mc(mats, 0, cfg).levels] == expected
+    assert sum(certified) > 0
 
 
 def test_cone_is_built_once_per_estimate_and_never_for_one_point(monkeypatch):
@@ -840,11 +827,8 @@ def test_cone_is_built_once_per_estimate_and_never_for_one_point(monkeypatch):
     monkeypatch.setattr(oracle, "_cone", lambda *args: calls.append(args) or real(*args))
     mats = rsp_matrices(RspParams(-0.5, 0.2))
     cfg = EstimatorConfig(epsilon_ladder=(1e-15, 1e-16, 1e-17), samples_per_level=400, seed=7)
-    for threads in ("1", "2"):
-        monkeypatch.setenv("HETSTAB_THREADS", threads)
-        calls.clear()
-        estimate_sigma_mc(mats, 0, cfg)
-        assert len(calls) == 1
+    estimate_sigma_mc(mats, 0, cfg)
+    assert len(calls) == 1
     calls.clear()
     assert in_delta_basin(mats, 0, (1e-15, 1e-15, 1e-15), cfg)
     assert calls == []
@@ -1028,28 +1012,23 @@ def test_log_cube_blocks_continue_one_draw(n):
 
 
 @pytest.mark.parametrize("n", BLOCK_EDGES)
-def test_sigma_levels_exact_at_block_boundaries(n, monkeypatch):
+def test_sigma_levels_exact_at_block_boundaries(n):
     # a single sample fits no slope unless every level saturates, so n = 1
     # runs on a cycle whose basin is the whole cube
     cycle = stable_cycle() if n == 1 else rsp_matrices(RspParams(-0.5, 0.2))
     cfg = EstimatorConfig(epsilon_ladder=(1e-12, 1e-16, 1e-20), samples_per_level=n,
                           max_full_turns=40, seed=4)
     expected = _reference_level_fracs(cycle, 0, cfg)
-    for threads in ("1", "2"):
-        monkeypatch.setenv("HETSTAB_THREADS", threads)
-        assert [lev.sigma_frac for lev in estimate_sigma_mc(cycle, 0, cfg).levels] == expected
+    assert [lev.sigma_frac for lev in estimate_sigma_mc(cycle, 0, cfg).levels] == expected
 
 
 @pytest.mark.parametrize("n", BLOCK_EDGES)
-def test_fplus_levels_exact_at_block_boundaries(n, monkeypatch):
+def test_fplus_levels_exact_at_block_boundaries(n):
     # as above: with one sample only a slice that holds the whole cube fits
     alpha = np.array([1.0, 1.0, 1.0]) if n == 1 else np.array([-1.0, 1.0, 1.0])
     ladder = np.geomspace(1e-1, 1e-4, 9)
-    expected = _reference_fplus_fracs(alpha, ladder, n, 12)
-    for threads in ("1", "2"):
-        monkeypatch.setenv("HETSTAB_THREADS", threads)
-        est = estimate_fplus_mc(alpha, ladder, n, seed=12)
-        assert [lev.sigma_frac for lev in est.levels] == expected
+    est = estimate_fplus_mc(alpha, ladder, n, seed=12)
+    assert [lev.sigma_frac for lev in est.levels] == _reference_fplus_fracs(alpha, ladder, n, 12)
 
 
 def test_fplus_levels_with_no_tested_column_draw_nothing(monkeypatch):
@@ -1115,12 +1094,11 @@ _LADDERS = st.lists(
 
 @settings(deadline=None, max_examples=60)
 @given(alpha=_fplus_alphas(), ladder=_LADDERS, n=st.sampled_from(BLOCK_EDGES),
-       seed=st.integers(0, 2**32 - 1), threads=st.sampled_from(["1", "2"]))
-def test_fplus_levels_match_out_of_place_reference_property(alpha, ladder, n, seed, threads):
+       seed=st.integers(0, 2**32 - 1))
+def test_fplus_levels_match_out_of_place_reference_property(alpha, ladder, n, seed):
     # certified and log-tested rows together count as the log test on every
     # row; every level is compared, whether or not the levels fit a slope
     with pytest.MonkeyPatch.context() as mp:
-        mp.setenv("HETSTAB_THREADS", threads)
         mp.setattr(oracle, "_side", lambda levels, complement: (0.0, None))
         est = estimate_fplus_mc(alpha, ladder, n, seed)
     assert [lev.sigma_frac for lev in est.levels] == _reference_fplus_fracs(alpha, ladder, n, seed)
@@ -1178,9 +1156,8 @@ def test_a_tiny_negative_component_is_not_tested():
     assert cols == [2] and 0.5 < ts[0] < 1.0
 
 
-def test_estimator_memory_does_not_grow_with_samples(monkeypatch):
+def test_estimator_memory_does_not_grow_with_samples():
     # one (samples, 3) batch would be 24 MB for F+ and 4.8 MB per copy for sigma
-    monkeypatch.setenv("HETSTAB_THREADS", "1")
     cfg = EstimatorConfig(epsilon_ladder=(1e-12, 1e-16), samples_per_level=200_000,
                           max_full_turns=40, seed=2)
     tracemalloc.start()

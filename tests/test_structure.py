@@ -10,7 +10,8 @@ Monte-Carlo oracle checks the analytic indices, so its imports are scanned
 too: nothing from spectral, and from stability only IndeterminateError;
 and it may not use any of the eigen routines itself.  No __post_init__
 calls float(): every caller's number goes through the number rule of
-cycle.py.  Last, every module-level name outside hetstab.__all__ must be
+cycle.py.  The package reads no environment variable: every setting is an
+argument.  Last, every module-level name outside hetstab.__all__ must be
 used by package code, so no private function, class or constant is kept
 for tests alone.
 """
@@ -96,6 +97,24 @@ def test_the_scan_sees_every_form_of_use():
     uses = _Uses("m")
     uses.visit(ast.parse(source))
     assert uses.found == ["m", "m", "m.A.f", "m.A.f"]
+
+
+ENVIRONMENT = {"environ", "environb", "getenv", "putenv"}
+
+
+def test_the_package_reads_no_environment_variable():
+    # every setting is an argument, so the same call gives the same result
+    # in any shell
+    assert _scan(_Uses, ENVIRONMENT) == []
+
+
+def test_the_environment_scan_sees_every_form_of_read():
+    source = ("import os\nfrom os import environ\nfrom os import getenv as g\n"
+              "def f():\n    return os.environ.get('X'), os.getenv('Y')\n"
+              "def h():\n    os.putenv('Z', '1')\n    return os.environb[b'W']\n")
+    uses = _Uses("m", ENVIRONMENT)
+    uses.visit(ast.parse(source))
+    assert uses.found == ["m", "m", "m.f", "m.f", "m.h", "m.h"]
 
 
 def test_one_function_builds_no_admissible_dominant():

@@ -4,11 +4,14 @@ tools/ab.py is run for two rounds against this checkout on both sides; it
 must load both, find their results identical, time every case (or the ones
 its filter names) and print one row for each.  A CHANGE copy that gives a
 different result in one case must stop it with exit code 1, naming that case.
+It must time one thread per side, whatever HETSTAB_THREADS the shell sets.
 tools/lines.py must count a fixture module's lines as stated, and the source
 lines of this package as wc -l does; the package's code lines must stay
 within the cap of ROADMAP item 7.
 """
 
+import importlib.util
+import os
 import shutil
 import subprocess
 import sys
@@ -88,6 +91,22 @@ def test_ab_stops_when_a_classify_report_differs(tmp_path):
     change = _change_copy(tmp_path, "spectral.py", "DEFAULT_TOL = 1e-9\n", "DEFAULT_TOL = 1e-10\n")
     proc = _ab(change, "--rounds", "1", "--cases", "rsp(-0.5,rsp-sweep 9")
     assert proc.returncode == 1 and proc.stdout == "results differ: rsp(-0.5, 0.2)\n"
+
+
+def test_ab_times_one_thread_whatever_the_shell_sets(monkeypatch, capsys):
+    # a shell that exports HETSTAB_THREADS=2 must not A/B a threaded checkout
+    spec = importlib.util.spec_from_file_location("ab", ROOT / "tools" / "ab.py")
+    ab = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ab)
+    seen = []
+    real = ab._sample
+    monkeypatch.setattr(ab, "_sample",
+                        lambda *args: seen.append(os.environ["HETSTAB_THREADS"]) or real(*args))
+    monkeypatch.setenv("HETSTAB_THREADS", "2")
+    argv = [str(ROOT), str(ROOT), "--samples", "2000", "--rounds", "1", "--cases", "in_delta_basin"]
+    assert ab.main(argv) == 0
+    assert capsys.readouterr().out.startswith("results identical in every case\n")
+    assert seen and set(seen) == {"1"}
 
 
 LINES_FIXTURE = '''"""A module docstring

@@ -31,7 +31,9 @@ PARENT's perfbench/inputs.py, which is loaded, not edited:
 sigma samples per level (40000) by the same factor.  --cases keeps the cases
 whose name starts with one of its comma-separated prefixes.  A call that
 ends in IndeterminateError or InsufficientResolution is timed all the same.
-HETSTAB_THREADS is 1 unless set.
+HETSTAB_THREADS is set to 1, whatever the shell exports, for a checkout
+that still runs its ladder levels in a thread pool when the variable is
+above 1; this package reads no environment variable.
 
 A warm-up call of every case on both sides comes first, and its results are
 compared: a classify report or error (a list of them for a population), a
@@ -183,7 +185,7 @@ def main(argv=None) -> int:
         parser.error("--rounds must be at least 1")
     if args.samples < 1:
         parser.error("--samples must be at least 1")
-    os.environ.setdefault("HETSTAB_THREADS", "1")
+    os.environ["HETSTAB_THREADS"] = "1"
 
     sides = [_load(args.parent / "src" / "hetstab", "hetstab_parent"),
              _load(args.change / "src" / "hetstab", "hetstab_change")]
