@@ -25,11 +25,13 @@ maps directly rather than trusting any eigen-structure argument:
   ln(1 - fraction) against ln(eps) over levels strictly inside (0, 1);
 * the escape exponent F+ of a single half-space slice is the complement
   side of the same fit, with |x_1^{a_1} ... x_N^{a_N}| < 1 as the membership
-  test; most samples are certified inside from their raw uniforms by a
-  bound on alpha . ln(x) that keeps a margin far beyond the log test's
-  rounding (_certificate), and only the rest take logarithms, so the
-  counts are those of the log test on every sample; _side decides
-  saturation, the fit and InsufficientResolution for both estimators;
+  test; a bound on alpha . ln(x) that keeps a margin far beyond the log
+  test's rounding certifies a box of raw uniforms inside (_certificate),
+  whose rows are counted by binomial draws and never drawn, and only the
+  rows outside the box are drawn, from their conditional law, and take
+  logarithms, so each count has the law of the log test on every sample;
+  _side decides saturation, the fit and InsufficientResolution for both
+  estimators;
 * matrix_basin_membership decides divergence of y <- M y by brute force.
 
 Each call builds its maps once, in turn order from its start node, with the
@@ -40,10 +42,10 @@ matrix times a wide array.  _basin_mask first settles a step for the whole
 block, by one full max and a carried bound on the max-norm that uses
 ||M||_inf and ||F||_inf only, and takes the per-column maxima (an
 element-wise maximum over N contiguous rows) only when that cannot decide.
-Samples are drawn as rows of N raw uniforms (_levels), turned into log
+Samples are drawn as rows of N raw uniforms (_blocks), turned into log
 coordinates in place (_sample_log_cube) and transposed once on entry to
 the loop, so the layout never changes which random number lands in which
-coordinate.  Every ladder level is streamed in blocks (_levels).
+coordinate.  Every ladder level is streamed in blocks (_blocks).
 
 Estimates are deterministic: the RNG stream of every level is derived from
 (seed, level index), so results are bit-identical for identical configs.
@@ -55,7 +57,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Collection, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -70,7 +72,6 @@ MIN_FIT_HITS = 8         # levels with fewer hits carry too much ln() bias to fi
 BLOCK = 16384            # points per sampling block (384 KB of draws at N = 3)
 MEMBERSHIP_STEPS = 400   # iteration budget of matrix_basin_membership
 BLOWUP = 1e9             # its divergence wall, in units of ||y||_inf
-MIN_CERTIFIED = 0.6      # least share of F+ rows a certificate must decide to pay for its pass
 CONE_TURNS = (1, 2, 4, 8, 16, 32)       # the k ladder of the basin certificate (_cone)
 CONE_WIDTHS = (1 / 2, 1 / 4, 1 / 8, 1 / 16)   # its ratio-box half-widths, widest first
 CONE_MAX_DIM = 8         # largest N with a basin certificate: 2^(N-1) = 128 vertex rays
@@ -105,10 +106,13 @@ def _log_ladder(start: float, end: float, count: int) -> list[float]:
     return [start, *(10.0 ** x for x in logs[1:-1]), end][:count]
 
 
-def _whole(value, least: int, name: str) -> int:
-    """value as an int; ValueError unless an integer >= least (numpy ints count, bools do not)."""
+def _whole(value, least: int, name: str, below: float = math.inf) -> int:
+    """value as an int; ValueError unless an integer >= least and < below
+    (numpy ints count, bools do not)."""
     if not _integer(value) or value < least:
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    if value >= below:
+        raise ValueError(f"{name} must be an integer < {below}, got {value!r}")
     return int(value)
 
 
@@ -662,50 +666,35 @@ def _sample_log_cube(block: np.ndarray, eps: float) -> np.ndarray:
     """Raw uniforms U in [0, 1), one point per row, turned in place into
     log coordinates of Uniform(0, eps): ln(eps) + log1p(-U), as 1 - U lies
     in (0, 1]; no underflow at any depth.  estimate_sigma_mc turns every
-    block; estimate_fplus_mc only the rows that its certificate, a bound on
-    alpha . eta with a margin far beyond this transform's rounding
-    (_certificate), leaves undecided, and every row of a level that has no
-    certificate."""
+    row it draws; estimate_fplus_mc every row of a level with no
+    certificate, and otherwise only the rows its certificate (_certificate)
+    leaves to the log test, drawn from their conditional law."""
     np.negative(block, out=block)
     np.log1p(block, out=block)
     block += math.log(eps)
     return block
 
 
-def _levels(ladder: tuple[float, ...], samples: int, dim: int, seed: int,
-            count: Callable[[np.ndarray, float], int],
-            settled: Collection[float] = ()) -> tuple[LevelEstimate, ...]:
-    """Per ladder level li, the fraction of samples points drawn from the RNG
-    stream (seed, li) that count(block, eps) finds inside the eps-cube.  A
-    level whose eps is in settled counts every point inside and draws
-    nothing; each level has its own stream, so the others are unchanged.
+def _blocks(rng: np.random.Generator, rows: int, dim: int) -> Iterator[np.ndarray]:
+    """rows points of dim raw uniforms from rng, one point per row, in
+    consecutive blocks of at most BLOCK rows in one buffer that the caller
+    owns until the next block (a slice past its end stops at BLOCK rows), so
+    memory does not grow with rows.  The blocks consume the stream in the
+    same order as one draw of all the rows."""
+    buf = np.empty((min(rows, BLOCK), dim))
+    for start in range(0, rows, BLOCK):
+        yield rng.random(out=buf[:rows - start])
 
-    count is handed raw uniforms, one point per row, and owns the block: it
-    may turn the rows into log coordinates (_sample_log_cube) in place, or,
-    as estimate_fplus_mc does, count most rows inside from their uniforms
-    alone (_certificate, which keeps a margin of 2^-30 sum |a_i|
-    (37 + |ln eps|) inside the slice) and transform only the rest.  The
-    draws are made and counted in consecutive blocks of at most BLOCK rows
-    in one buffer that the level owns (a slice past its end stops at BLOCK
-    rows), so memory per level does not grow with samples.  The blocks
-    consume the stream in the same order as one big draw, and each point's
-    membership depends on that point alone, so the counts are those of one
-    big batch, except where a point's test lies within rounding of its
-    threshold: BLAS may round a product over one row differently in the
-    last bit from the same row inside a larger block, so a point with
-    alpha . eta within rounding of 0 (estimate_fplus_mc) can count
-    differently when it is the one row of a block (the last block when
-    samples % BLOCK == 1) or of the rows estimate_fplus_mc leaves to the
-    log test, which it compacts from each block.
-    """
+
+def _levels(ladder: tuple[float, ...], samples: int, seed: int,
+            count: Callable[[np.random.Generator, float], int]) -> tuple[LevelEstimate, ...]:
+    """Per ladder level li, the fraction of samples points inside the
+    eps-cube, as count(rng, eps) counts them with the level's own generator
+    on the RNG stream (seed, li), so what one level draws never moves
+    another.  estimate_sigma_mc draws every point (_blocks);
+    estimate_fplus_mc only those its certificate leaves to the log test."""
     def level(li: int) -> LevelEstimate:
-        if ladder[li] in settled:
-            inside = samples
-        else:
-            rng = np.random.default_rng((seed, li))
-            buf = np.empty((min(samples, BLOCK), dim))
-            inside = sum(int(count(rng.random(out=buf[:samples - start]), ladder[li]))
-                         for start in range(0, samples, BLOCK))
+        inside = int(count(np.random.default_rng((seed, li)), ladder[li]))
         frac = inside / samples
         stderr = math.sqrt(frac * (1.0 - frac) / samples)
         return LevelEstimate(epsilon=ladder[li], sigma_frac=frac, stderr=stderr, samples=samples)
@@ -754,9 +743,10 @@ def estimate_sigma_mc(cycle: CycleLike, j: int, config: EstimatorConfig) -> Basi
     maps = _gmaps(cycle, j)
     cone = _cone(maps, config.delta, config.max_full_turns)
     levels = _levels(
-        config.epsilon_ladder, config.samples_per_level, len(maps.turn), config.seed,
-        lambda block, eps: np.count_nonzero(_basin_mask(
-            maps, _sample_log_cube(block, eps), config.delta, config.max_full_turns, cone)),
+        config.epsilon_ladder, config.samples_per_level, config.seed,
+        lambda rng, eps: sum(np.count_nonzero(_basin_mask(
+            maps, _sample_log_cube(block, eps), config.delta, config.max_full_turns, cone))
+            for block in _blocks(rng, config.samples_per_level, len(maps.turn))),
     )
     minus, fit_minus = _side(levels, complement=False)
     plus, fit_plus = _side(levels, complement=True)
@@ -764,10 +754,11 @@ def estimate_sigma_mc(cycle: CycleLike, j: int, config: EstimatorConfig) -> Basi
 
 
 def _certificate(a: list[float], eps: float) -> tuple[list[int], list[float]] | None:
-    """Columns i and thresholds t_i such that a row of raw uniforms with
-    u_i < t_i in every listed column lies in the slice a . eta < 0 at level
-    eps, as computed by the log test; None where no such certificate decides
-    at least MIN_CERTIFIED of the rows.
+    """Columns i and thresholds t_i in (0, 1) such that a row of raw
+    uniforms with u_i < t_i in every listed column lies in the slice
+    a . eta < 0 at level eps, as computed by the log test; None where the
+    bound below gives no certificate.  A box of volume prod t_i, so
+    estimate_fplus_mc counts the rows inside it with binomial draws.
 
     With L = ln(eps), S = fsum(a) and E_i = -log1p(-u_i) >= 0, the log test
     reads a . (L - E) < 0, and in exact arithmetic
@@ -801,7 +792,7 @@ def _certificate(a: list[float], eps: float) -> tuple[list[int], list[float]] | 
         if weight * 40.0 > bound:
             cols.append(i)
             ts.append(-math.expm1(-bound / weight) * (1.0 - 2.0**-50))
-    return (cols, ts) if math.prod(ts) >= MIN_CERTIFIED else None
+    return cols, ts
 
 
 def estimate_fplus_mc(
@@ -818,37 +809,47 @@ def estimate_fplus_mc(
     slope of ln(1 - fraction) against R.  alpha is first scaled by a power
     of two to max|a| in [0.5, 1): that keeps the sign of alpha . ln(x)
     (exact for normal components) and keeps a huge alpha from overflowing
-    it.  samples >= 1 and seed >= 0 are integers.
+    it.  samples is an integer in [1, 2^63) and seed >= 0 an integer.
 
-    A row of raw uniforms whose negative-coefficient coordinates all fall
-    below the level's thresholds (_certificate) counts inside with no
-    logarithm: it lies a margin of 2^-30 sum |a_i| (37 + |ln eps|) inside
-    the slice, at least 2^15 times the rounding of the log test.  Only the
-    other rows are compacted and take the log test, ln(eps) + log1p(-U)
-    (_sample_log_cube), then alpha . eta < 0, so every count is that of the
-    log test on every row.  A level whose certificate tests no column (every
-    negative component too small to matter, or none) counts every row
-    inside without drawing one (_levels).
+    A level with no certificate (_certificate) draws every row in blocks
+    and takes the log test, ln(eps) + log1p(-U) (_sample_log_cube), then
+    alpha . eta < 0.  Otherwise a row whose uniforms lie in the box u_i <
+    t_i of every tested column i lies a margin of 2^-30 sum |a_i|
+    (37 + |ln eps|) inside the slice, at least 2^15 times the rounding of
+    the log test, and is counted inside without being drawn.  The rows are
+    split by the first tested column whose uniform is >= t_i: in column
+    order, n_i = Binomial(rest, 1 - t_i) of the rest rows fail column i,
+    and only these are drawn, with u_j = t_j U in each earlier tested
+    column j and E_i = -log1p(-t_i) - log1p(-U) in column i (memorylessness
+    of Exp(1); t_i + (1 - t_i) U could round to 1), and take the log test.
+    The rest are the box.  So every level's count has the law of the log
+    test on samples uniform rows, and a level whose certificate tests no
+    column draws nothing.
     """
     a = np.asarray(_components(alpha))
     a = np.ldexp(a, -np.frexp(np.abs(a).max())[1])
     ladder = _ladder(epsilon_ladder)
-    samples, seed = _whole(samples, 1, "samples"), _whole(seed, 0, "seed")
-    certificates = {eps: _certificate(a.tolist(), eps) for eps in ladder}
+    samples = _whole(samples, 1, "samples", below=2**63)
+    seed = _whole(seed, 0, "seed")
 
-    def count(block: np.ndarray, eps: float) -> int:
-        certified, cert = 0, certificates[eps]
-        if cert is not None:
-            cols, ts = cert
-            undecided = block[:, cols[0]] >= ts[0]
-            for col, t in zip(cols[1:], ts[1:]):
-                undecided |= block[:, col] >= t
-            rest = np.compress(undecided, block, axis=0)
-            certified, block = len(block) - len(rest), rest
-        return certified + np.count_nonzero(_sample_log_cube(block, eps) @ a < 0.0)
+    def count(rng: np.random.Generator, eps: float) -> int:
+        cert = _certificate(a.tolist(), eps)
+        if cert is None:
+            return sum(np.count_nonzero(_sample_log_cube(block, eps) @ a < 0.0)
+                       for block in _blocks(rng, samples, a.size))
+        cols, ts = cert
+        inside, rest = 0, samples
+        for i, (col, t) in enumerate(zip(cols, ts)):
+            failed = int(rng.binomial(rest, 1.0 - t))
+            rest -= failed
+            for block in _blocks(rng, failed, a.size):
+                block[:, cols[:i]] *= ts[:i]
+                eta = _sample_log_cube(block, eps)
+                eta[:, col] += math.log1p(-t)
+                inside += np.count_nonzero(eta @ a < 0.0)
+        return inside + rest
 
-    settled = [eps for eps, cert in certificates.items() if cert is not None and not cert[0]]
-    levels = _levels(ladder, samples, a.size, seed, count, settled)
+    levels = _levels(ladder, samples, seed, count)
     fplus_hat, fit = _side(levels, complement=True)
     return FplusEstimate(levels, fit, fplus_hat)
 

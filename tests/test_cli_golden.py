@@ -28,7 +28,7 @@ CASES = {
          "--turns", "40", "--seed", "3", "--csv", "sigma.csv"], ["sigma.csv"]),
     "oracle-fplus": (
         ["oracle", "fplus", "--alpha", "-1,1,1", "--levels", "1e-1:1e-3:4",
-         "--samples", "2000", "--seed", "1"], []),
+         "--samples", "20000", "--seed", "1"], []),
 }
 
 GOLDEN = {
@@ -40,7 +40,7 @@ GOLDEN = {
         "cdfeaad91222b5c4d044c90622604f3fdb64733532ad353ecf05a239537749e6",
     ],
     "oracle-fplus": [
-        "fa71097d1aa06fbce25c63256c35cb02f3ce0eedf6e34b298993197fca1cb475",
+        "a17907a11eef8db4864bc87cf8c4d9f8ca152a806cb623bd292ef3c600195cfb",
     ],
     "oracle-sigma": [
         "17cf4a1c72650da72de5f54848965641c77b177a4e5f0db32c5cfb1ceb628cfe",

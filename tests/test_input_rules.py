@@ -55,6 +55,7 @@ from hetstab import (
     vmax_row,
 )
 import hetstab.cycle
+import hetstab.oracle as oracle
 import hetstab.transition
 from hetstab.cli import main
 
@@ -473,6 +474,25 @@ def test_sampling_plan_rule_accepts_numpy_integers(entry):
         PLAN_ENTRY_POINTS[entry](samples=20, seed=3)
 
 
+@pytest.mark.parametrize("samples", [2**63, np.uint64(2**63), 2**200])
+def test_fplus_samples_stay_below_two_to_the_63(samples):
+    # the binomial draws of estimate_fplus_mc take a C long; 2^63 rows would
+    # otherwise raise a bare OverflowError, or stream about 2^49 blocks
+    message = f"^samples must be an integer < {2**63}, got {re.escape(repr(samples))}$"
+    with pytest.raises(ValueError, match=message) as exc:
+        estimate_fplus_mc((-1.0, 1.0, 1.0), (1e-1, 1e-2), samples, seed=0)
+    assert exc.type is ValueError
+
+
+def test_fplus_takes_the_largest_sample_count(monkeypatch):
+    # 2^63 - 1 rows: a level certified whole draws nothing, and one whose
+    # tested column fails about 1e-15 of the rows draws about 9000
+    monkeypatch.setattr(oracle, "_side", lambda levels, complement: (0.0, None))
+    whole = estimate_fplus_mc((1.0, 1.0, 1.0), (1e-1, 1e-2), 2**63 - 1, seed=0)
+    deep = estimate_fplus_mc((-1.0, 1.0, 1.0), (math.exp(-38.0),), 2**63 - 1, seed=0)
+    assert [lev.sigma_frac for lev in whole.levels + deep.levels] == [1.0, 1.0, 1.0]
+
+
 def test_sampling_plan_rule_stores_python_ints():
     plan = EstimatorConfig(samples_per_level=np.int32(20), max_full_turns=np.int64(8),
                            seed=np.uint8(3))
@@ -822,6 +842,8 @@ CLI_REJECTIONS = {
                       "error: samples_per_level must be an integer >= 1, got 0"),
     "fplus-samples": (["oracle", "fplus", "--alpha", "-1,1,1", "--samples", "0"],
                       "error: samples must be an integer >= 1, got 0"),
+    "fplus-samples-2-63": (["oracle", "fplus", "--alpha", "-1,1,1", "--samples", str(2**63)],
+                           f"error: samples must be an integer < {2**63}, got {2**63}"),
     "sigma-turns": (["oracle", "sigma", "{d}/c.json", "--turns", "3", "--samples", "10"],
                     "error: max_full_turns must be an integer >= 4, got 3"),
     "sweep-grid-negative": (["rsp-sweep", "--grid", "-5", "--out", "{d}/s.csv"],

@@ -415,6 +415,35 @@ def _reference_fplus_fracs(alpha, ladder, samples, seed):
             for li, eps in enumerate(ladder)]
 
 
+def _reference_fplus_chain(alpha, ladder, samples, seed):
+    """Per-level fractions of the certificate's chain, drawn out of place: in
+    each tested column i in turn, one Binomial(rest, 1 - t_i) count of rows
+    failing it and one rng.random((n_i, N)) draw of them, with u_j = t_j U in
+    each earlier tested column and E_i = -log1p(-t_i) - log1p(-U); the rows
+    left are certified inside.  A level with no certificate is
+    _reference_fplus_fracs."""
+    scaled = np.ldexp(alpha, -np.frexp(np.abs(alpha).max())[1]).tolist()
+    fracs = []
+    for li, eps in enumerate(ladder):
+        rng, cert = np.random.default_rng((seed, li)), oracle._certificate(scaled, eps)
+        if cert is None:
+            inside = np.count_nonzero(
+                _out_of_place_log_cube(rng, eps, samples, len(alpha)) @ alpha < 0.0)
+        else:
+            cols, ts = cert
+            inside = rest = samples
+            for i, (col, t) in enumerate(zip(cols, ts)):
+                failed = rng.binomial(rest, 1.0 - t)
+                rest -= failed
+                u = rng.random((failed, len(alpha)))
+                u[:, cols[:i]] = u[:, cols[:i]] * ts[:i]
+                eta = math.log(eps) + np.log1p(-u)
+                eta[:, col] += math.log1p(-t)
+                inside += np.count_nonzero(eta @ alpha < 0.0) - failed
+        fracs.append(inside / samples)
+    return fracs
+
+
 def _assert_masks_match(cycle, j, eps_levels, n, delta, turns, seed):
     mats, offs = _reference_maps(cycle)
     maps = oracle._gmaps(cycle, j)
@@ -690,7 +719,7 @@ def test_fplus_levels_match_out_of_place_reference():
     for alpha in ((-1.0, 1.0, 1.0), (-0.5, -0.5, 2.0), (-1.0, -1.0, -1.0, 4.0), (1.0, 0.5, 0.0)):
         alpha = np.array(alpha)
         est = estimate_fplus_mc(alpha, ladder, 50_000, seed=8)
-        assert [lev.sigma_frac for lev in est.levels] == _reference_fplus_fracs(
+        assert [lev.sigma_frac for lev in est.levels] == _reference_fplus_chain(
             alpha, ladder, 50_000, 8), alpha
 
 
@@ -1000,10 +1029,9 @@ BLOCK_EDGES = (1, oracle.BLOCK - 1, oracle.BLOCK, oracle.BLOCK + 1, 5 * oracle.B
 
 @pytest.mark.parametrize("n", BLOCK_EDGES)
 def test_log_cube_blocks_continue_one_draw(n):
-    # count is handed raw uniforms that continue one draw, and the in-place
+    # the blocks are raw uniforms that continue one draw, and the in-place
     # transform of their concatenation is the out-of-place log cube
-    blocks = []
-    oracle._levels((1e-5,), n, 3, 6, lambda block, eps: blocks.append(block.copy()) or 0)
+    blocks = [block.copy() for block in oracle._blocks(np.random.default_rng((6, 0)), n, 3)]
     assert len(blocks) == -(-n // oracle.BLOCK)
     raw = np.concatenate(blocks)
     assert np.array_equal(raw, np.random.default_rng((6, 0)).random((n, 3)))
@@ -1024,11 +1052,31 @@ def test_sigma_levels_exact_at_block_boundaries(n):
 
 @pytest.mark.parametrize("n", BLOCK_EDGES)
 def test_fplus_levels_exact_at_block_boundaries(n):
-    # as above: with one sample only a slice that holds the whole cube fits
+    # as above: with one sample only a slice that holds the whole cube fits.
+    # At eps = 0.9 about 90% of the rows fail the tested column, so from
+    # n = BLOCK + 1 on they are drawn in more than one block
     alpha = np.array([1.0, 1.0, 1.0]) if n == 1 else np.array([-1.0, 1.0, 1.0])
-    ladder = np.geomspace(1e-1, 1e-4, 9)
+    ladder = np.geomspace(0.9, 1e-4, 9)
     est = estimate_fplus_mc(alpha, ladder, n, seed=12)
-    assert [lev.sigma_frac for lev in est.levels] == _reference_fplus_fracs(alpha, ladder, n, 12)
+    assert [lev.sigma_frac for lev in est.levels] == _reference_fplus_chain(alpha, ladder, n, 12)
+
+
+class _SpyRng:
+    """A generator that records the level of each random and binomial call
+    in calls and otherwise draws as numpy.random.default_rng(seed)."""
+    calls = []
+    default_rng = np.random.default_rng
+
+    def __init__(self, seed):
+        self.seed, self.rng = seed, _SpyRng.default_rng(seed)
+
+    def random(self, *args, **kwargs):
+        self.calls.append(("random", self.seed[1]))
+        return self.rng.random(*args, **kwargs)
+
+    def binomial(self, *args, **kwargs):
+        self.calls.append(("binomial", self.seed[1]))
+        return self.rng.binomial(*args, **kwargs)
 
 
 def test_fplus_levels_with_no_tested_column_draw_nothing(monkeypatch):
@@ -1036,30 +1084,48 @@ def test_fplus_levels_with_no_tested_column_draw_nothing(monkeypatch):
     # without a draw, and every other level draws its own stream as before
     ladder = np.geomspace(0.5, 1e-3, 8)
     alphas = [np.array(alpha) for alpha in ((1.0, 0.5, 0.0), (-0.05, 1.0, 0.0))]
-    expected = [_reference_fplus_fracs(alpha, ladder, 20_000, 3) for alpha in alphas]
-    drawn = []
-    real = np.random.default_rng
-
-    class Spy:
-        def __init__(self, seed):
-            self.seed, self.rng = seed, real(seed)
-
-        def random(self, *args, **kwargs):
-            drawn.append(self.seed[1])
-            return self.rng.random(*args, **kwargs)
-
-    monkeypatch.setattr(np.random, "default_rng", Spy)
-    settled_counts = []
+    expected = [_reference_fplus_chain(alpha, ladder, 20_000, 3) for alpha in alphas]
+    monkeypatch.setattr(np.random, "default_rng", _SpyRng)
+    monkeypatch.setattr(_SpyRng, "calls", [])
+    untested_counts = []
     for alpha, fracs in zip(alphas, expected):
-        drawn.clear()
+        _SpyRng.calls.clear()
         est = estimate_fplus_mc(alpha, ladder, 20_000, seed=3)
         assert [lev.sigma_frac for lev in est.levels] == fracs
         scaled = np.ldexp(alpha, -np.frexp(np.abs(alpha).max())[1]).tolist()
-        settled = {li for li, eps in enumerate(ladder)
-                   if oracle._certificate(scaled, eps) == ([], [])}
-        assert set(drawn) == set(range(len(ladder))) - settled
-        settled_counts.append(len(settled))
-    assert settled_counts[0] == len(ladder) and 0 < settled_counts[1] < len(ladder)
+        untested = {li for li, eps in enumerate(ladder)
+                    if oracle._certificate(scaled, eps) == ([], [])}
+        assert {li for _, li in _SpyRng.calls} == set(range(len(ladder))) - untested
+        untested_counts.append(len(untested))
+    assert untested_counts[0] == len(ladder) and 0 < untested_counts[1] < len(ladder)
+
+
+def test_a_row_at_the_last_uniform_in_its_failing_column_stays_finite(monkeypatch):
+    # U = 1 - 2^-53 in the column a row fails, where t is within 2^-52 of 1:
+    # t + (1 - t) U would round to 1 there and give eta = -inf
+    eps = math.exp(-38.0)
+    cols, ts = oracle._certificate([-0.5, 0.5, 0.5], eps)
+    assert cols == [0] and ts[0] + (1.0 - ts[0]) * (1.0 - 2.0**-53) == 1.0
+    etas = []
+
+    class LastUniform(_SpyRng):
+        def random(self, out):
+            out.fill(1.0 - 2.0**-53)
+            return out
+
+        def binomial(self, n, p):
+            return n                          # every row fails the column
+
+    def log_cube(block, eps, transform=oracle._sample_log_cube):
+        etas.append(transform(block, eps))
+        return etas[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", LastUniform)
+    monkeypatch.setattr(oracle, "_sample_log_cube", log_cube)
+    monkeypatch.setattr(oracle, "_side", lambda levels, complement: (0.0, None))
+    estimate_fplus_mc((-1.0, 1.0, 1.0), (eps,), 10, seed=0)
+    assert len(etas) == 1 and np.isfinite(etas[0]).all()
+    assert etas[0][0, 0] == pytest.approx(math.log(eps) - 53 * math.log(2.0) + math.log1p(-ts[0]))
 
 
 @st.composite
@@ -1101,11 +1167,40 @@ def test_fplus_levels_match_out_of_place_reference_property(alpha, ladder, n, se
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(oracle, "_side", lambda levels, complement: (0.0, None))
         est = estimate_fplus_mc(alpha, ladder, n, seed)
-    assert [lev.sigma_frac for lev in est.levels] == _reference_fplus_fracs(alpha, ladder, n, seed)
+    assert [lev.sigma_frac for lev in est.levels] == _reference_fplus_chain(alpha, ladder, n, seed)
 
 
 CRITERION_5_LADDER = np.exp(np.concatenate([np.linspace(-2.0, -4.0, 100, endpoint=False),
                                             np.linspace(-4.0, -10.0, 31)]))
+
+
+# 1 - f(eps) for E_i iid Exp(1): P(a . (ln eps - E) >= 0) in closed form
+CRITERION_5_LAWS = {
+    (-1.0, 1.0, 1.0): lambda eps: eps / 4.0,
+    (-0.25, 1.0, 0.0): lambda eps: 0.2 * eps**3,
+    (0.7, -0.3, 0.0): lambda eps: 0.3 * eps ** (4.0 / 3.0),
+}
+
+
+@pytest.mark.parametrize("alpha", sorted(CRITERION_5_LAWS))
+def test_criterion_5_levels_follow_the_exact_law(alpha):
+    # every level of the criterion-5 estimate at its acceptance seed: the
+    # count outside within 5 binomial standard deviations of the exact one
+    # where at least 10 are expected, and the levels with fewer, pooled,
+    # within 5 Poisson standard deviations
+    q = CRITERION_5_LAWS[alpha]
+    est = estimate_fplus_mc(alpha, CRITERION_5_LADDER, 10**6, seed=20260805)
+    pooled_seen = pooled_expected = 0.0
+    for lev in est.levels:
+        seen = lev.samples - round(lev.sigma_frac * lev.samples)
+        p = q(lev.epsilon)
+        expected = lev.samples * p
+        if expected >= 10.0:
+            assert abs(seen - expected) <= 5.0 * math.sqrt(expected * (1.0 - p)), lev
+        else:
+            pooled_seen += seen
+            pooled_expected += expected
+    assert abs(pooled_seen - pooled_expected) <= 5.0 * math.sqrt(pooled_expected)
 
 
 @pytest.mark.parametrize("alpha", [
@@ -1139,12 +1234,16 @@ def test_rows_at_the_certificate_edge_pass_the_log_test(alpha):
 @pytest.mark.parametrize("alpha, ladder", [
     ((1.0, -1.0, 0.5, -0.5), CRITERION_5_LADDER),          # S = 0
     ((-1.0, 0.5, 0.25), CRITERION_5_LADDER),               # S < 0
-    ((-1.0, 1.0, 1.0), (1.0 - 1e-4, 1.0 - 1e-6)),           # eps near 1
-    ((-1.0, 1.0, 1.0), (math.exp(-0.5),)),                 # certifies 39% of the rows
+    ((-1.0, 1.0, 1.0), (1.0 - 1e-12, 1.0 - 1e-8)),          # eps near 1
 ])
-def test_no_certificate_where_it_would_decide_too_few_rows(alpha, ladder):
+def test_no_certificate_where_the_bound_is_not_positive(alpha, ladder, monkeypatch):
+    # and such a level draws and log-tests every row, as one draw
     for eps in ladder:
         assert oracle._certificate(list(alpha), eps) is None
+    monkeypatch.setattr(oracle, "_side", lambda levels, complement: (0.0, None))
+    est = estimate_fplus_mc(alpha, ladder, 2000, seed=9)
+    assert [lev.sigma_frac for lev in est.levels] == _reference_fplus_fracs(
+        np.array(alpha), ladder, 2000, 9)
 
 
 def test_a_slice_with_no_negative_component_is_certified_whole():
