@@ -22,7 +22,11 @@ maps directly rather than trusting any eigen-structure argument:
   the outcome the loop would reach, so every mask is unchanged;
 * the local index is estimated by sampling uniform points in positive-orthant
   eps-cubes at a ladder of levels, fitting the slopes of ln(fraction) and
-  ln(1 - fraction) against ln(eps) over levels strictly inside (0, 1);
+  ln(1 - fraction) against ln(eps) over levels strictly inside (0, 1); the
+  ladder rule is stated in ln(eps) too (_ladder, EstimatorConfig): it
+  strictly decreases, so no two levels share an abscissa, and stays below
+  ln(delta), so every sample starts inside the tube and _basin_mask has no
+  entry test;
 * the escape exponent F+ of a single half-space slice is the complement
   side of the same fit, with |x_1^{a_1} ... x_N^{a_N}| < 1 as the membership
   test; a bound on alpha . ln(x) that keeps a margin far beyond the log
@@ -89,11 +93,13 @@ class InsufficientResolution(RuntimeError):
 
 def _ladder(epsilon_ladder: Iterable[float]) -> tuple[float, ...]:
     """epsilon_ladder as floats; ValueError unless a sequence of numbers
-    (cycle._reals) that are finite, positive and strictly decreasing."""
+    (cycle._reals) that are finite and positive, with math.log(eps) strictly
+    decreasing: the fits read ln(eps), so two levels an ulp apart that share
+    it would divide 0 by 0."""
     lad = _reals(epsilon_ladder, "epsilon ladder")
     if not lad or any(not 0 < e < math.inf for e in lad):
         raise ValueError("epsilon ladder must be non-empty, finite and positive")
-    if any(a <= b for a, b in zip(lad, lad[1:])):
+    if any(math.log(a) <= math.log(b) for a, b in zip(lad, lad[1:])):
         raise ValueError("epsilon ladder must be strictly decreasing")
     return lad
 
@@ -130,10 +136,12 @@ def _log_point(x: Sequence[float], dim: int) -> np.ndarray:
 class EstimatorConfig:
     """Sampling plan for the delta-basin index estimator.
 
-    delta in (0, 1) caps the tube around the cycle; epsilon_ladder is a strictly
-    decreasing list of cube half-widths, all below delta; max_full_turns
-    bounds the orbit budget per sample.  samples_per_level >= 1,
-    max_full_turns >= 4 and seed >= 0 are integers.
+    delta in (0, 1) caps the tube around the cycle; epsilon_ladder is a list
+    of cube half-widths (_ladder), each with math.log(eps) < math.log(delta),
+    so every sample of _sample_log_cube, ln(eps) + log1p(-U) <= ln(eps),
+    starts strictly inside the delta tube (the precondition of _basin_mask);
+    max_full_turns bounds the orbit budget per sample.  samples_per_level >=
+    1, max_full_turns >= 4 and seed >= 0 are integers.
     """
 
     delta: float = 1e-2
@@ -147,7 +155,7 @@ class EstimatorConfig:
             raise ValueError(f"delta must be a real number in (0, 1), got {self.delta!r}")
         object.__setattr__(self, "delta", _real(self.delta, "delta"))
         object.__setattr__(self, "epsilon_ladder", _ladder(self.epsilon_ladder))
-        if any(e >= self.delta for e in self.epsilon_ladder):
+        if any(math.log(e) >= math.log(self.delta) for e in self.epsilon_ladder):
             raise ValueError("every ladder level must be < delta")
         for name, least in (("samples_per_level", 1), ("max_full_turns", 4), ("seed", 0)):
             object.__setattr__(self, name, _whole(getattr(self, name), least, name))
@@ -424,10 +432,9 @@ def _verified(k: int, steps: int, lo: np.ndarray, hi: np.ndarray, images: np.nda
     return cone if cone.depth(0) == least_depth else None
 
 
-def _compact(keep: np.ndarray, idx: np.ndarray, eta: np.ndarray,
-             mx: np.ndarray | None) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """The kept columns of a _basin_mask block: indices, orbits, maxima (None while not taken)."""
-    return idx[keep], np.compress(keep, eta, axis=1), None if mx is None else mx[keep]
+def _compact(keep: np.ndarray, idx: np.ndarray, eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The kept columns of a _basin_mask block: indices and orbits."""
+    return idx[keep], np.compress(keep, eta, axis=1)
 
 
 def _in_cone(cone: _Cone, eta: np.ndarray, depth: float, idx: np.ndarray, n: int) -> np.ndarray:
@@ -451,17 +458,21 @@ def _basin_mask(maps: _Maps, eta0: np.ndarray, delta: float, max_full_turns: int
     """Vectorised delta-basin membership for a batch of log-coordinate points
     under the maps of one start node, in turn order (_Maps).
 
-    eta0 holds one point per row.  A sample is in the basin when no
-    partial-turn image ever reaches delta in max-norm and its orbit either
-    dives below DEEP_LOG or shows a decreasing max-norm trend over the last
-    quarter of the turn budget.  A live column whose max comes out NaN is
-    stepped again, once, with _log_step from the block its step started
-    from, so a coordinate that has overflowed to -inf (converged) does not
-    turn 0 * -inf into an escape.  That block is released as soon as the
-    step is settled, on the whole-block path too: one kept alive into the
-    next matmul makes it take fresh pages.  A zero offset (raw matrices,
-    default scalings) is skipped rather than added: the mask is the same, as
-    -0.0 == 0.0, and the criterion-6 estimate takes about a fifth less time.
+    eta0 holds one point per row, and every point must start strictly
+    inside the tube, max(eta) < ln(delta): each sample of an
+    EstimatorConfig does (_sample_log_cube), and in_delta_basin answers
+    False for any other point without calling this.  A sample is in the
+    basin when no partial-turn image ever reaches delta in max-norm and its
+    orbit either dives below DEEP_LOG or shows a decreasing max-norm trend
+    over the last quarter of the turn budget.  A live column whose max
+    comes out NaN is stepped again, once, with _log_step from the block its
+    step started from, so a coordinate that has overflowed to -inf
+    (converged) does not turn 0 * -inf into an escape.  That block is
+    released as soon as the step is settled, on the whole-block path too:
+    one kept alive into the next matmul makes it take fresh pages.  A zero
+    offset (raw matrices, default scalings) is skipped rather than added:
+    the mask is the same, as -0.0 == 0.0, and the criterion-6 estimate takes
+    about a fifth less time.
 
     Each step first tries to settle the whole block, and takes the column
     maxima only when that fails, so the masks are those of the per-column
@@ -480,16 +491,16 @@ def _basin_mask(maps: _Maps, eta0: np.ndarray, delta: float, max_full_turns: int
       slack = 1 + (2N + 3) 2u >= 1 / (1 - (2N + 3) u) covers all of it.  A
       B' below 1e9 rules out overflow, and underflow adds a few subnormals,
       far below the gap between B' and 1e9.
-    The entry takes the column maxima only when one eta.max() < ln(delta)
-    fails.  A column that the per-column test decides stays in its slot as
-    a copy of a live column, with its index at a trash slot (result[n], cut
+    A column that the per-column test decides stays in its slot as a copy
+    of a live column, with its index at a trash slot (result[n], cut
     off on return).  A whole-block test speaks for every column, so it holds
     for the live ones whatever the dead slots hold, and as copies they step
     like live columns and fail no test of their own; a dead copy that turns
     NaN is overwritten again, and only live columns are stepped again.  A
     block is compacted (_compact) only at a turn end: with the columns a cone
     certifies, or once more than half of it is dead.  The column maxima are
-    taken only for the per-column test, at turn q3 and after the last turn.
+    taken only for the per-column test of a step, at turn q3 and after the
+    last turn, and never kept from one of these to the next.
 
     With a cone (_cone, built once per estimate_sigma_mc call; None for
     in_delta_basin), the live columns are tested at the end of each turn
@@ -511,14 +522,9 @@ def _basin_mask(maps: _Maps, eta0: np.ndarray, delta: float, max_full_turns: int
 
     eta = np.ascontiguousarray(eta0.T)
     idx = np.arange(n)
-    if not eta.max() < ln_delta:
-        idx, eta, _ = _compact(eta.max(axis=0) < ln_delta, idx, eta, None)
-        if idx.size == 0:
-            return result[:n]
-
     slack = 1.0 + (2 * eta.shape[0] + 3) * 2.0**-52
     q3 = (3 * max_full_turns) // 4
-    bound, mx, dead = math.inf, None, 0   # mx is None while not taken
+    bound, dead = math.inf, 0
     for turn in range(max_full_turns):
         for M, col, (norm_m, norm_f) in layers:
             prev, eta = eta, M @ eta
@@ -529,7 +535,7 @@ def _basin_mask(maps: _Maps, eta0: np.ndarray, delta: float, max_full_turns: int
                 if not bound < -DEEP_LOG:   # also NaN, from inf * 0
                     bound = -float(eta.min())
                 if bound < -DEEP_LOG:
-                    mx = prev = None
+                    prev = None
                     continue
             mx = eta.max(axis=0)
             bound = math.inf
@@ -554,7 +560,7 @@ def _basin_mask(maps: _Maps, eta0: np.ndarray, delta: float, max_full_turns: int
             eta[:, out] = eta[:, keep.argmax(), None]
         if turn == q3:
             q3_max = np.full(n + 1, np.inf)
-            q3_max[idx] = eta.max(axis=0) if mx is None else mx
+            q3_max[idx] = eta.max(axis=0)
         depth = math.inf if cone is None else cone.depth(turn)
         sure = _in_cone(cone, eta, depth, idx, n) if depth < math.inf else None
         certified = 0 if sure is None else np.count_nonzero(sure)
@@ -565,13 +571,11 @@ def _basin_mask(maps: _Maps, eta0: np.ndarray, delta: float, max_full_turns: int
         elif 2 * dead <= idx.size:
             continue
         keep = idx < n if sure is None else (idx < n) & ~sure
-        idx, eta, mx = _compact(keep, idx, eta, mx)
+        idx, eta = _compact(keep, idx, eta)
         dead = 0
         if idx.size == 0:
             return result[:n]
-    if mx is None:
-        mx = eta.max(axis=0)
-    result[idx[mx < q3_max[idx]]] = True
+    result[idx[eta.max(axis=0) < q3_max[idx]]] = True
     return result[:n]
 
 
@@ -591,12 +595,14 @@ def _log_step(M: np.ndarray, eta: np.ndarray, col: np.ndarray | None) -> np.ndar
 
 def in_delta_basin(cycle: CycleLike, j: int, x: Sequence[float], config: EstimatorConfig) -> bool:
     """Does the orbit of x from the incoming section of node j stay in the
-    delta-tube and converge?"""
+    delta-tube and converge?  A point that does not start inside the tube,
+    max(ln x) >= ln(delta), is not, and its orbit is not followed; the
+    cycle, j and x are checked first all the same."""
     maps = _gmaps(cycle, j)
     eta0 = _log_point(x, len(maps.turn))[None, :]
     return bool(
-        _basin_mask(maps, eta0, config.delta, config.max_full_turns)[0]
-    )
+        eta0.max() < math.log(config.delta)
+        and _basin_mask(maps, eta0, config.delta, config.max_full_turns)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hetstab import (
     Classification,
@@ -112,6 +114,18 @@ def test_cycle_spec_rule_keeps_its_messages_and_types_the_first():
         "connection 0: scalings must be > 0",
         "connection 1: v0 must be > 0",
     ]
+
+
+@pytest.mark.parametrize("spec,message", [
+    (CycleSpec(nodes=(node(),) * 2, connections=(ConnectionSpec((1, 0)),)),
+     "expected one connection per node, got 1 connections for 2 nodes"),
+    (two_nodes(node(), ConnectionSpec((0, 1), scalings=(1.0, 2.0, 3.0))),
+     "connection 0: expected 2 scalings; connection 1: expected 2 scalings"),
+], ids=["connection-count", "scalings-length"])
+def test_cycle_spec_rule_counts_connections_and_scalings(spec, message):
+    with pytest.raises(CycleValidationError) as exc:
+        validate_cycle(spec)
+    assert exc.type is CycleValidationError and str(exc.value) == message
 
 
 # ---------------------------------------------------------------------------
@@ -408,6 +422,56 @@ def test_ladder_rule_rejects_what_is_not_a_sequence_of_numbers(entry, ladder):
         LADDER_ENTRY_POINTS[entry](ladder)
 
 
+# each pair is one ulp apart with the same math.log, so a fit over them would
+# divide 0 by 0
+SHARED_LOGS = [(1e-15, 9.999999999999999e-16), (1e-3, 0.0009999999999999998)]
+
+
+@pytest.mark.parametrize("ladder", SHARED_LOGS, ids=["1e-15", "1e-3"])
+@pytest.mark.parametrize("entry", sorted(LADDER_ENTRY_POINTS))
+def test_ladder_rule_wants_ln_eps_strictly_decreasing(entry, ladder):
+    assert ladder[0] > ladder[1] and math.log(ladder[0]) == math.log(ladder[1])
+    with pytest.raises(ValueError, match="^epsilon ladder must be strictly decreasing$"):
+        LADDER_ENTRY_POINTS[entry](ladder)
+
+
+def test_every_level_has_a_log_below_ln_delta():
+    # one ulp below delta, a level whose log is ln(delta) is rejected; two
+    # ulps below 1e-3, the log is smaller and the level is taken
+    level = math.nextafter(1e-300, 0.0)
+    assert math.log(level) == math.log(1e-300)
+    with pytest.raises(ValueError, match="^every ladder level must be < delta$"):
+        EstimatorConfig(delta=1e-300, epsilon_ladder=(level,))
+    level = math.nextafter(math.nextafter(1e-3, 0.0), 0.0)
+    assert math.log(level) < math.log(1e-3)
+    assert EstimatorConfig(delta=1e-3, epsilon_ladder=(level,)).epsilon_ladder == (level,)
+
+
+@settings(max_examples=300, deadline=None)
+@given(delta=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       ulps=st.integers(1, 6),
+       decades=st.lists(st.floats(0.0, 300.0), max_size=3),
+       dim=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_every_sample_of_an_accepted_config_starts_inside_the_tube(delta, ulps, decades, dim,
+                                                                   seed):
+    # a level a few ulps below delta, and deeper ones: wherever the config
+    # takes them, every row of the log cube, the extreme uniforms 0 and
+    # 1 - 2^-53 included, lies strictly below ln(delta)
+    top = delta
+    for _ in range(ulps):
+        top = math.nextafter(top, 0.0)
+    ladder = [top, *sorted({delta * 10.0 ** -d for d in decades}, reverse=True)]
+    try:
+        cfg = EstimatorConfig(delta=delta, epsilon_ladder=ladder)
+    except ValueError:
+        assume(False)
+    rng = np.random.default_rng(seed)
+    for eps in cfg.epsilon_ladder:
+        block = np.concatenate([rng.random((64, dim)), np.zeros((1, dim)),
+                                np.full((1, dim), 1.0 - 2.0**-53)])
+        assert (oracle._sample_log_cube(block, eps) < math.log(cfg.delta)).all()
+
+
 @pytest.mark.parametrize("delta", [None, "0.01", 0.01j, (0.01,)],
                          ids=["none", "string", "complex", "tuple"])
 def test_delta_rule_rejects_what_is_not_a_real_number(delta):
@@ -524,6 +588,14 @@ def test_point_rule(entry, x, kind, message):
     with pytest.raises(ValueError, match=message) as exc:
         POINT_ENTRY_POINTS[entry](x)
     assert exc.type is kind
+
+
+@pytest.mark.parametrize("y,shape", [((-1.0, -1.0), "(2,)"), (-np.ones((2, 2, 3)), "(2, 2, 3)")],
+                         ids=["1-d", "3-d"])
+def test_membership_samples_rule(y, shape):
+    with pytest.raises(ValueError, match=f"^samples have wrong shape {re.escape(shape)} "
+                                         r"for \(3, 3\) matrix$"):
+        matrix_basin_membership(np.eye(3), y)
 
 
 @pytest.mark.parametrize("call, sign", [
@@ -834,6 +906,15 @@ CLI_REJECTIONS = {
                          "hetstab oracle fplus: error: " + LADDER_USAGE.format("--levels")),
     "sigma-eps-inf": (["oracle", "sigma", "{d}/c.json", "--eps", "inf:1e-5:3"],
                       "hetstab oracle sigma: error: " + LADDER_USAGE.format("--eps")),
+    "fplus-levels-no-count": (["oracle", "fplus", "--alpha", "-1,1,1", "--levels", "1e-3:1e-7"],
+                              "hetstab oracle fplus: error: argument --levels: "
+                              "expected start:end:count, got '1e-3:1e-7'"),
+    "fplus-levels-shared-log": (["oracle", "fplus", "--alpha", "-1,1,1", "--levels",
+                                 "0.001:0.0009999999999999998:2", "--samples", "200000"],
+                                "error: epsilon ladder must be strictly decreasing"),
+    "sigma-eps-shared-log": (["oracle", "sigma", "{d}/c.json",
+                              "--eps", "1e-15:9.999999999999999e-16:2"],
+                             "error: epsilon ladder must be strictly decreasing"),
     "sigma-seed": (["oracle", "sigma", "{d}/c.json", "--seed", "-1", "--samples", "10"],
                    "error: seed must be an integer >= 0, got -1"),
     "fplus-seed": (["oracle", "fplus", "--alpha", "-1,1,1", "--seed", "-1", "--samples", "100"],

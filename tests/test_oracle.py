@@ -936,46 +936,49 @@ def test_a_cone_exists_at_the_vertex_cap_and_at_a_long_budget():
 
 @pytest.fixture
 def compactions(monkeypatch):
-    """A list that gets, per oracle._compact call, whether the column maxima
-    were taken and the batch indices of the columns it removes (the batch
-    size for a dead slot)."""
+    """A list that gets, per oracle._compact call, the batch indices of the
+    columns it removes (the batch size for a dead slot)."""
     calls = []
     real = oracle._compact
 
-    def counting(keep, idx, eta, mx):
-        calls.append((mx is not None, idx[~keep]))
-        return real(keep, idx, eta, mx)
+    def counting(keep, idx, eta):
+        calls.append(idx[~keep])
+        return real(keep, idx, eta)
 
     monkeypatch.setattr(oracle, "_compact", counting)
     return calls
 
 
 def test_a_criterion_6_estimate_compacts_at_most_60_times(compactions):
-    # 24 blocks: the entry tube test passes whole, the turn-0 escapes stay as
-    # dead slots, and only the cone drop of turn 2 compacts; turn 3's
-    # certifies every live column (24 today, 108 when every entry, escape
-    # step and cone drop compacted)
+    # 24 blocks: the turn-0 escapes stay as dead slots, and only the cone
+    # drop of turn 2 compacts; turn 3's certifies every live column (24
+    # today)
     estimate_sigma_mc(rsp_matrices(RspParams(-0.5, 0.2)), 0, CRITERION_6)
     assert 0 < len(compactions) <= 60
 
 
-@pytest.mark.parametrize("with_cone", [False, True])
-def test_a_block_whose_entry_tube_test_fails_for_some_columns(with_cone, compactions):
-    # rows of an eps-cube wider than delta among deep rows: the whole-block
-    # entry test fails, and only then are the column maxima taken and the
-    # block compacted
+def test_in_delta_basin_follows_only_points_that_start_inside_the_tube(monkeypatch):
+    # points of an eps-cube wider than delta among deeper ones, and one an
+    # ulp below delta = 1e-3 whose log is ln(delta): a point with max(ln x)
+    # >= ln(delta) is outside with no _basin_mask call, and every other point
+    # gets the row-major reference's verdict
     mats, offs = rsp_matrices(RspParams(-0.5, 0.2)), [np.zeros(3)] * 2
-    cone = oracle._cone(oracle._maps(mats, offs, 0), 1e-2, 200) if with_cone else None
+    cfg = EstimatorConfig(delta=1e-3, epsilon_ladder=(1e-4,))
     rng = np.random.default_rng(9)
-    eta0 = np.concatenate([_out_of_place_log_cube(rng, eps, 1500, 3) for eps in (1.5e-2, 1e-15)])
-    outside = eta0.max(axis=1) >= math.log(1e-2)
-    assert 0 < outside.sum() < len(eta0)
-    expected = _row_major_basin_mask(mats, offs, 0, eta0, 1e-2, 200)
-    assert set(expected.tolist()) == {True, False}
-    got = oracle._basin_mask(oracle._maps(mats, offs, 0), eta0.copy(), 1e-2, 200, cone)
-    assert np.array_equal(got, expected)
-    taken, removed = compactions[0]            # the entry
-    assert not taken and np.array_equal(removed, np.flatnonzero(outside))
+    x = np.exp(np.concatenate([_out_of_place_log_cube(rng, eps, 60, 3) for eps in (1.5e-3, 1e-15)]))
+    x = np.concatenate([x, [[math.nextafter(cfg.delta, 0.0), 1e-9, 1e-9]]])
+    eta0 = np.log(x)
+    outside = eta0.max(axis=1) >= math.log(cfg.delta)
+    assert 0 < outside.sum() < len(x) and outside[-1]
+    expected = _row_major_basin_mask(mats, offs, 0, eta0, cfg.delta, cfg.max_full_turns)
+    assert set(expected[~outside].tolist()) == {True, False}
+    calls = []
+    real = oracle._basin_mask
+    monkeypatch.setattr(oracle, "_basin_mask", lambda *args: calls.append(args) or real(*args))
+    for point, out, want in zip(x, outside, expected):
+        calls.clear()
+        assert in_delta_basin(mats, 0, point, cfg) is bool(want)
+        assert len(calls) == (not out)
 
 
 def test_escapes_and_dives_in_the_step_of_a_cone_drop(compactions):
@@ -991,8 +994,7 @@ def test_escapes_and_dives_in_the_step_of_a_cone_drop(compactions):
     got = oracle._basin_mask(oracle._maps(mats, offs, 0), eta0.copy(), 1e-2, 200, cone)
     assert np.array_equal(got, expected) and set(expected.tolist()) == {True, False}
     n = len(eta0)
-    assert sum(taken and (removed == n).any() and (removed < n).any()
-               for taken, removed in compactions) >= 2
+    assert sum((removed == n).any() and (removed < n).any() for removed in compactions) >= 2
 
 
 def test_a_nan_step_of_a_column_whose_copy_is_dead(resteps):
@@ -1017,7 +1019,7 @@ def test_a_no_cone_block_that_drains_past_half_dead(compactions):
     assert 0 < expected.sum() < len(eta0) / 2
     got = oracle._basin_mask(oracle._maps(mats, offs, 0), eta0.copy(), 1e-2, 200)
     assert np.array_equal(got, expected)
-    assert compactions and all((removed == len(eta0)).all() for _, removed in compactions)
+    assert compactions and all((removed == len(eta0)).all() for removed in compactions)
 
 
 # ---------------------------------------------------------------------------

@@ -573,6 +573,38 @@ def test_underflowed_zero_row_raises_as_the_exhaustive_loop_does():
     assert sigma(mats, 0) == INF
 
 
+# M_0 is the one negative-entry matrix in both, so node 1 is the one
+# checkpoint: its return holds the dominant pair, and node 2's return, not
+# a checkpoint, is the first fault of the node-by-node reading
+NODE_FAULTS = {
+    "overflow": ([[[2.0, 0.0], [-1.0, 2.0]], [[0.0, 2.0], [1e200, 1e200]],
+                  [[0.0, 2.0], [1e300, 0.0]]],
+                 ProductOverflow, "^cyclic product from node 2 ", 2e100),
+    "defective": ([[[1.0, 0.0], [2.0, -1.0]], [[0.0, 2e200], [2e300, 2e300]],
+                   [[2.0, 0.0], [0.0, 0.0]]],
+                  IndeterminateError, "^indeterminate at node 2: eigenvector basis", INF),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NODE_FAULTS))
+def test_a_fault_at_a_node_that_is_not_a_checkpoint(case):
+    mats, kind, message, sigma_1 = NODE_FAULTS[case]
+    mats = [np.array(M) for M in mats]
+    assert negative_entry_indices(mats) == [0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(kind, match=message) as raised:
+            classify(mats)
+        with pytest.raises(kind, match=message):
+            collect_alpha_vectors(mats, 2)
+        sigmas, [error] = hetstab.stability._sigma_rows(np.array(mats)[None])
+        assert sigma(mats, 0) == 1.0 and sigma(mats, 1) == sigma_1
+    assert np.isnan(sigmas).all()
+    assert type(error) is type(raised.value) and str(error) == str(raised.value)
+    if kind is IndeterminateError:
+        assert raised.value.node == 2 and isinstance(raised.value.__cause__, DefectiveMatrix)
+
+
 # partial turns that underflow to a zero row while every full return holds
 ZERO_ROW = np.array([[[1e200, 2e200], [1e200, 1e200]], [[1e-200, 2e-200], [3e-200, 1e-200]],
                      [[1e-200, 1e-200], [1.0, -0.1]]])

@@ -61,7 +61,7 @@ def test_ab_runs_every_case_against_its_own_checkout():
         "rsp(-0.5, 0.2)", "rsp(0.5, 0.2)", "seed-3 m=8", "seed-3 m=32", "seed-3 m=8 all",
         "seed-3 m=32 all", "rsp-sweep 61", "rsp-sweep 9", "fplus -1,1,1", "fplus -0.25,1,0",
         "fplus 0.7,-0.3,0", "sigma rsp", "sigma scaled", "in_delta_basin",
-        "overflow in_delta_basin"]
+        "overflow in_delta_basin", "outside in_delta_basin"]
 
 
 def test_ab_selects_the_whole_populations_by_name():

@@ -25,7 +25,10 @@ PARENT's perfbench/inputs.py, which is loaded, not edited:
   at the same points on two one-map cycles diag(1e300) + B, whose
   coordinate 0 reaches -inf (x = 0) within two steps (overflow
   in_delta_basin).  Every point is in the basin of the first and escapes
-  from the second, in both after steps whose matmul meets 0 * -inf.
+  from the second, in both after steps whose matmul meets 0 * -inf; and at
+  the same points times 2e13 on RSP (-0.5, 0.2) (outside in_delta_basin),
+  so most of them have a coordinate at or beyond delta = 1e-2 and start
+  outside the tube.
 
 --samples sets the F+ samples per level (10^6 in criterion 5) and scales the
 sigma samples per level (40000) by the same factor.  --cases keeps the cases
@@ -138,6 +141,8 @@ def _cases(hs, inputs, alphas, samples: int, out: Path) -> dict[str, object]:
         M[0, 0], M[1:, 1:] = 1e300, block
     cases["overflow in_delta_basin"] = lambda: [hs.in_delta_basin([M], 0, x, config)
                                                 for M in overflow for x in points]
+    cases["outside in_delta_basin"] = lambda: [
+        hs.in_delta_basin(mats, plan["node"], x * 2e13, config) for x in points]
     return cases
 
 
