@@ -9,18 +9,25 @@ Two regimes, decided by the signs of the basic transition matrices:
   eigenvalues are read, so a defective full return is decided too.
 
 * Some matrix M_q has a negative entry (indices q = j_1 < ... < j_L).  The
-  full returns are all similar, so the realness/size conditions on
-  lambda_max are shared; the sign condition on w_max propagates through
-  non-negative partial products, so it suffices to verify the three
-  dominant-pair conditions at the checkpoints M^(j_p + 1).  Failure anywhere
-  forces sigma_j = -inf for all j.  Otherwise
+  full returns are all similar, so lambda_max and the realness/size
+  conditions on it belong to the cycle; the sign condition on w_max
+  propagates through non-negative partial products, so the three
+  dominant-pair conditions are verified once per cycle, at the checkpoints
+  M^(j_p + 1), and only the checkpoint returns are decomposed.  Failure at
+  any checkpoint forces sigma_j = -inf for all j.  Otherwise
 
       sigma_j = min( f_index(v_max of M^(j)),
                      f_index(row s of M_(j_p, j)) over p = 1..L, s = 1..N )
 
   where the v_max term encodes membership in the attracted set of the full
   return and each partial-turn row demands the corresponding intermediate
-  state stay in the negative orthant.
+  state stay in the negative orthant.  At a node j that is not a
+  checkpoint, v_max is carried: with q the last negative-entry node before
+  j and c = q + 1 its checkpoint, M^(c) = A B and M^(j) = B A for A =
+  M_(q,j) and B = M_(j-1,c), which covers only non-negative nodes.  So
+  B w_max of M^(c) is >= 0, and v_max of M^(c) times A is a positive
+  multiple of v_max of M^(j), which f_index cannot tell apart; that product
+  is the v_max term of node j, and its provenance reads v_max[c] M_(q,j).
 
 Classification from the indices: any -inf -> not an attractor; any exact 0
 -> marginal (no claim made); all +inf -> asymptotically stable; all > 0 ->
@@ -34,11 +41,11 @@ that share m, N and their negative-entry nodes.  Its result is columnar
 (_Indices): a (B, J) array of sigma_j, a (B, J) array of the positions k of
 the vectors that realise them (-1 where no minimum sets sigma_j), the
 candidate vectors of every index that is a minimum, and each cycle's first
-error, as a value, in the order of a one-cycle reading.  Each decomposed
-full return gets one small-integer state, and a short scan of those states
-finds each cycle's first fault; the zero partial-turn rows and every
-minimum are decided in arrays over the whole stack.  classify, sigma and
-collect_alpha_vectors read the result for the stack of one cycle (_single),
+error, as a value, in the order of a one-cycle reading.  A short scan of
+the checkpoint decompositions finds each cycle's first fault; the carried
+v_max, the zero partial-turn rows and every minimum are decided in arrays
+over the whole stack.  classify, sigma and collect_alpha_vectors read the
+result for the stack of one cycle (_single, which raises its error),
 and classify is the one place that builds IndexReport and IndexProvenance,
 with the provenance tags from _source.  _sigma_rows reads a float (B, m, N,
 N) stack as one (B, m) array of sigma_j and the errors and builds no
@@ -63,6 +70,7 @@ shares.
 
 from __future__ import annotations
 
+import bisect
 import math
 import sys
 from dataclasses import dataclass
@@ -253,19 +261,14 @@ _NO_MINIMUM = {True: IndexProvenance("dominant-pair-conditions-fail", None),
                False: IndexProvenance("nonnegative-dichotomy", None)}
 
 
-def _no_minimum() -> ValueError:
-    """The error of a sigma_j that is -inf by failed conditions, not a minimum."""
-    return ValueError("dominant-pair conditions fail; sigma_j is -inf by the "
-                      "zero-measure argument, not a minimum of indices")
-
-
 class _Indices(NamedTuple):
     """The result of _indices for B cycles and J given nodes.
 
     candidates holds the K = 1 + L*N vectors of every (b, j) with winner
     >= 0, in row-major order of (b, j), coordinate-major: [:, r, k] is
-    vector k of row r, v_max of M^(j) first, then the rows of M_(j_1, j),
-    ..., M_(j_L, j).
+    vector k of row r, v_max of M^(j) first (carried from its checkpoint
+    where j is not one, _checkpoint), then the rows of M_(j_1, j), ...,
+    M_(j_L, j).
     """
 
     sigma: np.ndarray          # (B, J) sigma_j; NaN for a cycle with an error
@@ -274,11 +277,12 @@ class _Indices(NamedTuple):
     errors: list               # each cycle's first error, or None
 
 
-# what a decomposed full return says at a node: 0 when conditions (i)-(iii)
-# hold, 1 when only (iii) fails, 2 when (i) or (ii) fails, 3 on an error of
-# its decomposition (_INDETERMINATE), and 4 when its pass is not finite
-_STATE = {(True, True, True): 0, (True, True, False): 1}
-_INDETERMINATE, _OVERFLOW = 3, 4
+def _checkpoint(negative: list[int], m: int, j: int) -> tuple[int, int]:
+    """(q, c) for node j of m: q the last negative-entry node strictly
+    before j, cyclically, and c = q + 1 its checkpoint, which is j itself
+    where j is a checkpoint."""
+    q = negative[bisect.bisect_left(negative, j) - 1]
+    return q, (q + 1) % m
 
 
 def _indices(mats: np.ndarray, negative: list[int], nodes: list[int], tol: float) -> _Indices:
@@ -287,118 +291,135 @@ def _indices(mats: np.ndarray, negative: list[int], nodes: list[int], tol: float
     the error that ends a cycle's analysis; tol has passed its rule.  Each
     minimum is the first of findex.f_index over the candidates (_first_minima).
 
-    One stacked call decomposes the full returns at the checkpoints and the
-    given nodes of every cycle, so the checkpoints and v_max share one
-    decomposition; the dichotomy reads only the eigenvalues of M^(0), so a
-    defective one keeps its +-inf.  A cycle's first fault follows a
-    one-cycle reading: its checkpoints in sorted order, then the given nodes
-    in order.  At each, a pass that overflows (ProductOverflow), then a
-    spectral degeneracy (IndeterminateError), then failed conditions: at a
-    checkpoint any of the three, which makes every sigma_j -inf with no
-    minimum; at a given node (i) or (ii) (ValueError), then a zero
-    partial-turn row (findex.ZeroVectorError).
+    One stacked call decomposes the full returns at the checkpoints of every
+    cycle, and no other: lambda_max and conditions (i)-(iii) are decided
+    there, once per cycle, and a node that is not a checkpoint reads the
+    v_max of its checkpoint carried to it (_checkpoint; the module
+    docstring says why).  The dichotomy reads only the eigenvalues of M^(0),
+    so a defective one keeps its +-inf.  A cycle's first fault follows a
+    one-cycle reading: its checkpoints in sorted order, each a pass that
+    overflows (ProductOverflow), then a spectral degeneracy
+    (IndeterminateError), then failed conditions, which make every sigma_j
+    -inf with no minimum; then the given nodes in order, each a pass that
+    overflows or a carried v_max beyond double range (ProductOverflow), then
+    a zero partial-turn row (findex.ZeroVectorError).
     """
     m, n = mats.shape[1:3]
     passes = cyclic_products(mats, range(m), m)
     count = len(passes)
+    finite = _finite(passes)
     # the sign condition on w_max propagates through the non-negative
     # factors between negative-entry matrices, so it is checked directly
     # only at the nodes just after one
-    checkpoints = sorted({(q + 1) % m for q in negative})
-    read = sorted(set(checkpoints).union(nodes)) if negative else [0]
+    checkpoints = sorted({(q + 1) % m for q in negative}) or [0]
+    size = len(checkpoints)
     # a slice reads every node without a copy; eig rejects a stack holding
     # inf or NaN, so a pass that is not finite is decomposed as the
     # identity and read as an overflow
-    cols = slice(None) if len(read) == m else read
-    finite = _finite(passes)[:, cols]
-    flags = finite.ravel().tolist()
+    cols = slice(None) if size == m else checkpoints
     stack = passes[:, cols, -1].reshape(-1, n, n)
-    if not all(flags):
-        stack = np.where(finite.reshape(-1, 1, 1), stack, np.eye(n))
+    if not finite.all():
+        stack = np.where(finite[:, cols].reshape(-1, 1, 1), stack, np.eye(n))
     spectra = _eigen_decompose_many(stack, tol)
+    whole = finite.tolist()
     # every sigma_j is -inf until it is set: failed conditions at a
     # checkpoint leave it so, and an error makes the cycle's row NaN
     sigma, winner = np.full((count, len(nodes)), -math.inf), np.full((count, len(nodes)), -1)
     if not negative:
-        errors = [_overflow(0) if not f else None if e is None else IndeterminateError(0, e)
-                  for f, e in zip(flags, spectra.errors)]
+        errors = [_overflow(0) if not f[0] else None if e is None else IndeterminateError(0, e)
+                  for f, e in zip(whole, spectra.errors)]
         sigma[np.abs(spectra.eigenvalues[np.arange(count), spectra.index]) > 1.0] = math.inf
         sigma[[e is not None for e in errors]] = math.nan
         return _Indices(sigma, winner, np.empty((n, 0, 1)), errors)
 
-    # one state per decomposed return, and each cycle's first fault from
-    # them: at a checkpoint any state but 0, at a given node a state of 2
-    # or more, or a zero partial-turn row
-    state = [_STATE.get(c, 2) if f and not d and e is None else _INDETERMINATE + (not f)
-             for f, c, e, d in zip(flags, spectra.conditions, spectra.errors, spectra.defective)]
-
-    def fault(i: int, node: int) -> Exception:
-        """The error at node of the return decomposed at place i of spectra."""
-        if state[i] == _OVERFLOW:
-            return _overflow(node)
-        if state[i] == _INDETERMINATE:
-            return IndeterminateError(node, spectra.error(i))
-        return _no_minimum()
-
-    size, errors, held = len(read), [None] * count, []
-    at = [read.index(j) for j in checkpoints]
+    errors, held = [None] * count, []
     for c in range(count):
-        for j, i in zip(checkpoints, at):
-            if state[c * size + i]:
-                if state[c * size + i] >= _INDETERMINATE:
-                    errors[c] = fault(c * size + i, j)
-                break
+        for b, j in zip(range(c * size, c * size + size), checkpoints):
+            if not whole[c][j]:
+                errors[c] = _overflow(j)
+            elif spectra.defective[b] or spectra.errors[b] is not None:
+                errors[c] = IndeterminateError(j, spectra.error(b))
+            elif all(spectra.conditions[b]):
+                continue
+            break
         else:
             held.append(c)
     alphas = np.empty((n, 0, 1))
     if held:
-        steps = (np.array(negative) - np.array(nodes)[:, None]) % m
-        rows = passes[np.array(held)[:, None, None], np.array(nodes)[:, None], steps]
-        rows = rows.reshape(rows.shape[:2] + (-1, n))
-        zero = (~rows.any(axis=3).all(axis=2)).tolist()
-        at = [read.index(j) for j in nodes]
-        kept = []
+        rows, at = np.array(held)[:, None], np.array(nodes)[:, None]
+        # turns[h, p, i] is M_(q,j) for j = nodes[p] and q = negative[i]
+        turns = passes[rows[:, :, None], at, (np.array(negative) - at) % m]
+        # v_max of M^(c) at each node's checkpoint c, decomposed there
+        if size == m:                                   # each node is its own checkpoint
+            place, carried = rows * m + at[:, 0], []
+        else:
+            pairs = [_checkpoint(negative, m, j) for j in nodes]
+            place = rows * size + [checkpoints.index(c) for _, c in pairs]
+            carried = [p for p, (j, (_, c)) in enumerate(zip(nodes, pairs)) if c != j]
+        v_max = spectra.basis_inverse[place, np.array(spectra.index)[place]].real
+        spill = [[False] * len(nodes)] * len(held)          # a carried v_max beyond double range
+        if carried:
+            # M^(c) = M_(q,j) B and M^(j) = B M_(q,j), with B = M_(j-1,c)
+            # non-negative, so v_max[c] M_(q,j) is a positive multiple of
+            # v_max of M^(j); numpy sums over an axis that is not the last
+            # one term at a time, in order, so every batch reads the same bits
+            turn = turns[:, carried, [negative.index(pairs[p][0]) for p in carried]]
+            with np.errstate(over="ignore", invalid="ignore"):
+                v_max[:, carried] = (v_max[:, carried, :, None] * turn).sum(axis=2)
+            spill = (~np.isfinite(v_max).all(axis=2)).tolist()
+        kept, zero = [], (~turns.any(axis=4).all(axis=(2, 3))).tolist()
         for h, c in enumerate(held):
-            for p, (j, i) in enumerate(zip(nodes, at)):
-                if state[c * size + i] >= 2:
-                    errors[c] = fault(c * size + i, j)
-                    break
-                if zero[h][p]:                          # f_index raises at the first zero row
-                    row = rows[h, p]
-                    errors[c] = _attempt((findex.ZeroVectorError,), findex.f_index,
-                                         row[row.any(axis=1).argmin()])
-                    break
+            for p, j in enumerate(nodes):
+                if not whole[c][j] or spill[h][p]:
+                    errors[c] = _overflow(j)
+                elif zero[h][p]:                        # what f_index raises at a zero row
+                    errors[c] = _attempt((findex.ZeroVectorError,), findex.f_index, np.zeros(n))
+                else:
+                    continue
+                break
             else:
                 kept.append(h)
         if len(kept) < len(held):
-            rows = rows[kept]
+            turns, v_max = turns[kept], v_max[kept]
         kept = np.array(held)[kept]
-        place = (kept[:, None] * size + at).ravel()
-        alphas = np.empty((n, len(place), 1 + rows.shape[2]))
-        if len(place):
-            alphas[:, :, 0] = spectra.basis_inverse[place, np.array(spectra.index)[place]].real.T
-            alphas[:, :, 1:] = rows.reshape(len(place), -1, n).transpose(2, 0, 1)
+        if len(kept):
+            alphas = np.empty((n, kept.size * len(nodes), 1 + len(negative) * n))
+            alphas[:, :, 0] = v_max.reshape(-1, n).T
+            alphas[:, :, 1:] = turns.reshape(alphas.shape[1], -1, n).transpose(2, 0, 1)
             values, k = _first_minima(alphas)
             sigma[kept] = values.reshape(len(kept), -1)
             winner[kept] = k.reshape(len(kept), -1)
-    failing = [c for c, error in enumerate(errors) if error is not None]
-    if failing:
-        sigma[failing] = math.nan
+    if any(errors):                                     # an error is never false
+        sigma[[e is not None for e in errors]] = math.nan
     return _Indices(sigma, winner, alphas, errors)
 
 
-def _source(negative: list[int], n: int, j: int, k: int) -> str:
+def _source(negative: list[int], m: int, n: int, j: int, k: int) -> str:
     """The provenance tag of position k >= 0 of the candidates of sigma_j
-    (_Indices), for N = n and the negative-entry nodes negative."""
+    (_Indices), for m nodes, N = n and the negative-entry nodes negative."""
+    if k == 0:
+        q, c = _checkpoint(negative, m, j)
+        return f"v_max[{j}]" if c == j else f"v_max[{c}] M_({q},{j})"
     p, s = divmod(k - 1, n)
-    return f"v_max[{j}]" if k == 0 else f"M_({negative[p]},{j}) row {s}"
+    return f"M_({negative[p]},{j}) row {s}"
 
 
-def _single(cycle: CycleLike) -> tuple[np.ndarray, list[int]]:
-    """The (1, m, N, N) stack of one cycle's basic matrices and its
-    negative-entry nodes."""
-    mats = np.array(as_basic_matrices(cycle))
-    return mats[None], np.flatnonzero(_negative_entries(mats)).tolist()
+def _single(cycle: CycleLike, tol: float, j=None, dichotomy: bool = True
+            ) -> tuple[_Indices, list[int]]:
+    """_indices of one cycle at node j, or at every node when j is None, and
+    its negative-entry nodes; it raises the cycle's error.  tol, the basic
+    matrices and j are checked first, in that order, and then, unless
+    dichotomy, that the cycle has a negative entry (ValueError)."""
+    tol = _tolerance(tol)
+    mats = np.array(as_basic_matrices(cycle))[None]
+    negative = np.flatnonzero(_negative_entries(mats[0])).tolist()
+    nodes = range(mats.shape[1]) if j is None else [_node_index(j, mats.shape[1])]
+    if not (negative or dichotomy):
+        raise ValueError("no negative entries: the spectral-radius dichotomy applies")
+    result = _indices(mats, negative, list(nodes), tol)
+    if result.errors[0] is not None:
+        raise result.errors[0]
+    return result, negative
 
 
 def _sigma_rows(stack: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, list]:
@@ -430,53 +451,42 @@ def _sigma_rows(stack: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[np.ndarray
 def collect_alpha_vectors(cycle: CycleLike, j: int, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
     """The candidates of sigma(cycle, j) (_indices): the K = 1 + L*N
     direction vectors whose first minimum of findex.f_index is sigma_j, v_max
-    of M^(j) and then the N rows of each partial turn M_(j_p, j).
+    of M^(j) (carried from its checkpoint where j is not one) and then the N
+    rows of each partial turn M_(j_p, j).
 
     After the node-index check: ValueError without negative entries (the
     dichotomy applies), else what sigma raises, and ValueError where the
-    dominant-pair conditions fail at a checkpoint (sigma_j = -inf).
+    dominant-pair conditions fail at a checkpoint (sigma_j = -inf, not a
+    minimum).
     """
-    tol = _tolerance(tol)
-    mats, negative = _single(cycle)
-    j = _node_index(j, mats.shape[1])
-    if not negative:
-        raise ValueError("no negative entries: the spectral-radius dichotomy applies")
-    result = _indices(mats, negative, [j], tol)
-    if result.errors[0] is not None:
-        raise result.errors[0]
+    result, _ = _single(cycle, tol, j, dichotomy=False)
     if result.winner[0, 0] < 0:
-        raise _no_minimum()
+        raise ValueError("dominant-pair conditions fail; sigma_j is -inf by the "
+                         "zero-measure argument, not a minimum of indices")
     return list(result.candidates[:, 0].T)
 
 
 def sigma(cycle: CycleLike, j: int, tol: float = DEFAULT_TOL) -> float:
     """Local stability index along the connection entering node j."""
-    tol = _tolerance(tol)
-    mats, negative = _single(cycle)
-    result = _indices(mats, negative, [_node_index(j, mats.shape[1])], tol)
-    if result.errors[0] is not None:
-        raise result.errors[0]
-    return float(result.sigma[0, 0])
+    return float(_single(cycle, tol, j)[0].sigma[0, 0])
 
 
 def classify(cycle: CycleLike, tol: float = DEFAULT_TOL) -> IndexReport:
     """Compute every sigma_j and classify the cycle.
 
-    Raises IndeterminateError when a spectral degeneracy (no admissible
-    dominant eigenvalue, a defective full return, or an eigenvalue routine
-    that does not converge) blocks the decision, and ValueError, before any
-    decomposition, when tol breaks its rule.
+    Raises IndeterminateError when a spectral degeneracy at a checkpoint (no
+    admissible dominant eigenvalue, a defective full return, or an
+    eigenvalue routine that does not converge) blocks the decision,
+    ProductOverflow when a product it reads is not finite,
+    findex.ZeroVectorError at a zero partial-turn row, and ValueError, before
+    any decomposition, when tol breaks its rule.
     """
-    tol = _tolerance(tol)
-    mats, negative = _single(cycle)
-    m, n = mats.shape[1:3]
-    result = _indices(mats, negative, list(range(m)), tol)
-    if result.errors[0] is not None:
-        raise result.errors[0]
+    result, negative = _single(cycle, tol)
+    m, n = len(result.sigma[0]), len(result.candidates)
     # every sigma_j of a cycle without an error is a minimum or none is, and
     # the candidates of node j are then row j
     none = _NO_MINIMUM[bool(negative)]
     provenance = tuple(none if k < 0 else IndexProvenance(
-        _source(negative, n, j, k), tuple(result.candidates[:, j, k].tolist()))
+        _source(negative, m, n, j, k), tuple(result.candidates[:, j, k].tolist()))
         for j, k in enumerate(result.winner[0].tolist()))
     return IndexReport(tuple(result.sigma[0].tolist()), provenance, _verdicts(result.sigma)[0], tol)

@@ -80,6 +80,27 @@ def test_analyze_overflowing_products_exit_one(node, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: cyclic product")
 
 
+def test_analyze_reads_a_dominant_eigenvalue_on_the_tolerance_once(tmp_path, capsys):
+    # the dominant eigenvalue of both full returns is 1 + tol within an ulp,
+    # where reading the dominant-pair conditions at each node apart failed
+    # them at node 0 and made a bare ValueError (exit 1)
+    doc = {"nodes": [{"contracting": 1.0040389878001477, "expanding": 1.1773165954313938,
+                      "transverse": [0.4969715412003095]},
+                     {"contracting": 1.3599325844137506, "expanding": 1.6203612943819066,
+                      "transverse": [-1.3421056117901689]}],
+           "connections": [{"permutation": [0, 1]}, {"permutation": [1, 0]}]}
+    path = tmp_path / "tolerance.json"
+    path.write_text(json.dumps(doc))
+    cycle = hetstab.validate_cycle(hetstab.cycle_from_dict(doc))
+    top = max(abs(np.linalg.eigvals(hetstab.full_return_matrix(cycle, 1))))
+    assert abs(top - (1.0 + DEFAULT_TOL)) <= 2 * math.ulp(1.0)
+    assert main(["analyze", str(path)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[2:] == ["  0  1.368981919141451  M_(0,0) row 1",
+                       "  1 0.1599574110132477  M_(0,1) row 1",
+                       "classification: essentially_asymptotically_stable (e.a.s.)"]
+
+
 def test_analyze_indeterminate_exits_two(tmp_path, capsys):
     path = tmp_path / "boundary.json"
     save_cycle(rsp_cycle_spec(RspParams(0.4, -0.4)), str(path))

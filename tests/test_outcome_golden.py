@@ -74,8 +74,8 @@ CASES = {
 }
 
 GOLDEN = {
-    "classify-attracting-32": "4e02194ae781b5bbc01d178c6290d71c650b505d945718ef1a40edc8218926f1",
-    "classify-mixed": "31172aa9b102b5d0e6505781f6630f8708786300d88a7aa0d341ee80b29f3778",
+    "classify-attracting-32": "d26a40fbc0c1120dd2333ee5cb729243f80500d4b13518cfcfa3ff1352aec227",
+    "classify-mixed": "d231f1c698bd126fd83305c1736e43c932b94007e9b7513507a8a6c0bf47bd6b",
     "classify-negative": "2d9b307bdba6dd6dbf66938af57718065ba78b235aedcfef8a16bfa7cffd5b8e",
     "classify-rsp-grid-61": "03fd66b9949f4f82319a1b1006afcfd79b5e6ef04190cf216de2fa9d548b6931",
     "sigma-attracting-32": "bf86288e13b63d61f07ece370445cadad5e5dc3c99d799384945fded577bf9dd",

@@ -356,27 +356,31 @@ def test_marginal_classification_end_to_end():
 
 def reference_report(cycle, tol=1e-9):
     """(sigma, provenance, verdict) for a cycle with a negative entry, from the
-    public products, eigen_decompose and f_index alone, one j at a time."""
+    public products, eigen_decompose, vmax_row and f_index alone, one j at a
+    time: v_max of a node that is not a checkpoint is that of its checkpoint
+    c = q + 1, q the last negative-entry node before it, times M_(q,j)."""
     m = cycle.m
     negative = [q for q in range(m) if partial_turn_matrix(cycle, q, q).min() < 0.0]
     assert negative
 
-    def spectrum(j):
-        try:
-            return eigen_decompose(full_return_matrix(cycle, j), tol)
-        except SpectralError as exc:
-            raise IndeterminateError(j, exc) from exc
-
     for q in sorted({(p + 1) % m for p in negative}):
-        s = spectrum(q)
+        try:
+            s = eigen_decompose(full_return_matrix(cycle, q), tol)
+        except SpectralError as exc:
+            raise IndeterminateError(q, exc) from exc
         if not (s.condition_i and s.condition_ii and s.condition_iii):
             fail = IndexProvenance(source="dominant-pair-conditions-fail", alpha=None)
             return (-INF,) * m, (fail,) * m, Classification.NOT_ATTRACTOR
     sigmas, provenance = [], []
     for j in range(m):
-        s = spectrum(j)
-        assert s.condition_i and s.condition_ii
-        candidates = [(np.real(s.v_max), f"v_max[{j}]")]
+        q = max([p for p in negative if p < j] or negative)
+        c = (q + 1) % m
+        v_max = vmax_row(full_return_matrix(cycle, c), tol)
+        if c == j:
+            candidates = [(v_max, f"v_max[{j}]")]
+        else:
+            turn = partial_turn_matrix(cycle, q, j)
+            candidates = [(sum(a * row for a, row in zip(v_max, turn)), f"v_max[{c}] M_({q},{j})")]
         for q in negative:
             rows = partial_turn_matrix(cycle, q, j)
             candidates += [(row, f"M_({q},{j}) row {r}") for r, row in enumerate(rows)]
@@ -425,39 +429,43 @@ def _count_decompositions(monkeypatch) -> list[int]:
 
 
 def test_classify_decomposes_each_full_return_at_most_once(monkeypatch):
-    # one stacked call of at most m matrices per classify with a negative entry
+    # one stacked call per cycle, in classify and in the sweep reader, of
+    # the full returns at the checkpoints and at no other node; the
+    # dichotomy reads M^(0) alone
     calls = _count_decompositions(monkeypatch)
     rng = np.random.default_rng(72)
     cycles = [random_cycle(rng, max_m=12, sign="mixed") for _ in range(40)]
     cycles += [random_cycle(np.random.default_rng(seed), max_m=32, sign="mixed") for seed in range(8)]
     cycles += [attracting_cycle(rng, 32) for _ in range(4)]
-    decomposed = 0
+    cycles += [two_node_nonnegative(2.0), two_node_nonnegative(0.8)]
+    carried = 0
     for cycle in cycles:
+        size = len({(q + 1) % cycle.m for q in negative_entry_indices(cycle)}) or 1
+        carried += cycle.m - size
         calls.clear()
-        try:
-            classify(cycle)
-        except IndeterminateError:
-            pass
-        assert len(calls) == 1
-        assert sum(calls) <= cycle.m
-        decomposed += sum(calls)
+        classify_outcome(cycle)
+        assert calls == [size]
+        calls.clear()
+        hetstab.stability._sigma_rows(np.array(as_basic_matrices(cycle))[None])
+        assert calls == [size]
     assert max(c.m for c in cycles) > 12
-    assert decomposed > 4 * 32
-    for cycle in [two_node_nonnegative(2.0), two_node_nonnegative(0.8)]:
-        calls.clear()
-        classify(cycle)
-        assert calls == [1]
+    assert carried > 4 * 16
+    # a sweep row of RSP cycles, one stacked call per pattern
+    calls.clear()
+    rows = _rsp_rows()[20]
+    hetstab.stability._sigma_rows(rows)
+    assert sum(calls) == sum(len({(q + 1) % 2 for q in negative_entry_indices(cycle)}) or 1
+                             for cycle in rows)
 
 
 def test_sigma_decomposes_in_one_call(monkeypatch):
-    # the checkpoints and node j share one stacked call
+    # the checkpoints share one stacked call, and node j adds none
     calls = _count_decompositions(monkeypatch)
     cycle = attracting_cycle(np.random.default_rng(1), 32)
     checkpoints = len({(q + 1) % cycle.m for q in negative_entry_indices(cycle)})
     for j in range(cycle.m):
         sigma(cycle, j)
-    assert len(calls) == cycle.m
-    assert max(calls) <= checkpoints + 1
+    assert calls == [checkpoints] * cycle.m
 
 
 @st.composite
@@ -573,16 +581,13 @@ def test_underflowed_zero_row_raises_as_the_exhaustive_loop_does():
     assert sigma(mats, 0) == INF
 
 
-# M_0 is the one negative-entry matrix in both, so node 1 is the one
-# checkpoint: its return holds the dominant pair, and node 2's return, not
-# a checkpoint, is the first fault of the node-by-node reading
+# M_0 is the one negative-entry matrix, so node 1 is the one checkpoint: its
+# return holds the dominant pair, and node 2's pass, not a checkpoint's,
+# is the first fault of the node-by-node reading
 NODE_FAULTS = {
     "overflow": ([[[2.0, 0.0], [-1.0, 2.0]], [[0.0, 2.0], [1e200, 1e200]],
                   [[0.0, 2.0], [1e300, 0.0]]],
                  ProductOverflow, "^cyclic product from node 2 ", 2e100),
-    "defective": ([[[1.0, 0.0], [2.0, -1.0]], [[0.0, 2e200], [2e300, 2e300]],
-                   [[2.0, 0.0], [0.0, 0.0]]],
-                  IndeterminateError, "^indeterminate at node 2: eigenvector basis", INF),
 }
 
 
@@ -601,8 +606,101 @@ def test_a_fault_at_a_node_that_is_not_a_checkpoint(case):
         assert sigma(mats, 0) == 1.0 and sigma(mats, 1) == sigma_1
     assert np.isnan(sigmas).all()
     assert type(error) is type(raised.value) and str(error) == str(raised.value)
-    if kind is IndeterminateError:
-        assert raised.value.node == 2 and isinstance(raised.value.__cause__, DefectiveMatrix)
+
+
+def test_a_defective_return_at_a_node_that_is_not_a_checkpoint_is_not_read():
+    # the full return at node 2 is defective, but node 1 is the one
+    # checkpoint: node 2 reads v_max[1] M_(0,2) and is never decomposed
+    mats = [np.array(M) for M in ([[1.0, 0.0], [2.0, -1.0]], [[0.0, 2e200], [2e300, 2e300]],
+                                  [[2.0, 0.0], [0.0, 0.0]])]
+    assert negative_entry_indices(mats) == [0]
+    with pytest.raises(DefectiveMatrix):
+        eigen_decompose(full_return_matrix(mats, 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = classify(mats)
+        sigmas, [error] = hetstab.stability._sigma_rows(np.array(mats)[None])
+        vectors = collect_alpha_vectors(mats, 2)
+    assert report.sigma == (1.0, INF, INF)
+    assert report.classification is Classification.ESSENTIALLY_ASYMPTOTICALLY_STABLE
+    assert [p.source for p in report.provenance] == ["v_max[1] M_(0,0)", "v_max[1]",
+                                                     "v_max[1] M_(0,2)"]
+    assert error is None and sigmas.tolist() == [list(report.sigma)]
+    assert [sigma(mats, j) for j in range(3)] == list(report.sigma)
+    assert tuple(vectors[0].tolist()) == report.provenance[2].alpha
+
+
+def test_a_carried_v_max_beyond_double_range_is_a_product_overflow():
+    # node 1 is the one checkpoint, and every pass is finite, but v_max[1]
+    # M_(0,0) has a component near 2.3e308, which no float holds
+    mats = [np.array([[-7.01347334381896e+306, 1.1580302341526188e+308],
+                      [1.5548478572491199e+308, 1.6358523798492928e+308]]),
+            np.array([[2.94126099307387e-310, 1.7272801804911513e-308],
+                      [1.9623900801326885e-308, 1.9144203592219267e-308]])]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert all(np.isfinite(full_return_matrix(mats, j)).all() for j in range(2))
+        for read in (classify, lambda mats: sigma(mats, 0)):
+            with pytest.raises(ProductOverflow, match="^cyclic product from node 0 "):
+                read(mats)
+        [error] = hetstab.stability._sigma_rows(np.array(mats)[None])[1]
+        assert sigma(mats, 1) == INF
+    assert isinstance(error, ProductOverflow)
+
+
+# the dominant eigenvalue of both full returns is 1 + 1e-9 = 1 + tol: a
+# decomposition of M^(1) reads it as admissible, one of M^(0) as within tol
+# of 1, so reading the conditions at every node made node 0 fail them
+ON_THE_TOLERANCE = [
+    np.array([[0.021980631516347805, 0.3505519872873578],
+              [-0.05410704512998355, 0.1960176122499086]]),
+    np.array([[1.5166458619435113, 1.8987899843123308],
+              [1.5616419989646302, 2.8182951168140074]]),
+]
+
+
+def test_a_dominant_eigenvalue_on_the_tolerance_is_read_once_per_cycle():
+    mats = ON_THE_TOLERANCE
+    assert eigen_decompose(full_return_matrix(mats, 1)).condition_ii
+    assert not eigen_decompose(full_return_matrix(mats, 0)).condition_ii
+    report = classify(mats)
+    assert report.sigma == (2.622774294530547, INF)
+    assert report.classification is Classification.ESSENTIALLY_ASYMPTOTICALLY_STABLE
+    assert [p.source for p in report.provenance] == ["M_(0,0) row 1", "v_max[1]"]
+    assert [sigma(mats, j) for j in range(2)] == list(report.sigma)
+
+
+def _on_the_tolerance(rng, tol: float, count: int):
+    """Pairs [M_0, s M_1] of random 2 x 2 matrices, M_0 with a negative entry
+    and M_1 non-negative, with s at 9 consecutive floats around the scale
+    that puts the dominant eigenvalue of M_0 M_1 at 1 + tol."""
+    while count:
+        m0, m1 = rng.uniform(-0.5, 2.0, (2, 2)), rng.uniform(0.0, 2.0, (2, 2))
+        values = np.linalg.eigvals(m0 @ m1)
+        top = values[np.abs(values).argmax()]
+        if m0.min() >= 0.0 or top.imag != 0.0 or top.real <= 0.0:
+            continue
+        count -= 1
+        scale = (1.0 + tol) / top.real
+        for k in range(-4, 5):
+            yield [m0, (scale + k * math.ulp(scale)) * m1]
+
+
+@pytest.mark.parametrize("tol", [1e-9, 0.0])
+def test_dominant_eigenvalues_on_the_tolerance_get_one_reading(tol):
+    # every such cycle gets a verdict or an IndeterminateError, never the
+    # bare ValueError of conditions read apart at two nodes, and sigma(., j)
+    # is classify's entry bit for bit
+    rng = np.random.default_rng(31)
+    verdicts = 0
+    for mats in _on_the_tolerance(rng, tol, 60):
+        outcome = classify_outcome(mats, tol)
+        if isinstance(outcome, Exception):
+            assert isinstance(outcome, IndeterminateError), outcome
+            continue
+        verdicts += 1
+        assert [sigma(mats, j, tol).hex() for j in range(2)] == [s.hex() for s in outcome.sigma]
+    assert verdicts >= 300
 
 
 # partial turns that underflow to a zero row while every full return holds
