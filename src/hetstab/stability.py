@@ -27,7 +27,9 @@ Two regimes, decided by the signs of the basic transition matrices:
   M_(q,j) and B = M_(j-1,c), which covers only non-negative nodes.  So
   B w_max of M^(c) is >= 0, and v_max of M^(c) times A is a positive
   multiple of v_max of M^(j), which f_index cannot tell apart; that product
-  is the v_max term of node j, and its provenance reads v_max[c] M_(q,j).
+  (made from both factors scaled by powers of two where it would leave the
+  normal range) is the v_max term of node j, and its provenance reads
+  v_max[c] M_(q,j).
 
 Classification from the indices: any -inf -> not an attractor; any exact 0
 -> marginal (no claim made); all +inf -> asymptotically stable; all > 0 ->
@@ -45,7 +47,7 @@ error, as a value, in the order of a one-cycle reading.  A short scan of
 the checkpoint decompositions finds each cycle's first fault; the carried
 v_max, the zero partial-turn rows and every minimum are decided in arrays
 over the whole stack.  classify, sigma and collect_alpha_vectors read the
-result for the stack of one cycle (_single, which raises its error),
+result for the stack of one cycle (_single) and raise its error (_raised),
 and classify is the one place that builds IndexReport and IndexProvenance,
 with the provenance tags from _source.  _sigma_rows reads a float (B, m, N,
 N) stack as one (B, m) array of sigma_j and the errors and builds no
@@ -285,6 +287,28 @@ def _checkpoint(negative: list[int], m: int, j: int) -> tuple[int, int]:
     return q, (q + 1) % m
 
 
+@np.errstate(over="ignore", invalid="ignore")
+def _carry(v: np.ndarray, turns: np.ndarray) -> np.ndarray:
+    """The rows v[..., :] times the matrices turns[..., :, :]: v_max of M^(c)
+    carried to node j by M_(q,j) (_checkpoint), a positive multiple of v_max
+    of M^(j) (the module docstring says why).
+
+    numpy sums over an axis that is not the last one term at a time, in
+    order, so every batch reads the same bits.  Where the product leaves
+    the normal range (not finite, or every component below the smallest
+    normal float), it is made again from v and turns scaled by powers of
+    two to a largest magnitude in [0.5, 1): a positive multiple again, with
+    no overflow and no underflow of its largest terms.  A pass that is not
+    finite gives no finite product either way, and is an overflow."""
+    product = (v[..., None] * turns).sum(axis=-2)
+    out = ~np.isfinite(product).all(axis=-1) | (np.abs(product).max(axis=-1) < sys.float_info.min)
+    if out.any():
+        v, turns = (np.ldexp(x, -np.frexp(np.abs(x).max(axis=axes, keepdims=True))[1])
+                    for x, axes in ((v[out], -1), (turns[out], (-2, -1))))
+        product[out] = (v[..., None] * turns).sum(axis=-2)
+    return product
+
+
 def _indices(mats: np.ndarray, negative: list[int], nodes: list[int], tol: float) -> _Indices:
     """sigma_j for each j in nodes of the B cycles of the float (B, m, N, N)
     array mats, which share the negative-entry nodes negative (_Indices), or
@@ -294,15 +318,14 @@ def _indices(mats: np.ndarray, negative: list[int], nodes: list[int], tol: float
     One stacked call decomposes the full returns at the checkpoints of every
     cycle, and no other: lambda_max and conditions (i)-(iii) are decided
     there, once per cycle, and a node that is not a checkpoint reads the
-    v_max of its checkpoint carried to it (_checkpoint; the module
-    docstring says why).  The dichotomy reads only the eigenvalues of M^(0),
-    so a defective one keeps its +-inf.  A cycle's first fault follows a
-    one-cycle reading: its checkpoints in sorted order, each a pass that
-    overflows (ProductOverflow), then a spectral degeneracy
-    (IndeterminateError), then failed conditions, which make every sigma_j
-    -inf with no minimum; then the given nodes in order, each a pass that
-    overflows or a carried v_max beyond double range (ProductOverflow), then
-    a zero partial-turn row (findex.ZeroVectorError).
+    v_max of its checkpoint carried to it (_carry).  The dichotomy reads
+    only the eigenvalues of M^(0), so a defective one keeps its +-inf.  A
+    cycle's first fault follows a one-cycle reading: its checkpoints in
+    sorted order, each a pass that overflows (ProductOverflow), then a
+    spectral degeneracy (IndeterminateError), then failed conditions, which
+    make every sigma_j -inf with no minimum; then the given nodes in order,
+    each a pass that overflows (ProductOverflow), then a zero partial-turn
+    row (findex.ZeroVectorError).
     """
     m, n = mats.shape[1:3]
     passes = cyclic_products(mats, range(m), m)
@@ -312,11 +335,10 @@ def _indices(mats: np.ndarray, negative: list[int], nodes: list[int], tol: float
     # factors between negative-entry matrices, so it is checked directly
     # only at the nodes just after one
     checkpoints = sorted({(q + 1) % m for q in negative}) or [0]
-    size = len(checkpoints)
     # a slice reads every node without a copy; eig rejects a stack holding
     # inf or NaN, so a pass that is not finite is decomposed as the
     # identity and read as an overflow
-    cols = slice(None) if size == m else checkpoints
+    cols = slice(None) if len(checkpoints) == m else checkpoints
     stack = passes[:, cols, -1].reshape(-1, n, n)
     if not finite.all():
         stack = np.where(finite[:, cols].reshape(-1, 1, 1), stack, np.eye(n))
@@ -334,7 +356,7 @@ def _indices(mats: np.ndarray, negative: list[int], nodes: list[int], tol: float
 
     errors, held = [None] * count, []
     for c in range(count):
-        for b, j in zip(range(c * size, c * size + size), checkpoints):
+        for b, j in enumerate(checkpoints, c * len(checkpoints)):
             if not whole[c][j]:
                 errors[c] = _overflow(j)
             elif spectra.defective[b] or spectra.errors[b] is not None:
@@ -349,28 +371,19 @@ def _indices(mats: np.ndarray, negative: list[int], nodes: list[int], tol: float
         rows, at = np.array(held)[:, None], np.array(nodes)[:, None]
         # turns[h, p, i] is M_(q,j) for j = nodes[p] and q = negative[i]
         turns = passes[rows[:, :, None], at, (np.array(negative) - at) % m]
-        # v_max of M^(c) at each node's checkpoint c, decomposed there
-        if size == m:                                   # each node is its own checkpoint
-            place, carried = rows * m + at[:, 0], []
-        else:
-            pairs = [_checkpoint(negative, m, j) for j in nodes]
-            place = rows * size + [checkpoints.index(c) for _, c in pairs]
-            carried = [p for p, (j, (_, c)) in enumerate(zip(nodes, pairs)) if c != j]
+        # v_max of M^(c) at each node's checkpoint c, decomposed there, and
+        # carried to each node j that is not one
+        pairs = [_checkpoint(negative, m, j) for j in nodes]
+        place = rows * len(checkpoints) + [checkpoints.index(c) for _, c in pairs]
         v_max = spectra.basis_inverse[place, np.array(spectra.index)[place]].real
-        spill = [[False] * len(nodes)] * len(held)          # a carried v_max beyond double range
+        carried = [p for p, (j, (_, c)) in enumerate(zip(nodes, pairs)) if c != j]
         if carried:
-            # M^(c) = M_(q,j) B and M^(j) = B M_(q,j), with B = M_(j-1,c)
-            # non-negative, so v_max[c] M_(q,j) is a positive multiple of
-            # v_max of M^(j); numpy sums over an axis that is not the last
-            # one term at a time, in order, so every batch reads the same bits
             turn = turns[:, carried, [negative.index(pairs[p][0]) for p in carried]]
-            with np.errstate(over="ignore", invalid="ignore"):
-                v_max[:, carried] = (v_max[:, carried, :, None] * turn).sum(axis=2)
-            spill = (~np.isfinite(v_max).all(axis=2)).tolist()
+            v_max[:, carried] = _carry(v_max[:, carried], turn)
         kept, zero = [], (~turns.any(axis=4).all(axis=(2, 3))).tolist()
         for h, c in enumerate(held):
             for p, j in enumerate(nodes):
-                if not whole[c][j] or spill[h][p]:
+                if not whole[c][j]:
                     errors[c] = _overflow(j)
                 elif zero[h][p]:                        # what f_index raises at a zero row
                     errors[c] = _attempt((findex.ZeroVectorError,), findex.f_index, np.zeros(n))
@@ -404,22 +417,22 @@ def _source(negative: list[int], m: int, n: int, j: int, k: int) -> str:
     return f"M_({negative[p]},{j}) row {s}"
 
 
-def _single(cycle: CycleLike, tol: float, j=None, dichotomy: bool = True
-            ) -> tuple[_Indices, list[int]]:
-    """_indices of one cycle at node j, or at every node when j is None, and
-    its negative-entry nodes; it raises the cycle's error.  tol, the basic
-    matrices and j are checked first, in that order, and then, unless
-    dichotomy, that the cycle has a negative entry (ValueError)."""
+def _single(cycle: CycleLike, tol: float, j=None) -> tuple[np.ndarray, list[int], list[int], float]:
+    """The arguments of _indices for one cycle at node j, or at every node
+    when j is None: the (1, m, N, N) stack of its basic matrices, its
+    negative-entry nodes, the nodes and tol.  tol, the basic matrices and j
+    are checked, in that order."""
     tol = _tolerance(tol)
     mats = np.array(as_basic_matrices(cycle))[None]
-    negative = np.flatnonzero(_negative_entries(mats[0])).tolist()
     nodes = range(mats.shape[1]) if j is None else [_node_index(j, mats.shape[1])]
-    if not (negative or dichotomy):
-        raise ValueError("no negative entries: the spectral-radius dichotomy applies")
-    result = _indices(mats, negative, list(nodes), tol)
+    return mats, np.flatnonzero(_negative_entries(mats[0])).tolist(), list(nodes), tol
+
+
+def _raised(result: _Indices) -> _Indices:
+    """result, of one cycle, or its error raised."""
     if result.errors[0] is not None:
         raise result.errors[0]
-    return result, negative
+    return result
 
 
 def _sigma_rows(stack: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, list]:
@@ -459,7 +472,10 @@ def collect_alpha_vectors(cycle: CycleLike, j: int, tol: float = DEFAULT_TOL) ->
     dominant-pair conditions fail at a checkpoint (sigma_j = -inf, not a
     minimum).
     """
-    result, _ = _single(cycle, tol, j, dichotomy=False)
+    mats, negative, nodes, tol = _single(cycle, tol, j)
+    if not negative:
+        raise ValueError("no negative entries: the spectral-radius dichotomy applies")
+    result = _raised(_indices(mats, negative, nodes, tol))
     if result.winner[0, 0] < 0:
         raise ValueError("dominant-pair conditions fail; sigma_j is -inf by the "
                          "zero-measure argument, not a minimum of indices")
@@ -468,7 +484,7 @@ def collect_alpha_vectors(cycle: CycleLike, j: int, tol: float = DEFAULT_TOL) ->
 
 def sigma(cycle: CycleLike, j: int, tol: float = DEFAULT_TOL) -> float:
     """Local stability index along the connection entering node j."""
-    return float(_single(cycle, tol, j)[0].sigma[0, 0])
+    return float(_raised(_indices(*_single(cycle, tol, j))).sigma[0, 0])
 
 
 def classify(cycle: CycleLike, tol: float = DEFAULT_TOL) -> IndexReport:
@@ -481,12 +497,12 @@ def classify(cycle: CycleLike, tol: float = DEFAULT_TOL) -> IndexReport:
     findex.ZeroVectorError at a zero partial-turn row, and ValueError, before
     any decomposition, when tol breaks its rule.
     """
-    result, negative = _single(cycle, tol)
+    mats, negative, nodes, tol = _single(cycle, tol)
+    result = _raised(_indices(mats, negative, nodes, tol))
     m, n = len(result.sigma[0]), len(result.candidates)
     # every sigma_j of a cycle without an error is a minimum or none is, and
     # the candidates of node j are then row j
-    none = _NO_MINIMUM[bool(negative)]
-    provenance = tuple(none if k < 0 else IndexProvenance(
+    provenance = tuple(_NO_MINIMUM[bool(negative)] if k < 0 else IndexProvenance(
         _source(negative, m, n, j, k), tuple(result.candidates[:, j, k].tolist()))
         for j, k in enumerate(result.winner[0].tolist()))
     return IndexReport(tuple(result.sigma[0].tolist()), provenance, _verdicts(result.sigma)[0], tol)

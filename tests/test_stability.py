@@ -2,6 +2,7 @@ import importlib.util
 import itertools
 import math
 import pickle
+import sys
 import warnings
 from pathlib import Path
 
@@ -630,22 +631,89 @@ def test_a_defective_return_at_a_node_that_is_not_a_checkpoint_is_not_read():
     assert tuple(vectors[0].tolist()) == report.provenance[2].alpha
 
 
-def test_a_carried_v_max_beyond_double_range_is_a_product_overflow():
-    # node 1 is the one checkpoint, and every pass is finite, but v_max[1]
-    # M_(0,0) has a component near 2.3e308, which no float holds
-    mats = [np.array([[-7.01347334381896e+306, 1.1580302341526188e+308],
-                      [1.5548478572491199e+308, 1.6358523798492928e+308]]),
-            np.array([[2.94126099307387e-310, 1.7272801804911513e-308],
-                      [1.9623900801326885e-308, 1.9144203592219267e-308]])]
+_P0 = np.full((4, 4), 0.75)
+_P0[0, 1] = -0.25
+
+# node 1 is the one checkpoint, and every pass is finite, but v_max[1]
+# M_(0,0) leaves the normal range: a component near 2.3e308, which no
+# float holds, or every component subnormal, near 4.6e-309, at N = 4
+CARRIED_OUT_OF_RANGE = {
+    "beyond": ([np.array([[-7.01347334381896e+306, 1.1580302341526188e+308],
+                          [1.5548478572491199e+308, 1.6358523798492928e+308]]),
+                np.array([[2.94126099307387e-310, 1.7272801804911513e-308],
+                          [1.9623900801326885e-308, 1.9144203592219267e-308]])],
+               15.5115083123999),
+    "subnormal": ([np.ldexp(_P0, -1024), np.ldexp(np.full((4, 4), 0.5) + 0.25 * np.eye(4), 1023)],
+                  8.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CARRIED_OUT_OF_RANGE))
+def test_a_carried_v_max_out_of_the_normal_range_is_made_from_scaled_factors(case):
+    # made from both factors scaled by powers of two, the carried vector
+    # points as v_max of M^(0) does, and the cycle reads as it does from
+    # M^(0) decomposed
+    mats, sigma_0 = CARRIED_OUT_OF_RANGE[case]
+    with np.errstate(over="ignore"):
+        top = np.abs(vmax_row(full_return_matrix(mats, 1)) @ mats[0]).max()
+    assert not sys.float_info.min <= top <= sys.float_info.max
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert all(np.isfinite(full_return_matrix(mats, j)).all() for j in range(2))
-        for read in (classify, lambda mats: sigma(mats, 0)):
-            with pytest.raises(ProductOverflow, match="^cyclic product from node 0 "):
-                read(mats)
-        [error] = hetstab.stability._sigma_rows(np.array(mats)[None])[1]
-        assert sigma(mats, 1) == INF
-    assert isinstance(error, ProductOverflow)
+        report = classify(mats)
+        sigmas, [error] = hetstab.stability._sigma_rows(np.array(mats)[None])
+        carried = collect_alpha_vectors(mats, 0)[0]
+        own = vmax_row(full_return_matrix(mats, 0))
+    assert report.sigma == (sigma_0, INF)
+    assert report.classification is Classification.ESSENTIALLY_ASYMPTOTICALLY_STABLE
+    assert [p.source for p in report.provenance] == ["M_(0,0) row 0", "v_max[1]"]
+    assert error is None and sigmas.tolist() == [list(report.sigma)]
+    assert [sigma(mats, j) for j in range(2)] == list(report.sigma)
+    assert np.abs(carried).max() >= 0.5 and carried @ own > 0.0
+    assert np.allclose(carried / np.linalg.norm(carried), own / np.linalg.norm(own), rtol=0.0, atol=1e-13)
+
+
+@pytest.mark.parametrize("v, exponent", [([1.0, 0.5], -1072), ([0.125, 0.0625], -1074)])
+def test_a_carry_below_the_normal_range_is_made_from_scaled_factors(v, exponent):
+    # v times 2**exponent [[3, -1], [2, 4]] is subnormal, or rounds to the
+    # zero vector at 2**-1074; scaled to a largest magnitude in [0.5, 1),
+    # both factors give 2**-2 v [[3, -1], [2, 4]] / max|v| exactly
+    turn = np.ldexp(np.array([[[3.0, -1.0], [2.0, 4.0]]]), exponent)
+    v = np.array([v])
+    carried = hetstab.stability._carry(v, turn)
+    assert carried.tolist() == [[0.25, 0.0625]]
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_a_carried_v_max_is_a_positive_multiple_of_the_nodes_own(seed):
+    # at a node j that is not a checkpoint, v_max[c] M_(q,j) points as v_max
+    # of M^(j) decomposed there does, with a positive ratio, so f_index reads
+    # the same from both, up to rounding
+    rng = np.random.default_rng(seed)
+    cycles = [random_cycle(rng, max_m=8, sign="mixed") for _ in range(300)]
+    cycles += [attracting_cycle(rng, 8) for _ in range(20)]
+    # -P_0, P_1, -P_2, P_3 with each P_i positive: every vector the cycle
+    # maps changes sign at nodes 0 and 2, so the ratio is positive only when
+    # v_max is carried from the last checkpoint before j, not the first after
+    cycles += [[sign * rng.uniform(0.5, 2.0, (3, 3)) for sign in (-1, 1, -1, 1)] for _ in range(10)]
+    compared = 0
+    for cycle in cycles:
+        negative, m = negative_entry_indices(cycle), len(as_basic_matrices(cycle))
+        outcome = classify_outcome(cycle)
+        if not negative or isinstance(outcome, Exception) or outcome.provenance[0].alpha is None:
+            continue
+        for j in sorted(set(range(m)) - {(q + 1) % m for q in negative}):
+            try:
+                own = vmax_row(full_return_matrix(cycle, j))
+            except SpectralError:
+                continue
+            carried = collect_alpha_vectors(cycle, j)[0]
+            assert carried @ own > 0.0
+            own, carried = own / np.linalg.norm(own), carried / np.linalg.norm(carried)
+            assert np.allclose(carried, own, rtol=0.0, atol=1e-13)
+            if np.abs(own).min() > 1e-9:        # the sign of a smaller component is rounding
+                assert f_index(carried) == pytest.approx(f_index(own), rel=1e-12)
+            compared += 1
+    assert compared > 150
 
 
 # the dominant eigenvalue of both full returns is 1 + 1e-9 = 1 + tol: a
