@@ -44,21 +44,15 @@ def _fmt(x) -> str:
     return repr(x) if isinstance(x, float) else str(x)
 
 
-def _json_ready(obj):
-    if isinstance(obj, dict):
-        return {k: _json_ready(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_ready(v) for v in obj]
-    return inf_str(obj)
-
-
 def _write_report(args: argparse.Namespace, **fields) -> None:
-    """Write the version, every flag and fields as JSON to args.json."""
+    """Write the version, every flag and fields as JSON to args.json.  Only
+    IndexReport.to_dict writes infinities (as strings); any other value that
+    is not finite is a ValueError, raised before the file is opened."""
     config = {k: v for k, v in vars(args).items() if k != "func"}
+    text = json.dumps({"version": __version__, "config": config, **fields},
+                      indent=2, sort_keys=True, allow_nan=False)
     with open(args.json, "w", encoding="utf-8") as fh:
-        json.dump(_json_ready({"version": __version__, "config": config, **fields}), fh,
-                  indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _csv_block(matrix) -> str:

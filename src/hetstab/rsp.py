@@ -30,6 +30,9 @@ from .spectral import DEFAULT_TOL
 from .stability import Classification, IndexReport, classify
 
 
+AGREEMENT = 1e-9   # the largest |pipeline - closed form| rsp_compare calls consistent
+
+
 class ParamOutOfRange(ValueError):
     """Tie payoffs must lie strictly inside (-1, 1)."""
 
@@ -105,14 +108,16 @@ class RspComparison:
 def rsp_compare(params: RspParams, tol: float = DEFAULT_TOL) -> RspComparison:
     """Run the full pipeline on the injected matrices and diff the closed form.
 
-    On the attracting side both indices must agree within tol and the verdict
-    must be e.a.s.; on the other side both routes must report no attractor.
+    tol is the spectral tolerance of classify.  On the attracting side both
+    indices must agree with the closed form within AGREEMENT, whatever tol
+    is, and the verdict must be e.a.s.; on the other side both routes must
+    report no attractor.
     """
     report = classify(rsp_matrices(params), tol=tol)
     if params.eps_x + params.eps_y < 0.0:
         closed = rsp_closed_form(params)
         consistent = (
-            max(abs(s - c) for s, c in zip(report.sigma, closed)) <= tol
+            max(abs(s - c) for s, c in zip(report.sigma, closed)) <= AGREEMENT
             and report.classification is Classification.ESSENTIALLY_ASYMPTOTICALLY_STABLE
         )
         return RspComparison(report, closed, consistent)

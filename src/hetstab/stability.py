@@ -11,10 +11,11 @@ Two regimes, decided by the signs of the basic transition matrices:
 * Some matrix M_q has a negative entry (indices q = j_1 < ... < j_L).  The
   full returns are all similar, so lambda_max and the realness/size
   conditions on it belong to the cycle; the sign condition on w_max
-  propagates through non-negative partial products, so the three
-  dominant-pair conditions are verified once per cycle, at the checkpoints
-  M^(j_p + 1), and only the checkpoint returns are decomposed.  Failure at
-  any checkpoint forces sigma_j = -inf for all j.  Otherwise
+  propagates through non-negative partial products.  So only the
+  checkpoint returns M^(j_p + 1) are decomposed: lambda_max and the three
+  dominant-pair conditions are read at each checkpoint, and a cycle holds
+  only if every checkpoint holds.  Failure at any checkpoint forces
+  sigma_j = -inf for all j.  Otherwise
 
       sigma_j = min( f_index(v_max of M^(j)),
                      f_index(row s of M_(j_p, j)) over p = 1..L, s = 1..N )
@@ -42,19 +43,21 @@ Every index comes from one function, _indices, over a stack of cycles
 that share m, N and their negative-entry nodes.  Its result is columnar
 (_Indices): a (B, J) array of sigma_j, a (B, J) array of the positions k of
 the vectors that realise them (-1 where no minimum sets sigma_j), the
-candidate vectors of every index that is a minimum, and each cycle's first
-error, as a value, in the order of a one-cycle reading.  A short scan of
-the checkpoint decompositions finds each cycle's first fault; the carried
-v_max, the zero partial-turn rows and every minimum are decided in arrays
-over the whole stack.  classify, sigma and collect_alpha_vectors read the
-result for the stack of one cycle (_single) and raise its error (_raised),
-and classify is the one place that builds IndexReport and IndexProvenance,
-with the provenance tags from _source.  _sigma_rows reads a float (B, m, N,
-N) stack as one (B, m) array of sigma_j and the errors and builds no
-report, as rsp-sweep reads its grid rows: one isfinite pass checks the
-stack, one min reduction finds every cycle's negative-entry nodes
-(transition._negative_entries), and each pattern of them is one _indices
-call.
+candidate vectors of every cycle whose checkpoints hold, and each cycle's
+first error, as a value, in the order of a one-cycle reading.  A short
+scan of the checkpoint decompositions finds each cycle's first fault
+there; the carried v_max, one boolean mask of the given nodes' faults (a
+pass that overflows, a zero partial-turn row) and every minimum are
+decided in arrays over the cycles that hold, and one rule makes the row of
+every cycle with an error NaN.  classify, sigma and collect_alpha_vectors
+read the result for the stack of one cycle (_single) and raise its error
+(_raised), and classify is the one place that builds IndexReport and
+IndexProvenance, with the provenance tags from _source.  _sigma_rows reads
+a float (B, m, N, N) stack as one (B, m) array of sigma_j and the errors
+and builds no report, as rsp-sweep reads its grid rows: one isfinite pass
+checks the stack, one min reduction finds every cycle's negative-entry
+nodes (transition._negative_entries), and each pattern of them is one
+_indices call.
 
 Each minimum over the K vectors is that of findex.f_index over every
 vector in order, bit for bit (_first_minima).  f_index takes the correctly
@@ -266,11 +269,13 @@ _NO_MINIMUM = {True: IndexProvenance("dominant-pair-conditions-fail", None),
 class _Indices(NamedTuple):
     """The result of _indices for B cycles and J given nodes.
 
-    candidates holds the K = 1 + L*N vectors of every (b, j) with winner
-    >= 0, in row-major order of (b, j), coordinate-major: [:, r, k] is
-    vector k of row r, v_max of M^(j) first (carried from its checkpoint
-    where j is not one, _checkpoint), then the rows of M_(j_1, j), ...,
-    M_(j_L, j).
+    candidates holds the K = 1 + L*N vectors of every (b, j) of each held
+    cycle (one whose checkpoints all hold), in row-major order of (b, j),
+    coordinate-major: [:, r, k] is vector k of row r, v_max of M^(j) first
+    (carried from its checkpoint where j is not one, _checkpoint), then the
+    rows of M_(j_1, j), ..., M_(j_L, j).  The vectors of a node whose pass
+    overflows or that has a zero partial-turn row are ones; its cycle has
+    an error.  Without negative entries there are none.
     """
 
     sigma: np.ndarray          # (B, J) sigma_j; NaN for a cycle with an error
@@ -316,16 +321,21 @@ def _indices(mats: np.ndarray, negative: list[int], nodes: list[int], tol: float
     minimum is the first of findex.f_index over the candidates (_first_minima).
 
     One stacked call decomposes the full returns at the checkpoints of every
-    cycle, and no other: lambda_max and conditions (i)-(iii) are decided
-    there, once per cycle, and a node that is not a checkpoint reads the
-    v_max of its checkpoint carried to it (_carry).  The dichotomy reads
-    only the eigenvalues of M^(0), so a defective one keeps its +-inf.  A
-    cycle's first fault follows a one-cycle reading: its checkpoints in
-    sorted order, each a pass that overflows (ProductOverflow), then a
-    spectral degeneracy (IndeterminateError), then failed conditions, which
-    make every sigma_j -inf with no minimum; then the given nodes in order,
-    each a pass that overflows (ProductOverflow), then a zero partial-turn
-    row (findex.ZeroVectorError).
+    cycle, and no other: lambda_max and conditions (i)-(iii) are read at
+    each checkpoint, and a cycle holds only if every checkpoint holds.  A
+    node that is not a checkpoint reads the v_max of its checkpoint carried
+    to it (_carry).  The dichotomy reads only the eigenvalues of M^(0), so a
+    defective one keeps its +-inf.  A cycle's first fault follows a
+    one-cycle reading: its checkpoints in sorted order, each a pass that
+    overflows (ProductOverflow), then a spectral degeneracy
+    (IndeterminateError), then failed conditions, which make every sigma_j
+    -inf with no minimum; then the first given node, in order, that is bad
+    in one (held cycles, given nodes) mask: a pass that overflows
+    (ProductOverflow) or else a zero partial-turn row
+    (findex.ZeroVectorError).  The candidates of a bad node are made ones,
+    whose f_index is +inf, so one _first_minima call covers every held
+    cycle, and one closing rule makes the row of a cycle with an error NaN
+    with no winner.
     """
     m, n = mats.shape[1:3]
     passes = cyclic_products(mats, range(m), m)
@@ -335,38 +345,33 @@ def _indices(mats: np.ndarray, negative: list[int], nodes: list[int], tol: float
     # factors between negative-entry matrices, so it is checked directly
     # only at the nodes just after one
     checkpoints = sorted({(q + 1) % m for q in negative}) or [0]
-    # a slice reads every node without a copy; eig rejects a stack holding
-    # inf or NaN, so a pass that is not finite is decomposed as the
-    # identity and read as an overflow
-    cols = slice(None) if len(checkpoints) == m else checkpoints
-    stack = passes[:, cols, -1].reshape(-1, n, n)
+    # eig rejects a stack holding inf or NaN, so a pass that is not finite
+    # is decomposed as the identity and read as an overflow
+    stack = passes[:, :, -1].take(checkpoints, axis=1).reshape(-1, n, n)
     if not finite.all():
-        stack = np.where(finite[:, cols].reshape(-1, 1, 1), stack, np.eye(n))
+        stack = np.where(finite[:, checkpoints].reshape(-1, 1, 1), stack, np.eye(n))
     spectra = _eigen_decompose_many(stack, tol)
     whole = finite.tolist()
     # every sigma_j is -inf until it is set: failed conditions at a
     # checkpoint leave it so, and an error makes the cycle's row NaN
     sigma, winner = np.full((count, len(nodes)), -math.inf), np.full((count, len(nodes)), -1)
+    errors, held, alphas = [None] * count, [], np.empty((n, 0, 1))
     if not negative:
         errors = [_overflow(0) if not f[0] else None if e is None else IndeterminateError(0, e)
                   for f, e in zip(whole, spectra.errors)]
         sigma[np.abs(spectra.eigenvalues[np.arange(count), spectra.index]) > 1.0] = math.inf
-        sigma[[e is not None for e in errors]] = math.nan
-        return _Indices(sigma, winner, np.empty((n, 0, 1)), errors)
-
-    errors, held = [None] * count, []
-    for c in range(count):
-        for b, j in enumerate(checkpoints, c * len(checkpoints)):
-            if not whole[c][j]:
-                errors[c] = _overflow(j)
-            elif spectra.defective[b] or spectra.errors[b] is not None:
-                errors[c] = IndeterminateError(j, spectra.error(b))
-            elif all(spectra.conditions[b]):
-                continue
-            break
-        else:
-            held.append(c)
-    alphas = np.empty((n, 0, 1))
+    else:
+        for c in range(count):
+            for b, j in enumerate(checkpoints, c * len(checkpoints)):
+                if not whole[c][j]:
+                    errors[c] = _overflow(j)
+                elif (error := spectra.error(b)) is not None:
+                    errors[c] = IndeterminateError(j, error)
+                elif all(spectra.conditions[b]):
+                    continue
+                break
+            else:
+                held.append(c)
     if held:
         rows, at = np.array(held)[:, None], np.array(nodes)[:, None]
         # turns[h, p, i] is M_(q,j) for j = nodes[p] and q = negative[i]
@@ -380,30 +385,26 @@ def _indices(mats: np.ndarray, negative: list[int], nodes: list[int], tol: float
         if carried:
             turn = turns[:, carried, [negative.index(pairs[p][0]) for p in carried]]
             v_max[:, carried] = _carry(v_max[:, carried], turn)
-        kept, zero = [], (~turns.any(axis=4).all(axis=(2, 3))).tolist()
-        for h, c in enumerate(held):
-            for p, j in enumerate(nodes):
-                if not whole[c][j]:
-                    errors[c] = _overflow(j)
-                elif zero[h][p]:                        # what f_index raises at a zero row
-                    errors[c] = _attempt((findex.ZeroVectorError,), findex.f_index, np.zeros(n))
-                else:
-                    continue
-                break
-            else:
-                kept.append(h)
-        if len(kept) < len(held):
-            turns, v_max = turns[kept], v_max[kept]
-        kept = np.array(held)[kept]
-        if len(kept):
-            alphas = np.empty((n, kept.size * len(nodes), 1 + len(negative) * n))
-            alphas[:, :, 0] = v_max.reshape(-1, n).T
-            alphas[:, :, 1:] = turns.reshape(alphas.shape[1], -1, n).transpose(2, 0, 1)
-            values, k = _first_minima(alphas)
-            sigma[kept] = values.reshape(len(kept), -1)
-            winner[kept] = k.reshape(len(kept), -1)
+        alphas = np.empty((n, len(held) * len(nodes), 1 + len(negative) * n))
+        alphas[:, :, 0] = v_max.reshape(-1, n).T
+        alphas[:, :, 1:] = turns.reshape(alphas.shape[1], -1, n).transpose(2, 0, 1)
+        # a given node has no minimum where its pass overflows or one of
+        # its partial-turn rows is zero
+        over = ~finite[rows, at.T]
+        bad = over | ~turns.any(axis=4).all(axis=(2, 3))
+        if bad.any():
+            for h in np.flatnonzero(bad.any(axis=1)).tolist():
+                p = int(bad[h].argmax())                # the cycle's first bad node
+                # at a zero row, the error is what f_index raises there
+                errors[held[h]] = _overflow(nodes[p]) if over[h, p] else _attempt(
+                    (findex.ZeroVectorError,), findex.f_index, np.zeros(n))
+            alphas[:, bad.ravel()] = 1.0                # f_index +inf, no minimum
+        values, k = _first_minima(alphas)
+        sigma[rows[:, 0]] = values.reshape(len(held), -1)
+        winner[rows[:, 0]] = k.reshape(len(held), -1)
     if any(errors):                                     # an error is never false
-        sigma[[e is not None for e in errors]] = math.nan
+        failed = [e is not None for e in errors]
+        sigma[failed], winner[failed] = math.nan, -1
     return _Indices(sigma, winner, alphas, errors)
 
 

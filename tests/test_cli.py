@@ -150,6 +150,27 @@ def test_rsp_takes_exponent_negatives(tmp_path, capsys):
     assert "eps_x=-0.5 eps_y=-0.001" in capsys.readouterr().out
 
 
+def test_rsp_consistency_does_not_depend_on_tol(capsys):
+    # --tol is the spectral tolerance; pipeline and closed form differ by
+    # about 1e-16 here, within rsp.AGREEMENT at any tol
+    assert main(["rsp", "--eps-x", "-0.3", "--eps-y", "0.1", "--tol", "0"]) == 0
+    assert "consistent: True" in capsys.readouterr().out
+
+
+def test_a_report_value_that_is_not_finite_is_an_error(tmp_path):
+    # only IndexReport.to_dict turns infinities into strings; any other one
+    # stops the write before the file is touched, not with invalid JSON
+    report = tmp_path / "report.json"
+    args = argparse.Namespace(json=str(report), tol=0.0, func=None)
+    hetstab.cli._write_report(args, value=1.5)
+    written = report.read_bytes()
+    assert json.loads(written)["value"] == 1.5
+    for value in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            hetstab.cli._write_report(args, value=value)
+        assert report.read_bytes() == written
+
+
 def test_rsp_sweep_csv(tmp_path, capsys):
     out_csv = tmp_path / "sweep.csv"
     assert main(["rsp-sweep", "--grid", "3", "--out", str(out_csv)]) == 0

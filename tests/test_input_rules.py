@@ -137,7 +137,7 @@ def test_cycle_spec_rule_counts_connections_and_scalings(spec, message):
 @pytest.mark.parametrize("key,value,bad", [
     ("contracting", "1.5", "1.5"), ("contracting", True, True), ("transverse", [False], False),
     ("radial", ["x"], "x"), ("permutation", [True, False], True), ("scalings", [1.0, "2"], "2"),
-    ("v0", False, False),
+    ("v0", False, False), ("contracting", np.True_, np.True_),
 ])
 def test_cycle_document_rule_rejects_strings_and_bools(key, value, bad):
     doc = {"nodes": [{"contracting": 1.0, "expanding": 1.0, "transverse": [-0.5]}],
@@ -148,6 +148,21 @@ def test_cycle_document_rule_rejects_strings_and_bools(key, value, bad):
     with pytest.raises(CycleValidationError, match=message) as exc:
         cycle_from_dict(doc)
     assert exc.type is CycleValidationError
+
+
+@pytest.mark.parametrize("number", [np.float64, np.int64, np.float32])
+def test_cycle_document_rule_reads_numpy_numbers_as_plain_ones(number):
+    # a numpy number skips the fast check of cycle._number for plain ints
+    # and floats, and passes its numbers.Real one
+    def document(number):
+        return {"nodes": [{"contracting": number(2), "expanding": number(1),
+                           "transverse": [number(-3)], "radial": [number(4)]}] * 2,
+                "connections": [{"permutation": [1, 0], "scalings": [number(1), number(2)],
+                                 "v0": number(1)}] * 2}
+
+    spec, plain = cycle_from_dict(document(number)), cycle_from_dict(document(float))
+    assert spec == cycle_from_dict(document(int)) == plain
+    assert classify(validate_cycle(spec)) == classify(validate_cycle(plain))
 
 
 def _document():

@@ -138,3 +138,15 @@ def test_compare_grid_of_nine_admissible_points():
             assert cmp_.consistent, (ex, ey)
             checked += 1
     assert checked == 9
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-15, 1e-9])
+def test_compare_bound_is_not_the_spectral_tolerance(tol):
+    # rsp_compare's agreement bound is rsp.AGREEMENT whatever tol is: with
+    # tol as the bound, 97 of these 171 attracting points read inconsistent
+    # at tol 0 and 7 at tol 1e-15
+    grid = np.linspace(-1.0, 1.0, 21)[1:-1].tolist()
+    points = [(ex, ey) for ex in grid for ey in grid if ex + ey < 0.0]
+    for ex, ey in points:
+        assert rsp_compare(RspParams(ex, ey), tol=tol).consistent, (ex, ey)
+    assert len(points) == 171

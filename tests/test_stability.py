@@ -306,9 +306,27 @@ def test_node_rescaling_leaves_sigma_invariant():
     assert count >= 10
 
 
+def _clear_of_the_boundaries(summary, tol: float, margin: float) -> bool:
+    """Whether a decomposition's readings lie farther than margin, relative,
+    from the tolerance boundaries of conditions (i)-(iii): |lambda_max| from
+    1 + tol, a complex lambda_max's imaginary part from tol |lambda_max|,
+    and each component of w_max (largest magnitude 1) from 0."""
+    size = abs(summary.lambda_max)
+    return (abs(size - (1.0 + tol)) > margin * (1.0 + tol)
+            and (summary.lambda_max.imag == 0.0
+                 or abs(abs(summary.lambda_max.imag) - tol * size) > margin * size)
+            and np.abs(summary.w_max).min() > margin)
+
+
 def test_checkpoint_reduction_matches_checking_everywhere():
-    # verifying the dominant-pair conditions at the post-negative checkpoints
-    # is equivalent to verifying them at every node
+    # in exact arithmetic the full returns are similar and the sign of w_max
+    # propagates through the non-negative factors, so the dominant-pair
+    # conditions hold at the post-negative checkpoints exactly when they
+    # hold at every node.  Rounding can split a reading that lies on a
+    # tolerance boundary, which
+    # test_a_dominant_eigenvalue_on_the_tolerance_is_read_once_per_cycle
+    # pins, so only draws whose every reading is clear of the boundaries
+    # are compared
     rng = np.random.default_rng(53)
     compared = 0
     for _ in range(60):
@@ -321,6 +339,8 @@ def test_checkpoint_reduction_matches_checking_everywhere():
             summaries = [eigen_decompose(full_return_matrix(cycle, j))
                          for j in range(cycle.m)]
         except Exception:
+            continue
+        if not all(_clear_of_the_boundaries(s, DEFAULT_TOL, 1e-9) for s in summaries):
             continue
         per_node = [s.condition_i and s.condition_ii and s.condition_iii for s in summaries]
         at_checkpoints = all(per_node[q] for q in checkpoints)
@@ -609,6 +629,47 @@ def test_a_fault_at_a_node_that_is_not_a_checkpoint(case):
     assert type(error) is type(raised.value) and str(error) == str(raised.value)
 
 
+# cycles whose checkpoints hold, each with faults of both kinds at given
+# nodes: (matrices, the kind at each node or None, the cycle's error)
+TWO_FAULTS = {
+    "zero-row-first": ([[[4.8e-201, 1.5e-200], [1.6e-200, 1.9e-200]],
+                        [[1.3e-200, 6.6e-201], [1.7e-200, 1.9e-200]],
+                        [[1.4e300, 2.4e299], [8.8e299, -1.4e299]],
+                        [[1.9e300, 1.6e300], [2.3e299, 1.3e300]]],
+                       [ZeroVectorError, ProductOverflow, ProductOverflow, None], "^zero direction"),
+    "overflow-first": ([[[1e-201, 1.6e-200], [6.6e-201, 8e-201]],
+                        [[1.1e100, 1.9e100], [9.5e99, -1.9e99]],
+                        [[7.2e299, 9.8e299], [1.2e300, 1e300]],
+                        [[1.1e-150, 5.2e-151], [8.2e-151, 1.6e-150]]],
+                       [None, ProductOverflow, None, ZeroVectorError], "^cyclic product from node 1 "),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TWO_FAULTS))
+def test_a_cycle_has_the_error_of_its_first_bad_node(case):
+    mats, kinds, message = TWO_FAULTS[case]
+    mats = np.array(mats)
+    for j, kind in enumerate(kinds):
+        if kind is None:
+            assert sigma(mats, j) > 0.0
+        else:
+            with pytest.raises(kind):
+                sigma(mats, j)
+    with pytest.raises(next(filter(None, kinds)), match=message):
+        classify(mats)
+    # next to a cycle without an error, its row alone is NaN with no winner
+    negative = negative_entry_indices(mats)
+    clean = mats / np.abs(mats).max(axis=(1, 2), keepdims=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        both = hetstab.stability._indices(np.array([mats, clean]), negative, list(range(4)), 1e-9)
+        alone = hetstab.stability._indices(clean[None], negative, list(range(4)), 1e-9)
+    assert np.isnan(both.sigma[0]).all() and (both.winner[0] == -1).all()
+    assert both.sigma[1].tolist() == alone.sigma[0].tolist()
+    assert both.winner[1].tolist() == alone.winner[0].tolist()
+    assert both.errors[1] is None and str(both.errors[0]) == str(classify_outcome(mats))
+
+
 def test_a_defective_return_at_a_node_that_is_not_a_checkpoint_is_not_read():
     # the full return at node 2 is defective, but node 1 is the one
     # checkpoint: node 2 reads v_max[1] M_(0,2) and is never decomposed
@@ -738,15 +799,17 @@ def test_a_dominant_eigenvalue_on_the_tolerance_is_read_once_per_cycle():
     assert [sigma(mats, j) for j in range(2)] == list(report.sigma)
 
 
-def _on_the_tolerance(rng, tol: float, count: int):
+def _on_the_tolerance(rng, tol: float, count: int, checkpoints: int):
     """Pairs [M_0, s M_1] of random 2 x 2 matrices, M_0 with a negative entry
-    and M_1 non-negative, with s at 9 consecutive floats around the scale
-    that puts the dominant eigenvalue of M_0 M_1 at 1 + tol."""
+    and M_1 non-negative (one checkpoint, node 1) or with one too (two
+    checkpoints), with s at 9 consecutive floats around the scale that puts
+    the dominant eigenvalue of M_0 M_1 at 1 + tol."""
     while count:
-        m0, m1 = rng.uniform(-0.5, 2.0, (2, 2)), rng.uniform(0.0, 2.0, (2, 2))
+        m0, m1 = rng.uniform(-0.5, 2.0, (2, 2)), rng.uniform(0.5 - checkpoints / 2, 2.0, (2, 2))
         values = np.linalg.eigvals(m0 @ m1)
         top = values[np.abs(values).argmax()]
-        if m0.min() >= 0.0 or top.imag != 0.0 or top.real <= 0.0:
+        if (m0.min() >= 0.0 or (m1.min() < 0.0) != (checkpoints == 2)
+                or top.imag != 0.0 or top.real <= 0.0):
             continue
         count -= 1
         scale = (1.0 + tol) / top.real
@@ -754,21 +817,38 @@ def _on_the_tolerance(rng, tol: float, count: int):
             yield [m0, (scale + k * math.ulp(scale)) * m1]
 
 
+def _above_the_tolerance(mats, j: int, tol: float) -> bool:
+    """Whether the decomposition of M^(j) reads its largest eigenvalue
+    modulus above 1 + tol, by the admissibility test of spectral._dominant."""
+    values = _eigen_decompose_many(full_return_matrix(mats, j)[None], tol).eigenvalues
+    return bool(np.abs(values).max() - 1.0 > tol)
+
+
+@pytest.mark.parametrize("checkpoints", [1, 2])
 @pytest.mark.parametrize("tol", [1e-9, 0.0])
-def test_dominant_eigenvalues_on_the_tolerance_get_one_reading(tol):
+def test_dominant_eigenvalues_on_the_tolerance_get_one_reading(tol, checkpoints):
     # every such cycle gets a verdict or an IndeterminateError, never the
     # bare ValueError of conditions read apart at two nodes, and sigma(., j)
-    # is classify's entry bit for bit
+    # is classify's entry bit for bit.  With two checkpoints both returns
+    # are decomposed, and where they read the dominant eigenvalue on
+    # opposite sides of 1 + tol, one checkpoint fails the conditions, so the
+    # cycle is not an attractor with every sigma_j -inf
     rng = np.random.default_rng(31)
-    verdicts = 0
-    for mats in _on_the_tolerance(rng, tol, 60):
+    verdicts = splits = 0
+    for mats in _on_the_tolerance(rng, tol, 60, checkpoints):
         outcome = classify_outcome(mats, tol)
         if isinstance(outcome, Exception):
             assert isinstance(outcome, IndeterminateError), outcome
             continue
         verdicts += 1
         assert [sigma(mats, j, tol).hex() for j in range(2)] == [s.hex() for s in outcome.sigma]
+        split = _above_the_tolerance(mats, 0, tol) != _above_the_tolerance(mats, 1, tol)
+        if checkpoints == 2 and split:
+            assert outcome.classification is Classification.NOT_ATTRACTOR
+            assert outcome.sigma == (-INF, -INF)
+            splits += 1
     assert verdicts >= 300
+    assert checkpoints == 1 or splits >= 20
 
 
 # partial turns that underflow to a zero row while every full return holds
