@@ -32,6 +32,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+__all__ = ["NodeSpec", "ConnectionSpec", "CycleSpec", "ValidatedCycle", "validate_cycle",
+           "load_cycle", "save_cycle", "cycle_from_dict", "cycle_to_dict", "CycleValidationError",
+           "NonPositiveEigenvalue", "MismatchedTransverseCount", "InvalidPermutation",
+           "NonPositiveScaling"]
+
 
 class CycleValidationError(ValueError):
     """Base class for rejected cycle descriptions."""

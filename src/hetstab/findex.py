@@ -32,6 +32,8 @@ from typing import Iterable
 
 from .cycle import _reals
 
+__all__ = ["f_plus", "f_minus", "f_index", "f_index_n3", "ZeroVectorError"]
+
 
 def inf_str(x):
     """Serialized form of a value: "+inf" / "-inf" for a float infinity.
@@ -48,6 +50,11 @@ class ZeroVectorError(ValueError):
     """The all-zero direction has no index."""
 
 
+def _zero_vector() -> ZeroVectorError:
+    """The error of a zero direction vector (_components)."""
+    return ZeroVectorError("zero direction vector has no index")
+
+
 def _components(alpha: Iterable[float]) -> tuple[float, ...]:
     """alpha as floats; ZeroVectorError if empty or zero, ValueError if not
     a sequence of numbers (cycle._reals) or not finite."""
@@ -57,7 +64,7 @@ def _components(alpha: Iterable[float]) -> tuple[float, ...]:
     if not all(map(math.isfinite, comps)):
         raise ValueError("direction vector components must be finite")
     if all(a == 0.0 for a in comps):
-        raise ZeroVectorError("zero direction vector has no index")
+        raise _zero_vector()
     return comps
 
 

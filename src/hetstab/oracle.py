@@ -71,6 +71,10 @@ from .stability import IndeterminateError
 from .transition import (CycleLike, _entries, _floats, _node_index, _overflow,
                          as_basic_matrices, cyclic_products)
 
+__all__ = ["EstimatorConfig", "BasinEstimate", "FplusEstimate", "LevelEstimate", "SlopeFit",
+           "in_delta_basin", "estimate_sigma_mc", "estimate_fplus_mc", "matrix_basin_membership",
+           "NonPositiveInput", "InsufficientResolution"]
+
 DEEP_LOG = -1e9          # max-norm in log coordinates below this counts as converged
 MIN_FIT_HITS = 8         # levels with fewer hits carry too much ln() bias to fit
 BLOCK = 16384            # points per sampling block (384 KB of draws at N = 3)

@@ -29,6 +29,9 @@ from .cycle import ConnectionSpec, CycleSpec, NodeSpec, _real
 from .spectral import DEFAULT_TOL
 from .stability import Classification, IndexReport, classify
 
+__all__ = ["RspParams", "RspComparison", "rsp_matrices", "rsp_cycle_spec", "rsp_closed_form",
+           "rsp_compare", "ParamOutOfRange", "NotFAS"]
+
 
 AGREEMENT = 1e-9   # the largest |pipeline - closed form| rsp_compare calls consistent
 

@@ -46,13 +46,16 @@ dichotomy (stability._indices) reads _Spectra.errors alone.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
+from .cycle import REALS
 from .transition import _entries
+
+__all__ = ["SpectralSummary", "eigen_decompose", "vmax_row", "SpectralError", "DefectiveMatrix",
+           "NoAdmissibleDominant"]
 
 DEFAULT_TOL = 1e-9
 COND_LIMIT = 1e12
@@ -93,26 +96,12 @@ class SpectralSummary:
 
 
 def _tolerance(tol: float) -> float:
-    """tol as a float; ValueError unless it is a real number (not a string)
-    with 0 <= tol < 1."""
+    """tol as a float; ValueError unless it is a real number (cycle.REALS,
+    so not a string) with 0 <= tol < 1."""
     # a float skips the slower ABC check; NaN fails the range test
-    if not ((type(tol) is float or isinstance(tol, numbers.Real)) and 0.0 <= tol < 1.0):
+    if not ((type(tol) is float or isinstance(tol, REALS)) and 0.0 <= tol < 1.0):
         raise ValueError(f"tol must be finite with 0 <= tol < 1, got {tol!r}")
     return float(tol)
-
-
-def _attempt(kinds: tuple[type[Exception], ...], fn: Callable, *args):
-    """fn(*args), or the error of one of the types kinds that it raised,
-    with no traceback on it, its __cause__ or its __context__: a batch keeps
-    its members' errors until they are read, and a kept traceback would
-    keep the batch's frames, and all their arrays, alive."""
-    try:
-        return fn(*args)
-    except kinds as exc:
-        for e in (exc, exc.__cause__, exc.__context__):
-            if e is not None:
-                e.__traceback__ = None
-        return exc
 
 
 def eigen_decompose(matrix: np.ndarray, tol: float = DEFAULT_TOL) -> SpectralSummary:
@@ -134,7 +123,9 @@ class _Spectra(NamedTuple):
 
     What the eigenvalues decide (errors) is kept apart from what the basis
     decides (defective).  Where error(b) is set, the rest of entry b means
-    nothing.
+    nothing.  Each error is built where it is decided and never raised
+    here, so it holds no traceback, and a kept error keeps no frame of the
+    batch alive.
     """
 
     eigenvalues: np.ndarray                        # (B, N), complex unless every spectrum is real
@@ -174,17 +165,22 @@ class _Spectra(NamedTuple):
 def _eig(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[SpectralError | None]]:
     """np.linalg.eig of the stack matrices, and the error of each matrix:
     the package's only call of numpy's eigen routines.  When LAPACK fails
-    on the stack, each matrix is decomposed alone; one that fails keeps
-    LAPACK's message as a SpectralError and the identity's eigenpairs."""
+    on the stack, each matrix is decomposed alone; one that fails gets the
+    identity's eigenpairs and a SpectralError that keeps only the text of
+    LAPACK's error, not the error itself (_Spectra says why)."""
     try:
         return (*np.linalg.eig(matrices), [None] * len(matrices))
     except np.linalg.LinAlgError:
         pass
     n = matrices.shape[-1]
-    pairs = [_attempt((np.linalg.LinAlgError,), np.linalg.eig, M) for M in matrices]
-    errors = [SpectralError(str(p)) if isinstance(p, Exception) else None for p in pairs]
-    pairs = [(np.ones(n), np.eye(n)) if e else p for p, e in zip(pairs, errors)]
-    return np.array([w for w, _ in pairs]), np.array([P for _, P in pairs]), errors
+    parts = []
+    for matrix in matrices:
+        try:
+            parts.append((*np.linalg.eig(matrix), None))
+        except np.linalg.LinAlgError as exc:
+            parts.append((np.ones(n), np.eye(n), SpectralError(str(exc))))
+    eigenvalues, bases, errors = zip(*parts)
+    return np.array(eigenvalues), np.array(bases), list(errors)
 
 
 def _eigen_decompose_many(matrices: np.ndarray, tol: float) -> _Spectra:

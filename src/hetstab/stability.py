@@ -35,9 +35,11 @@ Two regimes, decided by the signs of the basic transition matrices:
 Classification from the indices: any -inf -> not an attractor; any exact 0
 -> marginal (no claim made); all +inf -> asymptotically stable; all > 0 ->
 essentially asymptotically stable; otherwise (all > -inf, some < 0) the
-cycle is fragmentarily asymptotically stable only.  One array rule
-(_verdicts) gives the verdict of every row of indices at once, and
-classification_from_sigmas is its view of one row.
+cycle is fragmentarily asymptotically stable only.  That rule is one
+function, _verdict, fed three facts about a cycle's indices: whether one
+is -inf, whether one is 0, and the least of them.  classify and
+classification_from_sigmas read them off the tuple they hold, and
+_verdicts off a (B, J) array with three row reductions.
 
 Every index comes from one function, _indices, over a stack of cycles
 that share m, N and their negative-entry nodes.  Its result is columnar
@@ -86,9 +88,12 @@ import numpy as np
 
 from . import findex
 from .cycle import _reals
-from .spectral import DEFAULT_TOL, _attempt, _eigen_decompose_many, _tolerance
+from .spectral import DEFAULT_TOL, _eigen_decompose_many, _tolerance
 from .transition import (CycleLike, as_basic_matrices, cyclic_products, _finite, _negative_entries,
                          _node_index, _not_a_matrix, _overflow)
+
+__all__ = ["Classification", "IndexReport", "IndexProvenance", "classify", "sigma",
+           "collect_alpha_vectors", "classification_from_sigmas", "IndeterminateError"]
 
 
 class IndeterminateError(RuntimeError):
@@ -156,42 +161,36 @@ class IndexReport:
         }
 
 
-def _verdict(kinds: set[int]) -> Classification:
-    """The verdict of indices of the kinds in kinds (_KIND_EDGES): some
-    -inf, some 0, all +inf, all > 0, or none of these, in that order."""
-    if 1 in kinds:
+def _verdict(negative_inf: bool, zero: bool, least: float) -> Classification:
+    """The paper's verdict of a cycle's indices sigma_j, in its order: some
+    sigma_j is -inf (negative_inf), some is 0 (zero), the least of them is
+    +inf, it is > 0, or none of these.  A least that is NaN reads as none."""
+    if negative_inf:
         return Classification.NOT_ATTRACTOR
-    if 3 in kinds:
+    if zero:
         return Classification.MARGINAL
-    if kinds <= {5}:
+    if least == math.inf:
         return Classification.ASYMPTOTICALLY_STABLE
-    if kinds <= {4, 5}:
+    if least > 0.0:
         return Classification.ESSENTIALLY_ASYMPTOTICALLY_STABLE
     return Classification.FRAGMENTARILY_ASYMPTOTICALLY_STABLE_ONLY
 
 
-# the kind of a value x is the number of these edges <= x, in numpy's sort
-# order (NaN last): 1 for -inf, 2 negative, 3 zero, 4 positive, 5 +inf, 6 NaN
-_KIND_EDGES = np.array([-math.inf, -sys.float_info.max, 0.0, 5e-324, math.inf, math.nan])
-# the verdict of every set of kinds, as the bit mask of its members
-_VERDICTS = [_verdict({kind for kind in range(7) if mask >> kind & 1}) for mask in range(128)]
-
-
 def _verdicts(sigma: np.ndarray) -> list[Classification]:
     """The verdict (_verdict) of each row of the (B, J) float array sigma,
-    from the bit mask of the kinds of its values."""
-    masks = np.bitwise_or.reduce(1 << _KIND_EDGES.searchsorted(sigma, "right"), axis=1)
-    return list(map(_VERDICTS.__getitem__, masks.tolist()))
+    from three row reductions; a NaN in a row makes its least NaN."""
+    return list(map(_verdict, (sigma == -math.inf).any(1).tolist(),
+                    (sigma == 0.0).any(1).tolist(), sigma.min(1).tolist()))
 
 
 def classification_from_sigmas(sigmas) -> Classification:
-    """The verdict of one cycle's indices sigma_j (_verdicts): a non-empty
+    """The verdict of one cycle's indices sigma_j (_verdict): a non-empty
     sequence of numbers (cycle._reals), -inf and +inf included; ValueError
     when it is empty or holds a NaN."""
     values = _reals(sigmas, "sigma")
     if not values or any(map(math.isnan, values)):
         raise ValueError(f"sigma must be non-empty and free of NaN, got {list(values)}")
-    return _verdicts(np.array([values]))[0]
+    return _verdict(-math.inf in values, 0.0 in values, min(values))
 
 
 _LIMIT = 2.0 ** 1022   # where N max|alpha| < _LIMIT, no sum here or in fsum overflows
@@ -395,9 +394,7 @@ def _indices(mats: np.ndarray, negative: list[int], nodes: list[int], tol: float
         if bad.any():
             for h in np.flatnonzero(bad.any(axis=1)).tolist():
                 p = int(bad[h].argmax())                # the cycle's first bad node
-                # at a zero row, the error is what f_index raises there
-                errors[held[h]] = _overflow(nodes[p]) if over[h, p] else _attempt(
-                    (findex.ZeroVectorError,), findex.f_index, np.zeros(n))
+                errors[held[h]] = _overflow(nodes[p]) if over[h, p] else findex._zero_vector()
             alphas[:, bad.ravel()] = 1.0                # f_index +inf, no minimum
         values, k = _first_minima(alphas)
         sigma[rows[:, 0]] = values.reshape(len(held), -1)
@@ -500,10 +497,10 @@ def classify(cycle: CycleLike, tol: float = DEFAULT_TOL) -> IndexReport:
     """
     mats, negative, nodes, tol = _single(cycle, tol)
     result = _raised(_indices(mats, negative, nodes, tol))
-    m, n = len(result.sigma[0]), len(result.candidates)
     # every sigma_j of a cycle without an error is a minimum or none is, and
     # the candidates of node j are then row j
     provenance = tuple(_NO_MINIMUM[bool(negative)] if k < 0 else IndexProvenance(
-        _source(negative, m, n, j, k), tuple(result.candidates[:, j, k].tolist()))
+        _source(negative, *mats.shape[1:3], j, k), tuple(result.candidates[:, j, k].tolist()))
         for j, k in enumerate(result.winner[0].tolist()))
-    return IndexReport(tuple(result.sigma[0].tolist()), provenance, _verdicts(result.sigma)[0], tol)
+    s = tuple(result.sigma[0].tolist())
+    return IndexReport(s, provenance, _verdict(-math.inf in s, 0.0 in s, min(s)), tol)

@@ -32,6 +32,9 @@ import numpy as np
 
 from .cycle import REALS, CycleValidationError, ValidatedCycle, _integer, _real
 
+__all__ = ["basic_matrix", "full_return_matrix", "partial_turn_matrix", "negative_entry_indices",
+           "as_basic_matrices", "ProductOverflow"]
+
 
 class ProductOverflow(CycleValidationError):
     """A cyclic product of the basic matrices is not finite in double precision."""

@@ -5,8 +5,9 @@ import cmath
 import numpy as np
 import pytest
 
-from hetstab import (ConnectionSpec, CycleSpec, NodeSpec, RspParams, ValidatedCycle, classify,
-                     rsp_matrices, validate_cycle)
+from hetstab import (ConnectionSpec, CycleSpec, NodeSpec, RspParams, ValidatedCycle,
+                     as_basic_matrices, classify, eigen_decompose, f_index, full_return_matrix,
+                     partial_turn_matrix, rsp_matrices, validate_cycle)
 from hetstab.spectral import DEFAULT_TOL
 
 
@@ -164,6 +165,28 @@ def dominant_pair_matrix(rng: np.random.Generator, n: int | None = None,
     D = np.diag(np.concatenate([[lam], others]))
     M = P @ D @ np.linalg.inv(P)
     return M, P, lam
+
+
+def sigma_over_turns(cycle, turns: int = 60) -> list[float]:
+    """Each node j's minimum of f_index over v_max of M^(j) and the rows of
+    M_(q,j) (M^(j))^k, for every negative-entry node q and k = 0..turns: the
+    index of a point that must stay in the tube at every later turn, not
+    only at the first (ROADMAP item 1), as a test reference.  Each power
+    (M^(j))^k is scaled to a largest magnitude of 1, which f_index cannot
+    tell apart.  The dominant-pair conditions must hold at every node."""
+    mats = as_basic_matrices(cycle)
+    negative = [q for q, M in enumerate(mats) if M.min() < 0.0]
+    values = []
+    for j in range(len(mats)):
+        full = full_return_matrix(mats, j)
+        candidates = [eigen_decompose(full).v_max]
+        power = np.eye(len(full))
+        for _ in range(turns + 1):
+            candidates += [row for q in negative for row in partial_turn_matrix(mats, q, j) @ power]
+            power = full @ power
+            power /= np.abs(power).max()
+        values.append(min(f_index(alpha.tolist()) for alpha in candidates))
+    return values
 
 
 def classify_outcome(cycle, tol: float = DEFAULT_TOL):

@@ -824,8 +824,9 @@ TOL_ENTRY_POINTS = {
 }
 
 
-@pytest.mark.parametrize("tol", [NAN, -1.0, INF, 1.0, None, 1j, "x", "1e-9"],
-                         ids=["nan", "-1", "inf", "1", "none", "complex", "string", "digits"])
+@pytest.mark.parametrize("tol", [NAN, -1.0, INF, 1.0, None, 1j, "x", "1e-9", np.True_],
+                         ids=["nan", "-1", "inf", "1", "none", "complex", "string", "digits",
+                              "numpy-true"])
 @pytest.mark.parametrize("entry", sorted(TOL_ENTRY_POINTS))
 def test_tolerance_rule(entry, tol):
     # what is not a real number gets the same ValueError, not a TypeError,
@@ -835,9 +836,12 @@ def test_tolerance_rule(entry, tol):
     assert exc.type is ValueError
 
 
+@pytest.mark.parametrize("tol", [0.0, np.False_, False, np.int64(0), np.float32(0.0)],
+                         ids=["float", "numpy-false", "false", "int64", "float32"])
 @pytest.mark.parametrize("entry", sorted(e for e in TOL_ENTRY_POINTS if "defective" not in e))
-def test_tolerance_rule_accepts_zero(entry):
-    TOL_ENTRY_POINTS[entry](0.0)
+def test_tolerance_rule_accepts_zero(entry, tol):
+    # a bool, numpy's too, is a real number by the number rule (cycle.REALS)
+    TOL_ENTRY_POINTS[entry](tol)
 
 
 def test_defective_matrix_reports_after_the_tolerance_rule():

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import hetstab.stability
 from conftest import (NONCONVERGENT, attracting_cycle, classify_outcome, dominant_pair_matrix,
-                      random_cycle, rsp_grid)
+                      random_cycle, rsp_grid, sigma_over_turns)
 from hetstab import (
     Classification,
     ConnectionSpec,
@@ -269,6 +269,12 @@ def test_classification_equals_the_loops_on_every_short_tuple():
                 classification_from_sigmas(t)
         else:
             assert classification_from_sigmas(t) is classification_by_loops(t), t
+    for n in (1, 2, 3):
+        # and each row of a stack its own: every tuple of length n at once
+        stack = [t for t in tuples if len(t) == n]
+        assert len(stack) == 9 ** n
+        verdicts = hetstab.stability._verdicts(np.array(stack))
+        assert verdicts == [classification_by_loops(t) for t in stack]
 
 
 def test_report_consistency_invariant():
@@ -1192,3 +1198,59 @@ def test_rsp_sweep_verifies_at_most_one_percent_of_its_candidates(monkeypatch, t
     assert main(["rsp-sweep", "--grid", "61", "--out", str(tmp_path / "sweep.csv")]) == 0
     assert sum(candidates) > 10_000
     assert len(calls) <= sum(candidates) / 100
+
+
+# ---------------------------------------------------------------------------
+# Later turns (ROADMAP item 1): a point stays in the basin only if every
+# later turn keeps it in the tube, but sigma_j reads the first turn's rows
+# alone.  Three cycles where the later turns lower an index are pinned
+# against the reference over k <= 60 turns (conftest.sigma_over_turns); the
+# change that reads the later turns makes them pass and removes the marks.
+# ---------------------------------------------------------------------------
+
+
+LATER_TURNS = pytest.mark.xfail(strict=True, raises=AssertionError,
+                                reason="ROADMAP item 1: sigma_j misses later turns")
+REPRODUCER_M5 = [[[0.0103, 1], [0.6008, 0]], [[-0.392, 1], [1.7883, 0]],
+                 [[1.5611, 0], [-0.9534, 1]], [[0.8467, 0], [0.7572, 1]],
+                 [[0.6956, 1], [1.1644, 0]]]
+REPRODUCER_M3 = [[[1.0886, 0, 1], [-0.3905, 1, 0], [1.3351, 0, 0]],
+                 [[-0.3286, 0, 1], [0.6861, 0, 0], [0.1842, 1, 0]],
+                 [[0.1466, 1, 0], [0.9, 0, 0], [-0.079, 0, 1]]]
+
+
+def _attracting_draw_47():
+    """Draw 47 (from 0) of attracting_cycle at m in 2..5 from seed 7."""
+    rng = np.random.default_rng(7)
+    return [attracting_cycle(rng, int(rng.integers(2, 6))) for _ in range(48)][-1]
+
+
+def test_the_later_turn_reference_gives_the_roadmap_values():
+    assert sigma_over_turns(REPRODUCER_M5) == pytest.approx(
+        [-0.277, 0.321, 0.049, 1.526, 0.264], abs=5e-4)
+    assert sigma_over_turns(REPRODUCER_M3) == pytest.approx([-0.024, -0.8845, 0.199], abs=5e-4)
+    assert sigma_over_turns(_attracting_draw_47())[2] == pytest.approx(0.526, abs=5e-4)
+
+
+@LATER_TURNS
+def test_the_m5_reproducer_is_fas_only_at_the_later_turn_values():
+    # the first turn alone reads (0.522, 1.268, 0.049, 1.526, 2.877), e.a.s.
+    report = classify(REPRODUCER_M5)
+    assert report.classification is Classification.FRAGMENTARILY_ASYMPTOTICALLY_STABLE_ONLY
+    assert list(report.sigma) == pytest.approx(sigma_over_turns(REPRODUCER_M5), rel=1e-9)
+
+
+@LATER_TURNS
+def test_the_m3_reproducer_is_fas_only_with_sigma_1_at_most_the_later_turn_value():
+    # the first turn alone reads sigma_1 = 0.547, e.a.s.; the joint program
+    # over the rows gives -0.959
+    report = classify(REPRODUCER_M3)
+    assert report.classification is Classification.FRAGMENTARILY_ASYMPTOTICALLY_STABLE_ONLY
+    assert report.sigma[1] <= sigma_over_turns(REPRODUCER_M3)[1]
+
+
+@LATER_TURNS
+def test_attracting_draw_47_reads_the_later_turn_value_at_node_2():
+    # the first turn alone reads 2.161
+    cycle = _attracting_draw_47()
+    assert sigma(cycle, 2) == pytest.approx(sigma_over_turns(cycle)[2], rel=1e-9)

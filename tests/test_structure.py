@@ -11,9 +11,10 @@ too: nothing from spectral, and from stability only IndeterminateError;
 and it may not use any of the eigen routines itself.  No __post_init__
 calls float(): every caller's number goes through the number rule of
 cycle.py.  The package reads no environment variable: every setting is an
-argument.  Last, every module-level name outside hetstab.__all__ must be
-used by package code, so no private function, class or constant is kept
-for tests alone.
+argument.  Every module-level name outside hetstab.__all__ must be used by
+package code, so no private function, class or constant is kept for tests
+alone.  Last, each public name is written once: in the __all__ of the
+module that defines it, which hetstab/__init__.py star-imports.
 """
 
 import ast
@@ -254,3 +255,41 @@ def test_the_unread_name_scan_sees_reads_only():
     }
     assert _unread_names(sources, {"public"}) == [
         "a._SPARE", "a._loop", "b._SPARE", "b._unused"]
+
+
+def _listed(tree: ast.Module) -> list[str]:
+    """The names of the module's __all__, a list of string literals, or []
+    when it has none."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return ast.literal_eval(node.value)
+    return []
+
+
+def test_each_public_name_is_listed_once_by_the_module_that_defines_it():
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py")) if path.stem != "__init__"}
+    listed = {module: _listed(tree) for module, tree in trees.items()}
+    # no module lists a name it does not define
+    assert {module: sorted(set(names) - set(_module_names(trees[module])))
+            for module, names in listed.items()} == {module: [] for module in trees}
+    for name in hetstab.__all__[1:]:
+        owners = [module for module, names in listed.items() for n in names if n == name]
+        assert owners == [getattr(hetstab, name).__module__.rsplit(".", 1)[-1]], name
+    assert hetstab.__all__[0] == "__version__"
+
+
+def test_the_package_imports_no_public_name_by_name():
+    # every public name comes from its module's __all__, by a star import
+    source = (SRC / "__init__.py").read_text(encoding="utf-8")
+    assert [path for path in _imported(source) if path[-1] in hetstab.__all__] == []
+    assert [path[0] for path in _imported(source) if path[-1] == "*"] == [
+        "cycle", "transition", "spectral", "findex", "stability", "oracle", "rsp"]
+
+
+def test_the_list_scan_reads_the_module_all_only():
+    tree = ast.parse("x = 1\n__all__ = ['f', 'C']\n"
+                     "def f():\n    __all__ = ['g']\nclass C:\n    pass\n")
+    assert _listed(tree) == ["f", "C"]
+    assert _listed(ast.parse("def f():\n    pass\n")) == []
