@@ -26,16 +26,19 @@ maps directly rather than trusting any eigen-structure argument:
   ladder rule is stated in ln(eps) too (_ladder, EstimatorConfig): it
   strictly decreases, so no two levels share an abscissa, and stays below
   ln(delta), so every sample starts inside the tube and _basin_mask has no
-  entry test;
+  entry test.  From the maps and the cone alone, each level gets a cube of
+  raw uniforms whose every row the per-column test puts in the basin
+  (_box): its corners' orbits stay in the tube and enter the cone within a
+  few turns, with margins for every rounding;
 * the escape exponent F+ of a single half-space slice is the complement
   side of the same fit, with |x_1^{a_1} ... x_N^{a_N}| < 1 as the membership
   test; a bound on alpha . ln(x) that keeps a margin far beyond the log
-  test's rounding certifies a box of raw uniforms inside (_certificate),
-  whose rows are counted by binomial draws and never drawn, and only the
-  rows outside the box are drawn, from their conditional law, and take
-  logarithms, so each count has the law of the log test on every sample;
-  _side decides saturation, the fit and InsufficientResolution for both
-  estimators;
+  test's rounding certifies a box of raw uniforms inside (_certificate);
+* both estimators count the rows of their certified box by binomial draws
+  and never draw them, and draw only the rows outside the box, from their
+  conditional law, and test those (_inside), so each count has the law of
+  the test on every sample; _side decides saturation, the fit and
+  InsufficientResolution for both;
 * matrix_basin_membership decides divergence of y <- M y by brute force.
 
 Each call builds its maps once, in turn order from its start node, with the
@@ -49,7 +52,8 @@ element-wise maximum over N contiguous rows) only when that cannot decide.
 Samples are drawn as rows of N raw uniforms (_blocks), turned into log
 coordinates in place (_sample_log_cube) and transposed once on entry to
 the loop, so the layout never changes which random number lands in which
-coordinate.  Every ladder level is streamed in blocks (_blocks).
+coordinate.  Every ladder level is streamed in blocks of at most BLOCK
+rows (_blocks, _inside).
 
 Estimates are deterministic: the RNG stream of every level is derived from
 (seed, level index), so results are bit-identical for identical configs.
@@ -85,6 +89,7 @@ CONE_WIDTHS = (1 / 2, 1 / 4, 1 / 8, 1 / 16)   # its ratio-box half-widths, wides
 CONE_MAX_DIM = 8         # largest N with a basin certificate: 2^(N-1) = 128 vertex rays
 POWER_SQUARINGS = 6      # the certificate's direction is that of 2^6 = 64 turns
 CONE_GATE = 64           # columns of a block tested before the whole block (_in_cone)
+BOX_TURNS = 32           # most turns the cube certificate steps (_box)
 
 
 class NonPositiveInput(ValueError):
@@ -144,8 +149,9 @@ class EstimatorConfig:
     of cube half-widths (_ladder), each with math.log(eps) < math.log(delta),
     so every sample of _sample_log_cube, ln(eps) + log1p(-U) <= ln(eps),
     starts strictly inside the delta tube (the precondition of _basin_mask);
-    max_full_turns bounds the orbit budget per sample.  samples_per_level >=
-    1, max_full_turns >= 4 and seed >= 0 are integers.
+    max_full_turns bounds the orbit budget per sample.  samples_per_level
+    in [1, 2^63) (the binomial draws of _inside take a C long), max_full_turns
+    >= 4 and seed >= 0 are integers.
     """
 
     delta: float = 1e-2
@@ -161,8 +167,9 @@ class EstimatorConfig:
         object.__setattr__(self, "epsilon_ladder", _ladder(self.epsilon_ladder))
         if any(math.log(e) >= math.log(self.delta) for e in self.epsilon_ladder):
             raise ValueError("every ladder level must be < delta")
-        for name, least in (("samples_per_level", 1), ("max_full_turns", 4), ("seed", 0)):
-            object.__setattr__(self, name, _whole(getattr(self, name), least, name))
+        for name, least, below in (("samples_per_level", 1, 2**63), ("max_full_turns", 4, math.inf),
+                                   ("seed", 0, math.inf)):
+            object.__setattr__(self, name, _whole(getattr(self, name), least, name, below))
 
 
 @dataclass(frozen=True)
@@ -367,22 +374,12 @@ def _cone(maps: _Maps, delta: float, max_full_turns: int) -> _Cone | None:
     boxes = [(d[1:] / d[0] * (1.0 - w), d[1:] / d[0] * (1.0 + w)) for w in CONE_WIDTHS]
     rays = np.concatenate([_vertex_rays(lo, hi) for lo, hi in boxes], axis=1)
     nv = rays.shape[1] // len(boxes)
-    stack, phases = np.array(maps.mats), np.arange(m)
-    segment, norm = np.broadcast_to(np.eye(n), (m, n, n)), 1.0
     mu, phi = map(max, zip(*maps.norms))
-    origin, omega = np.zeros((n, 1)), 0.0   # the float orbit of 0, and its max-norm
-    gamma = (n + 1) * 2.0**-53 / (1.0 - (n + 1) * 2.0**-53)
+    gamma = _gamma(n)
     least = np.full(rays.shape[1], np.inf)
     best, wider = None, len(boxes)   # a larger k is tried only on boxes wider than best's
-    for steps in range(1, max(CONE_TURNS) * m + 1):
-        M, col = maps.mats[(steps - 1) % m], maps.cols[(steps - 1) % m]
-        rays = M @ rays
-        if phi > 0.0:
-            origin = M @ origin if col is None else M @ origin + col
-            omega = max(omega, float(np.abs(origin).max()))
+    for steps, rays, _, omega, norm in _orbits(maps, rays, max(CONE_TURNS)):
         least = np.minimum(least, -rays.max(axis=0))
-        segment = stack[(phases + steps - 1) % m] @ segment
-        norm = max(norm, float(np.abs(segment).sum(axis=2).max()))
         if steps % m or steps // m not in CONE_TURNS:
             continue
         shift = omega + 2.0 * steps * (2.0 * norm) * gamma * phi   # Omega before its divisor
@@ -396,6 +393,34 @@ def _cone(maps: _Maps, delta: float, max_full_turns: int) -> _Cone | None:
         if wider == 0:
             break
     return best
+
+
+def _gamma(n: int) -> float:
+    """gamma_{N+1} = (N + 1) u / (1 - (N + 1) u), u = 2^-53: the relative
+    rounding of one map step in N dimensions (_cone)."""
+    return (n + 1) * 2.0**-53 / (1.0 - (n + 1) * 2.0**-53)
+
+
+def _orbits(maps: _Maps, rays: np.ndarray, turns: int) -> Iterator[tuple]:
+    """The float orbits of _cone and _box, for turns full turns: per map step
+    p = 1, 2, ..., the tuple (p, the columns of rays stepped p linear maps,
+    the (N, 1) orbit of 0 with offsets, its max-norm so far, and the largest
+    computed ||P_{r->q}||_inf over segments of at most p steps from any
+    phase).  The orbit of 0 stays 0 where every offset is zero."""
+    m, n = len(maps.mats), len(maps.turn)
+    stack, phases = np.array(maps.mats), np.arange(m)
+    segment, norm = np.broadcast_to(np.eye(n), (m, n, n)), 1.0
+    phi = max(f for _, f in maps.norms)
+    origin, omega = np.zeros((n, 1)), 0.0
+    for steps in range(1, turns * m + 1):
+        M, col = maps.mats[(steps - 1) % m], maps.cols[(steps - 1) % m]
+        rays = M @ rays
+        if phi > 0.0:
+            origin = M @ origin if col is None else M @ origin + col
+            omega = max(omega, float(np.abs(origin).max()))
+        segment = stack[(phases + steps - 1) % m] @ segment
+        norm = max(norm, float(np.abs(segment).sum(axis=2).max()))
+        yield steps, rays, origin, omega, norm
 
 
 def _verified(k: int, steps: int, lo: np.ndarray, hi: np.ndarray, images: np.ndarray,
@@ -434,6 +459,123 @@ def _verified(k: int, steps: int, lo: np.ndarray, hi: np.ndarray, images: np.nda
                  least_depth, deep, g, k, max_full_turns)
     # depth(0) is above least_depth where the dive binds, or no column can pass
     return cone if cone.depth(0) == least_depth else None
+
+
+def _box(maps: _Maps, cone: _Cone | None, delta: float,
+         ladder: tuple[float, ...]) -> list[tuple[list[int], list[float]] | None]:
+    """Per ladder level eps, the cube u_i < t of raw uniforms whose every
+    row the per-column test of _basin_mask puts in the basin, as the columns
+    and thresholds of _certificate: None where there is no cone or no width
+    b > 0 holds, and no column where b >= 40, as every u the generator
+    draws has -log1p(-u) <= 53 ln 2 < 37.  Like the cone, it reads the maps
+    alone, with no eigen-analysis.
+
+    Exact argument.  A row with u_i < t = 1 - e^-b (i = 1..N) has exact
+    E_i = -log1p(-u_i) in [0, b), so its exact start e = L 1 - E, with L =
+    ln eps as computed, lies in the cube with corners L 1 - b s, s in {0,
+    1}^N.  With P_p the linear part and W_p the orbit of 0 (the offsets) of
+    the first p map steps, the exact partial image P_p e + W_p is affine in
+    E, so a linear functional l of it is largest over the cube at a corner.
+    Each requirement below is l . x + kappa < 0 for one such l, so it holds
+    on the cube when it holds at the 2^N corners with a margin for rounding:
+    * the tube: x_i - ln(delta) < 0 for every coordinate of every partial
+      image up to the end of turn T, so no step escapes;
+    * the cone at the end of turn T: x_0 + depth(T) < 0, x_i - lo_i x_0 <=
+      0 and hi_i x_0 - x_i <= 0 for i >= 1, with the certificate's own lo
+      and hi (_Cone), so -x_0 > depth(T) and lo <= x_i / x_0 <= hi.
+    Then the per-column test neither escapes nor turns NaN by the end of
+    turn T, and there, unless a dive decided it first, the cone's exact
+    argument applies to the float column: its first decision is a dive.
+    With o_p = P_p 1, c_p(s) = P_p s and w_p = W_p, a corner requirement
+    reads L (l . o_p) + l . w_p + kappa + b (-l . c_p(s)) < 0: linear in b,
+    and true at b = 0 where it holds at all, so each level's largest b at
+    a turn end is a minimum of ratios (_widths), and the level takes the
+    largest over the turn ends of the first BOX_TURNS whose depth is
+    finite.  The tube requirements only accumulate, so the stepping stops
+    once no level's tube bound exceeds its best width below 40.
+
+    Rounding (Higham 2002, sec. 3.5; gamma, mu, phi and A as in _cone).
+    The requirements of turn T take K = (T + 1) m, A twice the largest
+    computed segment norm of the first K steps and c = K A gamma mu <=
+    2^-20, or the stepping stops; the bounds below hold at every step p <=
+    K.  log1p errs by a few ulps (as in _certificate) and the add of L by
+    one, so the float start point is within r_0 = 2^-49 (|L| + b) of e.
+    Its float orbit x_p = fl(M x + f) then differs from the exact one by at
+    most (A r_0 + K A gamma (mu Y + phi)) / (1 - c) over p <= K, Y <= A (|L|
+    + b) + omega bounding the exact images.  The corner images come from float orbits of 1, of s and
+    of 0 (_orbits), which err by at most c A / (1 - c) per unit of |L| and
+    of b, and K A gamma (mu omega + phi) / (1 - c) for the offsets.  So
+    every float partial image of the cube lies within
+        rho (|L| + b) + rho_0,   rho = A (2^-49 + 2c) / (1 - c),
+        rho_0 = 2 K A gamma (mu Omega + phi) / (1 - c),
+    of the hull of the computed corner images, with Omega = (omega^ + K A
+    gamma phi) / (1 - 2c) >= omega from the computed max-norm omega^ of the
+    orbit of 0, and l . x exceeds its largest corner value by at most
+    ||l||_1 times that.  Each requirement carries twice that margin and
+    2^-40 of the sum of the absolute values of its terms, far beyond the
+    rounding of its coefficients and of the ratios; the width is then
+    shrunk by 2^-40 of itself, and t rounded down by 2^-50 of itself, more
+    than the error of math.expm1.  Every coordinate stays finite and far
+    from overflow, as |L| + b < 800 and c <= 2^-20 keeps A below 2^31.
+    """
+    if cone is None:
+        return [None] * len(ladder)
+    m, n = len(maps.mats), len(maps.turn)
+    corners = np.array(list(itertools.product((0.0, 1.0), repeat=n))).T   # the last is 1
+    mu, phi = map(max, zip(*maps.norms))
+    gamma, eye = _gamma(n), np.eye(n)
+    funcs = np.concatenate([eye[:1], eye[1:] - cone.lo * eye[:1], cone.hi * eye[:1] - eye[1:]])
+    mag = np.abs(funcs)
+    l1 = np.concatenate([np.ones(m * n), mag.sum(axis=1)])
+    ln_eps = np.array([[math.log(eps)] for eps in ladder])   # as _sample_log_cube adds it
+    best, tube = np.zeros(len(ladder)), np.full(len(ladder), math.inf)
+    images, origins = [], []
+    for steps, rays, origin, omega, norm in _orbits(maps, corners, BOX_TURNS):
+        images.append(rays)
+        origins.append(origin)
+        if steps % m:
+            continue
+        # the requirements of the turn's m steps (tube) and of its end (cone), in rows
+        a = 2.0 * norm
+        c = steps * a * gamma * mu
+        if not c <= 2.0**-20:
+            break
+        rho = a * (2.0**-49 + 2.0 * c) / (1.0 - c)
+        big_omega = (omega + steps * a * gamma * phi) / (1.0 - 2.0 * c)
+        rho_0 = 2.0 * steps * a * gamma * (mu * big_omega + phi) / (1.0 - c)
+        kappa = np.zeros(len(l1))
+        kappa[:m * n], kappa[m * n] = -math.log(delta), cone.depth(steps // m - 1)  # inf fails
+        off = np.concatenate([*origins, funcs @ origin])[:, 0] + kappa
+        off_abs = (np.concatenate([*map(np.abs, origins), mag @ np.abs(origin)])[:, 0]
+                   + np.abs(kappa))
+        widths = _widths(ln_eps, np.concatenate([*images, funcs @ rays]),
+                         np.concatenate([*map(np.abs, images), mag @ np.abs(rays)]),
+                         off, off_abs, l1, rho, rho_0)
+        tube = np.minimum(tube, widths[:, :m * n].min(axis=1))
+        best = np.maximum(best, np.minimum(tube, widths[:, m * n:].min(axis=1)))
+        if ((tube <= best) | (best >= 40.0)).all():
+            break
+        images, origins = [], []
+    cubes = []
+    for b in (best * (1.0 - 2.0**-40)).tolist():
+        t = -math.expm1(-b) * (1.0 - 2.0**-50)
+        cubes.append(None if not b > 0.0 else ([], []) if b >= 40.0 else ([*range(n)], [t] * n))
+    return cubes
+
+
+def _widths(ln_eps: np.ndarray, lin: np.ndarray, size: np.ndarray, off: np.ndarray,
+            off_abs: np.ndarray, l1: np.ndarray, rho: float, rho_0: float) -> np.ndarray:
+    """Per level (a row of the column ln_eps = L) and requirement l . x +
+    kappa < 0 of _box (a column), the largest cube width b that meets it at
+    every corner image L o - b c(s) + w, with the margins of _box; 0 where it
+    fails at b = 0.  Per requirement: lin and size hold l . c(s) and |l| .
+    |c(s)| per corner, the last o = c(1); off = l . w + kappa, off_abs =
+    |l| . |w| + |kappa| and l1 = ||l||_1."""
+    p = lin[:, -1] - 2.0**-40 * size[:, -1] - 2.0 * rho * l1
+    q = off + 2.0**-40 * off_abs + 2.0 * rho_0 * l1
+    r = (-lin).max(axis=1) + 2.0**-40 * size.max(axis=1) + 2.0 * rho * l1
+    a = ln_eps * p + q
+    return np.where(a < 0.0, -a / r, 0.0)
 
 
 def _compact(keep: np.ndarray, idx: np.ndarray, eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -516,8 +658,10 @@ def _basin_mask(maps: _Maps, eta0: np.ndarray, delta: float, max_full_turns: int
     decision to be a dive below DEEP_LOG within the budget; it never decides
     an escape, and every other column runs the loop above unchanged, so
     each mask is still bit for bit that of the per-column test.  On the
-    criterion-6 config the cone decides all 311663 basin samples by turn 3,
-    and each of the 24 blocks is compacted once, at the drop of turn 2.
+    criterion-6 config, 271076 of the 311840 basin samples lie in a level's
+    cube (_box) and are never drawn; the cone decides all 40764 drawn ones
+    by turn 3, and the 9 blocks are compacted 13 times, at the drops of
+    turns 1 and 2.
     """
     layers = list(zip(maps.mats, maps.cols, maps.norms))
     ln_delta = math.log(delta)
@@ -675,10 +819,10 @@ def _window_fit(interior: list[tuple[float, float, int]], expected: list[float])
 def _sample_log_cube(block: np.ndarray, eps: float) -> np.ndarray:
     """Raw uniforms U in [0, 1), one point per row, turned in place into
     log coordinates of Uniform(0, eps): ln(eps) + log1p(-U), as 1 - U lies
-    in (0, 1]; no underflow at any depth.  estimate_sigma_mc turns every
-    row it draws; estimate_fplus_mc every row of a level with no
-    certificate, and otherwise only the rows its certificate (_certificate)
-    leaves to the log test, drawn from their conditional law."""
+    in (0, 1]; no underflow at any depth.  Both estimators turn every row
+    of a level with no certificate, and otherwise only the rows their
+    certificate (_box, _certificate) leaves to the test, drawn from their
+    conditional law (_inside)."""
     np.negative(block, out=block)
     np.log1p(block, out=block)
     block += math.log(eps)
@@ -696,13 +840,51 @@ def _blocks(rng: np.random.Generator, rows: int, dim: int) -> Iterator[np.ndarra
         yield rng.random(out=buf[:rows - start])
 
 
+def _inside(rng: np.random.Generator, samples: int, dim: int, eps: float,
+            box: tuple[list[int], list[float]] | None,
+            test: Callable[[np.ndarray], int]) -> int:
+    """How many of samples uniform points of the eps-cube are inside, where
+    test counts the inside rows of a block of log coordinates (one point
+    per row) and box, if any, is a box u_i < t_i of raw uniforms in the
+    listed columns whose every row test would count inside (_certificate,
+    _box).
+
+    With no box every row is drawn in blocks (_blocks) and turned into log
+    coordinates (_sample_log_cube).  Otherwise the rows are split by the
+    first listed column whose uniform is >= t_i: in column order, n_i =
+    Binomial(rest, 1 - t_i) of the rest rows fail column i, and only these
+    are drawn, with u_j = t_j U in each earlier listed column j and E_i =
+    -log1p(-t_i) - log1p(-U) in column i (memorylessness of Exp(1); t_i +
+    (1 - t_i) U could round to 1).  The rest are the box, counted inside
+    undrawn.  So the count has the law of test on samples uniform rows.
+    The drawn rows of every column share one buffer of at most BLOCK rows,
+    tested whenever it fills and once at the end: the generator's stream
+    is the same whatever the split of a draw."""
+    if box is None:
+        return sum(test(_sample_log_cube(block, eps)) for block in _blocks(rng, samples, dim))
+    cols, ts = box
+    buf = np.empty((min(samples, BLOCK), dim))
+    inside, rest, fill = 0, samples, 0
+    for i, (col, t) in enumerate(zip(cols, ts)):
+        failed = int(rng.binomial(rest, 1.0 - t))
+        rest -= failed
+        while failed:
+            rows = rng.random(out=buf[fill:fill + failed])
+            rows[:, cols[:i]] *= ts[:i]
+            _sample_log_cube(rows, eps)[:, col] += math.log1p(-t)
+            failed, fill = failed - len(rows), fill + len(rows)
+            if fill == len(buf):
+                inside, fill = inside + test(buf), 0
+    return inside + rest + (test(buf[:fill]) if fill else 0)
+
+
 def _levels(ladder: tuple[float, ...], samples: int, seed: int,
             count: Callable[[np.random.Generator, float], int]) -> tuple[LevelEstimate, ...]:
     """Per ladder level li, the fraction of samples points inside the
     eps-cube, as count(rng, eps) counts them with the level's own generator
     on the RNG stream (seed, li), so what one level draws never moves
-    another.  estimate_sigma_mc draws every point (_blocks);
-    estimate_fplus_mc only those its certificate leaves to the log test."""
+    another.  Both estimators draw, through _inside, only the points that
+    their certificate (_box, _certificate) leaves to the test."""
     def level(li: int) -> LevelEstimate:
         inside = int(count(np.random.default_rng((seed, li)), ladder[li]))
         frac = inside / samples
@@ -747,16 +929,28 @@ def estimate_sigma_mc(cycle: CycleLike, j: int, config: EstimatorConfig) -> Basi
 
     over interior levels (_side), returning sigma_hat = sigma_plus -
     sigma_minus.  A product pass from j that overflows raises ProductOverflow.
-    The basin certificate (_cone) is built once per call and read by every
-    block of every level; it changes no level fraction.
+
+    The basin certificate (_cone) and, from it, each level's cube of raw
+    uniforms that the per-column test puts in the basin (_box) are built
+    once per call.  A level with a cube counts its rows inside by binomial
+    draws and draws only the rows outside it, from their conditional law
+    (_inside), so its count has the law of the per-column test on every
+    sample; the drawn rows go through _basin_mask with the cone, in blocks
+    of up to BLOCK rows that mix the failing columns.  A level with no cube
+    (no cone, no certifiable width, or N > CONE_MAX_DIM) draws and tests
+    every row, as one draw.
     """
     maps = _gmaps(cycle, j)
     cone = _cone(maps, config.delta, config.max_full_turns)
+    cubes = dict(zip(config.epsilon_ladder, _box(maps, cone, config.delta, config.epsilon_ladder)))
+
+    def basin(eta: np.ndarray) -> int:
+        return np.count_nonzero(_basin_mask(maps, eta, config.delta, config.max_full_turns, cone))
+
     levels = _levels(
         config.epsilon_ladder, config.samples_per_level, config.seed,
-        lambda rng, eps: sum(np.count_nonzero(_basin_mask(
-            maps, _sample_log_cube(block, eps), config.delta, config.max_full_turns, cone))
-            for block in _blocks(rng, config.samples_per_level, len(maps.turn))),
+        lambda rng, eps: _inside(rng, config.samples_per_level, len(maps.turn), eps,
+                                 cubes[eps], basin),
     )
     minus, fit_minus = _side(levels, complement=False)
     plus, fit_plus = _side(levels, complement=True)
@@ -826,13 +1020,9 @@ def estimate_fplus_mc(
     alpha . eta < 0.  Otherwise a row whose uniforms lie in the box u_i <
     t_i of every tested column i lies a margin of 2^-30 sum |a_i|
     (37 + |ln eps|) inside the slice, at least 2^15 times the rounding of
-    the log test, and is counted inside without being drawn.  The rows are
-    split by the first tested column whose uniform is >= t_i: in column
-    order, n_i = Binomial(rest, 1 - t_i) of the rest rows fail column i,
-    and only these are drawn, with u_j = t_j U in each earlier tested
-    column j and E_i = -log1p(-t_i) - log1p(-U) in column i (memorylessness
-    of Exp(1); t_i + (1 - t_i) U could round to 1), and take the log test.
-    The rest are the box.  So every level's count has the law of the log
+    the log test, and is counted inside without being drawn; only the rows
+    outside the box are drawn, from their conditional law, and take the
+    log test (_inside).  So every level's count has the law of the log
     test on samples uniform rows, and a level whose certificate tests no
     column draws nothing.
     """
@@ -842,24 +1032,9 @@ def estimate_fplus_mc(
     samples = _whole(samples, 1, "samples", below=2**63)
     seed = _whole(seed, 0, "seed")
 
-    def count(rng: np.random.Generator, eps: float) -> int:
-        cert = _certificate(a.tolist(), eps)
-        if cert is None:
-            return sum(np.count_nonzero(_sample_log_cube(block, eps) @ a < 0.0)
-                       for block in _blocks(rng, samples, a.size))
-        cols, ts = cert
-        inside, rest = 0, samples
-        for i, (col, t) in enumerate(zip(cols, ts)):
-            failed = int(rng.binomial(rest, 1.0 - t))
-            rest -= failed
-            for block in _blocks(rng, failed, a.size):
-                block[:, cols[:i]] *= ts[:i]
-                eta = _sample_log_cube(block, eps)
-                eta[:, col] += math.log1p(-t)
-                inside += np.count_nonzero(eta @ a < 0.0)
-        return inside + rest
-
-    levels = _levels(ladder, samples, seed, count)
+    levels = _levels(ladder, samples, seed, lambda rng, eps: _inside(
+        rng, samples, a.size, eps, _certificate(a.tolist(), eps),
+        lambda eta: np.count_nonzero(eta @ a < 0.0)))
     fplus_hat, fit = _side(levels, complement=True)
     return FplusEstimate(levels, fit, fplus_hat)
 

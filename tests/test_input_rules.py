@@ -507,7 +507,7 @@ def test_delta_rule_stores_a_float():
 
 # ---------------------------------------------------------------------------
 # Sampling plan: oracle._whole, an integer (not a bool, numpy ints allowed)
-# at or above its least value
+# at or above its least value, and a sample count below 2^63 (a C long)
 # ---------------------------------------------------------------------------
 
 
@@ -521,16 +521,17 @@ PLAN_ENTRY_POINTS = {
 PLAN_NAMES = {"estimate_sigma_mc": {"samples": "samples_per_level", "turns": "max_full_turns"},
               "estimate_fplus_mc": {}}
 BAD_PLANS = {
-    "seed-negative": ("seed", -1, 0),
-    "seed-numpy-negative": ("seed", np.int64(-1), 0),
-    "seed-fraction": ("seed", 1.5, 0),
-    "seed-bool": ("seed", True, 0),
-    "seed-string": ("seed", "0", 0),
-    "samples-zero": ("samples", 0, 1),
-    "samples-fraction": ("samples", 2.5, 1),
-    "samples-bool": ("samples", True, 1),
-    "turns-three": ("turns", 3, 4),
-    "turns-fraction": ("turns", 10.5, 4),
+    "seed-negative": ("seed", -1, ">= 0"),
+    "seed-numpy-negative": ("seed", np.int64(-1), ">= 0"),
+    "seed-fraction": ("seed", 1.5, ">= 0"),
+    "seed-bool": ("seed", True, ">= 0"),
+    "seed-string": ("seed", "0", ">= 0"),
+    "samples-zero": ("samples", 0, ">= 1"),
+    "samples-fraction": ("samples", 2.5, ">= 1"),
+    "samples-bool": ("samples", True, ">= 1"),
+    "samples-2-63": ("samples", 2**63, f"< {2**63}"),
+    "turns-three": ("turns", 3, ">= 4"),
+    "turns-fraction": ("turns", 10.5, ">= 4"),
 }
 
 
@@ -539,9 +540,9 @@ BAD_PLANS = {
     if entry == "estimate_sigma_mc" or not bad.startswith("turns")   # F+ has no turn budget
 ])
 def test_sampling_plan_rule(entry, bad):
-    key, value, least = BAD_PLANS[bad]
+    key, value, rule = BAD_PLANS[bad]
     name = PLAN_NAMES[entry].get(key, key)
-    message = f"^{name} must be an integer >= {least}, got {re.escape(repr(value))}$"
+    message = f"^{name} must be an integer {rule}, got {re.escape(repr(value))}$"
     with pytest.raises(ValueError, match=message) as exc:
         PLAN_ENTRY_POINTS[entry](**{key: value})
     assert exc.type is ValueError
@@ -944,6 +945,8 @@ CLI_REJECTIONS = {
                       "error: samples must be an integer >= 1, got 0"),
     "fplus-samples-2-63": (["oracle", "fplus", "--alpha", "-1,1,1", "--samples", str(2**63)],
                            f"error: samples must be an integer < {2**63}, got {2**63}"),
+    "sigma-samples-2-63": (["oracle", "sigma", "{d}/c.json", "--samples", str(2**63)],
+                           f"error: samples_per_level must be an integer < {2**63}, got {2**63}"),
     "sigma-turns": (["oracle", "sigma", "{d}/c.json", "--turns", "3", "--samples", "10"],
                     "error: max_full_turns must be an integer >= 4, got 3"),
     "sweep-grid-negative": (["rsp-sweep", "--grid", "-5", "--out", "{d}/s.csv"],

@@ -444,6 +444,46 @@ def _reference_fplus_chain(alpha, ladder, samples, seed):
     return fracs
 
 
+def _reference_sigma_chain(cycle, j, cfg):
+    """Per-level basin fractions of the cube's chain, drawn out of place: the
+    cube of oracle._box from the cycle's cone, split as _reference_fplus_chain
+    splits a certificate's box, with every drawn row of a level masked by
+    the row-major loop and the rest counted inside.  A level with no cube is
+    _reference_level_fracs."""
+    mats, offs = _reference_maps(cycle)
+    maps = oracle._gmaps(cycle, j)
+    cubes = oracle._box(maps, oracle._cone(maps, cfg.delta, cfg.max_full_turns), cfg.delta,
+                        cfg.epsilon_ladder)
+    n, dim = cfg.samples_per_level, mats[0].shape[0]
+    fracs = []
+    for li, (eps, cube) in enumerate(zip(cfg.epsilon_ladder, cubes)):
+        rng = np.random.default_rng((cfg.seed, li))
+        if cube is None:
+            rest, eta0 = 0, _out_of_place_log_cube(rng, eps, n, dim)
+        else:
+            cols, ts = cube
+            rest, drawn = n, [np.empty((0, dim))]
+            for i, (col, t) in enumerate(zip(cols, ts)):
+                failed = rng.binomial(rest, 1.0 - t)
+                rest -= failed
+                u = rng.random((failed, dim))
+                u[:, cols[:i]] = u[:, cols[:i]] * ts[:i]
+                drawn.append(math.log(eps) + np.log1p(-u))
+                drawn[-1][:, col] += math.log1p(-t)
+            eta0 = np.concatenate(drawn)
+        mask = _row_major_basin_mask(mats, offs, j, eta0, cfg.delta, cfg.max_full_turns)
+        fracs.append((rest + int(mask.sum())) / n)
+    return fracs
+
+
+def _assert_same_law(fracs, drawn, n):
+    """Each level within 5 binomial standard deviations of the fraction of
+    an independent draw of every row, at their mean fraction."""
+    for frac, other in zip(fracs, drawn):
+        p = (frac + other) / 2.0
+        assert abs(frac - other) <= 5.0 * math.sqrt(p * (1.0 - p) / n), (frac, other)
+
+
 def _assert_masks_match(cycle, j, eps_levels, n, delta, turns, seed):
     mats, offs = _reference_maps(cycle)
     maps = oracle._gmaps(cycle, j)
@@ -724,10 +764,12 @@ def test_fplus_levels_match_out_of_place_reference():
 
 
 def test_sigma_levels_match_row_major_reference():
+    # every level has a cube; drawing every row instead keeps the law
     mats = rsp_matrices(RspParams(-0.5, 0.2))
     cfg = EstimatorConfig(epsilon_ladder=(1e-15, 1e-17, 1e-19), samples_per_level=2000, seed=4)
-    expected = _reference_level_fracs(mats, 0, cfg)
-    assert [lev.sigma_frac for lev in estimate_sigma_mc(mats, 0, cfg).levels] == expected
+    fracs = [lev.sigma_frac for lev in estimate_sigma_mc(mats, 0, cfg).levels]
+    assert fracs == _reference_sigma_chain(mats, 0, cfg)
+    _assert_same_law(fracs, _reference_level_fracs(mats, 0, cfg), 2000)
 
 
 # ---------------------------------------------------------------------------
@@ -842,12 +884,79 @@ def test_cone_masks_match_row_major_reference_property(certified):
 
 
 def test_cone_keeps_the_reference_levels(certified):
+    # every criterion-6 level has a cube, and the cone decides drawn rows
     mats = rsp_matrices(RspParams(-0.5, 0.2))
     cfg = EstimatorConfig(epsilon_ladder=CRITERION_6.epsilon_ladder, samples_per_level=3000,
                           seed=5)
-    expected = _reference_level_fracs(mats, 0, cfg)
-    assert [lev.sigma_frac for lev in estimate_sigma_mc(mats, 0, cfg).levels] == expected
+    fracs = [lev.sigma_frac for lev in estimate_sigma_mc(mats, 0, cfg).levels]
+    assert fracs == _reference_sigma_chain(mats, 0, cfg)
     assert sum(certified) > 0
+    _assert_same_law(fracs, _reference_level_fracs(mats, 0, cfg), 3000)
+
+
+def test_a_level_with_no_cube_draws_every_row(monkeypatch):
+    # the RSP cone gives no cube at the shallow levels, and there is no cone
+    # at a budget of 40 turns, that of the oracle-sigma golden CLI case: such
+    # a level is the draw of every row, bit for bit
+    monkeypatch.setattr(oracle, "_side", lambda levels, complement: (0.0, None))
+    mats = rsp_matrices(RspParams(-0.5, 0.2))
+    for turns, has_cube in ((200, [False, False, True]), (40, [False] * 3)):
+        cfg = EstimatorConfig(epsilon_ladder=(1e-6, 1e-10, 1e-15), samples_per_level=3000,
+                              max_full_turns=turns, seed=11)
+        maps = oracle._gmaps(mats, 0)
+        cubes = oracle._box(maps, oracle._cone(maps, cfg.delta, turns), cfg.delta,
+                            cfg.epsilon_ladder)
+        assert [cube is not None for cube in cubes] == has_cube
+        fracs = [lev.sigma_frac for lev in estimate_sigma_mc(mats, 0, cfg).levels]
+        expected = _reference_level_fracs(mats, 0, cfg)
+        assert [f for f, cube in zip(fracs, has_cube) if not cube] == [
+            f for f, cube in zip(expected, has_cube) if not cube]
+        assert fracs == _reference_sigma_chain(mats, 0, cfg)
+
+
+def _box_cases():
+    """(maps, ladder) from node 0 with a cube at some level: RSP with no
+    offsets and with offsets at the criterion-6 levels, the RSP point of the
+    depth-floor test, where a cube without the cone's ratio requirements
+    would hold rows that leave the tube, and three attracting draws with a
+    cone, at levels where the cube is a part of the eps-cube and where it
+    is all of it."""
+    spec = rsp_cycle_spec(RspParams(-0.5, 0.2))
+    conn = ConnectionSpec((1, 2, 0), scalings=(2.0, 0.5, 1.5), contraction_offset=0.3)
+    cases = {"rsp": (oracle._gmaps(rsp_matrices(RspParams(-0.5, 0.2)), 0),
+                     CRITERION_6.epsilon_ladder),
+             "scaled": (oracle._gmaps(validate_cycle(CycleSpec(nodes=spec.nodes,
+                                                               connections=(conn, conn))), 0),
+                        CRITERION_6.epsilon_ladder),
+             "floor": (oracle._gmaps(rsp_matrices(RspParams(0.15, -0.42)), 0),
+                       (1e-5, 1e-6, 1e-8, 1e-10, 1e-15))}
+    for seed in (1, 2, 5):
+        rng = np.random.default_rng(seed)
+        cycle = attracting_cycle(rng, m=int(rng.integers(1, 4)))
+        cases[f"attracting-{seed}"] = (oracle._gmaps(cycle, 0), (1e-3, 1e-4, 1e-6, 1e-15))
+    return cases
+
+
+@pytest.mark.parametrize("case", ["rsp", "scaled", "floor", "attracting-1", "attracting-2",
+                                  "attracting-5"])
+def test_rows_at_the_box_edge_are_in_the_basin(case):
+    # every corner of each level's cube, with uniforms 0 or the largest below
+    # t (1 - 2^-53 where the cube is all of the eps-cube), and 2000 random
+    # rows inside it: the per-column loop, with no cone, puts each in the basin
+    maps, ladder = _box_cases()[case]
+    cubes = oracle._box(maps, oracle._cone(maps, 1e-2, 200), 1e-2, ladder)
+    n, rng, kinds = len(maps.turn), np.random.default_rng(0), set()
+    for eps, cube in zip(ladder, cubes):
+        if cube is None:
+            continue
+        cols, ts = cube
+        kinds.add(bool(cols))
+        edge = math.nextafter(ts[0] if cols else 1.0, 0.0)
+        u = np.concatenate([list(itertools.product([0.0, edge], repeat=n)),
+                            np.minimum(rng.random((2000, n)) * edge, edge)])
+        eta0 = oracle._sample_log_cube(u, eps)
+        assert oracle._basin_mask(maps, eta0, 1e-2, 200).all(), eps
+    assert True in kinds and (not case.startswith("attracting") or kinds == {True, False})
 
 
 def test_cone_is_built_once_per_estimate_and_never_for_one_point(monkeypatch):
@@ -950,9 +1059,9 @@ def compactions(monkeypatch):
 
 
 def test_a_criterion_6_estimate_compacts_at_most_60_times(compactions):
-    # 24 blocks: the turn-0 escapes stay as dead slots, and only the cone
-    # drop of turn 2 compacts; turn 3's certifies every live column (24
-    # today)
+    # 9 blocks of the rows outside the cubes: the early escapes stay as dead
+    # slots, and only the cone drops of turns 1 and 2 compact; turn 3's
+    # certifies every live column (13 today)
     estimate_sigma_mc(rsp_matrices(RspParams(-0.5, 0.2)), 0, CRITERION_6)
     assert 0 < len(compactions) <= 60
 
@@ -1258,17 +1367,20 @@ def test_a_tiny_negative_component_is_not_tested():
 
 
 def test_estimator_memory_does_not_grow_with_samples():
-    # one (samples, 3) batch would be 24 MB for F+ and 4.8 MB per copy for sigma
+    # one (samples, 3) batch would be 24 MB for F+ and 4.8 MB per copy for
+    # sigma; at 40 turns sigma has no cube and draws every row, at 200 it
+    # draws about 166,000 rows outside the cubes of its two levels
     cfg = EstimatorConfig(epsilon_ladder=(1e-12, 1e-16), samples_per_level=200_000,
                           max_full_turns=40, seed=2)
+    cubed = dataclasses.replace(cfg, epsilon_ladder=(1e-15, 1e-16), max_full_turns=200)
     tracemalloc.start()
     try:
         estimate_fplus_mc((-1.0, 1.0, 1.0), (1e-1, 1e-2, 1e-3), 10**6, seed=2)
-        fplus_peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.reset_peak()
-        estimate_sigma_mc(rsp_matrices(RspParams(-0.5, 0.2)), 0, cfg)
-        sigma_peak = tracemalloc.get_traced_memory()[1]
+        peaks = [tracemalloc.get_traced_memory()[1]]
+        for config in (cfg, cubed):
+            tracemalloc.reset_peak()
+            estimate_sigma_mc(rsp_matrices(RspParams(-0.5, 0.2)), 0, config)
+            peaks.append(tracemalloc.get_traced_memory()[1])
     finally:
         tracemalloc.stop()
-    assert fplus_peak < 4 * 2**20
-    assert sigma_peak < 4 * 2**20
+    assert max(peaks) < 4 * 2**20
