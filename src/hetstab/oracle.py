@@ -36,7 +36,7 @@ maps directly rather than trusting any eigen-structure argument:
   test's rounding certifies a box of raw uniforms inside (_certificate);
 * both estimators count the rows of their certified box by binomial draws
   and never draw them, and draw only the rows outside the box, from their
-  conditional law, and test those (_inside), so each count has the law of
+  conditional law, and test those (_levels), so each count has the law of
   the test on every sample; _side decides saturation, the fit and
   InsufficientResolution for both;
 * matrix_basin_membership decides divergence of y <- M y by brute force.
@@ -49,15 +49,21 @@ matrix times a wide array.  _basin_mask first settles a step for the whole
 block, by one full max and a carried bound on the max-norm that uses
 ||M||_inf and ||F||_inf only, and takes the per-column maxima (an
 element-wise maximum over N contiguous rows) only when that cannot decide.
-Samples are drawn as rows of N raw uniforms (_blocks), turned into log
-coordinates in place (_sample_log_cube) and transposed once on entry to
-the loop, so the layout never changes which random number lands in which
-coordinate.  Every ladder level is streamed in blocks of at most BLOCK
-rows (_blocks, _inside).
+Samples are drawn as rows of N raw uniforms, turned into log coordinates
+in place (_sample_log_cube) and transposed once on entry to the loop, so
+the layout never changes which random number lands in which coordinate.
+Each estimate makes one pass over its ladder (_levels): every level draws
+the rows it leaves to the test into one buffer of at most BLOCK rows that
+all levels share, and the buffer is tested whenever it fills.
 
-Estimates are deterministic: the RNG stream of every level is derived from
-(seed, level index), so results are bit-identical for identical configs.
-Each estimate evaluates its ladder levels in order on the calling thread.
+Estimates are deterministic: level li draws the stream of
+np.random.default_rng((seed, li)) bit for bit, so results are
+bit-identical for identical configs and what one level draws never moves
+another.  The PCG64 states of all levels are computed in one array pass
+(_pcg_seeds, an exact replica of numpy's seeding) and set, in turn, on one
+reused generator (_streams); a stream derived with advance or spawn would
+move every draw.  Each estimate evaluates its ladder levels in order on
+the calling thread.
 """
 
 from __future__ import annotations
@@ -150,7 +156,7 @@ class EstimatorConfig:
     so every sample of _sample_log_cube, ln(eps) + log1p(-U) <= ln(eps),
     starts strictly inside the delta tube (the precondition of _basin_mask);
     max_full_turns bounds the orbit budget per sample.  samples_per_level
-    in [1, 2^63) (the binomial draws of _inside take a C long), max_full_turns
+    in [1, 2^63) (the binomial draws of _levels take a C long), max_full_turns
     >= 4 and seed >= 0 are integers.
     """
 
@@ -660,8 +666,9 @@ def _basin_mask(maps: _Maps, eta0: np.ndarray, delta: float, max_full_turns: int
     each mask is still bit for bit that of the per-column test.  On the
     criterion-6 config, 271076 of the 311840 basin samples lie in a level's
     cube (_box) and are never drawn; the cone decides all 40764 drawn ones
-    by turn 3, and the 9 blocks are compacted 13 times, at the drops of
-    turns 1 and 2.
+    by turn 3.  The 3 blocks, shared by the levels, are compacted once each,
+    at the drop of turn 2: the gate reads a block's first columns, which
+    come from its shallowest level.
     """
     layers = list(zip(maps.mats, maps.cols, maps.norms))
     ln_delta = math.log(delta)
@@ -822,76 +829,148 @@ def _sample_log_cube(block: np.ndarray, eps: float) -> np.ndarray:
     in (0, 1]; no underflow at any depth.  Both estimators turn every row
     of a level with no certificate, and otherwise only the rows their
     certificate (_box, _certificate) leaves to the test, drawn from their
-    conditional law (_inside)."""
+    conditional law (_levels)."""
     np.negative(block, out=block)
     np.log1p(block, out=block)
     block += math.log(eps)
     return block
 
 
-def _blocks(rng: np.random.Generator, rows: int, dim: int) -> Iterator[np.ndarray]:
-    """rows points of dim raw uniforms from rng, one point per row, in
-    consecutive blocks of at most BLOCK rows in one buffer that the caller
-    owns until the next block (a slice past its end stops at BLOCK rows), so
-    memory does not grow with rows.  The blocks consume the stream in the
-    same order as one draw of all the rows."""
-    buf = np.empty((min(rows, BLOCK), dim))
-    for start in range(0, rows, BLOCK):
-        yield rng.random(out=buf[:rows - start])
+# numpy's seeding constants: SeedSequence (bit_generator.pyx) and PCG64 (pcg64.h)
+_HASH_A = (0x43B0D7E5, 0x931E8875)       # init and multiplier of the entropy hash
+_HASH_B = (0x8B51F9DD, 0x58F38DED)       # init and multiplier of generate_state
+_MIX = (0xCA01F9DD, 0x4973F715)          # the pool mix
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
-def _inside(rng: np.random.Generator, samples: int, dim: int, eps: float,
-            box: tuple[list[int], list[float]] | None,
-            test: Callable[[np.ndarray], int]) -> int:
-    """How many of samples uniform points of the eps-cube are inside, where
-    test counts the inside rows of a block of log coordinates (one point
-    per row) and box, if any, is a box u_i < t_i of raw uniforms in the
-    listed columns whose every row test would count inside (_certificate,
-    _box).
+def _pcg_seeds(seed: int, count: int) -> list[tuple[int, int]]:
+    """The PCG64 (state, inc) of np.random.default_rng((seed, li)) for every
+    level li < count, in one array pass over the levels.
 
-    With no box every row is drawn in blocks (_blocks) and turned into log
-    coordinates (_sample_log_cube).  Otherwise the rows are split by the
-    first listed column whose uniform is >= t_i: in column order, n_i =
-    Binomial(rest, 1 - t_i) of the rest rows fail column i, and only these
-    are drawn, with u_j = t_j U in each earlier listed column j and E_i =
-    -log1p(-t_i) - log1p(-U) in column i (memorylessness of Exp(1); t_i +
-    (1 - t_i) U could round to 1).  The rest are the box, counted inside
-    undrawn.  So the count has the law of test on samples uniform rows.
-    The drawn rows of every column share one buffer of at most BLOCK rows,
-    tested whenever it fills and once at the end: the generator's stream
-    is the same whatever the split of a draw."""
-    if box is None:
-        return sum(test(_sample_log_cube(block, eps)) for block in _blocks(rng, samples, dim))
-    cols, ts = box
-    buf = np.empty((min(samples, BLOCK), dim))
-    inside, rest, fill = 0, samples, 0
-    for i, (col, t) in enumerate(zip(cols, ts)):
-        failed = int(rng.binomial(rest, 1.0 - t))
-        rest -= failed
-        while failed:
-            rows = rng.random(out=buf[fill:fill + failed])
-            rows[:, cols[:i]] *= ts[:i]
-            _sample_log_cube(rows, eps)[:, col] += math.log1p(-t)
-            failed, fill = failed - len(rows), fill + len(rows)
-            if fill == len(buf):
-                inside, fill = inside + test(buf), 0
-    return inside + rest + (test(buf[:fill]) if fill else 0)
+    It replicates numpy's SeedSequence((seed, li)), stable under NEP 19.  The
+    entropy is the 32-bit words of seed, least first, then li (one word, as
+    a ladder has fewer than 2^32 levels).  It is hashed into a pool of 4
+    words, the words are mixed pairwise, the words beyond the pool are mixed
+    into every pool word, and generate_state(4, uint64) hashes the pool into
+    8 words read as 4 little-endian uint64 v.  pcg64_set_seed then takes s
+    = v0 2^64 + v1 and i = v2 2^64 + v3: inc = 2 i + 1 and state = (inc +
+    s) _PCG_MULT + inc mod 2^128.
+
+    Each word is a row with a column per level.  Hash j xors h_j and
+    multiplies by h_(j+1), h_j = init mult^j, whatever the data, so all
+    levels step together, and hashes that do not wait on each other share
+    one array operation.  The uint32 arrays wrap as the C code does, with
+    no warning, as array arithmetic never warns.
+    """
+    words = [seed >> s & 0xFFFFFFFF for s in range(0, max(seed.bit_length(), 1), 32)]
+    entropy = np.zeros((max(len(words) + 1, 4), count), np.uint32)   # a word per row
+    entropy[:len(words)] = np.array(words, np.uint32)[:, None]
+    entropy[len(words)] = np.arange(count)
+    h = _powers(*_HASH_A, 4 * len(entropy) + 1)   # 4 + 12 + 4 (len - 4) hashes
+
+    def hashmix(v: np.ndarray, j: int) -> np.ndarray:
+        """Hashes j, j + 1, ... of the rows of v."""
+        return _xorshift((v ^ h[j:j + len(v)]) * h[j + 1:j + len(v) + 1])
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return _xorshift(x * _MIX[0] - y * _MIX[1])
+
+    pool = hashmix(entropy[:4], 0)
+    for src in range(4):      # the 3 other words take hashes of this one in turn
+        dst = [d for d in range(4) if d != src]
+        pool[dst] = mix(pool[dst], hashmix(pool[[src] * 3], 4 + 3 * src))
+    for i, e in enumerate(entropy[4:]):
+        pool = mix(pool, hashmix(np.broadcast_to(e, pool.shape), 16 + 4 * i))
+    b = _powers(*_HASH_B, 9)
+    w = _xorshift((np.concatenate([pool, pool]) ^ b[:8]) * b[1:]).astype(np.uint64)
+    s_hi, s_lo, i_hi, i_lo = (w[0::2] | w[1::2] << 32).tolist()
+    incs = [((hi << 64 | lo) << 1 | 1) % 2**128 for hi, lo in zip(i_hi, i_lo)]
+    return [(((inc + (hi << 64 | lo)) * _PCG_MULT + inc) % 2**128, inc)
+            for inc, hi, lo in zip(incs, s_hi, s_lo)]
 
 
-def _levels(ladder: tuple[float, ...], samples: int, seed: int,
-            count: Callable[[np.random.Generator, float], int]) -> tuple[LevelEstimate, ...]:
-    """Per ladder level li, the fraction of samples points inside the
-    eps-cube, as count(rng, eps) counts them with the level's own generator
-    on the RNG stream (seed, li), so what one level draws never moves
-    another.  Both estimators draw, through _inside, only the points that
-    their certificate (_box, _certificate) leaves to the test."""
-    def level(li: int) -> LevelEstimate:
-        inside = int(count(np.random.default_rng((seed, li)), ladder[li]))
-        frac = inside / samples
-        stderr = math.sqrt(frac * (1.0 - frac) / samples)
-        return LevelEstimate(epsilon=ladder[li], sigma_frac=frac, stderr=stderr, samples=samples)
+def _powers(init: int, mult: int, n: int) -> np.ndarray:
+    """init mult^k mod 2^32 for k < n, as an (n, 1) uint32 column."""
+    powers = itertools.accumulate(itertools.repeat(mult, n - 1), lambda h, a: h * a % 2**32,
+                                  initial=init)
+    return np.array(list(powers), np.uint32)[:, None]
 
-    return tuple(map(level, range(len(ladder))))
+
+def _xorshift(v: np.ndarray) -> np.ndarray:
+    return v ^ v >> 16
+
+
+def _streams(seed: int, count: int) -> Iterator[np.random.Generator]:
+    """Per ladder level li < count, one reused generator set to the stream
+    of np.random.default_rng((seed, li)) (_pcg_seeds), valid until the next;
+    the seed it is built with is overwritten before any draw."""
+    rng = np.random.Generator(np.random.PCG64(0))
+    for state, inc in _pcg_seeds(seed, count):
+        rng.bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                                   "has_uint32": 0, "uinteger": 0}
+        yield rng
+
+
+def _levels(ladder: tuple[float, ...], samples: int, seed: int, dim: int,
+            boxes: Sequence[tuple[list[int], list[float]] | None],
+            test: Callable[[np.ndarray], np.ndarray]) -> tuple[LevelEstimate, ...]:
+    """Per ladder level li, the fraction of samples uniform points of the
+    eps-cube inside, where test masks the inside rows of a block of log
+    coordinates (one point per row) and boxes[li], if any, is a box u_i <
+    t_i of raw uniforms in the listed columns whose every row test would
+    put inside (_certificate, _box).  Each level draws with its own
+    generator on the RNG stream (seed, li) (_streams), so what one level
+    draws never moves another.
+
+    With no box every row is drawn and turned into log coordinates
+    (_sample_log_cube).  Otherwise the rows are split by the first listed
+    column whose uniform is >= t_i: in column order, n_i = Binomial(rest, 1
+    - t_i) of the rest rows fail column i, and only these are drawn, with
+    u_j = t_j U in each earlier listed column j and E_i = -log1p(-t_i) -
+    log1p(-U) in column i (memorylessness of Exp(1); t_i + (1 - t_i) U could
+    round to 1).  The rest are the box, counted inside undrawn.  So each
+    count has the law of test on samples uniform rows.
+
+    The drawn rows of every level share one buffer of at most BLOCK rows,
+    so memory does not grow with samples; it is tested whenever it fills
+    and once at the end, and each level counts the hits in its (level,
+    start, stop) segments of it.  The generator's stream is the same
+    whatever the split of a draw, and test decides each row alone.
+    """
+    inside, segments, fill = [0] * len(ladder), [], 0
+    buf = np.empty((min(samples * len(ladder), BLOCK), dim))
+
+    def flush() -> None:
+        nonlocal fill
+        mask = test(buf[:fill])
+        for li, start, stop in segments:
+            inside[li] += int(np.count_nonzero(mask[start:stop]))
+        segments.clear()
+        fill = 0
+
+    for li, (rng, eps, box) in enumerate(zip(_streams(seed, len(ladder)), ladder, boxes)):
+        cols, ts = ([], []) if box is None else box
+        rest = samples
+        for i in range(len(ts) + (box is None)):   # a level with no box draws every row at once
+            rows = rest if box is None else int(rng.binomial(rest, 1.0 - ts[i]))
+            rest -= rows
+            while rows:
+                part = rng.random(out=buf[fill:fill + rows])
+                if i:
+                    part[:, cols[:i]] *= ts[:i]
+                _sample_log_cube(part, eps)
+                if i < len(ts):
+                    part[:, cols[i]] += math.log1p(-ts[i])
+                segments.append((li, fill, fill + len(part)))
+                rows, fill = rows - len(part), fill + len(part)
+                if fill == len(buf):
+                    flush()
+        inside[li] += rest
+    if fill:
+        flush()
+    fracs = [count / samples for count in inside]
+    return tuple(LevelEstimate(eps, frac, math.sqrt(frac * (1.0 - frac) / samples), samples)
+                 for eps, frac in zip(ladder, fracs))
 
 
 def _side(levels: Sequence[LevelEstimate], complement: bool) -> tuple[float, SlopeFit | None]:
@@ -932,26 +1011,21 @@ def estimate_sigma_mc(cycle: CycleLike, j: int, config: EstimatorConfig) -> Basi
 
     The basin certificate (_cone) and, from it, each level's cube of raw
     uniforms that the per-column test puts in the basin (_box) are built
-    once per call.  A level with a cube counts its rows inside by binomial
-    draws and draws only the rows outside it, from their conditional law
-    (_inside), so its count has the law of the per-column test on every
-    sample; the drawn rows go through _basin_mask with the cone, in blocks
-    of up to BLOCK rows that mix the failing columns.  A level with no cube
-    (no cone, no certifiable width, or N > CONE_MAX_DIM) draws and tests
-    every row, as one draw.
+    once per call, the cubes as a list in ladder order.  A level with a cube
+    counts its rows inside by binomial draws and draws only the rows outside
+    it, from their conditional law (_levels), so its count has the law of
+    the per-column test on every sample.  A level with no cube (no cone, no
+    certifiable width, or N > CONE_MAX_DIM) draws every row, as one draw.
+    The drawn rows of all levels go through _basin_mask with the cone in
+    shared blocks of up to BLOCK rows, so criterion 6 makes 3 calls, not
+    one or two per level.
     """
     maps = _gmaps(cycle, j)
     cone = _cone(maps, config.delta, config.max_full_turns)
-    cubes = dict(zip(config.epsilon_ladder, _box(maps, cone, config.delta, config.epsilon_ladder)))
-
-    def basin(eta: np.ndarray) -> int:
-        return np.count_nonzero(_basin_mask(maps, eta, config.delta, config.max_full_turns, cone))
-
     levels = _levels(
-        config.epsilon_ladder, config.samples_per_level, config.seed,
-        lambda rng, eps: _inside(rng, config.samples_per_level, len(maps.turn), eps,
-                                 cubes[eps], basin),
-    )
+        config.epsilon_ladder, config.samples_per_level, config.seed, len(maps.turn),
+        _box(maps, cone, config.delta, config.epsilon_ladder),
+        lambda eta: _basin_mask(maps, eta, config.delta, config.max_full_turns, cone))
     minus, fit_minus = _side(levels, complement=False)
     plus, fit_plus = _side(levels, complement=True)
     return BasinEstimate(levels, minus, plus, fit_minus, fit_plus, sigma_hat=plus - minus)
@@ -1015,14 +1089,14 @@ def estimate_fplus_mc(
     (exact for normal components) and keeps a huge alpha from overflowing
     it.  samples is an integer in [1, 2^63) and seed >= 0 an integer.
 
-    A level with no certificate (_certificate) draws every row in blocks
-    and takes the log test, ln(eps) + log1p(-U) (_sample_log_cube), then
+    A level with no certificate (_certificate) draws every row and takes
+    the log test, ln(eps) + log1p(-U) (_sample_log_cube), then
     alpha . eta < 0.  Otherwise a row whose uniforms lie in the box u_i <
     t_i of every tested column i lies a margin of 2^-30 sum |a_i|
     (37 + |ln eps|) inside the slice, at least 2^15 times the rounding of
     the log test, and is counted inside without being drawn; only the rows
     outside the box are drawn, from their conditional law, and take the
-    log test (_inside).  So every level's count has the law of the log
+    log test (_levels).  So every level's count has the law of the log
     test on samples uniform rows, and a level whose certificate tests no
     column draws nothing.
     """
@@ -1032,9 +1106,9 @@ def estimate_fplus_mc(
     samples = _whole(samples, 1, "samples", below=2**63)
     seed = _whole(seed, 0, "seed")
 
-    levels = _levels(ladder, samples, seed, lambda rng, eps: _inside(
-        rng, samples, a.size, eps, _certificate(a.tolist(), eps),
-        lambda eta: np.count_nonzero(eta @ a < 0.0)))
+    scaled = a.tolist()
+    levels = _levels(ladder, samples, seed, a.size, [_certificate(scaled, eps) for eps in ladder],
+                     lambda eta: eta @ a < 0.0)
     fplus_hat, fit = _side(levels, complement=True)
     return FplusEstimate(levels, fit, fplus_hat)
 

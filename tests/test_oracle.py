@@ -920,7 +920,8 @@ def _box_cases():
     depth-floor test, where a cube without the cone's ratio requirements
     would hold rows that leave the tube, and three attracting draws with a
     cone, at levels where the cube is a part of the eps-cube and where it
-    is all of it."""
+    is all of it; and the RSP maps scaled up whose cubes come from the
+    turns before _box's rounding-budget stop (STOP_CASES)."""
     spec = rsp_cycle_spec(RspParams(-0.5, 0.2))
     conn = ConnectionSpec((1, 2, 0), scalings=(2.0, 0.5, 1.5), contraction_offset=0.3)
     cases = {"rsp": (oracle._gmaps(rsp_matrices(RspParams(-0.5, 0.2)), 0),
@@ -934,11 +935,14 @@ def _box_cases():
         rng = np.random.default_rng(seed)
         cycle = attracting_cycle(rng, m=int(rng.integers(1, 4)))
         cases[f"attracting-{seed}"] = (oracle._gmaps(cycle, 0), (1e-3, 1e-4, 1e-6, 1e-15))
+    for name, (params, scale) in STOP_CASES.items():
+        mats = [M * scale for M in rsp_matrices(RspParams(*params))]
+        cases[f"stop-{name}"] = (oracle._gmaps(mats, 0), (1e-4, 1e-8, 1e-12, 1e-16))
     return cases
 
 
 @pytest.mark.parametrize("case", ["rsp", "scaled", "floor", "attracting-1", "attracting-2",
-                                  "attracting-5"])
+                                  "attracting-5", "stop-rsp-x3", "stop-floor-x2"])
 def test_rows_at_the_box_edge_are_in_the_basin(case):
     # every corner of each level's cube, with uniforms 0 or the largest below
     # t (1 - 2^-53 where the cube is all of the eps-cube), and 2000 random
@@ -957,6 +961,39 @@ def test_rows_at_the_box_edge_are_in_the_basin(case):
         eta0 = oracle._sample_log_cube(u, eps)
         assert oracle._basin_mask(maps, eta0, 1e-2, 200).all(), eps
     assert True in kinds and (not case.startswith("attracting") or kinds == {True, False})
+
+
+STOP_CASES = {"rsp-x3": ((-0.5, 0.2), 3.0), "floor-x2": ((0.15, -0.42), 2.0)}
+
+
+@pytest.mark.parametrize("case", sorted(STOP_CASES))
+def test_the_box_stops_at_its_rounding_budget(case, monkeypatch):
+    # RSP maps scaled up: c = K A gamma mu passes 2^-20 at a turn end while
+    # the widths still grow, so _box stops there before BOX_TURNS; every
+    # cube comes from the turns before, as with a BOX_TURNS of that many,
+    # and the estimate's levels are the reference chain's bit for bit
+    params, scale = STOP_CASES[case]
+    mats = [M * scale for M in rsp_matrices(RspParams(*params))]
+    cfg = EstimatorConfig(epsilon_ladder=(1e-4, 1e-8, 1e-12, 1e-16), samples_per_level=3000,
+                          seed=5)
+    maps = oracle._gmaps(mats, 0)
+    cone = oracle._cone(maps, cfg.delta, cfg.max_full_turns)
+    steps, widths = [], []
+    with pytest.MonkeyPatch.context() as mp:
+        orbits, real_widths = oracle._orbits, oracle._widths
+        mp.setattr(oracle, "_orbits", lambda *args: (
+            steps.append(step[0]) or step for step in orbits(*args)))
+        mp.setattr(oracle, "_widths", lambda *args: widths.append(1) or real_widths(*args))
+        cubes = oracle._box(maps, cone, cfg.delta, cfg.epsilon_ladder)
+    turns = len(widths)
+    assert steps[-1] == (turns + 1) * len(mats) and turns + 1 < oracle.BOX_TURNS
+    assert all(cube is not None and cube[0] for cube in cubes)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "BOX_TURNS", turns)
+        assert oracle._box(maps, cone, cfg.delta, cfg.epsilon_ladder) == cubes
+    monkeypatch.setattr(oracle, "_side", lambda levels, complement: (0.0, None))
+    fracs = [lev.sigma_frac for lev in estimate_sigma_mc(mats, 0, cfg).levels]
+    assert fracs == _reference_sigma_chain(mats, 0, cfg) and min(fracs) < 1.0
 
 
 def test_cone_is_built_once_per_estimate_and_never_for_one_point(monkeypatch):
@@ -1059,9 +1096,10 @@ def compactions(monkeypatch):
 
 
 def test_a_criterion_6_estimate_compacts_at_most_60_times(compactions):
-    # 9 blocks of the rows outside the cubes: the early escapes stay as dead
-    # slots, and only the cone drops of turns 1 and 2 compact; turn 3's
-    # certifies every live column (13 today)
+    # 3 blocks of the rows outside the cubes, shared by the levels: the early
+    # escapes stay as dead slots, and only the cone drops compact; each
+    # block's first is at turn 2, and turn 3's certifies every live column
+    # (3 today)
     estimate_sigma_mc(rsp_matrices(RspParams(-0.5, 0.2)), 0, CRITERION_6)
     assert 0 < len(compactions) <= 60
 
@@ -1140,14 +1178,18 @@ BLOCK_EDGES = (1, oracle.BLOCK - 1, oracle.BLOCK, oracle.BLOCK + 1, 5 * oracle.B
 
 @pytest.mark.parametrize("n", BLOCK_EDGES)
 def test_log_cube_blocks_continue_one_draw(n):
-    # the blocks are raw uniforms that continue one draw, and the in-place
-    # transform of their concatenation is the out-of-place log cube
-    blocks = [block.copy() for block in oracle._blocks(np.random.default_rng((6, 0)), n, 3)]
-    assert len(blocks) == -(-n // oracle.BLOCK)
-    raw = np.concatenate(blocks)
-    assert np.array_equal(raw, np.random.default_rng((6, 0)).random((n, 3)))
+    # a level with no box draws its rows in blocks of the shared buffer that
+    # continue one draw: their concatenation is the out-of-place log cube
+    blocks = []
+
+    def test(eta):
+        blocks.append(eta.copy())
+        return np.ones(len(eta), dtype=bool)
+
+    (level,) = oracle._levels((1e-5,), n, 6, 3, [None], test)
+    assert level.sigma_frac == 1.0 and len(blocks) == -(-n // oracle.BLOCK)
     expected = _out_of_place_log_cube(np.random.default_rng((6, 0)), 1e-5, n, 3)
-    assert np.array_equal(oracle._sample_log_cube(raw, 1e-5), expected)
+    assert np.array_equal(np.concatenate(blocks), expected)
 
 
 @pytest.mark.parametrize("n", BLOCK_EDGES)
@@ -1172,22 +1214,102 @@ def test_fplus_levels_exact_at_block_boundaries(n):
     assert [lev.sigma_frac for lev in est.levels] == _reference_fplus_chain(alpha, ladder, n, 12)
 
 
-class _SpyRng:
-    """A generator that records the level of each random and binomial call
-    in calls and otherwise draws as numpy.random.default_rng(seed)."""
-    calls = []
-    default_rng = np.random.default_rng
+SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**130 + 99, 20260805, 20260806)
 
-    def __init__(self, seed):
-        self.seed, self.rng = seed, _SpyRng.default_rng(seed)
+
+def _assert_streams_of_default_rng(seed, count):
+    """Every level's generator of oracle._streams has the PCG64 state of
+    np.random.default_rng((seed, li)), and draws as it."""
+    got = [(rng.bit_generator.state, rng.random()) for rng in oracle._streams(seed, count)]
+    assert got == [(np.random.PCG64(np.random.SeedSequence((seed, li))).state,
+                    np.random.default_rng((seed, li)).random()) for li in range(count)]
+
+
+@pytest.mark.parametrize("count", (1, 8, 131))
+@pytest.mark.parametrize("seed", SEEDS)
+def test_every_level_draws_the_stream_of_default_rng(seed, count):
+    # seeds of one, two, three and five 32-bit words: 2^130 + 99 with the
+    # level index is 6 words of entropy, beyond SeedSequence's pool of 4
+    _assert_streams_of_default_rng(seed, count)
+
+
+@settings(deadline=None, max_examples=60)
+@given(seed=st.integers(0, 2**200 - 1), count=st.integers(1, 40))
+def test_every_level_draws_the_stream_of_default_rng_property(seed, count):
+    _assert_streams_of_default_rng(seed, count)
+
+
+def _other_levels(estimate, ladder, k, eps):
+    """The level fractions of estimate(ladder) and of estimate(ladder with
+    level k at eps), at every level but k."""
+    other = (*ladder[:k], eps, *ladder[k + 1:])
+    return [[lev.sigma_frac for li, lev in enumerate(estimate(lad).levels) if li != k]
+            for lad in (ladder, other)]
+
+
+# F+ at alpha (-1, 1, 1): level 0 has no certificate and draws every row,
+# and about 90% of level 1's rows fail its tested column, so with BLOCK +
+# 5000 samples both straddle a flush of the shared buffer
+INDEPENDENCE_FPLUS = ((1.0 - 1e-10, 0.9, 0.5, 1e-2), (1.0 - 1e-9, 0.8, 0.3, 1e-3))
+
+
+@pytest.mark.parametrize("k", range(4))
+def test_fplus_levels_do_not_move_when_another_level_does(k, monkeypatch):
+    monkeypatch.setattr(oracle, "_side", lambda levels, complement: (0.0, None))
+    ladder, changed = INDEPENDENCE_FPLUS
+    samples = oracle.BLOCK + 5000
+    certs = [oracle._certificate([-0.5, 0.5, 0.5], eps) for eps in (*ladder, changed[k])]
+    assert [cert is None for cert in certs] == [True, False, False, False, k == 0]
+    assert certs[1][1][0] < 0.15
+    before, after = _other_levels(lambda lad: estimate_fplus_mc((-1.0, 1.0, 1.0), lad, samples, 4),
+                                  ladder, k, changed[k])
+    assert before == after and len(set(before)) == 3
+
+
+# sigma on RSP (-0.5, 0.2): level 0 has no cube and draws all its rows, and
+# the others draw a part of theirs, so rows of several levels share a block
+INDEPENDENCE_SIGMA = ((1e-12, 1e-15, 1e-18, 1e-20), (1e-11, 1e-16, 1e-19, 1e-21))
+
+
+@pytest.mark.parametrize("k", range(4))
+def test_sigma_levels_do_not_move_when_another_level_does(k, monkeypatch):
+    monkeypatch.setattr(oracle, "_side", lambda levels, complement: (0.0, None))
+    mats = rsp_matrices(RspParams(-0.5, 0.2))
+    ladder, changed = INDEPENDENCE_SIGMA
+    cfg = EstimatorConfig(epsilon_ladder=ladder, samples_per_level=oracle.BLOCK + 5000, seed=7)
+    maps = oracle._gmaps(mats, 0)
+    cone = oracle._cone(maps, cfg.delta, cfg.max_full_turns)
+    for lad in (ladder, changed):
+        cubes = oracle._box(maps, cone, cfg.delta, lad)
+        assert cubes[0] is None and all(cube is not None and cube[0] for cube in cubes[1:])
+    before, after = _other_levels(
+        lambda lad: estimate_sigma_mc(mats, 0, dataclasses.replace(cfg, epsilon_ladder=lad)),
+        ladder, k, changed[k])
+    assert before == after and before != [1.0] * 3
+
+
+class _SpyRng:
+    """A level's generator that records the level of each random and
+    binomial call in calls and otherwise draws as that generator."""
+    calls = []
+
+    def __init__(self, li, rng):
+        self.li, self.rng = li, rng
 
     def random(self, *args, **kwargs):
-        self.calls.append(("random", self.seed[1]))
+        self.calls.append(("random", self.li))
         return self.rng.random(*args, **kwargs)
 
     def binomial(self, *args, **kwargs):
-        self.calls.append(("binomial", self.seed[1]))
+        self.calls.append(("binomial", self.li))
         return self.rng.binomial(*args, **kwargs)
+
+
+def _spy_streams(monkeypatch, spy):
+    """Wrap every level's generator of oracle._streams in spy(li, rng)."""
+    real = oracle._streams
+    monkeypatch.setattr(oracle, "_streams", lambda seed, count: (
+        spy(li, rng) for li, rng in enumerate(real(seed, count))))
 
 
 def test_fplus_levels_with_no_tested_column_draw_nothing(monkeypatch):
@@ -1196,7 +1318,7 @@ def test_fplus_levels_with_no_tested_column_draw_nothing(monkeypatch):
     ladder = np.geomspace(0.5, 1e-3, 8)
     alphas = [np.array(alpha) for alpha in ((1.0, 0.5, 0.0), (-0.05, 1.0, 0.0))]
     expected = [_reference_fplus_chain(alpha, ladder, 20_000, 3) for alpha in alphas]
-    monkeypatch.setattr(np.random, "default_rng", _SpyRng)
+    _spy_streams(monkeypatch, _SpyRng)
     monkeypatch.setattr(_SpyRng, "calls", [])
     untested_counts = []
     for alpha, fracs in zip(alphas, expected):
@@ -1231,7 +1353,7 @@ def test_a_row_at_the_last_uniform_in_its_failing_column_stays_finite(monkeypatc
         etas.append(transform(block, eps))
         return etas[-1]
 
-    monkeypatch.setattr(np.random, "default_rng", LastUniform)
+    _spy_streams(monkeypatch, LastUniform)
     monkeypatch.setattr(oracle, "_sample_log_cube", log_cube)
     monkeypatch.setattr(oracle, "_side", lambda levels, complement: (0.0, None))
     estimate_fplus_mc((-1.0, 1.0, 1.0), (eps,), 10, seed=0)
